@@ -145,7 +145,7 @@ def _run_lint(req):
 
 
 def _run_demo(req):
-    from ..bench.harness import adapter_for, run_suite
+    from ..bench.harness import adapter_for, log_engine_fallbacks, run_suite
     from ..obs import records_from_suite
 
     adapter = adapter_for(req.bench)
@@ -165,6 +165,7 @@ def _run_demo(req):
     for name in DEMO_VARIANTS:
         run = suite[name][0]
         print("%-16s %14.0f %8.2fx %6s" % (name, run.cycles, base / run.cycles, run.ok))
+        log_engine_fallbacks("demo %s/%s" % (req.bench, name), run.meta.get("stage_fallbacks"))
     ok = all(suite[name][0].ok for name in DEMO_VARIANTS)
     records = records_from_suite(req.bench, suite)
     speedup = base / suite["phloem-static"][0].cycles
@@ -267,6 +268,7 @@ def _run_trace(req):
             speedup=serial.cycles / result.cycles,
             cache_stats=cache.stats_since(cache_before),
             passes=None if profiler is None else profiler.as_dicts(),
+            stage_engines=result.stage_engines,
         ),
     ]
     if req.metrics_out:

@@ -231,9 +231,10 @@ class BenchPerfRequest(Request):
 
     benches: tuple = ()
     scale: str = "quick"  # quick | full
-    #: Engine selection: an engine name, ``"all"``, or None for the legacy
-    #: reference + fastpath pair. The reference interpreter always runs —
-    #: it is the conformance oracle and speedup denominator.
+    #: Engine selection: an engine name, ``"all"``, or None for the engine
+    #: runs use by default (``resolve_engine``: batch). The reference
+    #: interpreter always runs — it is the conformance oracle and speedup
+    #: denominator.
     engine: str = None
     repeats: int = 2
     jobs: int = None

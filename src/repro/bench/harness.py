@@ -131,7 +131,28 @@ def _record(variant, input_name, result, ok):
     summary = stats.summary() if stats is not None else result.summary()
     if summary is not None:
         run.meta["summary"] = summary
+    # Which engine executed each stage (live runs only: a cached baseline
+    # recorded no machine). Kept out of the summary, which is compared for
+    # equality across engines.
+    if hasattr(result, "stage_engines"):
+        run.meta["stage_engines"] = result.stage_engines
+        run.meta["stage_fallbacks"] = result.stage_fallbacks
     return run
+
+
+def log_engine_fallbacks(label, fallbacks):
+    """One advisory line (stderr, via :func:`repro.obs.log`) for a run that
+    mixed engines: which stages left the requested engine, and why."""
+    if fallbacks:
+        from ..obs import log
+
+        log(
+            "%s: mixed engines: %s",
+            label,
+            "; ".join(
+                "%s fell back (%s)" % (stage, fallbacks[stage]) for stage in sorted(fallbacks)
+            ),
+        )
 
 
 def profile_guided_pipeline(adapter, train_inputs, config=SCALED_1CORE, max_stages=4, top_k=5, limit=40, passes=ALL_PASSES, recorder=None, prune_static=None):

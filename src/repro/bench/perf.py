@@ -36,7 +36,7 @@ import time
 
 from ..cache import cached_compile
 from ..core.compiler import CompileOptions
-from .harness import adapter_for
+from .harness import adapter_for, log_engine_fallbacks
 
 #: Schema identity stamped on every perf record / baseline file.
 PERF_SCHEMA = "repro.bench/perf-record"
@@ -124,16 +124,18 @@ def input_label(spec):
 def normalize_engines(spec=None):
     """Canonicalize an engine selection into an ordered tuple.
 
-    Accepts ``None`` (the legacy pair: reference + fastpath), the string
-    ``"all"``, a single engine name, or an iterable of names. The
-    reference interpreter is always included — it is the bit-exactness
-    oracle and the denominator of every speedup — and the result follows
-    the canonical :data:`~repro.pipette.fastpath.ENGINES` order.
+    Accepts ``None`` (the engine a run that selects nothing gets, per
+    :func:`~repro.pipette.fastpath.resolve_engine` — so the harness times
+    what users run), the string ``"all"``, a single engine name, or an
+    iterable of names. The reference interpreter is always included — it
+    is the bit-exactness oracle and the denominator of every speedup — and
+    the result follows the canonical
+    :data:`~repro.pipette.fastpath.ENGINES` order.
     """
-    from ..pipette.fastpath import ENGINES
+    from ..pipette.fastpath import ENGINES, resolve_engine
 
     if spec is None:
-        names = ["reference", "fastpath"]
+        names = [resolve_engine()]
     elif isinstance(spec, str):
         names = list(ENGINES) if spec == "all" else [spec]
     else:
@@ -217,6 +219,7 @@ def measure_bench(bench, scale="quick", repeats=2, engines=None):
     oracle = results["reference"]
     for name in engines:
         result = results[name]
+        log_engine_fallbacks("perf %s (%s)" % (bench, name), result.stage_fallbacks)
         if result.stats.summary() != oracle.stats.summary() or result.cycles != oracle.cycles:
             raise PerfError(
                 "%s: %s engine diverged from the reference interpreter "
@@ -376,13 +379,18 @@ def git_describe(cwd=None):
     return token if token is not None else "unknown"
 
 
-def history_entry(records, scale, git=None, engine="fastpath"):
+def history_entry(records, scale, git=None, engine=None):
     """One compact per-engine trajectory point for the baseline history.
 
-    ``engine`` selects which engine's walls the entry tracks; records
-    without a measurement for it (legacy records, partial runs) fall back
-    to their legacy fast-side keys when ``engine`` is the primary one.
+    ``engine`` selects which engine's walls the entry tracks (default: the
+    engine :func:`~repro.pipette.fastpath.resolve_engine` gives a run that
+    selects nothing); records without a measurement for it (legacy
+    records, partial runs) fall back to their legacy fast-side keys.
     """
+    if engine is None:
+        from ..pipette.fastpath import resolve_engine
+
+        engine = resolve_engine()
     agg = aggregate(records)
     per_agg = (agg.get("engines") or {}).get(engine)
     if per_agg is not None:
@@ -455,9 +463,12 @@ def write_baseline(records, scale, path=BASELINE_FILE, git=None):
         if previous is not None:
             history = list(previous.get("history") or [])
             if not history and previous.get("records"):
+                # Baselines that predate the history list were recorded
+                # when the fast path was the only non-reference engine.
                 history = [
                     history_entry(
-                        previous["records"], previous.get("scale"), git="(pre-history)"
+                        previous["records"], previous.get("scale"),
+                        git="(pre-history)", engine="fastpath",
                     )
                 ]
     payload = baseline_payload(records, scale)

@@ -36,7 +36,6 @@ import contextlib
 import hashlib
 import os
 import pickle
-import tempfile
 from dataclasses import asdict, is_dataclass
 
 try:
@@ -44,6 +43,7 @@ try:
 except ImportError:  # non-POSIX: atomic rename still guards writes
     fcntl = None
 
+from .cachedir import cache_dir, write_atomic
 from .core.compiler import compile_function
 from .ir.serialize import fingerprint
 from .runtime.executor import run_serial
@@ -107,16 +107,6 @@ def fingerprint_config(config):
 
 # ---------------------------------------------------------------------------
 # Storage: per-process memory in front of a shared pickle directory
-
-
-def cache_dir():
-    """The on-disk cache directory, or ``None`` when disk caching is off."""
-    if os.environ.get("REPRO_NO_CACHE"):
-        return None
-    path = os.environ.get("REPRO_CACHE_DIR")
-    if not path:
-        path = os.path.join(os.path.expanduser("~"), ".cache", "phloem-repro")
-    return path
 
 
 def _disk_path(layer, key):
@@ -199,16 +189,9 @@ def _store(layer, key, value):
     path = _disk_path(layer, key)
     if path is None:
         return
-    try:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        # Write-then-rename so concurrent harness workers never observe a
-        # partially written pickle.
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
-        with os.fdopen(fd, "wb") as handle:
-            pickle.dump(value, handle, protocol=pickle.HIGHEST_PROTOCOL)
-        os.replace(tmp, path)
-    except OSError:
-        pass  # disk cache is best-effort; memory layer already holds it
+    # Write-then-rename so concurrent harness workers never observe a
+    # partially written pickle; best-effort, the memory layer holds it.
+    write_atomic(path, pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
 
 
 def reset(memory=True, stats=True):

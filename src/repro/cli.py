@@ -517,7 +517,8 @@ def build_parser():
         "--engine", default=None,
         choices=("reference", "fastpath", "batch", "all"),
         help="engine(s) to time against the reference interpreter "
-        "(default: fastpath; 'all' measures every engine)",
+        "(default: the engine runs use by default, batch; 'all' measures "
+        "every engine)",
     )
     perf.add_argument(
         "--repeats", type=int, default=2,

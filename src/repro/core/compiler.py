@@ -59,11 +59,12 @@ class CompileOptions:
     #: verification never changes the compiled pipeline, so a verified and
     #: an unverified compile must share cache entries.
     verify_each: bool = False
-    #: Run compiled pipelines on the closure-compiled fast path
-    #: (:mod:`repro.pipette.fastpath`). Recorded in ``pipeline.meta`` for
-    #: the machine to honor; like ``verify_each``, NOT part of cache_key()
-    #: — the engine choice never changes the compiled pipeline, so both
-    #: engines must share cache entries.
+    #: Run compiled pipelines on a compiled engine (the default one, see
+    #: :func:`repro.pipette.fastpath.resolve_engine`); False selects the
+    #: reference interpreter. Recorded in ``pipeline.meta`` for the machine
+    #: to honor; like ``verify_each``, NOT part of cache_key() — the engine
+    #: choice never changes the compiled pipeline, so all engines must
+    #: share cache entries.
     fastpath: bool = True
     #: Run the static performance model at the end of compilation and log
     #: its PHL4xx advisories. Advisory only — it never changes the

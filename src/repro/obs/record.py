@@ -37,6 +37,7 @@ def run_record(
     passes=None,
     search=None,
     extra=None,
+    stage_engines=None,
 ):
     """Build one RunRecord dict.
 
@@ -44,7 +45,9 @@ def run_record(
     (:class:`~repro.pipette.stats.SimStats`), ``cache_stats`` from
     :func:`repro.cache.stats`, ``passes`` from
     :meth:`~repro.obs.passes.PassProfiler.as_dicts`, ``search`` from
-    :meth:`~repro.obs.search.SearchRecorder.as_dict`.
+    :meth:`~repro.obs.search.SearchRecorder.as_dict`, ``stage_engines``
+    (stage thread -> engine that executed it) from
+    :attr:`~repro.runtime.executor.RunResult.stage_engines`.
     """
     record = {
         "schema": RECORD_SCHEMA,
@@ -81,6 +84,8 @@ def run_record(
         record["passes"] = passes
     if search is not None:
         record["search"] = search
+    if stage_engines is not None:
+        record["stage_engines"] = stage_engines
     if extra:
         record.update(extra)
     return record
@@ -111,6 +116,7 @@ def records_from_suite(bench, suite, cache_stats=None):
                     breakdown=run.breakdown,
                     energy=run.energy,
                     cache_stats=cache_stats,
+                    stage_engines=run.meta.get("stage_engines"),
                 )
             )
     return records

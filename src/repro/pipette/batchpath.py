@@ -52,19 +52,29 @@ the accrued buckets are bit-identical rather than merely close.
 Stages the compiler cannot express (recursive control handlers, unknown
 statement kinds) fall back to :class:`~repro.pipette.fastpath.
 FastStageInterp` per stage; the run then mixes engines per stage but stays
-bit-identical, since every engine replays the same arithmetic.
+bit-identical, since every engine replays the same arithmetic. The machine
+records which engine executed each stage and why a stage fell back
+(``Machine.stage_engines`` / ``stage_fallbacks``).
+
+This module only *describes* a stage as source text. Turning text into a
+function — once per process, or not at all when another process already
+did — is :mod:`repro.pipette.stagecode`. Everything run-specific (queues,
+arrays, contexts, numeric immediates) reaches the function through its one
+argument, so equal text means one shared function.
 
 The reference interpreter remains the conformance oracle: see
 ``tests/pipette/test_fastpath_conformance.py`` (engine matrix) and the
 engine-differential fuzzer in ``tests/test_compiler_fuzz.py``.
 """
 
+import math
+from collections import deque
+
 from ..errors import SimulationError
 from ..ir.ops import TERNARY_OPS, _checked_div, _checked_mod
-from ..ir.values import Ctrl
 from .fastpath import FastStageInterp, _is_reg
 from .interp import _assign_pcs
-from .sched import BLOCKED
+from .stagecode import stage_function
 from .stats import MIRROR_COUNTERS, MIRROR_STALLS
 
 __all__ = ["BatchStageInterp", "UnsupportedStage"]
@@ -74,12 +84,6 @@ class UnsupportedStage(Exception):
     """Raised by the stage compiler when a stage shape cannot be expressed;
     the factory falls back to the fast path for that stage."""
 
-
-#: Compiled code objects keyed by generated source text. The source bakes in
-#: every structural and configuration literal, so text equality is exactly
-#: compile-compatibility; captures (queues, arrays, ctx) bind per run.
-_CODE_CACHE = {}
-_CODE_CACHE_MAX = 512
 
 #: Generated-source size guard: a pathological handler-inline blowup falls
 #: back to the fast path instead of compiling a megabyte of Python.
@@ -208,6 +212,8 @@ class _StageCompiler:
             # ``int = C['int']`` turns every use into a LOAD_FAST instead
             # of a namespace-then-builtins LOAD_GLOBAL chain.
             "int": int,
+            "ceil": math.ceil,
+            "deque": deque,
             "max": max,
             "len": len,
             "type": type,
@@ -216,6 +222,7 @@ class _StageCompiler:
         if self.traced:
             self.captures["tracer"] = ctx.tracer
             self.captures["TN"] = ctx.stats.name
+        self._immediates = []  # numeric operand values, one per occurrence
         self._queue_locals = set()
         self._enq_qids = set()  # queues enqueued inline (counter deltas live)
         self._deq_qids = set()  # queues dequeued inline
@@ -246,9 +253,14 @@ class _StageCompiler:
         self.captures["l1_stats"] = l1.stats
         self.captures["l2_sets"] = l2.sets
         self.captures["l2_stats"] = l2.stats
+        # Bound methods are captured here, once: every attribute access
+        # builds a new method object, which cap()'s identity check would
+        # reject as a collision on the second use in a stage.
         self.captures["below_l2"] = mem.miss_below_l2
         self.captures["pf_streams"] = mem.prefetchers[ctx.core].streams
         self.captures["pf_one"] = mem._prefetch
+        self.captures["mem_access"] = mem.access
+        self.captures["acquire"] = ctx.ledger.acquire
 
     # -- emission helpers ---------------------------------------------------
 
@@ -287,6 +299,14 @@ class _StageCompiler:
     def val(self, operand):
         if _is_reg(operand):
             return self.reg(operand)[0]
+        if type(operand) in (int, float):
+            # Numeric immediates bind per run (the ``K`` capture), one
+            # local per occurrence, so stages that differ only in such
+            # constants — the N workers of a data-parallel kernel, each with
+            # its thread id baked into the IR — share one source text and
+            # therefore one compiled function.
+            self._immediates.append(operand)
+            return "K%d" % (len(self._immediates) - 1)
         return repr(operand)
 
     def rdy(self, operand):
@@ -318,9 +338,19 @@ class _StageCompiler:
         cycle fills, the cycle changes, or a sync point / direct
         ``ledger.acquire`` call needs the dict authoritative again.
         """
-        self.w("c = int(cur)")
-        self.w("if c < cur:")
-        self.w("    c += 1")
+        # ``ceil`` of a float is the reference's int()-then-bump probe.
+        self.w("c = ceil(cur)")
+        if n > 1:
+            # All n slots fit in the cycle already held: each chained
+            # acquire would land on ``lc`` again. Otherwise take them one
+            # by one: after the first, ``c == lc`` holds, so a full cycle
+            # re-reads its own just-flushed count and moves on to lc + 1.
+            self.w("if c == lc and ln <= %d:" % (self.W - n))
+            self.w("    ln += %d" % n)
+            self.w("else:")
+            self.push()
+            self.w("for _ in %r:" % ((0,) * n,))
+            self.push()
         # (lc, ln) cache the true slot count of the last acquired cycle
         # with the dict write deferred: between yields no other thread
         # runs, so the dict only needs to be correct again at the next
@@ -331,27 +361,14 @@ class _StageCompiler:
         self.w("else:")
         self.w("    if ln:")
         self.w("        slots[lc] = ln")
-        self.w("    n = sget(c, 0)")
-        self.w("    while n >= %d:" % self.W)
+        self.w("    ln = sget(c, 0) + 1")
+        self.w("    while ln > %d:" % self.W)
         self.w("        c += 1")
-        self.w("        n = sget(c, 0)")
+        self.w("        ln = sget(c, 0) + 1")
         self.w("    lc = c")
-        self.w("    ln = n + 1")
-        for _ in range(n - 1):
-            # ``cur`` is untouched since the previous acquire landed on
-            # ``lc``, so the reference's int()/ceil probe would recompute
-            # exactly ``lc``; only the slot-count check remains.
-            self.w("if ln < %d:" % self.W)
-            self.w("    ln += 1")
-            self.w("else:")
-            self.w("    slots[lc] = ln")
-            self.w("    c = lc + 1")
-            self.w("    n = sget(c, 0)")
-            self.w("    while n >= %d:" % self.W)
-            self.w("        c += 1")
-            self.w("        n = sget(c, 0)")
-            self.w("    lc = c")
-            self.w("    ln = n + 1")
+        if n > 1:
+            self.pop()
+            self.pop()
         # Only the final slot's cycle is observable (ThreadCtx.issue
         # threads ``t`` through the chain and stores the last).
         self.w("t = cur = lc + 0.0")
@@ -382,11 +399,11 @@ class _StageCompiler:
         """ThreadCtx.retire, on the ``rlast``/ring mirrors.
 
         The ROB deque (pop oldest once at capacity, else just grow) is a
-        ring of the last ``rob_size`` retire times. The ring starts
-        prefilled with 0.0: cursors are never negative, so popping a
-        sentinel is exactly the reference's not-yet-full no-pop case. The
-        deque itself is thread-private and observed by nothing else, so the
-        ring never needs flushing back.
+        bounded deque of the last ``rob_size`` retire times: appending drops
+        the oldest. It starts prefilled with 0.0: cursors are never
+        negative, so popping a sentinel is exactly the reference's
+        not-yet-full no-pop case. ``ctx.rob`` itself is thread-private and
+        observed by nothing else, so the ring never needs flushing back.
         """
         r = comp_expr
         if not comp_expr.isidentifier():
@@ -394,29 +411,23 @@ class _StageCompiler:
             r = "r"
         self.w("if %s > rlast:" % r)
         self.w("    rlast = %s" % r)
-        self.w("oldest = ring[ri]")
+        self.w("oldest = ring[0]")
         self.w("if oldest > cur:")
         self.w("    ms += oldest - cur")
         if self.traced:
             self.w("    tracer.stall(TN, 'mem', cur, oldest)")
         self.w("    cur = oldest")
-        self.w("ring[ri] = rlast")
-        self.w("ri += 1")
-        self.w("if ri == %d:" % self.ROB)
-        self.w("    ri = 0")
+        self.w("rpush(rlast)")
 
     def emit_mshr(self, comp_expr):
         """ThreadCtx.mshr_claim, as a prefilled ring like the ROB."""
-        self.w("oldest = mring[mi]")
+        self.w("oldest = mring[0]")
         self.w("if oldest > cur:")
         self.w("    ms += oldest - cur")
         if self.traced:
             self.w("    tracer.stall(TN, 'mem', cur, oldest)")
         self.w("    cur = oldest")
-        self.w("mring[mi] = %s" % comp_expr)
-        self.w("mi += 1")
-        self.w("if mi == %d:" % self.MSHRS)
-        self.w("    mi = 0")
+        self.w("mpush(%s)" % comp_expr)
 
     def emit_predict(self, pc):
         """GsharePredictor.predict_and_update on the ``ph`` mirror; needs a
@@ -467,14 +478,12 @@ class _StageCompiler:
             "    slots[lc] = ln",
             "    lc = -1",
             "    ln = 0",
-            # Cache hit/miss deltas: the counters are shared with RAs and
-            # co-scheduled threads, so they accumulate locally and flush
-            # additively (ints: exact in any interleaving).
+            # L1 hit delta: the counter is shared with RAs and co-scheduled
+            # threads, so it accumulates locally and flushes additively
+            # (ints: exact in any interleaving, also against l1_miss's
+            # direct updates of the miss-side counters).
             "l1_stats.hits += l1h",
-            "l1_stats.misses += l1m",
-            "l2_stats.hits += l2h",
-            "l2_stats.misses += l2m",
-            "l1h = l1m = l2h = l2m = 0",
+            "l1h = 0",
         ]
         for field in MIRROR_COUNTERS + MIRROR_STALLS:
             out.append("tstats.%s = %s" % (field, _STAT_LOCALS[field]))
@@ -496,10 +505,13 @@ class _StageCompiler:
         return out
 
     def emit_l1_access(self, start="start", stream="sname", store=False):
-        """Inline L1 lookup (+ stride observe unless a store); leaves
+        """Inline L1 hit paths (+ stride observe unless a store); leaves
         ``latency``. ``stream`` names a local holding the stream id; the
         address line must already be in ``line``. Transcribed from
-        MemorySystem.access via fastpath's audited inline block."""
+        MemorySystem.access via fastpath's audited inline block. The cold
+        side — L1 install, L2 lookup, the walk below — is the per-stage
+        ``l1_miss`` helper (:meth:`l1_miss_lines`), emitted once instead of
+        at every memory site."""
         self.w("sindex = line %% %d" % self.SCOUNT)
         self.w("tag = line // %d" % self.SCOUNT)
         self.w("entry = l1get(sindex)")
@@ -513,35 +525,7 @@ class _StageCompiler:
         self.w("    l1h += 1")
         self.w("    latency = %d" % self.L1LAT)
         self.w("else:")
-        self.w("    if entry is None:")
-        self.w("        l1_sets[sindex] = [tag]")
-        self.w("    else:")
-        self.w("        entry.insert(0, tag)")
-        self.w("        if len(entry) > %d:" % self.L1WAYS)
-        self.w("            entry.pop()")
-        self.w("    l1m += 1")
-        # L2 lookup inlined too (Cache.access, same discipline as the L1
-        # block); only the below-L2 walk stays a call.
-        self.w("    e2 = l2get(line %% %d)" % self.L2SCOUNT)
-        self.w("    t2 = line // %d" % self.L2SCOUNT)
-        self.w("    if e2 is not None and e2[0] == t2:")
-        self.w("        l2h += 1")
-        self.w("        latency = %d" % self.L2LAT)
-        self.w("    elif e2 is not None and t2 in e2:")
-        self.w("        pos = e2.index(t2, 1)")
-        self.w("        del e2[pos]")
-        self.w("        e2.insert(0, t2)")
-        self.w("        l2h += 1")
-        self.w("        latency = %d" % self.L2LAT)
-        self.w("    else:")
-        self.w("        if e2 is None:")
-        self.w("            l2_sets[line %% %d] = [t2]" % self.L2SCOUNT)
-        self.w("        else:")
-        self.w("            e2.insert(0, t2)")
-        self.w("            if len(e2) > %d:" % self.L2WAYS)
-        self.w("                e2.pop()")
-        self.w("        l2m += 1")
-        self.w("        latency = below_l2(%d, line, %s)" % (self.ctx.core, start))
+        self.w("    latency = l1_miss(line, %s, sindex, tag, entry)" % start)
         if self.PF_ON and not store:
             self.w("sentry = pfget(%s)" % stream)
             self.w("if sentry is None:")
@@ -562,6 +546,47 @@ class _StageCompiler:
             self.w("                    pf_one(%d, line + pstride * k, later)" % self.ctx.core)
             self.w("        else:")
             self.w("            pf_streams[%s] = (line, delta, 1)" % stream)
+
+    def l1_miss_lines(self):
+        """The ``l1_miss`` helper: everything an access does after missing
+        L1 (tag install, Cache.access on L2 inlined, the walk below L2).
+
+        Defined inside the stage function so geometry stays baked in as
+        literals; every outer local it needs arrives as a default argument,
+        because a free variable would turn that local into a cell for the
+        whole generator."""
+        return [
+            "def l1_miss(line, start, sindex, tag, entry, l1_sets=l1_sets,"
+            " l1_stats=l1_stats, l2get=l2_sets.get, l2_sets=l2_sets,"
+            " l2_stats=l2_stats, below_l2=below_l2, len=len):",
+            "    if entry is None:",
+            "        l1_sets[sindex] = [tag]",
+            "    else:",
+            "        entry.insert(0, tag)",
+            "        if len(entry) > %d:" % self.L1WAYS,
+            "            entry.pop()",
+            "    l1_stats.misses += 1",
+            "    s2 = line %% %d" % self.L2SCOUNT,
+            "    t2 = line // %d" % self.L2SCOUNT,
+            "    e2 = l2get(s2)",
+            "    if e2 is not None and e2[0] == t2:",
+            "        l2_stats.hits += 1",
+            "        return %d" % self.L2LAT,
+            "    if e2 is not None and t2 in e2:",
+            "        pos = e2.index(t2, 1)",
+            "        del e2[pos]",
+            "        e2.insert(0, t2)",
+            "        l2_stats.hits += 1",
+            "        return %d" % self.L2LAT,
+            "    if e2 is None:",
+            "        l2_sets[s2] = [t2]",
+            "    else:",
+            "        e2.insert(0, t2)",
+            "        if len(e2) > %d:" % self.L2WAYS,
+            "            e2.pop()",
+            "    l2_stats.misses += 1",
+            "    return below_l2(%d, line, start)" % self.ctx.core,
+        ]
 
     # -- signal propagation -------------------------------------------------
 
@@ -1120,7 +1145,6 @@ class _StageCompiler:
 
     def _emit_call(self, stmt):
         self.cap("intrinsics", self.env.intrinsics)
-        self.cap("acquire", self.ctx.ledger.acquire)
         vals = ", ".join(self.val(a) for a in stmt.args)
         regs = [a for a in stmt.args if _is_reg(a)]
         self.w("fn = intrinsics.get(%r)" % stmt.func)
@@ -1193,7 +1217,6 @@ class _StageCompiler:
         return False
 
     def _emit_atomic_rmw(self, stmt):
-        self.cap("mem_access", self.ctx.mem.access)
         static = self._binding_locals(stmt.array)
         if stmt.op not in _BINARY_EXPR:
             raise UnsupportedStage("unknown atomic op %r" % stmt.op)
@@ -1302,6 +1325,7 @@ class _StageCompiler:
             else:
                 body_lines.append(line)
         self.cap("self_interp", None)  # patched with the interp object per run
+        self.captures["K"] = tuple(self._immediates)
 
         head = ["def __batch_stage(C):"]
 
@@ -1310,6 +1334,8 @@ class _StageCompiler:
 
         for name in sorted(self.captures):
             p("%s = C[%r]" % (name, name))
+        if self._immediates:
+            p("%s, = K" % ", ".join("K%d" % i for i in range(len(self._immediates))))
         p("regs = ctx.regs")
         p("ready = ctx.ready")
         p("ptable = pred.table")
@@ -1323,14 +1349,15 @@ class _StageCompiler:
         p("sget = slots.get")
         p("lc = -1")
         p("ln = 0")
-        p("l1h = l1m = l2h = l2m = 0")
+        p("l1h = 0")
         p("l1get = l1_sets.get")
-        p("l2get = l2_sets.get")
         p("pfget = pf_streams.get")
-        p("ring = [0.0] * %d" % self.ROB)
-        p("ri = 0")
-        p("mring = [0.0] * %d" % self.MSHRS)
-        p("mi = 0")
+        for line in self.l1_miss_lines():
+            p(line)
+        p("ring = deque([0.0] * %d, %d)" % (self.ROB, self.ROB))
+        p("rpush = ring.append")
+        p("mring = deque([0.0] * %d, %d)" % (self.MSHRS, self.MSHRS))
+        p("mpush = mring.append")
         for line in self.queue_prologue_lines():
             p(line)
         p("cur = ctx.cursor")
@@ -1346,8 +1373,9 @@ class _StageCompiler:
             rd, ry = self.regmap[name]
             p("%s = regs.get(%r)" % (rd, name))
             p("%s = ready.get(%r, 0.0)" % (ry, name))
+        # Makes this a generator even for never-blocking stages.
         p("if False:")
-        p("    yield BLOCKED  # makes this a generator even for never-blocking stages")
+        p("    yield BLOCKED")
         # The top-level body runs inside a transparent one-shot loop so a
         # (dangling) signal can skip the remaining statements, exactly like
         # exec_body returning early.
@@ -1382,39 +1410,41 @@ def _barrier_of(env):
 class _CompiledStage:
     """One compiled stage thread; public surface mirrors StageInterp."""
 
+    ENGINE = "batch"
+
     def __init__(self, stage, ctx, runenv, source, captures):
         self.stage = stage
         self.ctx = ctx
         self.env = runenv
         self.handlers = stage.handlers
-        captures = dict(captures)
         captures["self_interp"] = self
         self._captures = captures
-        code = _CODE_CACHE.get(source)
-        if code is None:
-            if len(_CODE_CACHE) >= _CODE_CACHE_MAX:
-                _CODE_CACHE.clear()
-            code = compile(source, "<batchpath:%s>" % stage.name, "exec")
-            _CODE_CACHE[source] = code
-        namespace = {
-            "BLOCKED": BLOCKED,
-            "Ctrl": Ctrl,
-            "SimulationError": SimulationError,
-        }
-        exec(code, namespace)
-        self._fn = namespace["__batch_stage"]
-        self.source = source  # kept for introspection/debugging
+        self._fn = stage_function(source)
+
+    @property
+    def source(self):
+        """The generated source, regenerated on demand (introspection and
+        debugging only): keeping ~50 KB of text per stage per run alive was
+        most of this engine's retained memory."""
+        return _StageCompiler(self.stage, self.ctx, self.env).compile()[0]
 
     def run(self):
-        return self._fn(self._captures)
+        # The captures dict points back at this object; handing it to the
+        # generator (whose frame dies with the run) instead of keeping it
+        # leaves no reference cycle behind a finished simulation.
+        captures, self._captures = self._captures, None
+        return self._fn(captures)
 
 
 def BatchStageInterp(stage, ctx, runenv):
     """Factory: the batch-compiled stage thread, or the fast path when the
-    stage's shape is outside the compiler (drop-in for StageInterp)."""
+    stage's shape is outside the compiler (drop-in for StageInterp). A
+    fallback is never silent: the returned interpreter carries the reason
+    as ``fallback_reason``, which the machine publishes per stage."""
     try:
-        compiler = _StageCompiler(stage, ctx, runenv)
-        source, captures = compiler.compile()
-        return _CompiledStage(stage, ctx, runenv, source, captures)
-    except UnsupportedStage:
-        return FastStageInterp(stage, ctx, runenv)
+        source, captures = _StageCompiler(stage, ctx, runenv).compile()
+    except UnsupportedStage as exc:
+        interp = FastStageInterp(stage, ctx, runenv)
+        interp.fallback_reason = str(exc)
+        return interp
+    return _CompiledStage(stage, ctx, runenv, source, captures)

@@ -153,7 +153,12 @@ def _gen_maker(modes):
 
 
 def fastpath_enabled(pipeline):
-    """Whether ``pipeline`` should run on the fast path (default: yes)."""
+    """Whether ``pipeline`` may run on a compiled engine (default: yes).
+
+    False means the reference interpreter: ``REPRO_SLOWPATH`` is set or the
+    pipeline was compiled with ``CompileOptions(fastpath=False)``. Which
+    compiled engine runs is :func:`resolve_engine`'s decision.
+    """
     if os.environ.get(SLOWPATH_ENV):
         return False
     return bool(pipeline.meta.get("fastpath", True))
@@ -165,7 +170,8 @@ def resolve_fastpath(pipeline, override=None):
     ``REPRO_SLOWPATH`` is a global kill-switch (it wins even over an explicit
     ``override=True`` so the oracle can always be forced from the outside);
     next an explicit per-run ``override``; finally the pipeline's compiled-in
-    ``meta["fastpath"]`` preference (default: fast).
+    ``meta["fastpath"]`` preference (default: a compiled engine, not the
+    reference interpreter).
     """
     if os.environ.get(SLOWPATH_ENV):
         return False
@@ -177,6 +183,10 @@ def resolve_fastpath(pipeline, override=None):
 #: The three execution engines, slowest (oracle) first.
 ENGINES = ("reference", "fastpath", "batch")
 
+#: What runs when nothing selects an engine. ``fastpath`` stays selectable
+#: because it is what ``batch`` falls back to per stage.
+DEFAULT_ENGINE = "batch"
+
 #: Environment default for runs that pass no explicit engine. Deliberately
 #: *below* explicit arguments in priority (unlike ``REPRO_SLOWPATH``, which
 #: is a kill-switch that beats everything): CI sets REPRO_ENGINE per matrix
@@ -186,22 +196,26 @@ ENGINES = ("reference", "fastpath", "batch")
 ENGINE_ENV = "REPRO_ENGINE"
 
 
-def resolve_engine(pipeline, engine=None, fastpath=None):
+def resolve_engine(pipeline=None, engine=None, fastpath=None):
     """Pick one of :data:`ENGINES` for ``pipeline``.
 
     Priority: ``REPRO_SLOWPATH`` (global oracle kill-switch) > explicit
     ``engine`` > explicit legacy ``fastpath`` boolean > ``REPRO_ENGINE`` >
-    compiled-in ``meta["engine"]`` > ``meta["fastpath"]`` (default: the
-    fast path).
+    compiled-in ``meta["engine"]`` > ``meta["fastpath"]`` (False means the
+    reference interpreter) > :data:`DEFAULT_ENGINE`, the batch-advance
+    engine. Without a ``pipeline`` the ``meta`` steps are skipped: that is
+    the engine a run that selects nothing gets (``repro bench perf`` times
+    it).
     """
     if os.environ.get(SLOWPATH_ENV):
         return "reference"
+    meta = {} if pipeline is None else pipeline.meta
     candidates = (
         engine,
         None if fastpath is None else ("fastpath" if fastpath else "reference"),
         os.environ.get(ENGINE_ENV) or None,
-        pipeline.meta.get("engine"),
-        None if pipeline.meta.get("fastpath", True) else "reference",
+        meta.get("engine"),
+        None if meta.get("fastpath", True) else "reference",
     )
     for choice in candidates:
         if choice is None:
@@ -211,7 +225,7 @@ def resolve_engine(pipeline, engine=None, fastpath=None):
                 "unknown engine %r (expected one of %s)" % (choice, ", ".join(ENGINES))
             )
         return choice
-    return "fastpath"
+    return DEFAULT_ENGINE
 
 
 def _is_reg(operand):
@@ -227,6 +241,8 @@ class FastStageInterp:
     run-env callbacks (``queue_of``, ``remote_queue``), and the deadlock
     reporter are oblivious to which engine a thread runs on.
     """
+
+    ENGINE = "fastpath"
 
     def __init__(self, stage, ctx, runenv):
         self.stage = stage
@@ -2433,7 +2449,12 @@ class FastStageInterp:
         """Top-level generator executed by the scheduler."""
         ctx = self.ctx
         ctx.stats.start_cycle = ctx.cursor
+        # The compiled closures capture ``self``. Held by this frame (and,
+        # for handlers, by the dict the deq closures already captured)
+        # instead of by the instance, they die with the run and a finished
+        # simulation is not a reference cycle.
         mode, fn = self._body
+        self._body = self._chandlers = None
         if fn is None:
             signal = None
         elif mode == GEN:

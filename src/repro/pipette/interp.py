@@ -153,26 +153,30 @@ def _assign_pcs(stage):
     """
     table = {}
     counter = [0]
-
-    def walk(body):
-        for stmt in body:
-            table[id(stmt)] = counter[0]
-            counter[0] += 1
-            kind = stmt.kind
-            if kind == "if":
-                walk(stmt.then_body)
-                walk(stmt.else_body or [])
-            elif kind in ("for", "loop"):
-                walk(stmt.body)
-
-    walk(stage.body)
+    _walk_pcs(stage.body, table, counter)
     for qid in sorted(stage.handlers):
-        walk(stage.handlers[qid])
+        _walk_pcs(stage.handlers[qid], table, counter)
     return table
+
+
+def _walk_pcs(body, table, counter):
+    # A module-level function, not a closure: a recursive closure refers to
+    # itself through its own cell, i.e. cyclic garbage per stage per run.
+    for stmt in body:
+        table[id(stmt)] = counter[0]
+        counter[0] += 1
+        kind = stmt.kind
+        if kind == "if":
+            _walk_pcs(stmt.then_body, table, counter)
+            _walk_pcs(stmt.else_body or [], table, counter)
+        elif kind in ("for", "loop"):
+            _walk_pcs(stmt.body, table, counter)
 
 
 class StageInterp:
     """Interprets one stage of a pipeline on one simulated thread."""
+
+    ENGINE = "reference"
 
     def __init__(self, stage, ctx, runenv):
         self.stage = stage

@@ -8,6 +8,8 @@ completion. The result carries final array contents, cycle counts, and the
 full statistics the evaluation figures need.
 """
 
+import weakref
+
 from ..errors import ResourceError, SimulationError
 from ..ir.verifier import verify_pipeline
 from .batchpath import BatchStageInterp
@@ -46,7 +48,10 @@ class RunEnv:
     """Per-replica runtime environment shared by that replica's stages/RAs."""
 
     def __init__(self, machine, replica_index, spec, stats):
-        self.machine = machine
+        # Weak: the machine owns its envs (``Machine.envs``), so a strong
+        # back-reference would make every finished run a reference cycle
+        # that only the cyclic GC can free.
+        self._machine = weakref.ref(machine)
         self.replica_index = replica_index
         self.spec = spec
         self.stats = stats
@@ -58,6 +63,10 @@ class RunEnv:
         self.core = spec.core
         self.atomic_overhead = 15
         self.stage_cores = {}
+
+    @property
+    def machine(self):
+        return self._machine()
 
     def queue_of(self, interp, qid):
         return self.queues[qid]
@@ -147,9 +156,19 @@ class Machine:
     ``engine`` selects the stage execution engine by name (``"reference"``,
     ``"fastpath"``, ``"batch"``); ``fastpath`` is the legacy boolean spelling
     of the first two. ``None`` defers to ``REPRO_SLOWPATH`` / ``REPRO_ENGINE``
-    / each pipeline's ``meta`` (see
+    / each pipeline's ``meta`` and finally the default, ``"batch"`` (see
     :func:`~repro.pipette.fastpath.resolve_engine`). All engines produce
     bit-identical :class:`SimStats`.
+
+    After :meth:`run`, ``stage_engines`` maps each stage thread name to the
+    engine that actually executed it and ``stage_fallbacks`` maps the
+    threads whose requested engine could not express them to the reason —
+    deliberately outside :class:`SimStats`, whose summaries are compared
+    for equality across engines.
+
+    Lifetime: a finished machine holds no reference cycle (back-references
+    are weak and :meth:`run` tears down the scheduler-only links), so
+    dropping the last reference frees the whole run without the cyclic GC.
     """
 
     _ENGINE_CLASSES = {
@@ -166,6 +185,8 @@ class Machine:
         self.tracer = tracer
         self.fastpath = fastpath
         self.engine = engine
+        self.stage_engines = {}
+        self.stage_fallbacks = {}
 
     def run(self, specs, barrier_cost=30.0):
         """Run the given :class:`RunSpec` list to completion.
@@ -190,6 +211,8 @@ class Machine:
             deadlock_hint=lambda: _static_deadlock_verdict(specs),
         )
         self.envs = []
+        self.stage_engines = {}
+        self.stage_fallbacks = {}
 
         threads_per_core = [0] * config.cores
         stage_tasks = []
@@ -255,6 +278,10 @@ class Machine:
                 if missing:
                     raise SimulationError("run: scalar params %s not bound" % missing)
                 interp = engine(stage, ctx, env)
+                self.stage_engines[name] = interp.ENGINE
+                reason = getattr(interp, "fallback_reason", None)
+                if reason is not None:
+                    self.stage_fallbacks[name] = reason
                 task.clock_ref = lambda c=ctx: c.cursor
                 scheduler.add(task, interp.run())
                 stage_tasks.append((task, ctx))
@@ -292,7 +319,10 @@ class Machine:
         for env in self.envs:
             env.barrier = barrier
 
-        scheduler.run()
+        try:
+            scheduler.run()
+        finally:
+            scheduler.teardown()
 
         wall = max((ctx.stats.end_cycle for _, ctx in stage_tasks), default=0.0)
         stats.wall_cycles = wall

@@ -209,6 +209,24 @@ class Scheduler:
                     else:
                         self._push(task)
 
+    def teardown(self):
+        """Drop the links only a *running* simulation needs.
+
+        Each task closes a loop with the state it schedules (``clock_ref``
+        closes over the thread context that owns the task; a daemon RA's
+        never-finished generator frame holds its engine, which holds the
+        task; every task points back here). Cutting them when the run ends
+        — normally or by exception — lets plain reference counting free
+        the whole simulation as soon as its result is dropped.
+        """
+        for task in self.tasks:
+            if task.gen is not None:
+                task.gen.close()
+            task.gen = None
+            task.clock_ref = None
+            task._sched = None
+        self._heap.clear()
+
     def _pop_runnable(self):
         while self._heap:
             _, _, task = heapq.heappop(self._heap)

@@ -23,6 +23,18 @@ class RunResult:
         self.active_cores = active_cores
         self.machine = machine  # for post-run introspection (runtime.inspect)
 
+    @property
+    def stage_engines(self):
+        """``{stage thread name: engine that executed it}`` for this run."""
+        return {} if self.machine is None else dict(self.machine.stage_engines)
+
+    @property
+    def stage_fallbacks(self):
+        """``{stage thread name: reason}`` for stages the requested engine
+        could not express (they ran on its fallback); empty when the run
+        used one engine throughout."""
+        return {} if self.machine is None else dict(self.machine.stage_fallbacks)
+
     def energy(self):
         return energy_of(self.stats, self.config, active_cores=self.active_cores)
 
@@ -48,7 +60,8 @@ def run_pipeline(
     ``engine`` selects the execution engine by name (``"reference"``,
     ``"fastpath"``, ``"batch"``); ``fastpath`` is the legacy boolean spelling
     of the first two. ``None`` defers to ``REPRO_SLOWPATH`` / ``REPRO_ENGINE``
-    and the pipeline's ``meta``.
+    / the pipeline's ``meta`` and finally the default, ``"batch"`` (see
+    :func:`~repro.pipette.fastpath.resolve_engine`).
     """
     config = config or MachineConfig()
     bound = _copy_arrays(arrays) if copy else arrays

@@ -105,7 +105,25 @@ class TestMeasure:
         record = perf.measure_bench("spmm", scale="quick", repeats=1, engines="batch")
         assert set(record["engines"]) == {"reference", "batch"}
 
-    def test_normalize_engines(self):
+    def test_mixed_engine_run_logs_one_advisory_line(self, tiny_scale, monkeypatch, capsys):
+        from repro.pipette import batchpath
+
+        monkeypatch.delenv("REPRO_QUIET", raising=False)
+        perf.measure_bench("spmm", scale="quick", repeats=1, engines="batch")
+        assert "mixed engines" not in capsys.readouterr().err
+        monkeypatch.setattr(batchpath, "_MAX_LINES", 10)  # every stage falls back
+        perf.measure_bench("spmm", scale="quick", repeats=1, engines="batch")
+        lines = [l for l in capsys.readouterr().err.splitlines() if "mixed engines" in l]
+        assert len(lines) == 1 and lines[0].startswith("perf spmm (batch): mixed engines: r0.s0.")
+        assert "generated stage body too large" in lines[0]
+
+    def test_normalize_engines(self, monkeypatch):
+        # No argument: the reference plus whatever a run that selects
+        # nothing gets, so the harness times what users run.
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        monkeypatch.delenv("REPRO_SLOWPATH", raising=False)
+        assert perf.normalize_engines() == ("reference", "batch")
+        monkeypatch.setenv("REPRO_ENGINE", "fastpath")
         assert perf.normalize_engines() == ("reference", "fastpath")
         assert perf.normalize_engines("all") == ("reference", "fastpath", "batch")
         assert perf.normalize_engines("batch") == ("reference", "batch")
@@ -224,10 +242,13 @@ class TestBaseline:
 
 
 class TestHistory:
-    def test_history_entry_is_compact_and_keyed(self):
+    def test_history_entry_is_compact_and_keyed(self, monkeypatch):
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        monkeypatch.delenv("REPRO_SLOWPATH", raising=False)
         entry = perf.history_entry([_record()], "quick", git="abc1234")
         assert entry["git"] == "abc1234"
-        assert entry["engine"] == "fastpath"
+        assert entry["engine"] == "batch"  # follows resolve_engine's default
+        assert perf.history_entry([_record()], "quick", engine="fastpath")["engine"] == "fastpath"
         assert entry["scale"] == "quick"
         assert entry["aggregate"]["speedup"] == 2.0
         assert entry["benches"]["bfs"]["cycles"] == 1000

@@ -45,6 +45,11 @@ def _assert_identical(results):
         assert result.stats.summary() == oracle.stats.summary(), name
         assert result.breakdown() == oracle.breakdown(), name
         assert result.energy().as_dict() == oracle.energy().as_dict(), name
+        # No shipped workload may leave the engine it asked for: a stage the
+        # batch compiler cannot express runs on the fast path, and that is
+        # visible here, not silent.
+        assert result.stage_fallbacks == {}, name
+        assert set(result.stage_engines.values()) == {name}
 
 
 def _bench_data(name, tiny_graph, micro_graph, small=False):
