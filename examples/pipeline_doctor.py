@@ -10,7 +10,7 @@ those questions.
 Run:  python examples/pipeline_doctor.py
 """
 
-from repro.core import ALL_PASSES, compile_function
+from repro.core import ALL_PASSES, CompileOptions, compile_function
 from repro.pipette import SCALED_1CORE
 from repro.runtime import describe_run, run_pipeline
 from repro.workloads import bfs
@@ -23,7 +23,7 @@ def main():
     arrays, scalars = bfs.make_env(graph)
 
     for label, passes in (("queues only (pass 1)", ()), ("all passes", ALL_PASSES)):
-        pipeline = compile_function(function, num_stages=4, passes=passes)
+        pipeline = compile_function(function, options=CompileOptions(num_stages=4, passes=passes))
         result = run_pipeline(pipeline, arrays, scalars, config=SCALED_1CORE)
         assert bfs.check(result.arrays, graph)
         print("=" * 72)

@@ -14,7 +14,6 @@ serial path).
 """
 
 import os
-import warnings
 
 from .. import cache
 from ..core.autotune import SearchPoint, gmean, search_pipelines
@@ -248,7 +247,6 @@ def run_suite(
     train_inputs,
     config=SCALED_1CORE,
     variants=None,
-    num_stages=None,
     options=None,
     jobs=None,
     recorder=None,
@@ -256,11 +254,9 @@ def run_suite(
     """Run all requested variants on all test inputs.
 
     ``options`` is a :class:`~repro.core.compiler.CompileOptions` shaping
-    the Phloem compilations (``num_stages`` is a deprecated shim for its
-    stage count and warns; pass ``options=CompileOptions(num_stages=...)``
-    instead). ``jobs`` fans the per-input work out over a worker pool
-    (default: the ``REPRO_JOBS`` environment variable); parallel runs
-    produce cycle-identical results to serial ones.
+    the Phloem compilations. ``jobs`` fans the per-input work out over a
+    worker pool (default: the ``REPRO_JOBS`` environment variable);
+    parallel runs produce cycle-identical results to serial ones.
 
     Returns ``{variant: [VariantRun, ...]}`` plus the search results under
     the key ``"_search"`` when the profile-guided variant ran, and pipeline
@@ -269,14 +265,7 @@ def run_suite(
     when the ``"phloem"`` variant is requested.
     """
     variants = variants or ("serial", "data-parallel", "phloem", "phloem-static", "manual")
-    if num_stages is not None:
-        warnings.warn(
-            "run_suite(num_stages=...) is deprecated; pass "
-            "options=CompileOptions(num_stages=...) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    options = (options or CompileOptions()).merge(num_stages=num_stages)
+    options = options or CompileOptions()
     function = adapter.function()
     out = {v: [] for v in variants}
 

@@ -41,7 +41,7 @@ from .harness import adapter_for, log_engine_fallbacks
 #: Schema identity stamped on every perf record / baseline file.
 PERF_SCHEMA = "repro.bench/perf-record"
 BASELINE_SCHEMA = "repro.bench/perf-baseline"
-PERF_VERSION = 1
+PERF_VERSION = 2
 
 #: Default committed baseline, resolved against the working directory.
 BASELINE_FILE = "BENCH_pipette.json"
@@ -168,13 +168,6 @@ def _timed_run(pipeline, arrays, scalars, engine):
     return result, wall
 
 
-def primary_engine(engines):
-    """The engine a record's legacy ``fast_wall_s``/``speedup`` refer to:
-    the last non-reference engine in canonical order (batch when measured,
-    else fastpath), or the reference itself in a reference-only run."""
-    return engines[-1]
-
-
 def measure_bench(bench, scale="quick", repeats=2, engines=None):
     """Measure one kernel under ``engines``; returns a perf record dict.
 
@@ -182,11 +175,9 @@ def measure_bench(bench, scale="quick", repeats=2, engines=None):
     the reference interpreter bit-for-bit and every repeat of one engine
     must report identical cycles; either failure raises :class:`PerfError`.
 
-    The record carries a per-engine ``engines`` map (wall, speedup vs
-    reference, Mcycles/s) plus the legacy flat keys ``slow_wall_s`` /
-    ``fast_wall_s`` / ``speedup``, which refer to the reference and the
-    *primary* engine (see :func:`primary_engine`) so old baselines and
-    report tooling keep working.
+    Per-engine numbers (wall, speedup vs reference, Mcycles/s) live only
+    in the record's ``engines`` map; ``phases`` holds the engine-independent
+    input-build and compile walls.
     """
     engines = normalize_engines(engines)
     spec = SCALES[scale][bench]
@@ -223,24 +214,23 @@ def measure_bench(bench, scale="quick", repeats=2, engines=None):
         if result.stats.summary() != oracle.stats.summary() or result.cycles != oracle.cycles:
             raise PerfError(
                 "%s: %s engine diverged from the reference interpreter "
-                "(run both under tests/pipette/test_fastpath_conformance.py "
-                "to localize)" % (bench, name)
+                "(tests/pipette/test_fastpath_conformance.py runs the same "
+                "engine matrix per workload, to localize)" % (bench, name)
             )
 
     # Rounded before deriving ratios, so the record is internally
     # consistent: recomputing speedup from the stored walls reproduces the
     # stored speedup.
     cycles = oracle.cycles
-    slow_wall = round(min(walls["reference"]), 4)
+    reference_wall = round(min(walls["reference"]), 4)
     per_engine = {}
     for name in engines:
         wall = round(min(walls[name]), 4)
         per_engine[name] = {
             "wall_s": wall,
-            "speedup": round(slow_wall / wall, 3) if wall else 0.0,
+            "speedup": round(reference_wall / wall, 3) if wall else 0.0,
             "sim_mcycles_per_s": round(cycles / wall / 1e6, 3) if wall else 0.0,
         }
-    primary = per_engine[primary_engine(engines)]
     return {
         "schema": PERF_SCHEMA,
         "version": PERF_VERSION,
@@ -250,62 +240,36 @@ def measure_bench(bench, scale="quick", repeats=2, engines=None):
         "repeats": max(1, repeats),
         "cycles": cycles,
         "engines": per_engine,
-        "slow_wall_s": slow_wall,
-        "fast_wall_s": primary["wall_s"],
-        "speedup": primary["speedup"],
-        "sim_mcycles_per_s": primary["sim_mcycles_per_s"],
         "phases": {
             "input_s": round(input_s, 4),
             "compile_s": round(compile_s, 4),
-            "sim_slow_s": slow_wall,
-            "sim_fast_s": primary["wall_s"],
         },
     }
 
 
 def record_engines(records):
-    """Engine names measured in *every* record, in canonical order.
-
-    Pre-multi-engine records (no ``engines`` map) contribute the legacy
-    reference + fastpath pair, so aggregation over mixed lists stays sound.
-    """
+    """Engine names measured in *every* record, in canonical order."""
     from ..pipette.fastpath import ENGINES
 
     common = None
     for r in records:
-        names = set(r.get("engines") or ("reference", "fastpath"))
+        names = set(r["engines"])
         common = names if common is None else common & names
     return [e for e in ENGINES if e in (common or ())]
 
 
-def _engine_wall(record, name):
-    per = record.get("engines")
-    if per is not None:
-        return per[name]["wall_s"]
-    return record["slow_wall_s"] if name == "reference" else record["fast_wall_s"]
-
-
 def aggregate(records):
-    """Roll records up to the headline ratios: total reference wall over
-    each engine's total wall, plus the legacy slow/fast pair (the fast side
-    is the last — most advanced — engine measured in every record)."""
-    engines = record_engines(records)
-    slow = sum(r["slow_wall_s"] for r in records)
-    per_engine = {}
-    for name in engines:
-        wall = sum(_engine_wall(r, name) for r in records)
-        per_engine[name] = {
+    """Roll records up to the headline ratios, keyed by engine: each
+    engine's total wall, the reference's total wall, and their ratio."""
+    reference_wall = sum(r["engines"]["reference"]["wall_s"] for r in records)
+    agg = {}
+    for name in record_engines(records):
+        wall = sum(r["engines"][name]["wall_s"] for r in records)
+        agg[name] = {
             "wall_s": round(wall, 4),
-            "speedup": round(slow / wall, 3) if wall else 0.0,
+            "reference_wall_s": round(reference_wall, 4),
+            "speedup": round(reference_wall / wall, 3) if wall else 0.0,
         }
-    fast = sum(r["fast_wall_s"] for r in records)
-    agg = {
-        "slow_wall_s": round(slow, 4),
-        "fast_wall_s": round(fast, 4),
-        "speedup": round(slow / fast, 3) if fast else 0.0,
-    }
-    if per_engine:
-        agg["engines"] = per_engine
     return agg
 
 
@@ -379,41 +343,15 @@ def git_describe(cwd=None):
     return token if token is not None else "unknown"
 
 
-def history_entry(records, scale, git=None, engine=None):
-    """One compact per-engine trajectory point for the baseline history.
-
-    ``engine`` selects which engine's walls the entry tracks (default: the
-    engine :func:`~repro.pipette.fastpath.resolve_engine` gives a run that
-    selects nothing); records without a measurement for it (legacy
-    records, partial runs) fall back to their legacy fast-side keys.
-    """
-    if engine is None:
-        from ..pipette.fastpath import resolve_engine
-
-        engine = resolve_engine()
-    agg = aggregate(records)
-    per_agg = (agg.get("engines") or {}).get(engine)
-    if per_agg is not None:
-        agg = {
-            "slow_wall_s": agg["slow_wall_s"],
-            "fast_wall_s": per_agg["wall_s"],
-            "speedup": per_agg["speedup"],
-        }
-    else:
-        agg = {k: agg[k] for k in ("slow_wall_s", "fast_wall_s", "speedup")}
+def history_entry(records, scale, engine, git=None):
+    """One compact trajectory point for ``engine`` in the baseline history."""
     benches = {}
     for r in records:
-        per = (r.get("engines") or {}).get(engine)
-        if per is None:
-            per = {
-                "wall_s": r["fast_wall_s"],
-                "speedup": r["speedup"],
-                "sim_mcycles_per_s": r["sim_mcycles_per_s"],
-            }
+        per = r["engines"][engine]
         benches[r["bench"]] = {
             "cycles": r["cycles"],
-            "fast_wall_s": per["wall_s"],
-            "slow_wall_s": r["slow_wall_s"],
+            "wall_s": per["wall_s"],
+            "reference_wall_s": r["engines"]["reference"]["wall_s"],
             "speedup": per["speedup"],
             "sim_mcycles_per_s": per["sim_mcycles_per_s"],
         }
@@ -422,7 +360,7 @@ def history_entry(records, scale, git=None, engine=None):
         "engine": engine,
         "scale": scale,
         "recorded": time.strftime("%Y-%m-%d", time.gmtime()),
-        "aggregate": agg,
+        "aggregate": aggregate(records)[engine],
         "benches": benches,
     }
 
@@ -434,12 +372,8 @@ def append_history(history, entry, limit=HISTORY_LIMIT):
     commit updates that point in place (walls drift with the machine),
     while a new commit appends a new trajectory point.
     """
-    key = (entry.get("engine"), entry.get("git"), entry.get("scale"))
-    kept = [
-        e
-        for e in history
-        if (e.get("engine"), e.get("git"), e.get("scale")) != key
-    ]
+    key = (entry["engine"], entry["git"], entry["scale"])
+    kept = [e for e in history if (e["engine"], e["git"], e["scale"]) != key]
     kept.append(entry)
     return kept[-limit:]
 
@@ -450,35 +384,23 @@ def write_baseline(records, scale, path=BASELINE_FILE, git=None):
     The top-level ``records``/``aggregate`` are always the *latest*
     measurement (the regression baseline the checker reads); ``history``
     accumulates one compact entry per ``(engine, git, scale)`` so the
-    report's trajectory sparklines have real data. A pre-history baseline
-    file contributes its records as one synthesized point before being
-    superseded.
+    report's trajectory sparklines have real data.
     """
     history = []
     if os.path.exists(path):
         try:
-            previous = read_baseline(path)
+            history = list(read_baseline(path).get("history") or [])
         except (PerfError, ValueError, OSError):
-            previous = None
-        if previous is not None:
-            history = list(previous.get("history") or [])
-            if not history and previous.get("records"):
-                # Baselines that predate the history list were recorded
-                # when the fast path was the only non-reference engine.
-                history = [
-                    history_entry(
-                        previous["records"], previous.get("scale"),
-                        git="(pre-history)", engine="fastpath",
-                    )
-                ]
+            pass  # unreadable or other-version file: start a fresh history
     payload = baseline_payload(records, scale)
     git_key = git_describe() if git is None else git
-    tracked = [e for e in record_engines(records) if e != "reference"] or ["fastpath"]
-    for engine in tracked:
+    for engine in record_engines(records):
+        if engine == "reference":
+            continue
         # One trajectory point per measured engine: the baseline grows a
         # multi-engine history the report can chart side by side.
         history = append_history(
-            history, history_entry(records, scale, git=git_key, engine=engine)
+            history, history_entry(records, scale, engine, git=git_key)
         )
     payload["history"] = history
     with open(path, "w") as handle:
@@ -492,6 +414,12 @@ def read_baseline(path=BASELINE_FILE):
         payload = json.load(handle)
     if payload.get("schema") != BASELINE_SCHEMA:
         raise PerfError("%s: not a %s file" % (path, BASELINE_SCHEMA))
+    if payload.get("version") != PERF_VERSION:
+        raise PerfError(
+            "%s: %s version %r, this tool reads version %d; re-record it "
+            "with `repro bench perf --update-baseline`"
+            % (path, BASELINE_SCHEMA, payload.get("version"), PERF_VERSION)
+        )
     return payload
 
 
@@ -530,54 +458,21 @@ def check_against_baseline(records, baseline, threshold=DEFAULT_THRESHOLD):
                 "--update-baseline"
                 % (record["bench"], base["cycles"], record["cycles"])
             )
-        base_engines = base.get("engines") or {}
-        rec_engines = record.get("engines") or {}
-        overlap = [
-            name
-            for name in rec_engines
-            if name != "reference" and name in base_engines
-        ]
-        if overlap:
-            # Multi-engine records: compare each engine the baseline also
-            # measured, by name.
-            pairs = [
-                (
-                    "%s (%s)" % (record["bench"], name),
-                    {
-                        "fast_wall_s": base_engines[name]["wall_s"],
-                        "speedup": base_engines[name]["speedup"],
-                    },
-                    {
-                        "fast_wall_s": rec_engines[name]["wall_s"],
-                        "speedup": rec_engines[name]["speedup"],
-                    },
-                )
-                for name in overlap
-            ]
-        else:
-            pairs = [(record["bench"], base, record)]
-        for label, base_side, rec_side in pairs:
-            limit = base_side["fast_wall_s"] * (1.0 + threshold)
-            if rec_side["fast_wall_s"] > limit:
+        for name, measured in record["engines"].items():
+            pinned = base["engines"].get(name)
+            if name == "reference" or pinned is None:
+                continue
+            label = "%s (%s)" % (record["bench"], name)
+            if measured["wall_s"] > pinned["wall_s"] * (1.0 + threshold):
                 warnings.append(
                     "%s: engine wall %.3fs exceeds baseline %.3fs by more "
                     "than %d%%"
-                    % (
-                        label,
-                        rec_side["fast_wall_s"],
-                        base_side["fast_wall_s"],
-                        round(threshold * 100),
-                    )
+                    % (label, measured["wall_s"], pinned["wall_s"], round(threshold * 100))
                 )
-            if rec_side["speedup"] < base_side["speedup"] * (1.0 - threshold):
+            if measured["speedup"] < pinned["speedup"] * (1.0 - threshold):
                 warnings.append(
                     "%s: speedup %.2fx fell more than %d%% below baseline %.2fx"
-                    % (
-                        label,
-                        rec_side["speedup"],
-                        round(threshold * 100),
-                        base_side["speedup"],
-                    )
+                    % (label, measured["speedup"], round(threshold * 100), pinned["speedup"])
                 )
     return errors, warnings
 
@@ -590,46 +485,29 @@ def render_table(records, agg):
     """Human-readable summary table (stdout payload of ``bench perf``).
 
     Columns adapt to the engine set: one wall column per engine plus one
-    speedup-vs-reference column per non-reference engine.
+    speedup-vs-reference column per non-reference engine; the Mcyc/s column
+    is the last (most advanced) engine's.
     """
-    engines = record_engines(records) or ["reference", "fastpath"]
+    engines = record_engines(records)
     ratio_engines = [e for e in engines if e != "reference"]
     lines = []
     header = "%-7s %-6s %12s" % ("bench", "scale", "cycles")
-    header += "".join(
-        " %9s" % ("%s(s)" % _TABLE_LABELS.get(e, e[:5])) for e in engines
-    )
-    header += "".join(
-        " %8s" % ("%s(x)" % _TABLE_LABELS.get(e, e[:5])) for e in ratio_engines
-    )
+    header += "".join(" %9s" % ("%s(s)" % _TABLE_LABELS[e]) for e in engines)
+    header += "".join(" %8s" % ("%s(x)" % _TABLE_LABELS[e]) for e in ratio_engines)
     header += " %10s" % "Mcyc/s"
     lines.append(header)
     lines.append("-" * len(header))
-
-    def ratio(record, name):
-        per = record.get("engines")
-        if per is not None:
-            return per[name]["speedup"]
-        return record["speedup"]
-
     for r in records:
+        per = r["engines"]
         row = "%-7s %-6s %12.0f" % (r["bench"], r["scale"], r["cycles"])
-        row += "".join(" %9.3f" % _engine_wall(r, e) for e in engines)
-        row += "".join(" %7.2fx" % ratio(r, e) for e in ratio_engines)
-        row += " %10.2f" % r["sim_mcycles_per_s"]
+        row += "".join(" %9.3f" % per[e]["wall_s"] for e in engines)
+        row += "".join(" %7.2fx" % per[e]["speedup"] for e in ratio_engines)
+        row += " %10.2f" % per[engines[-1]]["sim_mcycles_per_s"]
         lines.append(row)
     lines.append("-" * len(header))
-    agg_engines = agg.get("engines") or {}
     total = "%-7s %-6s %12s" % ("total", "", "")
-    for e in engines:
-        per = agg_engines.get(e)
-        wall = per["wall_s"] if per else (
-            agg["slow_wall_s"] if e == "reference" else agg["fast_wall_s"]
-        )
-        total += " %9.3f" % wall
-    for e in ratio_engines:
-        per = agg_engines.get(e)
-        total += " %7.2fx" % (per["speedup"] if per else agg["speedup"])
+    total += "".join(" %9.3f" % agg[e]["wall_s"] for e in engines)
+    total += "".join(" %7.2fx" % agg[e]["speedup"] for e in ratio_engines)
     lines.append(total)
     return "\n".join(lines)
 
@@ -640,11 +518,8 @@ def obs_records(records):
 
     out = []
     for r in records:
-        per = r.get("engines") or {
-            "reference": {"wall_s": r["slow_wall_s"], "speedup": 1.0},
-            "fastpath": {"wall_s": r["fast_wall_s"], "speedup": r["speedup"]},
-        }
-        for name in record_engines([r]) or sorted(per):
+        for name in record_engines([r]):
+            per = r["engines"][name]
             out.append(
                 run_record(
                     r["bench"],
@@ -653,9 +528,9 @@ def obs_records(records):
                     r["cycles"],
                     ok=True,
                     extra={
-                        "wall_s": per[name]["wall_s"],
+                        "wall_s": per["wall_s"],
                         "perf_scale": r["scale"],
-                        "perf_speedup": per[name]["speedup"],
+                        "perf_speedup": per["speedup"],
                     },
                 )
             )
@@ -745,9 +620,13 @@ def run_cli(args):
             status = 1
         else:
             log(
-                "perf: baseline check ok (%d records, aggregate %.2fx vs "
-                "baseline %.2fx)",
-                len(records), agg["speedup"], baseline["aggregate"]["speedup"],
+                "perf: baseline check ok (%d records; aggregate vs baseline: %s)",
+                len(records),
+                ", ".join(
+                    "%s %.2fx vs %.2fx" % (name, agg[name]["speedup"], pinned["speedup"])
+                    for name, pinned in baseline["aggregate"].items()
+                    if name in agg and name != "reference"
+                ),
             )
     log("perf: %.1fs total", time.perf_counter() - started)
     return status, records

@@ -42,14 +42,6 @@ import time
 from . import api
 
 
-def _run_local(request):
-    """Execute one API request in-process and print its payload."""
-    response = api.handle(request)
-    if response.output:
-        sys.stdout.write(response.output)
-    return response.exit_code
-
-
 # ---------------------------------------------------------------------------
 # argv -> request builders (shared by the one-shot verbs and `submit`)
 
@@ -165,36 +157,13 @@ _REQUEST_BUILDERS = {
 }
 
 
-def _cmd_emit(args):
-    return _run_local(_req_emit(args))
-
-
-def _cmd_lint(args):
-    return _run_local(_req_lint(args))
-
-
-def _cmd_demo(args):
-    return _run_local(_req_demo(args))
-
-
-def _cmd_search(args):
-    return _run_local(_req_search(args))
-
-
-def _cmd_trace(args):
-    return _run_local(_req_trace(args))
-
-
-def _cmd_metrics(args):
-    return _run_local(_req_metrics(args))
-
-
-def _cmd_bench_perf(args):
-    return _run_local(_req_bench_perf(args))
-
-
-def _cmd_report(args):
-    return _run_local(_req_report(args))
+def _cmd_request(args):
+    """Every submittable verb: build its API request, execute it in-process
+    and print its payload."""
+    response = api.handle(_REQUEST_BUILDERS[args.verb](args))
+    if response.output:
+        sys.stdout.write(response.output)
+    return response.exit_code
 
 
 _FIGURES = {
@@ -415,7 +384,7 @@ def build_parser():
         "--verify-each", action="store_true",
         help="re-verify the IR and re-run the safety analyzer after every pass",
     )
-    emit.set_defaults(func=_cmd_emit, verb="emit")
+    emit.set_defaults(func=_cmd_request, verb="emit")
 
     lint = sub.add_parser(
         "lint", help="run the static pipeline-safety analyzer on a kernel"
@@ -437,14 +406,14 @@ def build_parser():
         "--perf", action="store_true",
         help="also run the static performance model (PHL4xx advisories)",
     )
-    lint.set_defaults(func=_cmd_lint, verb="lint")
+    lint.set_defaults(func=_cmd_request, verb="lint")
 
     demo = sub.add_parser("demo", help="run one benchmark across all variants")
     demo.add_argument("bench", choices=bench_names)
     demo.add_argument("--size", type=int, default=4000)
     demo.add_argument("--seed", type=int, default=1)
     demo.add_argument("--stages", type=int, default=4)
-    demo.set_defaults(func=_cmd_demo, verb="demo")
+    demo.set_defaults(func=_cmd_request, verb="demo")
 
     search = sub.add_parser("search", help="profile-guided pipeline search")
     search.add_argument("bench", choices=bench_names)
@@ -452,7 +421,7 @@ def build_parser():
         "--prune-static", action="store_true", dest="prune_static",
         help="drop statically-dominated candidates before any simulation",
     )
-    search.set_defaults(func=_cmd_search, verb="search")
+    search.set_defaults(func=_cmd_request, verb="search")
 
     figures = sub.add_parser("figures", help="regenerate evaluation figures")
     figures.add_argument("names", nargs="*", metavar="figN")
@@ -491,7 +460,7 @@ def build_parser():
         help="instrument the compiler passes and print the timing table",
     )
     trace.add_argument("--quiet", action="store_true", help="silence stderr telemetry")
-    trace.set_defaults(func=_cmd_trace, verb="trace")
+    trace.set_defaults(func=_cmd_request, verb="trace")
 
     bench = sub.add_parser(
         "bench", help="benchmark harness utilities (currently: perf)"
@@ -556,7 +525,7 @@ def build_parser():
         help="also write repro.obs RunRecords for each measured engine",
     )
     perf.add_argument("--quiet", action="store_true", help="silence stderr telemetry")
-    perf.set_defaults(func=_cmd_bench_perf, verb="bench-perf")
+    perf.set_defaults(func=_cmd_request, verb="bench-perf")
 
     metrics = sub.add_parser(
         "metrics", help="run the comparison suite and emit JSONL RunRecords"
@@ -575,7 +544,7 @@ def build_parser():
         help="attach compile-pass timings to the phloem-static records",
     )
     metrics.add_argument("--quiet", action="store_true", help="silence stderr telemetry")
-    metrics.set_defaults(func=_cmd_metrics, verb="metrics")
+    metrics.set_defaults(func=_cmd_request, verb="metrics")
 
     report = sub.add_parser(
         "report",
@@ -601,7 +570,7 @@ def build_parser():
         help="also write the single-file HTML page",
     )
     report.add_argument("--quiet", action="store_true", help="silence stderr telemetry")
-    report.set_defaults(func=_cmd_report, verb="report")
+    report.set_defaults(func=_cmd_request, verb="report")
 
     serve = sub.add_parser(
         "serve", help="run the compile-and-simulate daemon (async server + worker pool)"

@@ -41,6 +41,9 @@ REPORT_VERSION = 1
 #: importing their modules.
 PERF_BASELINE_SCHEMA = "repro.bench/perf-baseline"
 PERF_RECORD_SCHEMA = "repro.bench/perf-record"
+#: The one perf-baseline shape this module renders; other versions are
+#: listed as skipped rather than misread.
+PERF_VERSION = 2
 TELEMETRY_SCHEMA = "repro.service/telemetry"
 LINT_REPORT_SCHEMA = "repro.diag/lint-report"
 
@@ -187,18 +190,7 @@ class ExperimentReport:
 
 
 def _classify(payload):
-    """``(kind, items)`` for one parsed JSON payload, by schema tag.
-
-    Lint reports are matched by their ``repro.diag/lint-report`` schema
-    tag; the bare-list shape of pre-envelope ``repro lint --json`` output
-    is still recognized so archived results directories keep aggregating.
-    """
-    if isinstance(payload, list):
-        if payload and all(
-            isinstance(entry, dict) and "diagnostics" in entry for entry in payload
-        ):
-            return "lint", payload
-        return "skipped", None
+    """``(kind, items)`` for one parsed JSON payload, by schema tag."""
     if not isinstance(payload, dict):
         return "skipped", None
     schema = payload.get("schema")
@@ -206,7 +198,7 @@ def _classify(payload):
         reports = payload.get("reports")
         return ("lint", reports) if isinstance(reports, list) else ("skipped", None)
     if schema == PERF_BASELINE_SCHEMA:
-        return "perf", payload
+        return ("perf", payload) if payload.get("version") == PERF_VERSION else ("skipped", None)
     if schema == TELEMETRY_SCHEMA:
         return "telemetry", payload
     if isinstance(payload.get("telemetry"), dict) and "counts" in payload:
@@ -215,31 +207,6 @@ def _classify(payload):
     if "utilization" in payload and "wall" in payload:
         return "timeline", payload
     return "skipped", None
-
-
-def _trajectory_entries(perf_payload):
-    """History entries of one baseline, oldest first, synthesizing one
-    from the latest records when the file predates the history list."""
-    entries = list(perf_payload.get("history") or [])
-    if not entries and perf_payload.get("records"):
-        entries = [
-            {
-                "git": "(baseline)",
-                "scale": perf_payload.get("scale"),
-                "aggregate": perf_payload.get("aggregate", {}),
-                "benches": {
-                    r["bench"]: {
-                        "cycles": r.get("cycles"),
-                        "fast_wall_s": r.get("fast_wall_s"),
-                        "slow_wall_s": r.get("slow_wall_s"),
-                        "speedup": r.get("speedup"),
-                        "sim_mcycles_per_s": r.get("sim_mcycles_per_s"),
-                    }
-                    for r in perf_payload["records"]
-                },
-            }
-        ]
-    return entries
 
 
 def collect(results_dir, extra_files=(), title=None):
@@ -295,7 +262,7 @@ def collect(results_dir, extra_files=(), title=None):
                     items = len(data)
                 elif kind == "perf":
                     report.perf.append(data)
-                    report.trajectory.extend(_trajectory_entries(data))
+                    report.trajectory.extend(data.get("history") or [])
                     items = len(data.get("records", []))
                 elif kind == "telemetry":
                     report.telemetry.append(data)
@@ -379,37 +346,14 @@ def _engine_sorted(names):
 
 def _perf_rows(payload):
     records = payload.get("records", [])
-    names = []
-    for r in records:
-        for name in r.get("engines") or ():
-            if name not in names:
-                names.append(name)
-    if not names:
-        # Legacy two-engine records: the original fixed columns.
-        rows = [
-            [
-                r.get("bench"),
-                _fmt_num(float(r.get("cycles", 0)), 0),
-                _fmt_num(r.get("slow_wall_s"), 3),
-                _fmt_num(r.get("fast_wall_s"), 3),
-                "%sx" % _fmt_num(r.get("speedup")),
-                _fmt_num(r.get("sim_mcycles_per_s")),
-            ]
-            for r in records
-        ]
-        return ["bench", "cycles", "slow (s)", "fast (s)", "speedup", "Mcyc/s"], rows
-
-    names = _engine_sorted(names)
+    names = _engine_sorted({name for r in records for name in r["engines"]})
     header = ["bench", "cycles"]
     header += ["%s (s)" % _ENGINE_LABELS.get(n, n) for n in names]
     header += ["%s (x)" % _ENGINE_LABELS.get(n, n) for n in names if n != "reference"]
     header.append("Mcyc/s")
     rows = []
     for r in records:
-        engines = r.get("engines") or {
-            "reference": {"wall_s": r.get("slow_wall_s"), "speedup": 1.0},
-            "fastpath": {"wall_s": r.get("fast_wall_s"), "speedup": r.get("speedup")},
-        }
+        engines = r["engines"]
         row = [r.get("bench"), _fmt_num(float(r.get("cycles", 0)), 0)]
         row += [_fmt_num((engines.get(n) or {}).get("wall_s"), 3) for n in names]
         row += [
@@ -417,27 +361,24 @@ def _perf_rows(payload):
             for n in names
             if n != "reference"
         ]
-        row.append(_fmt_num(r.get("sim_mcycles_per_s")))
+        # Throughput of the most advanced engine this record measured.
+        row.append(_fmt_num(engines[_engine_sorted(engines)[-1]].get("sim_mcycles_per_s")))
         rows.append(row)
     return header, rows
 
 
-def _perf_aggregate_text(agg):
-    """The parenthetical after the headline aggregate speedup."""
-    engines = agg.get("engines")
-    if not engines:
-        return "slow %ss / fast %ss" % (
-            _fmt_num(agg.get("slow_wall_s"), 3),
-            _fmt_num(agg.get("fast_wall_s"), 3),
-        )
+def _perf_aggregate_line(agg):
+    """``(headline speedup, per-engine detail)`` of one baseline aggregate:
+    the headline is the most advanced engine's ratio over the reference."""
+    names = _engine_sorted(agg)
     bits = []
-    for name in _engine_sorted(engines):
-        row = engines[name] or {}
-        bit = "%s %ss" % (_ENGINE_LABELS.get(name, name), _fmt_num(row.get("wall_s"), 3))
+    for name in names:
+        bit = "%s %ss" % (_ENGINE_LABELS.get(name, name), _fmt_num(agg[name].get("wall_s"), 3))
         if name != "reference":
-            bit += " %sx" % _fmt_num(row.get("speedup"))
+            bit += " %sx" % _fmt_num(agg[name].get("speedup"))
         bits.append(bit)
-    return "; ".join(bits)
+    headline = agg[names[-1]].get("speedup") if names else None
+    return _fmt_num(headline), "; ".join(bits)
 
 
 def _trajectory_rows(report):
@@ -447,10 +388,10 @@ def _trajectory_rows(report):
         rows.append(
             [
                 str(entry.get("git", "?")),
-                str(entry.get("engine", "fastpath")),
+                str(entry.get("engine", "?")),
                 str(entry.get("scale", "?")),
                 "%sx" % _fmt_num(agg.get("speedup")),
-                _fmt_num(agg.get("fast_wall_s"), 3),
+                _fmt_num(agg.get("wall_s"), 3),
                 str(entry.get("recorded", "")),
             ]
         )
@@ -464,14 +405,14 @@ def _trajectory_sparks(report):
     """``[(label, sparkline, latest)]`` series across the history.
 
     History points are grouped per engine: one baseline update can append a
-    point per measured engine, so a flat walk would interleave fastpath and
-    batch speedups in a single series. Labels carry the engine only when
+    point per measured engine, so a flat walk would interleave the engines'
+    speedups in a single series. Labels carry the engine only when
     more than one appears; engines with a single point are left to the
     trajectory table.
     """
     groups = {}
     for entry in report.trajectory:
-        groups.setdefault(entry.get("engine", "fastpath"), []).append(entry)
+        groups.setdefault(entry.get("engine", "?"), []).append(entry)
     multi = len(groups) > 1
     out = []
     for engine in _engine_sorted(groups):
@@ -640,12 +581,8 @@ def render_markdown(report):
         out += ["", "## Simulator performance (%s scale)" % payload.get("scale"), ""]
         header, rows = _perf_rows(payload)
         out += _md_table(header, rows)
-        agg = payload.get("aggregate", {})
         out.append("")
-        out.append(
-            "Aggregate: **%sx** (%s)."
-            % (_fmt_num(agg.get("speedup")), _perf_aggregate_text(agg))
-        )
+        out.append("Aggregate: **%sx** (%s)." % _perf_aggregate_line(payload.get("aggregate", {})))
 
     sparks = _trajectory_sparks(report)
     if sparks:
@@ -767,10 +704,9 @@ def render_html(report):
             "<h2>Simulator performance (%s scale)</h2>" % esc(str(payload.get("scale")))
         )
         parts.append(_html_table(*_perf_rows(payload)))
-        agg = payload.get("aggregate", {})
+        headline, detail = _perf_aggregate_line(payload.get("aggregate", {}))
         parts.append(
-            "<p>Aggregate <strong>%sx</strong> (%s).</p>"
-            % (esc(_fmt_num(agg.get("speedup"))), esc(_perf_aggregate_text(agg)))
+            "<p>Aggregate <strong>%sx</strong> (%s).</p>" % (esc(headline), esc(detail))
         )
 
     sparks = _trajectory_sparks(report)

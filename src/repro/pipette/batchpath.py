@@ -50,8 +50,8 @@ float additions happen in the same order on the same values, which is why
 the accrued buckets are bit-identical rather than merely close.
 
 Stages the compiler cannot express (recursive control handlers, unknown
-statement kinds) fall back to :class:`~repro.pipette.fastpath.
-FastStageInterp` per stage; the run then mixes engines per stage but stays
+statement kinds) fall back to the reference :class:`~repro.pipette.interp.
+StageInterp` per stage; the run then mixes engines per stage but stays
 bit-identical, since every engine replays the same arithmetic. The machine
 records which engine executed each stage and why a stage fell back
 (``Machine.stage_engines`` / ``stage_fallbacks``).
@@ -72,8 +72,7 @@ from collections import deque
 
 from ..errors import SimulationError
 from ..ir.ops import TERNARY_OPS, _checked_div, _checked_mod
-from .fastpath import FastStageInterp, _is_reg
-from .interp import _assign_pcs
+from .interp import StageInterp, _assign_pcs
 from .stagecode import stage_function
 from .stats import MIRROR_COUNTERS, MIRROR_STALLS
 
@@ -82,11 +81,12 @@ __all__ = ["BatchStageInterp", "UnsupportedStage"]
 
 class UnsupportedStage(Exception):
     """Raised by the stage compiler when a stage shape cannot be expressed;
-    the factory falls back to the fast path for that stage."""
+    the factory falls back to the reference interpreter for that stage."""
 
 
 #: Generated-source size guard: a pathological handler-inline blowup falls
-#: back to the fast path instead of compiling a megabyte of Python.
+#: back to the reference interpreter instead of compiling a megabyte of
+#: Python.
 _MAX_LINES = 20000
 
 #: Mirror-local names for the ThreadStats counters, in field order.
@@ -135,6 +135,10 @@ _UNARY_EXPR = {
     "fst": "{a}[0]",
     "snd": "{a}[1]",
 }
+
+
+def _is_reg(operand):
+    return type(operand) is str and not operand.startswith("@")
 
 
 def _oob_raiser(stage_name, array_op, data):
@@ -1437,14 +1441,14 @@ class _CompiledStage:
 
 
 def BatchStageInterp(stage, ctx, runenv):
-    """Factory: the batch-compiled stage thread, or the fast path when the
-    stage's shape is outside the compiler (drop-in for StageInterp). A
-    fallback is never silent: the returned interpreter carries the reason
-    as ``fallback_reason``, which the machine publishes per stage."""
+    """Factory: the batch-compiled stage thread, or the reference
+    interpreter when the stage's shape is outside the compiler. A fallback
+    is never silent: the returned interpreter carries the reason as
+    ``fallback_reason``, which the machine publishes per stage."""
     try:
         source, captures = _StageCompiler(stage, ctx, runenv).compile()
     except UnsupportedStage as exc:
-        interp = FastStageInterp(stage, ctx, runenv)
+        interp = StageInterp(stage, ctx, runenv)
         interp.fallback_reason = str(exc)
         return interp
     return _CompiledStage(stage, ctx, runenv, source, captures)

@@ -40,9 +40,14 @@ the same shared structures (issue ledgers, ROB/MSHR deques, queues, the
 gshare predictor, cache tag state, DRAM windows), so every
 :class:`SimStats` field — and any attached trace — matches exactly. The
 interpreter stays available as the conformance oracle behind
-``REPRO_SLOWPATH=1`` or ``CompileOptions(fastpath=False)``; the
-differential suite in ``tests/pipette/test_fastpath.py`` holds the two to
-byte equality.
+``engine="reference"`` / ``REPRO_ENGINE=reference``; the engine matrix in
+``tests/pipette/test_fastpath_conformance.py`` holds every engine to byte
+equality with it.
+
+This module also hosts the engine selector (:func:`resolve_engine`,
+:data:`ENGINES`, :data:`DEFAULT_ENGINE`). Nothing else depends on the fast
+path any more: ``Machine._ENGINE_CLASSES["fastpath"]`` is the only
+reference to :class:`FastStageInterp`.
 """
 
 import os
@@ -50,11 +55,9 @@ import os
 from ..errors import SimulationError
 from ..ir.ops import TERNARY_OPS, _PYTHON_BINARY, _PYTHON_UNARY
 from ..ir.values import Ctrl, is_control
+from .batchpath import _is_reg
 from .interp import _HALT, _assign_pcs
 from .sched import BLOCKED
-
-#: Environment switch: force every run through the reference interpreter.
-SLOWPATH_ENV = "REPRO_SLOWPATH"
 
 #: Step modes (see module docstring).
 PLAIN, MAYBE, GEN = 0, 1, 2
@@ -152,84 +155,36 @@ def _gen_maker(modes):
     return maker
 
 
-def fastpath_enabled(pipeline):
-    """Whether ``pipeline`` may run on a compiled engine (default: yes).
-
-    False means the reference interpreter: ``REPRO_SLOWPATH`` is set or the
-    pipeline was compiled with ``CompileOptions(fastpath=False)``. Which
-    compiled engine runs is :func:`resolve_engine`'s decision.
-    """
-    if os.environ.get(SLOWPATH_ENV):
-        return False
-    return bool(pipeline.meta.get("fastpath", True))
-
-
-def resolve_fastpath(pipeline, override=None):
-    """Pick the execution engine for one pipeline.
-
-    ``REPRO_SLOWPATH`` is a global kill-switch (it wins even over an explicit
-    ``override=True`` so the oracle can always be forced from the outside);
-    next an explicit per-run ``override``; finally the pipeline's compiled-in
-    ``meta["fastpath"]`` preference (default: a compiled engine, not the
-    reference interpreter).
-    """
-    if os.environ.get(SLOWPATH_ENV):
-        return False
-    if override is not None:
-        return bool(override)
-    return bool(pipeline.meta.get("fastpath", True))
-
-
 #: The three execution engines, slowest (oracle) first.
 ENGINES = ("reference", "fastpath", "batch")
 
-#: What runs when nothing selects an engine. ``fastpath`` stays selectable
-#: because it is what ``batch`` falls back to per stage.
+#: What runs when nothing selects an engine.
 DEFAULT_ENGINE = "batch"
 
 #: Environment default for runs that pass no explicit engine. Deliberately
-#: *below* explicit arguments in priority (unlike ``REPRO_SLOWPATH``, which
-#: is a kill-switch that beats everything): CI sets REPRO_ENGINE per matrix
+#: *below* explicit arguments in priority: CI sets REPRO_ENGINE per matrix
 #: leg, and the differential tests inside a leg must still be able to pin
 #: each engine explicitly without the environment leaking into the oracle
 #: side of the comparison.
 ENGINE_ENV = "REPRO_ENGINE"
 
 
-def resolve_engine(pipeline=None, engine=None, fastpath=None):
-    """Pick one of :data:`ENGINES` for ``pipeline``.
+def resolve_engine(pipeline=None, engine=None):
+    """Pick one of :data:`ENGINES`.
 
-    Priority: ``REPRO_SLOWPATH`` (global oracle kill-switch) > explicit
-    ``engine`` > explicit legacy ``fastpath`` boolean > ``REPRO_ENGINE`` >
-    compiled-in ``meta["engine"]`` > ``meta["fastpath"]`` (False means the
-    reference interpreter) > :data:`DEFAULT_ENGINE`, the batch-advance
-    engine. Without a ``pipeline`` the ``meta`` steps are skipped: that is
-    the engine a run that selects nothing gets (``repro bench perf`` times
-    it).
+    Priority: explicit ``engine`` > ``REPRO_ENGINE`` >
+    :data:`DEFAULT_ENGINE`, the batch-advance engine. ``pipeline`` is
+    ignored — a compiled pipeline carries no engine preference — and stays
+    in the signature only because callers pass it positionally.
     """
-    if os.environ.get(SLOWPATH_ENV):
-        return "reference"
-    meta = {} if pipeline is None else pipeline.meta
-    candidates = (
-        engine,
-        None if fastpath is None else ("fastpath" if fastpath else "reference"),
-        os.environ.get(ENGINE_ENV) or None,
-        meta.get("engine"),
-        None if meta.get("fastpath", True) else "reference",
-    )
-    for choice in candidates:
-        if choice is None:
-            continue
-        if choice not in ENGINES:
-            raise ValueError(
-                "unknown engine %r (expected one of %s)" % (choice, ", ".join(ENGINES))
-            )
-        return choice
-    return DEFAULT_ENGINE
-
-
-def _is_reg(operand):
-    return type(operand) is str and not operand.startswith("@")
+    choice = engine
+    if choice is None:
+        choice = os.environ.get(ENGINE_ENV) or DEFAULT_ENGINE
+    if choice not in ENGINES:
+        raise ValueError(
+            "unknown engine %r (expected one of %s)" % (choice, ", ".join(ENGINES))
+        )
+    return choice
 
 
 class FastStageInterp:

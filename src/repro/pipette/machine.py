@@ -154,9 +154,8 @@ class Machine:
     buffer exists and the simulation is unchanged.
 
     ``engine`` selects the stage execution engine by name (``"reference"``,
-    ``"fastpath"``, ``"batch"``); ``fastpath`` is the legacy boolean spelling
-    of the first two. ``None`` defers to ``REPRO_SLOWPATH`` / ``REPRO_ENGINE``
-    / each pipeline's ``meta`` and finally the default, ``"batch"`` (see
+    ``"fastpath"``, ``"batch"``). ``None`` defers to ``REPRO_ENGINE`` and
+    then the default, ``"batch"`` (see
     :func:`~repro.pipette.fastpath.resolve_engine`). All engines produce
     bit-identical :class:`SimStats`.
 
@@ -177,13 +176,12 @@ class Machine:
         "batch": BatchStageInterp,
     }
 
-    def __init__(self, config, tracer=None, fastpath=None, engine=None):
+    def __init__(self, config, tracer=None, engine=None):
         self.config = config
         self.stats = None
         self.mem = None
         self.envs = []
         self.tracer = tracer
-        self.fastpath = fastpath
         self.engine = engine
         self.stage_engines = {}
         self.stage_fallbacks = {}
@@ -220,13 +218,11 @@ class Machine:
         # Shared scalar cells span replicas: replicated pipelines exchange
         # per-replica fringe sizes through distinct keys.
         shared_cells = SharedCells()
+        interp_class = self._ENGINE_CLASSES[resolve_engine(engine=self.engine)]
 
         for replica, spec in enumerate(specs):
             pipeline = spec.pipeline
             verify_pipeline(pipeline, max_queues=config.max_queues, max_ras=config.max_ras)
-            engine = self._ENGINE_CLASSES[
-                resolve_engine(pipeline, self.engine, self.fastpath)
-            ]
             env = RunEnv(self, replica, spec, stats)
             env.shared = shared_cells
             self.envs.append(env)
@@ -277,7 +273,7 @@ class Machine:
                 missing = [p for p in pipeline.scalar_params if p not in spec.scalars]
                 if missing:
                     raise SimulationError("run: scalar params %s not bound" % missing)
-                interp = engine(stage, ctx, env)
+                interp = interp_class(stage, ctx, env)
                 self.stage_engines[name] = interp.ENGINE
                 reason = getattr(interp, "fallback_reason", None)
                 if reason is not None:

@@ -86,7 +86,6 @@ def test_demo_reports_speedup():
 
 def test_demo_records_name_the_engine_of_every_stage(capsys, monkeypatch):
     monkeypatch.delenv("REPRO_ENGINE", raising=False)
-    monkeypatch.delenv("REPRO_SLOWPATH", raising=False)
     response = api.handle(api.RunRequest(bench="bfs", size=200, seed=4))
     live = [r for r in response.records if r["variant"] != "serial"]  # serial is a cached baseline
     assert live and all(set(r["stage_engines"].values()) == {"batch"} for r in live)
@@ -98,7 +97,6 @@ def test_demo_logs_fallbacks_on_stderr_only(capsys, monkeypatch):
     from repro.pipette import batchpath
 
     monkeypatch.delenv("REPRO_ENGINE", raising=False)
-    monkeypatch.delenv("REPRO_SLOWPATH", raising=False)
     monkeypatch.delenv("REPRO_QUIET", raising=False)
     clean = api.handle(api.RunRequest(bench="bfs", size=200, seed=4))
     capsys.readouterr()
@@ -109,7 +107,7 @@ def test_demo_logs_fallbacks_on_stderr_only(capsys, monkeypatch):
     assert "demo bfs/phloem-static: mixed engines: r0.s0." in err
     assert "fell back (generated stage body too large)" in err
     fallen = [r for r in mixed.records if r["variant"] == "phloem-static"][0]
-    assert set(fallen["stage_engines"].values()) == {"fastpath"}
+    assert set(fallen["stage_engines"].values()) == {"reference"}
 
 
 def test_metrics_records_match_stdout_jsonl():

@@ -14,7 +14,6 @@ from repro.bench.harness import (
     profile_guided_pipeline,
     run_suite,
 )
-from repro.core import CompileOptions
 from repro.workloads import bfs, prd, spmm
 from repro.workloads.datasets import GraphInput, MatrixInput
 from repro.workloads.graphs import uniform_random
@@ -85,22 +84,6 @@ def test_run_suite_end_to_end(micro_inputs, tiny_config):
     assert abs(primary - 1.0) < 1e-9
     energy = normalized_energy(suite)
     assert abs(sum(energy["serial"].values()) - 1.0) < 1e-9
-
-
-def test_run_suite_options_equals_legacy_kwargs(micro_inputs, tiny_config):
-    """CompileOptions and the num_stages shim steer the same compilation."""
-    adapter = adapter_for("bfs")
-    via_kwarg = run_suite(
-        adapter, micro_inputs[:1], [], config=tiny_config,
-        variants=("serial", "phloem-static"), num_stages=3,
-    )
-    via_options = run_suite(
-        adapter, micro_inputs[:1], [], config=tiny_config,
-        variants=("serial", "phloem-static"), options=CompileOptions(num_stages=3),
-    )
-    assert (
-        via_options["phloem-static"][0].cycles == via_kwarg["phloem-static"][0].cycles
-    )
 
 
 def test_run_suite_matrix_benchmark(tiny_config):

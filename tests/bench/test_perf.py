@@ -31,27 +31,8 @@ def tiny_scale(monkeypatch):
     monkeypatch.setitem(perf.SCALES, "quick", TINY_INPUTS)
 
 
-def _record(bench="bfs", cycles=1000, slow=2.0, fast=1.0, **over):
-    record = {
-        "schema": perf.PERF_SCHEMA,
-        "version": perf.PERF_VERSION,
-        "bench": bench,
-        "scale": "quick",
-        "input": "power_law(deg=3,n=120,seed=7)",
-        "repeats": 2,
-        "cycles": cycles,
-        "slow_wall_s": slow,
-        "fast_wall_s": fast,
-        "speedup": round(slow / fast, 3),
-        "sim_mcycles_per_s": round(cycles / fast / 1e6, 3),
-        "phases": {},
-    }
-    record.update(over)
-    return record
-
-
-def _multi_record(bench="bfs", cycles=1000, slow=4.0, fast=2.0, batch=1.0, **over):
-    """A record as the multi-engine harness emits it (``--engine all``)."""
+def _record(bench="bfs", cycles=1000, slow=2.0, fast=1.0, batch=None, **over):
+    """A v2 perf record: reference + fastpath walls, plus batch when given."""
 
     def per(wall):
         return {
@@ -60,18 +41,27 @@ def _multi_record(bench="bfs", cycles=1000, slow=4.0, fast=2.0, batch=1.0, **ove
             "sim_mcycles_per_s": round(cycles / wall / 1e6, 3),
         }
 
-    return _record(
-        bench=bench,
-        cycles=cycles,
-        slow=slow,
-        fast=batch,  # legacy fast side tracks the primary (last) engine
-        engines={
-            "reference": per(slow),
-            "fastpath": per(fast),
-            "batch": per(batch),
-        },
-        **over,
-    )
+    engines = {"reference": per(slow), "fastpath": per(fast)}
+    if batch is not None:
+        engines["batch"] = per(batch)
+    record = {
+        "schema": perf.PERF_SCHEMA,
+        "version": perf.PERF_VERSION,
+        "bench": bench,
+        "scale": "quick",
+        "input": "power_law(deg=3,n=120,seed=7)",
+        "repeats": 2,
+        "cycles": cycles,
+        "engines": engines,
+        "phases": {},
+    }
+    record.update(over)
+    return record
+
+
+def _multi_record(bench="bfs", cycles=1000, slow=4.0, fast=2.0, batch=1.0, **over):
+    """A record as the multi-engine harness emits it (``--engine all``)."""
+    return _record(bench=bench, cycles=cycles, slow=slow, fast=fast, batch=batch, **over)
 
 
 class TestMeasure:
@@ -80,12 +70,15 @@ class TestMeasure:
         assert record["schema"] == perf.PERF_SCHEMA
         assert record["bench"] == "bfs"
         assert record["cycles"] > 0
-        assert record["slow_wall_s"] > 0 and record["fast_wall_s"] > 0
-        assert record["speedup"] == round(
-            record["slow_wall_s"] / record["fast_wall_s"], 3
-        )
-        assert set(record["phases"]) == {
-            "input_s", "compile_s", "sim_slow_s", "sim_fast_s",
+        assert record["version"] == perf.PERF_VERSION == 2
+        reference, batch = record["engines"]["reference"], record["engines"]["batch"]
+        assert reference["wall_s"] > 0 and batch["wall_s"] > 0
+        assert batch["speedup"] == round(reference["wall_s"] / batch["wall_s"], 3)
+        assert set(record["phases"]) == {"input_s", "compile_s"}
+        # One shape: per-engine numbers live only in the ``engines`` map.
+        assert set(record) == {
+            "schema", "version", "bench", "scale", "input", "repeats", "cycles",
+            "engines", "phases",
         }
 
     def test_repeats_agree_on_cycles(self, tiny_scale):
@@ -97,9 +90,6 @@ class TestMeasure:
         record = perf.measure_bench("bfs", scale="quick", repeats=1, engines="all")
         assert set(record["engines"]) == {"reference", "fastpath", "batch"}
         assert record["engines"]["reference"]["speedup"] == 1.0
-        # Legacy flat keys track the primary (last, most advanced) engine.
-        assert record["fast_wall_s"] == record["engines"]["batch"]["wall_s"]
-        assert record["speedup"] == record["engines"]["batch"]["speedup"]
 
     def test_single_engine_selection_keeps_reference(self, tiny_scale):
         record = perf.measure_bench("spmm", scale="quick", repeats=1, engines="batch")
@@ -121,7 +111,6 @@ class TestMeasure:
         # No argument: the reference plus whatever a run that selects
         # nothing gets, so the harness times what users run.
         monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        monkeypatch.delenv("REPRO_SLOWPATH", raising=False)
         assert perf.normalize_engines() == ("reference", "batch")
         monkeypatch.setenv("REPRO_ENGINE", "fastpath")
         assert perf.normalize_engines() == ("reference", "fastpath")
@@ -138,9 +127,7 @@ class TestAggregate:
     def test_aggregate_is_total_ratio(self):
         records = [_record(slow=3.0, fast=1.0), _record(bench="cc", slow=1.0, fast=1.0)]
         agg = perf.aggregate(records)
-        assert agg["slow_wall_s"] == 4.0
-        assert agg["fast_wall_s"] == 2.0
-        assert agg["speedup"] == 2.0
+        assert agg["fastpath"] == {"wall_s": 2.0, "reference_wall_s": 4.0, "speedup": 2.0}
 
     def test_aggregate_per_engine(self):
         records = [
@@ -148,16 +135,16 @@ class TestAggregate:
             _multi_record(bench="cc", slow=2.0, fast=1.0, batch=1.0),
         ]
         agg = perf.aggregate(records)
-        assert agg["engines"]["reference"]["speedup"] == 1.0
-        assert agg["engines"]["fastpath"] == {"wall_s": 3.0, "speedup": 2.0}
-        assert agg["engines"]["batch"] == {"wall_s": 2.0, "speedup": 3.0}
+        assert agg["reference"]["speedup"] == 1.0
+        assert agg["fastpath"] == {"wall_s": 3.0, "reference_wall_s": 6.0, "speedup": 2.0}
+        assert agg["batch"] == {"wall_s": 2.0, "reference_wall_s": 6.0, "speedup": 3.0}
 
     def test_aggregate_mixed_records_uses_common_engines(self):
-        # A legacy record has no batch measurement: the batch aggregate
-        # would be meaningless, so only the common engine set is rolled up.
+        # One record has no batch measurement: the batch aggregate would be
+        # meaningless, so only the common engine set is rolled up.
         records = [_multi_record(), _record(bench="cc")]
         agg = perf.aggregate(records)
-        assert set(agg["engines"]) == {"reference", "fastpath"}
+        assert set(agg) == {"reference", "fastpath"}
 
 
 class TestBaseline:
@@ -168,7 +155,8 @@ class TestBaseline:
         loaded = perf.read_baseline(path)
         assert loaded == json.loads(json.dumps(written))
         assert loaded["schema"] == perf.BASELINE_SCHEMA
-        assert loaded["aggregate"]["speedup"] == 2.0
+        assert loaded["version"] == 2
+        assert loaded["aggregate"]["fastpath"]["speedup"] == 2.0
 
     def test_rejects_foreign_json(self, tmp_path):
         path = tmp_path / "other.json"
@@ -231,44 +219,44 @@ class TestBaseline:
         )
         assert not errors and not warnings
 
-    def test_legacy_record_against_multi_engine_baseline(self):
-        # A fresh legacy record has no per-engine map: the comparison falls
-        # back to the flat keys rather than crashing or double-counting.
-        baseline = perf.baseline_payload([_multi_record()], "quick")
-        errors, warnings = perf.check_against_baseline(
-            [_record(slow=4.0, fast=1.0)], baseline, threshold=0.25
-        )
-        assert not errors and not warnings
+    def test_v1_baseline_is_rejected_not_misread(self, tmp_path):
+        # The v1 shape (flat keys for one "primary" engine next to the
+        # engines map) has no reader any more; a file stamped version 1
+        # must fail loudly, not be compared as if it were v2.
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps(dict(perf.baseline_payload([_record()], "quick"), version=1)))
+        with pytest.raises(perf.PerfError, match="version 1.*reads version 2"):
+            perf.read_baseline(str(path))
 
 
 class TestHistory:
-    def test_history_entry_is_compact_and_keyed(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        monkeypatch.delenv("REPRO_SLOWPATH", raising=False)
-        entry = perf.history_entry([_record()], "quick", git="abc1234")
+    def test_history_entry_is_compact_and_keyed(self):
+        entry = perf.history_entry([_record()], "quick", "fastpath", git="abc1234")
         assert entry["git"] == "abc1234"
-        assert entry["engine"] == "batch"  # follows resolve_engine's default
-        assert perf.history_entry([_record()], "quick", engine="fastpath")["engine"] == "fastpath"
+        assert entry["engine"] == "fastpath"
         assert entry["scale"] == "quick"
-        assert entry["aggregate"]["speedup"] == 2.0
-        assert entry["benches"]["bfs"]["cycles"] == 1000
+        assert entry["aggregate"] == {"wall_s": 1.0, "reference_wall_s": 2.0, "speedup": 2.0}
+        assert entry["benches"]["bfs"] == {
+            "cycles": 1000, "wall_s": 1.0, "reference_wall_s": 2.0, "speedup": 2.0,
+            "sim_mcycles_per_s": 0.001,
+        }
         json.dumps(entry)
 
     def test_append_history_replaces_same_key_point(self):
-        first = perf.history_entry([_record(fast=1.0)], "quick", git="abc")
-        rerun = perf.history_entry([_record(fast=0.9)], "quick", git="abc")
+        first = perf.history_entry([_record(fast=1.0)], "quick", "fastpath", git="abc")
+        rerun = perf.history_entry([_record(fast=0.9)], "quick", "fastpath", git="abc")
         history = perf.append_history([], first)
         history = perf.append_history(history, rerun)
         assert len(history) == 1
-        assert history[0]["benches"]["bfs"]["fast_wall_s"] == 0.9
-        newer = perf.history_entry([_record()], "quick", git="def")
+        assert history[0]["benches"]["bfs"]["wall_s"] == 0.9
+        newer = perf.history_entry([_record()], "quick", "fastpath", git="def")
         history = perf.append_history(history, newer)
         assert [e["git"] for e in history] == ["abc", "def"]
 
     def test_append_history_caps_at_limit(self):
         history = []
         for i in range(5):
-            entry = perf.history_entry([_record()], "quick", git="g%d" % i)
+            entry = perf.history_entry([_record()], "quick", "fastpath", git="g%d" % i)
             history = perf.append_history(history, entry, limit=3)
         assert [e["git"] for e in history] == ["g2", "g3", "g4"]
 
@@ -282,19 +270,8 @@ class TestHistory:
         assert [e["git"] for e in loaded["history"]] == ["aaa", "bbb"]
         # Top-level records stay the latest measurement: the regression
         # baseline the checker reads.
-        assert loaded["records"][0]["fast_wall_s"] == 0.5
-        assert loaded["aggregate"]["speedup"] == 4.0
-
-    def test_pre_history_baseline_contributes_one_synthesized_point(self, tmp_path):
-        path = str(tmp_path / "baseline.json")
-        with open(path, "w") as handle:
-            json.dump(perf.baseline_payload([_record(fast=2.0, slow=2.0)], "quick"),
-                      handle)
-        loaded = json.loads(
-            json.dumps(perf.write_baseline([_record()], "quick", path=path, git="ccc"))
-        )
-        assert [e["git"] for e in loaded["history"]] == ["(pre-history)", "ccc"]
-        assert loaded["history"][0]["benches"]["bfs"]["fast_wall_s"] == 2.0
+        assert loaded["records"][0]["engines"]["fastpath"]["wall_s"] == 0.5
+        assert loaded["aggregate"]["fastpath"]["speedup"] == 4.0
 
     def test_git_describe_never_raises(self, tmp_path):
         assert perf.git_describe(cwd=str(tmp_path)) == "unknown"
@@ -308,8 +285,8 @@ class TestHistory:
         keys = {(e["engine"], e["git"]) for e in loaded["history"]}
         assert keys == {("fastpath", "abc"), ("batch", "abc")}
         by_engine = {e["engine"]: e for e in loaded["history"]}
-        assert by_engine["fastpath"]["benches"]["bfs"]["fast_wall_s"] == 2.0
-        assert by_engine["batch"]["benches"]["bfs"]["fast_wall_s"] == 1.0
+        assert by_engine["fastpath"]["benches"]["bfs"]["wall_s"] == 2.0
+        assert by_engine["batch"]["benches"]["bfs"]["wall_s"] == 1.0
         assert by_engine["batch"]["aggregate"]["speedup"] == 4.0
 
 

@@ -9,7 +9,7 @@ import itertools
 
 import pytest
 
-from repro.core import compile_function
+from repro.core import CompileOptions, compile_function
 from repro.core.compiler import ALL_PASSES
 from repro.runtime import run_pipeline, run_serial
 from repro.workloads import bfs, cc, spmm
@@ -24,7 +24,7 @@ from repro.workloads.matrices import random_matrix
 )
 def test_bfs_all_pass_subsets(passes, tiny_graph, tiny_config):
     arrays, scalars = bfs.make_env(tiny_graph)
-    pipe = compile_function(bfs.function(), num_stages=4, passes=passes)
+    pipe = compile_function(bfs.function(), options=CompileOptions(num_stages=4, passes=passes))
     result = run_pipeline(pipe, arrays, scalars, config=tiny_config)
     assert bfs.check(result.arrays, tiny_graph), passes
 
@@ -32,14 +32,17 @@ def test_bfs_all_pass_subsets(passes, tiny_graph, tiny_config):
 @pytest.mark.parametrize("num_stages", [1, 2, 3, 4])
 def test_bfs_stage_counts(num_stages, tiny_graph, tiny_config):
     arrays, scalars = bfs.make_env(tiny_graph)
-    pipe = compile_function(bfs.function(), num_stages=num_stages, passes=ALL_PASSES)
+    pipe = compile_function(
+        bfs.function(),
+        options=CompileOptions(num_stages=num_stages, passes=ALL_PASSES),
+    )
     result = run_pipeline(pipe, arrays, scalars, config=tiny_config)
     assert bfs.check(result.arrays, tiny_graph)
 
 
 def test_cc_full(tiny_graph, tiny_config):
     arrays, scalars = cc.make_env(tiny_graph)
-    pipe = compile_function(cc.function(), num_stages=4, passes=ALL_PASSES)
+    pipe = compile_function(cc.function(), options=CompileOptions(num_stages=4, passes=ALL_PASSES))
     result = run_pipeline(pipe, arrays, scalars, config=tiny_config)
     assert cc.check(result.arrays, tiny_graph)
 
@@ -47,7 +50,10 @@ def test_cc_full(tiny_graph, tiny_config):
 def test_spmm_full(tiny_config):
     a = random_matrix(40, 4, seed=7)
     arrays, scalars = spmm.make_env(a)
-    pipe = compile_function(spmm.function(), num_stages=4, passes=ALL_PASSES)
+    pipe = compile_function(
+        spmm.function(),
+        options=CompileOptions(num_stages=4, passes=ALL_PASSES),
+    )
     result = run_pipeline(pipe, arrays, scalars, config=tiny_config)
     assert spmm.check(result.arrays, a)
 
@@ -57,9 +63,10 @@ def test_point_indices_mode(tiny_graph, tiny_config):
     arrays, scalars = bfs.make_env(tiny_graph)
     for indices in [(0,), (1,), (0, 1), (1, 2), (2, 3)]:
         try:
-            pipe = compile_function(
-                bfs.function(), num_stages=len(indices) + 1, passes=ALL_PASSES, point_indices=indices
+            options = CompileOptions(
+                num_stages=len(indices) + 1, passes=ALL_PASSES, point_indices=indices
             )
+            pipe = compile_function(bfs.function(), options=options)
         except Exception:
             continue  # some selections are legitimately unsplittable
         result = run_pipeline(pipe, arrays, scalars, config=tiny_config)
@@ -69,14 +76,14 @@ def test_point_indices_mode(tiny_graph, tiny_config):
 def test_pipeline_faster_than_serial(tiny_graph, tiny_config):
     arrays, scalars = bfs.make_env(tiny_graph)
     serial = run_serial(bfs.function(), arrays, scalars, config=tiny_config)
-    pipe = compile_function(bfs.function(), num_stages=4, passes=ALL_PASSES)
+    pipe = compile_function(bfs.function(), options=CompileOptions(num_stages=4, passes=ALL_PASSES))
     result = run_pipeline(pipe, arrays, scalars, config=tiny_config)
     assert result.cycles < serial.cycles
 
 
 def test_deterministic_compilation(tiny_graph):
-    p1 = compile_function(bfs.function(), num_stages=4, passes=ALL_PASSES)
-    p2 = compile_function(bfs.function(), num_stages=4, passes=ALL_PASSES)
+    p1 = compile_function(bfs.function(), options=CompileOptions(num_stages=4, passes=ALL_PASSES))
+    p2 = compile_function(bfs.function(), options=CompileOptions(num_stages=4, passes=ALL_PASSES))
     from repro.ir import format_pipeline
 
     assert format_pipeline(p1) == format_pipeline(p2)
@@ -84,7 +91,7 @@ def test_deterministic_compilation(tiny_graph):
 
 def test_deterministic_simulation(tiny_graph, tiny_config):
     arrays, scalars = bfs.make_env(tiny_graph)
-    pipe = compile_function(bfs.function(), num_stages=4, passes=ALL_PASSES)
+    pipe = compile_function(bfs.function(), options=CompileOptions(num_stages=4, passes=ALL_PASSES))
     r1 = run_pipeline(pipe, arrays, scalars, config=tiny_config)
     r2 = run_pipeline(pipe, arrays, scalars, config=tiny_config)
     assert r1.cycles == r2.cycles

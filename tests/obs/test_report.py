@@ -31,46 +31,66 @@ def _run(bench, variant, cycles, speedup=None, breakdown=None, cache=None):
     )
 
 
-def _perf_baseline(with_history=True):
+def _per_engine(cycles, reference_wall, **walls):
+    """The ``engines`` map of a v2 perf record."""
+    walls = dict(reference=reference_wall, **walls)
+    return {
+        name: {
+            "wall_s": wall,
+            "speedup": reference_wall / wall,
+            "sim_mcycles_per_s": cycles / wall / 1e6,
+        }
+        for name, wall in walls.items()
+    }
+
+
+def _history_point(git, engine, recorded, speedup, reference_wall=2.0):
+    return {
+        "git": git,
+        "engine": engine,
+        "scale": "quick",
+        "recorded": recorded,
+        "aggregate": {
+            "wall_s": reference_wall / speedup,
+            "reference_wall_s": reference_wall,
+            "speedup": speedup,
+        },
+        "benches": {
+            "bfs": {"sim_mcycles_per_s": 0.005 * speedup / reference_wall, "speedup": speedup}
+        },
+    }
+
+
+def _perf_baseline(with_history=True, **engine_walls):
+    """A v2 baseline: reference 2.0 s plus ``engine_walls`` (default: a
+    1.0 s fastpath)."""
+    engine_walls = engine_walls or {"fastpath": 1.0}
+    engines = _per_engine(5000, 2.0, **engine_walls)
     record = {
         "schema": "repro.bench/perf-record",
-        "version": 1,
+        "version": 2,
         "bench": "bfs",
         "scale": "quick",
         "input": "power_law(deg=3,n=120,seed=7)",
         "repeats": 2,
         "cycles": 5000,
-        "slow_wall_s": 2.0,
-        "fast_wall_s": 1.0,
-        "speedup": 2.0,
-        "sim_mcycles_per_s": 0.005,
+        "engines": engines,
         "phases": {},
     }
     payload = {
         "schema": "repro.bench/perf-baseline",
-        "version": 1,
+        "version": 2,
         "scale": "quick",
         "records": [record],
-        "aggregate": {"slow_wall_s": 2.0, "fast_wall_s": 1.0, "speedup": 2.0},
+        "aggregate": {
+            name: {"wall_s": per["wall_s"], "reference_wall_s": 2.0, "speedup": per["speedup"]}
+            for name, per in engines.items()
+        },
     }
     if with_history:
         payload["history"] = [
-            {
-                "git": "abc1234",
-                "engine": "fastpath",
-                "scale": "quick",
-                "recorded": "2026-08-01",
-                "aggregate": {"speedup": 1.8, "fast_wall_s": 1.1, "slow_wall_s": 2.0},
-                "benches": {"bfs": {"sim_mcycles_per_s": 0.004, "speedup": 1.8}},
-            },
-            {
-                "git": "def5678",
-                "engine": "fastpath",
-                "scale": "quick",
-                "recorded": "2026-08-07",
-                "aggregate": {"speedup": 2.0, "fast_wall_s": 1.0, "slow_wall_s": 2.0},
-                "benches": {"bfs": {"sim_mcycles_per_s": 0.005, "speedup": 2.0}},
-            },
+            _history_point("abc1234", "fastpath", "2026-08-01", 1.8),
+            _history_point("def5678", "fastpath", "2026-08-07", 2.0),
         ]
     return payload
 
@@ -78,54 +98,19 @@ def _perf_baseline(with_history=True):
 def _multi_engine_perf():
     """A baseline written by an ``--engine all`` run: per-engine records
     plus a history interleaving fastpath and batch points."""
-    record = {
-        "schema": "repro.bench/perf-record",
-        "version": 1,
-        "bench": "bfs",
-        "scale": "quick",
-        "repeats": 2,
-        "cycles": 5000,
-        "slow_wall_s": 4.0,
-        "fast_wall_s": 1.0,
-        "speedup": 4.0,
-        "sim_mcycles_per_s": 0.005,
-        "phases": {},
-        "engines": {
-            "reference": {"wall_s": 4.0, "speedup": 1.0, "sim_mcycles_per_s": 0.00125},
-            "fastpath": {"wall_s": 2.0, "speedup": 2.0, "sim_mcycles_per_s": 0.0025},
-            "batch": {"wall_s": 1.0, "speedup": 4.0, "sim_mcycles_per_s": 0.005},
-        },
-    }
-    history = []
-    for git, fast_x, batch_x in (("aaa1111", 1.8, 3.4), ("bbb2222", 2.0, 4.0)):
-        for engine, x in (("fastpath", fast_x), ("batch", batch_x)):
-            history.append(
-                {
-                    "git": git,
-                    "engine": engine,
-                    "scale": "quick",
-                    "recorded": "2026-08-0%d" % len(history),
-                    "aggregate": {"speedup": x, "fast_wall_s": 4.0 / x, "slow_wall_s": 4.0},
-                    "benches": {"bfs": {"sim_mcycles_per_s": 0.00125 * x, "speedup": x}},
-                }
-            )
-    return {
-        "schema": "repro.bench/perf-baseline",
-        "version": 1,
-        "scale": "quick",
-        "records": [record],
-        "aggregate": {
-            "slow_wall_s": 4.0,
-            "fast_wall_s": 1.0,
-            "speedup": 4.0,
-            "engines": {
-                "reference": {"wall_s": 4.0, "speedup": 1.0},
-                "fastpath": {"wall_s": 2.0, "speedup": 2.0},
-                "batch": {"wall_s": 1.0, "speedup": 4.0},
-            },
-        },
-        "history": history,
-    }
+    payload = _perf_baseline(with_history=False, fastpath=1.0, batch=0.5)
+    payload["history"] = [
+        _history_point(git, engine, "2026-08-0%d" % day, x)
+        for day, (git, engine, x) in enumerate(
+            [
+                ("aaa1111", "fastpath", 1.8),
+                ("aaa1111", "batch", 3.4),
+                ("bbb2222", "fastpath", 2.0),
+                ("bbb2222", "batch", 4.0),
+            ]
+        )
+    ]
+    return payload
 
 
 def _telemetry_snapshot():
@@ -184,9 +169,8 @@ def results_dir(tmp_path):
             }
         )
     )
-    # The pre-envelope ``repro lint --json`` shape: a bare report list.
-    # Archived results directories still aggregate.
-    (tmp_path / "lint_legacy.json").write_text(
+    # A bare report list carries no schema tag: skipped, never guessed at.
+    (tmp_path / "lint_untagged.json").write_text(
         json.dumps(
             [
                 {
@@ -235,7 +219,7 @@ class TestCollect:
         kinds = {s["file"]: s["kind"] for s in report.sources}
         assert kinds["runs.jsonl"] == "runs"
         assert kinds["lint.json"] == "lint"
-        assert kinds["lint_legacy.json"] == "lint"
+        assert kinds["lint_untagged.json"] == "skipped"
         assert kinds["perf.json"] == "perf"
         assert kinds["timeline.json"] == "timeline"
         assert kinds["telemetry.json"] == "telemetry"
@@ -263,23 +247,22 @@ class TestCollect:
     def test_lint_rollup(self, results_dir):
         rollup = collect(results_dir).lint_rollup()
         assert rollup == {
-            "targets": 2,
+            "targets": 1,
             "errors": 0,
-            "warnings": 2,
-            "codes": {"PHL010": 1, "PHL402": 1},
+            "warnings": 1,
+            "codes": {"PHL010": 1},
         }
 
     def test_trajectory_from_history(self, results_dir):
         report = collect(results_dir)
         assert [e["git"] for e in report.trajectory] == ["abc1234", "def5678"]
 
-    def test_pre_history_baseline_synthesizes_one_point(self, tmp_path):
-        (tmp_path / "perf.json").write_text(
-            json.dumps(_perf_baseline(with_history=False))
-        )
+    def test_v1_baseline_is_skipped_not_misread(self, tmp_path):
+        v1 = dict(_perf_baseline(), version=1)
+        (tmp_path / "perf.json").write_text(json.dumps(v1))
         report = collect(str(tmp_path))
-        assert [e["git"] for e in report.trajectory] == ["(baseline)"]
-        assert report.trajectory[0]["benches"]["bfs"]["cycles"] == 5000
+        assert report.perf == [] and report.trajectory == []
+        assert report.sources == [{"file": "perf.json", "kind": "skipped", "items": 0}]
 
     def test_extra_files_pulled_in_once(self, results_dir, tmp_path):
         baseline = str(tmp_path / "perf.json")  # already inside the walk
@@ -338,7 +321,9 @@ class TestMarkdown:
         # One wall column per engine, one speedup column per non-reference
         # engine, in canonical order.
         assert "| ref (s) | fast (s) | batch (s) | fast (x) | batch (x) |" in text
-        assert "Aggregate: **4.00x** (ref 4.000s; fast 2.000s 2.00x; batch 1.000s 4.00x)." in text
+        assert "Aggregate: **4.00x** (ref 2.000s; fast 1.000s 2.00x; batch 0.500s 4.00x)." in text
+        # The Mcyc/s column is the most advanced engine's throughput.
+        assert "| bfs | 5000 | 2.000 | 1.000 | 0.500 | 2.00x | 4.00x | 0.01 |" in text
 
     def test_trajectory_sparks_grouped_per_engine(self, tmp_path):
         (tmp_path / "perf.json").write_text(json.dumps(_multi_engine_perf()))

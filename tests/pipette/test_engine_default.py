@@ -1,11 +1,12 @@
 """Which engine runs when nothing says otherwise, and which one actually ran.
 
 ``resolve_engine`` is the one place the default lives; these tests pin the
-default (``batch``), the full precedence chain, and the per-stage record of
-the engine that executed each stage (``stage_engines`` /
-``stage_fallbacks``), including the two-``atomic_rmw`` stage that used to
-fall back silently. The zero-fallback sweep over every shipped workload
-rides on the conformance matrix (``test_fastpath_conformance.py``).
+default (``batch``), the three-level precedence rule (explicit ``engine=``
+> ``REPRO_ENGINE`` > default), and the per-stage record of the engine that
+executed each stage (``stage_engines`` / ``stage_fallbacks``), including
+the two-``atomic_rmw`` stage that used to fall back silently. The
+zero-fallback sweep over every shipped workload rides on the conformance
+matrix (``test_fastpath_conformance.py``).
 """
 
 import pytest
@@ -13,6 +14,7 @@ import pytest
 from repro import ir
 from repro.pipette import Machine, MachineConfig, RunSpec, batchpath
 from repro.pipette.fastpath import DEFAULT_ENGINE, ENGINES, resolve_engine
+from repro.runtime import run_pipeline
 
 
 class _Pipe:
@@ -23,7 +25,6 @@ class _Pipe:
 @pytest.fixture
 def clean_env(monkeypatch):
     monkeypatch.delenv("REPRO_ENGINE", raising=False)
-    monkeypatch.delenv("REPRO_SLOWPATH", raising=False)
     return monkeypatch
 
 
@@ -31,22 +32,40 @@ def test_default_engine_is_batch(clean_env):
     assert DEFAULT_ENGINE == "batch"
     assert resolve_engine(_Pipe()) == "batch"
     assert resolve_engine() == "batch"  # no pipeline: what bench perf times
-    assert resolve_engine(_Pipe(fastpath=True)) == "batch"
+
+
+#: ``(explicit engine=, REPRO_ENGINE, expected)`` — the whole rule.
+PRECEDENCE = [
+    (None, None, "batch"),  # nothing selects: DEFAULT_ENGINE
+    (None, "reference", "reference"),  # the environment beats the default
+    (None, "fastpath", "fastpath"),
+    ("batch", "reference", "batch"),  # an explicit engine beats the environment
+    ("reference", "batch", "reference"),
+    ("fastpath", None, "fastpath"),
+]
 
 
 def test_precedence_chain(clean_env):
-    # Lowest to highest; each step overrides everything before it.
-    pipe = _Pipe(fastpath=False)
-    assert resolve_engine(pipe) == "reference"
-    pipe = _Pipe(fastpath=False, engine="fastpath")
-    assert resolve_engine(pipe) == "fastpath"
-    clean_env.setenv("REPRO_ENGINE", "batch")
-    assert resolve_engine(pipe) == "batch"
-    assert resolve_engine(pipe, fastpath=False) == "reference"
-    assert resolve_engine(pipe, fastpath=True) == "fastpath"
-    assert resolve_engine(pipe, engine="batch", fastpath=False) == "batch"
-    clean_env.setenv("REPRO_SLOWPATH", "1")
-    assert resolve_engine(pipe, engine="batch", fastpath=True) == "reference"
+    for explicit, env, expected in PRECEDENCE:
+        if env is None:
+            clean_env.delenv("REPRO_ENGINE", raising=False)
+        else:
+            clean_env.setenv("REPRO_ENGINE", env)
+        assert resolve_engine(engine=explicit) == expected
+        # The positional pipeline is ignored: nothing a compiled pipeline
+        # carries can steer the choice.
+        pipe = _Pipe(fastpath=False, engine="fastpath")
+        assert resolve_engine(pipe, explicit) == expected
+
+
+def test_fastpath_boolean_is_gone():
+    """The legacy spelling is removed outright, not aliased."""
+    with pytest.raises(TypeError):
+        Machine(MachineConfig(), fastpath=True)
+    with pytest.raises(TypeError):
+        run_pipeline(None, {}, {}, fastpath=False)
+    with pytest.raises(TypeError):
+        resolve_engine(fastpath=True)
 
 
 def test_empty_engine_env_is_ignored(clean_env):
@@ -55,7 +74,7 @@ def test_empty_engine_env_is_ignored(clean_env):
 
 
 @pytest.mark.parametrize(
-    "kwargs", [{"engine": "warp"}, {"pipeline": _Pipe(engine="warp")}]
+    "kwargs", [{"engine": "warp"}, {"pipeline": _Pipe(), "engine": "warp"}]
 )
 def test_unknown_engine_name_raises(clean_env, kwargs):
     with pytest.raises(ValueError, match="unknown engine 'warp'"):
@@ -109,7 +128,7 @@ def test_fallback_is_recorded_per_stage_with_its_reason(clean_env, monkeypatch):
     monkeypatch.setattr(batchpath, "_MAX_LINES", 10)
     arrays = {"a": [0] * 8, "m": [9] * 8}
     machine, result = _machine_run(_two_atomics(), arrays, engine="batch")
-    assert machine.stage_engines == {"r0.s0.t": "fastpath"}
+    assert machine.stage_engines == {"r0.s0.t": "reference"}
     assert machine.stage_fallbacks == {"r0.s0.t": "generated stage body too large"}
     _, oracle = _machine_run(_two_atomics(), arrays, engine="reference")
     assert result.stats.summary() == oracle.stats.summary()

@@ -21,7 +21,7 @@ import pytest
 REPO_ROOT = str(pathlib.Path(__file__).resolve().parents[2])
 
 from repro.bench.harness import adapter_for
-from repro.core import compile_c, compile_function
+from repro.core import CompileOptions, compile_c, compile_function
 from repro.pipette.fastpath import ENGINES
 from repro.runtime import run_pipeline
 from repro.workloads.matrices import random_matrix
@@ -65,7 +65,7 @@ def test_static_pipeline_conformance(name, tiny_graph, micro_graph, tiny_config)
     adapter = adapter_for(name)
     data = _bench_data(name, tiny_graph, micro_graph)
     arrays, scalars = adapter.env(data)
-    pipeline = compile_function(adapter.function(), num_stages=4)
+    pipeline = compile_function(adapter.function(), options=CompileOptions(num_stages=4))
     results = _engine_matrix(pipeline, arrays, scalars, tiny_config)
     _assert_identical(results)
     assert adapter.check(results["batch"].arrays, data)
@@ -154,7 +154,7 @@ def _taco_cases():
 
 def test_taco_kernels_conformance(tiny_config):
     for kernel, (arrays, scalars) in _taco_cases():
-        pipeline = compile_c(kernel.source, num_stages=4)
+        pipeline = compile_c(kernel.source, options=CompileOptions(num_stages=4))
         results = _engine_matrix(pipeline, arrays, scalars, tiny_config)
         _assert_identical(results)
 
@@ -167,7 +167,6 @@ def test_demo_stdout_identical_across_engines(tmp_path):
     env["REPRO_CACHE_DIR"] = str(tmp_path / "cache")
     cmd = [sys.executable, "-m", "repro", "demo", "bfs", "--size", "200", "--seed", "3"]
 
-    env.pop("REPRO_SLOWPATH", None)
     env.pop("REPRO_ENGINE", None)
     fast = subprocess.run(
         cmd, capture_output=True, text=True, env=env, cwd=REPO_ROOT
@@ -178,8 +177,7 @@ def test_demo_stdout_identical_across_engines(tmp_path):
         cmd, capture_output=True, text=True, env=env, cwd=REPO_ROOT
     )
     assert batch.returncode == 0, batch.stderr
-    del env["REPRO_ENGINE"]
-    env["REPRO_SLOWPATH"] = "1"
+    env["REPRO_ENGINE"] = "reference"
     slow = subprocess.run(
         cmd, capture_output=True, text=True, env=env, cwd=REPO_ROOT
     )

@@ -1,13 +1,13 @@
 """Run introspection reports."""
 
-from repro.core import ALL_PASSES, compile_function
+from repro.core import ALL_PASSES, CompileOptions, compile_function
 from repro.runtime import describe_run, queue_report, run_pipeline, stage_report
 from repro.workloads import bfs
 
 
 def _result(tiny_graph, tiny_config):
     arrays, scalars = bfs.make_env(tiny_graph)
-    pipe = compile_function(bfs.function(), num_stages=4, passes=ALL_PASSES)
+    pipe = compile_function(bfs.function(), options=CompileOptions(num_stages=4, passes=ALL_PASSES))
     return run_pipeline(pipe, arrays, scalars, config=tiny_config)
 
 

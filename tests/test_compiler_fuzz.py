@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import compile_function
+from repro.core import CompileOptions, compile_function
 from repro.core.compiler import ALL_PASSES
 from repro.errors import PhloemError
 from repro.frontend import compile_source
@@ -88,7 +88,10 @@ def test_compiled_equals_serial(source, passes, num_stages, seed):
     scalars = {"n": N}
     serial = run_serial(function, arrays, scalars, config=config)
     try:
-        pipeline = compile_function(function, num_stages=num_stages, passes=passes)
+        pipeline = compile_function(
+            function,
+            options=CompileOptions(num_stages=num_stages, passes=passes),
+        )
     except PhloemError:
         return  # an unsplittable shape is allowed to be rejected, not miscompiled
     result = run_pipeline(pipeline, arrays, scalars, config=config)
@@ -115,7 +118,10 @@ def test_engines_match_reference_interpreter(source, passes, num_stages, seed):
     arrays = _env(seed)
     scalars = {"n": N}
     try:
-        pipeline = compile_function(function, num_stages=num_stages, passes=passes)
+        pipeline = compile_function(
+            function,
+            options=CompileOptions(num_stages=num_stages, passes=passes),
+        )
     except PhloemError:
         return
     oracle = run_pipeline(pipeline, arrays, scalars, config=config, engine="reference")
@@ -150,7 +156,10 @@ def test_phased_kernel_all_stage_counts(num_stages):
     config = MachineConfig()
     arrays = _env(99)
     serial = run_serial(function, arrays, {"n": N}, config=config)
-    pipeline = compile_function(function, num_stages=num_stages, passes=ALL_PASSES)
+    pipeline = compile_function(
+        function,
+        options=CompileOptions(num_stages=num_stages, passes=ALL_PASSES),
+    )
     result = run_pipeline(pipeline, arrays, {"n": N}, config=config)
     assert result.arrays["out"] == serial.arrays["out"]
 
@@ -252,7 +261,10 @@ def test_gardenia_corpus_kernels(name, num_stages):
     config = MachineConfig()
     arrays = _env(7)
     serial = run_serial(function, arrays, {"n": N}, config=config)
-    pipeline = compile_function(function, num_stages=num_stages, passes=ALL_PASSES)
+    pipeline = compile_function(
+        function,
+        options=CompileOptions(num_stages=num_stages, passes=ALL_PASSES),
+    )
     oracle = run_pipeline(
         pipeline, arrays, {"n": N}, config=config, engine="reference"
     )
