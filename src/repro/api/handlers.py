@@ -26,7 +26,7 @@ from ..frontend import compile_source
 from ..ir import format_pipeline
 from ..obs import get_quiet, set_quiet
 from ..pipette import SCALED_1CORE
-from .requests import RESPONSE_FOR_VERB, ApiError, Request
+from . import requests
 
 #: The variants ``demo``/``metrics`` run and print, in order (all use the
 #: unified adapter + run_suite path; "phloem-static" is the compiled
@@ -62,7 +62,21 @@ def _demo_input(bench, size, seed):
 # Per-verb runners: print the one-shot payload, return
 # ``(exit_code, records, extras)``
 
+#: Verb -> runner, filled by :func:`runner`.
+_RUNNERS = {}
 
+
+def runner(request_cls):
+    """Decorator: the function that executes ``request_cls``'s verb."""
+
+    def register(function):
+        _RUNNERS[request_cls.VERB] = function
+        return function
+
+    return register
+
+
+@runner(requests.CompileRequest)
 def _run_emit(req):
     function = compile_source(req.source, name=req.name)
     options = CompileOptions(
@@ -83,6 +97,7 @@ def _run_emit(req):
     return 0, [], {"summary": summary}
 
 
+@runner(requests.LintRequest)
 def _run_lint(req):
     from ..analysis.sanitize import lint_source
     from ..diag import LINT_REPORT_SCHEMA, LINT_REPORT_VERSION
@@ -144,6 +159,7 @@ def _run_lint(req):
     return (1 if failed else 0), records, {"errors": errors, "warnings": warnings}
 
 
+@runner(requests.RunRequest)
 def _run_demo(req):
     from ..bench.harness import adapter_for, log_engine_fallbacks, run_suite
     from ..obs import records_from_suite
@@ -172,6 +188,7 @@ def _run_demo(req):
     return (0 if ok else 1), records, {"speedup": speedup}
 
 
+@runner(requests.SearchRequest)
 def _run_search(req):
     from ..bench.harness import adapter_for, profile_guided_pipeline
     from ..bench.report import render_distribution
@@ -214,13 +231,12 @@ def _run_search(req):
     return 0, records, {"best": best_dict}
 
 
+@runner(requests.TraceRequest)
 def _run_trace(req):
     from .. import obs
     from ..bench.harness import adapter_for
     from ..runtime.executor import run_pipeline
 
-    if req.quiet:
-        obs.set_quiet(True)
     adapter = adapter_for(req.bench)
     item = _demo_input(req.bench, req.size, req.seed)
     data = item.build()
@@ -277,12 +293,11 @@ def _run_trace(req):
     return (0 if ok else 1), records, {"cycles": result.cycles}
 
 
+@runner(requests.MetricsRequest)
 def _run_metrics(req):
     from .. import obs
     from ..bench.harness import adapter_for, run_suite
 
-    if req.quiet:
-        obs.set_quiet(True)
     adapter = adapter_for(req.bench)
     item = _demo_input(req.bench, req.size, req.seed)
     options = CompileOptions(num_stages=req.stages)
@@ -314,12 +329,10 @@ def _run_metrics(req):
     return (0 if all(r.get("ok", True) for r in records) else 1), records, {}
 
 
+@runner(requests.BenchPerfRequest)
 def _run_bench_perf(req):
-    from .. import obs
     from ..bench import perf as perfmod
 
-    if req.quiet:
-        obs.set_quiet(True)
     for bench in req.benches:
         if bench not in perfmod.SCALES["quick"]:
             print(
@@ -332,13 +345,12 @@ def _run_bench_perf(req):
     return status, perfmod.obs_records(records), extras
 
 
+@runner(requests.ReportRequest)
 def _run_report(req):
     import os
 
     from .. import obs
 
-    if req.quiet:
-        obs.set_quiet(True)
     if not req.results_dir or not os.path.isdir(req.results_dir):
         print("report: results directory %r not found" % (req.results_dir,))
         return 2, [], {}
@@ -362,44 +374,33 @@ def _run_report(req):
     return 0, [summary], {"summary": summary}
 
 
-_RUNNERS = {
-    "emit": _run_emit,
-    "lint": _run_lint,
-    "demo": _run_demo,
-    "search": _run_search,
-    "trace": _run_trace,
-    "metrics": _run_metrics,
-    "bench-perf": _run_bench_perf,
-    "report": _run_report,
-}
-
-
 def handle(request):
     """Execute one API request and return its typed :class:`Response`.
 
     The runner's stdout is captured into ``Response.output`` (the CLI
     prints it verbatim; the daemon ships it over the socket), the cache
-    hit/miss delta over the request lands in ``Response.cache``, and any
-    per-request quiet override is restored on the way out. Toolchain
-    errors (:class:`~repro.errors.PhloemError`) propagate to the caller:
-    the one-shot CLI fails loudly exactly as it always did, while the
-    service worker wraps them into structured error responses.
+    hit/miss delta over the request lands in ``Response.cache``, and a
+    request's ``quiet`` flag is applied here and undone on the way out.
+    Toolchain errors (:class:`~repro.errors.PhloemError`) propagate to the
+    caller: the one-shot CLI fails loudly exactly as it always did, while
+    the service worker wraps them into structured error responses.
     """
     if isinstance(request, dict):
-        request = Request.from_wire(request)
-    runner = _RUNNERS.get(request.VERB)
-    if runner is None:
-        raise ApiError("no handler for verb %r" % (request.VERB,))
+        request = requests.Request.from_wire(request)
+    run = _RUNNERS.get(request.VERB)
+    if run is None:
+        raise requests.ApiError("no handler for verb %r" % (request.VERB,))
     before = cache.stats_snapshot()
     old_quiet = get_quiet()
     buffer = io.StringIO()
     try:
+        if getattr(request, "quiet", False):
+            set_quiet(True)
         with contextlib.redirect_stdout(buffer):
-            exit_code, records, extras = runner(request)
+            exit_code, records, extras = run(request)
     finally:
         set_quiet(old_quiet)
-    response_cls = RESPONSE_FOR_VERB[request.VERB]
-    return response_cls(
+    return request.RESPONSE(
         verb=request.VERB,
         exit_code=exit_code,
         output=buffer.getvalue(),

@@ -1,10 +1,14 @@
 """Typed, versioned request/response values for the compile-and-simulate API.
 
 Every CLI verb (and every daemon job) is described by one frozen-shape
-request dataclass — :class:`CompileRequest`, :class:`LintRequest`,
-:class:`RunRequest`, :class:`SearchRequest`, :class:`TraceRequest`,
-:class:`MetricsRequest`, :class:`BenchPerfRequest`, :class:`ReportRequest` —
-and answered by one :class:`Response` dataclass.
+request dataclass (a :class:`Request` subclass) and answered by one
+:class:`Response` dataclass. The request class is the *only* declaration
+of its verb: it carries the verb, its subcommand path, its ``--help`` line
+and its response class, and each field carries its default plus its CLI
+spelling (:func:`arg`). The argparse subparser, the argv -> request
+builder and the wire-payload checks are all read off that one table, so
+they cannot disagree. This module imports no toolchain code.
+
 Both sides are plain JSON-serializable data
 following the ``repro.obs/run-record`` and ``repro.bench/perf-record``
 idioms: a ``schema`` tag plus an integer ``version`` ride on every wire
@@ -36,235 +40,14 @@ REQUEST_SCHEMA = "repro.api/request"
 RESPONSE_SCHEMA = "repro.api/response"
 API_VERSION = 1
 
+#: Verb -> request class and response type tag -> class: the dispatch
+#: registries of the wire decoders, filled as subclasses are defined.
+REQUEST_TYPES = {}
+RESPONSE_TYPES = {}
+
 
 class ApiError(PhloemError):
     """A malformed or unsupported API request/response wire object."""
-
-
-# ---------------------------------------------------------------------------
-# Requests
-
-
-@dataclass
-class Request:
-    """Base request: wire (de)serialization shared by every verb.
-
-    Subclasses set :attr:`VERB` (the CLI verb they describe) and declare
-    JSON-serializable fields only. Unknown payload keys are ignored on the
-    way in (the versioning policy), so adding a field never breaks an old
-    peer.
-    """
-
-    #: The CLI verb this request describes (class attribute, not a field).
-    VERB = None
-
-    def to_wire(self):
-        """The JSON-serializable wire dict for this request."""
-        return {
-            "schema": REQUEST_SCHEMA,
-            "version": API_VERSION,
-            "verb": self.VERB,
-            "payload": dataclasses.asdict(self),
-        }
-
-    @staticmethod
-    def from_wire(wire):
-        """Rebuild the typed request a wire dict describes.
-
-        Raises :class:`ApiError` on a wrong schema tag, an incompatible
-        version, or an unregistered verb; unknown payload keys are dropped.
-        """
-        if not isinstance(wire, dict):
-            raise ApiError("request wire object must be a dict, got %r" % type(wire).__name__)
-        if wire.get("schema") != REQUEST_SCHEMA:
-            raise ApiError("not a %s object (schema=%r)" % (REQUEST_SCHEMA, wire.get("schema")))
-        version = wire.get("version")
-        if not isinstance(version, int) or version < 1:
-            raise ApiError("bad request version %r" % (version,))
-        verb = wire.get("verb")
-        cls = REQUEST_TYPES.get(verb)
-        if cls is None:
-            raise ApiError(
-                "unsupported verb %r (choose from %s)" % (verb, ", ".join(sorted(REQUEST_TYPES)))
-            )
-        payload = wire.get("payload") or {}
-        if not isinstance(payload, dict):
-            raise ApiError("request payload must be a dict, got %r" % type(payload).__name__)
-        names = {f.name for f in dataclasses.fields(cls)}
-        kwargs = {k: v for k, v in payload.items() if k in names}
-        try:
-            request = cls(**kwargs)
-        except (TypeError, ValueError) as exc:
-            raise ApiError("bad %s payload: %s" % (verb, exc)) from exc
-        return request
-
-
-@dataclass
-class CompileRequest(Request):
-    """``repro emit``: compile mini-C source and render the pipeline.
-
-    The *source text* travels in the request (clients read their local
-    files), so a daemon never touches client paths for inputs.
-    """
-
-    VERB = "emit"
-
-    source: str = ""
-    name: str = None
-    stages: int = 4
-    passes: str = None  # comma-separated subset, CLI-style; None = all
-    fmt: str = "c"  # c | ir | summary | diagram
-    verify_each: bool = False
-
-
-@dataclass
-class LintRequest(Request):
-    """``repro lint``: static pipeline-safety diagnostics for kernels.
-
-    ``source``/``file`` describe an inline kernel (content + display
-    label); ``bench`` names a shipped benchmark kernel (``"all"`` sweeps
-    every one). Either or both, exactly like the CLI.
-    """
-
-    VERB = "lint"
-
-    source: str = None
-    file: str = None  # display label for the inline source target
-    name: str = None
-    bench: str = None
-    stages: int = 4
-    passes: str = None
-    verify_each: bool = False
-    json: bool = False
-    #: Also run the static performance model (PHL4xx advisories).
-    perf: bool = False
-
-
-@dataclass
-class RunRequest(Request):
-    """``repro demo``: one benchmark, all comparison variants, one input."""
-
-    VERB = "demo"
-
-    bench: str = "bfs"
-    size: int = 4000
-    seed: int = 1
-    stages: int = 4
-
-
-@dataclass
-class SearchRequest(Request):
-    """``repro search``: the profile-guided pipeline search."""
-
-    VERB = "search"
-
-    bench: str = "bfs"
-    #: Prune statically-dominated candidates before simulation (the
-    #: analytic throughput model ranks them; only the top quartile runs).
-    prune_static: bool = False
-
-
-@dataclass
-class TraceRequest(Request):
-    """``repro trace``: one traced run plus the timeline summary.
-
-    Output paths (``trace_out``/``metrics_out``) are resolved where the
-    request executes — the daemon writes server-side files, which is the
-    point of a unix-socket service sharing the machine with its clients.
-    """
-
-    VERB = "trace"
-
-    bench: str = "bfs"
-    size: int = 4000
-    seed: int = 1
-    stages: int = 4
-    trace_out: str = None
-    metrics_out: str = None
-    profile_passes: bool = False
-    quiet: bool = False
-
-
-@dataclass
-class MetricsRequest(Request):
-    """``repro metrics``: the comparison suite as structured RunRecords."""
-
-    VERB = "metrics"
-
-    bench: str = "bfs"
-    size: int = 4000
-    seed: int = 1
-    stages: int = 4
-    jobs: int = None
-    metrics_out: str = None
-    profile_passes: bool = False
-    quiet: bool = False
-
-
-@dataclass
-class ReportRequest(Request):
-    """``repro report``: aggregate a results directory into one report.
-
-    ``results_dir`` (and the optional extra ``baseline`` file) are
-    resolved where the request executes — like :class:`TraceRequest`
-    output paths, a daemon reads server-side files, which is the point of
-    a unix-socket service sharing the machine with its clients. ``out``/
-    ``html_out`` write the rendered report(s) server-side; with neither
-    set, the markdown rendering is the stdout payload.
-    """
-
-    VERB = "report"
-
-    results_dir: str = ""
-    title: str = None
-    baseline: str = "BENCH_pipette.json"
-    out: str = None  # write markdown here instead of stdout
-    html_out: str = None  # also write the single-file HTML page here
-    quiet: bool = False
-
-
-@dataclass
-class BenchPerfRequest(Request):
-    """``repro bench perf``: the simulator perf-regression harness."""
-
-    VERB = "bench-perf"
-
-    benches: tuple = ()
-    scale: str = "quick"  # quick | full
-    #: Engine selection: an engine name, ``"all"``, or None for the engine
-    #: runs use by default (``resolve_engine``: batch). The reference
-    #: interpreter always runs — it is the conformance oracle and speedup
-    #: denominator.
-    engine: str = None
-    repeats: int = 2
-    jobs: int = None
-    baseline: str = "BENCH_pipette.json"
-    check_baseline: bool = False
-    update_baseline: bool = False
-    threshold: float = 0.25
-    strict: bool = False
-    json: bool = False
-    metrics_out: str = None
-    quiet: bool = False
-
-    def __post_init__(self):
-        self.benches = tuple(self.benches)
-
-
-#: Verb -> request class, the dispatch registry for the wire decoder.
-REQUEST_TYPES = {
-    cls.VERB: cls
-    for cls in (
-        CompileRequest,
-        LintRequest,
-        RunRequest,
-        SearchRequest,
-        TraceRequest,
-        MetricsRequest,
-        BenchPerfRequest,
-        ReportRequest,
-    )
-}
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +73,10 @@ class Response:
     cache: dict = None
     error: dict = None
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        RESPONSE_TYPES[cls.__name__] = cls
+
     @property
     def ok(self):
         """True when the request completed with exit code 0 and no error."""
@@ -314,11 +101,7 @@ class Response:
         cls = RESPONSE_TYPES.get(wire.get("type"), Response)
         payload = wire.get("payload") or {}
         names = {f.name for f in dataclasses.fields(cls)}
-        kwargs = {k: v for k, v in payload.items() if k in names}
-        try:
-            return cls(**kwargs)
-        except (TypeError, ValueError) as exc:
-            raise ApiError("bad %s payload: %s" % (wire.get("type"), exc)) from exc
+        return cls(**{k: v for k, v in payload.items() if k in names})
 
 
 @dataclass
@@ -376,42 +159,437 @@ class ReportResponse(Response):
     summary: dict = None
 
 
-#: Response type tag -> class, for the wire decoder.
-RESPONSE_TYPES = {
-    cls.__name__: cls
-    for cls in (
-        Response,
-        CompileResponse,
-        LintResponse,
-        RunResponse,
-        SearchResponse,
-        TraceResponse,
-        MetricsResponse,
-        BenchPerfResponse,
-        ReportResponse,
-    )
-}
-
-#: Verb -> response class used by the handler layer.
-RESPONSE_FOR_VERB = {
-    "emit": CompileResponse,
-    "lint": LintResponse,
-    "demo": RunResponse,
-    "search": SearchResponse,
-    "trace": TraceResponse,
-    "metrics": MetricsResponse,
-    "bench-perf": BenchPerfResponse,
-    "report": ReportResponse,
-}
-
-
 def error_response(verb, code, message, exit_code=1):
     """A structured failure :class:`Response` (rejections, worker crashes)."""
     return Response(
-        verb=verb or "",
-        exit_code=exit_code,
-        output="",
-        records=[],
-        cache=None,
-        error={"code": code, "message": message},
+        verb=verb or "", exit_code=exit_code, error={"code": code, "message": message}
     )
+
+
+# ---------------------------------------------------------------------------
+# Requests
+
+
+def arg(default=None, help=None, **spelling):
+    """A request field: its default plus its CLI spelling as field metadata.
+
+    The flag is ``--field-name``, typed by the annotation (``bool`` is a
+    ``store_true`` switch), defaulting to ``default`` and described by
+    ``help``. ``spelling`` holds only what differs from that:
+
+    * ``flag`` — another argparse name (``--format`` for ``fmt``);
+    * ``positional`` — a bare positional instead of a ``--flag``;
+    * ``metavar``, ``nargs`` — passed through to argparse;
+    * ``choices`` — a tuple, or a zero-argument callable resolved on use
+      (so the choice list may live in a module this one does not import);
+    * ``switches`` — ``{"--flag": help}`` ``store_true`` switches that stand
+      in for the field; the class's ``from_args`` folds them into a value;
+    * ``cli=False`` — a wire-only field with no flag at all.
+    """
+    return field(default=default, metadata=dict(spelling, help=help))
+
+
+def _choices(f):
+    """The resolved choice tuple of field ``f``, or None when it has none."""
+    choices = f.metadata.get("choices")
+    return choices() if callable(choices) else choices
+
+
+#: JSON value types accepted for a field annotation, where not the annotation.
+_WIRE_TYPES = {float: (int, float), tuple: (list, tuple)}
+
+
+def _check_wire(verb, f, value):
+    """Validate one present payload value against field ``f``'s declaration."""
+    expected = "list" if f.type is tuple else f.type.__name__
+    if value is None:
+        ok = f.default is None
+    else:
+        # A JSON bool is not a number, though Python's is an int.
+        ok = isinstance(value, _WIRE_TYPES.get(f.type, f.type)) and (
+            isinstance(value, bool) == (f.type is bool)
+        )
+        choices = _choices(f)
+        if ok and choices is not None and value not in choices:
+            ok, expected = False, "one of " + ", ".join(choices)
+    if not ok:
+        if f.default is None:
+            expected += " or null"
+        raise ApiError("bad %s payload: %s must be %s, got %r" % (verb, f.name, expected, value))
+    return value
+
+
+@dataclass
+class Request:
+    """Base request: the argv and wire (de)serialization shared by every verb.
+
+    A subclass sets :attr:`VERB`, :attr:`HELP` and :attr:`RESPONSE` and
+    declares JSON-serializable fields with :func:`arg`. Defining it
+    registers it in :data:`REQUEST_TYPES`, which is all the CLI parser,
+    ``repro submit`` and the daemon's decoder read.
+    """
+
+    #: Class attributes, not fields: the verb on the wire, the subparser's
+    #: ``help`` line, the response class, and the subcommand path where it
+    #: is not just ``(VERB,)``.
+    VERB = None
+    HELP = None
+    RESPONSE = Response
+    COMMAND = None
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if cls.VERB is not None:
+            REQUEST_TYPES[cls.VERB] = cls
+
+    def __post_init__(self):
+        # A sequence field is a tuple however it arrived (argv list, JSON list).
+        for f in dataclasses.fields(self):
+            if f.type is tuple:
+                setattr(self, f.name, tuple(getattr(self, f.name)))
+
+    @classmethod
+    def _cli_fields(cls):
+        """``(field, argparse name)`` for every field argv can set."""
+        for f in dataclasses.fields(cls):
+            if f.metadata.get("cli", True):
+                positional = f.metadata.get("positional")
+                derived = f.name if positional else "--" + f.name.replace("_", "-")
+                yield f, f.metadata.get("flag", derived)
+
+    @classmethod
+    def add_arguments(cls, parser):
+        """Declare this verb's arguments on an argparse ``parser``."""
+        for f, name in cls._cli_fields():
+            meta = f.metadata
+            if "switches" in meta:
+                for flag, text in meta["switches"].items():
+                    parser.add_argument(flag, action="store_true", help=text)
+                continue
+            kwargs = {"default": f.default, "help": meta.get("help")}
+            if f.type is bool:
+                kwargs["action"] = "store_true"
+            else:
+                if f.type in (int, float):
+                    kwargs["type"] = f.type
+                kwargs.update((k, meta[k]) for k in ("metavar", "nargs") if k in meta)
+                if "choices" in meta:
+                    kwargs["choices"] = _choices(f)
+            parser.add_argument(name, **kwargs)
+
+    @classmethod
+    def from_args(cls, args):
+        """The request a namespace parsed by :meth:`add_arguments` describes."""
+        return cls(
+            **{
+                f.name: getattr(args, name.lstrip("-").replace("-", "_"))
+                for f, name in cls._cli_fields()
+                if "switches" not in f.metadata
+            }
+        )
+
+    def to_wire(self):
+        """The JSON-serializable wire dict for this request."""
+        return {
+            "schema": REQUEST_SCHEMA,
+            "version": API_VERSION,
+            "verb": self.VERB,
+            "payload": dataclasses.asdict(self),
+        }
+
+    @staticmethod
+    def from_wire(wire):
+        """Rebuild the typed request a wire dict describes.
+
+        Raises :class:`ApiError` on a wrong schema tag, an incompatible
+        version, an unregistered verb, or a present payload key whose value
+        the field's declaration rejects (wrong JSON type, ``null`` where the
+        default is not ``None``, outside the declared choices). Unknown
+        payload keys are dropped and missing ones take their defaults.
+        """
+        if not isinstance(wire, dict):
+            raise ApiError("request wire object must be a dict, got %r" % type(wire).__name__)
+        if wire.get("schema") != REQUEST_SCHEMA:
+            raise ApiError("not a %s object (schema=%r)" % (REQUEST_SCHEMA, wire.get("schema")))
+        version = wire.get("version")
+        if not isinstance(version, int) or version < 1:
+            raise ApiError("bad request version %r" % (version,))
+        verb = wire.get("verb")
+        cls = REQUEST_TYPES.get(verb)
+        if cls is None:
+            raise ApiError(
+                "unsupported verb %r (choose from %s)" % (verb, ", ".join(sorted(REQUEST_TYPES)))
+            )
+        payload = wire.get("payload") or {}
+        if not isinstance(payload, dict):
+            raise ApiError("request payload must be a dict, got %r" % type(payload).__name__)
+        return cls(
+            **{
+                f.name: _check_wire(verb, f, payload[f.name])
+                for f in dataclasses.fields(cls)
+                if f.name in payload
+            }
+        )
+
+
+def _bench_names():
+    from ..workloads import ALL_BENCHMARKS
+
+    return tuple(sorted(ALL_BENCHMARKS))
+
+
+def _engine_choices():
+    from ..bench.perf import ENGINE_CHOICES
+
+    return ENGINE_CHOICES
+
+
+#: Shared by the verbs that take them: the default committed perf baseline
+#: (resolved against the working directory) and the ``--quiet`` help line.
+BASELINE_FILE = "BENCH_pipette.json"
+QUIET_HELP = "silence stderr telemetry"
+
+
+@dataclass
+class CompileRequest(Request):
+    """``repro emit``: compile mini-C source and render the pipeline.
+
+    The *source text* travels in the request (clients read their local
+    files), so a daemon never touches client paths for inputs.
+    """
+
+    VERB = "emit"
+    HELP = "compile a mini-C kernel and print the pipeline"
+    RESPONSE = CompileResponse
+
+    source: str = arg("", flag="file", positional=True)
+    name: str = arg(None, "kernel name if the file has several")
+    stages: int = arg(4)
+    passes: str = arg(None, "comma-separated pass subset")
+    fmt: str = arg("c", flag="--format", choices=("c", "ir", "summary", "diagram"))
+    verify_each: bool = arg(
+        False, "re-verify the IR and re-run the safety analyzer after every pass"
+    )
+
+    @classmethod
+    def from_args(cls, args):
+        """argv names the file; the request carries its text."""
+        request = super().from_args(args)
+        with open(args.file) as handle:
+            request.source = handle.read()
+        return request
+
+
+@dataclass
+class LintRequest(Request):
+    """``repro lint``: static pipeline-safety diagnostics for kernels.
+
+    ``source``/``file`` describe an inline kernel (content + display
+    label); ``bench`` names a shipped benchmark kernel (``"all"`` sweeps
+    every one). Either or both, exactly like the CLI.
+    """
+
+    VERB = "lint"
+    HELP = "run the static pipeline-safety analyzer on a kernel"
+    RESPONSE = LintResponse
+
+    source: str = arg(None, cli=False)
+    file: str = arg(None, positional=True, nargs="?", metavar="FILE.c")
+    name: str = arg(None, "kernel name if the file has several")
+    bench: str = arg(
+        None, "lint a shipped benchmark kernel instead of a file ('all' sweeps every one)",
+        metavar="NAME",
+    )
+    stages: int = arg(4)
+    passes: str = arg(None, "comma-separated pass subset")
+    verify_each: bool = arg(
+        False, "also verify after every compiler pass, not just the final pipeline"
+    )
+    json: bool = arg(False, "machine-readable diagnostics")
+    perf: bool = arg(False, "also run the static performance model (PHL4xx advisories)")
+
+    @classmethod
+    def from_args(cls, args):
+        """``file`` stays the display label; its text travels as ``source``."""
+        request = super().from_args(args)
+        if request.file is not None:
+            with open(request.file) as handle:
+                request.source = handle.read()
+        return request
+
+
+@dataclass
+class _SyntheticInputRequest(Request):
+    """The fields of the verbs that run one benchmark on one synthetic input."""
+
+    bench: str = arg("bfs", positional=True, choices=_bench_names)
+    size: int = arg(4000)
+    seed: int = arg(1)
+    stages: int = arg(4)
+
+
+@dataclass
+class RunRequest(_SyntheticInputRequest):
+    """``repro demo``: one benchmark, all comparison variants, one input."""
+
+    VERB = "demo"
+    HELP = "run one benchmark across all variants"
+    RESPONSE = RunResponse
+
+
+@dataclass
+class SearchRequest(Request):
+    """``repro search``: the profile-guided pipeline search."""
+
+    VERB = "search"
+    HELP = "profile-guided pipeline search"
+    RESPONSE = SearchResponse
+
+    bench: str = arg("bfs", positional=True, choices=_bench_names)
+    #: The analytic throughput model ranks the candidates; only the top
+    #: quartile is simulated.
+    prune_static: bool = arg(
+        False, "drop statically-dominated candidates before any simulation"
+    )
+
+
+@dataclass
+class TraceRequest(_SyntheticInputRequest):
+    """``repro trace``: one traced run plus the timeline summary.
+
+    Output paths (``trace_out``/``metrics_out``) are resolved where the
+    request executes — the daemon writes server-side files, which is the
+    point of a unix-socket service sharing the machine with its clients.
+    """
+
+    VERB = "trace"
+    HELP = "run one benchmark with cycle-domain tracing on"
+    RESPONSE = TraceResponse
+
+    trace_out: str = arg(
+        None, "write a Chrome trace-event file (open at ui.perfetto.dev)", metavar="FILE.json"
+    )
+    metrics_out: str = arg(
+        None, "write RunRecords for the serial and traced runs", metavar="FILE.jsonl"
+    )
+    profile_passes: bool = arg(
+        False, "instrument the compiler passes and print the timing table"
+    )
+    quiet: bool = arg(False, QUIET_HELP)
+
+
+@dataclass
+class BenchPerfRequest(Request):
+    """``repro bench perf``: the simulator perf-regression harness."""
+
+    VERB = "bench-perf"
+    COMMAND = ("bench", "perf")
+    HELP = "time the simulator itself: each engine vs the reference interpreter"
+    RESPONSE = BenchPerfResponse
+
+    benches: tuple = arg(
+        (), "kernels to measure (default: every shipped benchmark)", positional=True,
+        nargs="*", metavar="BENCH",
+    )
+    scale: str = arg(
+        "quick",
+        choices=("quick", "full"),
+        switches={
+            "--quick": "QUICK-scale inputs (the committed-baseline scale; the default)",
+            "--full": "larger inputs for patient local measurement",
+        },
+    )
+    #: None = the engine runs use by default (``resolve_engine``). The
+    #: reference interpreter always runs — it is the conformance oracle and
+    #: speedup denominator.
+    engine: str = arg(
+        None,
+        "engine(s) to time against the reference interpreter "
+        "(default: the engine runs use by default, batch; 'all' measures "
+        "every engine)",
+        choices=_engine_choices,
+    )
+    repeats: int = arg(
+        2, "timed runs per engine; the minimum wall time is kept (default %(default)s)"
+    )
+    jobs: int = arg(None, "worker processes (cycles are unaffected; wall times contend)")
+    baseline: str = arg(
+        BASELINE_FILE, "baseline file (default: %(default)s in the working directory)",
+        metavar="FILE.json",
+    )
+    check_baseline: bool = arg(
+        False,
+        "compare against the baseline: cycle changes are errors, wall-time regressions warn",
+    )
+    update_baseline: bool = arg(False, "write the fresh measurements to the baseline file")
+    threshold: float = arg(
+        0.25, "fractional wall-time tolerance before warning (default %(default)s)"
+    )
+    strict: bool = arg(
+        False, "treat wall-time warnings as failures (off in CI: boxes are noisy)"
+    )
+    json: bool = arg(False, "JSON instead of the table")
+    metrics_out: str = arg(
+        None, "also write repro.obs RunRecords for each measured engine", metavar="FILE.jsonl"
+    )
+    quiet: bool = arg(False, QUIET_HELP)
+
+    @classmethod
+    def from_args(cls, args):
+        """``--quick`` (the default) wins over ``--full``."""
+        request = super().from_args(args)
+        if args.full and not args.quick:
+            request.scale = "full"
+        return request
+
+
+@dataclass
+class MetricsRequest(_SyntheticInputRequest):
+    """``repro metrics``: the comparison suite as structured RunRecords."""
+
+    VERB = "metrics"
+    HELP = "run the comparison suite and emit JSONL RunRecords"
+    RESPONSE = MetricsResponse
+
+    jobs: int = arg(None)
+    metrics_out: str = arg(
+        None, "destination file (default: JSONL on stdout)", metavar="FILE.jsonl"
+    )
+    profile_passes: bool = arg(
+        False, "attach compile-pass timings to the phloem-static records"
+    )
+    quiet: bool = arg(False, QUIET_HELP)
+
+
+@dataclass
+class ReportRequest(Request):
+    """``repro report``: aggregate a results directory into one report.
+
+    ``results_dir`` (and the optional extra ``baseline`` file) are
+    resolved where the request executes — like :class:`TraceRequest`
+    output paths, a daemon reads server-side files, which is the point of
+    a unix-socket service sharing the machine with its clients. ``out``/
+    ``html_out`` write the rendered report(s) server-side; with neither
+    set, the markdown rendering is the stdout payload.
+    """
+
+    VERB = "report"
+    HELP = "aggregate a results directory into one experiment report"
+    RESPONSE = ReportResponse
+
+    results_dir: str = arg(
+        "",
+        "directory of RunRecord JSONL, BENCH_*.json, lint JSON, "
+        "timeline and telemetry snapshots",
+        positional=True, metavar="DIR",
+    )
+    title: str = arg(None, "report heading")
+    baseline: str = arg(
+        BASELINE_FILE,
+        "perf baseline whose history feeds the trajectory section "
+        "(default: %(default)s; missing file is skipped)",
+        metavar="FILE.json",
+    )
+    out: str = arg(None, "write markdown here instead of stdout", metavar="FILE.md")
+    html_out: str = arg(None, "also write the single-file HTML page", metavar="FILE.html")
+    quiet: bool = arg(False, QUIET_HELP)

@@ -36,6 +36,7 @@ import time
 
 from ..cache import cached_compile
 from ..core.compiler import CompileOptions
+from ..pipette.config import ENGINES, resolve_engine
 from .harness import adapter_for, log_engine_fallbacks
 
 #: Schema identity stamped on every perf record / baseline file.
@@ -43,14 +44,11 @@ PERF_SCHEMA = "repro.bench/perf-record"
 BASELINE_SCHEMA = "repro.bench/perf-baseline"
 PERF_VERSION = 2
 
-#: Default committed baseline, resolved against the working directory.
-BASELINE_FILE = "BENCH_pipette.json"
-
 #: History entries kept in a baseline file (oldest dropped beyond this).
 HISTORY_LIMIT = 50
 
-#: Fractional wall-time tolerance before a regression warning.
-DEFAULT_THRESHOLD = 0.25
+#: What an engine selection may name: one engine, or every engine.
+ENGINE_CHOICES = ENGINES + ("all",)
 
 #: QUICK-scale inputs: small enough that the whole suite (both engines,
 #: several repeats) stays in CI-smoke territory, large enough that each
@@ -125,15 +123,13 @@ def normalize_engines(spec=None):
     """Canonicalize an engine selection into an ordered tuple.
 
     Accepts ``None`` (the engine a run that selects nothing gets, per
-    :func:`~repro.pipette.fastpath.resolve_engine` — so the harness times
+    :func:`~repro.pipette.config.resolve_engine` — so the harness times
     what users run), the string ``"all"``, a single engine name, or an
     iterable of names. The reference interpreter is always included — it
     is the bit-exactness oracle and the denominator of every speedup — and
     the result follows the canonical
-    :data:`~repro.pipette.fastpath.ENGINES` order.
+    :data:`~repro.pipette.config.ENGINES` order.
     """
-    from ..pipette.fastpath import ENGINES, resolve_engine
-
     if spec is None:
         names = [resolve_engine()]
     elif isinstance(spec, str):
@@ -249,8 +245,6 @@ def measure_bench(bench, scale="quick", repeats=2, engines=None):
 
 def record_engines(records):
     """Engine names measured in *every* record, in canonical order."""
-    from ..pipette.fastpath import ENGINES
-
     common = None
     for r in records:
         names = set(r["engines"])
@@ -378,7 +372,7 @@ def append_history(history, entry, limit=HISTORY_LIMIT):
     return kept[-limit:]
 
 
-def write_baseline(records, scale, path=BASELINE_FILE, git=None):
+def write_baseline(records, scale, path, git=None):
     """Write the regression baseline, growing its measurement history.
 
     The top-level ``records``/``aggregate`` are always the *latest*
@@ -409,7 +403,7 @@ def write_baseline(records, scale, path=BASELINE_FILE, git=None):
     return payload
 
 
-def read_baseline(path=BASELINE_FILE):
+def read_baseline(path):
     with open(path) as handle:
         payload = json.load(handle)
     if payload.get("schema") != BASELINE_SCHEMA:
@@ -423,7 +417,7 @@ def read_baseline(path=BASELINE_FILE):
     return payload
 
 
-def check_against_baseline(records, baseline, threshold=DEFAULT_THRESHOLD):
+def check_against_baseline(records, baseline, threshold):
     """Compare fresh records to a baseline; returns ``(errors, warnings)``.
 
     Errors are behaviour changes (cycle counts differ from the committed
@@ -540,20 +534,14 @@ def obs_records(records):
 def run_cli(args):
     """``repro bench perf`` driver; returns ``(status, records)``.
 
-    ``args`` is any object with the perf options as attributes — the
-    argparse namespace of the one-shot CLI or a
-    :class:`repro.api.BenchPerfRequest` (which carries ``scale`` directly
-    instead of the ``--quick``/``--full`` flag pair).
+    ``args`` is a :class:`repro.api.BenchPerfRequest`, whose fields are the
+    perf options.
     """
     from ..obs import log
 
-    scale = getattr(args, "scale", None)
-    if scale not in SCALES:
-        scale = "full" if getattr(args, "full", False) else "quick"
-        if getattr(args, "quick", False):
-            scale = "quick"
+    scale = args.scale
     benches = list(args.benches) or None
-    engines = getattr(args, "engine", None) or None
+    engines = args.engine or None
     started = time.perf_counter()
     try:
         records = run_perf(
@@ -604,7 +592,7 @@ def run_cli(args):
         errors, warnings = check_against_baseline(
             records, baseline, threshold=args.threshold
         )
-        strict = getattr(args, "strict", False)
+        strict = args.strict
         for line in warnings:
             # Warnings are telemetry unless --strict promotes them to the
             # failure payload.
@@ -630,9 +618,3 @@ def run_cli(args):
             )
     log("perf: %.1fs total", time.perf_counter() - started)
     return status, records
-
-
-def main_cli(args):
-    """Status-only wrapper over :func:`run_cli` (the original entry point)."""
-    status, _records = run_cli(args)
-    return status

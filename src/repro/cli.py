@@ -1,35 +1,22 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Commands mirror how the paper's artifact would be driven:
+Every submittable verb is a thin frontend over :mod:`repro.api` and is
+declared once, as a request dataclass in :mod:`repro.api.requests` — its
+flags, defaults, choices and help text live there, :func:`build_parser`
+derives the subparser, and ``python -m repro <verb> --help`` is the
+reference. argv becomes the typed request, :func:`repro.api.handle`
+executes it, and the CLI prints ``Response.output`` verbatim — the daemon
+runs the same requests through the same handlers, so one-shot and served
+results are interchangeable.
 
-* ``emit FILE.c`` — run the Phloem compiler on a mini-C kernel and print
-  the pipeline (pseudo-C, IR, or a one-line summary);
-* ``lint [FILE.c | --bench NAME|all]`` — run the static pipeline-safety
-  analyzer (:mod:`repro.analysis.sanitize`) and print coded diagnostics
-  (``PHL...``); exits non-zero when any error-severity finding exists;
-* ``demo BENCH`` — run one shipped benchmark (paper five + GARDENIA suite:
-  bfs/cc/prd/radii/spmm/sssp/pr/tc/bc/spmv) on a synthetic
-  input, comparing serial / data-parallel / Phloem / manual;
-* ``search BENCH`` — run the profile-guided pipeline search and print the
-  Fig. 13-style distribution;
+Three commands are not requests and are written out in this module:
+
 * ``figures [NAME...]`` — regenerate evaluation figures (fig6..fig14);
-* ``trace BENCH`` — run one benchmark with cycle-domain tracing on and
-  write a Chrome trace-event file (load it at ui.perfetto.dev);
-* ``metrics BENCH`` — run the comparison suite and emit structured
-  JSONL RunRecords (:mod:`repro.obs.record`);
-* ``report DIR`` — aggregate a results directory (RunRecord JSONL, perf
-  baselines, lint JSON, timeline/telemetry snapshots) into one markdown
-  or single-file HTML experiment report (:mod:`repro.obs.report`);
 * ``serve`` — run the long-lived compile-and-simulate daemon
   (:mod:`repro.service`): async socket server, fork worker pool, shared
   caches, per-client rate limits;
-* ``submit [submit flags] VERB ...`` — run any of the verbs above on a
-  daemon instead of in-process, byte-identical stdout included.
-
-Every verb is a thin frontend over :mod:`repro.api`: argv becomes a typed
-request, :func:`repro.api.handle` executes it, and the CLI prints
-``Response.output`` verbatim — the daemon runs the same requests through
-the same handlers, so one-shot and served results are interchangeable.
+* ``submit [submit flags] VERB ...`` — run any request verb on a daemon
+  instead of in-process, byte-identical stdout included.
 
 ``--quiet`` (or ``REPRO_QUIET=1``) silences the stderr telemetry
 (wall-clock/cache chatter); figure results on stdout are unaffected.
@@ -42,125 +29,10 @@ import time
 from . import api
 
 
-# ---------------------------------------------------------------------------
-# argv -> request builders (shared by the one-shot verbs and `submit`)
-
-
-def _req_emit(args):
-    with open(args.file) as handle:
-        source = handle.read()
-    return api.CompileRequest(
-        source=source,
-        name=args.name,
-        stages=args.stages,
-        passes=args.passes,
-        fmt=args.format,
-        verify_each=args.verify_each,
-    )
-
-
-def _req_lint(args):
-    source = None
-    if args.file is not None:
-        with open(args.file) as handle:
-            source = handle.read()
-    return api.LintRequest(
-        source=source,
-        file=args.file,
-        name=args.name,
-        bench=args.bench,
-        stages=args.stages,
-        passes=args.passes,
-        verify_each=args.verify_each,
-        json=args.json,
-        perf=args.perf,
-    )
-
-
-def _req_demo(args):
-    return api.RunRequest(bench=args.bench, size=args.size, seed=args.seed, stages=args.stages)
-
-
-def _req_search(args):
-    return api.SearchRequest(bench=args.bench, prune_static=args.prune_static)
-
-
-def _req_trace(args):
-    return api.TraceRequest(
-        bench=args.bench,
-        size=args.size,
-        seed=args.seed,
-        stages=args.stages,
-        trace_out=args.trace_out,
-        metrics_out=args.metrics_out,
-        profile_passes=args.profile_passes,
-        quiet=args.quiet,
-    )
-
-
-def _req_metrics(args):
-    return api.MetricsRequest(
-        bench=args.bench,
-        size=args.size,
-        seed=args.seed,
-        stages=args.stages,
-        jobs=args.jobs,
-        metrics_out=args.metrics_out,
-        profile_passes=args.profile_passes,
-        quiet=args.quiet,
-    )
-
-
-def _req_report(args):
-    return api.ReportRequest(
-        results_dir=args.results_dir,
-        title=args.title,
-        baseline=args.baseline,
-        out=args.out,
-        html_out=args.html_out,
-        quiet=args.quiet,
-    )
-
-
-def _req_bench_perf(args):
-    scale = "full" if args.full else "quick"
-    if args.quick:
-        scale = "quick"
-    return api.BenchPerfRequest(
-        benches=tuple(args.benches),
-        scale=scale,
-        engine=args.engine,
-        repeats=args.repeats,
-        jobs=args.jobs,
-        baseline=args.baseline,
-        check_baseline=args.check_baseline,
-        update_baseline=args.update_baseline,
-        threshold=args.threshold,
-        strict=args.strict,
-        json=args.json,
-        metrics_out=args.metrics_out,
-        quiet=args.quiet,
-    )
-
-
-#: Verb -> argv builder; verbs absent here (figures, serve, submit) run
-#: only in-process and cannot be submitted to a daemon.
-_REQUEST_BUILDERS = {
-    "emit": _req_emit,
-    "lint": _req_lint,
-    "demo": _req_demo,
-    "search": _req_search,
-    "trace": _req_trace,
-    "metrics": _req_metrics,
-    "bench-perf": _req_bench_perf,
-    "report": _req_report,
-}
-
-
 def _cmd_request(args):
-    """Every submittable verb: build its API request, execute it in-process
-    and print its payload."""
-    response = api.handle(_REQUEST_BUILDERS[args.verb](args))
+    """Every submittable verb: build its API request from the parsed argv,
+    execute it in-process and print its payload."""
+    response = api.handle(api.REQUEST_TYPES[args.verb].from_args(args))
     if response.output:
         sys.stdout.write(response.output)
     return response.exit_code
@@ -267,23 +139,6 @@ def _cmd_serve(args):
     )
 
 
-def _request_from_argv(argv):
-    """Re-parse a submitted verb's argv into its API request.
-
-    Returns ``(request, None)`` or ``(None, exit_code)`` when the argv
-    names a verb that cannot run on a daemon.
-    """
-    parsed = build_parser().parse_args(argv)
-    builder = _REQUEST_BUILDERS.get(getattr(parsed, "verb", None))
-    if builder is None:
-        print(
-            "submit: verb %r runs only in-process (submit one of: %s)"
-            % (argv[0], ", ".join(sorted(_REQUEST_BUILDERS)))
-        )
-        return None, 2
-    return builder(parsed), None
-
-
 def _cmd_submit(args):
     import json
 
@@ -313,9 +168,16 @@ def _cmd_submit(args):
 
     request = None
     if control is None:
-        request, code = _request_from_argv(argv)
-        if request is None:
-            return code
+        # The submitted verb's argv goes through the ordinary parser.
+        parsed = build_parser().parse_args(argv)
+        request_cls = api.REQUEST_TYPES.get(parsed.verb)
+        if request_cls is None:
+            print(
+                "submit: verb %r runs only in-process (submit one of: %s)"
+                % (argv[0], ", ".join(sorted(api.REQUEST_TYPES)))
+            )
+            return 2
+        request = request_cls.from_args(parsed)
 
     client = ServiceClient(
         socket_path=socket_path,
@@ -363,66 +225,11 @@ def _cmd_submit(args):
     return response.exit_code
 
 
-def build_parser():
-    from .bench import perf as perfmod
-    from .workloads import ALL_BENCHMARKS
+#: Help lines of the subcommand groups that request verbs nest under.
+_GROUP_HELP = {"bench": "benchmark harness utilities (currently: perf)"}
 
-    bench_names = tuple(sorted(ALL_BENCHMARKS))
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Phloem reproduction: compile, simulate, and evaluate.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    emit = sub.add_parser("emit", help="compile a mini-C kernel and print the pipeline")
-    emit.add_argument("file")
-    emit.add_argument("--name", default=None, help="kernel name if the file has several")
-    emit.add_argument("--stages", type=int, default=4)
-    emit.add_argument("--passes", default=None, help="comma-separated pass subset")
-    emit.add_argument("--format", choices=("c", "ir", "summary", "diagram"), default="c")
-    emit.add_argument(
-        "--verify-each", action="store_true",
-        help="re-verify the IR and re-run the safety analyzer after every pass",
-    )
-    emit.set_defaults(func=_cmd_request, verb="emit")
-
-    lint = sub.add_parser(
-        "lint", help="run the static pipeline-safety analyzer on a kernel"
-    )
-    lint.add_argument("file", nargs="?", default=None, metavar="FILE.c")
-    lint.add_argument("--name", default=None, help="kernel name if the file has several")
-    lint.add_argument(
-        "--bench", default=None, metavar="NAME",
-        help="lint a shipped benchmark kernel instead of a file ('all' sweeps every one)",
-    )
-    lint.add_argument("--stages", type=int, default=4)
-    lint.add_argument("--passes", default=None, help="comma-separated pass subset")
-    lint.add_argument(
-        "--verify-each", action="store_true",
-        help="also verify after every compiler pass, not just the final pipeline",
-    )
-    lint.add_argument("--json", action="store_true", help="machine-readable diagnostics")
-    lint.add_argument(
-        "--perf", action="store_true",
-        help="also run the static performance model (PHL4xx advisories)",
-    )
-    lint.set_defaults(func=_cmd_request, verb="lint")
-
-    demo = sub.add_parser("demo", help="run one benchmark across all variants")
-    demo.add_argument("bench", choices=bench_names)
-    demo.add_argument("--size", type=int, default=4000)
-    demo.add_argument("--seed", type=int, default=1)
-    demo.add_argument("--stages", type=int, default=4)
-    demo.set_defaults(func=_cmd_request, verb="demo")
-
-    search = sub.add_parser("search", help="profile-guided pipeline search")
-    search.add_argument("bench", choices=bench_names)
-    search.add_argument(
-        "--prune-static", action="store_true", dest="prune_static",
-        help="drop statically-dominated candidates before any simulation",
-    )
-    search.set_defaults(func=_cmd_request, verb="search")
-
+def _add_figures_parser(sub):
     figures = sub.add_parser("figures", help="regenerate evaluation figures")
     figures.add_argument("names", nargs="*", metavar="figN")
     figures.add_argument(
@@ -440,137 +247,30 @@ def build_parser():
     )
     figures.set_defaults(func=_cmd_figures, verb="figures")
 
-    trace = sub.add_parser(
-        "trace", help="run one benchmark with cycle-domain tracing on"
-    )
-    trace.add_argument("bench", choices=bench_names)
-    trace.add_argument("--size", type=int, default=4000)
-    trace.add_argument("--seed", type=int, default=1)
-    trace.add_argument("--stages", type=int, default=4)
-    trace.add_argument(
-        "--trace-out", default=None, metavar="FILE.json",
-        help="write a Chrome trace-event file (open at ui.perfetto.dev)",
-    )
-    trace.add_argument(
-        "--metrics-out", default=None, metavar="FILE.jsonl",
-        help="write RunRecords for the serial and traced runs",
-    )
-    trace.add_argument(
-        "--profile-passes", action="store_true",
-        help="instrument the compiler passes and print the timing table",
-    )
-    trace.add_argument("--quiet", action="store_true", help="silence stderr telemetry")
-    trace.set_defaults(func=_cmd_request, verb="trace")
 
-    bench = sub.add_parser(
-        "bench", help="benchmark harness utilities (currently: perf)"
+def build_parser():
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="Phloem reproduction: compile, simulate, and evaluate.",
     )
-    bench_sub = bench.add_subparsers(dest="bench_command", required=True)
-    perf = bench_sub.add_parser(
-        "perf",
-        help="time the simulator itself: each engine vs the reference interpreter",
-    )
-    perf.add_argument(
-        "benches", nargs="*", metavar="BENCH",
-        help="kernels to measure (default: every shipped benchmark)",
-    )
-    perf.add_argument(
-        "--quick", action="store_true",
-        help="QUICK-scale inputs (the committed-baseline scale; the default)",
-    )
-    perf.add_argument(
-        "--full", action="store_true",
-        help="larger inputs for patient local measurement",
-    )
-    perf.add_argument(
-        "--engine", default=None,
-        choices=("reference", "fastpath", "batch", "all"),
-        help="engine(s) to time against the reference interpreter "
-        "(default: the engine runs use by default, batch; 'all' measures "
-        "every engine)",
-    )
-    perf.add_argument(
-        "--repeats", type=int, default=2,
-        help="timed runs per engine; the minimum wall time is kept (default 2)",
-    )
-    perf.add_argument(
-        "--jobs", type=int, default=None,
-        help="worker processes (cycles are unaffected; wall times contend)",
-    )
-    perf.add_argument(
-        "--baseline", default=perfmod.BASELINE_FILE, metavar="FILE.json",
-        help="baseline file (default: %s in the working directory)"
-        % perfmod.BASELINE_FILE,
-    )
-    perf.add_argument(
-        "--check-baseline", action="store_true",
-        help="compare against the baseline: cycle changes are errors, "
-        "wall-time regressions warn",
-    )
-    perf.add_argument(
-        "--update-baseline", action="store_true",
-        help="write the fresh measurements to the baseline file",
-    )
-    perf.add_argument(
-        "--threshold", type=float, default=perfmod.DEFAULT_THRESHOLD,
-        help="fractional wall-time tolerance before warning (default 0.25)",
-    )
-    perf.add_argument(
-        "--strict", action="store_true",
-        help="treat wall-time warnings as failures (off in CI: boxes are noisy)",
-    )
-    perf.add_argument("--json", action="store_true", help="JSON instead of the table")
-    perf.add_argument(
-        "--metrics-out", default=None, metavar="FILE.jsonl",
-        help="also write repro.obs RunRecords for each measured engine",
-    )
-    perf.add_argument("--quiet", action="store_true", help="silence stderr telemetry")
-    perf.set_defaults(func=_cmd_request, verb="bench-perf")
+    sub = parser.add_subparsers(dest="command", required=True)
 
-    metrics = sub.add_parser(
-        "metrics", help="run the comparison suite and emit JSONL RunRecords"
-    )
-    metrics.add_argument("bench", choices=bench_names)
-    metrics.add_argument("--size", type=int, default=4000)
-    metrics.add_argument("--seed", type=int, default=1)
-    metrics.add_argument("--stages", type=int, default=4)
-    metrics.add_argument("--jobs", type=int, default=None)
-    metrics.add_argument(
-        "--metrics-out", default=None, metavar="FILE.jsonl",
-        help="destination file (default: JSONL on stdout)",
-    )
-    metrics.add_argument(
-        "--profile-passes", action="store_true",
-        help="attach compile-pass timings to the phloem-static records",
-    )
-    metrics.add_argument("--quiet", action="store_true", help="silence stderr telemetry")
-    metrics.set_defaults(func=_cmd_request, verb="metrics")
-
-    report = sub.add_parser(
-        "report",
-        help="aggregate a results directory into one experiment report",
-    )
-    report.add_argument(
-        "results_dir", metavar="DIR",
-        help="directory of RunRecord JSONL, BENCH_*.json, lint JSON, "
-        "timeline and telemetry snapshots",
-    )
-    report.add_argument("--title", default=None, help="report heading")
-    report.add_argument(
-        "--baseline", default="BENCH_pipette.json", metavar="FILE.json",
-        help="perf baseline whose history feeds the trajectory section "
-        "(default: BENCH_pipette.json; missing file is skipped)",
-    )
-    report.add_argument(
-        "--out", default=None, metavar="FILE.md",
-        help="write markdown here instead of stdout",
-    )
-    report.add_argument(
-        "--html-out", default=None, metavar="FILE.html",
-        help="also write the single-file HTML page",
-    )
-    report.add_argument("--quiet", action="store_true", help="silence stderr telemetry")
-    report.set_defaults(func=_cmd_request, verb="report")
+    # Every submittable verb is declared once, as a request dataclass in
+    # repro.api.requests: its subcommand path, help line, flags and defaults
+    # all come from there. figures/serve/submit are not requests.
+    groups = {(): sub}  # command-path prefix -> the subparsers it holds
+    for request_cls in api.REQUEST_TYPES.values():
+        if request_cls is api.TraceRequest:
+            _add_figures_parser(sub)  # keeps its place in the command listing
+        *prefix, leaf = request_cls.COMMAND or (request_cls.VERB,)
+        prefix = tuple(prefix)
+        if prefix not in groups:
+            (name,) = prefix
+            group = sub.add_parser(name, help=_GROUP_HELP[name])
+            groups[prefix] = group.add_subparsers(dest=name + "_command", required=True)
+        verb_parser = groups[prefix].add_parser(leaf, help=request_cls.HELP)
+        request_cls.add_arguments(verb_parser)
+        verb_parser.set_defaults(func=_cmd_request, verb=request_cls.VERB)
 
     serve = sub.add_parser(
         "serve", help="run the compile-and-simulate daemon (async server + worker pool)"
@@ -597,7 +297,7 @@ def build_parser():
         "--quota", type=int, default=4,
         help="per-client in-flight job quota (<=0 disables)",
     )
-    serve.add_argument("--quiet", action="store_true", help="silence stderr telemetry")
+    serve.add_argument("--quiet", action="store_true", help=api.requests.QUIET_HELP)
     serve.set_defaults(func=_cmd_serve, verb="serve")
 
     submit = sub.add_parser(

@@ -334,7 +334,7 @@ def _stall_rows(report):
 
 
 # Canonical engine ordering and short column labels (mirrors
-# repro.pipette.fastpath.ENGINES without importing the simulator here).
+# repro.pipette.config.ENGINES without importing the simulator here).
 _ENGINE_ORDER = ("reference", "fastpath", "batch")
 _ENGINE_LABELS = {"reference": "ref", "fastpath": "fast", "batch": "batch"}
 

@@ -7,12 +7,16 @@ hierarchy, and bandwidth-limited DRAM.
 """
 
 from .config import (
+    DEFAULT_ENGINE,
+    ENGINE_ENV,
+    ENGINES,
     PIPETTE_1CORE,
     PIPETTE_4CORE,
     SCALED_1CORE,
     SCALED_4CORE,
     CacheConfig,
     MachineConfig,
+    resolve_engine,
 )
 from .energy import ENERGY_PJ, EnergyBreakdown, energy_of
 from .machine import Machine, RunSpec, SimResult
@@ -28,6 +32,10 @@ __all__ = [
     "SCALED_4CORE",
     "CacheConfig",
     "MachineConfig",
+    "ENGINES",
+    "DEFAULT_ENGINE",
+    "ENGINE_ENV",
+    "resolve_engine",
     "ENERGY_PJ",
     "EnergyBreakdown",
     "energy_of",

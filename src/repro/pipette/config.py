@@ -4,8 +4,13 @@ The defaults reproduce the paper's evaluation configuration: Skylake-like
 6-wide OOO cores with 4-thread SMT at 3.5 GHz, Pipette's 16 queues (24
 entries deep) and 4 reference accelerators per core, and a three-level cache
 hierarchy over bandwidth-limited DRAM.
+
+Also the home of the engine selector (:data:`ENGINES`,
+:data:`DEFAULT_ENGINE`, :data:`ENGINE_ENV`, :func:`resolve_engine`): a leaf
+module, so picking an engine imports no engine.
 """
 
+import os
 from dataclasses import dataclass, field, replace
 
 
@@ -117,3 +122,35 @@ def _scaled(cores=1):
 #: Scaled configs used by `repro.bench` (see DESIGN.md, substitutions).
 SCALED_1CORE = _scaled(1)
 SCALED_4CORE = _scaled(4)
+
+
+#: The three execution engines, slowest (oracle) first.
+ENGINES = ("reference", "fastpath", "batch")
+
+#: What runs when nothing selects an engine.
+DEFAULT_ENGINE = "batch"
+
+#: Environment default for runs that pass no explicit engine. Deliberately
+#: *below* explicit arguments in priority: CI sets REPRO_ENGINE per matrix
+#: leg, and the differential tests inside a leg must still be able to pin
+#: each engine explicitly without the environment leaking into the oracle
+#: side of the comparison.
+ENGINE_ENV = "REPRO_ENGINE"
+
+
+def resolve_engine(pipeline=None, engine=None):
+    """Pick one of :data:`ENGINES`.
+
+    Priority: explicit ``engine`` > ``REPRO_ENGINE`` >
+    :data:`DEFAULT_ENGINE`, the batch-advance engine. ``pipeline`` is
+    ignored — a compiled pipeline carries no engine preference — and stays
+    in the signature only because callers pass it positionally.
+    """
+    choice = engine
+    if choice is None:
+        choice = os.environ.get(ENGINE_ENV) or DEFAULT_ENGINE
+    if choice not in ENGINES:
+        raise ValueError(
+            "unknown engine %r (expected one of %s)" % (choice, ", ".join(ENGINES))
+        )
+    return choice

@@ -44,13 +44,10 @@ interpreter stays available as the conformance oracle behind
 ``tests/pipette/test_fastpath_conformance.py`` holds every engine to byte
 equality with it.
 
-This module also hosts the engine selector (:func:`resolve_engine`,
-:data:`ENGINES`, :data:`DEFAULT_ENGINE`). Nothing else depends on the fast
-path any more: ``Machine._ENGINE_CLASSES["fastpath"]`` is the only
-reference to :class:`FastStageInterp`.
+Nothing else depends on the fast path any more:
+``Machine._ENGINE_CLASSES["fastpath"]`` is the only reference to
+:class:`FastStageInterp`.
 """
-
-import os
 
 from ..errors import SimulationError
 from ..ir.ops import TERNARY_OPS, _PYTHON_BINARY, _PYTHON_UNARY
@@ -58,6 +55,10 @@ from ..ir.values import Ctrl, is_control
 from .batchpath import _is_reg
 from .interp import _HALT, _assign_pcs
 from .sched import BLOCKED
+
+# Imported from here by the frozen `benchmarks/e2e/wl_sim.py`; the selector
+# lives in :mod:`repro.pipette.config`.
+from .config import resolve_engine  # noqa: F401
 
 #: Step modes (see module docstring).
 PLAIN, MAYBE, GEN = 0, 1, 2
@@ -153,38 +154,6 @@ def _gen_maker(modes):
         exec("\n".join(lines), namespace)
         maker = _gen_makers[modes] = namespace["_make"]
     return maker
-
-
-#: The three execution engines, slowest (oracle) first.
-ENGINES = ("reference", "fastpath", "batch")
-
-#: What runs when nothing selects an engine.
-DEFAULT_ENGINE = "batch"
-
-#: Environment default for runs that pass no explicit engine. Deliberately
-#: *below* explicit arguments in priority: CI sets REPRO_ENGINE per matrix
-#: leg, and the differential tests inside a leg must still be able to pin
-#: each engine explicitly without the environment leaking into the oracle
-#: side of the comparison.
-ENGINE_ENV = "REPRO_ENGINE"
-
-
-def resolve_engine(pipeline=None, engine=None):
-    """Pick one of :data:`ENGINES`.
-
-    Priority: explicit ``engine`` > ``REPRO_ENGINE`` >
-    :data:`DEFAULT_ENGINE`, the batch-advance engine. ``pipeline`` is
-    ignored — a compiled pipeline carries no engine preference — and stays
-    in the signature only because callers pass it positionally.
-    """
-    choice = engine
-    if choice is None:
-        choice = os.environ.get(ENGINE_ENV) or DEFAULT_ENGINE
-    if choice not in ENGINES:
-        raise ValueError(
-            "unknown engine %r (expected one of %s)" % (choice, ", ".join(ENGINES))
-        )
-    return choice
 
 
 class FastStageInterp:

@@ -13,7 +13,8 @@ import weakref
 from ..errors import ResourceError, SimulationError
 from ..ir.verifier import verify_pipeline
 from .batchpath import BatchStageInterp
-from .fastpath import FastStageInterp, resolve_engine
+from .config import resolve_engine
+from .fastpath import FastStageInterp
 from .interp import ArrayBinding, StageInterp, ThreadCtx
 from .mem import AddressMap, MemorySystem
 from .queues import HWQueue
@@ -156,7 +157,7 @@ class Machine:
     ``engine`` selects the stage execution engine by name (``"reference"``,
     ``"fastpath"``, ``"batch"``). ``None`` defers to ``REPRO_ENGINE`` and
     then the default, ``"batch"`` (see
-    :func:`~repro.pipette.fastpath.resolve_engine`). All engines produce
+    :func:`~repro.pipette.config.resolve_engine`). All engines produce
     bit-identical :class:`SimStats`.
 
     After :meth:`run`, ``stage_engines`` maps each stage thread name to the

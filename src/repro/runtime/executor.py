@@ -60,7 +60,7 @@ def run_pipeline(
     ``engine`` selects the execution engine by name (``"reference"``,
     ``"fastpath"``, ``"batch"``). ``None`` defers to ``REPRO_ENGINE`` and
     then the default, ``"batch"`` (see
-    :func:`~repro.pipette.fastpath.resolve_engine`).
+    :func:`~repro.pipette.config.resolve_engine`).
     """
     config = config or MachineConfig()
     bound = _copy_arrays(arrays) if copy else arrays

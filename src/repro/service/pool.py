@@ -21,7 +21,7 @@ import multiprocessing
 
 from .. import cache
 from ..api.handlers import handle
-from ..api.requests import Request, error_response
+from ..api.requests import ApiError, Request, error_response
 from ..bench.parallel import _fork_available, _pool_init
 from ..errors import PhloemError
 
@@ -30,13 +30,17 @@ def execute_wire(wire):
     """Run one request wire dict; returns ``(response_wire, cache_delta)``.
 
     The module-level worker entry point (fork pools need a picklable
-    target). Toolchain and validation failures become structured error
-    responses — a worker never takes the daemon down with it.
+    target). A wire object the decoder rejects is a ``bad-request`` (exit
+    2, like an argparse error); toolchain failures and anything else become
+    structured error responses too — a worker never takes the daemon down
+    with it.
     """
     before = cache.stats_snapshot()
     verb = wire.get("verb") if isinstance(wire, dict) else None
     try:
         response = handle(Request.from_wire(wire))
+    except ApiError as exc:  # a PhloemError too, so this arm comes first
+        response = error_response(verb, "bad-request", str(exc), exit_code=2)
     except PhloemError as exc:
         response = error_response(verb, "toolchain-error", str(exc), exit_code=1)
     except Exception as exc:  # noqa: BLE001 - the pool must survive anything

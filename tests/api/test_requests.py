@@ -20,7 +20,7 @@ from repro.api import (
     TraceRequest,
     error_response,
 )
-from repro.api.requests import REQUEST_SCHEMA, REQUEST_TYPES, RESPONSE_FOR_VERB
+from repro.api.requests import REQUEST_SCHEMA, REQUEST_TYPES, RESPONSE_TYPES
 
 ALL_REQUESTS = [
     CompileRequest(source="void k() {}", name="k", fmt="summary"),
@@ -79,7 +79,51 @@ def test_unknown_verb_rejected():
 
 
 def test_every_verb_has_a_response_type():
-    assert set(REQUEST_TYPES) == set(RESPONSE_FOR_VERB)
+    for verb, cls in REQUEST_TYPES.items():
+        assert cls.VERB == verb
+        assert cls.RESPONSE is not Response and issubclass(cls.RESPONSE, Response), verb
+        assert RESPONSE_TYPES[cls.RESPONSE.__name__] is cls.RESPONSE
+
+
+def _wire(verb, **payload):
+    return {"schema": REQUEST_SCHEMA, "version": API_VERSION, "verb": verb, "payload": payload}
+
+
+@pytest.mark.parametrize(
+    "verb, payload, field",
+    [
+        # The four defects a decoded payload used to carry into the handlers:
+        ("emit", {"stages": "4"}, "stages"),  # TypeError '<' deep in the compiler
+        ("emit", {"fmt": "nope"}, "fmt"),  # silently rendered as "c"
+        ("demo", {"bench": "nope"}, "bench"),  # KeyError 'nope'
+        ("bench-perf", {"benches": "bfs"}, "benches"),  # "unknown benchmark 'b'"
+        # ...and the rest of the field-table rules.
+        ("emit", {"stages": True}, "stages"),  # a bool is not a number
+        ("emit", {"stages": None}, "stages"),  # null only where the default is None
+        ("lint", {"json": 1}, "json"),
+        ("bench-perf", {"engine": "warp"}, "engine"),
+        ("bench-perf", {"threshold": "0.5"}, "threshold"),
+        ("bench-perf", {"scale": "huge"}, "scale"),
+        ("metrics", {"metrics_out": 7}, "metrics_out"),
+    ],
+)
+def test_from_wire_rejects_mistyped_payload_naming_the_field(verb, payload, field):
+    with pytest.raises(ApiError, match=r"bad %s payload: %s must be " % (verb, field)):
+        Request.from_wire(_wire(verb, **payload))
+
+
+def test_from_wire_accepts_what_the_field_table_allows():
+    # Missing keys default, unknown keys are dropped, null is fine where the
+    # default is None, a JSON list becomes the benches tuple, an int is a
+    # float, and every declared choice decodes.
+    assert Request.from_wire(_wire("demo", later="x")) == RunRequest()
+    assert Request.from_wire(_wire("emit", name=None, passes=None)) == CompileRequest()
+    perf = Request.from_wire(
+        _wire("bench-perf", benches=["bfs", "cc"], engine="all", jobs=None, threshold=1)
+    )
+    assert perf.benches == ("bfs", "cc") and perf.engine == "all" and perf.threshold == 1
+    for fmt in ("c", "ir", "summary", "diagram"):
+        assert Request.from_wire(_wire("emit", fmt=fmt)).fmt == fmt
 
 
 def test_response_round_trip():

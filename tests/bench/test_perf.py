@@ -167,7 +167,7 @@ class TestBaseline:
     def test_cycles_mismatch_is_error(self):
         baseline = perf.baseline_payload([_record(cycles=1000)], "quick")
         errors, warnings = perf.check_against_baseline(
-            [_record(cycles=1001)], baseline
+            [_record(cycles=1001)], baseline, threshold=0.25
         )
         assert len(errors) == 1 and "cycles changed" in errors[0]
 
@@ -189,7 +189,7 @@ class TestBaseline:
     def test_input_change_skips_comparison(self):
         baseline = perf.baseline_payload([_record()], "quick")
         errors, warnings = perf.check_against_baseline(
-            [_record(cycles=999, input="power_law(deg=9,n=9,seed=9)")], baseline
+            [_record(cycles=999, input="power_law(deg=9,n=9,seed=9)")], baseline, threshold=0.25
         )
         assert not errors
         assert any("skipping comparison" in w for w in warnings)
@@ -197,7 +197,7 @@ class TestBaseline:
     def test_missing_bench_warns(self):
         baseline = perf.baseline_payload([_record()], "quick")
         errors, warnings = perf.check_against_baseline(
-            [_record(bench="radii")], baseline
+            [_record(bench="radii")], baseline, threshold=0.25
         )
         assert not errors
         assert any("no baseline record" in w for w in warnings)

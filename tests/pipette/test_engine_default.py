@@ -13,7 +13,7 @@ import pytest
 
 from repro import ir
 from repro.pipette import Machine, MachineConfig, RunSpec, batchpath
-from repro.pipette.fastpath import DEFAULT_ENGINE, ENGINES, resolve_engine
+from repro.pipette import DEFAULT_ENGINE, ENGINES, resolve_engine
 from repro.runtime import run_pipeline
 
 

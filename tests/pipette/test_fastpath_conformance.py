@@ -22,7 +22,7 @@ REPO_ROOT = str(pathlib.Path(__file__).resolve().parents[2])
 
 from repro.bench.harness import adapter_for
 from repro.core import CompileOptions, compile_c, compile_function
-from repro.pipette.fastpath import ENGINES
+from repro.pipette import ENGINES
 from repro.runtime import run_pipeline
 from repro.workloads.matrices import random_matrix
 

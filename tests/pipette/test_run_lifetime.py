@@ -17,7 +17,7 @@ from repro.core import CompileOptions, compile_function
 from repro.errors import DeadlockError
 from repro import ir
 from repro.pipette import Machine, MachineConfig, RunSpec
-from repro.pipette.fastpath import ENGINES
+from repro.pipette import ENGINES
 from repro.pipette.interp import ThreadCtx
 from repro.pipette.sched import Task
 from repro.runtime import describe_run, run_pipeline

@@ -131,6 +131,23 @@ def test_toolchain_error_becomes_structured_response(tmp_path):
     assert response.error["code"] in ("toolchain-error", "internal-error")
 
 
+@pytest.mark.parametrize(
+    "payload, field",
+    [({"stages": "4"}, "stages"), ({"fmt": "nope"}, "fmt")],
+)
+def test_mistyped_payload_answered_with_bad_request(tmp_path, payload, field):
+    class MistypedRequest:
+        def to_wire(self):
+            return dict(api.CompileRequest(source=KERNEL).to_wire(), payload=payload)
+
+    with serving(tmp_path) as client:
+        response = client.submit(MistypedRequest())
+        assert client.ping()["ok"]  # and the daemon keeps serving
+    assert response.exit_code == 2
+    assert response.error["code"] == "bad-request"
+    assert field in response.error["message"]
+
+
 def test_garbage_line_answered_with_bad_request(tmp_path):
     with serving(tmp_path) as client:
         raw = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)

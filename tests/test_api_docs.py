@@ -16,6 +16,10 @@ MODULES = [
     "repro.taco",
     "repro.workloads",
     "repro.bench",
+    "repro.api",
+    "repro.service",
+    "repro.obs",
+    "repro.cache",
 ]
 
 

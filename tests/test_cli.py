@@ -1,5 +1,6 @@
 """CLI surface."""
 
+import json
 import os
 import subprocess
 import sys
@@ -17,6 +18,22 @@ void k(const int* restrict a, const int* restrict b, int* restrict out, int n) {
   }
 }
 """
+
+
+def _assert_no_toolchain_imports(module):
+    """No import statement anywhere in ``module`` names a toolchain package."""
+    import ast
+    import inspect
+
+    banned = ("core", "frontend", "ir", "pipette", "analysis", "runtime")
+    for node in ast.walk(ast.parse(inspect.getsource(module))):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            root = node.module.split(".")[0]
+            assert root not in banned, "%s imports repro.%s" % (module.__name__, node.module)
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                root = alias.name.split(".")[0]
+                assert root not in banned, "%s imports %s" % (module.__name__, alias.name)
 
 
 @pytest.fixture
@@ -298,43 +315,198 @@ class TestApiLayer:
 
     def test_cli_has_no_toolchain_imports(self):
         """Verb logic lives in repro.api.handlers; cli.py only builds requests."""
-        import ast
-        import inspect
-
         import repro.cli
 
-        tree = ast.parse(inspect.getsource(repro.cli))
-        banned = ("core", "frontend", "ir", "pipette", "analysis", "runtime")
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and node.module:
-                root = node.module.split(".")[0]
-                assert root not in banned, "cli.py imports repro.%s" % node.module
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    root = alias.name.split(".")[0]
-                    assert root not in banned, "cli.py imports %s" % alias.name
+        _assert_no_toolchain_imports(repro.cli)
 
-    def test_every_submittable_verb_builds_its_request(self, kernel_file):
+    def test_requests_module_has_no_toolchain_imports(self):
+        """The verb declarations stay importable without the toolchain: choice
+        lists that need it are callables resolved when a parser is built."""
+        import repro.api.requests
+
+        _assert_no_toolchain_imports(repro.api.requests)
+        probe = (
+            "import sys; import repro.api.requests; "
+            "print([m for m in sys.modules if m.startswith('repro.workloads')])"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+        ).stdout
+        assert out.strip() == "[]"
+
+    def test_argv_builds_the_expected_request_payload(self, kernel_file):
+        """Per verb: one argv setting every flag and one bare argv, against
+        literal wire payloads (so a default cannot drift unnoticed)."""
         from repro import api
-        from repro.cli import _REQUEST_BUILDERS
 
-        parser = build_parser()
-        argvs = {
-            "emit": ["emit", kernel_file, "--format", "summary"],
-            "lint": ["lint", kernel_file, "--json"],
-            "demo": ["demo", "bfs", "--size", "300"],
-            "search": ["search", "cc"],
-            "trace": ["trace", "prd", "--quiet"],
-            "metrics": ["metrics", "radii", "--jobs", "2"],
-            "bench-perf": ["bench", "perf", "bfs", "--quick", "--json"],
-            "report": ["report", "/tmp/results", "--html-out", "/tmp/r.html"],
+        synthetic = {"bench": "bfs", "size": 4000, "seed": 1, "stages": 4}
+        table = {
+            "emit": [
+                (
+                    ["emit", kernel_file, "--name", "k", "--stages", "3", "--passes", "cv",
+                     "--format", "ir", "--verify-each"],
+                    {"source": KERNEL, "name": "k", "stages": 3, "passes": "cv", "fmt": "ir",
+                     "verify_each": True},
+                ),
+                (
+                    ["emit", kernel_file],
+                    {"source": KERNEL, "name": None, "stages": 4, "passes": None, "fmt": "c",
+                     "verify_each": False},
+                ),
+            ],
+            "lint": [
+                (
+                    ["lint", kernel_file, "--name", "k", "--bench", "all", "--stages", "2",
+                     "--passes", "cv", "--verify-each", "--json", "--perf"],
+                    {"source": KERNEL, "file": kernel_file, "name": "k", "bench": "all",
+                     "stages": 2, "passes": "cv", "verify_each": True, "json": True,
+                     "perf": True},
+                ),
+                (
+                    ["lint"],
+                    {"source": None, "file": None, "name": None, "bench": None, "stages": 4,
+                     "passes": None, "verify_each": False, "json": False, "perf": False},
+                ),
+            ],
+            "demo": [
+                (
+                    ["demo", "cc", "--size", "300", "--seed", "7", "--stages", "2"],
+                    {"bench": "cc", "size": 300, "seed": 7, "stages": 2},
+                ),
+                (["demo", "bfs"], synthetic),
+            ],
+            "search": [
+                (["search", "cc", "--prune-static"], {"bench": "cc", "prune_static": True}),
+                (["search", "cc"], {"bench": "cc", "prune_static": False}),
+            ],
+            "trace": [
+                (
+                    ["trace", "prd", "--size", "300", "--seed", "7", "--stages", "2",
+                     "--trace-out", "t.json", "--metrics-out", "m.jsonl", "--profile-passes",
+                     "--quiet"],
+                    {"bench": "prd", "size": 300, "seed": 7, "stages": 2, "trace_out": "t.json",
+                     "metrics_out": "m.jsonl", "profile_passes": True, "quiet": True},
+                ),
+                (
+                    ["trace", "bfs"],
+                    dict(synthetic, trace_out=None, metrics_out=None, profile_passes=False,
+                         quiet=False),
+                ),
+            ],
+            "bench-perf": [
+                (
+                    ["bench", "perf", "bfs", "cc", "--full", "--engine", "all", "--repeats", "3",
+                     "--jobs", "2", "--baseline", "b.json", "--check-baseline",
+                     "--update-baseline", "--threshold", "0.5", "--strict", "--json",
+                     "--metrics-out", "m.jsonl", "--quiet"],
+                    {"benches": ("bfs", "cc"), "scale": "full", "engine": "all", "repeats": 3,
+                     "jobs": 2, "baseline": "b.json", "check_baseline": True,
+                     "update_baseline": True, "threshold": 0.5, "strict": True, "json": True,
+                     "metrics_out": "m.jsonl", "quiet": True},
+                ),
+                (
+                    ["bench", "perf"],
+                    {"benches": (), "scale": "quick", "engine": None, "repeats": 2, "jobs": None,
+                     "baseline": "BENCH_pipette.json", "check_baseline": False,
+                     "update_baseline": False, "threshold": 0.25, "strict": False,
+                     "json": False, "metrics_out": None, "quiet": False},
+                ),
+            ],
+            "metrics": [
+                (
+                    ["metrics", "radii", "--size", "300", "--seed", "7", "--stages", "2",
+                     "--jobs", "2", "--metrics-out", "m.jsonl", "--profile-passes", "--quiet"],
+                    {"bench": "radii", "size": 300, "seed": 7, "stages": 2, "jobs": 2,
+                     "metrics_out": "m.jsonl", "profile_passes": True, "quiet": True},
+                ),
+                (
+                    ["metrics", "bfs"],
+                    dict(synthetic, jobs=None, metrics_out=None, profile_passes=False,
+                         quiet=False),
+                ),
+            ],
+            "report": [
+                (
+                    ["report", "results", "--title", "run 1", "--baseline", "b.json", "--out",
+                     "r.md", "--html-out", "r.html", "--quiet"],
+                    {"results_dir": "results", "title": "run 1", "baseline": "b.json",
+                     "out": "r.md", "html_out": "r.html", "quiet": True},
+                ),
+                (
+                    ["report", "results"],
+                    {"results_dir": "results", "title": None, "baseline": "BENCH_pipette.json",
+                     "out": None, "html_out": None, "quiet": False},
+                ),
+            ],
         }
-        assert set(argvs) == set(_REQUEST_BUILDERS)
-        for verb, argv in argvs.items():
-            args = parser.parse_args(argv)
-            request = _REQUEST_BUILDERS[args.verb](args)
-            assert request.VERB == verb
-            assert type(request) is api.REQUEST_TYPES[verb]
+        assert set(table) == set(api.REQUEST_TYPES)
+        parser = build_parser()
+        for verb, cases in table.items():
+            for argv, payload in cases:
+                args = parser.parse_args(argv)
+                request = api.REQUEST_TYPES[args.verb].from_args(args)
+                assert type(request) is api.REQUEST_TYPES[verb], argv
+                assert request.to_wire()["payload"] == payload, argv
+        # --quick is the default scale and wins over --full.
+        args = parser.parse_args(["bench", "perf", "--full", "--quick"])
+        assert api.BenchPerfRequest.from_args(args).scale == "quick"
+
+    def test_one_declaration_adds_a_verb(self, monkeypatch, capsys):
+        """A request dataclass plus a runner is a whole verb: parser, argv ->
+        request, wire round trip and execution, with no other table edited."""
+        from dataclasses import dataclass
+
+        from repro import api
+        from repro.api import handlers, requests
+
+        # Defining the classes below registers them; undo that afterwards.
+        monkeypatch.delitem(requests.REQUEST_TYPES, "echo", raising=False)
+        monkeypatch.delitem(requests.RESPONSE_TYPES, "EchoResponse", raising=False)
+        monkeypatch.delitem(handlers._RUNNERS, "echo", raising=False)
+
+        @dataclass
+        class EchoResponse(api.Response):
+            """``echo`` result."""
+
+            shouted: bool = False
+
+        @dataclass
+        class EchoRequest(api.Request):
+            """``repro echo``: print words back."""
+
+            VERB = "echo"
+            HELP = "print words back"
+            RESPONSE = EchoResponse
+
+            words: tuple = requests.arg((), "what to say", positional=True, nargs="*")
+            times: int = requests.arg(1, "repetitions")
+            mood: str = requests.arg(None, choices=lambda: ("calm", "loud"))
+            shout: bool = requests.arg(False)
+
+        @handlers.runner(EchoRequest)
+        def _run_echo(req):
+            text = " ".join(req.words) * req.times
+            print(text.upper() if req.shout else text)
+            return 0, [], {"shouted": req.shout}
+
+        args = build_parser().parse_args(["echo", "a", "b", "--times", "2", "--shout"])
+        request = EchoRequest.from_args(args)
+        assert request == EchoRequest(words=("a", "b"), times=2, shout=True)
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["echo", "--mood", "sad"])
+        capsys.readouterr()
+
+        rebuilt = api.Request.from_wire(json.loads(json.dumps(request.to_wire())))
+        assert rebuilt.to_wire() == request.to_wire()
+        with pytest.raises(api.ApiError, match="mood must be one of calm, loud"):
+            api.Request.from_wire(dict(request.to_wire(), payload={"mood": "sad"}))
+
+        response = api.handle(request)
+        assert type(response) is EchoResponse and response.shouted
+        assert response.output == "A BA B\n"
+        assert api.Response.from_wire(response.to_wire()) == response
+        assert main(["echo", "hi"]) == 0
+        assert capsys.readouterr().out == "hi\n"
 
     def test_serve_parser_defaults(self):
         args = build_parser().parse_args(["serve", "--socket", "/tmp/x.sock"])

@@ -111,7 +111,7 @@ def test_engines_match_reference_interpreter(source, passes, num_stages, seed):
     irregular program plus the pass subset that built the offending
     pipeline, tagged with the engine that diverged.
     """
-    from repro.pipette.fastpath import ENGINES
+    from repro.pipette import ENGINES
 
     function = compile_source(source)
     config = MachineConfig()
@@ -255,7 +255,7 @@ GARDENIA_CORPUS = {
 @pytest.mark.parametrize("name", sorted(GARDENIA_CORPUS))
 def test_gardenia_corpus_kernels(name, num_stages):
     """The workload-derived corpus compiles and conforms on every engine."""
-    from repro.pipette.fastpath import ENGINES
+    from repro.pipette import ENGINES
 
     function = compile_source(GARDENIA_CORPUS[name])
     config = MachineConfig()
