@@ -15,25 +15,40 @@ Top-level convenience re-exports; see the subpackages for the full API:
 
 __version__ = "1.2.0"
 
-from .core import ALL_PASSES, CompileOptions, compile_c, compile_function, replicate_pipeline
-from .frontend import compile_source
-from .pipette import PIPETTE_1CORE, PIPETTE_4CORE, SCALED_1CORE, SCALED_4CORE, MachineConfig
-from .runtime import describe_run, run_pipeline, run_replicated, run_serial
+import importlib
 
-__all__ = [
-    "ALL_PASSES",
-    "CompileOptions",
-    "compile_c",
-    "compile_function",
-    "replicate_pipeline",
-    "compile_source",
-    "PIPETTE_1CORE",
-    "PIPETTE_4CORE",
-    "SCALED_1CORE",
-    "SCALED_4CORE",
-    "MachineConfig",
-    "describe_run",
-    "run_pipeline",
-    "run_replicated",
-    "run_serial",
-]
+#: Re-exported name -> the subpackage that defines it. Resolved on first use
+#: (PEP 562), so ``import repro`` — which every ``python -m repro <verb>``
+#: starts with — loads none of them; a verb imports the layers it runs.
+_EXPORTS = {
+    "ALL_PASSES": "core",
+    "CompileOptions": "core",
+    "compile_c": "core",
+    "compile_function": "core",
+    "replicate_pipeline": "core",
+    "compile_source": "frontend",
+    "PIPETTE_1CORE": "pipette",
+    "PIPETTE_4CORE": "pipette",
+    "SCALED_1CORE": "pipette",
+    "SCALED_4CORE": "pipette",
+    "MachineConfig": "pipette",
+    "describe_run": "runtime",
+    "run_pipeline": "runtime",
+    "run_replicated": "runtime",
+    "run_serial": "runtime",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    subpackage = _EXPORTS.get(name)
+    if subpackage is None:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = getattr(importlib.import_module("." + subpackage, __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

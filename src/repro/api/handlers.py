@@ -14,6 +14,10 @@ Telemetry stays on stderr through :mod:`repro.obs.log` and is therefore
 *server-side* under a daemon; per-request ``quiet`` flags are restored
 after every request so a long-lived worker never leaks one client's
 preference into the next request.
+
+Each runner imports the toolchain layers it runs, where it runs them: a
+one-shot ``repro emit`` never loads the simulator, the workloads or the
+bench harness (``repro serve`` loads everything once, before it forks).
 """
 
 import contextlib
@@ -21,11 +25,7 @@ import io
 import json as _json
 
 from .. import cache
-from ..core import ALL_PASSES, CompileOptions, compile_function, emit_pipeline, pipeline_summary
-from ..frontend import compile_source
-from ..ir import format_pipeline
 from ..obs import get_quiet, set_quiet
-from ..pipette import SCALED_1CORE
 from . import requests
 
 #: The variants ``demo``/``metrics`` run and print, in order (all use the
@@ -34,11 +34,13 @@ from . import requests
 DEMO_VARIANTS = ("serial", "data-parallel", "phloem-static", "manual")
 
 
-def _passes_option(text):
-    """CLI-style pass subset: None = all, else comma-separated names."""
-    if text is None:
-        return ALL_PASSES
-    return tuple(p for p in text.split(",") if p)
+def _compile_options(req):
+    """The ``CompileOptions`` of an ``emit``/``lint`` request (``passes`` is
+    CLI-style: None = all, else comma-separated names)."""
+    from ..core.compiler import ALL_PASSES, CompileOptions
+
+    passes = ALL_PASSES if req.passes is None else tuple(p for p in req.passes.split(",") if p)
+    return CompileOptions(num_stages=req.stages, passes=passes, verify_each=req.verify_each)
 
 
 def _demo_input(bench, size, seed):
@@ -78,28 +80,30 @@ def runner(request_cls):
 
 @runner(requests.CompileRequest)
 def _run_emit(req):
-    function = compile_source(req.source, name=req.name)
-    options = CompileOptions(
-        num_stages=req.stages, passes=_passes_option(req.passes), verify_each=req.verify_each
-    )
-    pipeline = compile_function(function, options=options)
+    from ..core.compiler import pipeline_summary
+
+    # All four formats render the one memoized pipeline.
+    pipeline = cache.cached_compile_source(req.source, req.name, _compile_options(req))
     summary = pipeline_summary(pipeline)
     if req.fmt == "summary":
         print(summary)
     elif req.fmt == "ir":
+        from ..ir import format_pipeline
+
         print(format_pipeline(pipeline))
     elif req.fmt == "diagram":
         from ..core.viz import ascii_diagram
 
         print(ascii_diagram(pipeline))
     else:
+        from ..core.codegen import emit_pipeline
+
         print(emit_pipeline(pipeline))
     return 0, [], {"summary": summary}
 
 
 @runner(requests.LintRequest)
 def _run_lint(req):
-    from ..analysis.sanitize import lint_source
     from ..diag import LINT_REPORT_SCHEMA, LINT_REPORT_VERSION
 
     targets = []
@@ -121,15 +125,13 @@ def _run_lint(req):
         print("lint: give a FILE.c, --bench NAME, or --bench all")
         return 2, [], {}
 
-    options = CompileOptions(
-        num_stages=req.stages, passes=_passes_option(req.passes), verify_each=req.verify_each
-    )
+    options = _compile_options(req)
     failed = False
     errors = warnings = 0
     reports = []
     records = []
     for label, source, name, path in targets:
-        diags = lint_source(source, name=name, options=options, file=path, perf=req.perf)
+        diags = cache.cached_lint(source, name, options, file=path, perf=req.perf)
         failed = failed or diags.has_errors
         errors += len(diags.errors())
         warnings += len(diags.warnings())
@@ -162,7 +164,9 @@ def _run_lint(req):
 @runner(requests.RunRequest)
 def _run_demo(req):
     from ..bench.harness import adapter_for, log_engine_fallbacks, run_suite
+    from ..core.compiler import CompileOptions, pipeline_summary
     from ..obs import records_from_suite
+    from ..pipette.config import SCALED_1CORE
 
     adapter = adapter_for(req.bench)
     item = _demo_input(req.bench, req.size, req.seed)
@@ -193,6 +197,8 @@ def _run_search(req):
     from ..bench.harness import adapter_for, profile_guided_pipeline
     from ..bench.report import render_distribution
     from ..core.autotune import speedup_distribution
+    from ..core.compiler import pipeline_summary
+    from ..pipette.config import SCALED_1CORE
     from ..workloads import datasets
 
     adapter = adapter_for(req.bench)
@@ -235,6 +241,8 @@ def _run_search(req):
 def _run_trace(req):
     from .. import obs
     from ..bench.harness import adapter_for
+    from ..core.compiler import CompileOptions, compile_function, pipeline_summary
+    from ..pipette.config import SCALED_1CORE
     from ..runtime.executor import run_pipeline
 
     adapter = adapter_for(req.bench)
@@ -297,6 +305,8 @@ def _run_trace(req):
 def _run_metrics(req):
     from .. import obs
     from ..bench.harness import adapter_for, run_suite
+    from ..core.compiler import CompileOptions, compile_function
+    from ..pipette.config import SCALED_1CORE
 
     adapter = adapter_for(req.bench)
     item = _demo_input(req.bench, req.size, req.seed)

@@ -19,6 +19,7 @@ from .. import cache
 from ..core.autotune import SearchPoint, gmean, search_pipelines
 from ..core.compiler import ALL_PASSES, CompileOptions
 from ..errors import PhloemError
+from ..ir.serialize import fingerprint
 from ..pipette.config import SCALED_1CORE
 from ..runtime.executor import run_pipeline
 from .parallel import Job, run_jobs
@@ -185,7 +186,7 @@ def profile_guided_pipeline(adapter, train_inputs, config=SCALED_1CORE, max_stag
         env_prints.append(cache.fingerprint_env(arrays, scalars))
 
     key_parts = (
-        cache.fingerprint(function),
+        fingerprint(function),
         sorted(env_prints),
         cache.fingerprint_config(config),
         {"max_stages": max_stages, "top_k": top_k, "limit": limit, "passes": list(passes)},

@@ -7,19 +7,25 @@ module memoizes both (plus the profile-guided search's scores) behind
 stable content hashes:
 
 * **pipeline** — compiled pipelines keyed by the canonical IR fingerprint
-  (:func:`repro.ir.fingerprint`) plus ``CompileOptions.cache_key()``;
+  (:func:`repro.ir.fingerprint`) plus ``CompileOptions.cache_key()``, and
+  in front of that the front door's two source-text keys: source ->
+  pipeline (:func:`cached_compile_source`, what ``emit`` renders) and
+  source -> diagnostics (:func:`cached_lint`), which skip the parse and
+  the fingerprint as well as the pass stack;
 * **baseline** — serial-run results (cycles, output arrays, cycle/energy
   breakdowns) keyed by function + input contents + machine config;
 * **search** — profile-guided search scores keyed by function, training
   inputs, config, and search parameters.
 
-Each layer has an in-process dict in front of a shared on-disk pickle store
-(``REPRO_CACHE_DIR``, default ``~/.cache/phloem-repro``), so warm results
-survive process restarts and are shared by every worker of the parallel
-harness (:mod:`repro.bench.parallel`) and every client of the
-compile-and-simulate daemon (:mod:`repro.service`). ``REPRO_NO_CACHE=1``
-disables the disk layer. Keys are salted with the package version:
-upgrading the compiler invalidates every cached artifact.
+Each layer has an in-process LRU (:data:`MEMORY_ENTRIES` entries) in front
+of a shared on-disk pickle store (``REPRO_CACHE_DIR``, default
+``~/.cache/phloem-repro``), so warm results survive process restarts and
+eviction, and are shared by every worker of the parallel harness
+(:mod:`repro.bench.parallel`) and every client of the compile-and-simulate
+daemon (:mod:`repro.service`). ``REPRO_NO_CACHE=1`` disables the disk
+layer. Keys are salted with the package version and a stamp of the
+package's source files: upgrading the compiler, or editing a pass in a
+checkout, invalidates every cached artifact.
 
 Concurrency: entries are written with write-then-rename (readers never
 observe a partial pickle), and each compute-on-miss runs under a per-key
@@ -28,10 +34,16 @@ work once — the first takes the miss and computes, the rest block briefly
 and take a hit off the store the winner populated.
 
 Cached values are treated as immutable: :func:`cached_compile` returns a
-fresh clone per call, and :class:`BaselineResult` arrays must not be
-mutated by callers (the harness only reads them for output validation).
+fresh clone per call, and :class:`BaselineResult` arrays and
+:func:`cached_lint` diagnostics must not be mutated by callers (the
+harness and the handlers only read them).
+
+The toolchain is imported where a lookup needs it, never at module level:
+a source-key hit unpickles a pipeline (:mod:`repro.ir`) or diagnostics
+(:mod:`repro.diag`) and loads no parser, pass or simulator.
 """
 
+import collections
 import contextlib
 import hashlib
 import os
@@ -44,14 +56,16 @@ except ImportError:  # non-POSIX: atomic rename still guards writes
     fcntl = None
 
 from .cachedir import cache_dir, write_atomic
-from .core.compiler import compile_function
-from .ir.serialize import fingerprint
-from .runtime.executor import run_serial
 
 #: Memo layers, in the order stats are reported.
 LAYERS = ("pipeline", "baseline", "search")
 
-_memory = {layer: {} for layer in LAYERS}
+#: Entries each layer keeps in process. Every distinct client source enters
+#: the pipeline layer, so a long-lived daemon worker needs a bound; the
+#: least recently used entry is dropped and comes back as a disk hit.
+MEMORY_ENTRIES = 512
+
+_memory = {layer: collections.OrderedDict() for layer in LAYERS}
 _stats = {layer: {"hits": 0, "misses": 0} for layer in LAYERS}
 
 
@@ -76,12 +90,38 @@ def _canon(value):
     return "s:%s" % value
 
 
+_stamp = None
+
+
+def toolchain_stamp():
+    """SHA-256 over ``(relative path, size, mtime_ns)`` of the package's
+    ``.py`` files, computed once per process.
+
+    ``__version__`` only moves at a release; this moves whenever a source
+    file does, so a developer who edits a pass and re-runs ``repro emit``
+    misses instead of getting the pipeline the old pass built.
+    """
+    global _stamp
+    if _stamp is None:
+        root = os.path.dirname(os.path.abspath(__file__))
+        files = []
+        for directory, subdirs, names in os.walk(root):
+            subdirs[:] = [d for d in subdirs if d != "__pycache__"]
+            for name in names:
+                if name.endswith(".py"):
+                    path = os.path.join(directory, name)
+                    info = os.stat(path)
+                    files.append((os.path.relpath(path, root), info.st_size, info.st_mtime_ns))
+        _stamp = hashlib.sha256(repr(sorted(files)).encode("utf-8")).hexdigest()
+    return _stamp
+
+
 def content_hash(*parts):
     """SHA-256 over the canonical forms of ``parts`` (the cache key)."""
     from . import __version__
 
     h = hashlib.sha256()
-    h.update(("v:%s" % __version__).encode("utf-8"))
+    h.update(("v:%s;%s" % (__version__, toolchain_stamp())).encode("utf-8"))
     for part in parts:
         h.update(b"\x00")
         h.update(_canon(part).encode("utf-8"))
@@ -116,23 +156,35 @@ def _disk_path(layer, key):
     return os.path.join(base, layer, key + ".pkl")
 
 
-def _load(layer, key):
-    if key in _memory[layer]:
-        _stats[layer]["hits"] += 1
-        return _memory[layer][key]
+def _recall(layer, key):
+    """The in-process entry for ``key`` (now the most recently used), or None."""
+    entries = _memory[layer]
+    value = entries.get(key)
+    if value is not None:
+        entries.move_to_end(key)
+    return value
+
+
+def _remember(layer, key, value):
+    entries = _memory[layer]
+    entries[key] = value
+    entries.move_to_end(key)
+    while len(entries) > MEMORY_ENTRIES:
+        entries.popitem(last=False)
+
+
+def _read(layer, key):
+    """The disk entry for ``key``, or None: absent, disk off, or unreadable."""
     path = _disk_path(layer, key)
-    if path is not None and os.path.exists(path):
-        try:
-            with open(path, "rb") as handle:
-                value = pickle.load(handle)
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError):
-            value = None  # truncated or stale entry: treat as a miss
-        if value is not None:
-            _memory[layer][key] = value
-            _stats[layer]["hits"] += 1
-            return value
-    _stats[layer]["misses"] += 1
-    return None
+    if path is None or not os.path.exists(path):
+        return None
+    try:
+        with open(path, "rb") as handle:
+            return pickle.load(handle)
+    except Exception:  # noqa: BLE001 - garbage bytes can raise anything
+        # Truncated, corrupt or written by a checkout whose classes have
+        # moved: a miss, and the recompute overwrites the entry.
+        return None
 
 
 @contextlib.contextmanager
@@ -166,26 +218,34 @@ def _key_lock(layer, key):
         os.close(fd)
 
 
-def _get_or_compute(layer, key, compute):
+def _get_or_compute(layer, key, compute, front=False):
     """One-miss-many-hits lookup: the shared compute-on-miss protocol.
 
-    Memory first (no lock), then the disk store under the per-key lock —
-    re-checked after acquisition, because a concurrent process may have
-    computed the value while this one waited.
+    Memory first (no lock), then the disk store — read under the per-key
+    lock, because a concurrent process may have computed the value while
+    this one waited for it. ``front`` marks a key that sits in front of
+    another memoized lookup: ``compute`` books the hit or miss of the one
+    it falls through to, so a request counts once.
     """
-    if key in _memory[layer]:
+    value = _recall(layer, key)
+    if value is not None:
         _stats[layer]["hits"] += 1
-        return _memory[layer][key]
+        return value
     with _key_lock(layer, key):
-        value = _load(layer, key)
-        if value is None:
-            value = compute()
-            _store(layer, key, value)
+        value = _read(layer, key)
+        if value is not None:
+            _remember(layer, key, value)
+            _stats[layer]["hits"] += 1
+            return value
+        if not front:
+            _stats[layer]["misses"] += 1
+        value = compute()
+        _store(layer, key, value)
         return value
 
 
 def _store(layer, key, value):
-    _memory[layer][key] = value
+    _remember(layer, key, value)
     path = _disk_path(layer, key)
     if path is None:
         return
@@ -259,7 +319,16 @@ def cached_compile(function, options):
     a fresh clone so callers may mutate their pipeline freely. Intrinsic
     implementations (opaque callables) are stripped before pickling and
     reattached from ``function`` on the way out.
+
+    ``options.verify_each`` is not part of ``cache_key()`` — verification
+    never changes the pipeline — so a hit would skip the per-pass
+    verification the flag asks for: such a compile never touches the memo.
     """
+    from .core.compiler import compile_function
+    from .ir.serialize import fingerprint
+
+    if options.verify_each:
+        return compile_function(function, options=options)
     key = content_hash("pipeline", fingerprint(function), options.cache_key())
 
     def compute():
@@ -272,6 +341,51 @@ def cached_compile(function, options):
     pipeline = value.clone()
     pipeline.intrinsics = dict(function.intrinsics)
     return pipeline
+
+
+def cached_compile_source(source, name, options):
+    """``compile_function(compile_source(source, name=name), options=options)``,
+    memoized on the source text.
+
+    The front door's key: ``source`` + ``name`` + ``options.cache_key()``
+    resolves straight to the compiled pipeline, so a repeated source skips
+    the parse, the IR fingerprint and the pass stack. A source miss parses
+    and falls through to :func:`cached_compile`, where a whitespace or
+    comment variant of a known kernel still hits by IR fingerprint — and
+    which books the request's one ``pipeline`` hit or miss. Errors
+    propagate and are never stored.
+    """
+
+    def compute():
+        from .frontend.lowering import compile_source
+
+        return cached_compile(compile_source(source, name=name), options)
+
+    if options.verify_each:
+        return compute()
+    key = content_hash("source", source, name, options.cache_key())
+    return _get_or_compute("pipeline", key, compute, front=True).clone()
+
+
+def cached_lint(source, name, options, file=None, perf=False):
+    """:func:`repro.analysis.sanitize.lint_source`, memoized on the source text.
+
+    ``lint_source`` turns every toolchain failure into diagnostics, so a
+    parse or compile error is a result like any other and is stored; the
+    ``file`` label and ``perf`` change the rendering and ride in the key.
+    Booked to the ``pipeline`` layer (a miss compiles). The returned
+    :class:`~repro.diag.DiagnosticSet` is shared: read it, don't extend it.
+    """
+
+    def compute():
+        from .analysis.sanitize import lint_source
+
+        return lint_source(source, name=name, options=options, file=file, perf=perf)
+
+    if options.verify_each:
+        return compute()
+    key = content_hash("lint", source, name, file, perf, options.cache_key())
+    return _get_or_compute("pipeline", key, compute)
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +444,8 @@ def cached_serial_run(function, arrays, scalars, config):
     pair under the same machine config gets the recorded result back
     instead of re-simulating it.
     """
+    from .ir.serialize import fingerprint
+
     key = content_hash(
         "baseline",
         fingerprint(function),
@@ -338,6 +454,8 @@ def cached_serial_run(function, arrays, scalars, config):
     )
 
     def compute():
+        from .runtime.executor import run_serial
+
         result = run_serial(function, arrays, scalars, config=config)
         return {
             "cycles": result.cycles,

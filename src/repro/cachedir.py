@@ -12,7 +12,6 @@ partial file.
 """
 
 import os
-import tempfile
 
 
 def cache_dir():
@@ -32,6 +31,10 @@ def write_atomic(path, data):
     directory cannot be created or written — every disk layer sits behind
     an in-process one that already holds the value.
     """
+    # tempfile pulls in shutil, bz2, lzma and random (~5 ms): a process that
+    # only takes hits never stores, so only one that stores imports it.
+    import tempfile
+
     directory = os.path.dirname(path)
     try:
         os.makedirs(directory, exist_ok=True)

@@ -169,7 +169,7 @@ def _cmd_submit(args):
     request = None
     if control is None:
         # The submitted verb's argv goes through the ordinary parser.
-        parsed = build_parser().parse_args(argv)
+        parsed = build_parser(argv).parse_args(argv)
         request_cls = api.REQUEST_TYPES.get(parsed.verb)
         if request_cls is None:
             print(
@@ -248,7 +248,15 @@ def _add_figures_parser(sub):
     figures.set_defaults(func=_cmd_figures, verb="figures")
 
 
-def build_parser():
+def build_parser(argv=None):
+    """The ``repro`` parser; given the ``argv`` it is about to parse, only
+    the verb that argv names gets its flags.
+
+    Declaring a verb's flags resolves their choice lists, and those live in
+    the toolchain (``demo``'s benchmarks are the ten workload modules): the
+    other verbs keep their name and help line — every ``--help`` page reads
+    the same — and ``repro emit`` imports nothing ``emit`` does not run.
+    """
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Phloem reproduction: compile, simulate, and evaluate.",
@@ -262,14 +270,16 @@ def build_parser():
     for request_cls in api.REQUEST_TYPES.values():
         if request_cls is api.TraceRequest:
             _add_figures_parser(sub)  # keeps its place in the command listing
-        *prefix, leaf = request_cls.COMMAND or (request_cls.VERB,)
+        command = request_cls.COMMAND or (request_cls.VERB,)
+        *prefix, leaf = command
         prefix = tuple(prefix)
         if prefix not in groups:
             (name,) = prefix
             group = sub.add_parser(name, help=_GROUP_HELP[name])
             groups[prefix] = group.add_subparsers(dest=name + "_command", required=True)
         verb_parser = groups[prefix].add_parser(leaf, help=request_cls.HELP)
-        request_cls.add_arguments(verb_parser)
+        if argv is None or tuple(argv[: len(command)]) == command:
+            request_cls.add_arguments(verb_parser)
         verb_parser.set_defaults(func=_cmd_request, verb=request_cls.VERB)
 
     serve = sub.add_parser(
@@ -344,8 +354,9 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     return args.func(args)
 
 

@@ -10,13 +10,17 @@ counters reflect the whole fleet, exactly as the figures harness does.
 
 Workers are long-lived: their in-process memo layers stay warm across
 requests, and all of them share the on-disk content-addressed store, so
-any client's compile warms every later client's.
+any client's compile warms every later client's. The one-shot CLI imports
+a layer when a verb first runs it; a pool loads them all up front
+(:func:`preload`), before it forks, so the workers share the pages and no
+client's first request pays for an import.
 
 ``workers <= 0`` (or a platform without ``fork``) selects the inline
 executor: requests run in the calling process, which is what the tests
 and tiny deployments want.
 """
 
+import importlib
 import multiprocessing
 
 from .. import cache
@@ -24,6 +28,24 @@ from ..api.handlers import handle
 from ..api.requests import ApiError, Request, error_response
 from ..bench.parallel import _fork_available, _pool_init
 from ..errors import PhloemError
+
+
+#: What the handlers import at their points of use (each name pulls in the
+#: layers below it): every module a request of any verb may load.
+TOOLCHAIN = (
+    "repro.analysis.perfmodel",
+    "repro.bench.harness",
+    "repro.bench.perf",
+    "repro.bench.report",
+    "repro.core.viz",
+    "repro.workloads",
+)
+
+
+def preload():
+    """Import the whole toolchain into this process (idempotent)."""
+    for name in TOOLCHAIN:
+        importlib.import_module(name)
 
 
 def execute_wire(wire):
@@ -63,6 +85,7 @@ class RequestPool:
     def __init__(self, workers=2):
         self.workers = max(0, int(workers))
         self._pool = None
+        preload()
         if self.workers > 0 and _fork_available():
             ctx = multiprocessing.get_context("fork")
             self._pool = ctx.Pool(self.workers, initializer=_pool_init)

@@ -106,3 +106,127 @@ def test_stats_delta_and_merge():
     assert delta[("pipeline", "misses")] == 1
     cache.merge_stats(delta)  # as the parent does for each worker
     assert cache.stats()["pipeline"]["misses"] == 2
+
+
+# ---------------------------------------------------------------------------
+# The in-process bound, the toolchain stamp, unreadable entries
+
+KERNEL = """
+#pragma phloem
+void k%d(const int* restrict a, const int* restrict b, int* restrict out, int n) {
+  for (int i = 0; i < n; i++) {
+    int v = a[i];
+    out[i] = b[v + %d];
+  }
+}
+"""
+
+
+def _emit(index):
+    from repro import api
+
+    return api.handle(api.CompileRequest(source=KERNEL % (index, index), fmt="summary"))
+
+
+def test_memory_layer_is_a_bounded_lru(monkeypatch):
+    monkeypatch.setattr(cache, "MEMORY_ENTRIES", 4)
+    for index in range(3):
+        assert _emit(index).cache["pipeline"] == {"hits": 0, "misses": 1}
+    # Each source holds two entries (source key + IR key): the third evicted
+    # the first's, the bound holds, and a touch keeps an entry young.
+    assert len(cache._memory["pipeline"]) == 4
+    assert _emit(2).cache["pipeline"] == {"hits": 1, "misses": 0}
+    # The evicted source comes back as a disk hit (no recompile) ...
+    assert _emit(0).cache["pipeline"] == {"hits": 1, "misses": 0}
+    assert len(cache._memory["pipeline"]) == 4
+    # ... and without a disk layer an evicted one is simply recomputed.
+    monkeypatch.setenv("REPRO_NO_CACHE", "1")
+    assert _emit(3).cache["pipeline"] == {"hits": 0, "misses": 1}  # pushes 1 out
+    assert _emit(1).cache["pipeline"] == {"hits": 0, "misses": 1}
+
+
+def test_lru_evicts_least_recently_used_not_oldest_inserted(monkeypatch):
+    monkeypatch.setattr(cache, "MEMORY_ENTRIES", 2)
+    for key in ("a", "b"):
+        cache.cached_search((key,), lambda: {"v": 1})
+    cache.cached_search(("a",), lambda: {"v": 1})  # touch: b is now the oldest
+    cache.cached_search(("c",), lambda: {"v": 1})
+    monkeypatch.setenv("REPRO_NO_CACHE", "1")  # memory only from here on
+    before = cache.stats_snapshot()
+    cache.cached_search(("a",), lambda: {"v": 1})
+    cache.cached_search(("b",), lambda: {"v": 1})
+    delta = cache.stats_delta(before)
+    assert (delta[("search", "hits")], delta[("search", "misses")]) == (1, 1)
+
+
+def test_toolchain_stamp_salts_every_key(monkeypatch):
+    stamp = cache.toolchain_stamp()
+    assert len(stamp) == 64 and stamp == cache.toolchain_stamp()
+    assert _emit(0).cache["pipeline"] == {"hits": 0, "misses": 1}
+    cache.reset()
+    assert _emit(0).cache["pipeline"] == {"hits": 1, "misses": 0}
+    # An edited pass moves the stamp: the warm entry no longer answers.
+    monkeypatch.setattr(cache, "_stamp", "0" * 64)
+    cache.reset()
+    assert _emit(0).cache["pipeline"] == {"hits": 0, "misses": 1}
+
+
+def test_toolchain_stamp_follows_the_source_files(tmp_path, monkeypatch):
+    package = tmp_path / "pkg"
+    (package / "sub").mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\n")
+    (package / "sub" / "b.py").write_text("y = 2\n")
+    monkeypatch.setattr(cache, "__file__", str(package / "cache.py"))
+
+    def stamp():
+        monkeypatch.setattr(cache, "_stamp", None)
+        return cache.toolchain_stamp()
+
+    first = stamp()
+    assert stamp() == first
+    (package / "notes.txt").write_text("not source\n")
+    assert stamp() == first
+    (package / "sub" / "b.py").write_text("y = 3  # edited\n")
+    assert stamp() != first
+
+
+_CORRUPTIONS = {
+    "truncated": lambda data: data[: len(data) // 2],
+    "empty": lambda data: b"",
+    "random-bytes": lambda data: bytes((i * 37 + 11) % 256 for i in range(300)),
+    "wrong-protocol": lambda data: b"\x80\x63" + data[2:],
+    "moved-module": lambda data: b"crepro.no_such_module\nPipelineProgram\n.",
+    "moved-class": lambda data: b"crepro.ir\nNoSuchClass\n.",
+    "not-a-pickle-opcode": lambda data: b"\xff" + data,
+    "stack-underflow": lambda data: b"(K\x01tR.",
+    # What version skew looks like from inside a reducer: TypeError,
+    # IndexError and KeyError out of ``pickle.load``.
+    "reduce-type-error": lambda data: b"cbuiltins\nlen\n(tR.",
+    "reduce-index-error": lambda data: b"coperator\ngetitem\n((lK\x05tR.",
+    "reduce-key-error": lambda data: b"coperator\ngetitem\n((dK\x05tR.",
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(_CORRUPTIONS))
+def test_unreadable_entry_is_a_miss_and_is_overwritten(tmp_path, corruption):
+    import os
+
+    good = _emit(0)
+    entries = [
+        os.path.join(root, name)
+        for root, _, names in os.walk(str(tmp_path))
+        for name in names
+        if name.endswith(".pkl")
+    ]
+    assert len(entries) == 2  # source key + IR key
+    for path in entries:
+        with open(path, "rb") as handle:
+            data = handle.read()
+        with open(path, "wb") as handle:
+            handle.write(_CORRUPTIONS[corruption](data))
+    cache.reset()
+    again = _emit(0)
+    assert again.cache["pipeline"] == {"hits": 0, "misses": 1}
+    assert again.output == good.output
+    cache.reset()
+    assert _emit(0).cache["pipeline"] == {"hits": 1, "misses": 0}
