@@ -20,7 +20,10 @@ stage's whole region tree into **one generated Python generator function**:
 * the timing primitives (issue-ledger acquire, ROB retire, MSHR claim, L1
   lookup + stride-prefetcher observe, gshare predict) are emitted inline,
   transcribed from the reference interpreter — the same arithmetic in the
-  same order on the same shared structures;
+  same order on the same shared structures — around two invariants the
+  generated code keeps instead of re-deriving per micro-op: the issue
+  cycle under the cursor and a per-run proof that the ROB cannot stall
+  (see "the timing invariants" in :class:`_StageCompiler`);
 * machine-configuration constants (issue width, ROB/MSHR sizes, cache
   geometry, latencies, branch PCs) are baked into the source as literals;
 * the generator ``yield``\\ s only at true blocking points (queue
@@ -137,6 +140,28 @@ _UNARY_EXPR = {
 }
 
 
+#: Statement kinds that may join a straight-line run (retire at most once,
+#: no nested body) -> their static micro-op count, or None when the
+#: statement can ``yield`` (its ``u +=`` must then precede the sync). A
+#: ``call`` adds its run-time cost itself.
+_RUN_UOPS = {
+    "assign": 1,
+    "load": 1,
+    "store": 1,
+    "prefetch": 1,
+    "is_control": 1,
+    "read_shared": 1,
+    "write_shared": 1,
+    "atomic_rmw": 3,
+    "call": 0,
+    "enq": None,
+    "enq_ctrl": None,
+    "enq_dist": None,
+    "deq": None,  # handler-less only: a handler re-runs the dequeue
+    "peek": None,
+}
+
+
 def _is_reg(operand):
     return type(operand) is str and not operand.startswith("@")
 
@@ -233,6 +258,10 @@ class _StageCompiler:
         self._oob_raisers = {}
         self._loop_stack = []  # ("for", inc_src) | ("loop", None) | ("syn", None)
         self._handler_stack = []  # qids currently being inlined (recursion guard)
+        self._pointer_sites = set()  # pcs of pointer-register memory statements
+        # Set by emit_body while it emits a straight-line run.
+        self._rob_guarded = False  # retires sit behind the run's ``slow`` flag
+        self._fold_uops = False  # the run's ``u +=`` was emitted once, up front
         # Config literals baked into the source.
         cfg = ctx.config
         self.W = cfg.issue_width
@@ -327,67 +356,101 @@ class _StageCompiler:
             return ra
         return "(%s if %s > %s else %s)" % (ra, ra, rb, rb)
 
-    # -- inline timing blocks (transcribed from interp.py / sched.py) -------
+    # -- issue ledger, ROB and MSHR: the timing invariants ---------------------
+    #
+    # The three per-statement timing emitters and the ``resync`` helper they
+    # share. The arithmetic is the reference's (IssueLedger.acquire,
+    # ThreadCtx.issue / retire / mshr_claim: the same float operations in
+    # the same order on the same shared structures); what is written here
+    # once is *when* it has to be evaluated. Generated code maintains two
+    # invariants instead of re-deriving them at every simulated micro-op:
+    #
+    # Ledger cursor -- at every acquire site ``lc == ceil(cur)``, ``t ==
+    #   float(lc)`` and ``ln`` is the true slot count of cycle ``lc`` (the
+    #   dict write is deferred: co-scheduled threads only read ``slots``
+    #   while this generator is suspended). An acquire leaves ``cur == t ==
+    #   float(lc)``, which is the invariant again. Whoever moves ``cur`` by
+    #   any other route -- a ROB/MSHR stall, a mispredict redirect, a queue
+    #   or peek wait, a barrier release, the intrinsic-call hand-off to the
+    #   real ``ledger.acquire`` -- and every resume after a ``yield`` owes
+    #   one :meth:`emit_resync` before the next acquire. ``cur`` itself is
+    #   never rounded: fractional stall targets stay exact, only the probe
+    #   cycle ``lc`` is their ceiling, as in the reference.
+    #
+    # ROB block guard -- ``ring`` is thread-private and monotone (``rlast``
+    #   only grows) and ``cur`` never decreases. The j-th retire of a
+    #   straight-line run inspects what was ``ring[j]`` at run entry, so one
+    #   ``slow = ring[k-1] > cur`` there (k retires at most, k <= rob_size)
+    #   proves that no retire of the run can stall; the per-statement check
+    #   only runs under ``if slow``. A ``yield`` inside the run changes
+    #   neither fact: nobody else touches the ring, and the cursor a thread
+    #   resumes with is never behind the one it blocked with.
+
+    def resync_lines(self):
+        """The ``resync`` helper: re-establish the ledger-cursor invariant
+        after ``cur`` moved (flush the deferred count, re-probe at the new
+        cycle). Defined inside the stage function like ``l1_miss``; outer
+        locals arrive as default arguments so none of them becomes a cell."""
+        return [
+            "def resync(cur, lc, ln, slots=slots, sget=sget, ceil=ceil):",
+            "    if ln:",
+            "        slots[lc] = ln",
+            "    lc = ceil(cur)",
+            "    return lc, sget(lc, 0), lc + 0.0",
+        ]
+
+    def emit_resync(self, pad=""):
+        self.w(pad + "lc, ln, t = resync(cur, lc, ln)")
 
     def emit_acquire(self, n=1):
-        """IssueLedger.acquire x n + ThreadCtx.issue bookkeeping; leaves ``t``.
+        """IssueLedger.acquire x n + ThreadCtx.issue bookkeeping; leaves
+        ``cur == t``. Under the ledger-cursor invariant the common case
+        (slots left in the cycle already held) is one compare and one
+        increment; a full cycle flushes its count and walks to the next
+        cycle with a free slot, exactly the reference's probe loop.
 
         ``slots`` is bound once in the prologue (IssueLedger.prune would
         rebind the dict, but nothing calls it during a machine run).
-        ``c + 0.0`` == ``float(c)`` exactly for any cycle count below 2**53.
-
-        The ledger dict is shared with co-scheduled threads, but those only
-        run after this generator yields: the current cycle's count lives in
-        the ``(lc, ln)`` locals and the dict write is deferred until the
-        cycle fills, the cycle changes, or a sync point / direct
-        ``ledger.acquire`` call needs the dict authoritative again.
+        ``lc + 0.0`` == ``float(lc)`` exactly for any cycle count below 2**53.
         """
-        # ``ceil`` of a float is the reference's int()-then-bump probe.
-        self.w("c = ceil(cur)")
         if n > 1:
-            # All n slots fit in the cycle already held: each chained
-            # acquire would land on ``lc`` again. Otherwise take them one
-            # by one: after the first, ``c == lc`` holds, so a full cycle
-            # re-reads its own just-flushed count and moves on to lc + 1.
-            self.w("if c == lc and ln <= %d:" % (self.W - n))
+            # All n chained slots fit in the cycle already held; otherwise
+            # take them one by one (each restarts at the previous slot).
+            self.w("if ln <= %d:" % (self.W - n))
             self.w("    ln += %d" % n)
             self.w("else:")
             self.push()
             self.w("for _ in %r:" % ((0,) * n,))
             self.push()
-        # (lc, ln) cache the true slot count of the last acquired cycle
-        # with the dict write deferred: between yields no other thread
-        # runs, so the dict only needs to be correct again at the next
-        # sync (or before a real ledger.acquire call). The common case
-        # (same cycle, slots left) touches no dict at all.
-        self.w("if c == lc and ln < %d:" % self.W)
+        self.w("if ln < %d:" % self.W)
         self.w("    ln += 1")
         self.w("else:")
-        self.w("    if ln:")
-        self.w("        slots[lc] = ln")
-        self.w("    ln = sget(c, 0) + 1")
+        self.w("    slots[lc] = ln")
+        self.w("    lc += 1")
+        self.w("    ln = sget(lc, 0) + 1")
         self.w("    while ln > %d:" % self.W)
-        self.w("        c += 1")
-        self.w("        ln = sget(c, 0) + 1")
-        self.w("    lc = c")
+        self.w("        lc += 1")
+        self.w("        ln = sget(lc, 0) + 1")
+        self.w("    t = lc + 0.0")
         if n > 1:
             self.pop()
             self.pop()
         # Only the final slot's cycle is observable (ThreadCtx.issue
         # threads ``t`` through the chain and stores the last).
-        self.w("t = cur = lc + 0.0")
-        self.w("u += %d" % n)
+        self.w("cur = t")
+        if not self._fold_uops:
+            self.w("u += %d" % n)
 
     def emit_comp(self, dep_src, latency=1):
         """``comp = max(t, dep) + latency``; a statically-zero dep folds
         away (``t`` is a cursor value, never negative)."""
         if dep_src == "0.0":
-            self.w("comp = t + %d" % latency)
+            self.w("comp = t + %r" % latency)
         elif dep_src.isidentifier():
-            self.w("comp = (t if t > %s else %s) + %d" % (dep_src, dep_src, latency))
+            self.w("comp = (t if t > %s else %s) + %r" % (dep_src, dep_src, latency))
         else:
             self.w("dep = %s" % dep_src)
-            self.w("comp = (t if t > dep else dep) + %d" % latency)
+            self.w("comp = (t if t > dep else dep) + %r" % latency)
 
     def emit_start(self, dep_src):
         """``start = max(t, dep)`` with the same zero-dep fold."""
@@ -399,6 +462,16 @@ class _StageCompiler:
             self.w("dep = %s" % dep_src)
             self.w("start = t if t > dep else dep")
 
+    def emit_stall(self, head, guard=""):
+        """Advance the cursor to ``head`` (a ROB/MSHR ring head) when that
+        completion still lies ahead of it."""
+        self.w("if %s%s > cur:" % (guard, head))
+        self.w("    ms += %s - cur" % head)
+        if self.traced:
+            self.w("    tracer.stall(TN, 'mem', cur, %s)" % head)
+        self.w("    cur = %s" % head)
+        self.emit_resync("    ")
+
     def emit_retire(self, comp_expr):
         """ThreadCtx.retire, on the ``rlast``/ring mirrors.
 
@@ -408,6 +481,9 @@ class _StageCompiler:
         negative, so popping a sentinel is exactly the reference's
         not-yet-full no-pop case. ``ctx.rob`` itself is thread-private and
         observed by nothing else, so the ring never needs flushing back.
+
+        Inside a guarded run (see :meth:`emit_run_entry`) the head check
+        hides behind the run's ``slow`` flag.
         """
         r = comp_expr
         if not comp_expr.isidentifier():
@@ -415,22 +491,13 @@ class _StageCompiler:
             r = "r"
         self.w("if %s > rlast:" % r)
         self.w("    rlast = %s" % r)
-        self.w("oldest = ring[0]")
-        self.w("if oldest > cur:")
-        self.w("    ms += oldest - cur")
-        if self.traced:
-            self.w("    tracer.stall(TN, 'mem', cur, oldest)")
-        self.w("    cur = oldest")
+        self.emit_stall("ring[0]", "slow and " if self._rob_guarded else "")
         self.w("rpush(rlast)")
 
     def emit_mshr(self, comp_expr):
-        """ThreadCtx.mshr_claim, as a prefilled ring like the ROB."""
-        self.w("oldest = mring[0]")
-        self.w("if oldest > cur:")
-        self.w("    ms += oldest - cur")
-        if self.traced:
-            self.w("    tracer.stall(TN, 'mem', cur, oldest)")
-        self.w("    cur = oldest")
+        """ThreadCtx.mshr_claim, as a prefilled ring like the ROB. Load
+        completions are not monotone, so there is no block guard here."""
+        self.emit_stall("mring[0]")
         self.w("mpush(%s)" % comp_expr)
 
     def emit_predict(self, pc):
@@ -475,13 +542,14 @@ class _StageCompiler:
             "ctx.cursor = cur",
             "ctx.rob_last = rlast",
             "pred.history = ph",
-            # Deferred ledger write (see emit_acquire): other threads read
-            # the slot dict while this one is suspended, so make it
-            # authoritative and drop the cache.
+            # Deferred ledger write (ledger-cursor invariant): other
+            # threads read the slot dict while this one is suspended, so
+            # make it authoritative and drop the cache. The resume owes a
+            # resync, which finds nothing left to flush.
             "if ln:",
             "    slots[lc] = ln",
-            "    lc = -1",
             "    ln = 0",
+            "lc = -1",
             # L1 hit delta: the counter is shared with RAs and co-scheduled
             # threads, so it accumulates locally and flushes additively
             # (ints: exact in any interleaving, also against l1_miss's
@@ -521,13 +589,13 @@ class _StageCompiler:
         self.w("entry = l1get(sindex)")
         self.w("if entry is not None and entry[0] == tag:")
         self.w("    l1h += 1")
-        self.w("    latency = %d" % self.L1LAT)
+        self.w("    latency = %r" % self.L1LAT)
         self.w("elif entry is not None and tag in entry:")
         self.w("    pos = entry.index(tag, 1)")
         self.w("    del entry[pos]")
         self.w("    entry.insert(0, tag)")
         self.w("    l1h += 1")
-        self.w("    latency = %d" % self.L1LAT)
+        self.w("    latency = %r" % self.L1LAT)
         self.w("else:")
         self.w("    latency = l1_miss(line, %s, sindex, tag, entry)" % start)
         if self.PF_ON and not store:
@@ -575,13 +643,13 @@ class _StageCompiler:
             "    e2 = l2get(s2)",
             "    if e2 is not None and e2[0] == t2:",
             "        l2_stats.hits += 1",
-            "        return %d" % self.L2LAT,
+            "        return %r" % self.L2LAT,
             "    if e2 is not None and t2 in e2:",
             "        pos = e2.index(t2, 1)",
             "        del e2[pos]",
             "        e2.insert(0, t2)",
             "        l2_stats.hits += 1",
-            "        return %d" % self.L2LAT,
+            "        return %r" % self.L2LAT,
             "    if e2 is None:",
             "        l2_sets[s2] = [t2]",
             "    else:",
@@ -664,14 +732,49 @@ class _StageCompiler:
 
     def emit_body(self, body):
         can_signal = False
-        for stmt in body:
-            if stmt.kind == "comment":
-                continue
+        body = [stmt for stmt in body if stmt.kind != "comment"]
+        run_end = 0
+        for pos, stmt in enumerate(body):
+            if pos == run_end:
+                run_end = self.emit_run_entry(body, pos)
             stepped = self.emit_stmt(stmt)
             if stepped:
                 self.emit_signal_check()
                 can_signal = True
+        self._rob_guarded = self._fold_uops = False
         return can_signal
+
+    def emit_run_entry(self, body, pos):
+        """Open the maximal straight-line run starting at ``body[pos]``;
+        returns the position one past it (``pos + 1`` when there is none).
+
+        A run is consecutive statements that each retire at most once and
+        hold no nested body, cut at ``rob_size`` so its k-th retire still
+        inspects an entry-time ring element. Its entry computes the ROB
+        block guard; when no statement of the run can ``yield`` (nothing
+        observes ``u`` before the next sync) the static micro-op counts
+        fold into one add as well."""
+        self._rob_guarded = self._fold_uops = False
+        end = pos
+        uops = 0
+        while end < len(body) and end - pos < self.ROB:
+            stmt = body[end]
+            if stmt.kind not in _RUN_UOPS or (
+                stmt.kind == "deq" and stmt.queue in self.stage.handlers
+            ):
+                break
+            if uops is not None:
+                step = _RUN_UOPS[stmt.kind]
+                uops = None if step is None else uops + step
+            end += 1
+        if end - pos < 2:
+            return pos + 1
+        self.w("slow = ring[%d] > cur" % (end - pos - 1))
+        self._rob_guarded = True
+        if uops:
+            self.w("u += %d" % uops)
+            self._fold_uops = True
+        return end
 
     def emit_stmt(self, stmt):
         method = getattr(self, "_emit_" + stmt.kind, None)
@@ -736,6 +839,25 @@ class _StageCompiler:
         oob = self.cap("oob_" + tag, raiser)
         return d, b, z, s, oob
 
+    def emit_pointer_binding(self, stmt):
+        """Pointer-register array operand: resolve the handle the register
+        holds to its ArrayBinding; returns (binding local, operand capture).
+
+        Each site keeps a one-entry memo on the *identity* of the register
+        value (handles move between registers, they are not rebuilt), so a
+        frontier swapped once per level resolves once per level. A miss is
+        the shared ``_resolve_handle`` and so is every error message."""
+        self.cap("arrays", self.env.arrays)
+        pr = self.reg(stmt.array)[0]
+        pc = self.pcs[id(stmt)]
+        aop = self.cap("ao%d" % pc, stmt.array)
+        self._pointer_sites.add(pc)
+        bind = "bind%d" % pc
+        self.w("if %s is not pb%d:" % (pr, pc))
+        self.w("    %s = _rh(arrays, %s, %s)" % (bind, aop, pr))
+        self.w("    pb%d = %s" % (pc, pr))
+        return bind, aop
+
     def _emit_load(self, stmt):
         static = self._binding_locals(stmt.array)
         rd, ry = self.reg(stmt.dst)
@@ -757,26 +879,19 @@ class _StageCompiler:
             # Pointer-register load: binding resolves per execution; the
             # pointer register's ready time joins the dependence, exactly
             # like the interpreter's array-operand ready lookup.
-            self.cap("arrays", self.env.arrays)
-            pr, py = self.reg(stmt.array)
-            aop = self.cap("ao%d" % self.pcs[id(stmt)], stmt.array)
-            self.w("bind = _rh(arrays, %s, %s)" % (aop, pr))
+            bind, aop = self.emit_pointer_binding(stmt)
             self.w("idx = %s" % iv)
             self.emit_acquire(1)
-            self.w("dep = %s" % idep)
-            self.w("pr = %s" % py)
-            self.w("if pr > dep:")
-            self.w("    dep = pr")
-            self.w("start = t if t > dep else dep")
-            self.w("line = (bind.base + idx * bind.elem_size) >> %d" % self.SHIFT)
-            self.emit_l1_access(stream="bind.name")
+            self.emit_start(self.dep2(stmt.index, stmt.array))
+            self.w("line = (%s.base + idx * %s.elem_size) >> %d" % (bind, bind, self.SHIFT))
+            self.emit_l1_access(stream="%s.name" % bind)
             self.w("comp = start + latency")
             self.w("try:")
-            self.w("    v = bind.data[idx]")
+            self.w("    v = %s.data[idx]" % bind)
             self.w("except IndexError:")
             self.w(
                 "    raise SimulationError('stage %%s: load %%s[%%d] out of bounds "
-                "(len %%d)' %% (SN, %s, idx, len(bind.data)))" % aop
+                "(len %%d)' %% (SN, %s, idx, len(%s.data)))" % (aop, bind)
             )
         self.w("%s = v" % rd)
         self.w("%s = comp" % ry)
@@ -791,23 +906,20 @@ class _StageCompiler:
         vv = self.val(stmt.value)
         dep = self.dep2(stmt.index, stmt.value)
         if static is None:
-            self.cap("arrays", self.env.arrays)
-            pr, py = self.reg(stmt.array)
-            aop = self.cap("ao%d" % self.pcs[id(stmt)], stmt.array)
-            self.w("bind = _rh(arrays, %s, %s)" % (aop, pr))
+            bind, aop = self.emit_pointer_binding(stmt)
         self.w("idx = %s" % iv)
         self.w("v = %s" % vv)
         self.emit_acquire(1)
         if static is None:
             self.emit_start(dep)
-            self.w("line = (bind.base + idx * bind.elem_size) >> %d" % self.SHIFT)
+            self.w("line = (%s.base + idx * %s.elem_size) >> %d" % (bind, bind, self.SHIFT))
             self.emit_l1_access(store=True)
             self.w("try:")
-            self.w("    bind.data[idx] = v")
+            self.w("    %s.data[idx] = v" % bind)
             self.w("except IndexError:")
             self.w(
                 "    raise SimulationError('stage %%s: store %%s[%%d] out of bounds "
-                "(len %%d)' %% (SN, %s, idx, len(bind.data)))" % aop
+                "(len %%d)' %% (SN, %s, idx, len(%s.data)))" % (aop, bind)
             )
         else:
             d, b, z, s, _ = static
@@ -829,18 +941,15 @@ class _StageCompiler:
         static = self._binding_locals(stmt.array)
         iv = self.val(stmt.index)
         if static is None:
-            self.cap("arrays", self.env.arrays)
-            pr, _ = self.reg(stmt.array)
-            aop = self.cap("ao%d" % self.pcs[id(stmt)], stmt.array)
-            self.w("bind = _rh(arrays, %s, %s)" % (aop, pr))
+            bind, _ = self.emit_pointer_binding(stmt)
         self.w("idx = %s" % iv)
         self.emit_acquire(1)
         self.emit_start(self.rdy(stmt.index))
         if static is None:
-            self.w("if 0 <= idx < len(bind.data):")
+            self.w("if 0 <= idx < len(%s.data):" % bind)
             self.push()
-            self.w("line = (bind.base + idx * bind.elem_size) >> %d" % self.SHIFT)
-            self.emit_l1_access(stream="bind.name")
+            self.w("line = (%s.base + idx * %s.elem_size) >> %d" % (bind, bind, self.SHIFT))
+            self.emit_l1_access(stream="%s.name" % bind)
         else:
             d, b, z, s, _ = static
             self.w("if 0 <= idx < len(%s):" % d)
@@ -867,13 +976,14 @@ class _StageCompiler:
             self.w("    resolve = t")
         else:
             self.w("    resolve = t if t > %s else %s" % (cdy, cdy))
-        self.w("    target = resolve + %d" % self.PEN)
+        self.w("    target = resolve + %r" % self.PEN)
         self.w("    mp += 1")
         self.w("    bs += target - cur")
         if self.traced:
             self.w("    if target > cur:")
             self.w("        tracer.stall(TN, 'branch', cur, target)")
         self.w("    cur = target")
+        self.emit_resync("    ")
         then_body = [s for s in stmt.then_body if s.kind != "comment"]
         else_body = [s for s in (stmt.else_body or []) if s.kind != "comment"]
         can_signal = False
@@ -920,7 +1030,7 @@ class _StageCompiler:
         self.emit_predict(pc)
         self.w("if not correct:")
         self.w("    resolve = t if t > %s else %s" % (bd, bd))
-        self.w("    target = resolve + %d" % self.PEN)
+        self.w("    target = resolve + %r" % self.PEN)
         self.w("    mp += 1")
         self.w("    d = target - cur")
         self.w("    bs += d if d > 0.0 else 0.0")
@@ -928,6 +1038,7 @@ class _StageCompiler:
         if self.traced:
             self.w("        tracer.stall(TN, 'branch', cur, target)")
         self.w("        cur = target")
+        self.emit_resync("        ")
         self.w("if not taken:")
         self.w("    break")
         self.w("%s = %s" % (rv, i))
@@ -990,6 +1101,7 @@ class _StageCompiler:
         if self.traced:
             self.w("    tracer.stall(TN, 'queue', cur, qt)")
         self.w("    cur = qt")
+        self.emit_resync("    ")
         self.pop()
         self.w("else:")
         self.push()
@@ -1011,6 +1123,7 @@ class _StageCompiler:
         if self.traced:
             self.w("    tracer.stall(TN, 'queue', wait_from, qt)")
         self.w("    cur = qt")
+        self.emit_resync()
         self.pop()
 
     def _emit_enq_common(self, qid, value_expr, dep_expr):
@@ -1066,6 +1179,7 @@ class _StageCompiler:
             self.w("    if qt > wait_from:")
             self.w("        tracer.stall(TN, 'queue', wait_from, qt)")
         self.w("    cur = qt")
+        self.emit_resync()
         self.pop()
         self.w("qo += 1")
         self.w("sqd += 1")
@@ -1131,6 +1245,7 @@ class _StageCompiler:
             self.w("    if qt > wait_from:")
             self.w("        tracer.stall(TN, 'queue', wait_from, qt)")
         self.w("    cur = qt")
+        self.emit_resync()
         self.pop()
         self.w("%s = dv" % rd)
         self.w("%s = qt" % ry)
@@ -1159,15 +1274,16 @@ class _StageCompiler:
         self.w("    k = 1")
         # Intrinsic cost is a runtime property of the binding; the generic
         # acquire chain mirrors ThreadCtx.issue(n). The real ledger method
-        # reads the slot dict, so the deferred write must land first.
+        # reads and writes the slot dict, so the deferred count must land
+        # first and be re-read afterwards.
         self.w("if ln:")
         self.w("    slots[lc] = ln")
-        self.w("    lc = -1")
         self.w("    ln = 0")
         self.w("t = acquire(cur)")
         self.w("for _ in range(k - 1):")
         self.w("    t = acquire(t)")
         self.w("cur = t")
+        self.emit_resync()
         self.w("u += k")
         if not regs:
             dep = "0.0"
@@ -1200,6 +1316,7 @@ class _StageCompiler:
         if self.traced:
             self.w("    tracer.stall(TN, 'barrier', cur, rel)")
         self.w("    cur = rel")
+        self.emit_resync()
         return False
 
     def _emit_read_shared(self, stmt):
@@ -1225,20 +1342,19 @@ class _StageCompiler:
         if stmt.op not in _BINARY_EXPR:
             raise UnsupportedStage("unknown atomic op %r" % stmt.op)
         if static is None:
-            self.cap("arrays", self.env.arrays)
-            pr, _ = self.reg(stmt.array)
-            aop = self.cap("ao%d" % self.pcs[id(stmt)], stmt.array)
-            self.w("bind = _rh(arrays, %s, %s)" % (aop, pr))
+            bind, _ = self.emit_pointer_binding(stmt)
         self.w("idx = %s" % self.val(stmt.index))
         self.w("v = %s" % self.val(stmt.value))
         self.emit_acquire(3)
         self.emit_start(self.dep2(stmt.index, stmt.value))
         if static is None:
-            self.w("addr = bind.base + idx * bind.elem_size")
-            self.w("latency = mem_access(%d, addr, start, stream_id=bind.name)" % self.ctx.core)
+            self.w("addr = %s.base + idx * %s.elem_size" % (bind, bind))
+            self.w(
+                "latency = mem_access(%d, addr, start, stream_id=%s.name)" % (self.ctx.core, bind)
+            )
             self.w("comp = start + latency + env.atomic_overhead")
-            self.w("old = bind.data[idx]")
-            self.w("bind.data[idx] = %s" % _BINARY_EXPR[stmt.op].format(a="old", b="v"))
+            self.w("old = %s.data[idx]" % bind)
+            self.w("%s.data[idx] = %s" % (bind, _BINARY_EXPR[stmt.op].format(a="old", b="v")))
         else:
             d, b, z, s, _ = static
             self.w("addr = %s + idx * %s" % (b, z))
@@ -1281,12 +1397,14 @@ class _StageCompiler:
         if self.traced:
             self.w("    tracer.stall(TN, 'queue', wait_from, qt)")
         self.w("    cur = qt")
+        self.emit_resync()
         self.pop()
         self.w("elif qt > start:")
         self.w("    qs += qt - cur")
         if self.traced:
             self.w("    tracer.stall(TN, 'queue', cur, qt)")
         self.w("    cur = qt")
+        self.emit_resync("    ")
         self.w("qo += 1")
         self.w("sstats.queue_enqs += 1")
         self.emit_retire("(qt if qt > start else start) + 1")
@@ -1351,8 +1469,8 @@ class _StageCompiler:
         # hands the engine freshly-empty deques, so the rings start at zero.
         p("slots = ledger.slots")
         p("sget = slots.get")
-        p("lc = -1")
-        p("ln = 0")
+        for line in self.resync_lines():
+            p(line)
         p("l1h = 0")
         p("l1get = l1_sets.get")
         p("pfget = pf_streams.get")
@@ -1365,6 +1483,7 @@ class _StageCompiler:
         for line in self.queue_prologue_lines():
             p(line)
         p("cur = ctx.cursor")
+        p("lc, ln, t = resync(cur, -1, 0)")
         p("rlast = ctx.rob_last")
         p("ph = pred.history")
         for field in MIRROR_COUNTERS + MIRROR_STALLS:
@@ -1377,6 +1496,9 @@ class _StageCompiler:
             rd, ry = self.regmap[name]
             p("%s = regs.get(%r)" % (rd, name))
             p("%s = ready.get(%r, 0.0)" % (ry, name))
+        # Pointer-site memos start on a key no register can hold.
+        for pc in sorted(self._pointer_sites):
+            p("pb%d = C" % pc)
         # Makes this a generator even for never-blocking stages.
         p("if False:")
         p("    yield BLOCKED")

@@ -114,8 +114,8 @@ class _StubStats:
         self.mem_stall = 0.0
 
 
-def _ctx(cursor):
-    ctx = ThreadCtx(MachineConfig(), 0, IssueLedger(4), None, _StubStats(), None)
+def _ctx(cursor, **config):
+    ctx = ThreadCtx(MachineConfig(**config), 0, IssueLedger(4), None, _StubStats(), None)
     ctx.cursor = float(cursor)
     return ctx
 
@@ -167,6 +167,31 @@ class TestThreadHorizon:
             assert ctx.cursor == max(horizon, before)
         else:
             assert ctx.cursor == before
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.floats(0, 100), min_size=8, max_size=8),
+        st.integers(1, 8),
+        st.floats(0, 20),
+        st.lists(st.tuples(st.floats(0, 200), st.floats(0, 9)), min_size=8, max_size=8),
+    )
+    def test_rob_block_guard_covers_the_whole_run(self, window, k, slack, steps):
+        """The batch engine's ROB block guard: retire times enter the ROB in
+        non-decreasing order and the cursor never moves back, so ``rob[k-1]
+        <= cursor`` at the entry of a run of k <= rob_size retires means
+        none of them stalls — whatever they complete at, however far other
+        stalls move the cursor in between (also across a ``yield``)."""
+        ctx = _ctx(0, rob_size=8)
+        ctx.rob.extend(sorted(window))  # full, as the engine's prefilled ring
+        ctx.rob_last = ctx.rob[-1]
+        ctx.cursor = ctx.rob[k - 1] + slack  # the guard holds at run entry
+        for completion, advance in steps[:k]:
+            ctx.cursor += advance
+            before = ctx.cursor
+            ctx.retire(completion)
+            assert ctx.cursor == before
+            assert list(ctx.rob) == sorted(ctx.rob)
+        assert ctx.stats.mem_stall == 0.0
 
 
 class TestLedgerScoreboard:
