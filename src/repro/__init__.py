@@ -41,14 +41,24 @@ _EXPORTS = {
 __all__ = list(_EXPORTS)
 
 
-def __getattr__(name):
-    subpackage = _EXPORTS.get(name)
-    if subpackage is None:
-        raise AttributeError("module %r has no attribute %r" % (__name__, name))
-    value = getattr(importlib.import_module("." + subpackage, __name__), name)
-    globals()[name] = value
-    return value
+def _lazy_exports(namespace, exports):
+    """The PEP 562 ``(__getattr__, __dir__)`` of a package that re-exports
+    ``exports`` (name -> defining submodule): a name is imported on first
+    use and then stored in ``namespace``, the package's ``globals()``."""
+    package = namespace["__name__"]
+
+    def __getattr__(name):
+        submodule = exports.get(name)
+        if submodule is None:
+            raise AttributeError("module %r has no attribute %r" % (package, name))
+        value = getattr(importlib.import_module("." + submodule, package), name)
+        namespace[name] = value
+        return value
+
+    def __dir__():
+        return sorted(set(namespace) | set(exports))
+
+    return __getattr__, __dir__
 
 
-def __dir__():
-    return sorted(set(globals()) | set(__all__))
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

@@ -230,12 +230,16 @@ class Request:
     """
 
     #: Class attributes, not fields: the verb on the wire, the subparser's
-    #: ``help`` line, the response class, and the subcommand path where it
-    #: is not just ``(VERB,)``.
+    #: ``help`` line, the response class, the subcommand path where it is
+    #: not just ``(VERB,)``, and whether the verb's runner is nothing but
+    #: :mod:`repro.cache` lookups plus rendering — such a request, when
+    #: warm, is answered under ``cache.lookup_only()`` in the daemon's event
+    #: loop instead of on a pool worker.
     VERB = None
     HELP = None
     RESPONSE = Response
     COMMAND = None
+    MEMOIZED = False
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -361,6 +365,7 @@ class CompileRequest(Request):
     VERB = "emit"
     HELP = "compile a mini-C kernel and print the pipeline"
     RESPONSE = CompileResponse
+    MEMOIZED = True
 
     source: str = arg("", flag="file", positional=True)
     name: str = arg(None, "kernel name if the file has several")
@@ -392,6 +397,7 @@ class LintRequest(Request):
     VERB = "lint"
     HELP = "run the static pipeline-safety analyzer on a kernel"
     RESPONSE = LintResponse
+    MEMOIZED = True
 
     source: str = arg(None, cli=False)
     file: str = arg(None, positional=True, nargs="?", metavar="FILE.c")

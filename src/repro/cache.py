@@ -34,9 +34,15 @@ work once — the first takes the miss and computes, the rest block briefly
 and take a hit off the store the winner populated.
 
 Cached values are treated as immutable: :func:`cached_compile` returns a
-fresh clone per call, and :class:`BaselineResult` arrays and
-:func:`cached_lint` diagnostics must not be mutated by callers (the
+fresh clone per call, and :class:`BaselineResult` arrays,
+:func:`cached_compile_source` pipelines and :func:`cached_lint`
+diagnostics are the shared entries and must not be mutated by callers (the
 harness and the handlers only read them).
+
+:func:`lookup_only` is the mode a caller that must not block uses (the
+daemon's event loop): every memoized function above answers from memory or
+disk or raises :class:`Miss` — it never computes, never waits on a key
+lock, never books a miss and never runs a ``verify_each`` compile.
 
 The toolchain is imported where a lookup needs it, never at module level:
 a source-key hit unpickles a pipeline (:mod:`repro.ir`) or diagnostics
@@ -45,6 +51,7 @@ a source-key hit unpickles a pipeline (:mod:`repro.ir`) or diagnostics
 
 import collections
 import contextlib
+import contextvars
 import hashlib
 import os
 import pickle
@@ -218,6 +225,48 @@ def _key_lock(layer, key):
         os.close(fd)
 
 
+class Miss(LookupError):
+    """A :func:`lookup_only` read found no usable entry (or the call is one
+    the memo never answers): whoever can compute should serve the request."""
+
+
+#: Per context (thread, asyncio task), so a lookup-only event loop never
+#: turns a concurrent thread's compute-on-miss into a :class:`Miss`.
+_lookup_only = contextvars.ContextVar("repro.cache.lookup_only", default=False)
+
+
+@contextlib.contextmanager
+def lookup_only():
+    """Within this context a memoized call returns an entry or raises
+    :class:`Miss`. By contract it
+
+    * never calls ``compute`` — no parse, no compile, no simulation;
+    * never waits on :func:`_key_lock` (a computing process may hold it for
+      seconds): the disk entry is read unlocked, which is safe because
+      :func:`_store` writes then renames;
+    * never books a miss, and un-books the hits of a call sequence that ends
+      in :class:`Miss` — the process that then serves the request books all
+      of it, so a request still counts once;
+    * never answers a ``verify_each`` call, which always compiles.
+    """
+    token = _lookup_only.set(True)
+    before = stats_snapshot()
+    try:
+        yield
+    except Miss:
+        merge_stats({counter: -count for counter, count in stats_delta(before).items()})
+        raise
+    finally:
+        _lookup_only.reset(token)
+
+
+def _compute_unmemoized(compute):
+    """``compute()`` for a call the memo must not answer (``verify_each``)."""
+    if _lookup_only.get():
+        raise Miss("verify_each is never answered from the memo")
+    return compute()
+
+
 def _get_or_compute(layer, key, compute, front=False):
     """One-miss-many-hits lookup: the shared compute-on-miss protocol.
 
@@ -225,10 +274,19 @@ def _get_or_compute(layer, key, compute, front=False):
     lock, because a concurrent process may have computed the value while
     this one waited for it. ``front`` marks a key that sits in front of
     another memoized lookup: ``compute`` books the hit or miss of the one
-    it falls through to, so a request counts once.
+    it falls through to, so a request counts once. Under
+    :func:`lookup_only` the disk read takes no lock and a missing or
+    unreadable entry raises :class:`Miss`.
     """
     value = _recall(layer, key)
     if value is not None:
+        _stats[layer]["hits"] += 1
+        return value
+    if _lookup_only.get():
+        value = _read(layer, key)
+        if value is None:
+            raise Miss("%s/%s" % (layer, key))
+        _remember(layer, key, value)
         _stats[layer]["hits"] += 1
         return value
     with _key_lock(layer, key):
@@ -328,7 +386,7 @@ def cached_compile(function, options):
     from .ir.serialize import fingerprint
 
     if options.verify_each:
-        return compile_function(function, options=options)
+        return _compute_unmemoized(lambda: compile_function(function, options=options))
     key = content_hash("pipeline", fingerprint(function), options.cache_key())
 
     def compute():
@@ -353,7 +411,9 @@ def cached_compile_source(source, name, options):
     and falls through to :func:`cached_compile`, where a whitespace or
     comment variant of a known kernel still hits by IR fingerprint — and
     which books the request's one ``pipeline`` hit or miss. Errors
-    propagate and are never stored.
+    propagate and are never stored. The returned pipeline is the shared
+    entry (``emit`` only renders it): read it, don't mutate it —
+    :func:`cached_compile` is the call that hands out clones.
     """
 
     def compute():
@@ -362,9 +422,9 @@ def cached_compile_source(source, name, options):
         return cached_compile(compile_source(source, name=name), options)
 
     if options.verify_each:
-        return compute()
+        return _compute_unmemoized(compute)
     key = content_hash("source", source, name, options.cache_key())
-    return _get_or_compute("pipeline", key, compute, front=True).clone()
+    return _get_or_compute("pipeline", key, compute, front=True)
 
 
 def cached_lint(source, name, options, file=None, perf=False):
@@ -383,7 +443,7 @@ def cached_lint(source, name, options, file=None, perf=False):
         return lint_source(source, name=name, options=options, file=file, perf=perf)
 
     if options.verify_each:
-        return compute()
+        return _compute_unmemoized(compute)
     key = content_hash("lint", source, name, file, perf, options.cache_key())
     return _get_or_compute("pipeline", key, compute)
 

@@ -108,7 +108,10 @@ class MemorySystem:
         self.stats = stats
         self.l1 = [Cache(config.l1, stats.cache("L1")) for _ in range(config.cores)]
         self.l2 = [Cache(config.l2, stats.cache("L2")) for _ in range(config.cores)]
-        self.l3 = Cache(config.l3, stats.cache("L3"))
+        # ``config.l3`` builds a new CacheConfig per access: read it once.
+        l3 = config.l3
+        self.l3 = Cache(l3, stats.cache("L3"))
+        self.l3_latency = l3.latency
         # Bandwidth ledger per controller: 64-cycle windows with a fixed
         # request capacity. Window-based accounting is insensitive to the
         # order in which decoupled threads (whose local clocks drift)
@@ -217,12 +220,11 @@ class MemorySystem:
         lookup (batchpath, the RA loop) can share the walk below it. The
         caller has already updated L2 tag state and counters.
         """
-        cfg = self.config
         l2 = self.l2[core]
         if self.l3.access(line):
             l2.fill(line)
-            return cfg.l3.latency
-        latency = cfg.l3.latency + self._dram(line, now)
+            return self.l3_latency
+        latency = self.l3_latency + self._dram(line, now)
         self.l3.fill(line)
         l2.fill(line)
         return latency

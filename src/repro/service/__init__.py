@@ -12,34 +12,31 @@ histograms, Prometheus exposition — lives in
 control actions.
 """
 
-from .daemon import REJECTED_EXIT_CODE, Daemon, serve_main
-from .pool import RequestPool, execute_wire
-from .ratelimit import QUOTA_EXCEEDED, RATE_LIMITED, ClientGovernor, TokenBucket
-from .telemetry import (
-    LATENCY_BUCKETS_S,
-    TELEMETRY_SCHEMA,
-    TELEMETRY_VERSION,
-    LatencyHistogram,
-    ServiceTelemetry,
-    parse_prometheus,
-    render_prometheus,
-)
+from .. import _lazy_exports
 
-__all__ = [
-    "Daemon",
-    "serve_main",
-    "REJECTED_EXIT_CODE",
-    "RequestPool",
-    "execute_wire",
-    "TokenBucket",
-    "ClientGovernor",
-    "RATE_LIMITED",
-    "QUOTA_EXCEEDED",
-    "ServiceTelemetry",
-    "LatencyHistogram",
-    "LATENCY_BUCKETS_S",
-    "TELEMETRY_SCHEMA",
-    "TELEMETRY_VERSION",
-    "render_prometheus",
-    "parse_prometheus",
-]
+#: Re-exported name -> the submodule that defines it, resolved on first use
+#: (like :mod:`repro`'s own): :mod:`repro.client` imports this package for
+#: :mod:`~repro.service.protocol` alone and must not load the daemon, the
+#: pool and, through them, asyncio, multiprocessing and the toolchain.
+_EXPORTS = {
+    "Daemon": "daemon",
+    "serve_main": "daemon",
+    "REJECTED_EXIT_CODE": "daemon",
+    "RequestPool": "pool",
+    "execute_wire": "pool",
+    "TokenBucket": "ratelimit",
+    "ClientGovernor": "ratelimit",
+    "RATE_LIMITED": "ratelimit",
+    "QUOTA_EXCEEDED": "ratelimit",
+    "ServiceTelemetry": "telemetry",
+    "LatencyHistogram": "telemetry",
+    "LATENCY_BUCKETS_S": "telemetry",
+    "TELEMETRY_SCHEMA": "telemetry",
+    "TELEMETRY_VERSION": "telemetry",
+    "render_prometheus": "telemetry",
+    "parse_prometheus": "telemetry",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

@@ -2,8 +2,9 @@
 
 An asyncio socket server (unix domain by default, TCP optional) that
 accepts :mod:`repro.api` request envelopes, admits them through the
-per-client governor (:mod:`repro.service.ratelimit`), executes them on
-the fork worker pool (:mod:`repro.service.pool`), and streams the
+per-client governor (:mod:`repro.service.ratelimit`), answers them — a
+warm request of a memoized verb in the event loop itself, everything else
+on the fork worker pool (:mod:`repro.service.pool`) — and streams the
 structured records followed by the final response back as NDJSON
 (:mod:`repro.service.protocol`).
 
@@ -29,7 +30,7 @@ from ..api.requests import REQUEST_TYPES, error_response
 from ..errors import PhloemError
 from ..obs import log
 from . import protocol
-from .pool import RequestPool
+from .pool import RequestPool, execute_wire
 from .ratelimit import ClientGovernor
 from .telemetry import ServiceTelemetry, render_prometheus
 
@@ -205,10 +206,13 @@ class Daemon:
             return
         started = self.telemetry.begin(verb)
         failed = True
+        path = "pool"
         try:
-            loop = asyncio.get_running_loop()
-            response_wire, delta = await self.pool.submit(wire, loop)
-            cache.merge_stats(delta)
+            response_wire = self._lookup(wire) if REQUEST_TYPES[verb].MEMOIZED else None
+            if response_wire is not None:
+                path = "loop"
+            else:
+                response_wire = await self.pool.submit(wire, asyncio.get_running_loop())
             payload = response_wire.get("payload") or {}
             self.telemetry.cache_delta(payload.get("cache"))
             failed = payload.get("error") is not None
@@ -224,7 +228,24 @@ class Daemon:
                 self.counts["completed"] += 1
         finally:
             self.governor.release(client)
-            self.telemetry.finish(verb, started, failed=failed)
+            self.telemetry.finish(verb, started, failed=failed, path=path)
+
+    @staticmethod
+    def _lookup(wire):
+        """The response to a memoized verb's request if the memo holds all
+        of it, else None (the pool computes it).
+
+        Runs in the event loop, so it must not block: ``cache.lookup_only()``
+        is what guarantees no compile and no wait on a key lock a worker
+        holds. What it costs the loop is a dict lookup (or one unpickle) and
+        the rendering — less than the hand-off to a worker it replaces. The
+        lookups are booked in this process's counters directly.
+        """
+        try:
+            with cache.lookup_only():
+                return execute_wire(wire)
+        except cache.Miss:
+            return None
 
     async def _send(self, writer, message):
         writer.write(protocol.encode(message))

@@ -43,24 +43,32 @@ TOOLCHAIN = (
 
 
 def preload():
-    """Import the whole toolchain into this process (idempotent)."""
+    """Import the whole toolchain into this process (idempotent).
+
+    Also takes the toolchain stamp every cache key is salted with, so the
+    event loop and the workers forked after this agree on it — the loop
+    finds under the same key what a worker stored.
+    """
     for name in TOOLCHAIN:
         importlib.import_module(name)
+    cache.toolchain_stamp()
 
 
 def execute_wire(wire):
-    """Run one request wire dict; returns ``(response_wire, cache_delta)``.
+    """Run one request wire dict; returns the response wire.
 
-    The module-level worker entry point (fork pools need a picklable
-    target). A wire object the decoder rejects is a ``bad-request`` (exit
-    2, like an argparse error); toolchain failures and anything else become
-    structured error responses too — a worker never takes the daemon down
-    with it.
+    A wire object the decoder rejects is a ``bad-request`` (exit 2, like an
+    argparse error); toolchain failures and anything else become structured
+    error responses too — a worker never takes the daemon down with it. The
+    one exception that leaves is :class:`repro.cache.Miss`: under
+    ``cache.lookup_only()`` (the daemon's event loop) it means "not
+    answerable from the memo, run it on a worker", not a failure.
     """
-    before = cache.stats_snapshot()
     verb = wire.get("verb") if isinstance(wire, dict) else None
     try:
         response = handle(Request.from_wire(wire))
+    except cache.Miss:
+        raise
     except ApiError as exc:  # a PhloemError too, so this arm comes first
         response = error_response(verb, "bad-request", str(exc), exit_code=2)
     except PhloemError as exc:
@@ -69,7 +77,14 @@ def execute_wire(wire):
         response = error_response(
             verb, "internal-error", "%s: %s" % (type(exc).__name__, exc), exit_code=1
         )
-    return response.to_wire(), cache.stats_delta(before)
+    return response.to_wire()
+
+
+def _execute_in_worker(wire):
+    """The fork pool's target (module level: it must pickle):
+    ``(response_wire, this worker's cache delta over the request)``."""
+    before = cache.stats_snapshot()
+    return execute_wire(wire), cache.stats_delta(before)
 
 
 class RequestPool:
@@ -77,9 +92,10 @@ class RequestPool:
 
     :meth:`submit` bridges ``apply_async`` into the caller's asyncio loop:
     it returns a future resolved from the pool's result thread via
-    ``call_soon_threadsafe``. The parent folds each worker's cache delta
-    into its own counters (fleet-wide stats), mirroring
-    :func:`repro.bench.parallel.run_jobs`.
+    ``call_soon_threadsafe``. Each worker's cache delta is folded into this
+    process's counters as its result arrives (fleet-wide stats), mirroring
+    :func:`repro.bench.parallel.run_jobs`; the inline executor's lookups
+    were booked here in the first place and are not folded in again.
     """
 
     def __init__(self, workers=2):
@@ -96,12 +112,11 @@ class RequestPool:
         return self._pool is None
 
     def submit(self, wire, loop):
-        """Schedule one request; returns an asyncio future of its result."""
+        """Schedule one request; returns an asyncio future of its response wire."""
         future = loop.create_future()
 
         if self._pool is None:
-            response_wire, delta = execute_wire(wire)
-            future.set_result((response_wire, delta))
+            future.set_result(execute_wire(wire))
             return future
 
         def done(result):
@@ -110,7 +125,9 @@ class RequestPool:
         def failed(exc):
             loop.call_soon_threadsafe(_reject, future, exc)
 
-        self._pool.apply_async(execute_wire, (wire,), callback=done, error_callback=failed)
+        self._pool.apply_async(
+            _execute_in_worker, (wire,), callback=done, error_callback=failed
+        )
         return future
 
     def close(self):
@@ -122,8 +139,10 @@ class RequestPool:
 
 
 def _resolve(future, result):
+    response_wire, delta = result
+    cache.merge_stats(delta)
     if not future.cancelled():
-        future.set_result(result)
+        future.set_result(response_wire)
 
 
 def _reject(future, exc):

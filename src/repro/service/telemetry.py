@@ -2,8 +2,9 @@
 
 The daemon's original ``stats`` reply was a handful of aggregate counters —
 enough to see *that* traffic happened, not *what it cost*. This module is
-the disaggregated view: per-verb request/outcome counters, request latency
-histograms, in-flight and rejection gauges, and cache-effectiveness
+the disaggregated view: per-verb request/outcome counters, which path
+answered each admitted request (the event loop or a pool worker), request
+latency histograms, in-flight and rejection gauges, and cache-effectiveness
 aggregates, all recorded in the daemon's request path and exported three
 ways that must agree:
 
@@ -47,6 +48,10 @@ LATENCY_BUCKETS_S = (
 
 #: Request outcomes a verb's counter row distinguishes.
 OUTCOMES = ("completed", "failed", "rejected")
+
+#: Where an admitted request was answered: in the daemon's event loop (a
+#: warm request of a memoized verb) or on a pool worker.
+PATHS = ("loop", "pool")
 
 
 class LatencyHistogram:
@@ -115,11 +120,12 @@ class LatencyHistogram:
 class _VerbStats:
     """One verb's counters and latency histogram."""
 
-    __slots__ = ("requests", "outcomes", "latency")
+    __slots__ = ("requests", "outcomes", "paths", "latency")
 
     def __init__(self):
         self.requests = 0
         self.outcomes = {outcome: 0 for outcome in OUTCOMES}
+        self.paths = {path: 0 for path in PATHS}
         self.latency = LatencyHistogram()
 
 
@@ -159,10 +165,12 @@ class ServiceTelemetry:
             self.in_flight_peak = self.in_flight
         return self.clock()
 
-    def finish(self, verb, started, failed=False):
-        """The terminal response for an admitted request went out."""
+    def finish(self, verb, started, failed=False, path="pool"):
+        """The terminal response for an admitted request went out; ``path``
+        (one of :data:`PATHS`) is where it was answered."""
         stats = self._verb(verb)
         stats.outcomes["failed" if failed else "completed"] += 1
+        stats.paths[path] += 1
         stats.latency.observe(self.clock() - started)
         self.in_flight = max(0, self.in_flight - 1)
 
@@ -190,6 +198,7 @@ class ServiceTelemetry:
             verbs[verb] = {
                 "requests": stats.requests,
                 "outcomes": dict(stats.outcomes),
+                "paths": dict(stats.paths),
                 "latency": stats.latency.snapshot(),
             }
         cache = {}
@@ -268,6 +277,20 @@ def render_prometheus(snapshot, prefix="repro"):
                 ("", (("outcome", outcome), ("verb", verb)), row["outcomes"][outcome])
             )
     metric("requests_total", "counter", "Requests by verb and outcome.", samples)
+
+    # A sibling family, not a third label on ``requests_total``: scrapers
+    # (and :func:`parse_prometheus` callers) match that one's label sets
+    # exactly, and a rejected request has no path.
+    samples = []
+    for verb in sorted(snapshot.get("verbs", {})):
+        paths = snapshot["verbs"][verb].get("paths", {})
+        for path in sorted(paths):
+            samples.append(("", (("path", path), ("verb", verb)), paths[path]))
+    metric(
+        "requests_by_path_total", "counter",
+        "Admitted requests by verb and where they were answered (event loop or pool).",
+        samples,
+    )
 
     samples = []
     for code in sorted(snapshot.get("rejections", {})):

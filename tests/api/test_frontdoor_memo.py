@@ -53,14 +53,8 @@ void bad(int n) {
 SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
 
 
-@pytest.fixture(autouse=True)
-def cold_store(tmp_path, monkeypatch):
-    """A fresh disk store and empty in-process layers per test."""
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
-    cache.reset()
-    yield
-    cache.reset()
+#: A fresh disk store and empty in-process layers per test.
+pytestmark = pytest.mark.usefixtures("cold_store")
 
 
 def _cli(tmp_path, *argv):

@@ -20,6 +20,19 @@ def _cache_sandbox(tmp_path_factory):
         os.environ["REPRO_CACHE_DIR"] = old
 
 
+@pytest.fixture
+def cold_store(tmp_path, monkeypatch):
+    """A fresh disk store (``tmp_path / "cache"``), empty in-process memo
+    layers and zeroed hit/miss counters, for one test."""
+    from repro import cache
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+    cache.reset()
+    yield
+    cache.reset()
+
+
 @pytest.fixture(scope="session")
 def tiny_config():
     """A small machine: full feature set, tiny caches, quick to simulate."""

@@ -65,6 +65,25 @@ def test_hierarchy_latencies():
     assert stats.dram_accesses == 1
 
 
+def test_l3_config_is_read_once_not_per_l2_miss(monkeypatch):
+    # ``MachineConfig.l3`` builds a CacheConfig per access; the L2-miss walk
+    # must not pay for one per miss.
+    built = []
+    scaled_l3 = MachineConfig.l3.fget
+
+    def counting_l3(config):
+        built.append(1)
+        return scaled_l3(config)
+
+    monkeypatch.setattr(MachineConfig, "l3", property(counting_l3))
+    mem, stats, _ = _memsys(prefetch=False)
+    assert len(built) == 1
+    latencies = [mem.miss_below_l2(0, line, 0.0) for line in (1, 2, 1)]
+    assert len(built) == 1
+    assert latencies[2] == 40 and latencies[0] >= 40 + 120  # an L3 hit; L3 + DRAM
+    assert stats.dram_accesses == 2
+
+
 def test_l2_hit_after_l1_eviction():
     mem, _, cfg = _memsys(prefetch=False)
     mem.access(0, 0, 0.0)

@@ -2,16 +2,20 @@
 
 import asyncio
 import contextlib
+import dataclasses
 import json
+import multiprocessing
+import os
 import socket
 import threading
+import time
 
 import pytest
 
-from repro import api
+from repro import api, cache
 from repro.client import ServiceClient, ServiceError
-from repro.service import REJECTED_EXIT_CODE, Daemon
-from repro.service.ratelimit import RATE_LIMITED
+from repro.service import REJECTED_EXIT_CODE, Daemon, RequestPool, protocol
+from repro.service.ratelimit import QUOTA_EXCEEDED, RATE_LIMITED
 
 KERNEL = """
 #pragma phloem
@@ -25,10 +29,11 @@ void k(const int* restrict a, const int* restrict b, int* restrict out, int n) {
 
 
 @contextlib.contextmanager
-def serving(tmp_path, **kwargs):
-    """A live daemon (inline executor) plus a connected client."""
+def serving(tmp_path, workers=0, **kwargs):
+    """A live daemon (inline executor unless ``workers``) plus a connected
+    client; ``client.daemon`` is the instance, for tests that reach inside."""
     sock = str(tmp_path / "serve.sock")
-    daemon = Daemon(socket_path=sock, workers=0, **kwargs)
+    daemon = Daemon(socket_path=sock, workers=workers, **kwargs)
     ready = threading.Event()
     thread = threading.Thread(
         target=lambda: asyncio.run(daemon.serve(ready=ready)), daemon=True
@@ -36,6 +41,7 @@ def serving(tmp_path, **kwargs):
     thread.start()
     assert ready.wait(10), "daemon never bound its socket"
     client = ServiceClient(socket_path=sock, client_id="test", timeout=30.0)
+    client.daemon = daemon
     client.wait_ready(timeout=10)
     try:
         yield client
@@ -230,6 +236,221 @@ def test_telemetry_scrape_round_trips_through_parser(tmp_path):
         ("repro_request_latency_seconds_bucket", (("le", "+Inf"), ("verb", "emit")))
     ] == 1
     assert samples[("repro_in_flight_requests", ())] == 0
+
+
+# ---------------------------------------------------------------------------
+# The request path: a warm request of a memoized verb is answered in the
+# event loop under ``cache.lookup_only()``; everything else goes to the pool.
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork start method"
+)
+
+#: One request per verb that declares ``MEMOIZED``.
+MEMOIZED_REQUESTS = [
+    pytest.param(api.CompileRequest(source=KERNEL, fmt="c"), id="emit"),
+    pytest.param(api.LintRequest(bench="bfs"), id="lint-bench"),
+]
+
+
+class _Wire:
+    """Submits a hand-built wire dict through ``ServiceClient.submit``."""
+
+    def __init__(self, wire):
+        self.wire = wire
+
+    def to_wire(self):
+        return dict(self.wire)
+
+
+def _paths(client, verb):
+    return client.server_stats()["telemetry"]["verbs"][verb]["paths"]
+
+
+def _pipeline_stats(client):
+    return client.server_stats()["cache"]["pipeline"]
+
+
+def _answer(response):
+    return dataclasses.replace(response, cache=None)
+
+
+@pytest.mark.parametrize("layer", ["memory", "disk"])
+@pytest.mark.parametrize("request_", MEMOIZED_REQUESTS)
+def test_hits_are_answered_in_loop_and_misses_are_not(
+    tmp_path, cold_store, monkeypatch, request_, layer
+):
+    asked = []
+
+    def no_pool(self, wire, loop):
+        asked.append(wire["verb"])
+        raise RuntimeError("the pool is off limits in this test")
+
+    monkeypatch.setattr(RequestPool, "submit", no_pool)
+    with serving(tmp_path) as client:
+        with pytest.raises(ServiceError):
+            client.submit(request_)  # cold: nothing to look up, the pool is asked
+        assert asked == [request_.VERB]
+        expected = api.handle(request_)  # fills memory and disk
+        if layer == "disk":
+            cache.reset(stats=False)
+        for _ in range(2):
+            response = client.submit(request_)
+            assert _answer(response) == _answer(expected)
+            assert response.cache["pipeline"] == {"hits": 1, "misses": 0}
+        assert asked == [request_.VERB]
+        assert _paths(client, request_.VERB) == {"loop": 2, "pool": 1}
+
+
+@pytest.mark.parametrize("workers", [0, pytest.param(1, marks=needs_fork)])
+def test_each_request_is_booked_once_whichever_path_answers(tmp_path, cold_store, workers):
+    from repro.workloads import ALL_BENCHMARKS
+
+    emit = api.CompileRequest(source=KERNEL, fmt="summary")
+    first = sorted(ALL_BENCHMARKS)[0]
+    with serving(tmp_path, workers=workers) as client:
+        cold = client.submit(emit)
+        assert cold.cache["pipeline"] == {"hits": 0, "misses": 1}
+        assert _pipeline_stats(client) == {"hits": 0, "misses": 1}
+        assert _paths(client, "emit") == {"loop": 0, "pool": 1}
+        warm = client.submit(emit)
+        assert warm.cache["pipeline"] == {"hits": 1, "misses": 0}
+        assert _pipeline_stats(client) == {"hits": 1, "misses": 1}
+        assert _paths(client, "emit") == {"loop": 1, "pool": 1}
+        assert warm.output == cold.output
+        # A sweep whose first target is warm and whose second is not: the loop
+        # finds one entry, misses, and books nothing — the pool books all ten.
+        client.submit(api.LintRequest(bench=first))
+        assert _pipeline_stats(client) == {"hits": 1, "misses": 2}
+        sweep = client.submit(api.LintRequest(bench="all"))
+        assert sweep.cache["pipeline"] == {"hits": 1, "misses": len(ALL_BENCHMARKS) - 1}
+        assert _pipeline_stats(client) == {"hits": 2, "misses": len(ALL_BENCHMARKS) + 1}
+        assert _paths(client, "lint") == {"loop": 0, "pool": 2}
+        # A verb that does not declare MEMOIZED never tries the loop.
+        report = api.ReportRequest(results_dir=str(tmp_path), quiet=True)
+        assert client.submit(report).ok and client.submit(report).ok
+        assert _paths(client, "report") == {"loop": 0, "pool": 2}
+
+
+@needs_fork
+def test_no_cache_env_keeps_every_request_on_the_pool(tmp_path, cold_store, monkeypatch):
+    # No disk store: what a worker computed never reaches the loop's process.
+    monkeypatch.setenv("REPRO_NO_CACHE", "1")
+    emit = api.CompileRequest(source=KERNEL, fmt="summary")
+    with serving(tmp_path, workers=1) as client:
+        assert client.submit(emit).output == client.submit(emit).output
+        assert _pipeline_stats(client) == {"hits": 1, "misses": 1}  # the worker's memory
+        assert _paths(client, "emit") == {"loop": 0, "pool": 2}
+
+
+@pytest.mark.parametrize("request_", MEMOIZED_REQUESTS)
+def test_verify_each_always_takes_the_pool(tmp_path, cold_store, request_):
+    verified = dataclasses.replace(request_, verify_each=True)
+    with serving(tmp_path) as client:
+        # The unverified twin leaves its entries behind: a miss, then a loop hit.
+        assert client.submit(request_).ok and client.submit(request_).ok
+        for _ in range(2):
+            response = client.submit(verified)
+            assert response.ok
+            assert response.cache["pipeline"] == {"hits": 0, "misses": 0}
+        assert _paths(client, request_.VERB) == {"loop": 1, "pool": 3}
+
+
+@needs_fork
+def test_key_lock_held_elsewhere_never_stalls_the_loop(tmp_path, cold_store):
+    from repro.api.handlers import _compile_options
+
+    request = api.CompileRequest(source=KERNEL, fmt="summary")
+    key = cache.content_hash("source", KERNEL, None, _compile_options(request).cache_key())
+    ctx = multiprocessing.get_context("fork")
+    held, release = ctx.Event(), ctx.Event()
+
+    def hold():
+        with cache._key_lock("pipeline", key):
+            held.set()
+            release.wait(30)
+
+    # Forked before the daemon thread exists (a fork with threads is deprecated).
+    holder = ctx.Process(target=hold)
+    holder.start()
+    try:
+        assert held.wait(10), "holder never took the key lock"
+        began = time.monotonic()
+        assert Daemon._lookup(protocol.request_envelope(request)) is None
+        assert time.monotonic() - began < 5.0
+        with serving(tmp_path, workers=1) as client:
+            answers = []
+            submitter = threading.Thread(target=lambda: answers.append(client.submit(request)))
+            submitter.start()
+            # The worker is now blocked on the lock. The loop is not: it keeps
+            # answering controls, which is also how the test sees the request
+            # in flight.
+            probe = ServiceClient(socket_path=client.socket_path, client_id="probe", timeout=5.0)
+            deadline = time.monotonic() + 10
+            while probe.server_stats()["telemetry"]["in_flight"] != 1:
+                assert time.monotonic() < deadline, "the request never reached the pool"
+                time.sleep(0.01)
+            assert probe.ping()["ok"]
+            assert submitter.is_alive() and not answers
+            release.set()
+            submitter.join(30)
+            assert not submitter.is_alive()
+            assert answers[0].ok
+            assert answers[0].cache["pipeline"] == {"hits": 0, "misses": 1}
+            assert _paths(client, "emit") == {"loop": 0, "pool": 1}
+    finally:
+        release.set()
+        holder.join(10)
+        assert not holder.is_alive()
+
+
+def test_damaged_entry_is_a_miss_the_pool_recomputes_and_overwrites(tmp_path, cold_store):
+    request = api.CompileRequest(source=KERNEL, fmt="ir")
+    with serving(tmp_path) as client:
+        good = client.submit(request)
+        entries = [
+            os.path.join(root, name)
+            for root, _, names in os.walk(str(tmp_path / "cache"))
+            for name in names
+            if name.endswith(".pkl")
+        ]
+        assert len(entries) == 2  # source key + IR key
+        for path in entries:
+            with open(path, "rb") as handle:
+                data = handle.read()
+            with open(path, "wb") as handle:
+                handle.write(data[: len(data) // 2])
+        cache.reset(stats=False)  # the inline executor shares the loop's memory
+        again = client.submit(request)
+        assert again.output == good.output
+        assert again.cache["pipeline"] == {"hits": 0, "misses": 1}
+        assert _paths(client, "emit") == {"loop": 0, "pool": 2}
+        cache.reset(stats=False)
+        healed = client.submit(request)
+        assert healed.output == good.output
+        assert healed.cache["pipeline"] == {"hits": 1, "misses": 0}
+        assert _paths(client, "emit") == {"loop": 1, "pool": 2}
+
+
+@pytest.mark.parametrize("request_", MEMOIZED_REQUESTS)
+def test_in_loop_verbs_keep_rejection_and_error_codes(tmp_path, cold_store, request_):
+    api.handle(request_)  # warm: every admitted submission below is a loop hit
+    with serving(tmp_path, rate=1e-9, burst=1.0) as client:
+        assert client.submit(request_).ok
+        limited = client.submit(request_)
+    assert (limited.exit_code, limited.error["code"]) == (REJECTED_EXIT_CODE, RATE_LIMITED)
+    with serving(tmp_path, quota=1) as client:
+        client.daemon.governor.admit("test")  # as if one job of ours were in flight
+        over = client.submit(request_)
+        client.daemon.governor.release("test")
+        assert client.submit(request_).ok
+    assert (over.exit_code, over.error["code"]) == (REJECTED_EXIT_CODE, QUOTA_EXCEEDED)
+    with serving(tmp_path) as client:
+        mistyped = client.submit(_Wire(dict(request_.to_wire(), payload={"stages": "4"})))
+        broken = client.submit(dataclasses.replace(request_, stages=0))
+        assert _paths(client, request_.VERB) == {"loop": 2, "pool": 0}
+    assert (mistyped.exit_code, mistyped.error["code"]) == (2, "bad-request")
+    assert (broken.exit_code, broken.error["code"]) == (1, "toolchain-error")
 
 
 @pytest.mark.slow

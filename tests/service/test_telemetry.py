@@ -97,6 +97,16 @@ class TestServiceTelemetry:
         outcomes = telemetry.snapshot()["verbs"]["emit"]["outcomes"]
         assert outcomes["failed"] == 1 and outcomes["completed"] == 0
 
+    def test_paths_say_where_a_request_was_answered(self):
+        telemetry = ServiceTelemetry(clock=FakeClock())
+        telemetry.finish("emit", telemetry.begin("emit"))  # the pool unless told otherwise
+        telemetry.finish("emit", telemetry.begin("emit"), path="loop")
+        telemetry.finish("emit", telemetry.begin("emit"), failed=True, path="loop")
+        telemetry.rejected("emit", "rate-limited")  # never admitted: no path
+        row = telemetry.snapshot()["verbs"]["emit"]
+        assert row["paths"] == {"loop": 2, "pool": 1}
+        assert row["requests"] == 4
+
     def test_rejection_counts_by_code(self):
         telemetry = ServiceTelemetry(clock=FakeClock())
         telemetry.rejected("demo", "rate-limited")
@@ -174,6 +184,24 @@ class TestPrometheus:
         assert samples[
             ("repro_cache_requests_total", (("layer", "pipeline"), ("result", "hit")))
         ] == 2
+
+    def test_request_paths_are_a_sibling_family_of_requests_total(self):
+        clock = FakeClock()
+        telemetry = ServiceTelemetry(clock=clock)
+        telemetry.finish("emit", telemetry.begin("emit"), path="loop")
+        telemetry.finish("demo", telemetry.begin("demo"))
+        snapshot = telemetry.snapshot()
+        samples = parse_prometheus(render_prometheus(snapshot))
+        assert samples[("repro_requests_by_path_total", (("path", "loop"), ("verb", "emit")))] == 1
+        assert samples[("repro_requests_by_path_total", (("path", "pool"), ("verb", "emit")))] == 0
+        assert samples[("repro_requests_by_path_total", (("path", "pool"), ("verb", "demo")))] == 1
+        # requests_total keeps exactly its (outcome, verb) label sets.
+        assert samples[
+            ("repro_requests_total", (("outcome", "completed"), ("verb", "emit")))
+        ] == 1
+        # A snapshot saved before the key existed still renders.
+        del snapshot["verbs"]["emit"]["paths"]
+        assert "repro_requests_by_path_total" in render_prometheus(snapshot)
 
     def test_histogram_buckets_cover_every_bound(self):
         samples = parse_prometheus(render_prometheus(self._snapshot()))

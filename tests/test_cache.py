@@ -230,3 +230,94 @@ def test_unreadable_entry_is_a_miss_and_is_overwritten(tmp_path, corruption):
     assert again.output == good.output
     cache.reset()
     assert _emit(0).cache["pipeline"] == {"hits": 1, "misses": 0}
+
+
+# ---------------------------------------------------------------------------
+# Lookup-only mode: an entry or ``Miss`` — never a compute, a lock wait, a
+# booked miss or a ``verify_each`` answer
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("lookup-only mode must not get here")
+
+
+def test_lookup_only_returns_an_entry_or_raises_miss(monkeypatch):
+    cache.cached_search(("warm",), lambda: {"v": 1})
+    cache.reset(stats=False)  # the entry is on disk only
+    monkeypatch.setattr(cache, "_key_lock", _never)
+    before = cache.stats()
+    with cache.lookup_only():
+        assert cache.cached_search(("warm",), _never) == {"v": 1}  # disk, unlocked
+        assert cache.cached_search(("warm",), _never) == {"v": 1}  # now memory
+    assert cache.stats()["search"] == {"hits": before["search"]["hits"] + 2, "misses": 1}
+    with pytest.raises(cache.Miss):
+        with cache.lookup_only():
+            cache._get_or_compute("search", cache.content_hash("search", "cold"), _never)
+    assert cache.stats()["search"]["misses"] == 1  # the miss is whoever computes' to book
+
+
+def test_lookup_only_unbooks_the_hits_of_a_sequence_that_misses():
+    cache.cached_search(("warm",), lambda: {"v": 1})
+    before = cache.stats()
+    with pytest.raises(cache.Miss):
+        with cache.lookup_only():
+            cache.cached_search(("warm",), _never)
+            cache.cached_search(("cold",), _never)
+    assert cache.stats() == before
+
+
+def test_lookup_only_is_restored_after_any_exit():
+    with pytest.raises(cache.Miss):
+        with cache.lookup_only():
+            cache.cached_search(("cold",), _never)
+    with pytest.raises(ZeroDivisionError):
+        with cache.lookup_only():
+            with cache.lookup_only():  # nests
+                pass
+            with pytest.raises(cache.Miss):
+                cache.cached_search(("cold",), _never)
+            raise ZeroDivisionError
+    # Back to compute-on-miss.
+    assert cache.cached_search(("cold",), lambda: {"v": 2}) == {"v": 2}
+    assert cache.stats()["search"] == {"hits": 0, "misses": 1}
+
+
+def test_lookup_only_treats_verify_each_as_a_miss(monkeypatch):
+    from repro.analysis import sanitize
+    from repro.core import compiler
+
+    source = KERNEL % (0, 0)
+    options = CompileOptions()
+    verified = CompileOptions(verify_each=True)
+    function = cache.cached_compile_source(source, None, options)
+    cache.cached_lint(source, None, options)
+    monkeypatch.setattr(compiler, "compile_function", _never)
+    monkeypatch.setattr(sanitize, "lint_source", _never)
+    before = cache.stats()
+    with cache.lookup_only():
+        assert cache.cached_compile_source(source, None, options) is function  # the shared entry
+        assert len(cache.cached_lint(source, None, options)) == 0
+    for call in (
+        lambda: cache.cached_compile_source(source, None, verified),
+        lambda: cache.cached_lint(source, None, verified),
+        lambda: cache.cached_compile(bfs.function(), verified),
+    ):
+        with pytest.raises(cache.Miss):
+            with cache.lookup_only():
+                call()
+    assert cache.stats()["pipeline"] == {
+        "hits": before["pipeline"]["hits"] + 2, "misses": before["pipeline"]["misses"]
+    }
+
+
+def test_lookup_only_is_per_thread():
+    import threading
+
+    seen = []
+    with cache.lookup_only():
+        worker = threading.Thread(
+            target=lambda: seen.append(cache.cached_search(("other-thread",), lambda: {"v": 3}))
+        )
+        worker.start()
+        worker.join(10)
+    assert seen == [{"v": 3}]

@@ -1,4 +1,5 @@
-"""A verb imports only the layers it runs (one-shot); a daemon imports all.
+"""A verb imports only the layers it runs (one-shot), the client imports no
+server and no toolchain, and a daemon imports everything.
 
 ``test_cli_has_no_toolchain_imports`` reads ``cli.py``'s text; these read
 ``sys.modules`` of real processes, which is what a cold CLI start pays for.
@@ -99,6 +100,55 @@ def test_every_top_level_export_resolves():
     ]
     for name in repro.__all__:
         assert getattr(repro, name) is not None, name
+
+
+#: What ``repro submit`` must not pay for: the server half of the service
+#: package and everything the server preloads.
+CLIENT_BANNED = (
+    "asyncio", "multiprocessing", "repro.service.daemon", "repro.service.pool",
+    "repro.core", "repro.analysis", "repro.frontend", "repro.pipette", "repro.runtime",
+    "repro.bench", "repro.workloads",
+)
+
+
+def test_client_loads_the_protocol_and_nothing_else_of_the_service():
+    probe = (
+        "import sys\n"
+        "import repro.api.requests  # what a client needs besides the protocol\n"
+        "before = {m for m in sys.modules if m.startswith('repro')}\n"
+        "import repro.client\n"
+        "extra = sorted({m for m in sys.modules if m.startswith('repro')} - before)\n"
+        "assert extra == ['repro.client', 'repro.service', 'repro.service.protocol'], extra\n"
+        "loaded = [m for m in %r if m in sys.modules]\n"
+        "assert loaded == [], loaded\n"
+        "# The package's re-exports resolve on first use, from the module that owns them.\n"
+        "from repro.service import Daemon, RequestPool, parse_prometheus\n"
+        "assert Daemon is sys.modules['repro.service.daemon'].Daemon\n"
+        "assert 'Daemon' in vars(sys.modules['repro.service'])\n"
+        "try:\n"
+        "    sys.modules['repro.service'].no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    assert 'no_such_name' in str(exc)\n"
+        "else:\n"
+        "    raise AssertionError('unknown attribute resolved')\n"
+    ) % (CLIENT_BANNED,)
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_every_service_export_resolves():
+    from repro import service
+
+    assert service.__all__ == [
+        "Daemon", "serve_main", "REJECTED_EXIT_CODE", "RequestPool", "execute_wire",
+        "TokenBucket", "ClientGovernor", "RATE_LIMITED", "QUOTA_EXCEEDED",
+        "ServiceTelemetry", "LatencyHistogram", "LATENCY_BUCKETS_S", "TELEMETRY_SCHEMA",
+        "TELEMETRY_VERSION", "render_prometheus", "parse_prometheus",
+    ]
+    assert set(service.__all__) <= set(dir(service))
+    for name in service.__all__:
+        assert getattr(service, name) is not None, name
 
 
 def test_daemon_preload_covers_every_verb(tmp_path):
