@@ -18,21 +18,25 @@ stage's whole region tree into **one generated Python generator function**:
   propagate through a ``_sig`` counter that mirrors the interpreter's
   ``('break', n)`` / ``('continue', 1)`` signals exactly;
 * the timing primitives (issue-ledger acquire, ROB retire, MSHR claim, L1
-  lookup + stride-prefetcher observe, gshare predict) are emitted inline,
+  hit + stride-prefetcher observe, gshare predict) are emitted inline,
   transcribed from the reference interpreter — the same arithmetic in the
   same order on the same shared structures — around two invariants the
   generated code keeps instead of re-deriving per micro-op: the issue
   cycle under the cursor and a per-run proof that the ROB cannot stall
-  (see "the timing invariants" in :class:`_StageCompiler`);
+  (see "the clock" in :class:`_StageCompiler`). Each primitive
+  has one spelling here, an emitter, next to the reference's method;
+  everything past an L1 hit is not spelled here at all but called
+  (``MemorySystem.l1_miss``);
 * machine-configuration constants (issue width, ROB/MSHR sizes, cache
   geometry, latencies, branch PCs) are baked into the source as literals;
 * the generator ``yield``\\ s only at true blocking points (queue
-  full/empty, barrier). Between those *interesting events* the stage runs
-  as straight-line compiled Python: the clock advances in closed form
-  through the very timestamps the components expose via their
-  ``next_event_cycle()`` contracts (a queue entry's visibility cycle, an
-  MSHR/ROB head's completion, a DRAM window boundary, a branch redirect
-  target), never by stepping cycles.
+  full/empty, barrier), through one wait emitter. Between those the stage
+  runs as straight-line compiled Python and the clock moves, never by
+  stepping cycles, through exactly two emitters: an acquire, and an
+  advance to a timestamp a component already holds (a queue entry's
+  visibility cycle, an MSHR/ROB head's completion, a barrier release, a
+  branch redirect target) — the closed forms are inlined in the generated
+  text, nothing is queried.
 
 Bit-identical stats discipline
 ------------------------------
@@ -71,7 +75,7 @@ engine-differential fuzzer in ``tests/test_compiler_fuzz.py``.
 """
 
 import math
-from collections import deque
+from collections import deque, namedtuple
 
 from ..errors import SimulationError
 from ..ir.ops import TERNARY_OPS, _checked_div, _checked_mod
@@ -162,20 +166,14 @@ _RUN_UOPS = {
 }
 
 
+#: Source expressions for the binding behind a memory statement's array
+#: operand (see ``_StageCompiler.emit_array_site``).
+_ArraySite = namedtuple("_ArraySite", "data base elem_size stream")
+
+
 def _is_reg(operand):
+    # Also imported by fastpath.py: the name stays until ROADMAP 1(a).
     return type(operand) is str and not operand.startswith("@")
-
-
-def _oob_raiser(stage_name, array_op, data):
-    """Builds the exact out-of-bounds SimulationError the interpreter raises."""
-
-    def raiser(idx):
-        return SimulationError(
-            "stage %s: load %s[%d] out of bounds (len %d)"
-            % (stage_name, array_op, idx, len(data))
-        )
-
-    return raiser
 
 
 def _resolve_handle(arrays, operand, value):
@@ -255,7 +253,6 @@ class _StageCompiler:
         self._queue_locals = set()
         self._enq_qids = set()  # queues enqueued inline (counter deltas live)
         self._deq_qids = set()  # queues dequeued inline
-        self._oob_raisers = {}
         self._loop_stack = []  # ("for", inc_src) | ("loop", None) | ("syn", None)
         self._handler_stack = []  # qids currently being inlined (recursion guard)
         self._pointer_sites = set()  # pcs of pointer-register memory statements
@@ -273,27 +270,18 @@ class _StageCompiler:
         self.SHIFT = mem.LINE_SHIFT
         l1 = mem.l1[ctx.core]
         self.SCOUNT = l1.sets_count
-        self.L1WAYS = l1.ways
         self.L1LAT = cfg.l1.latency
         self.PF_ON = cfg.prefetch_enabled
         self.PF_DEG = cfg.prefetch_degree
         self.MAXSTRIDE = mem.prefetchers[ctx.core].MAX_STRIDE
-        l2 = mem.l2[ctx.core]
-        self.L2SCOUNT = l2.sets_count
-        self.L2WAYS = l2.ways
-        self.L2LAT = cfg.l2.latency
         self.captures["l1_sets"] = l1.sets
         self.captures["l1_stats"] = l1.stats
-        self.captures["l2_sets"] = l2.sets
-        self.captures["l2_stats"] = l2.stats
         # Bound methods are captured here, once: every attribute access
         # builds a new method object, which cap()'s identity check would
         # reject as a collision on the second use in a stage.
-        self.captures["below_l2"] = mem.miss_below_l2
+        self.captures["l1_miss"] = mem.l1_miss
         self.captures["pf_streams"] = mem.prefetchers[ctx.core].streams
         self.captures["pf_one"] = mem._prefetch
-        self.captures["mem_access"] = mem.access
-        self.captures["acquire"] = ctx.ledger.acquire
 
     # -- emission helpers ---------------------------------------------------
 
@@ -356,26 +344,25 @@ class _StageCompiler:
             return ra
         return "(%s if %s > %s else %s)" % (ra, ra, rb, rb)
 
-    # -- issue ledger, ROB and MSHR: the timing invariants ---------------------
+    # -- the clock: issue ledger, ROB and MSHR, and their invariants -----------
     #
-    # The three per-statement timing emitters and the ``resync`` helper they
-    # share. The arithmetic is the reference's (IssueLedger.acquire,
-    # ThreadCtx.issue / retire / mshr_claim: the same float operations in
-    # the same order on the same shared structures); what is written here
-    # once is *when* it has to be evaluated. Generated code maintains two
-    # invariants instead of re-deriving them at every simulated micro-op:
+    # The arithmetic is the reference's (IssueLedger.acquire, ThreadCtx.issue
+    # / retire / mshr_claim: the same float operations in the same order on
+    # the same shared structures); what is written here once is *when* it
+    # has to be evaluated. ``cur`` is assigned by two emitters only --
+    # :meth:`emit_acquire` and :meth:`emit_advance` -- and the generator
+    # suspends in one, :meth:`emit_wait`; each leaves both invariants below
+    # in place, so no statement emitter has anything to remember.
     #
     # Ledger cursor -- at every acquire site ``lc == ceil(cur)``, ``t ==
     #   float(lc)`` and ``ln`` is the true slot count of cycle ``lc`` (the
     #   dict write is deferred: co-scheduled threads only read ``slots``
     #   while this generator is suspended). An acquire leaves ``cur == t ==
-    #   float(lc)``, which is the invariant again. Whoever moves ``cur`` by
-    #   any other route -- a ROB/MSHR stall, a mispredict redirect, a queue
-    #   or peek wait, a barrier release, the intrinsic-call hand-off to the
-    #   real ``ledger.acquire`` -- and every resume after a ``yield`` owes
-    #   one :meth:`emit_resync` before the next acquire. ``cur`` itself is
-    #   never rounded: fractional stall targets stay exact, only the probe
-    #   cycle ``lc`` is their ceiling, as in the reference.
+    #   float(lc)``, which is the invariant again; an advance (ROB/MSHR
+    #   stall, mispredict redirect, queue or peek wait, barrier release) and
+    #   a resume re-establish it through ``resync``. ``cur`` itself is never
+    #   rounded: fractional stall targets stay exact, only the probe cycle
+    #   ``lc`` is their ceiling, as in the reference.
     #
     # ROB block guard -- ``ring`` is thread-private and monotone (``rlast``
     #   only grows) and ``cur`` never decreases. The j-th retire of a
@@ -384,13 +371,13 @@ class _StageCompiler:
     #   proves that no retire of the run can stall; the per-statement check
     #   only runs under ``if slow``. A ``yield`` inside the run changes
     #   neither fact: nobody else touches the ring, and the cursor a thread
-    #   resumes with is never behind the one it blocked with.
+    #   resumes with is the one it blocked with.
 
     def resync_lines(self):
         """The ``resync`` helper: re-establish the ledger-cursor invariant
         after ``cur`` moved (flush the deferred count, re-probe at the new
-        cycle). Defined inside the stage function like ``l1_miss``; outer
-        locals arrive as default arguments so none of them becomes a cell."""
+        cycle). Defined inside the stage function; outer locals arrive as
+        default arguments so none of them becomes a cell."""
         return [
             "def resync(cur, lc, ln, slots=slots, sget=sget, ceil=ceil):",
             "    if ln:",
@@ -399,28 +386,28 @@ class _StageCompiler:
             "    return lc, sget(lc, 0), lc + 0.0",
         ]
 
-    def emit_resync(self, pad=""):
-        self.w(pad + "lc, ln, t = resync(cur, lc, ln)")
-
     def emit_acquire(self, n=1):
         """IssueLedger.acquire x n + ThreadCtx.issue bookkeeping; leaves
-        ``cur == t``. Under the ledger-cursor invariant the common case
-        (slots left in the cycle already held) is one compare and one
-        increment; a full cycle flushes its count and walks to the next
-        cycle with a free slot, exactly the reference's probe loop.
+        ``cur == t``. ``n`` is a literal count, or the name of a local
+        holding one (an intrinsic's run-time cost). Under the ledger-cursor
+        invariant the common case (slots left in the cycle already held) is
+        one compare and one increment; a full cycle flushes its count and
+        walks to the next cycle with a free slot, exactly the reference's
+        probe loop.
 
-        ``slots`` is bound once in the prologue (IssueLedger.prune would
-        rebind the dict, but nothing calls it during a machine run).
+        ``slots`` is bound once in the prologue (nothing rebinds the dict).
         ``lc + 0.0`` == ``float(lc)`` exactly for any cycle count below 2**53.
         """
-        if n > 1:
+        literal = type(n) is int
+        if literal and n > 1:
             # All n chained slots fit in the cycle already held; otherwise
             # take them one by one (each restarts at the previous slot).
             self.w("if ln <= %d:" % (self.W - n))
             self.w("    ln += %d" % n)
             self.w("else:")
             self.push()
-            self.w("for _ in %r:" % ((0,) * n,))
+        if n != 1:
+            self.w("for _ in %s:" % (repr((0,) * n) if literal else "range(%s)" % n))
             self.push()
         self.w("if ln < %d:" % self.W)
         self.w("    ln += 1")
@@ -432,14 +419,57 @@ class _StageCompiler:
         self.w("        lc += 1")
         self.w("        ln = sget(lc, 0) + 1")
         self.w("    t = lc + 0.0")
-        if n > 1:
+        if n != 1:
             self.pop()
+        if literal and n > 1:
             self.pop()
         # Only the final slot's cycle is observable (ThreadCtx.issue
         # threads ``t`` through the chain and stores the last).
         self.w("cur = t")
-        if not self._fold_uops:
-            self.w("u += %d" % n)
+        if not (literal and self._fold_uops):
+            self.w("u += %s" % n)
+
+    def emit_advance(self, target, bucket, cond=None, resumed=False):
+        """Every other way the clock moves: forward to ``target``, a cycle
+        some component already holds (a ROB/MSHR ring head, a mispredict
+        redirect, a queue slot or entry timestamp, a barrier release), when
+        it still lies ahead. Charges the wait to the ``bucket`` stall,
+        records the optional tracer stall, moves ``cur`` and re-establishes
+        the ledger-cursor invariant, together. ``cond`` replaces the
+        default ``if <target> > cur`` header where the reference tests
+        something narrower; it must still imply ``target > cur``.
+        ``resumed`` is :meth:`emit_wait`'s: co-scheduled threads used the
+        ledger meanwhile, so the resync runs whether or not the clock moves."""
+        self.w("%s:" % (cond or "if %s > cur" % target))
+        self.w("    %s += %s - cur" % (_STAT_LOCALS[bucket + "_stall"], target))
+        if self.traced:
+            self.w("    tracer.stall(TN, %r, cur, %s)" % (bucket, target))
+        self.w("    cur = %s" % target)
+        self.w("%slc, ln, t = resync(cur, lc, ln)" % ("" if resumed else "    "))
+
+    def emit_wait(self, reason, retry, into, bucket, waiters=None):
+        """The one place the generator suspends: flush the mirrors, park
+        the task (on the ``waiters`` list, unless the blocking call already
+        registered it) and, on every wake-up, evaluate ``retry`` until it
+        has a result. That result is assigned to ``into``, whose last name
+        is the cycle the awaited event happens at: the wait ends with the
+        advance to it. ``cur`` is a frame local, so the stage resumes at the
+        cycle it blocked at.
+
+        ``#SYNC#`` is a placeholder for :meth:`sync_lines`: queue-counter
+        deltas are part of the flush but the full queue set is only known
+        once the whole body has been emitted, so :meth:`compile` expands
+        the marker afterwards."""
+        self.w("#SYNC#")
+        self.w("res = None")
+        self.w("while res is None:")
+        self.w("    task.block(%s)" % reason)
+        if waiters:
+            self.w("    %s.append(task)" % waiters)
+        self.w("    yield BLOCKED")
+        self.w("    res = %s" % retry)
+        self.w("%s = res" % into)
+        self.emit_advance(into.split()[-1], bucket, resumed=True)
 
     def emit_comp(self, dep_src, latency=1):
         """``comp = max(t, dep) + latency``; a statically-zero dep folds
@@ -462,16 +492,6 @@ class _StageCompiler:
             self.w("dep = %s" % dep_src)
             self.w("start = t if t > dep else dep")
 
-    def emit_stall(self, head, guard=""):
-        """Advance the cursor to ``head`` (a ROB/MSHR ring head) when that
-        completion still lies ahead of it."""
-        self.w("if %s%s > cur:" % (guard, head))
-        self.w("    ms += %s - cur" % head)
-        if self.traced:
-            self.w("    tracer.stall(TN, 'mem', cur, %s)" % head)
-        self.w("    cur = %s" % head)
-        self.emit_resync("    ")
-
     def emit_retire(self, comp_expr):
         """ThreadCtx.retire, on the ``rlast``/ring mirrors.
 
@@ -491,13 +511,14 @@ class _StageCompiler:
             r = "r"
         self.w("if %s > rlast:" % r)
         self.w("    rlast = %s" % r)
-        self.emit_stall("ring[0]", "slow and " if self._rob_guarded else "")
+        guard = "if slow and ring[0] > cur" if self._rob_guarded else None
+        self.emit_advance("ring[0]", "mem", guard)
         self.w("rpush(rlast)")
 
     def emit_mshr(self, comp_expr):
         """ThreadCtx.mshr_claim, as a prefilled ring like the ROB. Load
         completions are not monotone, so there is no block guard here."""
-        self.emit_stall("mring[0]")
+        self.emit_advance("mring[0]", "mem")
         self.w("mpush(%s)" % comp_expr)
 
     def emit_predict(self, pc):
@@ -519,25 +540,31 @@ class _StageCompiler:
         self.w("    ph = (ph << 1) & hmask")
         self.w("    correct = pctr < 2")
 
-    def emit_sync(self):
-        """Flush every mirrored local back to the context/stats objects.
-
-        Emitted before every ``yield`` (and at completion), so external
-        observers between resumes — scheduler heap keys, tracer spans,
-        deadlock reports — see reference-identical state.
-
-        Emits a placeholder: queue-counter deltas are part of the flush but
-        the full queue set is only known once the whole body has been
-        emitted, so :meth:`compile` expands the marker afterwards.
-        """
-        self.w("#SYNC#")
+    def emit_redirect(self, dep_src):
+        """A mispredicted branch restarts fetch ``mispredict_penalty``
+        cycles after it resolves (its slot or its operand, whichever is
+        later). The reference clamps the redirect at the cursor for a loop
+        branch and not for an ``if``; with a penalty that is not negative
+        the target never lies behind the cursor, so both are this advance."""
+        self.w("if not correct:")
+        self.push()
+        self.w("mp += 1")
+        if dep_src == "0.0":
+            self.w("target = t + %r" % self.PEN)
+        else:
+            self.w("target = (t if t > %s else %s) + %r" % (dep_src, dep_src, self.PEN))
+        self.emit_advance("target", "branch")
+        self.pop()
 
     def sync_lines(self):
-        """The real flush block (see emit_sync). Thread-private mirrors
-        write back absolute values; counters shared with other threads
-        (SimStats queue totals, HWQueue counters) accumulate as deltas and
-        flush with ``+=`` / max-merge so concurrent method-path updates are
-        never overwritten."""
+        """Flush every mirrored local back to the context/stats objects:
+        before every ``yield`` (:meth:`emit_wait`) and at completion, so
+        external observers between resumes — scheduler heap keys, tracer
+        spans, deadlock reports — see reference-identical state.
+        Thread-private mirrors write back absolute values; counters shared
+        with other threads (SimStats queue totals, HWQueue counters)
+        accumulate as deltas and flush with ``+=`` / max-merge so
+        concurrent method-path updates are never overwritten."""
         out = [
             "ctx.cursor = cur",
             "ctx.rob_last = rlast",
@@ -552,7 +579,7 @@ class _StageCompiler:
             "lc = -1",
             # L1 hit delta: the counter is shared with RAs and co-scheduled
             # threads, so it accumulates locally and flushes additively
-            # (ints: exact in any interleaving, also against l1_miss's
+            # (ints: exact in any interleaving, also against mem.py's
             # direct updates of the miss-side counters).
             "l1_stats.hits += l1h",
             "l1h = 0",
@@ -576,14 +603,13 @@ class _StageCompiler:
             out.append("%s_deqs = 0" % base)
         return out
 
-    def emit_l1_access(self, start="start", stream="sname", store=False):
-        """Inline L1 hit paths (+ stride observe unless a store); leaves
-        ``latency``. ``stream`` names a local holding the stream id; the
-        address line must already be in ``line``. Transcribed from
-        MemorySystem.access via fastpath's audited inline block. The cold
-        side — L1 install, L2 lookup, the walk below — is the per-stage
-        ``l1_miss`` helper (:meth:`l1_miss_lines`), emitted once instead of
-        at every memory site."""
+    def emit_l1_access(self, site, store=False):
+        """The access at element ``idx`` of an array site, issued at
+        ``start``; leaves ``line`` and ``latency``. Inlines the hit side of
+        MemorySystem.access (+ stride observe unless a store); everything
+        past an L1 hit is mem.py's ``l1_miss``, called."""
+        stream = site.stream
+        self.w("line = (%s + idx * %s) >> %d" % (site.base, site.elem_size, self.SHIFT))
         self.w("sindex = line %% %d" % self.SCOUNT)
         self.w("tag = line // %d" % self.SCOUNT)
         self.w("entry = l1get(sindex)")
@@ -597,7 +623,7 @@ class _StageCompiler:
         self.w("    l1h += 1")
         self.w("    latency = %r" % self.L1LAT)
         self.w("else:")
-        self.w("    latency = l1_miss(line, %s, sindex, tag, entry)" % start)
+        self.w("    latency = l1_miss(%d, line, start, sindex, tag, entry)" % self.ctx.core)
         if self.PF_ON and not store:
             self.w("sentry = pfget(%s)" % stream)
             self.w("if sentry is None:")
@@ -613,52 +639,11 @@ class _StageCompiler:
             self.w("            prun = prun + 1 if prun < 8 else 8")
             self.w("            pf_streams[%s] = (line, pstride, prun)" % stream)
             self.w("            if prun >= 2:")
-            self.w("                later = %s + latency" % start)
+            self.w("                later = start + latency")
             self.w("                for k in range(1, %d):" % (self.PF_DEG + 1))
             self.w("                    pf_one(%d, line + pstride * k, later)" % self.ctx.core)
             self.w("        else:")
             self.w("            pf_streams[%s] = (line, delta, 1)" % stream)
-
-    def l1_miss_lines(self):
-        """The ``l1_miss`` helper: everything an access does after missing
-        L1 (tag install, Cache.access on L2 inlined, the walk below L2).
-
-        Defined inside the stage function so geometry stays baked in as
-        literals; every outer local it needs arrives as a default argument,
-        because a free variable would turn that local into a cell for the
-        whole generator."""
-        return [
-            "def l1_miss(line, start, sindex, tag, entry, l1_sets=l1_sets,"
-            " l1_stats=l1_stats, l2get=l2_sets.get, l2_sets=l2_sets,"
-            " l2_stats=l2_stats, below_l2=below_l2, len=len):",
-            "    if entry is None:",
-            "        l1_sets[sindex] = [tag]",
-            "    else:",
-            "        entry.insert(0, tag)",
-            "        if len(entry) > %d:" % self.L1WAYS,
-            "            entry.pop()",
-            "    l1_stats.misses += 1",
-            "    s2 = line %% %d" % self.L2SCOUNT,
-            "    t2 = line // %d" % self.L2SCOUNT,
-            "    e2 = l2get(s2)",
-            "    if e2 is not None and e2[0] == t2:",
-            "        l2_stats.hits += 1",
-            "        return %r" % self.L2LAT,
-            "    if e2 is not None and t2 in e2:",
-            "        pos = e2.index(t2, 1)",
-            "        del e2[pos]",
-            "        e2.insert(0, t2)",
-            "        l2_stats.hits += 1",
-            "        return %r" % self.L2LAT,
-            "    if e2 is None:",
-            "        l2_sets[s2] = [t2]",
-            "    else:",
-            "        e2.insert(0, t2)",
-            "        if len(e2) > %d:" % self.L2WAYS,
-            "            e2.pop()",
-            "    l2_stats.misses += 1",
-            "    return below_l2(%d, line, start)" % self.ctx.core,
-        ]
 
     # -- signal propagation -------------------------------------------------
 
@@ -690,8 +675,7 @@ class _StageCompiler:
         base = "q%d" % qid
         queue = self.env.queues[qid]
         self.cap(base, queue)
-        if qid not in self._queue_locals:
-            self._queue_locals.add(qid)
+        self._queue_locals.add(qid)
         return base
 
     def queue_prologue_lines(self):
@@ -813,87 +797,62 @@ class _StageCompiler:
         self.emit_retire("comp")
         return False
 
-    def _binding_locals(self, operand):
-        """Static ``@name`` binding -> (data, base, esize, sname, oob) capture
-        names, or None for a pointer register."""
-        if not (type(operand) is str and operand.startswith("@")):
-            return None
-        binding = self.env.arrays.get(operand[1:])
-        if binding is None:
-            # Unbound symbol: fall back so the error surfaces at execution
-            # time with the reference engine's message, not at bind time.
-            raise UnsupportedStage("unbound array %s" % operand)
-        tag = operand[1:]
-        d = self.cap("d_" + tag, binding.data)
-        b = self.cap("b_" + tag, binding.base)
-        z = self.cap("z_" + tag, binding.elem_size)
-        s = self.cap("s_" + tag, binding.name)
-        # One raiser per array: _oob_raiser builds a fresh closure, so a
-        # second access to the same array must reuse the first one or the
-        # cap() identity check would reject it as a collision.
-        raiser = self._oob_raisers.get(tag)
-        if raiser is None:
-            raiser = self._oob_raisers[tag] = _oob_raiser(
-                self.stage.name, operand, binding.data
+    def emit_array_site(self, stmt):
+        """Resolve a memory statement's array operand — the one place the
+        static/pointer distinction is spelled — to the source expressions
+        of its binding, an :data:`_ArraySite`.
+
+        A static ``@name`` binds at compile time, as captures. A pointer
+        register resolves per execution through a one-entry memo on the
+        *identity* of the register value (handles move between registers,
+        they are not rebuilt), so a frontier swapped once per level
+        resolves once per level; a miss is the shared ``_resolve_handle``
+        and so is every error message."""
+        operand = stmt.array
+        if type(operand) is str and operand.startswith("@"):
+            tag = operand[1:]
+            binding = self.env.arrays.get(tag)
+            if binding is None:
+                # Unbound symbol: fall back so the error surfaces at execution
+                # time with the reference engine's message, not at bind time.
+                raise UnsupportedStage("unbound array %s" % operand)
+            return _ArraySite(
+                self.cap("d_" + tag, binding.data),
+                self.cap("b_" + tag, binding.base),
+                self.cap("z_" + tag, binding.elem_size),
+                self.cap("s_" + tag, binding.name),
             )
-        oob = self.cap("oob_" + tag, raiser)
-        return d, b, z, s, oob
-
-    def emit_pointer_binding(self, stmt):
-        """Pointer-register array operand: resolve the handle the register
-        holds to its ArrayBinding; returns (binding local, operand capture).
-
-        Each site keeps a one-entry memo on the *identity* of the register
-        value (handles move between registers, they are not rebuilt), so a
-        frontier swapped once per level resolves once per level. A miss is
-        the shared ``_resolve_handle`` and so is every error message."""
         self.cap("arrays", self.env.arrays)
-        pr = self.reg(stmt.array)[0]
+        pr = self.reg(operand)[0]
         pc = self.pcs[id(stmt)]
-        aop = self.cap("ao%d" % pc, stmt.array)
         self._pointer_sites.add(pc)
-        bind = "bind%d" % pc
         self.w("if %s is not pb%d:" % (pr, pc))
-        self.w("    %s = _rh(arrays, %s, %s)" % (bind, aop, pr))
+        self.w("    bind%d = _rh(arrays, %r, %s)" % (pc, operand, pr))
         self.w("    pb%d = %s" % (pc, pr))
-        return bind, aop
+        return _ArraySite(*("bind%d.%s" % (pc, a) for a in ("data", "base", "elem_size", "name")))
+
+    def emit_element(self, access, stmt, site):
+        """``access`` (a subscript of the site's data by ``idx``) under the
+        interpreter's out-of-bounds error."""
+        self.w("try:")
+        self.w("    %s" % access)
+        self.w("except IndexError:")
+        self.w(
+            "    raise SimulationError('stage %%s: %s %%s[%%d] out of bounds (len %%d)'"
+            " %% (SN, %r, idx, len(%s)))" % (stmt.kind, stmt.array, site.data)
+        )
 
     def _emit_load(self, stmt):
-        static = self._binding_locals(stmt.array)
+        site = self.emit_array_site(stmt)
         rd, ry = self.reg(stmt.dst)
-        iv = self.val(stmt.index)
-        idep = self.rdy(stmt.index)
-        if static is not None:
-            d, b, z, s, oob = static
-            self.w("idx = %s" % iv)
-            self.emit_acquire(1)
-            self.emit_start(idep)
-            self.w("line = (%s + idx * %s) >> %d" % (b, z, self.SHIFT))
-            self.emit_l1_access(stream=s)
-            self.w("comp = start + latency")
-            self.w("try:")
-            self.w("    v = %s[idx]" % d)
-            self.w("except IndexError:")
-            self.w("    raise %s(idx)" % oob)
-        else:
-            # Pointer-register load: binding resolves per execution; the
-            # pointer register's ready time joins the dependence, exactly
-            # like the interpreter's array-operand ready lookup.
-            bind, aop = self.emit_pointer_binding(stmt)
-            self.w("idx = %s" % iv)
-            self.emit_acquire(1)
-            self.emit_start(self.dep2(stmt.index, stmt.array))
-            self.w("line = (%s.base + idx * %s.elem_size) >> %d" % (bind, bind, self.SHIFT))
-            self.emit_l1_access(stream="%s.name" % bind)
-            self.w("comp = start + latency")
-            self.w("try:")
-            self.w("    v = %s.data[idx]" % bind)
-            self.w("except IndexError:")
-            self.w(
-                "    raise SimulationError('stage %%s: load %%s[%%d] out of bounds "
-                "(len %%d)' %% (SN, %s, idx, len(%s.data)))" % (aop, bind)
-            )
-        self.w("%s = v" % rd)
+        self.w("idx = %s" % self.val(stmt.index))
+        self.emit_acquire(1)
+        # A pointer register's ready time joins the dependence, like the
+        # interpreter's array-operand ready lookup (a static array has none).
+        self.emit_start(self.dep2(stmt.index, stmt.array))
+        self.emit_l1_access(site)
+        self.w("comp = start + latency")
+        self.emit_element("%s = %s[idx]" % (rd, site.data), stmt, site)
         self.w("%s = comp" % ry)
         self.w("ld += 1")
         self.emit_mshr("comp")
@@ -901,61 +860,25 @@ class _StageCompiler:
         return False
 
     def _emit_store(self, stmt):
-        static = self._binding_locals(stmt.array)
-        iv = self.val(stmt.index)
-        vv = self.val(stmt.value)
-        dep = self.dep2(stmt.index, stmt.value)
-        if static is None:
-            bind, aop = self.emit_pointer_binding(stmt)
-        self.w("idx = %s" % iv)
-        self.w("v = %s" % vv)
+        site = self.emit_array_site(stmt)
+        self.w("idx = %s" % self.val(stmt.index))
+        self.w("v = %s" % self.val(stmt.value))
         self.emit_acquire(1)
-        if static is None:
-            self.emit_start(dep)
-            self.w("line = (%s.base + idx * %s.elem_size) >> %d" % (bind, bind, self.SHIFT))
-            self.emit_l1_access(store=True)
-            self.w("try:")
-            self.w("    %s.data[idx] = v" % bind)
-            self.w("except IndexError:")
-            self.w(
-                "    raise SimulationError('stage %%s: store %%s[%%d] out of bounds "
-                "(len %%d)' %% (SN, %s, idx, len(%s.data)))" % (aop, bind)
-            )
-        else:
-            d, b, z, s, _ = static
-            self.emit_start(dep)
-            self.w("line = (%s + idx * %s) >> %d" % (b, z, self.SHIFT))
-            self.emit_l1_access(store=True)
-            self.w("try:")
-            self.w("    %s[idx] = v" % d)
-            self.w("except IndexError:")
-            self.w(
-                "    raise SimulationError('stage %%s: store %%s[%%d] out of bounds "
-                "(len %%d)' %% (SN, %r, idx, len(%s)))" % (stmt.array, d)
-            )
+        self.emit_start(self.dep2(stmt.index, stmt.value))
+        self.emit_l1_access(site, store=True)
+        self.emit_element("%s[idx] = v" % site.data, stmt, site)
         self.w("st += 1")
         self.emit_retire("start + 1")
         return False
 
     def _emit_prefetch(self, stmt):
-        static = self._binding_locals(stmt.array)
-        iv = self.val(stmt.index)
-        if static is None:
-            bind, _ = self.emit_pointer_binding(stmt)
-        self.w("idx = %s" % iv)
+        site = self.emit_array_site(stmt)
+        self.w("idx = %s" % self.val(stmt.index))
         self.emit_acquire(1)
         self.emit_start(self.rdy(stmt.index))
-        if static is None:
-            self.w("if 0 <= idx < len(%s.data):" % bind)
-            self.push()
-            self.w("line = (%s.base + idx * %s.elem_size) >> %d" % (bind, bind, self.SHIFT))
-            self.emit_l1_access(stream="%s.name" % bind)
-        else:
-            d, b, z, s, _ = static
-            self.w("if 0 <= idx < len(%s):" % d)
-            self.push()
-            self.w("line = (%s + idx * %s) >> %d" % (b, z, self.SHIFT))
-            self.emit_l1_access(stream=s)
+        self.w("if 0 <= idx < len(%s):" % site.data)
+        self.push()
+        self.emit_l1_access(site)
         self.w("comp = start + latency")
         self.w("ld += 1")
         self.emit_mshr("comp")
@@ -970,20 +893,7 @@ class _StageCompiler:
         self.emit_acquire(1)
         self.w("br += 1")
         self.emit_predict(pc)
-        cdy = self.rdy(stmt.cond)
-        self.w("if not correct:")
-        if cdy == "0.0":
-            self.w("    resolve = t")
-        else:
-            self.w("    resolve = t if t > %s else %s" % (cdy, cdy))
-        self.w("    target = resolve + %r" % self.PEN)
-        self.w("    mp += 1")
-        self.w("    bs += target - cur")
-        if self.traced:
-            self.w("    if target > cur:")
-            self.w("        tracer.stall(TN, 'branch', cur, target)")
-        self.w("    cur = target")
-        self.emit_resync("    ")
+        self.emit_redirect(self.rdy(stmt.cond))
         then_body = [s for s in stmt.then_body if s.kind != "comment"]
         else_body = [s for s in (stmt.else_body or []) if s.kind != "comment"]
         can_signal = False
@@ -1028,17 +938,7 @@ class _StageCompiler:
         self.emit_acquire(3)
         self.w("br += 1")
         self.emit_predict(pc)
-        self.w("if not correct:")
-        self.w("    resolve = t if t > %s else %s" % (bd, bd))
-        self.w("    target = resolve + %r" % self.PEN)
-        self.w("    mp += 1")
-        self.w("    d = target - cur")
-        self.w("    bs += d if d > 0.0 else 0.0")
-        self.w("    if target > cur:")
-        if self.traced:
-            self.w("        tracer.stall(TN, 'branch', cur, target)")
-        self.w("        cur = target")
-        self.emit_resync("        ")
+        self.emit_redirect(bd)
         self.w("if not taken:")
         self.w("    break")
         self.w("%s = %s" % (rv, i))
@@ -1077,112 +977,92 @@ class _StageCompiler:
 
     # -- queue statements ---------------------------------------------------
 
-    def _emit_try_enq_inline(self, base, start_expr, value_expr, extra=None):
-        """HWQueue.try_enq inlined; ``qt`` holds the completion or the
-        blocked path runs. Follows StageInterp.do_enq exactly."""
-        lat = "%s_lat" % base
-        if extra:
-            lat = "%s + %s" % (lat, extra)
-        self._enq_qids.add(int(base[1:]))
-        self.w("if %s_free:" % base)
-        self.push()
-        self.w("freed = %s_free.popleft()" % base)
-        self.w("qt = freed if freed > %s else %s" % (start_expr, start_expr))
-        self.w("%s_entries.append((%s, qt + %s))" % (base, value_expr, lat))
-        self.w("%s_enqs += 1" % base)
-        self.w("occ = len(%s_entries)" % base)
-        self.w("if occ > %s_mo:" % base)
-        self.w("    %s_mo = occ" % base)
-        self.emit_queue_counter(base, "qt")
-        self.emit_wake(base, "waiting_consumers")
-        # The slot existed only in the future: effectively full now.
-        self.w("if qt > start:")
-        self.w("    qs += qt - cur")
-        if self.traced:
-            self.w("    tracer.stall(TN, 'queue', cur, qt)")
-        self.w("    cur = qt")
-        self.emit_resync("    ")
-        self.pop()
-        self.w("else:")
-        self.push()
-        self.w("%s.full_blocks += 1" % base)
-        self.w("wait_from = cur")
-        self.emit_sync()
-        self.w("while True:")
-        self.w("    task.block(('enq', %d))" % self.env.queues[int(base[1:])].qid)
-        self.w("    %s.waiting_producers.append(task)" % base)
-        self.w("    yield BLOCKED")
-        self.w(
-            "    qt = %s.try_enq(start if start > cur else cur, %s%s)"
-            % (base, value_expr, (", " + extra) if extra else "")
-        )
-        self.w("    if qt is not None:")
-        self.w("        break")
-        self.w("if qt > cur:")
-        self.w("    qs += qt - wait_from")
-        if self.traced:
-            self.w("    tracer.stall(TN, 'queue', wait_from, qt)")
-        self.w("    cur = qt")
-        self.emit_resync()
-        self.pop()
-
-    def _emit_enq_common(self, qid, value_expr, dep_expr):
-        base = self.queue_locals(qid)
+    def _emit_do_enq(self, q, value_expr, dep_expr, extra=None, inline=False):
+        """StageInterp.do_enq on the queue held by local ``q``: one of the
+        stage's own queues, bound at compile time (``inline``: HWQueue.try_enq
+        on its prologue locals, counters as deltas), or one resolved at run
+        time (the method), ``extra`` naming its added latency."""
+        args = "ev, %s" % extra if extra else "ev"
         self.w("ev = %s" % value_expr)
         self.emit_acquire(1)
         self.emit_start(dep_expr)
-        self._emit_try_enq_inline(base, "start", "ev")
+        if inline:
+            self._enq_qids.add(int(q[1:]))
+            self.w("if %s_free:" % q)
+            self.push()
+            self.w("freed = %s_free.popleft()" % q)
+            self.w("qt = freed if freed > start else start")
+            self.w("%s_entries.append((ev, qt + %s_lat))" % (q, q))
+            self.w("%s_enqs += 1" % q)
+            self.w("occ = len(%s_entries)" % q)
+            self.w("if occ > %s_mo:" % q)
+            self.w("    %s_mo = occ" % q)
+            self.emit_queue_counter(q, "qt")
+            self.emit_wake(q, "waiting_consumers")
+            self.pop()
+            self.w("else:")
+            self.w("    %s.full_blocks += 1" % q)
+            self.w("    qt = None")
+        else:
+            self.w("qt = %s.try_enq(start, %s)" % (q, args))
+        self.w("if qt is None:")
+        self.push()
+        self.emit_wait(
+            "('enq', %s.qid)" % q,
+            "%s.try_enq(start if start > cur else cur, %s)" % (q, args),
+            "qt",
+            "queue",
+            "%s.waiting_producers" % q,
+        )
+        self.pop()
+        # The slot existed only in the future: effectively full now.
+        self.emit_advance("qt", "queue", "elif qt > start")
         self.w("qo += 1")
-        self.w("sqe += 1")
+        self.w("sqe += 1" if inline else "sstats.queue_enqs += 1")
         self.emit_retire("(qt if qt > start else start) + 1")
 
     def _emit_enq(self, stmt):
-        self._emit_enq_common(stmt.queue, self.val(stmt.value), self.rdy(stmt.value))
+        q = self.queue_locals(stmt.queue)
+        self._emit_do_enq(q, self.val(stmt.value), self.rdy(stmt.value), inline=True)
         return False
 
     def _emit_enq_ctrl(self, stmt):
         ctrl = self.cap("ctrl%d" % self.pcs[id(stmt)], stmt.ctrl)
-        self._emit_enq_common(stmt.queue, ctrl, "0.0")
+        self._emit_do_enq(self.queue_locals(stmt.queue), ctrl, "0.0", inline=True)
         self.w("sstats.ctrl_values += 1")
         return False
 
-    def _emit_deq_once(self, base, qid):
-        """One dequeue attempt incl. the blocked path; leaves ``dv``/``qt``."""
-        self._deq_qids.add(qid)
+    def _emit_take(self, q, qid, peek=False):
+        """One dequeue (StageInterp._deq_value) or peek (exec_peek) attempt
+        incl. the blocked path; leaves ``dv``/``qt``."""
+        kind = "peek" if peek else "deq"
         self.emit_acquire(1)
-        self.w("if %s_entries:" % base)
+        self.w("if %s_entries:" % q)
         self.push()
-        self.w("dv, avail = %s_entries.popleft()" % base)
+        self.w("dv, avail = %s_entries%s" % (q, "[0]" if peek else ".popleft()"))
         self.w("qt = avail if avail > t else t")
-        self.w("%s_free.append(qt)" % base)
-        self.w("%s_deqs += 1" % base)
-        self.emit_queue_counter(base, "qt")
-        self.emit_wake(base, "waiting_producers")
+        if not peek:
+            self._deq_qids.add(qid)
+            self.w("%s_free.append(qt)" % q)
+            self.w("%s_deqs += 1" % q)
+            self.emit_queue_counter(q, "qt")
+            self.emit_wake(q, "waiting_producers")
         self.pop()
         self.w("else:")
         self.push()
-        self.w("%s.empty_blocks += 1" % base)
-        self.w("wait_from = cur")
-        self.emit_sync()
-        self.w("while True:")
-        self.w("    task.block(('deq', %d))" % qid)
-        self.w("    %s.waiting_consumers.append(task)" % base)
-        self.w("    yield BLOCKED")
-        self.w("    res = %s.try_deq(cur)" % base)
-        self.w("    if res is not None:")
-        self.w("        break")
-        self.w("dv, qt = res")
-        self.w("if qt > cur:")
-        self.w("    d = qt - wait_from")
-        self.w("    qs += d if d > 0.0 else 0.0")
-        if self.traced:
-            self.w("    if qt > wait_from:")
-            self.w("        tracer.stall(TN, 'queue', wait_from, qt)")
-        self.w("    cur = qt")
-        self.emit_resync()
+        if not peek:
+            self.w("%s.empty_blocks += 1" % q)
+        self.emit_wait(
+            "(%r, %d)" % (kind, qid),
+            "%s.try_%s(cur)" % (q, kind),
+            "dv, qt",
+            "queue",
+            "%s.waiting_consumers" % q,
+        )
         self.pop()
-        self.w("qo += 1")
-        self.w("sqd += 1")
+        if not peek:
+            self.w("qo += 1")
+            self.w("sqd += 1")
         self.emit_retire("qt + 1")
 
     def _emit_deq(self, stmt):
@@ -1191,7 +1071,7 @@ class _StageCompiler:
         rd, ry = self.reg(stmt.dst)
         handler = self.stage.handlers.get(qid)
         if handler is None:
-            self._emit_deq_once(base, qid)
+            self._emit_take(base, qid)
             self.w("%s = dv" % rd)
             self.w("%s = qt" % ry)
             return False
@@ -1200,7 +1080,7 @@ class _StageCompiler:
         cr, cy = self.reg("%ctrl")
         self.w("while True:")
         self.push()
-        self._emit_deq_once(base, qid)
+        self._emit_take(base, qid)
         self.w("if type(dv) is Ctrl:")
         self.push()
         self.w("%s = dv" % cr)
@@ -1219,37 +1099,10 @@ class _StageCompiler:
         return handler_signals
 
     def _emit_peek(self, stmt):
-        qid = stmt.queue
-        base = self.queue_locals(qid)
         rd, ry = self.reg(stmt.dst)
-        self.emit_acquire(1)
-        self.w("if %s_entries:" % base)
-        self.w("    dv, avail = %s_entries[0]" % base)
-        self.w("    qt = avail if avail > t else t")
-        self.w("else:")
-        self.push()
-        self.w("wait_from = cur")
-        self.emit_sync()
-        self.w("while True:")
-        self.w("    task.block(('peek', %d))" % qid)
-        self.w("    %s.waiting_consumers.append(task)" % base)
-        self.w("    yield BLOCKED")
-        self.w("    res = %s.try_peek(cur)" % base)
-        self.w("    if res is not None:")
-        self.w("        break")
-        self.w("dv, qt = res")
-        self.w("if qt > cur:")
-        self.w("    d = qt - wait_from")
-        self.w("    qs += d if d > 0.0 else 0.0")
-        if self.traced:
-            self.w("    if qt > wait_from:")
-            self.w("        tracer.stall(TN, 'queue', wait_from, qt)")
-        self.w("    cur = qt")
-        self.emit_resync()
-        self.pop()
+        self._emit_take(self.queue_locals(stmt.queue), stmt.queue, peek=True)
         self.w("%s = dv" % rd)
         self.w("%s = qt" % ry)
-        self.emit_retire("qt + 1")
         return False
 
     def _emit_is_control(self, stmt):
@@ -1272,19 +1125,8 @@ class _StageCompiler:
         self.w("k = fn.cost")
         self.w("if k < 1:")
         self.w("    k = 1")
-        # Intrinsic cost is a runtime property of the binding; the generic
-        # acquire chain mirrors ThreadCtx.issue(n). The real ledger method
-        # reads and writes the slot dict, so the deferred count must land
-        # first and be re-read afterwards.
-        self.w("if ln:")
-        self.w("    slots[lc] = ln")
-        self.w("    ln = 0")
-        self.w("t = acquire(cur)")
-        self.w("for _ in range(k - 1):")
-        self.w("    t = acquire(t)")
-        self.w("cur = t")
-        self.emit_resync()
-        self.w("u += k")
+        # Intrinsic cost is a run-time property of the binding.
+        self.emit_acquire("k")
         if not regs:
             dep = "0.0"
         elif len(regs) == 1:
@@ -1306,17 +1148,10 @@ class _StageCompiler:
         self.w("rel = bobj.arrive(task, cur)")
         self.w("if rel is None:")
         self.push()
-        self.w("task.block(('barrier', %r))" % stmt.tag)
-        self.emit_sync()
-        self.w("yield BLOCKED")
-        self.w("rel = bobj.last_release")
+        # ``arrive`` registered the task; the last arriver wakes it.
+        self.emit_wait("('barrier', %r)" % stmt.tag, "bobj.last_release", "rel", "barrier")
         self.pop()
-        self.w("if rel > cur:")
-        self.w("    bars += rel - cur")
-        if self.traced:
-            self.w("    tracer.stall(TN, 'barrier', cur, rel)")
-        self.w("    cur = rel")
-        self.emit_resync()
+        self.emit_advance("rel", "barrier", "elif rel > cur")
         return False
 
     def _emit_read_shared(self, stmt):
@@ -1338,30 +1173,18 @@ class _StageCompiler:
         return False
 
     def _emit_atomic_rmw(self, stmt):
-        static = self._binding_locals(stmt.array)
         if stmt.op not in _BINARY_EXPR:
             raise UnsupportedStage("unknown atomic op %r" % stmt.op)
-        if static is None:
-            bind, _ = self.emit_pointer_binding(stmt)
+        site = self.emit_array_site(stmt)
+        data = site.data
         self.w("idx = %s" % self.val(stmt.index))
         self.w("v = %s" % self.val(stmt.value))
         self.emit_acquire(3)
         self.emit_start(self.dep2(stmt.index, stmt.value))
-        if static is None:
-            self.w("addr = %s.base + idx * %s.elem_size" % (bind, bind))
-            self.w(
-                "latency = mem_access(%d, addr, start, stream_id=%s.name)" % (self.ctx.core, bind)
-            )
-            self.w("comp = start + latency + env.atomic_overhead")
-            self.w("old = %s.data[idx]" % bind)
-            self.w("%s.data[idx] = %s" % (bind, _BINARY_EXPR[stmt.op].format(a="old", b="v")))
-        else:
-            d, b, z, s, _ = static
-            self.w("addr = %s + idx * %s" % (b, z))
-            self.w("latency = mem_access(%d, addr, start, stream_id=%s)" % (self.ctx.core, s))
-            self.w("comp = start + latency + env.atomic_overhead")
-            self.w("old = %s[idx]" % d)
-            self.w("%s[idx] = %s" % (d, _BINARY_EXPR[stmt.op].format(a="old", b="v")))
+        self.emit_l1_access(site)
+        self.w("comp = start + latency + env.atomic_overhead")
+        self.w("old = %s[idx]" % data)
+        self.w("%s[idx] = %s" % (data, _BINARY_EXPR[stmt.op].format(a="old", b="v")))
         if stmt.dst is not None:
             rd, ry = self.reg(stmt.dst)
             self.w("%s = old" % rd)
@@ -1372,48 +1195,11 @@ class _StageCompiler:
         self.emit_retire("comp")
         return False
 
-    def _emit_do_enq_dynamic(self, queue_var, value_expr, dep_expr, extra_var):
-        """StageInterp.do_enq on a runtime-resolved queue (method calls)."""
-        self.w("ev = %s" % value_expr)
-        self.emit_acquire(1)
-        self.emit_start(dep_expr)
-        self.w("qt = %s.try_enq(start, ev, %s)" % (queue_var, extra_var))
-        self.w("if qt is None:")
-        self.push()
-        self.w("wait_from = cur")
-        self.emit_sync()
-        self.w("while True:")
-        self.w("    task.block(('enq', %s.qid))" % queue_var)
-        self.w("    %s.waiting_producers.append(task)" % queue_var)
-        self.w("    yield BLOCKED")
-        self.w(
-            "    qt = %s.try_enq(start if start > cur else cur, ev, %s)"
-            % (queue_var, extra_var)
-        )
-        self.w("    if qt is not None:")
-        self.w("        break")
-        self.w("if qt > cur:")
-        self.w("    qs += qt - wait_from")
-        if self.traced:
-            self.w("    tracer.stall(TN, 'queue', wait_from, qt)")
-        self.w("    cur = qt")
-        self.emit_resync()
-        self.pop()
-        self.w("elif qt > start:")
-        self.w("    qs += qt - cur")
-        if self.traced:
-            self.w("    tracer.stall(TN, 'queue', cur, qt)")
-        self.w("    cur = qt")
-        self.emit_resync("    ")
-        self.w("qo += 1")
-        self.w("sstats.queue_enqs += 1")
-        self.emit_retire("(qt if qt > start else start) + 1")
-
     def _emit_enq_dist(self, stmt):
         self.cap("remote_queue", self.env.remote_queue)
         self.cap("self_interp", None)  # patched post-construction
         self.w("rq, rx = remote_queue(self_interp, %d, %s)" % (stmt.queue, self.val(stmt.replica)))
-        self._emit_do_enq_dynamic("rq", self.val(stmt.value), self.rdy(stmt.value), "rx")
+        self._emit_do_enq("rq", self.val(stmt.value), self.rdy(stmt.value), "rx")
         return False
 
     def _emit_enq_ctrl_dist(self, stmt):
@@ -1422,7 +1208,7 @@ class _StageCompiler:
         ctrl = self.cap("ctrl%d" % self.pcs[id(stmt)], stmt.ctrl)
         self.w("for rq, rx in all_replica_queues(self_interp, %d):" % stmt.queue)
         self.push()
-        self._emit_do_enq_dynamic("rq", ctrl, "0.0", "rx")
+        self._emit_do_enq("rq", ctrl, "0.0", "rx")
         self.w("sstats.ctrl_values += 1")
         self.pop()
         return False
@@ -1463,10 +1249,10 @@ class _StageCompiler:
         p("ptable = pred.table")
         p("pmask = pred.mask")
         p("hmask = pred.history_mask")
-        # Hot structures bound once: the ledger's slot dict is only rebound
-        # by IssueLedger.prune, which no machine-run path calls. The ROB and
-        # MSHR live as prefilled rings (see emit_retire); ThreadCtx always
-        # hands the engine freshly-empty deques, so the rings start at zero.
+        # Hot structures bound once (nothing rebinds the ledger's slot
+        # dict). The ROB and MSHR live as prefilled rings (see emit_retire);
+        # ThreadCtx always hands the engine freshly-empty deques, so the
+        # rings start at zero.
         p("slots = ledger.slots")
         p("sget = slots.get")
         for line in self.resync_lines():
@@ -1474,8 +1260,6 @@ class _StageCompiler:
         p("l1h = 0")
         p("l1get = l1_sets.get")
         p("pfget = pf_streams.get")
-        for line in self.l1_miss_lines():
-            p(line)
         p("ring = deque([0.0] * %d, %d)" % (self.ROB, self.ROB))
         p("rpush = ring.append")
         p("mring = deque([0.0] * %d, %d)" % (self.MSHRS, self.MSHRS))

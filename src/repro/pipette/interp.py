@@ -119,24 +119,6 @@ class ThreadCtx:
                 self.cursor = oldest
         mshr.append(completion)
 
-    def next_event_cycle(self):
-        """Event-horizon contract: the earliest cycle the thread's clock can
-        sit at given its scoreboard state, without mutating anything.
-
-        The cursor is the baseline; a *full* ROB or MSHR whose oldest
-        completion lies ahead of it would stall the very next retire/claim
-        to that completion — the same closed form the engines' inline ring
-        code advances the clock by.
-        """
-        t = self.cursor
-        mshr = self.mshr
-        if len(mshr) >= self.config.mshrs and mshr[0] > t:
-            t = mshr[0]
-        rob = self.rob
-        if len(rob) >= self.rob_size and rob[0] > t:
-            t = rob[0]
-        return t
-
     def ready_of(self, operand):
         if type(operand) is str:
             return self.ready.get(operand, 0.0)

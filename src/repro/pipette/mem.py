@@ -138,20 +138,6 @@ class MemorySystem:
         queue_delay = max(0.0, float(window << self.window_shift) - now)
         return queue_delay + self.config.dram_latency
 
-    def next_dram_window_cycle(self, line, now):
-        """Event-horizon contract: the cycle at which the controller owning
-        ``line`` next has spare bandwidth for a request presented at
-        ``now``, without consuming any. ``_dram``'s queue delay is exactly
-        ``this - now``: the closed form by which a bandwidth-saturated
-        access skips ahead to the first open 64-cycle window."""
-        ctrl = line % len(self.windows)
-        table = self.windows[ctrl]
-        window = int(now) >> self.window_shift
-        while table.get(window, 0) >= self.window_capacity:
-            window += 1
-        start = float(window << self.window_shift)
-        return start if start > now else now
-
     def access(self, core, addr, now, stream_id=None, is_store=False):
         """Access ``addr`` from ``core`` at cycle ``now``; returns latency.
 
@@ -161,11 +147,11 @@ class MemorySystem:
 
         The L1 lookup is inlined (not a :meth:`Cache.access` call) because
         this is the hottest function in the simulator: the MRU compare
-        catches streaming accesses, the membership test avoids raising
-        ``ValueError`` for every L1 miss, and the tag is installed directly
-        instead of via a redundant post-lookup ``fill``. Tag state, LRU
-        order, and hit/miss counters end up exactly as the plain
-        lookup-then-fill sequence would leave them.
+        catches streaming accesses and the membership test avoids raising
+        ``ValueError`` for every L1 miss. The batch engine's stage code and
+        the RA loop inline this same hit side and, like this method, leave
+        everything past it to :meth:`l1_miss`. (``fastpath.py`` calls this
+        method; the name stays until ROADMAP 1(a) retires that engine.)
         """
         cfg = self.config
         line = addr >> self.LINE_SHIFT
@@ -184,14 +170,7 @@ class MemorySystem:
             l1.stats.hits += 1
             latency = cfg.l1.latency
         else:
-            if entry is None:
-                sets[index] = [tag]
-            else:
-                entry.insert(0, tag)
-                if len(entry) > l1.ways:
-                    entry.pop()
-            l1.stats.misses += 1
-            latency = self.miss_below_l1(core, line, now)
+            latency = self.l1_miss(core, line, now, index, tag, entry)
 
         if cfg.prefetch_enabled and stream_id is not None and not is_store:
             stride = self.prefetchers[core].observe(stream_id, line)
@@ -200,25 +179,41 @@ class MemorySystem:
                     self._prefetch(core, line + stride * step, now + latency)
         return latency
 
+    def l1_miss(self, core, line, now, index, tag, entry):
+        """Everything an access does after missing L1; returns the latency.
+
+        The caller did the lookup and hands over what it found: the set
+        ``index``, the ``tag``, and the set's tag list (``entry``, ``None``
+        for an untouched set). The tag is installed directly instead of via
+        a post-lookup ``fill``; tag state, LRU order and counters end up as
+        the plain lookup-then-fill sequence would leave them. Then the walk
+        below. This is the one spelling of the cold side for
+        :meth:`access`, ``RAEngine.run`` and generated stage code.
+        """
+        l1 = self.l1[core]
+        if entry is None:
+            l1.sets[index] = [tag]
+        else:
+            entry.insert(0, tag)
+            if len(entry) > l1.ways:
+                entry.pop()
+        l1.stats.misses += 1
+        return self.miss_below_l1(core, line, now)
+
     def miss_below_l1(self, core, line, now):
         """L2 -> L3 -> DRAM walk after an L1 miss; returns the latency.
 
-        The caller has already updated L1 tag state and counters (the L1
-        install is part of the miss handling, not of this walk), which lets
-        the fast-path load closures inline the L1 lookup and share this
-        method for the miss side.
+        Separate from :meth:`l1_miss` only because ``fastpath.py`` installs
+        the L1 tag itself and calls this (ROADMAP 1(a) retires it).
         """
-        cfg = self.config
         if self.l2[core].access(line):
-            return cfg.l2.latency
+            return self.config.l2.latency
         return self.miss_below_l2(core, line, now)
 
     def miss_below_l2(self, core, line, now):
         """L3 -> DRAM walk after an L2 miss; returns the latency.
 
-        Split from :meth:`miss_below_l1` so engines that also inline the L2
-        lookup (batchpath, the RA loop) can share the walk below it. The
-        caller has already updated L2 tag state and counters.
+        The caller has already updated L2 tag state and counters.
         """
         l2 = self.l2[core]
         if self.l3.access(line):

@@ -28,7 +28,6 @@ class HWQueue:
         "max_occupancy",
         "full_blocks",
         "empty_blocks",
-        "producer_done",
         "tracer",
         "label",
     )
@@ -46,7 +45,6 @@ class HWQueue:
         self.max_occupancy = 0
         self.full_blocks = 0
         self.empty_blocks = 0
-        self.producer_done = False
         self.tracer = tracer
         self.label = label if label is not None else "q%d" % qid
         if tracer is not None:
@@ -101,43 +99,6 @@ class HWQueue:
             return None
         value, avail = self.entries[0]
         return value, (avail if avail > now else now)
-
-    # -- event-horizon contract (batch-advance engine / Scheduler) ---------
-    #
-    # The next_*_cycle methods answer "at which cycle does the next
-    # interesting event on this queue happen, as seen from cycle ``now``"
-    # WITHOUT mutating any state. They are the closed forms the engines'
-    # inline fast paths advance the clock by (``avail if avail > now else
-    # now`` is exactly ``next_deq_cycle``), and what the property suite
-    # checks against N single-cycle steps.
-
-    def next_deq_cycle(self, now):
-        """Cycle at which a dequeue issued at ``now`` would complete, or
-        None while the queue is empty (an enqueue, not time, unblocks it)."""
-        if not self.entries:
-            return None
-        avail = self.entries[0][1]
-        return avail if avail > now else now
-
-    def next_enq_cycle(self, now):
-        """Cycle at which an enqueue issued at ``now`` would claim its slot,
-        or None while the queue is full (a dequeue must free a slot)."""
-        if not self.slot_free:
-            return None
-        freed_at = self.slot_free[0]
-        return freed_at if freed_at > now else now
-
-    def next_event_cycle(self, now):
-        """Earliest cycle >= ``now`` with a state transition available on
-        either endpoint, or None if the queue is quiescent until some other
-        agent acts."""
-        d = self.next_deq_cycle(now)
-        e = self.next_enq_cycle(now)
-        if d is None:
-            return e
-        if e is None:
-            return d
-        return d if d < e else e
 
     @property
     def occupancy(self):

@@ -53,17 +53,18 @@ class RAEngine:
         self.last_delivery = 0.0
         self.tracer = env.machine.tracer
 
-    def next_event_cycle(self):
-        """Event-horizon contract: the earliest cycle the RA front clock can
-        sit at. The clock is the baseline; with all MSHRs in flight the next
-        accepted request would first wait for the oldest completion — the
-        same closed form the issue loop advances the clock by. Meaningful
-        between resumes (``run`` flushes ``self.clock`` before yielding)."""
-        t = self.clock
-        inflight = self.inflight
-        if len(inflight) >= self.env.machine.config.ra_mshrs and inflight[0] > t:
-            t = inflight[0]
-        return t
+    def _flush(self, clock, last_del, ral, ind, oute, out_mo):
+        """Write ``run``'s frame-local mirrors back (see the module
+        docstring); the caller zeroes its three deltas afterwards."""
+        env = self.env
+        out_queue = env.queues[self.spec.out_queue]
+        self.clock = clock
+        self.last_delivery = last_del
+        env.stats.ra_loads += ral
+        env.queues[self.spec.in_queue].total_deqs += ind
+        out_queue.total_enqs += oute
+        if out_mo > out_queue.max_occupancy:
+            out_queue.max_occupancy = out_mo
 
     def run(self):
         """Main RA loop (a daemon task generator).
@@ -90,7 +91,7 @@ class RAEngine:
             raise SimulationError("RA %d: unknown mode %r" % (spec.raid, spec.mode))
         tracer = self.tracer
         tname = task.name
-        stats = env.stats
+        flush = self._flush
         inflight = self.inflight
         mshr_cap = env.machine.config.ra_mshrs
         core = env.core
@@ -98,27 +99,19 @@ class RAEngine:
         esize = binding.elem_size
         data = binding.data
         sname = binding.name
-        # Inline L1 lookup + prefetch observation (MemorySystem.access):
-        # same block the fast-path load closures use; only the below-L1
-        # miss walk stays a call. Tag state and counters match exactly.
+        # Inline L1 hit side + prefetch observation (MemorySystem.access);
+        # everything past an L1 hit is mem.py's (MemorySystem.l1_miss).
         mem = env.machine.mem
         mcfg = mem.config
         shift = mem.LINE_SHIFT
         l1 = mem.l1[core]
         l1_sets = l1.sets
         scount = l1.sets_count
-        l1_ways = l1.ways
         l1_stats = l1.stats
         l1_lat = mcfg.l1.latency
-        l2 = mem.l2[core]
-        l2_sets = l2.sets
-        l2_scount = l2.sets_count
-        l2_ways = l2.ways
-        l2_stats = l2.stats
-        l2_lat = mcfg.l2.latency
+        l1_miss = mem.l1_miss
         pf_on = mcfg.prefetch_enabled
         pf_deg = mcfg.prefetch_degree
-        below_l2 = mem.miss_below_l2
         pf_streams = mem.prefetchers[core].streams
         max_stride = mem.prefetchers[core].MAX_STRIDE
         prefetch_one = mem._prefetch
@@ -157,16 +150,8 @@ class RAEngine:
                         waiter.wake()
             else:
                 in_queue.empty_blocks += 1
-                self.clock = clock
-                self.last_delivery = last_del
-                stats.ra_loads += ral
-                ral = 0
-                in_queue.total_deqs += ind
-                ind = 0
-                out_queue.total_enqs += oute
-                oute = 0
-                if out_mo > out_queue.max_occupancy:
-                    out_queue.max_occupancy = out_mo
+                flush(clock, last_del, ral, ind, oute, out_mo)
+                ral = ind = oute = 0
                 res = None
                 while res is None:
                     task.block(deq_block)
@@ -182,16 +167,8 @@ class RAEngine:
                     # forward the marker downstream (blocking enq)
                     t = try_enq(clock, value)
                     if t is None:
-                        self.clock = clock
-                        self.last_delivery = last_del
-                        stats.ra_loads += ral
-                        ral = 0
-                        in_queue.total_deqs += ind
-                        ind = 0
-                        out_queue.total_enqs += oute
-                        oute = 0
-                        if out_mo > out_queue.max_occupancy:
-                            out_queue.max_occupancy = out_mo
+                        flush(clock, last_del, ral, ind, oute, out_mo)
+                        ral = ind = oute = 0
                         while t is None:
                             task.block(enq_block)
                             out_queue.waiting_producers.append(task)
@@ -205,16 +182,8 @@ class RAEngine:
                 # second half of the (start, end) pair
                 res = try_deq(clock)
                 if res is None:
-                    self.clock = clock
-                    self.last_delivery = last_del
-                    stats.ra_loads += ral
-                    ral = 0
-                    in_queue.total_deqs += ind
-                    ind = 0
-                    out_queue.total_enqs += oute
-                    oute = 0
-                    if out_mo > out_queue.max_occupancy:
-                        out_queue.max_occupancy = out_mo
+                    flush(clock, last_del, ral, ind, oute, out_mo)
+                    ral = ind = oute = 0
                     while res is None:
                         task.block(deq_block)
                         in_queue.waiting_consumers.append(task)
@@ -253,36 +222,7 @@ class RAEngine:
                     l1_stats.hits += 1
                     latency = l1_lat
                 else:
-                    if entry is None:
-                        l1_sets[sindex] = [tag]
-                    else:
-                        entry.insert(0, tag)
-                        if len(entry) > l1_ways:
-                            entry.pop()
-                    l1_stats.misses += 1
-                    # L2 lookup inlined too (Cache.access, same discipline
-                    # as the L1 block); only the below-L2 walk is a call.
-                    s2 = line % l2_scount
-                    t2 = line // l2_scount
-                    e2 = l2_sets.get(s2)
-                    if e2 is not None and e2[0] == t2:
-                        l2_stats.hits += 1
-                        latency = l2_lat
-                    elif e2 is not None and t2 in e2:
-                        pos = e2.index(t2, 1)
-                        del e2[pos]
-                        e2.insert(0, t2)
-                        l2_stats.hits += 1
-                        latency = l2_lat
-                    else:
-                        if e2 is None:
-                            l2_sets[s2] = [t2]
-                        else:
-                            e2.insert(0, t2)
-                            if len(e2) > l2_ways:
-                                e2.pop()
-                        l2_stats.misses += 1
-                        latency = below_l2(core, line, start)
+                    latency = l1_miss(core, line, start, sindex, tag, entry)
                 if pf_on:
                     # stride observe (_StreamTable.observe, mem.py), inlined
                     sentry = pf_streams.get(sname)
@@ -335,16 +275,8 @@ class RAEngine:
                             waiter.wake()
                 else:
                     out_queue.full_blocks += 1
-                    self.clock = clock
-                    self.last_delivery = last_del
-                    stats.ra_loads += ral
-                    ral = 0
-                    in_queue.total_deqs += ind
-                    ind = 0
-                    out_queue.total_enqs += oute
-                    oute = 0
-                    if out_mo > out_queue.max_occupancy:
-                        out_queue.max_occupancy = out_mo
+                    flush(clock, last_del, ral, ind, oute, out_mo)
+                    ral = ind = oute = 0
                     t = None
                     while t is None:
                         task.block(enq_block)

@@ -85,17 +85,6 @@ class BarrierSync:
             t.wake()
         return release
 
-    def next_event_cycle(self, now):
-        """Event-horizon contract: when the barrier next releases anyone.
-
-        None while a generation is open (arrivals, not time, complete it);
-        otherwise the last release cycle bounded below by ``now`` — the
-        stall target ``arrive`` handed the final arriver."""
-        if self.arrived:
-            return None
-        release = self.last_release
-        return release if release > now else now
-
     def drop_participant(self):
         """A participating task finished; shrink the barrier.
 
@@ -234,24 +223,6 @@ class Scheduler:
                 return task
         return None
 
-    def next_event_horizon(self):
-        """Event-horizon contract: the cycle of the next task resume, or
-        None when no task is runnable (deadlock or completion).
-
-        Dead heap entries (tasks that finished or re-blocked since their
-        push) are lazily discarded, exactly like :meth:`_pop_runnable`, but
-        the live head stays queued — this is a pure query. ``run()`` then
-        advances the simulation straight to this horizon: there is no
-        per-cycle loop anywhere, quiescent cycles are skipped by
-        construction."""
-        heap = self._heap
-        while heap:
-            key, _, task = heap[0]
-            if task.runnable and not task.done:
-                return key
-            heapq.heappop(heap)
-        return None
-
     def _report_deadlock(self):
         blocked = [t for t in self.tasks if not t.done and not t.runnable and not t.daemon]
         lines = ["all threads blocked:"]
@@ -314,12 +285,11 @@ class IssueLedger:
     what models SMT contention among co-scheduled pipeline stages.
     """
 
-    __slots__ = ("width", "slots", "low_water")
+    __slots__ = ("width", "slots")
 
     def __init__(self, width):
         self.width = width
         self.slots = {}
-        self.low_water = 0
 
     def acquire(self, t):
         c = int(t)
@@ -333,10 +303,3 @@ class IssueLedger:
             n = slots.get(c, 0)
         slots[c] = n + 1
         return float(c)
-
-    def prune(self, horizon):
-        """Drop bookkeeping for cycles below ``horizon`` (all threads past it)."""
-        if horizon - self.low_water < 4096:
-            return
-        self.slots = {c: n for c, n in self.slots.items() if c >= horizon}
-        self.low_water = int(horizon)

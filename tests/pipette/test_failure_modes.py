@@ -32,23 +32,66 @@ def test_deadlock_report_names_threads_and_queues():
     assert "deq" in message
 
 
+def _error_on_every_engine(pipe, arrays):
+    """The ``SimulationError`` a run dies with: the reference interpreter's
+    text, which the batch engine (compiled, not fallen back) must raise
+    character for character."""
+    messages = {}
+    for engine in ("reference", "batch"):
+        machine = Machine(MachineConfig(), engine=engine)
+        with pytest.raises(SimulationError) as excinfo:
+            machine.run(RunSpec(pipe, {name: list(data) for name, data in arrays.items()}, {}))
+        assert set(machine.stage_engines.values()) == {engine}
+        messages[engine] = str(excinfo.value)
+    assert messages["batch"] == messages["reference"]
+    return messages["reference"]
+
+
+def _one_stage(body, arrays=()):
+    stage = ir.StageProgram(0, "w", body)
+    return ir.PipelineProgram("t", [stage], [], [], {a: ir.ArrayDecl(a) for a in arrays}, [])
+
+
 def test_store_out_of_bounds_names_array():
     b = ir.IRBuilder()
     b.store("@buf", 99, 1)
-    stage = ir.StageProgram(0, "w", b.finish())
-    pipe = ir.PipelineProgram("t", [stage], [], [], {"buf": ir.ArrayDecl("buf")}, [])
-    with pytest.raises(SimulationError, match="buf"):
-        Machine(MachineConfig()).run(RunSpec(pipe, {"buf": [0]}, {}))
+    message = _error_on_every_engine(_one_stage(b.finish(), ["buf"]), {"buf": [0]})
+    assert message == "stage w: store @buf[99] out of bounds (len 1)"
+
+
+def test_load_out_of_bounds_names_array():
+    b = ir.IRBuilder()
+    b.load("@buf", 7)
+    message = _error_on_every_engine(_one_stage(b.finish(), ["buf"]), {"buf": [0, 0]})
+    assert message == "stage w: load @buf[7] out of bounds (len 2)"
+
+
+@pytest.mark.parametrize("verb", ["load", "store"])
+def test_pointer_register_out_of_bounds_names_the_register(verb):
+    b = ir.IRBuilder()
+    b.mov("@buf", dst="p")
+    if verb == "load":
+        b.load("p", 5)
+    else:
+        b.store("p", 5, 1)
+    message = _error_on_every_engine(_one_stage(b.finish(), ["buf"]), {"buf": [0, 0, 0]})
+    assert message == "stage w: %s p[5] out of bounds (len 3)" % verb
 
 
 def test_pointer_misuse_reported():
     b = ir.IRBuilder()
     b.mov(5, dst="p")  # scalar, not a handle
     b.load("p", 0)
-    stage = ir.StageProgram(0, "w", b.finish())
-    pipe = ir.PipelineProgram("t", [stage], [], [], {}, [])
-    with pytest.raises(SimulationError, match="pointer"):
-        Machine(MachineConfig()).run(RunSpec(pipe, {}, {}))
+    message = _error_on_every_engine(_one_stage(b.finish()), {})
+    assert message == "register 'p' used as pointer holds 5"
+
+
+def test_pointer_misuse_on_store_reported():
+    b = ir.IRBuilder()
+    b.mov(5, dst="p")
+    b.store("p", 0, 1)
+    message = _error_on_every_engine(_one_stage(b.finish()), {})
+    assert message == "register 'p' used as pointer holds 5"
 
 
 def test_scan_ra_rejects_ctrl_mid_pair():
@@ -67,8 +110,8 @@ def test_scan_ra_rejects_ctrl_mid_pair():
         {"a": ir.ArrayDecl("a")},
         [],
     )
-    with pytest.raises(SimulationError, match="mid-pair"):
-        Machine(MachineConfig()).run(RunSpec(pipe, {"a": [1, 2, 3]}, {}))
+    message = _error_on_every_engine(pipe, {"a": [1, 2, 3]})
+    assert message == "RA 0 (scan): control value arrived mid-pair"
 
 
 def test_dangling_break_detected():

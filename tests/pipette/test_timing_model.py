@@ -8,9 +8,15 @@ ahead of use works.
 
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro import ir
 from repro.pipette import Machine, MachineConfig, RunSpec
 from repro.pipette.config import CacheConfig
+from repro.pipette.interp import ThreadCtx
+from repro.pipette.sched import IssueLedger
+from repro.pipette.stats import ThreadStats
 
 
 def _tiny_mem_config(**kw):
@@ -212,3 +218,30 @@ def test_queue_stall_attributed():
     res = Machine(MachineConfig()).run(RunSpec(pipe, {"out": [0]}, {}))
     consumer = next(t for t in res.stats.threads if "fast" in t.name)
     assert consumer.queue_stall > 0.2 * consumer.total_cycles
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.floats(0, 100), min_size=8, max_size=8),
+    st.integers(1, 8),
+    st.floats(0, 20),
+    st.lists(st.tuples(st.floats(0, 200), st.floats(0, 9)), min_size=8, max_size=8),
+)
+def test_rob_block_guard_covers_the_whole_run(window, k, slack, steps):
+    """The batch engine's ROB block guard: retire times enter the ROB in
+    non-decreasing order and the cursor never moves back, so ``rob[k-1]
+    <= cursor`` at the entry of a run of k <= rob_size retires means
+    none of them stalls — whatever they complete at, however far other
+    stalls move the cursor in between (also across a ``yield``)."""
+    config = MachineConfig(rob_size=8)
+    ctx = ThreadCtx(config, 0, IssueLedger(4), None, ThreadStats("t0"), None)
+    ctx.rob.extend(sorted(window))  # full, as the engine's prefilled ring
+    ctx.rob_last = ctx.rob[-1]
+    ctx.cursor = ctx.rob[k - 1] + slack  # the guard holds at run entry
+    for completion, advance in steps[:k]:
+        ctx.cursor += advance
+        before = ctx.cursor
+        ctx.retire(completion)
+        assert ctx.cursor == before
+        assert list(ctx.rob) == sorted(ctx.rob)
+    assert ctx.stats.mem_stall == 0.0
