@@ -6,13 +6,11 @@ win, and SMT time-multiplexing of stages holds up against spatial
 placement (the load-balance argument of Sec. I).
 """
 
-from repro.bench.experiments import ablation_design_choices
+from repro.bench.experiments import cells
 
 
-def test_ablation(once):
-    result = once(ablation_design_choices)
-    print(result["text"])
-    table = result["speedups"]
+def test_ablation(figure):
+    table = cells(figure("abl"), row="sweep")
     depth = table["queue depth"]
     assert depth["depth=24"] > depth["depth=2"]  # decoupling needs slack
     assert depth["depth=64"] < 1.25 * depth["depth=24"]  # saturates by 24

@@ -6,13 +6,9 @@ dips; DCE/handlers recover; reference accelerators give the largest jump;
 all passes together approach (or match) the manually tuned pipeline.
 """
 
-from repro.bench.experiments import fig6_pass_ablation
 
-
-def test_fig6(once):
-    result = once(fig6_pass_ablation)
-    print(result["text"])
-    s = result["speedups"]
+def test_fig6(figure):
+    s = {r["variant"]: r["speedup"] for r in figure("fig6")}
     assert s["Dataflow-style"] < 1.05  # dataflow-style does not beat serial
     assert s["CV+R+Q"] < s["R+Q"]  # control values alone hurt (paper Sec. IV-B)
     assert s["DCE+CV+R+Q"] > s["CV+R+Q"]  # DCE recovers them

@@ -5,13 +5,13 @@ Expected shape: Phloem's energy is below serial's on the graph benchmarks
 roughly unchanged (the same data still moves).
 """
 
-from repro.bench.experiments import fig11_energy_breakdown
+from repro.bench.experiments import FIGURES
+from repro.obs import normalized
 
 
-def test_fig11(once):
-    result = once(fig11_energy_breakdown)
-    print(result["text"])
-    table = result["energy"]
+def test_fig11(suite_records):
+    print(FIGURES["fig11"].render(suite_records))
+    table = normalized(suite_records, "energy")
     for name, variants in table.items():
         serial_total = sum(variants["serial"].values())
         assert abs(serial_total - 1.0) < 1e-6

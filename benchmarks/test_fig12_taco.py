@@ -5,13 +5,11 @@ the paper) while data parallelism barely helps them; SDDMM inverts — its
 regular dense inner loop favors the data-parallel version.
 """
 
-from repro.bench.experiments import fig12_taco
+from repro.obs import gmean_speedups
 
 
-def test_fig12(once):
-    result = once(fig12_taco)
-    print(result["text"])
-    table = result["speedups"]
+def test_fig12(figure):
+    table = gmean_speedups(figure("fig12"))
     for name in ("spmv", "residual", "mtmul"):
         assert table[name]["phloem-static"] > 1.2, name
         assert table[name]["phloem-static"] > table[name]["data-parallel"], name

@@ -5,13 +5,12 @@ an interior optimum exists (too many stages add communication), and SpMM's
 distribution stays flat/low.
 """
 
-from repro.bench.experiments import fig13_stage_distribution
+from repro.bench.experiments import FIGURES
 
 
-def test_fig13(once):
-    result = once(fig13_stage_distribution)
-    print(result["text"])
-    dists = result["distributions"]
+def test_fig13(once, fig9_suites):
+    dists = once(FIGURES["fig13"].collect, fig9_suites)
+    print(FIGURES["fig13"].render(dists))
     assert "bfs" in dists and "spmv" in dists and "spmm" in dists
     bfs_best = {units: max(s) for units, s in dists["bfs"].items()}
     assert max(bfs_best.values()) > 1.5

@@ -26,6 +26,8 @@ from .requests import (
     BenchPerfResponse,
     CompileRequest,
     CompileResponse,
+    FiguresRequest,
+    FiguresResponse,
     LintRequest,
     LintResponse,
     MetricsRequest,
@@ -60,6 +62,8 @@ __all__ = [
     "RunResponse",
     "SearchRequest",
     "SearchResponse",
+    "FiguresRequest",
+    "FiguresResponse",
     "TraceRequest",
     "TraceResponse",
     "MetricsRequest",

@@ -45,19 +45,14 @@ def _compile_options(req):
 
 def _demo_input(bench, size, seed):
     """One synthetic input item for ``demo``-family verbs (graph/matrix)."""
-    from ..workloads.datasets import GraphInput, MatrixInput
+    from ..workloads.datasets import Input
     from ..workloads.graphs import uniform_random
     from ..workloads.matrices import random_matrix
 
-    if bench == "spmm":
-        return MatrixInput(
-            "demo", "synthetic", lambda: random_matrix(max(40, size // 40), 8, seed=seed)
-        )
-    if bench == "spmv":
-        return MatrixInput(
-            "demo", "synthetic", lambda: random_matrix(max(40, size // 4), 8, seed=seed)
-        )
-    return GraphInput("demo", "synthetic", lambda: uniform_random(size, 5, seed=seed))
+    if bench in ("spmm", "spmv"):
+        rows = max(40, size // (40 if bench == "spmm" else 4))
+        return Input("demo", "synthetic", lambda: random_matrix(rows, 8, seed=seed))
+    return Input("demo", "synthetic", lambda: uniform_random(size, 5, seed=seed))
 
 
 # ---------------------------------------------------------------------------
@@ -163,33 +158,27 @@ def _run_lint(req):
 
 @runner(requests.RunRequest)
 def _run_demo(req):
-    from ..bench.harness import adapter_for, log_engine_fallbacks, run_suite
+    from ..bench.harness import adapter_for, run_suite
     from ..core.compiler import CompileOptions, pipeline_summary
-    from ..obs import records_from_suite
     from ..pipette.config import SCALED_1CORE
 
-    adapter = adapter_for(req.bench)
     item = _demo_input(req.bench, req.size, req.seed)
     print("input: %r" % item.build())
     suite = run_suite(
-        adapter,
+        adapter_for(req.bench),
         [item],
         [],
         config=SCALED_1CORE,
         variants=DEMO_VARIANTS,
         options=CompileOptions(num_stages=req.stages),
     )
-    print("phloem pipeline: %s\n" % pipeline_summary(suite["_meta"]["phloem-static"]))
-    base = suite["serial"][0].cycles
+    print("phloem pipeline: %s\n" % pipeline_summary(suite.pipelines["phloem-static"]))
     print("%-16s %14s %9s %6s" % ("variant", "cycles", "speedup", "ok"))
-    for name in DEMO_VARIANTS:
-        run = suite[name][0]
-        print("%-16s %14.0f %8.2fx %6s" % (name, run.cycles, base / run.cycles, run.ok))
-        log_engine_fallbacks("demo %s/%s" % (req.bench, name), run.meta.get("stage_fallbacks"))
-    ok = all(suite[name][0].ok for name in DEMO_VARIANTS)
-    records = records_from_suite(req.bench, suite)
-    speedup = base / suite["phloem-static"][0].cycles
-    return (0 if ok else 1), records, {"speedup": speedup}
+    for r in suite.records:
+        print("%-16s %14.0f %8.2fx %6s" % (r["variant"], r["cycles"], r["speedup"], r["ok"]))
+    ok = all(r["ok"] for r in suite.records)
+    speedup = next(r["speedup"] for r in suite.records if r["variant"] == "phloem-static")
+    return (0 if ok else 1), suite.records, {"speedup": speedup}
 
 
 @runner(requests.SearchRequest)
@@ -237,6 +226,49 @@ def _run_search(req):
     return 0, records, {"best": best_dict}
 
 
+@runner(requests.FiguresRequest)
+def _run_figures(req):
+    import time
+
+    from .. import obs
+    from ..bench import experiments, parallel, report
+
+    names = req.names or sorted(n for n in experiments.FIGURES if n.startswith("fig"))
+    for name in names:
+        if name not in experiments.FIGURES:
+            print(
+                "unknown figure %r (choose from %s)"
+                % (name, ", ".join(sorted(experiments.FIGURES)))
+            )
+            return 2, [], {}
+
+    jobs = parallel.resolve_jobs(req.jobs)
+    parallel.clear_job_log()
+    cache_before = cache.stats_snapshot()
+    start = time.perf_counter()
+    collected = experiments.collect_figures(names, jobs=jobs)
+    for name in names:
+        print(experiments.FIGURES[name].render(collected[name]))
+        print()
+
+    # Per-figure record lists merge deterministically whatever the worker
+    # count; every record carries this request's cache counts.
+    counts = cache.stats_since(cache_before)
+    records = obs.stamp_cache(experiments.figure_records(collected), counts)
+    if req.metrics_out:
+        obs.write_jsonl(records, req.metrics_out)
+        obs.log("metrics: %d records -> %s", len(records), req.metrics_out)
+
+    # Harness telemetry on stderr (obs.log: --quiet/REPRO_QUIET silences
+    # it), keeping stdout byte-identical to a serial, cache-less run:
+    # per-job wall times and cache hit rates (a cold-vs-warm pair of
+    # invocations shows the caches working).
+    elapsed = time.perf_counter() - start
+    obs.log("%s", report.render_job_times(parallel.job_log(), workers=jobs, total_wall=elapsed))
+    obs.log("%s", report.render_cache_stats(counts, directory=cache.cache_dir()))
+    return 0, records, {}
+
+
 @runner(requests.TraceRequest)
 def _run_trace(req):
     from .. import obs
@@ -280,19 +312,11 @@ def _run_trace(req):
         obs.write_chrome_trace(tracer, req.trace_out, meta={"bench": req.bench})
         obs.log("trace: %d events -> %s (open at ui.perfetto.dev)", len(tracer), req.trace_out)
     records = [
-        obs.run_record(
-            req.bench, "serial", item.name, serial.cycles, ok=True,
-            summary=serial.summary(), breakdown=serial.breakdown(),
-            energy=serial.energy().as_dict(), speedup=1.0,
-        ),
-        obs.run_record(
-            req.bench, "phloem-static", item.name, result.cycles, ok=ok,
-            summary=result.stats.summary(), breakdown=result.breakdown(),
-            energy=result.energy().as_dict(),
-            speedup=serial.cycles / result.cycles,
+        obs.record_of(req.bench, "serial", item.name, serial, True, serial.cycles),
+        obs.record_of(
+            req.bench, "phloem-static", item.name, result, ok, serial.cycles,
             cache_stats=cache.stats_since(cache_before),
             passes=None if profiler is None else profiler.as_dicts(),
-            stage_engines=result.stage_engines,
         ),
     ]
     if req.metrics_out:
@@ -321,9 +345,7 @@ def _run_metrics(req):
         options=options,
         jobs=req.jobs,
     )
-    records = obs.records_from_suite(
-        req.bench, suite, cache_stats=cache.stats_since(cache_before)
-    )
+    records = obs.stamp_cache(suite.records, cache.stats_since(cache_before))
     if req.profile_passes:
         profiler = obs.PassProfiler()
         compile_function(adapter.function(), options=options, profiler=profiler)

@@ -134,6 +134,12 @@ class SearchResponse(Response):
 
 
 @dataclass
+class FiguresResponse(Response):
+    """``figures`` result; the RunRecords of every figure that ran ride in
+    ``records``."""
+
+
+@dataclass
 class TraceResponse(Response):
     """``trace`` result; ``cycles`` is the traced pipeline's cycle count."""
 
@@ -456,6 +462,25 @@ class SearchRequest(Request):
     #: quartile is simulated.
     prune_static: bool = arg(
         False, "drop statically-dominated candidates before any simulation"
+    )
+
+
+@dataclass
+class FiguresRequest(Request):
+    """``repro figures``: regenerate evaluation figures from the registry
+    (:data:`repro.bench.experiments.FIGURES`); no names = the seven paper
+    figures. ``metrics_out`` is resolved where the request executes."""
+
+    VERB = "figures"
+    HELP = "regenerate evaluation figures"
+    RESPONSE = FiguresResponse
+
+    names: tuple = arg((), positional=True, nargs="*", metavar="figN")
+    jobs: int = arg(None, "worker processes for the harness (default: REPRO_JOBS env or 1)")
+    quiet: bool = arg(False, "silence stderr telemetry (wall times, cache rates)")
+    metrics_out: str = arg(
+        None, "write structured RunRecords for the suites this run computed",
+        metavar="FILE.jsonl",
     )
 
 

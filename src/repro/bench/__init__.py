@@ -1,8 +1,9 @@
 """Evaluation harness regenerating the paper's figures.
 
-``harness`` runs variant suites behind the unified :class:`BenchAdapter`;
-``parallel`` fans independent jobs over a worker pool; ``experiments``
-holds the per-figure drivers; ``report`` renders ASCII figures plus the
+``harness`` runs variant suites behind the unified :class:`BenchAdapter`
+into RunRecords; ``parallel`` fans independent jobs over a worker pool;
+``experiments`` holds the ``FIGURES`` registry (a collector of records and a
+pure renderer per figure); ``report`` renders ASCII tables plus the
 cache/wall-time summaries.
 """
 
@@ -10,12 +11,8 @@ from .harness import (
     DP_THREADS,
     QUICK,
     BenchAdapter,
-    GraphBenchAdapter,
-    SpmmBenchAdapter,
+    SuiteResult,
     adapter_for,
-    gmean_speedup,
-    normalized_breakdowns,
-    normalized_energy,
     profile_guided_pipeline,
     run_suite,
 )
@@ -25,12 +22,8 @@ __all__ = [
     "DP_THREADS",
     "QUICK",
     "BenchAdapter",
-    "GraphBenchAdapter",
-    "SpmmBenchAdapter",
+    "SuiteResult",
     "adapter_for",
-    "gmean_speedup",
-    "normalized_breakdowns",
-    "normalized_energy",
     "profile_guided_pipeline",
     "run_suite",
     "Job",

@@ -1,9 +1,12 @@
-"""Per-figure experiment drivers (the evaluation of Sec. VII).
+"""The ``FIGURES`` registry: the evaluation of Sec. VII as records and renderers.
 
-Each ``figN_*`` function regenerates one figure of the paper as structured
-data plus an ASCII rendering. Heavyweight results (the Fig. 9 suite) are
-computed once and shared by the figures that re-slice them (Figs. 10, 11,
-13). Set ``REPRO_QUICK=1`` to shrink the evaluation for smoke runs.
+Every entry regenerates one figure (or extension table) in two halves: a
+*collector* that runs the experiment and yields its RunRecords
+(:mod:`repro.obs.record`; Fig. 13 yields the search's speedup distributions)
+and a pure *renderer* from that data to the ASCII table. Figures that
+re-slice the same executions (Figs. 9, 10, 11 and 13 over the Fig. 9 suites)
+name the same ``source`` and :func:`collect_figures` runs it once. Set
+``REPRO_QUICK=1`` to shrink the evaluation for smoke runs.
 
 Mirroring the paper's methodology (Sec. VI): PRD and Radii bound their
 simulation time by running on the lower-diameter inputs (the paper uses
@@ -11,28 +14,23 @@ iteration sampling for the same reason); Taco benchmarks use the static
 compilation flow.
 """
 
+import collections
+from dataclasses import replace
+
 from .. import cache
-from ..core.autotune import gmean, speedup_distribution
+from ..core.autotune import gmean, search_pipelines, speedup_distribution
 from ..core.compiler import ALL_PASSES, CompileOptions
+from ..core.replicate import replicate_pipeline
 from ..frontend.lowering import compile_source
-from ..pipette.config import SCALED_1CORE
-from ..runtime.executor import run_pipeline
+from ..obs.record import gmean_speedups, merge_records, normalized, record_of
+from ..pipette.config import SCALED_1CORE, SCALED_4CORE
+from ..runtime.executor import run_pipeline, run_replicated
 from ..taco import kernels as taco_kernels
 from ..taco.parallel import stripe_data_parallel
 from ..workloads import bc, bfs, cc, datasets, graphs, pr, prd, radii, replicated, spmm, spmv, sssp, tc
-from ..pipette.config import SCALED_4CORE
-from ..runtime.executor import run_replicated
 from ..workloads.dataflow import dataflow_variant
 from . import report
-from .harness import (
-    DP_THREADS,
-    QUICK,
-    BenchAdapter,
-    gmean_speedup,
-    normalized_breakdowns,
-    normalized_energy,
-    run_suite,
-)
+from .harness import DP_THREADS, QUICK, BenchAdapter, run_suite
 from .parallel import Job, run_jobs
 
 #: Per-benchmark test inputs (PRD/Radii use the low-diameter subset).
@@ -44,16 +42,8 @@ _GRAPH_INPUT_NAMES = {
 }
 
 
-def _inputs_for(name):
-    names = _GRAPH_INPUT_NAMES[name]
-    if QUICK:
-        names = names[:2]
-    return [datasets.graph_by_name(n) for n in names]
-
-
-def _spmm_inputs():
-    items = datasets.TEST_MATRICES_SPMM
-    return items[:2] if QUICK else items
+def _graphs(names):
+    return [datasets.graph_by_name(name) for name in names]
 
 
 # ---------------------------------------------------------------------------
@@ -73,15 +63,15 @@ FIG6_VARIANTS = [
 ]
 
 
-def fig6_pass_ablation(config=SCALED_1CORE, input_name="freescale"):
-    """Speedup over serial BFS with each added pass (paper Fig. 6)."""
+def fig6_records(config=SCALED_1CORE, input_name="freescale"):
+    """BFS with each added pass, one record per variant (paper Fig. 6)."""
     graph = datasets.graph_by_name(input_name).build()
     arrays, scalars = bfs.make_env(graph)
     function = bfs.function()
     serial = cache.cached_serial_run(function, arrays, scalars, config)
     assert bfs.check(serial.arrays, graph)
 
-    speedups = {}
+    records = []
     for label, passes in FIG6_VARIANTS:
         if passes == "manual":
             pipeline = bfs.manual_pipeline()
@@ -92,91 +82,58 @@ def fig6_pass_ablation(config=SCALED_1CORE, input_name="freescale"):
         result = run_pipeline(pipeline, arrays, scalars, config=config)
         if not bfs.check(result.arrays, graph):
             raise AssertionError("fig6 variant %r produced wrong distances" % label)
-        speedups[label] = serial.cycles / result.cycles
+        records.append(record_of("bfs", label, input_name, result, True, serial.cycles))
+    return records
 
-    text = report.render_table(
-        "Fig. 6: BFS speedup with each added pass (input: %s)" % input_name,
+
+def render_fig6(records):
+    """Speedup over serial BFS, one row per pass subset."""
+    return report.render_table(
+        "Fig. 6: BFS speedup with each added pass (input: %s)" % records[0]["input"],
         ["variant", "speedup over serial"],
-        [[k, v] for k, v in speedups.items()],
+        [[r["variant"], r["speedup"]] for r in records],
     )
-    return {"speedups": speedups, "text": text}
 
 
 # ---------------------------------------------------------------------------
-# Fig. 9/10/11 — overall comparison suite (computed once)
-
-_SUITES = {}
+# Fig. 9/10/11 — the overall comparison suites, and the GARDENIA extension
 
 
-def ensure_suites(config=SCALED_1CORE, jobs=None):
-    """Run the Fig. 9 suite for all five benchmarks (cached).
+def _run_suites(label, specs, config, variants, jobs):
+    """``{bench: SuiteResult}`` for ``specs`` = ``[(module, tests, train)]``.
 
-    The five suites are independent: with ``jobs`` > 1 they fan out over
-    the worker pool (one job per benchmark), which is where the figures
-    CLI gets its cross-benchmark parallelism.
+    The suites are independent: with ``jobs`` > 1 they fan out over the
+    worker pool (one job per benchmark), which is where the figures verb
+    gets its cross-benchmark parallelism. Every run was validated against
+    its workload's golden oracle; a failed check is an assertion, never a
+    silent row.
     """
-    if _SUITES:
-        return _SUITES
-    specs = [
-        (name, BenchAdapter(module), _inputs_for(name), datasets.TRAIN_GRAPHS)
-        for name, module in (("bfs", bfs), ("cc", cc), ("prd", prd), ("radii", radii))
-    ]
-    specs.append(("spmm", BenchAdapter(spmm), _spmm_inputs(), datasets.TRAIN_MATRICES_SPMM))
     job_list = [
-        Job("suite:%s" % name, run_suite, adapter, tests, train, config)
-        for name, adapter, tests, train in specs
+        Job("%s:%s" % (label, module.NAME), run_suite, BenchAdapter(module), tests, train,
+            config, variants)
+        for module, tests, train in specs
     ]
-    for spec, result in zip(specs, run_jobs(job_list, workers=jobs)):
-        _SUITES[spec[0]] = result.value
-    return _SUITES
+    suites = {
+        spec[0].NAME: result.value for spec, result in zip(specs, run_jobs(job_list, workers=jobs))
+    }
+    for bench, suite in suites.items():
+        bad = [(r["variant"], r["input"]) for r in suite.records if not r["ok"]]
+        if bad:
+            raise AssertionError("%s %s failed validation: %s" % (label, bench, bad))
+    return suites
 
 
-def fig9_overall_speedup(config=SCALED_1CORE):
-    """Per-benchmark speedups over serial (paper Fig. 9)."""
-    suites = ensure_suites(config)
-    table = {}
-    for name, suite in suites.items():
-        table[name] = {
-            variant: gmean_speedup(runs)
-            for variant, runs in suite.items()
-            if not variant.startswith("_")
-        }
-        for variant, runs in suite.items():
-            if variant.startswith("_"):
-                continue
-            bad = [r for r in runs if not r.ok]
-            if bad:
-                raise AssertionError("fig9 %s/%s failed validation: %s" % (name, variant, bad))
-    text = report.render_speedups("Fig. 9: gmean speedup over serial", table)
-    return {"speedups": table, "text": text}
+def fig9_suites(jobs=None, config=SCALED_1CORE):
+    """The Fig. 9 comparison for all five benchmarks: what Figs. 9, 10, 11
+    and 13 are slices of."""
+    count = 2 if QUICK else None
+    specs = [
+        (module, _graphs(_GRAPH_INPUT_NAMES[module.NAME][:count]), datasets.TRAIN_GRAPHS)
+        for module in (bfs, cc, prd, radii)
+    ]
+    specs.append((spmm, datasets.TEST_MATRICES_SPMM[:count], datasets.TRAIN_MATRICES_SPMM))
+    return _run_suites("suite", specs, config, None, jobs)
 
-
-def fig10_cycle_breakdown(config=SCALED_1CORE):
-    """Cycle breakdowns normalized to serial (paper Fig. 10)."""
-    suites = ensure_suites(config)
-    table = {name: normalized_breakdowns(suite) for name, suite in suites.items()}
-    text = report.render_stacked(
-        "Fig. 10: cycles normalized to serial (issue/backend/queue/other)",
-        table,
-        ["issue", "backend", "queue", "other"],
-    )
-    return {"breakdowns": table, "text": text}
-
-
-def fig11_energy_breakdown(config=SCALED_1CORE):
-    """Energy breakdowns normalized to serial (paper Fig. 11)."""
-    suites = ensure_suites(config)
-    table = {name: normalized_energy(suite) for name, suite in suites.items()}
-    text = report.render_stacked(
-        "Fig. 11: energy normalized to serial",
-        table,
-        ["core_dynamic", "core_static", "cache", "dram"],
-    )
-    return {"energy": table, "text": text}
-
-
-# ---------------------------------------------------------------------------
-# Extension — GARDENIA-style workload suite (SSSP, PageRank, TC, BC, SpMV)
 
 #: Per-workload test inputs. SSSP runs on the weighted Table IV
 #: substitutes; TC and BC canonicalize (symmetrize) internally, so they
@@ -194,76 +151,38 @@ _GARDENIA_INPUT_NAMES = {
 #: simulations would dominate its wall-clock without changing the story.
 _GARDENIA_VARIANTS = ("serial", "data-parallel", "phloem-static", "manual")
 
-_GARDENIA_SUITES = {}
 
+def gardenia_suites(jobs=None, config=SCALED_1CORE):
+    """The GARDENIA comparison (SSSP, PageRank, TC, BC, SpMV).
 
-def ensure_gardenia_suites(config=SCALED_1CORE, jobs=None):
-    """Run the GARDENIA comparison for all five workloads (cached)."""
-    if _GARDENIA_SUITES:
-        return _GARDENIA_SUITES
-    specs = [
-        (
-            name,
-            BenchAdapter(module),
-            [
-                datasets.graph_by_name(n)
-                for n in (
-                    # One input per workload under QUICK: five workloads x
-                    # four variants is already a lot of simulation, and the
-                    # first-listed inputs are the cheap ones.
-                    _GARDENIA_INPUT_NAMES[name][:1]
-                    if QUICK
-                    else _GARDENIA_INPUT_NAMES[name]
-                )
-            ],
-        )
-        for name, module in (("sssp", sssp), ("pr", pr), ("tc", tc), ("bc", bc))
-    ]
-    spmv_inputs = datasets.TEST_MATRICES_SPMV
-    specs.append(("spmv", BenchAdapter(spmv), spmv_inputs[:1] if QUICK else spmv_inputs))
-    job_list = [
-        Job(
-            "gardenia:%s" % name,
-            run_suite,
-            adapter,
-            tests,
-            [],
-            config,
-            _GARDENIA_VARIANTS,
-        )
-        for name, adapter, tests in specs
-    ]
-    for spec, result in zip(specs, run_jobs(job_list, workers=jobs)):
-        _GARDENIA_SUITES[spec[0]] = result.value
-    return _GARDENIA_SUITES
-
-
-def gardenia_suite(config=SCALED_1CORE, jobs=None):
-    """GARDENIA-suite speedups over serial (extension of Fig. 9).
-
-    Every run is validated against its workload's golden CPU oracle;
-    a failed check is an assertion, never a silent row.
+    One input per workload under QUICK: five workloads x four variants is
+    already a lot of simulation, and the first-listed inputs are the cheap
+    ones.
     """
-    suites = ensure_gardenia_suites(config, jobs=jobs)
-    table = {}
-    for name, suite in suites.items():
-        table[name] = {
-            variant: gmean_speedup(runs)
-            for variant, runs in suite.items()
-            if not variant.startswith("_")
-        }
-        for variant, runs in suite.items():
-            if variant.startswith("_"):
-                continue
-            bad = [r for r in runs if not r.ok]
-            if bad:
-                raise AssertionError(
-                    "gardenia %s/%s failed its golden oracle: %s" % (name, variant, bad)
-                )
-    text = report.render_speedups(
-        "GARDENIA suite: gmean speedup over serial", table
+    count = 1 if QUICK else None
+    specs = [
+        (module, _graphs(_GARDENIA_INPUT_NAMES[module.NAME][:count]), [])
+        for module in (sssp, pr, tc, bc)
+    ]
+    specs.append((spmv, datasets.TEST_MATRICES_SPMV[:count], []))
+    return _run_suites("gardenia", specs, config, _GARDENIA_VARIANTS, jobs)
+
+
+def suite_records(suites):
+    """Every record of ``{bench: SuiteResult}``, in suite order."""
+    return [record for suite in suites.values() for record in suite.records]
+
+
+def _speedups(title):
+    """Renderer: the gmean-speedup table of the records (Fig. 9's slice)."""
+    return lambda records: report.render_speedups(title, gmean_speedups(records))
+
+
+def _stacked(title, section, components):
+    """Renderer: a record section normalised to serial (Figs. 10 and 11)."""
+    return lambda records: report.render_stacked(
+        title, normalized(records, section), components
     )
-    return {"speedups": table, "text": text}
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +200,7 @@ def _taco_cases():
     return cases
 
 
-def fig12_taco(config=SCALED_1CORE):
+def fig12_records(config=SCALED_1CORE):
     """Taco kernels: serial vs data-parallel vs Phloem-static (paper Fig. 12)."""
     specs = [
         ("spmv", taco_kernels.spmv_kernel(), lambda m: {"A": m, "x": taco_kernels.dense_input(m.ncols, 1)}, ()),
@@ -319,91 +238,77 @@ def fig12_taco(config=SCALED_1CORE):
         ),
     ]
 
-    table = {}
+    records = []
     for kname, kernel, data_builder, atomic_arrays in specs:
         function = compile_source(kernel.source)
         pipeline = cache.cached_compile(function, CompileOptions(num_stages=4, passes=ALL_PASSES))
         dp = stripe_data_parallel(function, DP_THREADS, atomic_arrays=atomic_arrays)
-        serial_speeds, dp_speeds, phloem_speeds = [], [], []
         for mat_name, matrix in _taco_cases():
             if kname == "sddmm" and matrix.nrows > 2500:
                 continue  # the dense k-loop makes big inputs slow to simulate
             arrays, scalars = kernel.bind(data_builder(matrix))
             serial = cache.cached_serial_run(function, arrays, scalars, config)
-            presult = run_pipeline(pipeline, arrays, scalars, config=config)
-            dp_scalars = dict(scalars)
-            dp_scalars["nthreads"] = DP_THREADS
-            dresult = run_pipeline(dp, arrays, dp_scalars, config=config)
-            serial_speeds.append(1.0)
-            phloem_speeds.append(serial.cycles / presult.cycles)
-            dp_speeds.append(serial.cycles / dresult.cycles)
-        if not serial_speeds:
-            continue  # every input filtered out (QUICK + the sddmm guard)
-        table[kname] = {
-            "serial": 1.0,
-            "data-parallel": gmean(dp_speeds),
-            "phloem-static": gmean(phloem_speeds),
-        }
-    text = report.render_speedups("Fig. 12: Taco benchmark gmean speedups", table)
-    return {"speedups": table, "text": text}
+            runs = {
+                "serial": serial,
+                "data-parallel": run_pipeline(
+                    dp, arrays, dict(scalars, nthreads=DP_THREADS), config=config
+                ),
+                "phloem-static": run_pipeline(pipeline, arrays, scalars, config=config),
+            }
+            records += [
+                record_of(kname, variant, mat_name, run, serial_cycles=serial.cycles)
+                for variant, run in runs.items()
+            ]
+    return records
 
 
 # ---------------------------------------------------------------------------
 # Fig. 13 — pipeline-length distribution from the search
 
 
-def fig13_stage_distribution(config=SCALED_1CORE):
-    """Distribution of profiled pipeline speedups by stage count (Fig. 13)."""
-    table = {}
-
-    suites = ensure_suites(config)
-    for name in ("bfs", "spmm"):
-        search = suites[name].get("_search")
-        if search:
-            table[name] = speedup_distribution(search)
+def fig13_distributions(suites, config=SCALED_1CORE):
+    """``{bench: {stages+RAs: [training-set speedups]}}`` of the profile-guided
+    searches (Fig. 13): BFS and SpMM from the Fig. 9 suites, plus SpMV."""
+    table = {
+        name: speedup_distribution(suites[name].search)
+        for name in ("bfs", "spmm")
+        if suites[name].search
+    }
 
     # SpMV: run the search against its training matrices.
     kernel = taco_kernels.spmv_kernel()
     function = compile_source(kernel.source)
-
-    train = datasets.TRAIN_MATRICES_SPMM
-    baselines = {}
-    envs = {}
-    for item in train:
+    envs = []
+    for item in datasets.TRAIN_MATRICES_SPMM:
         m = item.build()
         arrays, scalars = kernel.bind({"A": m, "x": taco_kernels.dense_input(m.ncols, 1)})
-        envs[item.name] = (arrays, scalars)
-        baselines[item.name] = cache.cached_serial_run(function, arrays, scalars, config).cycles
-
-    from ..core.autotune import gmean, search_pipelines
+        serial = cache.cached_serial_run(function, arrays, scalars, config)
+        envs.append((arrays, scalars, serial.cycles))
 
     def evaluate(pipeline):
-        speeds = []
-        for item in train:
-            arrays, scalars = envs[item.name]
-            result = run_pipeline(pipeline, arrays, scalars, config=config)
-            speeds.append(baselines[item.name] / result.cycles)
-        return gmean(speeds)
+        return gmean(
+            baseline / run_pipeline(pipeline, arrays, scalars, config=config).cycles
+            for arrays, scalars, baseline in envs
+        )
 
     _, results = search_pipelines(function, evaluate, max_stages=4, top_k=5, limit=40)
     table["spmv"] = speedup_distribution(results)
-
-    text = report.render_distribution(
-        "Fig. 13: training-set speedup distribution vs pipeline length", table
-    )
-    return {"distributions": table, "text": text}
+    return table
 
 
 # ---------------------------------------------------------------------------
 # Fig. 14 — replicated pipelines on 4 cores x 4 threads
 
 
-def _fig14_graph(app):
+def _fig14_input(app):
+    """``(name, graph)`` of the synthetic input one Fig. 14 app runs on."""
     if QUICK:
-        return graphs.uniform_random(6000, 5, seed=71)
-    if app in ("bfs", "cc"):
-        return graphs.uniform_random(16000, 5, seed=71)
-    return graphs.uniform_random(3000, 5, seed=72)
+        n, seed = 6000, 71
+    elif app in ("bfs", "cc"):
+        n, seed = 16000, 71
+    else:
+        n, seed = 3000, 72
+    return "uniform-%d" % n, graphs.uniform_random(n, 5, seed=seed)
 
 
 def _fig14_check(app, module, arrays, graph, variant):
@@ -413,42 +318,39 @@ def _fig14_check(app, module, arrays, graph, variant):
     return module.check(arrays, graph)
 
 
-def fig14_replication(config=SCALED_4CORE, replicas=4):
+def fig14_records(config=SCALED_4CORE, replicas=4):
     """BFS/CC/PRD/Radii replicated over 4 cores (paper Fig. 14).
 
     Compares a single-thread serial run, a 16-thread data-parallel run,
     the replicated+distributed pipelines ("Phloem" bars), and hand-tuned
     replicated variants ("Manual" bars; for BFS a leaner source-sharded
-    2-stage pipeline exploiting BFS's benign same-value races).
+    2-stage pipeline exploiting BFS's benign same-value races). The records'
+    ``bench`` is ``<app>-x<replicas>``: these are not the one-core kernels
+    of Fig. 9, and a fold over inputs must not mix the two.
     """
-    modules = {"bfs": bfs, "cc": cc, "prd": prd, "radii": radii}
-    table = {}
-    for app, module in modules.items():
-        graph = _fig14_graph(app)
+    records = []
+    for app, module in (("bfs", bfs), ("cc", cc), ("prd", prd), ("radii", radii)):
+        input_name, graph = _fig14_input(app)
         arrays, scalars = module.make_env(graph)
         function = module.function()
         serial = cache.cached_serial_run(function, arrays, scalars, config)
-        if not _fig14_check(app, module, serial.arrays, graph, "serial"):
-            raise AssertionError("fig14 %s serial failed validation" % app)
-        entry = {"serial": 1.0}
+        runs = [("serial", serial)]
 
         # Data-parallel over all 16 threads (4 per core).
         threads = config.cores * config.smt_threads
         dp = module.data_parallel(threads)
         dp_arrays, dp_scalars = module.make_env_dp(graph, threads)
         stage_cores = [i // config.smt_threads for i in range(threads)]
-        dresult = run_pipeline(dp, dp_arrays, dp_scalars, config=config, stage_cores=stage_cores)
-        if not _fig14_check(app, module, dresult.arrays, graph, "data-parallel"):
-            raise AssertionError("fig14 %s data-parallel failed validation" % app)
-        entry["data-parallel"] = serial.cycles / dresult.cycles
+        runs.append((
+            "data-parallel",
+            run_pipeline(dp, dp_arrays, dp_scalars, config=config, stage_cores=stage_cores),
+        ))
 
         if app == "bfs":
             # BFS's flat pipeline goes through the fully automatic
             # replicate+distribute transform on the compiled pipeline.
-            from ..core.replicate import replicate_pipeline
-
             compiled = cache.cached_compile(
-                module.function(), CompileOptions(num_stages=4, passes=ALL_PASSES)
+                function, CompileOptions(num_stages=4, passes=ALL_PASSES)
             )
             clones = replicate_pipeline(compiled, replicas)
             cases = [("phloem", lambda rid, _r: clones[rid])]
@@ -466,16 +368,34 @@ def fig14_replication(config=SCALED_4CORE, replicas=4):
                 [(pipelines[r], envs[r][0], envs[r][1], r) for r in range(replicas)],
                 config,
             )
-            if not _fig14_check(app, module, result.arrays, graph, variant):
-                raise AssertionError("fig14 %s %s failed validation" % (app, variant))
-            entry[variant] = serial.cycles / result.cycles
-        table[app] = entry
+            runs.append((variant, result))
 
-    text = report.render_speedups(
-        "Fig. 14: replicated pipelines on %d cores (speedup over 1-thread serial)" % 4,
-        table,
+        for variant, run in runs:
+            if not _fig14_check(app, module, run.arrays, graph, variant):
+                raise AssertionError("fig14 %s %s failed validation" % (app, variant))
+            records.append(
+                record_of(
+                    "%s-x%d" % (app, replicas), variant, input_name, run, True, serial.cycles
+                )
+            )
+    return records
+
+
+def cells(records, row="bench"):
+    """``{record[row]: {variant: speedup}}`` for figures whose every cell is
+    one run (nothing to fold)."""
+    table = {}
+    for record in records:
+        table.setdefault(record[row], {})[record["variant"]] = record["speedup"]
+    return table
+
+
+def render_fig14(records):
+    """Speedups over the 1-thread serial run, one row per app."""
+    return report.render_speedups(
+        "Fig. 14: replicated pipelines on 4 cores (speedup over 1-thread serial)",
+        {bench.rsplit("-x", 1)[0]: row for bench, row in cells(records).items()},
     )
-    return {"speedups": table, "text": text}
 
 
 # ---------------------------------------------------------------------------
@@ -483,61 +403,144 @@ def fig14_replication(config=SCALED_4CORE, replicas=4):
 # paper's figures, supporting DESIGN.md's parameter decisions)
 
 
-def ablation_design_choices(config=SCALED_1CORE):
+def abl_records(config=SCALED_1CORE):
     """Sweep the Pipette parameters the paper fixes in Table III.
 
     Uses the fully-optimized BFS pipeline on the freescale input and
-    reports speedup over serial as one parameter varies at a time:
-    queue depth (24 in the paper), RA parallelism, the prefetcher, and
-    spatial (cross-core) vs SMT stage placement.
+    records speedup over serial as one parameter varies at a time (the
+    record's ``sweep``): queue depth (24 in the paper), RA parallelism, the
+    prefetcher, and spatial (cross-core) vs SMT stage placement.
     """
-    from dataclasses import replace
-
-    graph = datasets.graph_by_name("freescale" if not QUICK else "coauthors").build()
+    input_name = "freescale" if not QUICK else "coauthors"
+    graph = datasets.graph_by_name(input_name).build()
     arrays, scalars = bfs.make_env(graph)
     function = bfs.function()
     serial = cache.cached_serial_run(function, arrays, scalars, config)
+    records = []
 
-    table = {}
+    def record(sweep, label, run, base=serial, ok=None):
+        records.append(
+            record_of("bfs", label, input_name, run, ok, base.cycles, extra={"sweep": sweep})
+        )
 
-    depth_row = {}
     for depth in (2, 4, 8, 24, 64):
         pipeline = cache.cached_compile(
             function, CompileOptions(num_stages=4, passes=ALL_PASSES, queue_capacity=depth)
         )
         result = run_pipeline(pipeline, arrays, scalars, config=config)
         assert bfs.check(result.arrays, graph)
-        depth_row["depth=%d" % depth] = serial.cycles / result.cycles
-    table["queue depth"] = depth_row
+        record("queue depth", "depth=%d" % depth, result, ok=True)
 
     pipeline = cache.cached_compile(function, CompileOptions(num_stages=4, passes=ALL_PASSES))
-    mshr_row = {}
     for mshrs in (1, 4, 16, 32):
         cfg = replace(config, ra_mshrs=mshrs)
         result = run_pipeline(pipeline, arrays, scalars, config=cfg)
-        mshr_row["ra_mshrs=%d" % mshrs] = serial.cycles / result.cycles
-    table["RA parallelism"] = mshr_row
+        record("RA parallelism", "ra_mshrs=%d" % mshrs, result)
 
-    pf_row = {}
     for enabled in (False, True):
         cfg = replace(config, prefetch_enabled=enabled)
         base = cache.cached_serial_run(function, arrays, scalars, cfg)
         result = run_pipeline(pipeline, arrays, scalars, config=cfg)
-        pf_row["prefetch=%s" % enabled] = base.cycles / result.cycles
-    table["stride prefetcher"] = pf_row
+        record("stride prefetcher", "prefetch=%s" % enabled, result, base=base)
 
-    place_row = {}
     cfg4 = replace(config, cores=4)
-    smt = run_pipeline(pipeline, arrays, scalars, config=cfg4)
-    place_row["SMT (1 core)"] = serial.cycles / smt.cycles
-    spatial = run_pipeline(
-        pipeline, arrays, scalars, config=cfg4,
-        stage_cores=list(range(len(pipeline.stages))),
+    record("stage placement", "SMT (1 core)", run_pipeline(pipeline, arrays, scalars, config=cfg4))
+    record(
+        "stage placement",
+        "spatial (1 stage/core)",
+        run_pipeline(
+            pipeline, arrays, scalars, config=cfg4,
+            stage_cores=list(range(len(pipeline.stages))),
+        ),
     )
-    place_row["spatial (1 stage/core)"] = serial.cycles / spatial.cycles
-    table["stage placement"] = place_row
+    return records
 
-    text = report.render_speedups(
-        "Ablation (extension): Pipette design parameters on BFS", table
+
+def render_abl(records):
+    """Speedup over serial BFS, one row per swept parameter."""
+    return report.render_speedups(
+        "Ablation (extension): Pipette design parameters on BFS",
+        cells(records, row="sweep"),
     )
-    return {"speedups": table, "text": text}
+
+
+# ---------------------------------------------------------------------------
+# The registry
+
+
+class Figure(collections.namedtuple("Figure", "collect render source")):
+    """One registry entry.
+
+    ``collect`` runs the experiment and returns the figure's data — a list
+    of RunRecords (Fig. 13: its distributions dict); ``render`` is a pure
+    function from that data to the table text. ``source``, when set, is a
+    ``source(jobs=None)`` producer of executions several figures re-slice:
+    it runs once per :func:`collect_figures` call and ``collect`` receives
+    its result.
+    """
+
+    __slots__ = ()
+
+
+FIGURES = {
+    "fig6": Figure(fig6_records, render_fig6, None),
+    "fig9": Figure(suite_records, _speedups("Fig. 9: gmean speedup over serial"), fig9_suites),
+    "fig10": Figure(
+        suite_records,
+        _stacked(
+            "Fig. 10: cycles normalized to serial (issue/backend/queue/other)",
+            "breakdown",
+            ["issue", "backend", "queue", "other"],
+        ),
+        fig9_suites,
+    ),
+    "fig11": Figure(
+        suite_records,
+        _stacked(
+            "Fig. 11: energy normalized to serial",
+            "energy",
+            ["core_dynamic", "core_static", "cache", "dram"],
+        ),
+        fig9_suites,
+    ),
+    "fig12": Figure(fig12_records, _speedups("Fig. 12: Taco benchmark gmean speedups"), None),
+    "fig13": Figure(
+        fig13_distributions,
+        lambda table: report.render_distribution(
+            "Fig. 13: training-set speedup distribution vs pipeline length", table
+        ),
+        fig9_suites,
+    ),
+    "fig14": Figure(fig14_records, render_fig14, None),
+    "gardenia": Figure(
+        suite_records, _speedups("GARDENIA suite: gmean speedup over serial"), gardenia_suites
+    ),
+    "abl": Figure(abl_records, render_abl, None),
+}
+
+
+def collect_figures(names, jobs=None):
+    """``{name: data}`` for the named registry entries.
+
+    A two-phase job graph, one pool level deep: each shared source runs once
+    in this process and fans out per benchmark, figures without a source
+    fan out one job each, and the figures that re-slice a source then
+    collect in this process against its result.
+    """
+    shared = {}
+    for name in names:
+        source = FIGURES[name].source
+        if source is not None and source not in shared:
+            shared[source] = source(jobs=jobs)
+    job_list = [Job(name, FIGURES[name].collect) for name in names if FIGURES[name].source is None]
+    collected = {result.key: result.value for result in run_jobs(job_list, workers=jobs)}
+    for name in names:
+        if name not in collected:
+            collected[name] = FIGURES[name].collect(shared[FIGURES[name].source])
+    return {name: collected[name] for name in names}
+
+
+def figure_records(collected):
+    """The RunRecords of a :func:`collect_figures` result as one merged
+    stream (Fig. 13's distributions are not records)."""
+    return merge_records(*(data for data in collected.values() if isinstance(data, list)))

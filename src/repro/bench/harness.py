@@ -1,10 +1,11 @@
 """Benchmark harness: runs paper-style comparisons and aggregates results.
 
 Wraps each benchmark module behind one uniform adapter (inputs in, arrays +
-oracle check out), runs the variants the paper compares — Serial,
+oracle check out) and runs the variants the paper compares — Serial,
 Data-parallel, Phloem (profile-guided and static), Manually pipelined —
-and aggregates per-input speedups with geometric means, as every figure in
-Sec. VII does.
+into one RunRecord per (variant, input). The per-kernel numbers of Sec. VII
+(geometric-mean speedups, breakdowns normalised to serial) are the slicers
+of :mod:`repro.obs.record` over those records.
 
 The harness leans on :mod:`repro.cache` (compiled pipelines, serial
 baselines, and search scores are memoized across calls and process
@@ -13,6 +14,7 @@ per-input work out over a worker pool; results are bit-identical to the
 serial path).
 """
 
+import collections
 import os
 
 from .. import cache
@@ -20,6 +22,7 @@ from ..core.autotune import SearchPoint, gmean, search_pipelines
 from ..core.compiler import ALL_PASSES, CompileOptions
 from ..errors import PhloemError
 from ..ir.serialize import fingerprint
+from ..obs.record import record_of
 from ..pipette.config import SCALED_1CORE
 from ..runtime.executor import run_pipeline
 from .parallel import Job, run_jobs
@@ -29,29 +32,6 @@ QUICK = bool(os.environ.get("REPRO_QUICK"))
 
 #: SMT width used for single-core data-parallel baselines.
 DP_THREADS = 4
-
-
-class VariantRun:
-    """One (variant, input) execution."""
-
-    __slots__ = ("variant", "input_name", "cycles", "ok", "breakdown", "energy", "meta")
-
-    def __init__(self, variant, input_name, cycles, ok, breakdown, energy, meta=None):
-        self.variant = variant
-        self.input_name = input_name
-        self.cycles = cycles
-        self.ok = ok
-        self.breakdown = breakdown
-        self.energy = energy
-        self.meta = meta or {}
-
-    def __repr__(self):
-        return "VariantRun(%s/%s: %.0f cycles, ok=%s)" % (
-            self.variant,
-            self.input_name,
-            self.cycles,
-            self.ok,
-        )
 
 
 class BenchAdapter:
@@ -101,11 +81,6 @@ class BenchAdapter:
         return self.module.check(arrays, data)
 
 
-#: Back-compat aliases: the graph/SpMM adapters were merged into one.
-GraphBenchAdapter = BenchAdapter
-SpmmBenchAdapter = BenchAdapter
-
-
 def adapter_for(bench):
     """Adapter for a benchmark name (bfs/cc/prd/radii/spmm) or module."""
     if isinstance(bench, str):
@@ -113,31 +88,6 @@ def adapter_for(bench):
 
         return BenchAdapter(ALL_BENCHMARKS[bench])
     return BenchAdapter(bench)
-
-
-def _record(variant, input_name, result, ok):
-    run = VariantRun(
-        variant,
-        input_name,
-        result.cycles,
-        ok,
-        result.breakdown(),
-        result.energy().as_dict(),
-    )
-    # Full SimStats summary, for the structured metrics pipeline
-    # (repro.obs.record). Live runs carry stats; cached baselines recorded
-    # before the summary field existed return None and are simply omitted.
-    stats = getattr(result, "stats", None)
-    summary = stats.summary() if stats is not None else result.summary()
-    if summary is not None:
-        run.meta["summary"] = summary
-    # Which engine executed each stage (live runs only: a cached baseline
-    # recorded no machine). Kept out of the summary, which is compared for
-    # equality across engines.
-    if hasattr(result, "stage_engines"):
-        run.meta["stage_engines"] = result.stage_engines
-        run.meta["stage_fallbacks"] = result.stage_fallbacks
-    return run
 
 
 def log_engine_fallbacks(label, fallbacks):
@@ -242,6 +192,15 @@ def profile_guided_pipeline(adapter, train_inputs, config=SCALED_1CORE, max_stag
     return best, results
 
 
+class SuiteResult(collections.namedtuple("SuiteResult", "records search pipelines")):
+    """What :func:`run_suite` returns: one RunRecord per (variant, input), the
+    profile-guided search's scored candidates (None when the ``"phloem"``
+    variant did not run or the search failed) and ``{variant: pipeline}``
+    for every variant that has one."""
+
+    __slots__ = ()
+
+
 def run_suite(
     adapter,
     test_inputs,
@@ -259,25 +218,24 @@ def run_suite(
     worker pool (default: the ``REPRO_JOBS`` environment variable);
     parallel runs produce cycle-identical results to serial ones.
 
-    Returns ``{variant: [VariantRun, ...]}`` plus the search results under
-    the key ``"_search"`` when the profile-guided variant ran, and pipeline
-    summaries under ``"_meta"``. ``recorder`` (a
+    Returns a :class:`SuiteResult`; the records are in input order, each
+    input's in ``variants`` order, and every table over them is a slicer of
+    :mod:`repro.obs.record`. ``recorder`` (a
     :class:`repro.obs.SearchRecorder`) observes the profile-guided search
     when the ``"phloem"`` variant is requested.
     """
     variants = variants or ("serial", "data-parallel", "phloem", "phloem-static", "manual")
     options = options or CompileOptions()
     function = adapter.function()
-    out = {v: [] for v in variants}
 
-    static_pipeline = None
+    pipelines = {}
     if "phloem-static" in variants or "phloem" in variants:
-        static_pipeline = cache.cached_compile(function, options)
-
-    best = None
+        pipelines["phloem-static"] = cache.cached_compile(function, options)
+    search = None
     if "phloem" in variants:
+        pipelines["phloem"] = pipelines["phloem-static"]
         try:
-            best, results = profile_guided_pipeline(
+            best, search = profile_guided_pipeline(
                 adapter,
                 train_inputs,
                 config=config,
@@ -285,104 +243,41 @@ def run_suite(
                 passes=options.passes,
                 recorder=recorder,
             )
-            out["_search"] = results
+            if best is not None:
+                pipelines["phloem"] = best.pipeline
         except PhloemError:
-            best = None
-    pgo_pipeline = best.pipeline if best is not None else static_pipeline
-
-    manual_pipeline = adapter.manual() if "manual" in variants else None
-    dp_pipeline = adapter.dp_pipeline(DP_THREADS) if "data-parallel" in variants else None
+            pass
+    if "manual" in variants:
+        pipelines["manual"] = adapter.manual()
+    if "data-parallel" in variants:
+        pipelines["data-parallel"] = adapter.dp_pipeline(DP_THREADS)
 
     def run_input(item):
         data = item.build()
         arrays, scalars = adapter.env(data)
-        serial_result = cache.cached_serial_run(function, arrays, scalars, config)
-        serial_ok = adapter.check(serial_result.arrays, data)
+        serial = cache.cached_serial_run(function, arrays, scalars, config)
         records = []
-        if "serial" in variants:
-            record = _record("serial", item.name, serial_result, serial_ok)
-            record.meta["speedup"] = 1.0
-            records.append(record)
-
-        if "data-parallel" in variants:
-            dp_arrays, dp_scalars = adapter.dp_env(data, DP_THREADS)
-            result = run_pipeline(dp_pipeline, dp_arrays, dp_scalars, config=config)
-            record = _record("data-parallel", item.name, result, adapter.check_dp(result.arrays, data))
-            record.meta["speedup"] = serial_result.cycles / result.cycles
-            records.append(record)
-
-        for variant, pipeline in (("phloem", pgo_pipeline), ("phloem-static", static_pipeline), ("manual", manual_pipeline)):
-            if variant not in variants or pipeline is None:
+        for variant in variants:
+            if variant == "serial":
+                run, ok = serial, adapter.check(serial.arrays, data)
+            elif variant in pipelines:
+                env, check = (arrays, scalars), adapter.check
+                if variant == "data-parallel":
+                    env, check = adapter.dp_env(data, DP_THREADS), adapter.check_dp
+                run = run_pipeline(pipelines[variant], *env, config=config)
+                ok = check(run.arrays, data)
+                log_engine_fallbacks(
+                    "%s %s/%s" % (item.name, adapter.name, variant), run.stage_fallbacks
+                )
+            else:
                 continue
-            result = run_pipeline(pipeline, arrays, scalars, config=config)
-            record = _record(variant, item.name, result, adapter.check(result.arrays, data))
-            record.meta["speedup"] = serial_result.cycles / result.cycles
-            records.append(record)
+            records.append(record_of(adapter.name, variant, item.name, run, ok, serial.cycles))
         return records
 
     job_list = [
         Job("%s/%s" % (adapter.name, item.name), run_input, item) for item in test_inputs
     ]
-    for job_result in run_jobs(job_list, workers=jobs):
-        for record in job_result.value:
-            out[record.variant].append(record)
-
-    out["_meta"] = {
-        variant: pipeline
-        for variant, pipeline in (
-            ("phloem", pgo_pipeline),
-            ("phloem-static", static_pipeline),
-            ("manual", manual_pipeline),
-            ("data-parallel", dp_pipeline),
-        )
-        if pipeline is not None
-    }
-    return out
-
-
-def gmean_speedup(runs):
-    """Geometric-mean speedup over serial across a variant's runs."""
-    speeds = [r.meta.get("speedup") for r in runs if "speedup" in r.meta]
-    if not speeds:
-        return float("nan")
-    return gmean(speeds)
-
-
-def normalized_breakdowns(suite):
-    """Average cycle breakdowns normalized to the serial baseline (Fig. 10)."""
-    serial_cycles = {r.input_name: r.cycles for r in suite.get("serial", [])}
-    out = {}
-    for variant, runs in suite.items():
-        if variant.startswith("_"):
-            continue
-        rows = []
-        for run in runs:
-            base = serial_cycles.get(run.input_name)
-            if not base:
-                continue
-            rows.append({k: v / base for k, v in run.breakdown.items()})
-        if rows:
-            keys = rows[0].keys()
-            out[variant] = {k: sum(r[k] for r in rows) / len(rows) for k in keys}
-    return out
-
-
-def normalized_energy(suite):
-    """Average energy normalized to serial (Fig. 11)."""
-    serial_energy = {
-        r.input_name: sum(r.energy.values()) for r in suite.get("serial", [])
-    }
-    out = {}
-    for variant, runs in suite.items():
-        if variant.startswith("_"):
-            continue
-        rows = []
-        for run in runs:
-            base = serial_energy.get(run.input_name)
-            if not base:
-                continue
-            rows.append({k: v / base for k, v in run.energy.items()})
-        if rows:
-            keys = rows[0].keys()
-            out[variant] = {k: sum(r[k] for r in rows) / len(rows) for k in keys}
-    return out
+    records = [
+        record for job_result in run_jobs(job_list, workers=jobs) for record in job_result.value
+    ]
+    return SuiteResult(records, search, pipelines)

@@ -12,8 +12,8 @@ stable content hashes:
   pipeline (:func:`cached_compile_source`, what ``emit`` renders) and
   source -> diagnostics (:func:`cached_lint`), which skip the parse and
   the fingerprint as well as the pass stack;
-* **baseline** — serial-run results (cycles, output arrays, cycle/energy
-  breakdowns) keyed by function + input contents + machine config;
+* **baseline** — serial-run results (the run's record fields plus its output
+  arrays) keyed by function + input contents + machine config;
 * **search** — profile-guided search scores keyed by function, training
   inputs, config, and search parameters.
 
@@ -34,7 +34,7 @@ work once — the first takes the miss and computes, the rest block briefly
 and take a hit off the store the winner populated.
 
 Cached values are treated as immutable: :func:`cached_compile` returns a
-fresh clone per call, and :class:`BaselineResult` arrays,
+fresh clone per call, and :class:`BaselineResult` fields,
 :func:`cached_compile_source` pipelines and :func:`cached_lint`
 diagnostics are the shared entries and must not be mutated by callers (the
 harness and the handlers only read them).
@@ -452,45 +452,24 @@ def cached_lint(source, name, options, file=None, perf=False):
 # Layer 2: serial baselines
 
 
-class _EnergyView:
-    """Mimics the ``energy()`` result of a live run (``as_dict()``)."""
-
-    __slots__ = ("_values",)
-
-    def __init__(self, values):
-        self._values = values
-
-    def as_dict(self):
-        """The per-component energy dict, as recorded at simulation time."""
-        return dict(self._values)
-
-
 class BaselineResult:
-    """A cached serial run: quacks like the slice of ``RunResult`` the
-    harness consumes (``cycles``, ``arrays``, ``breakdown()``, ``energy()``,
-    ``summary()``).
+    """A cached serial run: the simulator's share of its RunRecord
+    (``measured``: cycles, summary, cycle and energy breakdowns, see
+    :func:`repro.obs.record.measure`) plus the output ``arrays`` the
+    benchmark's oracle checks — what :func:`repro.obs.record.record_of`
+    turns into the serial record of an input.
     """
 
-    __slots__ = ("cycles", "arrays", "_breakdown", "_energy", "_summary")
+    __slots__ = ("measured", "arrays")
 
-    def __init__(self, cycles, arrays, breakdown, energy, summary=None):
-        self.cycles = cycles
+    def __init__(self, measured, arrays):
+        self.measured = measured
         self.arrays = arrays
-        self._breakdown = breakdown
-        self._energy = energy
-        self._summary = summary
 
-    def breakdown(self):
-        """Cycle breakdown dict, as recorded at simulation time."""
-        return dict(self._breakdown)
-
-    def energy(self):
-        """Energy view whose ``as_dict()`` matches the live run's."""
-        return _EnergyView(self._energy)
-
-    def summary(self):
-        """The ``SimStats.summary()`` dict recorded at simulation time."""
-        return None if self._summary is None else dict(self._summary)
+    @property
+    def cycles(self):
+        """The run's cycle count (the denominator of every speedup)."""
+        return self.measured["cycles"]
 
     def __repr__(self):
         return "BaselineResult(%.0f cycles)" % self.cycles
@@ -514,18 +493,13 @@ def cached_serial_run(function, arrays, scalars, config):
     )
 
     def compute():
+        from .obs.record import measure
         from .runtime.executor import run_serial
 
         result = run_serial(function, arrays, scalars, config=config)
-        return {
-            "cycles": result.cycles,
-            "arrays": result.arrays,
-            "breakdown": result.breakdown(),
-            "energy": result.energy().as_dict(),
-            "summary": result.stats.summary(),
-        }
+        return measure(result), result.arrays
 
-    return BaselineResult(**_get_or_compute("baseline", key, compute))
+    return BaselineResult(*_get_or_compute("baseline", key, compute))
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,8 @@ executes it, and the CLI prints ``Response.output`` verbatim — the daemon
 runs the same requests through the same handlers, so one-shot and served
 results are interchangeable.
 
-Three commands are not requests and are written out in this module:
+Two commands are not requests and are written out in this module:
 
-* ``figures [NAME...]`` — regenerate evaluation figures (fig6..fig14);
 * ``serve`` — run the long-lived compile-and-simulate daemon
   (:mod:`repro.service`): async socket server, fork worker pool, shared
   caches, per-client rate limits;
@@ -24,7 +23,6 @@ Three commands are not requests and are written out in this module:
 
 import argparse
 import sys
-import time
 
 from . import api
 
@@ -36,82 +34,6 @@ def _cmd_request(args):
     if response.output:
         sys.stdout.write(response.output)
     return response.exit_code
-
-
-_FIGURES = {
-    "fig6": "fig6_pass_ablation",
-    "fig9": "fig9_overall_speedup",
-    "fig10": "fig10_cycle_breakdown",
-    "fig11": "fig11_energy_breakdown",
-    "fig12": "fig12_taco",
-    "fig13": "fig13_stage_distribution",
-    "fig14": "fig14_replication",
-}
-
-#: Figures that re-slice the shared Fig. 9 suites (computed once, in the
-#: parent, with per-benchmark parallelism) rather than running standalone.
-_SUITE_FIGURES = ("fig9", "fig10", "fig11", "fig13")
-
-
-def _cmd_figures(args):
-    from . import cache, obs
-    from .bench import experiments, parallel, report
-
-    if args.quiet:
-        obs.set_quiet(True)
-    names = args.names or sorted(_FIGURES)
-    for name in names:
-        if name not in _FIGURES:
-            print("unknown figure %r (choose from %s)" % (name, ", ".join(sorted(_FIGURES))))
-            return 2
-
-    jobs = parallel.resolve_jobs(args.jobs)
-    parallel.clear_job_log()
-    start = time.perf_counter()
-
-    # Two-phase job graph, one pool level deep: the Fig. 9 suites fan out
-    # per benchmark, standalone figures fan out per figure; the suite
-    # re-slicing figures then run in-parent against the warm suites.
-    results = {}
-    standalone = [n for n in names if n not in _SUITE_FIGURES]
-    if any(n in _SUITE_FIGURES for n in names):
-        experiments.ensure_suites(jobs=jobs)
-    if standalone:
-        job_list = [
-            parallel.Job(name, getattr(experiments, _FIGURES[name])) for name in standalone
-        ]
-        for job_result in parallel.run_jobs(job_list, workers=jobs):
-            results[job_result.key] = job_result.value
-    for name in names:
-        if name not in results:
-            results[name] = getattr(experiments, _FIGURES[name])()
-
-    for name in names:
-        print(results[name]["text"])
-        print()
-
-    if args.metrics_out:
-        # Structured RunRecords for whatever suites this invocation ran
-        # (the fig9/10/11/13 family); per-suite record lists merge
-        # deterministically regardless of worker count.
-        from .bench.experiments import _SUITES
-
-        record_lists = [
-            obs.records_from_suite(bench, suite, cache_stats=cache.stats())
-            for bench, suite in _SUITES.items()
-        ]
-        records = obs.merge_records(*record_lists)
-        obs.write_jsonl(records, args.metrics_out)
-        obs.log("metrics: %d records -> %s", len(records), args.metrics_out)
-
-    # Harness telemetry on stderr (obs.log: --quiet/REPRO_QUIET silences
-    # it), keeping stdout byte-identical to a serial, cache-less run:
-    # per-job wall times and cache hit rates (a cold-vs-warm pair of
-    # invocations shows the caches working).
-    elapsed = time.perf_counter() - start
-    obs.log("%s", report.render_job_times(parallel.job_log(), workers=jobs, total_wall=elapsed))
-    obs.log("%s", report.render_cache_stats(cache.stats(), directory=cache.cache_dir()))
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -229,25 +151,6 @@ def _cmd_submit(args):
 _GROUP_HELP = {"bench": "benchmark harness utilities (currently: perf)"}
 
 
-def _add_figures_parser(sub):
-    figures = sub.add_parser("figures", help="regenerate evaluation figures")
-    figures.add_argument("names", nargs="*", metavar="figN")
-    figures.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="worker processes for the harness (default: REPRO_JOBS env or 1)",
-    )
-    figures.add_argument(
-        "--quiet", action="store_true", help="silence stderr telemetry (wall times, cache rates)"
-    )
-    figures.add_argument(
-        "--metrics-out", default=None, metavar="FILE.jsonl",
-        help="write structured RunRecords for the suites this run computed",
-    )
-    figures.set_defaults(func=_cmd_figures, verb="figures")
-
-
 def build_parser(argv=None):
     """The ``repro`` parser; given the ``argv`` it is about to parse, only
     the verb that argv names gets its flags.
@@ -265,11 +168,9 @@ def build_parser(argv=None):
 
     # Every submittable verb is declared once, as a request dataclass in
     # repro.api.requests: its subcommand path, help line, flags and defaults
-    # all come from there. figures/serve/submit are not requests.
+    # all come from there. serve/submit are not requests.
     groups = {(): sub}  # command-path prefix -> the subparsers it holds
     for request_cls in api.REQUEST_TYPES.values():
-        if request_cls is api.TraceRequest:
-            _add_figures_parser(sub)  # keeps its place in the command listing
         command = request_cls.COMMAND or (request_cls.VERB,)
         *prefix, leaf = command
         prefix = tuple(prefix)

@@ -17,7 +17,9 @@ queue and RA traffic) is built on aggregate counters; this package adds the
 * :mod:`repro.obs.search` — records what the profile-guided search scored
   and why the winner won;
 * :mod:`repro.obs.record` — versioned, schema'd ``RunRecord`` dicts
-  (JSON/JSONL) unifying simulator stats, cache hit rates, and pass timings;
+  (JSON/JSONL) unifying simulator stats, cache hit rates, and pass timings:
+  the one shape a finished simulation takes, with the slicers (gmean
+  speedups, sections normalised to serial) every table folds them with;
 * :mod:`repro.obs.report` — the unified experiment report (``repro
   report``): walks a results directory of RunRecords, perf baselines,
   lint diags, timelines, and telemetry snapshots into one
@@ -35,10 +37,14 @@ from .passes import PassProfiler
 from .record import (
     RECORD_SCHEMA,
     RECORD_VERSION,
+    by_kernel,
+    gmean_speedups,
     merge_records,
+    normalized,
     read_jsonl,
-    records_from_suite,
+    record_of,
     run_record,
+    stamp_cache,
     write_jsonl,
 )
 from .report import (
@@ -66,7 +72,11 @@ __all__ = [
     "RECORD_SCHEMA",
     "RECORD_VERSION",
     "run_record",
-    "records_from_suite",
+    "record_of",
+    "stamp_cache",
+    "by_kernel",
+    "gmean_speedups",
+    "normalized",
     "merge_records",
     "write_jsonl",
     "read_jsonl",

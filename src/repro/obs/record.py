@@ -14,6 +14,7 @@ change to the *meaning* of an existing key bumps ``RECORD_VERSION``.
 """
 
 import json
+import math
 
 #: Schema identity stamped on every record.
 RECORD_SCHEMA = "repro.obs/run-record"
@@ -68,18 +69,7 @@ def run_record(
     if energy is not None:
         record["energy"] = energy
     if cache_stats is not None:
-        record["cache"] = {
-            layer: {
-                "hits": counts["hits"],
-                "misses": counts["misses"],
-                "hit_rate": (
-                    counts["hits"] / (counts["hits"] + counts["misses"])
-                    if counts["hits"] + counts["misses"]
-                    else 0.0
-                ),
-            }
-            for layer, counts in cache_stats.items()
-        }
+        record["cache"] = _cache_section(cache_stats)
     if passes is not None:
         record["passes"] = passes
     if search is not None:
@@ -91,35 +81,120 @@ def run_record(
     return record
 
 
-def records_from_suite(bench, suite, cache_stats=None):
-    """RunRecords for every run of a :func:`repro.bench.harness.run_suite`.
+def _cache_section(cache_stats):
+    return {
+        layer: {
+            "hits": counts["hits"],
+            "misses": counts["misses"],
+            "hit_rate": (
+                counts["hits"] / (counts["hits"] + counts["misses"])
+                if counts["hits"] + counts["misses"]
+                else 0.0
+            ),
+        }
+        for layer, counts in cache_stats.items()
+    }
 
-    Iterates variants and runs in the suite's own (deterministic) order, so
-    records built from a parallel harness run are identical to a serial
-    one: the worker pool returns per-input results in submission order and
-    the merge below adds nothing time-dependent.
+
+def record_of(bench, variant, input_name, run, ok=None, serial_cycles=None, **sections):
+    """The record of one finished simulation — the only constructor.
+
+    ``run`` is a live :class:`~repro.runtime.executor.RunResult` or the
+    cached serial baseline (:class:`repro.cache.BaselineResult`), which *is*
+    the simulator's share of a record plus the output arrays. Only a live
+    run names the engine of each stage: a baseline may have been simulated
+    by another process, under another engine. ``serial_cycles`` is the
+    serial baseline of the same input; ``sections`` are ``cache_stats`` /
+    ``passes`` / ``extra`` as in :func:`run_record`.
     """
-    records = []
-    for variant, runs in suite.items():
-        if variant.startswith("_"):
-            continue
-        for run in runs:
-            records.append(
-                run_record(
-                    bench,
-                    variant,
-                    run.input_name,
-                    run.cycles,
-                    ok=run.ok,
-                    speedup=run.meta.get("speedup"),
-                    summary=run.meta.get("summary"),
-                    breakdown=run.breakdown,
-                    energy=run.energy,
-                    cache_stats=cache_stats,
-                    stage_engines=run.meta.get("stage_engines"),
-                )
-            )
+    from ..cache import BaselineResult
+
+    if isinstance(run, BaselineResult):
+        measured = run.measured
+    else:
+        measured = dict(measure(run), stage_engines=run.stage_engines)
+    speedup = None if serial_cycles is None else serial_cycles / measured["cycles"]
+    return run_record(
+        bench, variant, input_name, ok=ok, speedup=speedup, **measured, **sections
+    )
+
+
+def measure(result):
+    """The simulator's share of a record, read off a live ``RunResult``
+    (what the baseline cache stores next to the output arrays)."""
+    return {
+        "cycles": result.cycles,
+        "summary": result.stats.summary(),
+        "breakdown": result.breakdown(),
+        "energy": result.energy().as_dict(),
+    }
+
+
+def stamp_cache(records, cache_stats):
+    """Give every record the ``cache`` section of one stream: the
+    :mod:`repro.cache` hit/miss counts of the request that produced them."""
+    section = _cache_section(cache_stats)
+    for record in records:
+        record["cache"] = section
     return records
+
+
+# ---------------------------------------------------------------------------
+# Slicers: every per-kernel number is an explicit fold over per-input records
+
+
+def by_kernel(records):
+    """``{bench: {variant: [record, ...]}}`` in first-seen order."""
+    table = {}
+    for record in records:
+        table.setdefault(record["bench"], {}).setdefault(record["variant"], []).append(record)
+    return table
+
+
+def gmean_speedups(records):
+    """``{bench: {variant: geometric-mean speedup over inputs}}`` (Fig. 9).
+
+    A variant none of whose records carries a speedup reads ``None``.
+    """
+    table = {}
+    for bench, variants in by_kernel(records).items():
+        row = table[bench] = {}
+        for variant, runs in variants.items():
+            logs = [math.log(r["speedup"]) for r in runs if r.get("speedup") is not None]
+            row[variant] = math.exp(sum(logs) / len(logs)) if logs else None
+    return table
+
+
+#: What a section is normalised to: the serial run's total of the same thing.
+_SERIAL_TOTAL = {
+    "breakdown": lambda serial: serial["cycles"],
+    "energy": lambda serial: sum(serial.get("energy", {}).values()),
+}
+
+
+def normalized(records, section):
+    """``{bench: {variant: {component: value}}}``: each run's ``section``
+    (``"breakdown"``, Fig. 10; ``"energy"``, Fig. 11) divided by the serial
+    total of the same input, then averaged over inputs. Runs without the
+    section, or whose input has no serial record, are left out."""
+    base = {
+        (r["bench"], r["input"]): _SERIAL_TOTAL[section](r)
+        for r in records
+        if r["variant"] == "serial"
+    }
+    table = {}
+    for bench, variants in by_kernel(records).items():
+        for variant, runs in variants.items():
+            rows = [
+                {k: v / base[bench, r["input"]] for k, v in r[section].items()}
+                for r in runs
+                if r.get(section) and base.get((bench, r["input"]))
+            ]
+            if rows:
+                table.setdefault(bench, {})[variant] = {
+                    k: sum(row[k] for row in rows) / len(rows) for k in rows[0]
+                }
+    return table
 
 
 def merge_records(*record_lists):

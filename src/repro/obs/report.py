@@ -29,7 +29,7 @@ import json
 import os
 from dataclasses import dataclass, field
 
-from .record import RECORD_SCHEMA, merge_records, read_jsonl
+from .record import RECORD_SCHEMA, by_kernel, gmean_speedups, merge_records, normalized, read_jsonl
 
 #: Schema identity of a rendered report's structured summary.
 REPORT_SCHEMA = "repro.obs/experiment-report"
@@ -52,6 +52,10 @@ LINT_REPORT_SCHEMA = "repro.diag/lint-report"
 BREAKDOWN_BUCKETS = ("issue", "backend", "queue", "other")
 
 _SPARK_CHARS = "▁▂▃▄▅▆▇█"
+
+#: What every record this module slices must carry (a schema-tagged line
+#: without them is skipped like any other unrecognised file content).
+_RUN_FIELDS = {"bench", "variant", "input", "cycles"}
 
 
 def spark(values):
@@ -98,30 +102,6 @@ class ExperimentReport:
     def variants(self):
         """Sorted set of run variants across all RunRecords."""
         return sorted({r.get("variant") for r in self.runs if r.get("variant")})
-
-    def speedup_table(self):
-        """``{bench: {variant: {"cycles", "speedup", "ok"}}}`` from runs."""
-        table = {}
-        for r in self.runs:
-            bench, variant = r.get("bench"), r.get("variant")
-            if not bench or not variant:
-                continue
-            table.setdefault(bench, {})[variant] = {
-                "cycles": r.get("cycles"),
-                "speedup": r.get("speedup"),
-                "ok": r.get("ok"),
-            }
-        return table
-
-    def stall_table(self):
-        """``{bench: {variant: breakdown}}`` for runs carrying breakdowns."""
-        table = {}
-        for r in self.runs:
-            breakdown = r.get("breakdown")
-            if not breakdown:
-                continue
-            table.setdefault(r.get("bench"), {})[r.get("variant")] = breakdown
-        return table
 
     def cache_summary(self):
         """Per-layer hit/miss totals, one contribution per source file.
@@ -247,7 +227,9 @@ def collect(results_dir, extra_files=(), title=None):
                 records = [
                     dict(r, _source=display)
                     for r in read_jsonl(path)
-                    if isinstance(r, dict) and r.get("schema") == RECORD_SCHEMA
+                    if isinstance(r, dict)
+                    and r.get("schema") == RECORD_SCHEMA
+                    and _RUN_FIELDS <= r.keys()
                 ]
                 kind, items = ("runs", len(records)) if records else ("skipped", 0)
                 if records:
@@ -297,28 +279,30 @@ def _fmt_num(value, places=2):
 
 
 def _speedup_rows(report):
-    table = report.speedup_table()
+    """One row per kernel, one cell per variant: cycles summed and speedup
+    geometric-averaged over the kernel's inputs."""
     variants = report.variants()
+    speedups = gmean_speedups(report.runs)
     rows = []
-    for bench in sorted(table):
+    for bench, runs in sorted(by_kernel(report.runs).items()):
         row = [bench]
         for variant in variants:
-            cell = table[bench].get(variant)
-            if cell is None:
+            if variant not in runs:
                 row.append("-")
-            elif cell.get("speedup") is not None:
-                row.append(
-                    "%s (%sx)" % (_fmt_num(cell["cycles"], 0), _fmt_num(cell["speedup"]))
-                )
-            else:
-                row.append(_fmt_num(cell["cycles"], 0))
+                continue
+            cell = _fmt_num(sum(r["cycles"] for r in runs[variant]), 0)
+            if speedups[bench][variant] is not None:
+                cell += " (%sx)" % _fmt_num(speedups[bench][variant])
+            row.append(cell)
         rows.append(row)
     return ["kernel"] + variants, rows
 
 
 def _stall_rows(report):
+    """Each (kernel, variant)'s Fig. 10 buckets — normalised to serial per
+    input, averaged over inputs — as shares of their total."""
     rows = []
-    for bench, variants in sorted(report.stall_table().items()):
+    for bench, variants in sorted(normalized(report.runs, "breakdown").items()):
         for variant, breakdown in sorted(variants.items()):
             total = sum(breakdown.get(b, 0.0) for b in BREAKDOWN_BUCKETS)
             if total <= 0:
@@ -516,116 +500,129 @@ def _timeline_lines(summary):
 
 
 # ---------------------------------------------------------------------------
-# Markdown renderer
+# The document: one block list, walked by the markdown and the HTML renderer
+#
+# A block is ``("h", level, text)``, ``("p", spans)``, ``("note", spans)``
+# (a paragraph of secondary text), ``("table", header, rows)`` — the same
+# ``(header, rows)`` :func:`repro.bench.report.render_table` prints as ASCII
+# — or ``("list", [spans, ...])``. ``spans`` is a list of ``(style, text)``
+# pairs; the styles are the keys of :data:`_MD_STYLES` / :data:`_HTML_STYLES`.
 
 
-def _md_table(header, rows):
-    if not rows:
-        return ["(no data)"]
-    lines = ["| " + " | ".join(str(h) for h in header) + " |"]
-    lines.append("|" + "|".join(" --- " for _ in header) + "|")
-    for row in rows:
-        lines.append("| " + " | ".join(str(cell) for cell in row) + " |")
-    return lines
+def _blocks(report):
+    """The whole report as a flat block list, title first."""
+    consumed = [s for s in report.sources if s["kind"] != "skipped"]
+    skipped = len(report.sources) - len(consumed)
+    files = [span for s in consumed for span in (("", ", "), ("code", s["file"]))][1:]
+    intro = [
+        ("", "Aggregated from %d file(s)%s: "
+         % (len(consumed), " (%d skipped)" % skipped if skipped else ""))
+    ] + (files or [("", "none")])
+    blocks = [("h", 1, report.title), ("note", intro)]
+
+    if report.runs:
+        inputs = {(r["bench"], r["input"]) for r in report.runs}
+        folded = (
+            " A kernel with several inputs shows their total cycles and"
+            " geometric-mean speedup."
+            if len(inputs) > len({bench for bench, _ in inputs}) else ""
+        )
+        blocks += [
+            ("h", 2, "Per-kernel speedups"),
+            ("table",) + _speedup_rows(report),
+            ("note", [("", "Cells are "), ("code", "cycles (speedup vs serial)"), ("", "; "),
+                      ("code", "-"), ("", " = variant not run." + folded)]),
+        ]
+        header, rows = _stall_rows(report)
+        if rows:
+            blocks += [("h", 2, "Cycle breakdown (Fig. 10 buckets)"), ("table", header, rows)]
+        cache = report.cache_summary()
+        if cache:
+            blocks += [("h", 2, "Cache effectiveness"), ("table",) + _cache_rows(cache)]
+
+    if report.lint:
+        rollup = report.lint_rollup()
+        codes = ", ".join("%s ×%d" % (c, n) for c, n in rollup["codes"].items())
+        blocks += [
+            ("h", 2, "Lint status"),
+            ("p", [
+                ("", "%d target(s): " % rollup["targets"]),
+                ("bad" if rollup["errors"] or rollup["warnings"] else "ok",
+                 "%d error(s), %d warning(s)" % (rollup["errors"], rollup["warnings"])),
+                ("", " — " + codes if codes else ""),
+            ]),
+        ]
+
+    for payload in report.perf:
+        headline, detail = _perf_aggregate_line(payload.get("aggregate", {}))
+        blocks += [
+            ("h", 2, "Simulator performance (%s scale)" % payload.get("scale")),
+            ("table",) + _perf_rows(payload),
+            ("p", [("", "Aggregate: "), ("strong", "%sx" % headline), ("", " (%s)." % detail)]),
+        ]
+
+    sparks = _trajectory_sparks(report)
+    if sparks:
+        blocks += [
+            ("h", 2, "Perf trajectory (%d points)" % len(report.trajectory)),
+            ("list", [
+                [("spark", line), ("", " %s (latest %s)" % (label, latest))]
+                for label, line, latest in sparks
+            ]),
+            ("table",) + _trajectory_rows(report),
+        ]
+
+    for summary in report.timelines:
+        blocks += [
+            ("h", 2, "Timeline"),
+            ("list", [[("", line)] for line in _timeline_lines(summary)]),
+        ]
+
+    for snapshot in report.telemetry:
+        blocks += [
+            ("h", 2, "Service telemetry (uptime %ss, peak %d in flight)"
+             % (_fmt_num(snapshot.get("uptime_s")), snapshot.get("in_flight_peak", 0))),
+            ("table",) + _telemetry_rows(snapshot),
+        ]
+        if snapshot.get("rejections"):
+            rejections = ", ".join(
+                "%s ×%d" % (code, n) for code, n in sorted(snapshot["rejections"].items())
+            )
+            blocks.append(("p", [("", "Rejections: " + rejections)]))
+        if snapshot.get("cache"):
+            blocks += [
+                ("h", 3, "Served cache effectiveness"),
+                ("table",) + _cache_rows(snapshot["cache"]),
+            ]
+    return blocks
+
+
+_MD_STYLES = {"": "%s", "code": "`%s`", "spark": "`%s`",
+              "strong": "**%s**", "ok": "**%s**", "bad": "**%s**"}
 
 
 def render_markdown(report):
     """The whole report as GitHub-flavored markdown."""
-    out = ["# %s" % report.title, ""]
-    consumed = [s for s in report.sources if s["kind"] != "skipped"]
-    skipped = [s for s in report.sources if s["kind"] == "skipped"]
-    out.append(
-        "Aggregated from %d file(s)%s: %s"
-        % (
-            len(consumed),
-            " (%d skipped)" % len(skipped) if skipped else "",
-            ", ".join("`%s`" % s["file"] for s in consumed) or "none",
-        )
-    )
 
-    if report.runs:
-        out += ["", "## Per-kernel speedups", ""]
-        header, rows = _speedup_rows(report)
-        out += _md_table(header, rows)
-        out.append("")
-        out.append("Cells are `cycles (speedup vs serial)`; `-` = variant not run.")
+    def inline(spans):
+        return "".join(_MD_STYLES[style] % text for style, text in spans)
 
-        header, rows = _stall_rows(report)
-        if rows:
-            out += ["", "## Cycle breakdown (Fig. 10 buckets)", ""]
-            out += _md_table(header, rows)
+    out = []
+    for kind, *body in _blocks(report):
+        if kind == "h":
+            out.append("#" * body[0] + " " + body[1])
+        elif kind == "table":
+            header, rows = body
+            lines = ["| " + " | ".join(str(h) for h in header) + " |"]
+            lines.append("|" + "|".join(" --- " for _ in header) + "|")
+            lines += ["| " + " | ".join(str(cell) for cell in row) + " |" for row in rows]
+            out.append("\n".join(lines) if rows else "(no data)")
+        elif kind == "list":
+            out.append("\n".join("- " + inline(item) for item in body[0]))
+        else:
+            out.append(inline(body[0]))
+    return "\n\n".join(out) + "\n"
 
-        cache = report.cache_summary()
-        if cache:
-            out += ["", "## Cache effectiveness", ""]
-            header, rows = _cache_rows(cache)
-            out += _md_table(header, rows)
-
-    if report.lint:
-        rollup = report.lint_rollup()
-        out += ["", "## Lint status", ""]
-        out.append(
-            "%d target(s): **%d error(s), %d warning(s)**%s"
-            % (
-                rollup["targets"],
-                rollup["errors"],
-                rollup["warnings"],
-                ""
-                if not rollup["codes"]
-                else " — "
-                + ", ".join("%s ×%d" % (c, n) for c, n in rollup["codes"].items()),
-            )
-        )
-
-    for payload in report.perf:
-        out += ["", "## Simulator performance (%s scale)" % payload.get("scale"), ""]
-        header, rows = _perf_rows(payload)
-        out += _md_table(header, rows)
-        out.append("")
-        out.append("Aggregate: **%sx** (%s)." % _perf_aggregate_line(payload.get("aggregate", {})))
-
-    sparks = _trajectory_sparks(report)
-    if sparks:
-        out += ["", "## Perf trajectory (%d points)" % len(report.trajectory), ""]
-        for label, line, latest in sparks:
-            out.append("- `%s` %s (latest %s)" % (line, label, latest))
-        out.append("")
-        header, rows = _trajectory_rows(report)
-        out += _md_table(header, rows)
-
-    for summary in report.timelines:
-        out += ["", "## Timeline", ""]
-        out += ["- %s" % line for line in _timeline_lines(summary)]
-
-    for snapshot in report.telemetry:
-        out += [
-            "",
-            "## Service telemetry (uptime %ss, peak %d in flight)"
-            % (_fmt_num(snapshot.get("uptime_s")), snapshot.get("in_flight_peak", 0)),
-            "",
-        ]
-        header, rows = _telemetry_rows(snapshot)
-        out += _md_table(header, rows)
-        if snapshot.get("rejections"):
-            out.append("")
-            out.append(
-                "Rejections: "
-                + ", ".join(
-                    "%s ×%d" % (code, n)
-                    for code, n in sorted(snapshot["rejections"].items())
-                )
-            )
-        if snapshot.get("cache"):
-            out += ["", "### Served cache effectiveness", ""]
-            header, rows = _cache_rows(snapshot["cache"])
-            out += _md_table(header, rows)
-
-    out.append("")
-    return "\n".join(out)
-
-
-# ---------------------------------------------------------------------------
-# HTML renderer (single file, stdlib only)
 
 _CSS = """
 body { font-family: -apple-system, 'Segoe UI', Roboto, sans-serif;
@@ -641,100 +638,43 @@ th { background: #f2f2f7; }
 .ok { color: #2a7f3f; } .bad { color: #b3261e; }
 """.strip()
 
-
-def _html_table(header, rows):
-    if not rows:
-        return "<p class=\"meta\">(no data)</p>"
-    head = "".join("<th>%s</th>" % _html.escape(str(h)) for h in header)
-    body = "".join(
-        "<tr>%s</tr>"
-        % "".join("<td>%s</td>" % _html.escape(str(cell)) for cell in row)
-        for row in rows
-    )
-    return "<table><thead><tr>%s</tr></thead><tbody>%s</tbody></table>" % (head, body)
+_HTML_STYLES = {"": "%s", "code": "%s", "strong": "<strong>%s</strong>",
+                "spark": "<span class=\"spark\">%s</span>",
+                "ok": "<span class=\"ok\">%s</span>", "bad": "<span class=\"bad\">%s</span>"}
 
 
 def render_html(report):
-    """The whole report as one self-contained HTML page."""
+    """The whole report as one self-contained HTML page (stdlib only)."""
     esc = _html.escape
+
+    def inline(spans):
+        return "".join(_HTML_STYLES[style] % esc(text) for style, text in spans)
+
+    def cells(tag, row):
+        return "".join("<%s>%s</%s>" % (tag, esc(str(cell)), tag) for cell in row)
+
     parts = [
         "<!DOCTYPE html>",
         "<html lang=\"en\"><head><meta charset=\"utf-8\">",
         "<title>%s</title>" % esc(report.title),
         "<style>%s</style>" % _CSS,
         "</head><body>",
-        "<h1>%s</h1>" % esc(report.title),
     ]
-    consumed = [s for s in report.sources if s["kind"] != "skipped"]
-    parts.append(
-        "<p class=\"meta\">Aggregated from %d file(s): %s</p>"
-        % (len(consumed), esc(", ".join(s["file"] for s in consumed) or "none"))
-    )
-
-    if report.runs:
-        parts.append("<h2>Per-kernel speedups</h2>")
-        parts.append(_html_table(*_speedup_rows(report)))
-        parts.append(
-            "<p class=\"meta\">Cells are cycles (speedup vs serial).</p>"
-        )
-        header, rows = _stall_rows(report)
-        if rows:
-            parts.append("<h2>Cycle breakdown (Fig. 10 buckets)</h2>")
-            parts.append(_html_table(header, rows))
-        cache = report.cache_summary()
-        if cache:
-            parts.append("<h2>Cache effectiveness</h2>")
-            parts.append(_html_table(*_cache_rows(cache)))
-
-    if report.lint:
-        rollup = report.lint_rollup()
-        status = (
-            "<span class=\"ok\">clean</span>"
-            if not rollup["errors"] and not rollup["warnings"]
-            else "<span class=\"bad\">%d error(s), %d warning(s)</span>"
-            % (rollup["errors"], rollup["warnings"])
-        )
-        parts.append("<h2>Lint status</h2>")
-        parts.append(
-            "<p>%d target(s): %s</p>" % (rollup["targets"], status)
-        )
-
-    for payload in report.perf:
-        parts.append(
-            "<h2>Simulator performance (%s scale)</h2>" % esc(str(payload.get("scale")))
-        )
-        parts.append(_html_table(*_perf_rows(payload)))
-        headline, detail = _perf_aggregate_line(payload.get("aggregate", {}))
-        parts.append(
-            "<p>Aggregate <strong>%sx</strong> (%s).</p>" % (esc(headline), esc(detail))
-        )
-
-    sparks = _trajectory_sparks(report)
-    if sparks:
-        parts.append("<h2>Perf trajectory (%d points)</h2>" % len(report.trajectory))
-        parts.append("<ul>")
-        for label, line, latest in sparks:
+    for kind, *body in _blocks(report):
+        if kind == "h":
+            parts.append("<h%d>%s</h%d>" % (body[0], esc(body[1]), body[0]))
+        elif kind == "table" and body[1]:
             parts.append(
-                "<li><span class=\"spark\">%s</span> %s (latest %s)</li>"
-                % (esc(line), esc(label), esc(latest))
+                "<table><thead><tr>%s</tr></thead><tbody>%s</tbody></table>"
+                % (cells("th", body[0]), "".join("<tr>%s</tr>" % cells("td", r) for r in body[1]))
             )
-        parts.append("</ul>")
-        parts.append(_html_table(*_trajectory_rows(report)))
-
-    for summary in report.timelines:
-        parts.append("<h2>Timeline</h2><ul>")
-        parts += ["<li>%s</li>" % esc(line) for line in _timeline_lines(summary)]
-        parts.append("</ul>")
-
-    for snapshot in report.telemetry:
-        parts.append(
-            "<h2>Service telemetry (uptime %ss, peak %d in flight)</h2>"
-            % (esc(_fmt_num(snapshot.get("uptime_s"))), snapshot.get("in_flight_peak", 0))
-        )
-        parts.append(_html_table(*_telemetry_rows(snapshot)))
-        if snapshot.get("cache"):
-            parts.append("<h3>Served cache effectiveness</h3>")
-            parts.append(_html_table(*_cache_rows(snapshot["cache"])))
-
+        elif kind == "table":
+            parts.append("<p class=\"meta\">(no data)</p>")
+        elif kind == "list":
+            parts.append("<ul>%s</ul>" % "".join("<li>%s</li>" % inline(i) for i in body[0]))
+        else:
+            parts.append(
+                "<p%s>%s</p>" % (" class=\"meta\"" if kind == "note" else "", inline(body[0]))
+            )
     parts.append("</body></html>")
     return "\n".join(parts)

@@ -13,6 +13,8 @@ module, so picking an engine imports no engine.
 import os
 from dataclasses import dataclass, field, replace
 
+from ..errors import ResourceError
+
 
 def _default_op_latencies():
     # Completion latencies (cycles) for register-to-register operations.
@@ -74,6 +76,24 @@ class MachineConfig:
 
     # Per-op completion latencies; everything absent defaults to 1 cycle.
     op_latencies: dict = field(default_factory=_default_op_latencies)
+
+    def __post_init__(self):
+        # A negative latency or penalty moves a clock backwards; the engines
+        # only agree with each other on clocks that never do.
+        latencies = {
+            "mispredict_penalty": self.mispredict_penalty,
+            "queue_latency": self.queue_latency,
+            "xcore_queue_latency": self.xcore_queue_latency,
+            "dram_latency": self.dram_latency,
+            "dram_service": self.dram_service,
+            "l1.latency": self.l1.latency,
+            "l2.latency": self.l2.latency,
+            "l3_per_core.latency": self.l3_per_core.latency,
+        }
+        latencies.update(("op_latencies[%r]" % op, v) for op, v in self.op_latencies.items())
+        negative = sorted(name for name, value in latencies.items() if value < 0)
+        if negative:
+            raise ResourceError("negative latency in MachineConfig: %s" % ", ".join(negative))
 
     def with_cores(self, cores):
         """A copy of this config scaled to ``cores`` cores (Fig. 14 setup)."""

@@ -34,7 +34,7 @@ from ..errors import PhloemError
 #: layers below it): every module a request of any verb may load.
 TOOLCHAIN = (
     "repro.analysis.perfmodel",
-    "repro.bench.harness",
+    "repro.bench.experiments",
     "repro.bench.perf",
     "repro.bench.report",
     "repro.core.viz",

@@ -12,8 +12,9 @@ from functools import lru_cache
 from . import graphs, matrices
 
 
-class GraphInput:
-    """A named graph input (Table IV substitute)."""
+class Input:
+    """A named graph or matrix input (Table IV / Table V substitute); the
+    builder runs once, on first :meth:`build`."""
 
     def __init__(self, name, domain, builder, training=False):
         self.name = name
@@ -29,81 +30,61 @@ class GraphInput:
         return self._build_cached()
 
     def __repr__(self):
-        return "GraphInput(%s)" % self.name
-
-
-class MatrixInput:
-    """A named matrix input (Table V substitute)."""
-
-    def __init__(self, name, domain, builder, training=False):
-        self.name = name
-        self.domain = domain
-        self._builder = builder
-        self.training = training
-
-    @lru_cache(maxsize=None)
-    def _build_cached(self):
-        return self._builder()
-
-    def build(self):
-        return self._build_cached()
-
-    def __repr__(self):
-        return "MatrixInput(%s)" % self.name
+        return "Input(%s)" % self.name
 
 
 #: Training graphs (paper: internet, USA-road-d-NY).
 TRAIN_GRAPHS = [
-    GraphInput("internet-train", "internet graph", lambda: graphs.power_law(1500, 2, seed=41), training=True),
-    GraphInput("road-ny-train", "road network", lambda: graphs.road_network(45, 35, seed=42), training=True),
+    Input("internet-train", "internet graph", lambda: graphs.power_law(1500, 2, seed=41), training=True),
+    Input("road-ny-train", "road network", lambda: graphs.road_network(45, 35, seed=42), training=True),
 ]
 
 #: Test graphs (paper: coAuthorsDBLP, hugetrace, Freescale1, as-Skitter, USA-road-d).
 TEST_GRAPHS = [
-    GraphInput("coauthors", "human collaboration", lambda: graphs.power_law(3000, 4, seed=11)),
-    GraphInput("hugetrace", "dynamic simulation", lambda: graphs.mesh3d(13, seed=12)),
-    GraphInput("freescale", "circuit simulation", lambda: graphs.uniform_random(4000, 5, seed=13)),
-    GraphInput("skitter", "internet graph", lambda: graphs.power_law(3500, 6, seed=14)),
-    GraphInput("road-usa", "road network", lambda: graphs.road_network(100, 75, seed=15)),
+    Input("coauthors", "human collaboration", lambda: graphs.power_law(3000, 4, seed=11)),
+    Input("hugetrace", "dynamic simulation", lambda: graphs.mesh3d(13, seed=12)),
+    Input("freescale", "circuit simulation", lambda: graphs.uniform_random(4000, 5, seed=13)),
+    Input("skitter", "internet graph", lambda: graphs.power_law(3500, 6, seed=14)),
+    Input("road-usa", "road network", lambda: graphs.road_network(100, 75, seed=15)),
 ]
 
 #: SpMM training matrices (paper: email-Enron, wiki-Vote).
 TRAIN_MATRICES_SPMM = [
-    MatrixInput("enron-train", "graph as matrix", lambda: matrices.random_matrix(60, 6, seed=21, pattern="powerlaw"), training=True),
-    MatrixInput("wikivote-train", "graph as matrix", lambda: matrices.random_matrix(50, 7, seed=22, pattern="uniform"), training=True),
+    Input("enron-train", "graph as matrix", lambda: matrices.random_matrix(60, 6, seed=21, pattern="powerlaw"), training=True),
+    Input("wikivote-train", "graph as matrix", lambda: matrices.random_matrix(50, 7, seed=22, pattern="uniform"), training=True),
 ]
 
 #: SpMM test matrices (paper: p2p-Gnutella31, amazon0312, cage12, 2cubes, rma10).
 TEST_MATRICES_SPMM = [
-    MatrixInput("gnutella", "file sharing", lambda: matrices.random_matrix(140, 3, seed=31, pattern="uniform")),
-    MatrixInput("amazon", "graph as matrix", lambda: matrices.random_matrix(160, 8, seed=32, pattern="powerlaw")),
-    MatrixInput("cage12", "gel electrophoresis", lambda: matrices.random_matrix(120, 15, seed=33, pattern="banded")),
-    MatrixInput("2cubes", "electromagnetics", lambda: matrices.random_matrix(110, 16, seed=34, pattern="banded")),
-    MatrixInput("rma10", "fluid dynamics", lambda: matrices.random_matrix(70, 30, seed=35, pattern="banded")),
+    Input("gnutella", "file sharing", lambda: matrices.random_matrix(140, 3, seed=31, pattern="uniform")),
+    Input("amazon", "graph as matrix", lambda: matrices.random_matrix(160, 8, seed=32, pattern="powerlaw")),
+    Input("cage12", "gel electrophoresis", lambda: matrices.random_matrix(120, 15, seed=33, pattern="banded")),
+    Input("2cubes", "electromagnetics", lambda: matrices.random_matrix(110, 16, seed=34, pattern="banded")),
+    Input("rma10", "fluid dynamics", lambda: matrices.random_matrix(70, 30, seed=35, pattern="banded")),
 ]
 
 #: GARDENIA-suite weighted graphs (SSSP): the Table IV substitutes with
 #: deterministic integer edge weights in the published uniform / skewed
 #: distributions.
 SUITE_WEIGHTED_GRAPHS = [
-    GraphInput("skitter-w", "internet graph (weighted)", lambda: graphs.with_weights(graphs.power_law(3500, 6, seed=14), max_weight=64, seed=1)),
-    GraphInput("road-usa-w", "road network (weighted)", lambda: graphs.with_weights(graphs.road_network(100, 75, seed=15), max_weight=64, seed=2)),
-    GraphInput("coauthors-w", "collaboration (weighted)", lambda: graphs.with_weights(graphs.power_law(3000, 4, seed=11), max_weight=64, seed=3, distribution="powerlaw")),
+    Input("skitter-w", "internet graph (weighted)", lambda: graphs.with_weights(graphs.power_law(3500, 6, seed=14), max_weight=64, seed=1)),
+    Input("road-usa-w", "road network (weighted)", lambda: graphs.with_weights(graphs.road_network(100, 75, seed=15), max_weight=64, seed=2)),
+    Input("coauthors-w", "collaboration (weighted)", lambda: graphs.with_weights(graphs.power_law(3000, 4, seed=11), max_weight=64, seed=3, distribution="powerlaw")),
 ]
 
 #: GARDENIA-suite SpMV matrices (GARDENIA: webbase-1M, shipsec1-like).
 TEST_MATRICES_SPMV = [
-    MatrixInput("webbase", "web crawl", lambda: matrices.random_matrix(3000, 5, seed=61, pattern="powerlaw")),
-    MatrixInput("shipsec", "ship structure", lambda: matrices.random_matrix(2000, 24, seed=62, pattern="banded")),
+    Input("webbase", "web crawl", lambda: matrices.random_matrix(3000, 5, seed=61, pattern="powerlaw")),
+    Input("shipsec", "ship structure", lambda: matrices.random_matrix(2000, 24, seed=62, pattern="banded")),
 ]
 
 #: Taco test matrices (paper: scircuit, mac_econ, cop20k_A, pwtk, cant).
 TEST_MATRICES_TACO = [
-    MatrixInput("scircuit", "circuit simulation", lambda: matrices.random_matrix(3400, 6, seed=51, pattern="powerlaw")),
-    MatrixInput("mac-econ", "economics", lambda: matrices.random_matrix(4100, 6, seed=52, pattern="uniform")),
-    MatrixInput("cop20k", "particle physics", lambda: matrices.random_matrix(2400, 21, seed=53, pattern="uniform")),
-    MatrixInput("pwtk", "structural", lambda: matrices.random_matrix(2200, 40, seed=54, pattern="banded")),
-    MatrixInput("cant", "cantilever", lambda: matrices.random_matrix(1200, 50, seed=55, pattern="banded")),
+    Input("scircuit", "circuit simulation", lambda: matrices.random_matrix(3400, 6, seed=51, pattern="powerlaw")),
+    Input("mac-econ", "economics", lambda: matrices.random_matrix(4100, 6, seed=52, pattern="uniform")),
+    Input("cop20k", "particle physics", lambda: matrices.random_matrix(2400, 21, seed=53, pattern="uniform")),
+    Input("pwtk", "structural", lambda: matrices.random_matrix(2200, 40, seed=54, pattern="banded")),
+    Input("cant", "cantilever", lambda: matrices.random_matrix(1200, 50, seed=55, pattern="banded")),
 ]
 
 

@@ -2,20 +2,10 @@
 
 import pytest
 
-from repro.bench.harness import (
-    BenchAdapter,
-    GraphBenchAdapter,
-    SpmmBenchAdapter,
-    VariantRun,
-    adapter_for,
-    gmean_speedup,
-    normalized_breakdowns,
-    normalized_energy,
-    profile_guided_pipeline,
-    run_suite,
-)
+from repro.bench.harness import BenchAdapter, adapter_for, profile_guided_pipeline, run_suite
+from repro.obs import gmean_speedups, normalized, run_record
 from repro.workloads import bfs, prd, spmm
-from repro.workloads.datasets import GraphInput, MatrixInput
+from repro.workloads.datasets import Input
 from repro.workloads.graphs import uniform_random
 from repro.workloads.matrices import random_matrix
 
@@ -23,15 +13,13 @@ from repro.workloads.matrices import random_matrix
 @pytest.fixture(scope="module")
 def micro_inputs():
     return [
-        GraphInput("t1", "test", lambda: uniform_random(80, 3, seed=1)),
-        GraphInput("t2", "test", lambda: uniform_random(90, 3, seed=2)),
+        Input("t1", "test", lambda: uniform_random(80, 3, seed=1)),
+        Input("t2", "test", lambda: uniform_random(90, 3, seed=2)),
     ]
 
 
-def test_unified_adapter_aliases():
-    """The graph/SpMM adapters merged; the old names still resolve."""
-    assert GraphBenchAdapter is BenchAdapter
-    assert SpmmBenchAdapter is BenchAdapter
+def test_adapter_for_name_or_module():
+    """One adapter class serves graph and matrix benchmarks alike."""
     assert adapter_for("spmm").module is spmm
     assert adapter_for(bfs).name == "bfs"
 
@@ -48,14 +36,14 @@ def test_check_dp_dispatch():
 
 def test_gmean_speedup():
     runs = [
-        VariantRun("v", "a", 10, True, {}, {}, {"speedup": 2.0}),
-        VariantRun("v", "b", 10, True, {}, {}, {"speedup": 8.0}),
+        run_record("k", "v", "a", 10, ok=True, speedup=2.0),
+        run_record("k", "v", "b", 10, ok=True, speedup=8.0),
     ]
-    assert gmean_speedup(runs) == pytest.approx(4.0)
+    assert gmean_speedups(runs) == {"k": {"v": pytest.approx(4.0)}}
 
 
 def test_profile_guided_pipeline(micro_inputs, tiny_config):
-    adapter = GraphBenchAdapter(bfs)
+    adapter = BenchAdapter(bfs)
     best, results = profile_guided_pipeline(
         adapter, micro_inputs, config=tiny_config, max_stages=3, top_k=3
     )
@@ -64,7 +52,7 @@ def test_profile_guided_pipeline(micro_inputs, tiny_config):
 
 
 def test_run_suite_end_to_end(micro_inputs, tiny_config):
-    adapter = GraphBenchAdapter(bfs)
+    adapter = BenchAdapter(bfs)
     suite = run_suite(
         adapter,
         micro_inputs[:1],
@@ -72,25 +60,29 @@ def test_run_suite_end_to_end(micro_inputs, tiny_config):
         config=tiny_config,
         variants=("serial", "data-parallel", "phloem-static", "manual"),
     )
-    for variant in ("serial", "data-parallel", "phloem-static", "manual"):
-        assert len(suite[variant]) == 1
-        assert all(r.ok for r in suite[variant])
-    assert suite["serial"][0].meta["speedup"] == 1.0
-    assert suite["phloem-static"][0].meta["speedup"] > 0
+    assert [r["variant"] for r in suite.records] == [
+        "serial", "data-parallel", "phloem-static", "manual"
+    ]
+    assert all(r["ok"] and r["input"] == "t1" for r in suite.records)
+    assert suite.records[0]["speedup"] == 1.0
+    assert suite.records[2]["speedup"] > 0
+    assert suite.search is None  # no "phloem" variant, no search
+    assert set(suite.pipelines) == {"data-parallel", "phloem-static", "manual"}
 
-    breakdowns = normalized_breakdowns(suite)
-    serial = breakdowns["serial"]
+    serial = normalized(suite.records, "breakdown")["bfs"]["serial"]
     primary = sum(serial[k] for k in ("issue", "backend", "queue", "other"))
     assert abs(primary - 1.0) < 1e-9
-    energy = normalized_energy(suite)
+    energy = normalized(suite.records, "energy")["bfs"]
     assert abs(sum(energy["serial"].values()) - 1.0) < 1e-9
 
 
 def test_run_suite_matrix_benchmark(tiny_config):
     """The single adapter drives SpMM through the same run_suite path."""
-    item = MatrixInput("m1", "test", lambda: random_matrix(30, 4, seed=7))
+    item = Input("m1", "test", lambda: random_matrix(30, 4, seed=7))
     suite = run_suite(
         adapter_for("spmm"), [item], [], config=tiny_config,
         variants=("serial", "phloem-static"),
     )
-    assert suite["serial"][0].ok and suite["phloem-static"][0].ok
+    assert [(r["bench"], r["variant"], r["ok"]) for r in suite.records] == [
+        ("spmm", "serial", True), ("spmm", "phloem-static", True)
+    ]

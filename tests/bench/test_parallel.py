@@ -13,7 +13,7 @@ from repro.bench.parallel import (
     resolve_jobs,
     run_jobs,
 )
-from repro.workloads.datasets import GraphInput
+from repro.workloads.datasets import Input
 from repro.workloads.graphs import uniform_random
 
 
@@ -71,8 +71,8 @@ def test_job_log_accumulates():
 @pytest.fixture(scope="module")
 def micro_inputs():
     return [
-        GraphInput("p1", "test", lambda: uniform_random(70, 3, seed=3)),
-        GraphInput("p2", "test", lambda: uniform_random(80, 3, seed=4)),
+        Input("p1", "test", lambda: uniform_random(70, 3, seed=3)),
+        Input("p2", "test", lambda: uniform_random(80, 3, seed=4)),
     ]
 
 
@@ -86,17 +86,13 @@ def test_run_suite_parallel_matches_serial(micro_inputs, tiny_config, monkeypatc
 
     def snapshot(jobs):
         cache.reset()
-        suite = run_suite(
+        return run_suite(
             adapter,
             micro_inputs,
             [],
             config=tiny_config,
             variants=variants,
             jobs=jobs,
-        )
-        return {
-            v: [(r.input_name, r.cycles, r.ok, r.breakdown, r.energy) for r in suite[v]]
-            for v in variants
-        }
+        ).records
 
     assert snapshot(2) == snapshot(1)

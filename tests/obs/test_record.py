@@ -2,18 +2,22 @@
 
 import json
 
+import pytest
+
 from repro import cache
 from repro.bench.harness import adapter_for, run_suite
 from repro.obs import (
     RECORD_SCHEMA,
     RECORD_VERSION,
+    gmean_speedups,
     merge_records,
+    normalized,
     read_jsonl,
-    records_from_suite,
     run_record,
+    stamp_cache,
     write_jsonl,
 )
-from repro.workloads.datasets import GraphInput
+from repro.workloads.datasets import Input
 from repro.workloads.graphs import uniform_random
 
 
@@ -80,9 +84,9 @@ def test_unknown_keys_survive_the_round_trip(tmp_path):
     assert merged["cycles"] == 10.0  # first occurrence still wins
 
 
-def test_records_from_suite_carries_summaries_and_speedups(tiny_config):
+def test_suite_records_carry_summaries_and_speedups(tiny_config):
     adapter = adapter_for("bfs")
-    item = GraphInput("tiny", "synthetic", lambda: uniform_random(120, 4, seed=5))
+    item = Input("tiny", "synthetic", lambda: uniform_random(120, 4, seed=5))
     suite = run_suite(
         adapter,
         [item],
@@ -90,15 +94,53 @@ def test_records_from_suite_carries_summaries_and_speedups(tiny_config):
         config=tiny_config,
         variants=("serial", "phloem-static"),
     )
-    records = records_from_suite("bfs", suite, cache_stats=cache.stats())
-    assert {r["variant"] for r in records} == {"serial", "phloem-static"}
+    records = stamp_cache(suite.records, cache.stats())
+    assert [r["variant"] for r in records] == ["serial", "phloem-static"]
     for record in records:
-        assert record["input"] == "tiny"
+        assert record["bench"] == "bfs" and record["input"] == "tiny"
         assert record["ok"] is True
         assert record["cycles"] > 0
         assert "breakdown" in record and "energy" in record and "cache" in record
         assert record["summary"]["wall_cycles"] == record["cycles"]
         assert "queues" in record["summary"]
-    static = next(r for r in records if r["variant"] == "phloem-static")
-    assert static["speedup"] > 0
+    serial, static = records
+    assert serial["speedup"] == 1.0 and static["speedup"] == serial["cycles"] / static["cycles"]
+    # Only a live run names its engines: the serial baseline may come from
+    # the cache, simulated by another process.
+    assert "stage_engines" not in serial and static["stage_engines"]
     json.dumps(records)  # the whole stream serializes
+
+
+def _run(variant, input_name, cycles, speedup, scale):
+    return run_record(
+        "bfs", variant, input_name, cycles, speedup=speedup,
+        breakdown={"issue": 0.5 * cycles, "backend": 0.5 * cycles, "queue": 0.0, "other": 0.0},
+        energy={"core_dynamic": scale, "core_static": scale, "cache": scale, "dram": scale},
+    )
+
+
+def test_slicers_fold_over_inputs():
+    """A per-kernel number is the gmean speedup over inputs, and a section
+    normalised to the serial run *of the same input*, then averaged."""
+    records = [
+        _run("serial", "g1", 100.0, 1.0, 1.0),
+        _run("phloem", "g1", 50.0, 2.0, 0.5),
+        _run("serial", "g2", 1000.0, 1.0, 10.0),
+        _run("phloem", "g2", 125.0, 8.0, 2.5),
+        run_record("cc", "engine-batch", "g1", 7.0),  # no speedup, no sections
+    ]
+    speedups = gmean_speedups(records)
+    assert list(speedups["bfs"]) == ["serial", "phloem"]  # first-seen order
+    assert speedups["bfs"]["phloem"] == pytest.approx(4.0)
+    assert speedups["cc"] == {"engine-batch": None}
+
+    breakdowns = normalized(records, "breakdown")
+    assert set(breakdowns) == {"bfs"}
+    assert sum(breakdowns["bfs"]["serial"].values()) == pytest.approx(1.0)
+    # (50/100 + 125/1000) / 2, split evenly over issue and backend.
+    assert breakdowns["bfs"]["phloem"]["issue"] == pytest.approx(0.15625)
+    energy = normalized(records, "energy")
+    assert sum(energy["bfs"]["serial"].values()) == pytest.approx(1.0)
+    assert energy["bfs"]["phloem"]["dram"] == pytest.approx((0.5 / 4 + 2.5 / 40) / 2)
+    # Without the serial run of an input there is nothing to normalise to.
+    assert normalized(records[1:2], "breakdown") == {}

@@ -15,14 +15,14 @@ from repro.obs import (
     spark,
     write_jsonl,
 )
-from repro.obs.report import ExperimentReport
+from repro.obs.report import ExperimentReport, _speedup_rows, _stall_rows
 
 
-def _run(bench, variant, cycles, speedup=None, breakdown=None, cache=None):
+def _run(bench, variant, cycles, speedup=None, breakdown=None, cache=None, input_name="tiny"):
     return run_record(
         bench,
         variant,
-        "tiny",
+        input_name,
         cycles,
         ok=True,
         speedup=speedup,
@@ -229,12 +229,40 @@ class TestCollect:
         report = collect(results_dir)
         assert report.kernels() == ["bfs", "cc"]
         assert report.variants() == ["phloem-static", "serial"]
-        table = report.speedup_table()
-        assert table["bfs"]["phloem-static"]["speedup"] == 2.5
-        assert table["cc"]["serial"]["cycles"] == 800.0
-        stalls = report.stall_table()
-        assert list(stalls) == ["bfs"]
-        assert stalls["bfs"]["phloem-static"]["issue"] == 50.0
+        assert _speedup_rows(report) == (
+            ["kernel", "phloem-static", "serial"],
+            [["bfs", "400 (2.50x)", "1000"], ["cc", "500 (1.60x)", "800"]],
+        )
+        assert _stall_rows(report) == (
+            ["kernel", "variant", "issue", "backend", "queue", "other"],
+            [["bfs", "phloem-static", "50.0%", "30.0%", "15.0%", "5.0%"]],
+        )
+
+    def test_per_kernel_tables_fold_over_inputs(self, tmp_path):
+        """Two inputs per kernel (what QUICK ``figures fig9 --metrics-out``
+        writes): a cell is the gmean speedup / mean normalised breakdown over
+        both, not whichever input was read last."""
+
+        def bd(issue, queue):
+            return {"issue": issue, "backend": 0.0, "queue": queue, "other": 0.0}
+
+        write_jsonl(
+            [
+                _run("bfs", "serial", 1000.0, 1.0, bd(1000.0, 0.0), input_name="g1"),
+                _run("bfs", "phloem", 500.0, 2.0, bd(400.0, 100.0), input_name="g1"),
+                _run("bfs", "serial", 4000.0, 1.0, bd(4000.0, 0.0), input_name="g2"),
+                _run("bfs", "phloem", 500.0, 8.0, bd(250.0, 250.0), input_name="g2"),
+            ],
+            str(tmp_path / "fig9.jsonl"),
+        )
+        report = collect(str(tmp_path))
+        assert _speedup_rows(report)[1] == [["bfs", "1000 (4.00x)", "5000 (1.00x)"]]
+        # phloem: issue (0.4 + 0.0625) / 2, queue (0.1 + 0.0625) / 2 of serial.
+        assert _stall_rows(report)[1] == [
+            ["bfs", "phloem", "74.0%", "0.0%", "26.0%", "0.0%"],
+            ["bfs", "serial", "100.0%", "0.0%", "0.0%", "0.0%"],
+        ]
+        assert "several inputs" in render_markdown(report)
 
     def test_cache_summary_counts_each_stream_once(self, results_dir):
         # Four records share one stream's per-request delta; summing
@@ -371,6 +399,19 @@ class TestHtml:
         for kernel in report.kernels():
             assert kernel in body
         assert "Service telemetry" in body
+
+    def test_html_says_what_markdown_says(self, results_dir):
+        """Both renderers walk one block list: the skipped-file count, the
+        per-code lint counts, the telemetry rejections and the ``-`` legend
+        are in the page too."""
+        body = _PageCheck()
+        body.feed(render_html(collect(results_dir)))
+        text = "".join(body.text)
+        for said in (
+            "(2 skipped)", "— PHL010 ×1", "Rejections: rate-limited ×1", "- = variant not run."
+        ):
+            assert said in text, said
+            assert said.replace("- =", "`-` =") in render_markdown(collect(results_dir))
 
     def test_content_is_escaped(self):
         report = ExperimentReport(title="<script>alert(1)</script>")

@@ -58,3 +58,25 @@ def test_scaled_config_keeps_latencies():
     assert SCALED_1CORE.l1.latency == PIPETTE_1CORE.l1.latency
     assert SCALED_1CORE.l3.latency == PIPETTE_1CORE.l3.latency
     assert SCALED_1CORE.l3.size < PIPETTE_1CORE.l3.size
+
+
+def test_negative_latencies_are_rejected_at_construction():
+    """A clock that can move backwards is the one input on which the batch
+    engine's generated code and the reference interpreter differ; a sweep
+    built with ``dataclasses.replace`` must not be able to reach it."""
+    import dataclasses
+
+    import pytest
+
+    from repro.errors import ResourceError
+    from repro.pipette.config import CacheConfig
+
+    with pytest.raises(ResourceError, match="mispredict_penalty"):
+        dataclasses.replace(SCALED_1CORE, mispredict_penalty=-1)
+    with pytest.raises(ResourceError, match=r"l2\.latency, op_latencies\['mul'\]"):
+        MachineConfig(l2=CacheConfig(1024, 8, -12), op_latencies={"mul": -0.5})
+    for name in ("queue_latency", "xcore_queue_latency", "dram_latency", "dram_service"):
+        with pytest.raises(ResourceError, match=name):
+            MachineConfig(**{name: -2})
+    # Zero and fractional latencies stay legal (tests/pipette/test_stress_configs.py).
+    assert MachineConfig(mispredict_penalty=0, op_latencies={"mul": 2.5}).op_latency("mul") == 2.5

@@ -22,7 +22,7 @@ import pytest
 from repro.bench.harness import adapter_for
 from repro.core import CompileOptions, compile_function
 from repro.pipette import ENGINES
-from repro.pipette.config import SCALED_1CORE
+from repro.pipette.config import SCALED_1CORE, CacheConfig
 from repro.runtime import run_pipeline
 from repro.workloads.graphs import power_law
 from repro.workloads.matrices import random_matrix
@@ -93,3 +93,66 @@ def test_fractional_latencies_are_not_truncated():
     assert cycles == 4827.0
     # The input does exercise a fractional clock, or the test pins nothing.
     assert summary["branch_stall"] != int(summary["branch_stall"])
+
+
+# ---------------------------------------------------------------------------
+# One timing primitive at a time
+
+
+def _slower_cache(level, by):
+    return lambda c: replace(
+        c, **{level: replace(getattr(c, level), latency=getattr(c, level).latency + by)}
+    )
+
+
+#: Each perturbation slows exactly one primitive of the timing model.
+PRIMITIVES = {
+    "queue_latency": lambda c: replace(c, queue_latency=c.queue_latency + 3),
+    "xcore_queue_latency": lambda c: replace(c, xcore_queue_latency=c.xcore_queue_latency + 8),
+    "mispredict_penalty": lambda c: replace(c, mispredict_penalty=c.mispredict_penalty + 6),
+    "dram_latency": lambda c: replace(c, dram_latency=c.dram_latency + 40),
+    "l1.latency": _slower_cache("l1", 2),
+    "l2.latency": _slower_cache("l2", 6),
+    "l3_per_core.latency": _slower_cache("l3_per_core", 20),
+    "ra_mshrs": lambda c: replace(c, ra_mshrs=1),
+    "op_latencies[add]": lambda c: replace(c, op_latencies=dict(c.op_latencies, add=3)),
+}
+
+#: Two cores with the pipeline split across them, so same-core and
+#: cross-core queues both carry traffic, and an L1 small enough that the
+#: 40-vertex inputs hit in L2.
+PRIMITIVE_BASE = replace(SCALED_1CORE, cores=2, l1=CacheConfig(1024, 2, 4))
+
+#: Where a slower primitive does *not* move the wall clock: spmv's loads all
+#: issue from its reference accelerators, sixteen in flight, and its adds
+#: overlap them — decoupling hides exactly these latencies.
+HIDDEN = {("spmv", "l1.latency"), ("spmv", "l2.latency"), ("spmv", "op_latencies[add]")}
+
+
+@pytest.mark.parametrize("kernel", ("bfs", "spmv"))  # one graph, one sparse kernel
+def test_one_primitive_at_a_time(kernel):
+    """Slowing one primitive moves reference and batch identically, moves the
+    cycle count wherever the primitive is on the critical path, and never
+    moves the output arrays (functional results are timing-invariant)."""
+    adapter = adapter_for(kernel)
+    data = _data(kernel)
+    pipeline = compile_function(adapter.function(), options=CompileOptions())
+    half = len(pipeline.stages) // 2
+    stage_cores = [0] * half + [1] * (len(pipeline.stages) - half)
+
+    def observe(config, engine):
+        arrays, scalars = adapter.env(data)
+        result = run_pipeline(
+            pipeline, arrays, scalars, config=config, engine=engine, stage_cores=stage_cores
+        )
+        assert result.stage_fallbacks == {}
+        return result.cycles, result.stats.summary(), result.arrays
+
+    cycles, _, arrays = observe(PRIMITIVE_BASE, "reference")
+    assert adapter.check(arrays, data)
+    for name, slower in PRIMITIVES.items():
+        config = slower(PRIMITIVE_BASE)
+        oracle = observe(config, "reference")
+        assert observe(config, "batch") == oracle, name
+        assert oracle[2] == arrays, name
+        assert (oracle[0] != cycles) == ((kernel, name) not in HIDDEN), (name, oracle[0], cycles)

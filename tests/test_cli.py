@@ -208,36 +208,63 @@ def test_report_missing_directory_exits_2(tmp_path, capsys):
     assert "not found" in capsys.readouterr().out
 
 
-def test_figures_metrics_out_from_suites(tmp_path, capsys):
-    """--metrics-out captures RunRecords for the suites a run computed."""
+def test_figures_metrics_out_from_suites(tmp_path, capsys, monkeypatch):
+    """--metrics-out captures the RunRecords of the figures a run computed."""
     from repro.bench import experiments
     from repro.bench.harness import adapter_for, run_suite
     from repro.pipette.config import SCALED_1CORE
-    from repro.workloads.datasets import GraphInput
+    from repro.workloads.datasets import Input
     from repro.workloads.graphs import uniform_random
 
-    item = GraphInput("tiny", "synthetic", lambda: uniform_random(200, 4, seed=2))
-    suite = run_suite(
-        adapter_for("bfs"), [item], [], config=SCALED_1CORE,
-        variants=("serial", "phloem-static"),
-    )
-    old = dict(experiments._SUITES)
-    experiments._SUITES.clear()
-    experiments._SUITES["bfs"] = suite
-    try:
-        path = tmp_path / "runs.jsonl"
-        rc = main(["figures", "fig10", "--quiet", "--metrics-out", str(path)])
-        assert rc == 0
-        captured = capsys.readouterr()
-        assert "Fig. 10" in captured.out
-        assert captured.err == ""  # --quiet silences the telemetry
-        records = obs.read_jsonl(str(path))
-        assert {(r["bench"], r["variant"]) for r in records} == {
-            ("bfs", "serial"), ("bfs", "phloem-static")
+    def tiny_suites():
+        item = Input("tiny", "synthetic", lambda: uniform_random(200, 4, seed=2))
+        return {
+            "bfs": run_suite(
+                adapter_for("bfs"), [item], [], config=SCALED_1CORE,
+                variants=("serial", "phloem-static"),
+            )
         }
-    finally:
-        experiments._SUITES.clear()
-        experiments._SUITES.update(old)
+
+    # Figs. 9-11 re-slice one shared source: it must run once for both.
+    calls = []
+
+    def source(jobs=None):
+        calls.append(jobs)
+        return tiny_suites()
+
+    for name in ("fig9", "fig10"):
+        figure = experiments.FIGURES[name]._replace(source=source)
+        monkeypatch.setitem(experiments.FIGURES, name, figure)
+    path = tmp_path / "runs.jsonl"
+    rc = main(["figures", "fig10", "fig9", "--quiet", "--metrics-out", str(path)])
+    assert rc == 0 and calls == [1]
+    captured = capsys.readouterr()
+    assert captured.out.index("Fig. 10") < captured.out.index("Fig. 9")
+    assert captured.err == ""  # --quiet silences the telemetry
+    records = obs.read_jsonl(str(path))
+    assert [(r["bench"], r["variant"]) for r in records] == [
+        ("bfs", "phloem-static"), ("bfs", "serial")
+    ]
+    assert all(set(r["cache"]) == {"pipeline", "baseline", "search"} for r in records)
+
+
+def test_figures_default_is_the_seven_paper_figures(monkeypatch, capsys):
+    """No names = Figs. 6 and 9-14 in the order the verb always printed them;
+    the extension entries (gardenia, abl) run only when named."""
+    from repro.bench import experiments
+
+    assert list(experiments.FIGURES) == [
+        "fig6", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "gardenia", "abl"
+    ]
+    stub = {
+        name: experiments.Figure(lambda: [], lambda data, name=name: "<%s>" % name, None)
+        for name in experiments.FIGURES
+    }
+    monkeypatch.setattr(experiments, "FIGURES", stub)
+    assert main(["figures", "--quiet"]) == 0
+    assert capsys.readouterr().out.split() == [
+        "<fig10>", "<fig11>", "<fig12>", "<fig13>", "<fig14>", "<fig6>", "<fig9>"
+    ]
 
 
 BAD_KERNEL = """
@@ -378,6 +405,18 @@ class TestApiLayer:
             "search": [
                 (["search", "cc", "--prune-static"], {"bench": "cc", "prune_static": True}),
                 (["search", "cc"], {"bench": "cc", "prune_static": False}),
+            ],
+            "figures": [
+                (
+                    ["figures", "fig6", "gardenia", "--jobs", "2", "--quiet", "--metrics-out",
+                     "m.jsonl"],
+                    {"names": ("fig6", "gardenia"), "jobs": 2, "quiet": True,
+                     "metrics_out": "m.jsonl"},
+                ),
+                (
+                    ["figures"],
+                    {"names": (), "jobs": None, "quiet": False, "metrics_out": None},
+                ),
             ],
             "trace": [
                 (
@@ -527,7 +566,7 @@ class TestApiLayer:
         assert "give a verb" in capsys.readouterr().out
 
     def test_submit_rejects_non_submittable_verbs(self, capsys):
-        assert main(["submit", "--socket", "/tmp/never-bound.sock", "figures"]) == 2
+        assert main(["submit", "--socket", "/tmp/never-bound.sock", "serve"]) == 2
         assert "only in-process" in capsys.readouterr().out
 
     def test_submit_unreachable_daemon_is_a_clean_error(self, tmp_path, capsys):

@@ -173,6 +173,7 @@ requests += [
                      trace_out="t.json", metrics_out="m.jsonl"),
     api.BenchPerfRequest(benches=("spmv",), repeats=1, quiet=True, baseline="none.json"),
     api.ReportRequest(results_dir=".", quiet=True, html_out="r.html"),
+    api.FiguresRequest(names=("fig99",), quiet=True),  # exits 2, once the registry is loaded
 ]
 for request in requests:
     api.handle(request)
