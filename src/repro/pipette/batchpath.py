@@ -377,12 +377,20 @@ class _StageCompiler:
         """The ``resync`` helper: re-establish the ledger-cursor invariant
         after ``cur`` moved (flush the deferred count, re-probe at the new
         cycle). Defined inside the stage function; outer locals arrive as
-        default arguments so none of them becomes a cell."""
+        default arguments so none of them becomes a cell.
+
+        Also the one place generated code lets the ledger forget
+        (``IssueLedger.prune``): every stage leaves straight-line code
+        through here, and ``ctx.cursor`` is stale while the stage runs, so
+        the live ``lc`` goes along as this thread's floor."""
         return [
-            "def resync(cur, lc, ln, slots=slots, sget=sget, ceil=ceil):",
+            "def resync(cur, lc, ln, slots=slots, sget=sget, ceil=ceil, len=len,"
+            " ledger=ledger, ctx=ctx):",
             "    if ln:",
             "        slots[lc] = ln",
             "    lc = ceil(cur)",
+            "    if len(slots) > ledger.mark:",
+            "        ledger.prune(ctx, lc)",
             "    return lc, sget(lc, 0), lc + 0.0",
         ]
 

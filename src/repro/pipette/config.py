@@ -40,6 +40,21 @@ class CacheConfig:
         return max(1, self.size // (self.line * self.ways))
 
 
+#: MachineConfig fields that count entries of a structure (or, for
+#: ``dram_service``, divide a window): none works below 1.
+_SIZES = (
+    "cores",
+    "smt_threads",
+    "issue_width",
+    "rob_size",
+    "mshrs",
+    "ra_mshrs",
+    "queue_capacity",
+    "dram_controllers",
+    "dram_service",
+)
+
+
 @dataclass(frozen=True)
 class MachineConfig:
     """Full system configuration; see Table III of the paper."""
@@ -85,7 +100,6 @@ class MachineConfig:
             "queue_latency": self.queue_latency,
             "xcore_queue_latency": self.xcore_queue_latency,
             "dram_latency": self.dram_latency,
-            "dram_service": self.dram_service,
             "l1.latency": self.l1.latency,
             "l2.latency": self.l2.latency,
             "l3_per_core.latency": self.l3_per_core.latency,
@@ -94,6 +108,12 @@ class MachineConfig:
         negative = sorted(name for name, value in latencies.items() if value < 0)
         if negative:
             raise ResourceError("negative latency in MachineConfig: %s" % ", ".join(negative))
+        # A structure with no entries never grants one: a 0-wide issue stage
+        # spins forever looking for a slot, an empty ROB/MSHR ring has no
+        # head to wait for, a DRAM window of service 0 divides by it.
+        empty = [name for name in _SIZES if getattr(self, name) < 1]
+        if empty:
+            raise ResourceError("size below 1 in MachineConfig: %s" % ", ".join(empty))
 
     def with_cores(self, cores):
         """A copy of this config scaled to ``cores`` cores (Fig. 14 setup)."""

@@ -269,6 +269,7 @@ class Machine:
                 task = Task(name)
                 tstats = stats.new_thread(name)
                 ctx = ThreadCtx(config, core, ledgers[core], self.mem, tstats, task, tracer=tracer)
+                ledgers[core].sharers.append(ctx)
                 for pname, value in spec.scalars.items():
                     ctx.regs[pname] = value
                 missing = [p for p in pipeline.scalar_params if p not in spec.scalars]
@@ -320,6 +321,10 @@ class Machine:
             scheduler.run()
         finally:
             scheduler.teardown()
+            # ledger.sharers <-> ctx.ledger is the one loop teardown cannot
+            # see; a finished run prunes nothing.
+            for ledger in ledgers:
+                ledger.sharers.clear()
 
         wall = max((ctx.stats.end_cycle for _, ctx in stage_tasks), default=0.0)
         stats.wall_cycles = wall

@@ -277,19 +277,34 @@ class Scheduler:
         return None
 
 
+#: Entries an :class:`IssueLedger` may hold before its first sweep, and the
+#: headroom above twice the survivors of each sweep after that.
+PRUNE_SLACK = 4096
+
+
 class IssueLedger:
     """Per-core shared issue bandwidth: ``width`` micro-ops per cycle.
 
     ``acquire(t)`` returns the first cycle >= t with a free slot and
     consumes it. Threads at different local times share one ledger, which is
     what models SMT contention among co-scheduled pipeline stages.
+
+    ``sharers`` are the thread contexts issuing through this ledger. A
+    thread never acquires below its own clock, so a cycle below every
+    unfinished sharer's clock can never be read again and :meth:`prune`
+    forgets it: the ledger's size follows the spread between its threads,
+    not the length of the simulation. Without sharers nothing is known
+    about who may still come, and every cycle stays.
     """
 
-    __slots__ = ("width", "slots")
+    __slots__ = ("width", "slots", "sharers", "mark")
 
     def __init__(self, width):
         self.width = width
         self.slots = {}
+        self.sharers = []
+        #: ``len(slots)`` beyond which the next acquire or resync sweeps.
+        self.mark = PRUNE_SLACK
 
     def acquire(self, t):
         c = int(t)
@@ -302,4 +317,26 @@ class IssueLedger:
             c += 1
             n = slots.get(c, 0)
         slots[c] = n + 1
+        if len(slots) > self.mark:
+            self.prune(None, c)
         return float(c)
+
+    def prune(self, ctx, floor):
+        """Delete every cycle below ``floor`` and below the cursor of every
+        unfinished sharer other than ``ctx``.
+
+        ``ctx`` is the running thread when its ``cursor`` is stale (a batch
+        stage keeps its clock in a frame local and passes it as ``floor``);
+        a stale cursor is only ever too low, so ``None`` is always safe. The
+        dict is emptied in place (generated stage code holds ``slots`` and
+        ``slots.get``), and the watermark doubles over the survivors so all
+        sweeps together cost no more than the inserts between them.
+        """
+        slots = self.slots
+        if self.sharers:
+            for other in self.sharers:
+                if other is not ctx and other.cursor < floor and not other.task.done:
+                    floor = other.cursor
+            for c in [c for c in slots if c < floor]:
+                del slots[c]
+        self.mark = 2 * len(slots) + PRUNE_SLACK

@@ -80,3 +80,26 @@ def test_negative_latencies_are_rejected_at_construction():
             MachineConfig(**{name: -2})
     # Zero and fractional latencies stay legal (tests/pipette/test_stress_configs.py).
     assert MachineConfig(mispredict_penalty=0, op_latencies={"mul": 2.5}).op_latency("mul") == 2.5
+
+
+def test_sizes_below_one_are_rejected_at_construction():
+    """``issue_width=0`` used to build and then spin forever looking for an
+    issue slot, ``dram_service=0`` divided by zero in ``MemorySystem`` and
+    an empty ROB/MSHR ring raised ``IndexError`` from generated code."""
+    import dataclasses
+
+    import pytest
+
+    from repro.errors import ResourceError
+
+    sizes = (
+        "cores smt_threads issue_width rob_size mshrs ra_mshrs "
+        "queue_capacity dram_controllers dram_service"
+    )
+    for name in sizes.split():
+        for value in (0, -3):
+            with pytest.raises(ResourceError, match=r"size below 1.*\b%s\b" % name):
+                MachineConfig(**{name: value})
+        assert getattr(MachineConfig(**{name: 1}), name) == 1
+    with pytest.raises(ResourceError, match="issue_width, rob_size"):
+        dataclasses.replace(SCALED_1CORE, issue_width=0, rob_size=0)

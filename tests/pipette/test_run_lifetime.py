@@ -12,15 +12,18 @@ import weakref
 
 import pytest
 
-from repro.bench.harness import adapter_for
+from repro.bench.harness import DP_THREADS, adapter_for
+from repro.bench.perf import QUICK_INPUTS, build_input
 from repro.core import CompileOptions, compile_function
 from repro.errors import DeadlockError
 from repro import ir
 from repro.pipette import Machine, MachineConfig, RunSpec
 from repro.pipette import ENGINES
-from repro.pipette.interp import ThreadCtx
-from repro.pipette.sched import Task
-from repro.runtime import describe_run, run_pipeline
+from repro.pipette import machine as machine_module
+from repro.pipette import sched
+from repro.pipette.interp import StageInterp, ThreadCtx
+from repro.pipette.sched import IssueLedger, Task
+from repro.runtime import describe_run, run_pipeline, run_serial
 from repro.runtime.inspect import queue_report
 
 
@@ -94,3 +97,165 @@ def test_failed_run_is_torn_down_too(engine, gc_off):
     ref = weakref.ref(machine)
     del machine
     assert ref() is None
+
+
+# -- the ledger's size follows the machine, not the run --------------------
+
+
+@pytest.fixture
+def ledgers(monkeypatch):
+    """Every ``IssueLedger`` the machines of this test build. Each records
+    its sweeps as ``(from resync?, lowest cursor among the other unfinished
+    sharers, len before, len after)``; between sweeps ``slots`` only grows,
+    so the high-water mark is the largest ``before`` or the final size."""
+    made = []
+
+    class Watched(IssueLedger):
+        __slots__ = ("sweeps",)
+
+        def __init__(self, width):
+            super().__init__(width)
+            self.sweeps = []
+            made.append(self)
+
+        def prune(self, ctx, floor):
+            before = len(self.slots)
+            others = [s.cursor for s in self.sharers if s is not ctx and not s.task.done]
+            super().prune(ctx, floor)
+            self.sweeps.append((ctx is not None, min(others, default=None), before, len(self.slots)))
+
+        @property
+        def high_water(self):
+            return max([before for _, _, before, _ in self.sweeps] + [len(self.slots)])
+
+    monkeypatch.setattr(machine_module, "IssueLedger", Watched)
+    return made
+
+
+def _quick_run(bench, variant, engine):
+    """``bench`` on its QUICK input: the compiled pipeline, or the serial function."""
+    adapter = adapter_for(bench)
+    arrays, scalars = adapter.env(build_input(QUICK_INPUTS[bench]))
+    if variant == "serial":
+        return run_serial(adapter.function(), arrays, scalars, engine=engine)
+    pipeline = compile_function(adapter.function(), options=CompileOptions())
+    return run_pipeline(pipeline, arrays, scalars, engine=engine)
+
+
+#: (kernel, variant, bound on the ledger's high-water size). A pipeline keeps
+#: the cycles between its slowest and fastest stage (a few queue depths of
+#: work) and a lone thread keeps nothing but the watermark's slack; ``sssp``
+#: compiles to one stage, so nothing in it ever yields to the scheduler.
+#: Before the ledger could forget, the same runs ended holding 488 648,
+#: 191 436 and 118 229 entries: each more than ten times its bound here.
+RUN_SHAPES = [
+    ("spmm", "static", 16384),  # 2.09 M cycles, four stages
+    ("bfs", "serial", 8192),  # 1.04 M cycles, one thread
+    ("sssp", "static", 8192),  # 0.53 M cycles, a one-stage "pipeline"
+]
+
+
+@pytest.mark.parametrize("engine", ["reference", "batch"])
+@pytest.mark.parametrize("bench,variant,bound", RUN_SHAPES)
+def test_ledger_size_does_not_follow_the_cycle_count(engine, bench, variant, bound, ledgers):
+    result = _quick_run(bench, variant, engine)
+    (ledger,) = ledgers
+    assert result.cycles > 500_000
+    assert ledger.high_water <= bound
+    assert ledger.sweeps, "a run this long sweeps"
+    # Each engine forgets through its own spelling only.
+    assert {from_resync for from_resync, _, _, _ in ledger.sweeps} == {engine == "batch"}
+    assert ledger.sharers == []  # cut with the scheduler links
+
+
+@pytest.mark.parametrize("engine", ["reference", "batch"])
+def test_forced_sweeps_delete_nothing_while_a_dp_worker_has_not_started(
+    engine, ledgers, monkeypatch
+):
+    """The floor rule on a data-parallel run, with a sweep forced at every
+    opportunity (the shipped watermark is patched out below). This pins what
+    a sweep may delete; it is not a bound on how large a dp run's ledger ends.
+
+    The four workers of a dp kernel run one after another in host time
+    (none blocks until its share of the work is done), so while the first
+    three run, a worker that has not started holds the floor at cycle 0:
+    every cycle must stay, and the peak is bound by the timeline, not by the
+    machine: QUICK ``tc.dp`` peaks at 116 871 entries over 193 565 cycles,
+    with the change as without it. That is the floor rule being exact, not a
+    leak. Once the last worker runs, a sweep does delete behind it, and what
+    is left is the tail of the timeline past its own last cycle.
+
+    Under the shipped doubling watermark, whether a sweep comes due inside
+    the last worker depends on where the doubling falls: at QUICK ``tc.dp``
+    and ``spmv.dp`` none does and the ledger ends as large as it peaked
+    (``bfs.dp`` ends at 90 960 of 168 545). EXPERIMENTS.md, "Simulator
+    memory", has the per-operation sizes."""
+
+    class Eager(machine_module.IssueLedger):  # on top of the fixture's recorder
+        __slots__ = ()
+
+        def prune(self, ctx, floor):
+            super().prune(ctx, floor)
+            self.mark = 0
+
+    monkeypatch.setattr(sched, "PRUNE_SLACK", 0)
+    monkeypatch.setattr(machine_module, "IssueLedger", Eager)
+    adapter = adapter_for("tc")
+    data = build_input(("power_law", {"n": 60, "deg": 4, "seed": 7}))
+    arrays, scalars = adapter.dp_env(data, DP_THREADS)
+    result = run_pipeline(adapter.dp_pipeline(DP_THREADS), arrays, scalars, engine=engine)
+    assert adapter.check_dp(result.arrays, data)
+    (ledger,) = ledgers
+    held = [(before, after) for _, low, before, after in ledger.sweeps if low == 0.0]
+    assert held and all(before == after for before, after in held)
+    peak = max(before for before, _ in held)
+    assert peak > result.cycles / 4  # most cycles of the timeline, all at once
+    # With every sweep forced, the last worker's sweeps are the only ones that delete.
+    assert len(ledger.slots) < peak / 3
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_ten_runs_leave_no_machine_thread_or_ledger_alive(engine, micro_graph, tiny_config, gc_off):
+    """``ledger.sharers`` <-> ``ctx.ledger`` is a loop the scheduler's
+    teardown cannot see; ``Machine.run`` cuts it in the same ``finally``."""
+    kinds = (Machine, ThreadCtx, IssueLedger)
+    before = {id(obj) for obj in gc.get_objects() if isinstance(obj, kinds)}
+    cases = _pipelines(micro_graph)
+    for _ in range(10):
+        for pipeline, arrays, scalars in cases:
+            run_pipeline(pipeline, arrays, scalars, config=tiny_config, engine=engine)
+    alive = [obj for obj in gc.get_objects() if isinstance(obj, kinds) and id(obj) not in before]
+    assert alive == []
+
+
+def test_fallback_stage_forgets_through_the_same_method(ledgers, monkeypatch):
+    """A stage the compiler could not express runs on the reference
+    interpreter beside batch stages, on one ledger: its sweeps come from
+    ``acquire``, theirs from ``resync``, and the statistics are those of
+    either engine alone."""
+    monkeypatch.setattr(sched, "PRUNE_SLACK", 64)
+    compile_stage = Machine._ENGINE_CLASSES["batch"]
+
+    def first_stage_falls_back(stage, ctx, env):
+        if stage.index:
+            return compile_stage(stage, ctx, env)
+        interp = StageInterp(stage, ctx, env)
+        interp.fallback_reason = "forced by the test"
+        return interp
+
+    adapter = adapter_for("bfs")
+    data = build_input(("power_law", {"n": 400, "deg": 6, "seed": 7}))
+    arrays, scalars = adapter.env(data)
+    pipeline = compile_function(adapter.function(), options=CompileOptions())
+    pure = {
+        engine: run_pipeline(pipeline, arrays, scalars, engine=engine).stats.summary()
+        for engine in ("reference", "batch")
+    }
+    del ledgers[:]
+    monkeypatch.setitem(Machine._ENGINE_CLASSES, "batch", first_stage_falls_back)
+    mixed = run_pipeline(pipeline, arrays, scalars, engine="batch")
+    assert sorted(set(mixed.stage_engines.values())) == ["batch", "reference"]
+    assert list(mixed.stage_fallbacks.values()) == ["forced by the test"]
+    (ledger,) = ledgers
+    assert {from_resync for from_resync, _, _, _ in ledger.sweeps} == {True, False}
+    assert mixed.stats.summary() == pure["reference"] == pure["batch"]

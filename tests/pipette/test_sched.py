@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import DeadlockError
+from repro.pipette import sched
 from repro.pipette.queues import HWQueue
 from repro.pipette.sched import BLOCKED, BarrierSync, IssueLedger, Scheduler, SharedCells, Task
 
@@ -166,6 +167,117 @@ class TestIssueLedger:
         got = ledger.acquire(t)
         assert got == float(c)
         assert ledger.slots[c] == shadow.get(c, 0) + 1
+
+
+class _Sharer:
+    """What ``IssueLedger.prune`` reads of a ThreadCtx: ``cursor`` (as of
+    the thread's last yield) and ``task.done``. ``clock`` is the live value
+    a batch stage keeps in a frame local while it runs."""
+
+    def __init__(self, name):
+        self.task = Task(name)
+        self.cursor = 0.0
+        self.clock = 0.0
+
+
+class TestLedgerForgets:
+    """``prune`` drops exactly the cycles no unfinished sharer can reach."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 3),
+        st.integers(1, 4),
+        st.lists(
+            st.tuples(
+                st.integers(0, 3),
+                st.sampled_from(["acquire", "acquire", "acquire", "resync", "sweep", "finish"]),
+                st.floats(0, 6),
+            ),
+            max_size=120,
+        ),
+    )
+    def test_pruned_ledger_answers_like_one_that_never_forgets(self, width, k, ops):
+        """k threads with monotone clocks interleave arbitrarily; a sweep is
+        forced from both call sites (``acquire`` past a zeroed watermark,
+        and ``prune(ctx, lc)`` as the generated ``resync`` spells it, with
+        the running thread's ``cursor`` stale). Every acquire returns what
+        an unpruned shadow returns, and nothing at or above the slowest
+        unfinished thread's clock is ever lost — while a sweep leaves nothing
+        below it."""
+        ledger, shadow = IssueLedger(width), IssueLedger(width)
+        sharers = [_Sharer("t%d" % i) for i in range(k)]
+        ledger.sharers.extend(sharers)
+        running = None
+        for who, op, dt in ops:
+            ctx = sharers[who % k]
+            if ctx.task.done:
+                continue
+            if ctx is not running:
+                if running is not None:
+                    running.cursor = running.clock  # the yield's flush
+                running = ctx
+            if op == "acquire":
+                want = shadow.acquire(ctx.clock + dt)
+                assert ledger.acquire(ctx.clock + dt) == want
+                ctx.clock = want
+            elif op == "resync":
+                ctx.clock += dt  # a stall moved the clock; resync follows
+                ledger.prune(ctx, math.ceil(ctx.clock))
+                others = [s.clock for s in sharers if s is not ctx and not s.task.done]
+                assert min(ledger.slots, default=math.inf) >= min(others + [ctx.clock])
+            elif op == "sweep":
+                ledger.mark = 0  # the next acquire sweeps
+            else:
+                ctx.cursor = ctx.clock
+                ctx.task.done = True
+            live = [s.clock for s in sharers if not s.task.done]
+            slowest = min(live) if live else math.inf
+            for cycle, count in shadow.slots.items():
+                if cycle >= slowest:
+                    assert ledger.slots[cycle] == count
+                else:
+                    assert ledger.slots.get(cycle, count) == count
+            assert ledger.slots.keys() <= shadow.slots.keys()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3), st.lists(st.floats(0, 200), max_size=80))
+    def test_without_sharers_every_cycle_stays(self, width, times):
+        """Nobody registered means nobody promised a clock: the ledger of
+        ``test_out_of_order_acquisition`` keeps earlier cycles available
+        however often a sweep comes due."""
+        ledger = IssueLedger(width)
+        seen = {}
+        for t in times:
+            ledger.mark = 0
+            c = int(ledger.acquire(t))
+            seen[c] = seen.get(c, 0) + 1
+            assert ledger.slots == seen
+
+    def test_sweeps_are_paid_for_by_inserts(self, monkeypatch):
+        """The watermark doubles over what a sweep leaves, so a ledger that
+        cannot forget yet (a not-yet-started sharer holds the floor at 0)
+        is swept O(log n) times over n inserts, not n times — and forgets
+        as soon as that sharer is out of the way."""
+        sweeps = []
+
+        class Counting(IssueLedger):
+            __slots__ = ()
+
+            def prune(self, ctx, floor):
+                sweeps.append(len(self.slots))
+                super().prune(ctx, floor)
+
+        monkeypatch.setattr(sched, "PRUNE_SLACK", 0)
+        ledger = Counting(1)
+        runner, waiting = _Sharer("runner"), _Sharer("waiting")
+        ledger.sharers.extend([runner, waiting])
+        for cycle in range(1024):
+            runner.cursor = ledger.acquire(float(cycle))
+        assert len(ledger.slots) == 1024 and len(sweeps) <= 11
+        waiting.task.done = True
+        ledger.mark = 0
+        ledger.acquire(1024.0)
+        assert sorted(ledger.slots) == [1023, 1024]
 
 
 class TestClockNormalization:
