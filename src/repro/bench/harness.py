@@ -105,7 +105,7 @@ def log_engine_fallbacks(label, fallbacks):
         )
 
 
-def profile_guided_pipeline(adapter, train_inputs, config=SCALED_1CORE, max_stages=4, top_k=5, limit=40, passes=ALL_PASSES, recorder=None, prune_static=None):
+def profile_guided_pipeline(adapter, train_inputs, config=SCALED_1CORE, max_stages=4, top_k=5, limit=40, passes=ALL_PASSES, recorder=None, prune_static=False):
     """Run the paper's profile-guided search; returns (best, all results).
 
     The evaluator scores each candidate by gmean speedup over serial on the

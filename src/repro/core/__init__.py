@@ -1,7 +1,7 @@
 """The Phloem compiler: automatic decoupling into fine-grain pipelines."""
 
 from .accelerate import apply_reference_accelerators
-from .autotune import CandidateResult, SearchPoint, gmean, search_pipelines, speedup_distribution
+from .autotune import SearchPoint, gmean, search_pipelines, speedup_distribution
 from .codegen import emit_pipeline, emit_stage
 from .compiler import ALL_PASSES, CompileOptions, compile_c, compile_function, pipeline_summary
 from .ctrl import apply_control_handlers, apply_control_values, apply_interstage_dce
@@ -12,7 +12,6 @@ from .viz import ascii_diagram
 
 __all__ = [
     "apply_reference_accelerators",
-    "CandidateResult",
     "SearchPoint",
     "gmean",
     "search_pipelines",

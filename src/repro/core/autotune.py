@@ -20,32 +20,13 @@ from .compiler import ALL_PASSES, CompileOptions, compile_function
 from .phases import prepare_phases
 
 
-class CandidateResult:
-    """One profiled pipeline from the search."""
-
-    __slots__ = ("indices", "pipeline", "num_units", "speedup")
-
-    def __init__(self, indices, pipeline, speedup):
-        self.indices = indices
-        self.pipeline = pipeline
-        self.num_units = pipeline.num_units
-        self.speedup = speedup
-
-    def __repr__(self):
-        return "Candidate(points=%s, units=%d, speedup=%.2f)" % (
-            list(self.indices),
-            self.num_units,
-            self.speedup,
-        )
-
-
 class SearchPoint:
-    """A pipeline-free candidate summary: point indices, unit count, score.
+    """One scored candidate: point indices, unit count, training speedup.
 
-    What the search cache stores and what the harness ships across worker
-    boundaries — everything Fig. 13 plots, without pickling a pipeline.
-    ``pipeline`` is attached only on the winning candidate (recompiled
-    through the pipeline cache when the scores came from a warm hit).
+    Everything Fig. 13 plots. :func:`search_pipelines` attaches the
+    compiled ``pipeline``; the harness ships and caches the summary without
+    it and attaches it only to the winner (recompiled through the pipeline
+    cache when the scores came from a warm hit).
     """
 
     __slots__ = ("indices", "num_units", "speedup", "pipeline")
@@ -71,19 +52,10 @@ def candidate_count(function, top_k=7):
     return min(top_k, len(rank_decouple_points(work)))
 
 
-def _prune_keep_count(n, prune_static):
-    """How many compiled candidates survive static pruning.
-
-    ``prune_static`` is ``True`` (keep the top quarter, at least 2), an
-    ``int`` (keep exactly that many), or a ``float`` fraction in (0, 1].
-    """
-    if prune_static is True:
-        keep = max(2, -(-n // 4))
-    elif isinstance(prune_static, float):
-        keep = math.ceil(n * prune_static)
-    else:
-        keep = int(prune_static)
-    return max(1, min(n, keep))
+def _prune_keep_count(n):
+    """How many of ``n`` compiled candidates survive static pruning: the
+    top quarter, at least 2 (and never more than there are)."""
+    return min(n, max(2, -(-n // 4)))
 
 
 def search_pipelines(
@@ -93,26 +65,23 @@ def search_pipelines(
     top_k=7,
     passes=ALL_PASSES,
     limit=80,
-    keep_failures=False,
     recorder=None,
-    prune_static=None,
+    prune_static=False,
 ):
     """Enumerate, compile, and profile candidate pipelines.
 
-    Returns ``(best, results)`` where ``best`` is the highest-speedup
-    :class:`CandidateResult` (None if nothing compiled) and ``results``
-    holds every profiled candidate — the distribution Fig. 13 plots.
-    Combinations the compiler rejects (alias races, backward control) are
-    skipped, exactly as untransformable candidates should be.
+    Returns ``(best, results)``: ``results`` holds a :class:`SearchPoint`
+    (pipeline attached) per profiled candidate — the distribution Fig. 13
+    plots — and ``best`` is the highest-speedup one (None if nothing
+    compiled). Combinations the compiler rejects (alias races, backward
+    control) are skipped, exactly as untransformable candidates should be.
 
     ``prune_static`` enables the static pre-filter: every candidate still
-    compiles, but only the ones the analytic performance model
-    (:func:`repro.analysis.perfmodel.static_score`) ranks highest are
-    simulated; the rest are dropped before ``evaluate`` ever runs. Pass
-    ``True`` (keep the top quarter, at least 2), an ``int`` (keep that
-    many), or a ``float`` fraction. Pruning only skips simulations — the
-    compile set, the scoring of survivors, and the final ``max`` by
-    measured speedup are unchanged.
+    compiles, but only the top quarter (at least 2) by the analytic
+    performance model (:func:`repro.analysis.perfmodel.static_score`) is
+    simulated; the rest are dropped before ``evaluate`` ever runs. Pruning
+    only skips simulations — the compile set, the scoring of survivors,
+    and the final ``max`` by measured speedup are unchanged.
 
     ``recorder`` (a :class:`repro.obs.SearchRecorder`) logs every candidate
     — scored, compile-rejected, evaluation-failed, or statically pruned —
@@ -126,8 +95,6 @@ def search_pipelines(
         combos = combos[:limit]
 
     results = []
-    failures = []
-
     compiled = []
     for indices in combos:
         try:
@@ -138,7 +105,6 @@ def search_pipelines(
                 ),
             )
         except PhloemError as exc:
-            failures.append((indices, str(exc)))
             if recorder is not None:
                 recorder.failed(indices, "compile", exc)
             continue
@@ -165,7 +131,7 @@ def search_pipelines(
                 indices,
             )
 
-        keep = _prune_keep_count(len(compiled), prune_static)
+        keep = _prune_keep_count(len(compiled))
         ranked = sorted(compiled, key=rank_key)
         survivors = {indices: scores[indices] for indices, _ in ranked[:keep]}
         cutoff = min(survivors.values())
@@ -187,19 +153,16 @@ def search_pipelines(
         try:
             speedup = evaluate(pipeline)
         except PhloemError as exc:
-            failures.append((indices, str(exc)))
             if recorder is not None:
                 recorder.failed(indices, "evaluate", exc)
             continue
-        results.append(CandidateResult(indices, pipeline, speedup))
+        results.append(SearchPoint(indices, pipeline.num_units, speedup, pipeline))
         if recorder is not None:
             recorder.scored(indices, pipeline.num_units, speedup)
 
     best = max(results, key=lambda r: r.speedup) if results else None
     if recorder is not None:
         recorder.decide(None if best is None else best.indices)
-    if keep_failures:
-        return best, results, failures
     return best, results
 
 

@@ -47,13 +47,6 @@ def _stage_of_queue_producer(pipeline, qid):
     return None
 
 
-def _find_deq(stage, qid):
-    for stmt in walk(stage.body):
-        if stmt.kind == "deq" and stmt.queue == qid:
-            return stmt
-    return None
-
-
 def _find_enqs(stage, qid):
     return [s for s in walk(stage.body) if s.kind == "enq" and s.queue == qid]
 

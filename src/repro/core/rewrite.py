@@ -1,21 +1,5 @@
 """Small IR rewriting utilities shared by the compiler passes."""
 
-#: Operand fields read (not written) by each statement kind.
-_USE_FIELDS = {
-    "assign": ("args",),
-    "load": ("array", "index"),
-    "store": ("array", "index", "value"),
-    "prefetch": ("array", "index"),
-    "enq": ("value",),
-    "enq_dist": ("value", "replica"),
-    "is_control": ("src",),
-    "for": ("lo", "hi", "step"),
-    "if": ("cond",),
-    "call": ("args",),
-    "write_shared": ("value",),
-    "atomic_rmw": ("array", "index", "value"),
-}
-
 
 def substitute_uses(body, mapping):
     """Replace register *uses* per ``mapping`` throughout ``body`` (in place).
@@ -24,24 +8,14 @@ def substitute_uses(body, mapping):
     from a multiply-defined register is safe.
     """
     for stmt in body:
-        fields = _USE_FIELDS.get(stmt.kind, ())
-        for field in fields:
+        for field in stmt.READS:
             value = getattr(stmt, field)
-            if field == "args":
-                stmt.args = [mapping.get(a, a) if type(a) is str else a for a in value]
+            if type(value) is list:
+                setattr(stmt, field, [mapping.get(a, a) if type(a) is str else a for a in value])
             elif type(value) is str and value in mapping:
                 setattr(stmt, field, mapping[value])
         for block in stmt.blocks():
             substitute_uses(block, mapping)
-
-
-def replace_stmt(container, old, new_list):
-    """Replace ``old`` (by identity) with ``new_list`` inside ``container``."""
-    for index, stmt in enumerate(container):
-        if stmt is old:
-            container[index : index + 1] = new_list
-            return True
-    return False
 
 
 def remove_stmts(body, victim_ids):

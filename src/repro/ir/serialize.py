@@ -9,8 +9,10 @@ two requirements drive the format:
 
 * **Stability across processes.** No ``id()``, no builtin ``hash()`` (both
   vary per process), and every unordered container is emitted sorted.
-* **Completeness.** Every statement kind serializes every semantic field;
-  an unknown kind raises rather than silently hashing a partial view.
+* **Completeness.** A statement serializes every field its class declares
+  (``__slots__``; the ``BODIES`` among them nested, one level deeper), so a
+  new field cannot be left out of the hash; an object that declares none
+  raises rather than silently hashing a partial view.
 
 Pipeline ``meta`` is deliberately excluded: it records provenance (which
 passes ran, selected points), not behaviour, and including it would split
@@ -22,34 +24,6 @@ import hashlib
 from ..errors import PhloemError
 from .program import Function, PipelineProgram
 from .values import Ctrl
-
-#: Serialized per statement kind, in order. Fields holding nested statement
-#: lists (``body``/``then_body``/``else_body``) are handled structurally by
-#: :func:`_stmt_lines` and must not appear here.
-_STMT_FIELDS = {
-    "assign": ("dst", "op", "args"),
-    "load": ("dst", "array", "index"),
-    "store": ("array", "index", "value"),
-    "prefetch": ("array", "index"),
-    "enq": ("queue", "value"),
-    "enq_ctrl": ("queue", "ctrl"),
-    "deq": ("dst", "queue"),
-    "peek": ("dst", "queue"),
-    "is_control": ("dst", "src"),
-    "for": ("var", "lo", "hi", "step"),
-    "loop": (),
-    "if": ("cond",),
-    "break": ("levels",),
-    "continue": (),
-    "barrier": ("tag",),
-    "read_shared": ("dst", "var"),
-    "write_shared": ("var", "value"),
-    "call": ("dst", "func", "args"),
-    "atomic_rmw": ("dst", "op", "array", "index", "value"),
-    "enq_dist": ("queue", "value", "replica"),
-    "enq_ctrl_dist": ("queue", "ctrl"),
-    "comment": ("text",),
-}
 
 
 def _operand(value):
@@ -74,20 +48,21 @@ def _operand(value):
 def _stmt_lines(stmt, indent, out):
     pad = " " * indent
     try:
-        fields = _STMT_FIELDS[stmt.kind]
-    except KeyError:
+        fields, bodies = type(stmt).__slots__, stmt.BODIES
+    except AttributeError:
         raise PhloemError("cannot serialize statement kind %r" % (stmt.kind,))
     parts = [stmt.kind]
     for name in fields:
-        parts.append(_operand(getattr(stmt, name)))
+        if name not in bodies:
+            parts.append(_operand(getattr(stmt, name)))
     out.append(pad + " ".join(parts))
-    if stmt.kind == "if":
-        _body_lines(stmt.then_body, indent + 1, out)
-        if stmt.else_body:
+    for i, name in enumerate(bodies):
+        body = getattr(stmt, name)
+        if i:  # an ``If``'s else arm: marked, and left out when empty
+            if not body:
+                continue
             out.append(pad + "else")
-            _body_lines(stmt.else_body, indent + 1, out)
-    elif stmt.kind in ("for", "loop"):
-        _body_lines(stmt.body, indent + 1, out)
+        _body_lines(body, indent + 1, out)
 
 
 def _body_lines(body, indent, out):

@@ -6,64 +6,79 @@ lists. Phloem's passes manipulate this tree directly — decoupling slices it,
 the queue passes splice ``Enq``/``Deq`` nodes into it, and the control-value
 passes restructure its loops.
 
-Every node knows its ``uses()`` (registers read), ``defs()`` (registers
-written), sub-``blocks()``, and how to ``clone()`` itself, which is all the
-passes need to stay simple.
+A statement kind is declared once, in its class: ``__slots__`` (its fields,
+in canonical order), ``READS``, ``WRITES`` and ``BODIES``. Everything a pass
+sees of a statement — ``uses()`` (registers read), ``defs()`` (registers
+written), sub-``blocks()`` and ``clone()`` — is read off that declaration,
+and so are the canonical serializer (:mod:`repro.ir.serialize`) and
+use-substitution (:func:`repro.core.rewrite.substitute_uses`).
 """
 
 from . import ops
-from .values import is_reg
-
-
-def _clone_body(body):
-    return [s.clone() for s in body]
 
 
 class Stmt:
     """Base class for all IR statements.
 
+    A kind declares ``__slots__`` and, where they are not empty, ``READS``
+    (the operand fields it reads; a list field such as ``args`` contributes
+    each register in it), ``WRITES`` (the one field naming the register it
+    defines) and ``BODIES`` (its fields holding nested statement lists).
+    ``blocks()`` is overridden by the three compound kinds rather than read
+    off ``BODIES``: ``walk`` calls it on every statement.
+
     ``span`` (a :class:`repro.diag.Span`, default None) is the source
     position the statement was lowered from. The frontend stamps it via
     :class:`~repro.ir.builder.IRBuilder`; compiler-synthesized statements
-    have none. Spans ride through every ``clone()`` automatically (see
-    ``__init_subclass__``) so diagnostics on decoupled pipelines still
-    point at the original mini-C line.
+    have none. ``clone()`` keeps it, so diagnostics on decoupled pipelines
+    still point at the original mini-C line.
     """
 
     kind = "stmt"
     span = None  # class-level default; instances carry their own when known
-
-    def __init_subclass__(cls, **kwargs):
-        # Wrap each subclass's clone() so the span (statement metadata, not
-        # operand state) is copied without every clone body repeating it.
-        super().__init_subclass__(**kwargs)
-        impl = cls.__dict__.get("clone")
-        if impl is None:
-            return
-
-        def clone(self, _impl=impl):
-            new = _impl(self)
-            if self.span is not None:
-                new.span = self.span
-            return new
-
-        clone.__doc__ = impl.__doc__
-        cls.clone = clone
+    READS = ()
+    WRITES = None
+    BODIES = ()
 
     def uses(self):
-        """Registers this statement reads."""
-        return ()
+        """Registers this statement reads (array symbols ``@a`` are not)."""
+        # values.is_reg, inlined: every dataflow pass calls this per statement.
+        regs = ()
+        for name in self.READS:
+            value = getattr(self, name)
+            if type(value) is list:
+                for v in value:
+                    if type(v) is str and v[:1] != "@":
+                        regs += (v,)
+            elif type(value) is str and value[:1] != "@":
+                regs += (value,)
+        return regs
 
     def defs(self):
         """Registers this statement writes."""
-        return ()
+        name = self.WRITES
+        if name is None:
+            return ()
+        reg = getattr(self, name)
+        return () if reg is None else (reg,)
 
     def blocks(self):
         """Nested statement lists owned by this statement."""
         return ()
 
     def clone(self):
-        raise NotImplementedError
+        """A deep copy: nested bodies cloned, list operands copied, span kept."""
+        cls = type(self)
+        new = cls.__new__(cls)
+        for name in cls.__slots__:
+            value = getattr(self, name)
+            if type(value) is list:
+                value = [s.clone() for s in value] if name in cls.BODIES else value[:]
+            setattr(new, name, value)
+        span = self.span
+        if span is not None:
+            new.span = span
+        return new
 
     def __repr__(self):
         from .printer import format_stmt
@@ -76,6 +91,8 @@ class Assign(Stmt):
 
     kind = "assign"
     __slots__ = ("dst", "op", "args")
+    READS = ("args",)
+    WRITES = "dst"
 
     def __init__(self, dst, op, args):
         if op not in ops.ALL_OPS:
@@ -86,40 +103,19 @@ class Assign(Stmt):
         self.op = op
         self.args = list(args)
 
-    def uses(self):
-        return [a for a in self.args if is_reg(a)]
-
-    def defs(self):
-        return (self.dst,)
-
-    def clone(self):
-        return Assign(self.dst, self.op, list(self.args))
-
 
 class Load(Stmt):
     """``dst = array[index]`` — the unit of irregularity the paper decouples at."""
 
     kind = "load"
     __slots__ = ("dst", "array", "index")
+    READS = ("array", "index")
+    WRITES = "dst"
 
     def __init__(self, dst, array, index):
         self.dst = dst
         self.array = array
         self.index = index
-
-    def uses(self):
-        used = []
-        if is_reg(self.array):
-            used.append(self.array)
-        if is_reg(self.index):
-            used.append(self.index)
-        return used
-
-    def defs(self):
-        return (self.dst,)
-
-    def clone(self):
-        return Load(self.dst, self.array, self.index)
 
 
 class Store(Stmt):
@@ -127,17 +123,12 @@ class Store(Stmt):
 
     kind = "store"
     __slots__ = ("array", "index", "value")
+    READS = ("array", "index", "value")
 
     def __init__(self, array, index, value):
         self.array = array
         self.index = index
         self.value = value
-
-    def uses(self):
-        return [a for a in (self.array, self.index, self.value) if is_reg(a)]
-
-    def clone(self):
-        return Store(self.array, self.index, self.value)
 
 
 class Prefetch(Stmt):
@@ -150,16 +141,11 @@ class Prefetch(Stmt):
 
     kind = "prefetch"
     __slots__ = ("array", "index")
+    READS = ("array", "index")
 
     def __init__(self, array, index):
         self.array = array
         self.index = index
-
-    def uses(self):
-        return [a for a in (self.array, self.index) if is_reg(a)]
-
-    def clone(self):
-        return Prefetch(self.array, self.index)
 
 
 class Enq(Stmt):
@@ -167,16 +153,11 @@ class Enq(Stmt):
 
     kind = "enq"
     __slots__ = ("queue", "value")
+    READS = ("value",)
 
     def __init__(self, queue, value):
         self.queue = queue
         self.value = value
-
-    def uses(self):
-        return [self.value] if is_reg(self.value) else ()
-
-    def clone(self):
-        return Enq(self.queue, self.value)
 
 
 class EnqCtrl(Stmt):
@@ -189,25 +170,17 @@ class EnqCtrl(Stmt):
         self.queue = queue
         self.ctrl = ctrl  # a values.Ctrl
 
-    def clone(self):
-        return EnqCtrl(self.queue, self.ctrl)
-
 
 class Deq(Stmt):
     """``dst = deq(queue)`` — blocking dequeue."""
 
     kind = "deq"
     __slots__ = ("dst", "queue")
+    WRITES = "dst"
 
     def __init__(self, dst, queue):
         self.dst = dst
         self.queue = queue
-
-    def defs(self):
-        return (self.dst,)
-
-    def clone(self):
-        return Deq(self.dst, self.queue)
 
 
 class Peek(Stmt):
@@ -215,16 +188,11 @@ class Peek(Stmt):
 
     kind = "peek"
     __slots__ = ("dst", "queue")
+    WRITES = "dst"
 
     def __init__(self, dst, queue):
         self.dst = dst
         self.queue = queue
-
-    def defs(self):
-        return (self.dst,)
-
-    def clone(self):
-        return Peek(self.dst, self.queue)
 
 
 class IsControl(Stmt):
@@ -232,19 +200,12 @@ class IsControl(Stmt):
 
     kind = "is_control"
     __slots__ = ("dst", "src")
+    READS = ("src",)
+    WRITES = "dst"
 
     def __init__(self, dst, src):
         self.dst = dst
         self.src = src
-
-    def uses(self):
-        return [self.src] if is_reg(self.src) else ()
-
-    def defs(self):
-        return (self.dst,)
-
-    def clone(self):
-        return IsControl(self.dst, self.src)
 
 
 class For(Stmt):
@@ -252,6 +213,9 @@ class For(Stmt):
 
     kind = "for"
     __slots__ = ("var", "lo", "hi", "step", "body")
+    READS = ("lo", "hi", "step")
+    WRITES = "var"
+    BODIES = ("body",)
 
     def __init__(self, var, lo, hi, step, body):
         self.var = var
@@ -260,17 +224,8 @@ class For(Stmt):
         self.step = step
         self.body = body
 
-    def uses(self):
-        return [a for a in (self.lo, self.hi, self.step) if is_reg(a)]
-
-    def defs(self):
-        return (self.var,)
-
     def blocks(self):
         return (self.body,)
-
-    def clone(self):
-        return For(self.var, self.lo, self.hi, self.step, _clone_body(self.body))
 
 
 class Loop(Stmt):
@@ -283,6 +238,7 @@ class Loop(Stmt):
 
     kind = "loop"
     __slots__ = ("body",)
+    BODIES = ("body",)
 
     def __init__(self, body):
         self.body = body
@@ -290,29 +246,22 @@ class Loop(Stmt):
     def blocks(self):
         return (self.body,)
 
-    def clone(self):
-        return Loop(_clone_body(self.body))
-
 
 class If(Stmt):
     """Two-armed conditional on a register/constant condition."""
 
     kind = "if"
     __slots__ = ("cond", "then_body", "else_body")
+    READS = ("cond",)
+    BODIES = ("then_body", "else_body")
 
     def __init__(self, cond, then_body, else_body=None):
         self.cond = cond
         self.then_body = then_body
         self.else_body = else_body if else_body is not None else []
 
-    def uses(self):
-        return [self.cond] if is_reg(self.cond) else ()
-
     def blocks(self):
         return (self.then_body, self.else_body)
-
-    def clone(self):
-        return If(self.cond, _clone_body(self.then_body), _clone_body(self.else_body))
 
 
 class Break(Stmt):
@@ -324,18 +273,12 @@ class Break(Stmt):
     def __init__(self, levels=1):
         self.levels = levels
 
-    def clone(self):
-        return Break(self.levels)
-
 
 class Continue(Stmt):
     """Continue the innermost enclosing loop."""
 
     kind = "continue"
     __slots__ = ()
-
-    def clone(self):
-        return Continue()
 
 
 class Barrier(Stmt):
@@ -346,9 +289,6 @@ class Barrier(Stmt):
 
     def __init__(self, tag="phase"):
         self.tag = tag
-
-    def clone(self):
-        return Barrier(self.tag)
 
 
 class ReadShared(Stmt):
@@ -361,16 +301,11 @@ class ReadShared(Stmt):
 
     kind = "read_shared"
     __slots__ = ("dst", "var")
+    WRITES = "dst"
 
     def __init__(self, dst, var):
         self.dst = dst
         self.var = var
-
-    def defs(self):
-        return (self.dst,)
-
-    def clone(self):
-        return ReadShared(self.dst, self.var)
 
 
 class WriteShared(Stmt):
@@ -378,16 +313,11 @@ class WriteShared(Stmt):
 
     kind = "write_shared"
     __slots__ = ("var", "value")
+    READS = ("value",)
 
     def __init__(self, var, value):
         self.var = var
         self.value = value
-
-    def uses(self):
-        return [self.value] if is_reg(self.value) else ()
-
-    def clone(self):
-        return WriteShared(self.var, self.value)
 
 
 class Call(Stmt):
@@ -400,20 +330,13 @@ class Call(Stmt):
 
     kind = "call"
     __slots__ = ("dst", "func", "args")
+    READS = ("args",)
+    WRITES = "dst"
 
     def __init__(self, dst, func, args):
         self.dst = dst
         self.func = func
         self.args = list(args)
-
-    def uses(self):
-        return [a for a in self.args if is_reg(a)]
-
-    def defs(self):
-        return (self.dst,) if self.dst is not None else ()
-
-    def clone(self):
-        return Call(self.dst, self.func, list(self.args))
 
 
 class AtomicRMW(Stmt):
@@ -427,6 +350,8 @@ class AtomicRMW(Stmt):
 
     kind = "atomic_rmw"
     __slots__ = ("dst", "op", "array", "index", "value")
+    READS = ("array", "index", "value")
+    WRITES = "dst"
 
     def __init__(self, dst, op, array, index, value):
         if op not in ("add", "min", "max", "or", "and"):
@@ -436,15 +361,6 @@ class AtomicRMW(Stmt):
         self.array = array
         self.index = index
         self.value = value
-
-    def uses(self):
-        return [a for a in (self.array, self.index, self.value) if is_reg(a)]
-
-    def defs(self):
-        return (self.dst,) if self.dst is not None else ()
-
-    def clone(self):
-        return AtomicRMW(self.dst, self.op, self.array, self.index, self.value)
 
 
 class EnqDist(Stmt):
@@ -458,17 +374,12 @@ class EnqDist(Stmt):
 
     kind = "enq_dist"
     __slots__ = ("queue", "value", "replica")
+    READS = ("value", "replica")
 
     def __init__(self, queue, value, replica):
         self.queue = queue
         self.value = value
         self.replica = replica
-
-    def uses(self):
-        return [a for a in (self.value, self.replica) if is_reg(a)]
-
-    def clone(self):
-        return EnqDist(self.queue, self.value, self.replica)
 
 
 class EnqCtrlDist(Stmt):
@@ -481,9 +392,6 @@ class EnqCtrlDist(Stmt):
         self.queue = queue
         self.ctrl = ctrl
 
-    def clone(self):
-        return EnqCtrlDist(self.queue, self.ctrl)
-
 
 class Comment(Stmt):
     """No-op annotation preserved by passes; helps debugging emitted code."""
@@ -493,9 +401,6 @@ class Comment(Stmt):
 
     def __init__(self, text):
         self.text = text
-
-    def clone(self):
-        return Comment(self.text)
 
 
 def walk(body):

@@ -381,8 +381,10 @@ class _StageCompiler:
 
         Also the one place generated code lets the ledger forget
         (``IssueLedger.prune``): every stage leaves straight-line code
-        through here, and ``ctx.cursor`` is stale while the stage runs, so
-        the live ``lc`` goes along as this thread's floor."""
+        through here. ``ctx.cursor`` is stale while the stage runs, so the
+        sweep first writes the live clock back (nobody reads it before the
+        next sync, which writes the same value); slot keys are integers,
+        so ``c < cur`` deletes exactly what ``c < ceil(cur)`` would."""
         return [
             "def resync(cur, lc, ln, slots=slots, sget=sget, ceil=ceil, len=len,"
             " ledger=ledger, ctx=ctx):",
@@ -390,7 +392,8 @@ class _StageCompiler:
             "        slots[lc] = ln",
             "    lc = ceil(cur)",
             "    if len(slots) > ledger.mark:",
-            "        ledger.prune(ctx, lc)",
+            "        ctx.cursor = cur",
+            "        ledger.prune()",
             "    return lc, sget(lc, 0), lc + 0.0",
         ]
 

@@ -318,25 +318,24 @@ class IssueLedger:
             n = slots.get(c, 0)
         slots[c] = n + 1
         if len(slots) > self.mark:
-            self.prune(None, c)
+            self.prune()
         return float(c)
 
-    def prune(self, ctx, floor):
-        """Delete every cycle below ``floor`` and below the cursor of every
-        unfinished sharer other than ``ctx``.
+    def prune(self):
+        """Delete every cycle below the cursor of every unfinished sharer.
 
-        ``ctx`` is the running thread when its ``cursor`` is stale (a batch
-        stage keeps its clock in a frame local and passes it as ``floor``);
-        a stale cursor is only ever too low, so ``None`` is always safe. The
-        dict is emptied in place (generated stage code holds ``slots`` and
-        ``slots.get``), and the watermark doubles over the survivors so all
-        sweeps together cost no more than the inserts between them.
+        A suspended thread's ``cursor`` is exact, and the running thread's is
+        at or below the cycle it probes: the reference interpreter advances
+        it after ``acquire`` returns, and a batch stage writes its live clock
+        back before it calls this (generated ``resync``). The dict is emptied
+        in place (generated stage code holds ``slots`` and ``slots.get``),
+        and the watermark doubles over the survivors so all sweeps together
+        cost no more than the inserts between them.
         """
         slots = self.slots
-        if self.sharers:
-            for other in self.sharers:
-                if other is not ctx and other.cursor < floor and not other.task.done:
-                    floor = other.cursor
+        live = [ctx.cursor for ctx in self.sharers if not ctx.task.done]
+        if live:
+            floor = min(live)
             for c in [c for c in slots if c < floor]:
                 del slots[c]
         self.mark = 2 * len(slots) + PRUNE_SLACK

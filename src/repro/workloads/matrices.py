@@ -112,8 +112,3 @@ def random_matrix(n, nnz_per_row, seed=0, pattern="uniform", ncols=None):
             val.append(round(rng.uniform(-1.0, 1.0), 3))
         pos.append(len(crd))
     return CSRMatrix(n, ncols, pos, crd, val)
-
-
-def identityish(n, seed=0):
-    """Near-diagonal matrix used in small tests."""
-    return random_matrix(n, 1, seed=seed, pattern="banded")

@@ -456,10 +456,6 @@ def test_search_finds_no_split_for_bucketed_kernels(bench):
 def test_prune_keep_count_bounds():
     from repro.core.autotune import _prune_keep_count
 
-    assert _prune_keep_count(14, True) == 4
-    assert _prune_keep_count(25, True) == 7
-    assert _prune_keep_count(1, True) == 1
-    assert _prune_keep_count(10, 0.5) == 5
-    assert _prune_keep_count(10, 3) == 3
-    assert _prune_keep_count(10, 99) == 10
-    assert _prune_keep_count(10, 0.0) == 1
+    assert _prune_keep_count(14) == 4
+    assert _prune_keep_count(25) == 7
+    assert _prune_keep_count(1) == 1

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.autotune import candidate_count, gmean, search_pipelines, speedup_distribution
 from repro.errors import CompileError
+from repro.obs import SearchRecorder
 from repro.runtime import run_pipeline, run_serial
 from repro.workloads import bfs
 
@@ -29,6 +30,7 @@ def test_search_returns_distribution(tiny_graph, tiny_config):
     best, results = search_pipelines(bfs.function(), evaluate, max_stages=3, top_k=3)
     assert best is not None
     assert best.speedup == max(r.speedup for r in results)
+    assert all(r.num_units == r.pipeline.num_units for r in results)
     assert len(results) >= 3
     dist = speedup_distribution(results)
     assert all(speeds == sorted(speeds) for speeds in dist.values())
@@ -41,11 +43,15 @@ def test_search_skips_bad_combos(tiny_graph, tiny_config):
     def evaluate(pipeline):
         return 1.0
 
-    _, results, failures = search_pipelines(
-        bfs.function(), evaluate, max_stages=4, top_k=4, keep_failures=True
+    recorder = SearchRecorder()
+    _, results = search_pipelines(
+        bfs.function(), evaluate, max_stages=4, top_k=4, recorder=recorder
     )
-    # Every enumerated combination either compiled or was recorded.
-    assert len(results) + len(failures) == 4 + 6 + 4  # C(4,1)+C(4,2)+C(4,3)
+    # Every enumerated combination was either scored or recorded as failed.
+    assert len(recorder.candidates) == 4 + 6 + 4  # C(4,1)+C(4,2)+C(4,3)
+    scored = [c for c in recorder.candidates if c["status"] == "scored"]
+    assert len(scored) == len(results)
+    assert all(c["status"] == "failed:compile" for c in recorder.candidates if c not in scored)
 
 
 def test_limit_caps_enumeration(tiny_graph):

@@ -199,8 +199,9 @@ class TestLedgerForgets:
     def test_pruned_ledger_answers_like_one_that_never_forgets(self, width, k, ops):
         """k threads with monotone clocks interleave arbitrarily; a sweep is
         forced from both call sites (``acquire`` past a zeroed watermark,
-        and ``prune(ctx, lc)`` as the generated ``resync`` spells it, with
-        the running thread's ``cursor`` stale). Every acquire returns what
+        with the running thread's ``cursor`` stale, and ``prune()`` as the
+        generated ``resync`` spells it, after writing the running thread's
+        clock back to its ``cursor``). Every acquire returns what
         an unpruned shadow returns, and nothing at or above the slowest
         unfinished thread's clock is ever lost — while a sweep leaves nothing
         below it."""
@@ -222,9 +223,10 @@ class TestLedgerForgets:
                 ctx.clock = want
             elif op == "resync":
                 ctx.clock += dt  # a stall moved the clock; resync follows
-                ledger.prune(ctx, math.ceil(ctx.clock))
-                others = [s.clock for s in sharers if s is not ctx and not s.task.done]
-                assert min(ledger.slots, default=math.inf) >= min(others + [ctx.clock])
+                ctx.cursor = ctx.clock
+                ledger.prune()
+                live = [s.clock for s in sharers if not s.task.done]
+                assert min(ledger.slots, default=math.inf) >= min(live)
             elif op == "sweep":
                 ledger.mark = 0  # the next acquire sweeps
             else:
@@ -263,9 +265,9 @@ class TestLedgerForgets:
         class Counting(IssueLedger):
             __slots__ = ()
 
-            def prune(self, ctx, floor):
+            def prune(self):
                 sweeps.append(len(self.slots))
-                super().prune(ctx, floor)
+                super().prune()
 
         monkeypatch.setattr(sched, "PRUNE_SLACK", 0)
         ledger = Counting(1)
