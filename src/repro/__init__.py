@@ -10,7 +10,7 @@ Top-level convenience re-exports; see the subpackages for the full API:
 * :mod:`repro.taco` -- mini tensor-algebra compiler emitting mini-C
 * :mod:`repro.workloads` -- benchmarks and synthetic inputs
 * :mod:`repro.bench` -- the per-figure evaluation harness
-* :mod:`repro.cache` -- compiled-pipeline / serial-baseline memo layers
+* :mod:`repro.cache` -- compiled-pipeline / simulation / search memo layers
 """
 
 __version__ = "1.2.0"

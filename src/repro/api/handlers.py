@@ -291,7 +291,7 @@ def _run_trace(req):
     else:
         pipeline = cache.cached_compile(function, options)
 
-    serial = cache.cached_serial_run(function, arrays, scalars, SCALED_1CORE)
+    serial = cache.cached_run(function, arrays, scalars, SCALED_1CORE)
     tracer = obs.Tracer()
     tracer.meta.update({"bench": req.bench, "input": item.name})
     result = run_pipeline(pipeline, arrays, scalars, config=SCALED_1CORE, tracer=tracer)

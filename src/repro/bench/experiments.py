@@ -68,7 +68,7 @@ def fig6_records(config=SCALED_1CORE, input_name="freescale"):
     graph = datasets.graph_by_name(input_name).build()
     arrays, scalars = bfs.make_env(graph)
     function = bfs.function()
-    serial = cache.cached_serial_run(function, arrays, scalars, config)
+    serial = cache.cached_run(function, arrays, scalars, config)
     assert bfs.check(serial.arrays, graph)
 
     records = []
@@ -79,7 +79,7 @@ def fig6_records(config=SCALED_1CORE, input_name="freescale"):
             pipeline = dataflow_variant(function)
         else:
             pipeline = cache.cached_compile(function, CompileOptions(num_stages=4, passes=passes))
-        result = run_pipeline(pipeline, arrays, scalars, config=config)
+        result = cache.cached_run(pipeline, arrays, scalars, config)
         if not bfs.check(result.arrays, graph):
             raise AssertionError("fig6 variant %r produced wrong distances" % label)
         records.append(record_of("bfs", label, input_name, result, True, serial.cycles))
@@ -247,13 +247,13 @@ def fig12_records(config=SCALED_1CORE):
             if kname == "sddmm" and matrix.nrows > 2500:
                 continue  # the dense k-loop makes big inputs slow to simulate
             arrays, scalars = kernel.bind(data_builder(matrix))
-            serial = cache.cached_serial_run(function, arrays, scalars, config)
+            serial = cache.cached_run(function, arrays, scalars, config)
             runs = {
                 "serial": serial,
-                "data-parallel": run_pipeline(
-                    dp, arrays, dict(scalars, nthreads=DP_THREADS), config=config
+                "data-parallel": cache.cached_run(
+                    dp, arrays, dict(scalars, nthreads=DP_THREADS), config
                 ),
-                "phloem-static": run_pipeline(pipeline, arrays, scalars, config=config),
+                "phloem-static": cache.cached_run(pipeline, arrays, scalars, config),
             }
             records += [
                 record_of(kname, variant, mat_name, run, serial_cycles=serial.cycles)
@@ -282,7 +282,7 @@ def fig13_distributions(suites, config=SCALED_1CORE):
     for item in datasets.TRAIN_MATRICES_SPMM:
         m = item.build()
         arrays, scalars = kernel.bind({"A": m, "x": taco_kernels.dense_input(m.ncols, 1)})
-        serial = cache.cached_serial_run(function, arrays, scalars, config)
+        serial = cache.cached_run(function, arrays, scalars, config)
         envs.append((arrays, scalars, serial.cycles))
 
     def evaluate(pipeline):
@@ -333,7 +333,7 @@ def fig14_records(config=SCALED_4CORE, replicas=4):
         input_name, graph = _fig14_input(app)
         arrays, scalars = module.make_env(graph)
         function = module.function()
-        serial = cache.cached_serial_run(function, arrays, scalars, config)
+        serial = cache.cached_run(function, arrays, scalars, config)
         runs = [("serial", serial)]
 
         # Data-parallel over all 16 threads (4 per core).
@@ -343,7 +343,7 @@ def fig14_records(config=SCALED_4CORE, replicas=4):
         stage_cores = [i // config.smt_threads for i in range(threads)]
         runs.append((
             "data-parallel",
-            run_pipeline(dp, dp_arrays, dp_scalars, config=config, stage_cores=stage_cores),
+            cache.cached_run(dp, dp_arrays, dp_scalars, config, stage_cores=stage_cores),
         ))
 
         if app == "bfs":
@@ -415,7 +415,7 @@ def abl_records(config=SCALED_1CORE):
     graph = datasets.graph_by_name(input_name).build()
     arrays, scalars = bfs.make_env(graph)
     function = bfs.function()
-    serial = cache.cached_serial_run(function, arrays, scalars, config)
+    serial = cache.cached_run(function, arrays, scalars, config)
     records = []
 
     def record(sweep, label, run, base=serial, ok=None):
@@ -427,30 +427,29 @@ def abl_records(config=SCALED_1CORE):
         pipeline = cache.cached_compile(
             function, CompileOptions(num_stages=4, passes=ALL_PASSES, queue_capacity=depth)
         )
-        result = run_pipeline(pipeline, arrays, scalars, config=config)
+        result = cache.cached_run(pipeline, arrays, scalars, config)
         assert bfs.check(result.arrays, graph)
         record("queue depth", "depth=%d" % depth, result, ok=True)
 
     pipeline = cache.cached_compile(function, CompileOptions(num_stages=4, passes=ALL_PASSES))
     for mshrs in (1, 4, 16, 32):
         cfg = replace(config, ra_mshrs=mshrs)
-        result = run_pipeline(pipeline, arrays, scalars, config=cfg)
+        result = cache.cached_run(pipeline, arrays, scalars, cfg)
         record("RA parallelism", "ra_mshrs=%d" % mshrs, result)
 
     for enabled in (False, True):
         cfg = replace(config, prefetch_enabled=enabled)
-        base = cache.cached_serial_run(function, arrays, scalars, cfg)
-        result = run_pipeline(pipeline, arrays, scalars, config=cfg)
+        base = cache.cached_run(function, arrays, scalars, cfg)
+        result = cache.cached_run(pipeline, arrays, scalars, cfg)
         record("stride prefetcher", "prefetch=%s" % enabled, result, base=base)
 
     cfg4 = replace(config, cores=4)
-    record("stage placement", "SMT (1 core)", run_pipeline(pipeline, arrays, scalars, config=cfg4))
+    record("stage placement", "SMT (1 core)", cache.cached_run(pipeline, arrays, scalars, cfg4))
     record(
         "stage placement",
         "spatial (1 stage/core)",
-        run_pipeline(
-            pipeline, arrays, scalars, config=cfg4,
-            stage_cores=list(range(len(pipeline.stages))),
+        cache.cached_run(
+            pipeline, arrays, scalars, cfg4, stage_cores=list(range(len(pipeline.stages)))
         ),
     )
     return records

@@ -7,8 +7,8 @@ into one RunRecord per (variant, input). The per-kernel numbers of Sec. VII
 (geometric-mean speedups, breakdowns normalised to serial) are the slicers
 of :mod:`repro.obs.record` over those records.
 
-The harness leans on :mod:`repro.cache` (compiled pipelines, serial
-baselines, and search scores are memoized across calls and process
+The harness leans on :mod:`repro.cache` (compiled pipelines, every run it
+records, and search scores are memoized across calls and process
 restarts) and on :mod:`repro.bench.parallel` (``run_suite`` fans its
 per-input work out over a worker pool; results are bit-identical to the
 serial path).
@@ -149,9 +149,7 @@ def profile_guided_pipeline(adapter, train_inputs, config=SCALED_1CORE, max_stag
     def compute():
         for item in train_inputs:
             arrays, scalars = envs[item.name]
-            baselines[item.name] = cache.cached_serial_run(
-                function, arrays, scalars, config
-            ).cycles
+            baselines[item.name] = cache.cached_run(function, arrays, scalars, config).cycles
 
         def evaluate(pipeline):
             speeds = []
@@ -255,22 +253,23 @@ def run_suite(
     def run_input(item):
         data = item.build()
         arrays, scalars = adapter.env(data)
-        serial = cache.cached_serial_run(function, arrays, scalars, config)
+        serial = cache.cached_run(function, arrays, scalars, config)
         records = []
         for variant in variants:
+            check = adapter.check
             if variant == "serial":
-                run, ok = serial, adapter.check(serial.arrays, data)
+                run = serial
+            elif variant == "data-parallel":
+                env, check = adapter.dp_env(data, DP_THREADS), adapter.check_dp
+                run = cache.cached_run(pipelines[variant], *env, config)
             elif variant in pipelines:
-                env, check = (arrays, scalars), adapter.check
-                if variant == "data-parallel":
-                    env, check = adapter.dp_env(data, DP_THREADS), adapter.check_dp
-                run = run_pipeline(pipelines[variant], *env, config=config)
-                ok = check(run.arrays, data)
-                log_engine_fallbacks(
-                    "%s %s/%s" % (item.name, adapter.name, variant), run.stage_fallbacks
-                )
+                run = cache.cached_run(pipelines[variant], arrays, scalars, config)
             else:
                 continue
+            log_engine_fallbacks(
+                "%s %s/%s" % (item.name, adapter.name, variant), run.stage_fallbacks
+            )
+            ok = check(run.arrays, data)
             records.append(record_of(adapter.name, variant, item.name, run, ok, serial.cycles))
         return records
 

@@ -2,9 +2,9 @@
 
 Regenerating the paper's figures repeats two kinds of work across figures
 and across invocations: compiling the same ``(function, options)`` pipeline
-and simulating the same ``(function, input, config)`` serial baseline. This
-module memoizes both (plus the profile-guided search's scores) behind
-stable content hashes:
+and simulating the same ``(program, input, config)``. This module memoizes
+both (plus the profile-guided search's scores) behind stable content
+hashes:
 
 * **pipeline** — compiled pipelines keyed by the canonical IR fingerprint
   (:func:`repro.ir.fingerprint`) plus ``CompileOptions.cache_key()``, and
@@ -12,8 +12,9 @@ stable content hashes:
   pipeline (:func:`cached_compile_source`, what ``emit`` renders) and
   source -> diagnostics (:func:`cached_lint`), which skip the parse and
   the fingerprint as well as the pass stack;
-* **baseline** — serial-run results (the run's record fields plus its output
-  arrays) keyed by function + input contents + machine config;
+* **baseline** — every recorded simulation (:func:`cached_run`: the run's
+  record fields plus its output arrays) keyed by program + input contents
+  + machine config + stage placement + engine;
 * **search** — profile-guided search scores keyed by function, training
   inputs, config, and search parameters.
 
@@ -34,7 +35,8 @@ work once — the first takes the miss and computes, the rest block briefly
 and take a hit off the store the winner populated.
 
 Cached values are treated as immutable: :func:`cached_compile` returns a
-fresh clone per call, and :class:`BaselineResult` fields,
+fresh clone per call, :func:`repro.obs.record.record_of` copies what it
+takes from a :class:`CachedRun`, and :class:`CachedRun` fields,
 :func:`cached_compile_source` pipelines and :func:`cached_lint`
 diagnostics are the shared entries and must not be mutated by callers (the
 harness and the handlers only read them).
@@ -42,7 +44,8 @@ harness and the handlers only read them).
 :func:`lookup_only` is the mode a caller that must not block uses (the
 daemon's event loop): every memoized function above answers from memory or
 disk or raises :class:`Miss` — it never computes, never waits on a key
-lock, never books a miss and never runs a ``verify_each`` compile.
+lock, never books a miss and never runs a ``verify_each`` compile or a
+simulation.
 
 The toolchain is imported where a lookup needs it, never at module level:
 a source-key hit unpickles a pipeline (:mod:`repro.ir`) or diagnostics
@@ -53,6 +56,7 @@ import collections
 import contextlib
 import contextvars
 import hashlib
+import itertools
 import os
 import pickle
 from dataclasses import asdict, is_dataclass
@@ -135,12 +139,33 @@ def content_hash(*parts):
     return h.hexdigest()
 
 
+#: Element types whose ``repr`` is already a canonical, type-tagged text:
+#: ``1``, ``1.0``, ``True`` and ``'1'`` all print differently, and none of
+#: them depends on the hash seed or on object identity.
+_REPR_TYPES = frozenset((int, float, bool, str, type(None)))
+
+
+def _array_text(values):
+    """Canonical text of one array: its ``repr`` when every element is a
+    plain value (or a tuple of plain values), else :func:`_canon`. The two
+    encodings carry distinct prefixes, so they never collide."""
+    types = set(map(type, values))
+    if tuple in types:
+        types.discard(tuple)
+        types.update(map(type, itertools.chain.from_iterable(
+            v for v in values if type(v) is tuple
+        )))
+    if types <= _REPR_TYPES:
+        return "r:" + repr(values)
+    return "c:" + _canon(values)
+
+
 def fingerprint_env(arrays, scalars):
     """Content hash of one benchmark environment (arrays + scalars)."""
     h = hashlib.sha256()
     for name in sorted(arrays):
         h.update(("a:%s=" % name).encode("utf-8"))
-        h.update(_canon(list(arrays[name])).encode("utf-8"))
+        h.update(_array_text(list(arrays[name])).encode("utf-8"))
     for name in sorted(scalars):
         h.update(("s:%s=%s" % (name, _canon(scalars[name]))).encode("utf-8"))
     return h.hexdigest()
@@ -247,7 +272,8 @@ def lookup_only():
     * never books a miss, and un-books the hits of a call sequence that ends
       in :class:`Miss` — the process that then serves the request books all
       of it, so a request still counts once;
-    * never answers a ``verify_each`` call, which always compiles.
+    * never answers a ``verify_each`` call, which always compiles, or a
+      run whose program carries intrinsics, which always simulates.
     """
     token = _lookup_only.set(True)
     before = stats_snapshot()
@@ -260,10 +286,11 @@ def lookup_only():
         _lookup_only.reset(token)
 
 
-def _compute_unmemoized(compute):
-    """``compute()`` for a call the memo must not answer (``verify_each``)."""
+def _compute_unmemoized(compute, why):
+    """``compute()`` for a call the memo must not answer (``why`` it must not:
+    a ``verify_each`` compile, a run whose program carries intrinsics)."""
     if _lookup_only.get():
-        raise Miss("verify_each is never answered from the memo")
+        raise Miss("%s is never answered from the memo" % why)
     return compute()
 
 
@@ -386,7 +413,9 @@ def cached_compile(function, options):
     from .ir.serialize import fingerprint
 
     if options.verify_each:
-        return _compute_unmemoized(lambda: compile_function(function, options=options))
+        return _compute_unmemoized(
+            lambda: compile_function(function, options=options), "verify_each"
+        )
     key = content_hash("pipeline", fingerprint(function), options.cache_key())
 
     def compute():
@@ -422,7 +451,7 @@ def cached_compile_source(source, name, options):
         return cached_compile(compile_source(source, name=name), options)
 
     if options.verify_each:
-        return _compute_unmemoized(compute)
+        return _compute_unmemoized(compute, "verify_each")
     key = content_hash("source", source, name, options.cache_key())
     return _get_or_compute("pipeline", key, compute, front=True)
 
@@ -443,27 +472,31 @@ def cached_lint(source, name, options, file=None, perf=False):
         return lint_source(source, name=name, options=options, file=file, perf=perf)
 
     if options.verify_each:
-        return _compute_unmemoized(compute)
+        return _compute_unmemoized(compute, "verify_each")
     key = content_hash("lint", source, name, file, perf, options.cache_key())
     return _get_or_compute("pipeline", key, compute)
 
 
 # ---------------------------------------------------------------------------
-# Layer 2: serial baselines
+# Layer 2: recorded simulations, booked to the "baseline" layer (the name
+# cache.stats() readers — telemetry, RunRecords, the benchmark — key on)
 
 
-class BaselineResult:
-    """A cached serial run: the simulator's share of its RunRecord
-    (``measured``: cycles, summary, cycle and energy breakdowns, see
-    :func:`repro.obs.record.measure`) plus the output ``arrays`` the
-    benchmark's oracle checks — what :func:`repro.obs.record.record_of`
-    turns into the serial record of an input.
+class CachedRun:
+    """A memoized simulation: the simulator's share of its RunRecord
+    (``measured``: cycles, summary, cycle and energy breakdowns and the
+    engine of each stage, see :func:`repro.obs.record.measure`), the stages
+    that left the requested engine (``stage_fallbacks``, as on a live
+    ``RunResult``) and the ``arrays`` after the run, which the benchmark's
+    oracle checks — what :func:`repro.obs.record.record_of` turns into a
+    record.
     """
 
-    __slots__ = ("measured", "arrays")
+    __slots__ = ("measured", "stage_fallbacks", "arrays")
 
-    def __init__(self, measured, arrays):
+    def __init__(self, measured, stage_fallbacks, arrays):
         self.measured = measured
+        self.stage_fallbacks = stage_fallbacks
         self.arrays = arrays
 
     @property
@@ -472,34 +505,58 @@ class BaselineResult:
         return self.measured["cycles"]
 
     def __repr__(self):
-        return "BaselineResult(%.0f cycles)" % self.cycles
+        return "CachedRun(%.0f cycles)" % self.cycles
 
 
-def cached_serial_run(function, arrays, scalars, config):
-    """``run_serial(...)``, memoized on function + input contents + config.
+def cached_run(program, arrays, scalars, config, stage_cores=None):
+    """``run_pipeline(program, ...)`` — ``run_serial`` for a serial
+    ``Function`` — memoized on program + input contents + machine config +
+    stage placement + engine.
 
-    This is the shared serial-baseline cache: every figure experiment and
-    ``run_suite`` call that simulates the same serial ``(benchmark, input)``
-    pair under the same machine config gets the recorded result back
-    instead of re-simulating it.
+    A simulation is a pure function of those five, so every run the harness
+    records goes through here and a warm ``demo`` or ``figures`` simulates
+    nothing; the caller still runs its golden oracle on ``arrays``. The
+    engine is the one :func:`~repro.pipette.config.resolve_engine` picks
+    now, so a hit names truthfully which engine executed each stage. A
+    program that carries intrinsics is simulated every time: their
+    implementations are opaque callables the fingerprint cannot see.
+
+    Runs whose point is the run itself never come here: traced and timed
+    runs, search training (the ``search`` layer memoizes whole searches),
+    and the public ``run_pipeline``/``run_serial``/``run_replicated``.
+
+    The entry holds only the arrays the run changed; ``arrays`` is the
+    caller's input for the rest.
     """
+    from .ir.program import Function, serial_pipeline
     from .ir.serialize import fingerprint
-
-    key = content_hash(
-        "baseline",
-        fingerprint(function),
-        fingerprint_env(arrays, scalars),
-        fingerprint_config(config),
-    )
+    from .pipette.config import resolve_engine
 
     def compute():
         from .obs.record import measure
-        from .runtime.executor import run_serial
+        from .runtime.executor import run_pipeline
 
-        result = run_serial(function, arrays, scalars, config=config)
-        return measure(result), result.arrays
+        pipeline = serial_pipeline(program) if isinstance(program, Function) else program
+        result = run_pipeline(pipeline, arrays, scalars, config=config, stage_cores=stage_cores)
+        written = {
+            name: data for name, data in result.arrays.items() if arrays.get(name) != data
+        }
+        return measure(result), result.stage_fallbacks, written
 
-    return BaselineResult(*_get_or_compute("baseline", key, compute))
+    if program.intrinsics:
+        value = _compute_unmemoized(compute, "a program with intrinsics")
+    else:
+        key = content_hash(
+            "run",
+            fingerprint(program),
+            fingerprint_env(arrays, scalars),
+            fingerprint_config(config),
+            stage_cores,
+            resolve_engine(),
+        )
+        value = _get_or_compute("baseline", key, compute)
+    measured, fallbacks, written = value
+    return CachedRun(measured, fallbacks, {**arrays, **written})
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Where on-disk caches live and how entries are written (leaf module).
 
-Shared by :mod:`repro.cache` (pickled pipelines / baselines / search
+Shared by :mod:`repro.cache` (pickled pipelines / runs / search
 scores) and the simulator's stage-code store
 (:mod:`repro.pipette.batchpath`), which cannot import :mod:`repro.cache`
 without a cycle (``cache`` -> ``runtime.executor`` -> ``pipette``). One

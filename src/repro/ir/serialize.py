@@ -4,7 +4,7 @@ The printer (:mod:`repro.ir.printer`) renders IR for humans; this module
 renders it for *machines*: a canonical, version-stable text form whose
 SHA-256 digest identifies a :class:`~repro.ir.Function` or
 :class:`~repro.ir.PipelineProgram` by content. The evaluation harness keys
-its compiled-pipeline and serial-baseline caches on these fingerprints, so
+its compiled-pipeline and simulation caches on these fingerprints, so
 two requirements drive the format:
 
 * **Stability across processes.** No ``id()``, no builtin ``hash()`` (both

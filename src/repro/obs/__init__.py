@@ -31,64 +31,44 @@ Everything here is opt-in: with no :class:`Tracer` attached, the simulator
 allocates no event buffers and figure output stays byte-identical.
 """
 
-from .chrometrace import export_chrome_trace, validate_chrome_trace, write_chrome_trace
-from .log import get_quiet, is_quiet, log, set_quiet
-from .passes import PassProfiler
-from .record import (
-    RECORD_SCHEMA,
-    RECORD_VERSION,
-    by_kernel,
-    gmean_speedups,
-    merge_records,
-    normalized,
-    read_jsonl,
-    record_of,
-    run_record,
-    stamp_cache,
-    write_jsonl,
-)
-from .report import (
-    REPORT_SCHEMA,
-    REPORT_VERSION,
-    ExperimentReport,
-    collect,
-    render_html,
-    render_markdown,
-    spark,
-)
-from .search import SearchRecorder
-from .timeline import render_timeline, summarize_timeline
-from .tracer import Tracer
+from .. import _lazy_exports
 
-__all__ = [
-    "Tracer",
-    "export_chrome_trace",
-    "validate_chrome_trace",
-    "write_chrome_trace",
-    "summarize_timeline",
-    "render_timeline",
-    "PassProfiler",
-    "SearchRecorder",
-    "RECORD_SCHEMA",
-    "RECORD_VERSION",
-    "run_record",
-    "record_of",
-    "stamp_cache",
-    "by_kernel",
-    "gmean_speedups",
-    "normalized",
-    "merge_records",
-    "write_jsonl",
-    "read_jsonl",
-    "ExperimentReport",
-    "collect",
-    "render_markdown",
-    "render_html",
-    "spark",
-    "REPORT_SCHEMA",
-    "REPORT_VERSION",
-    "log",
-    "set_quiet",
-    "get_quiet",
-    "is_quiet",
-]
+# Eager: ``log`` names both a submodule and the function, and the function
+# must be what ``repro.obs.log`` resolves to. The module is a few lines.
+from .log import get_quiet, is_quiet, log, set_quiet
+
+#: Re-exported name -> the submodule that defines it, resolved on first use
+#: (like :mod:`repro`'s own): a cold ``emit``/``lint`` needs only ``log``
+#: and must not pay for the report, the trace exporter or the timeline.
+_EXPORTS = {
+    "Tracer": "tracer",
+    "export_chrome_trace": "chrometrace",
+    "validate_chrome_trace": "chrometrace",
+    "write_chrome_trace": "chrometrace",
+    "summarize_timeline": "timeline",
+    "render_timeline": "timeline",
+    "PassProfiler": "passes",
+    "SearchRecorder": "search",
+    "RECORD_SCHEMA": "record",
+    "RECORD_VERSION": "record",
+    "run_record": "record",
+    "record_of": "record",
+    "stamp_cache": "record",
+    "by_kernel": "record",
+    "gmean_speedups": "record",
+    "normalized": "record",
+    "merge_records": "record",
+    "write_jsonl": "record",
+    "read_jsonl": "record",
+    "ExperimentReport": "report",
+    "collect": "report",
+    "render_markdown": "report",
+    "render_html": "report",
+    "spark": "report",
+    "REPORT_SCHEMA": "report",
+    "REPORT_VERSION": "report",
+}
+
+__all__ = list(_EXPORTS) + ["log", "set_quiet", "get_quiet", "is_quiet"]
+
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

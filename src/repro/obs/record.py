@@ -13,6 +13,7 @@ consumers must ignore unknown keys (additions bump nothing) while any
 change to the *meaning* of an existing key bumps ``RECORD_VERSION``.
 """
 
+import copy
 import json
 import math
 
@@ -99,20 +100,20 @@ def _cache_section(cache_stats):
 def record_of(bench, variant, input_name, run, ok=None, serial_cycles=None, **sections):
     """The record of one finished simulation — the only constructor.
 
-    ``run`` is a live :class:`~repro.runtime.executor.RunResult` or the
-    cached serial baseline (:class:`repro.cache.BaselineResult`), which *is*
-    the simulator's share of a record plus the output arrays. Only a live
-    run names the engine of each stage: a baseline may have been simulated
-    by another process, under another engine. ``serial_cycles`` is the
-    serial baseline of the same input; ``sections`` are ``cache_stats`` /
-    ``passes`` / ``extra`` as in :func:`run_record`.
+    ``run`` is a live :class:`~repro.runtime.executor.RunResult` or a
+    memoized one (:class:`repro.cache.CachedRun`), which *is* the
+    simulator's share of a record plus the output arrays; the engine is
+    part of the memo's key, so either names the engine of each stage. The
+    record shares no mutable object with the memo entry. ``serial_cycles``
+    is the serial baseline of the same input; ``sections`` are
+    ``cache_stats`` / ``passes`` / ``extra`` as in :func:`run_record`.
     """
-    from ..cache import BaselineResult
+    from ..cache import CachedRun
 
-    if isinstance(run, BaselineResult):
-        measured = run.measured
+    if isinstance(run, CachedRun):
+        measured = copy.deepcopy(run.measured)
     else:
-        measured = dict(measure(run), stage_engines=run.stage_engines)
+        measured = measure(run)
     speedup = None if serial_cycles is None else serial_cycles / measured["cycles"]
     return run_record(
         bench, variant, input_name, ok=ok, speedup=speedup, **measured, **sections
@@ -121,12 +122,13 @@ def record_of(bench, variant, input_name, run, ok=None, serial_cycles=None, **se
 
 def measure(result):
     """The simulator's share of a record, read off a live ``RunResult``
-    (what the baseline cache stores next to the output arrays)."""
+    (what :func:`repro.cache.cached_run` stores next to the output arrays)."""
     return {
         "cycles": result.cycles,
         "summary": result.stats.summary(),
         "breakdown": result.breakdown(),
         "energy": result.energy().as_dict(),
+        "stage_engines": result.stage_engines,
     }
 
 

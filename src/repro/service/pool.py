@@ -38,6 +38,11 @@ TOOLCHAIN = (
     "repro.bench.perf",
     "repro.bench.report",
     "repro.core.viz",
+    "repro.obs.chrometrace",
+    "repro.obs.passes",
+    "repro.obs.report",
+    "repro.obs.search",
+    "repro.obs.timeline",
     "repro.workloads",
 )
 

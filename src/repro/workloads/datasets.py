@@ -7,27 +7,25 @@ substitutions). Training inputs are materially smaller than test inputs,
 exactly as in the paper's profile-guided flow.
 """
 
-from functools import lru_cache
-
 from . import graphs, matrices
 
 
 class Input:
     """A named graph or matrix input (Table IV / Table V substitute); the
-    builder runs once, on first :meth:`build`."""
+    builder runs once, on first :meth:`build`, and the built value lives
+    and dies with the instance."""
 
     def __init__(self, name, domain, builder, training=False):
         self.name = name
         self.domain = domain
         self._builder = builder
         self.training = training
-
-    @lru_cache(maxsize=None)
-    def _build_cached(self):
-        return self._builder()
+        self._built = None
 
     def build(self):
-        return self._build_cached()
+        if self._built is None:
+            self._built = self._builder()
+        return self._built
 
     def __repr__(self):
         return "Input(%s)" % self.name

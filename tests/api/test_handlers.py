@@ -87,19 +87,22 @@ def test_demo_reports_speedup():
 def test_demo_records_name_the_engine_of_every_stage(capsys, monkeypatch):
     monkeypatch.delenv("REPRO_ENGINE", raising=False)
     response = api.handle(api.RunRequest(bench="bfs", size=200, seed=4))
-    live = [r for r in response.records if r["variant"] != "serial"]  # serial is a cached baseline
-    assert live and all(set(r["stage_engines"].values()) == {"batch"} for r in live)
+    assert all(set(r["stage_engines"].values()) == {"batch"} for r in response.records)
     assert all("stage_engines" not in r["summary"] for r in response.records)
     assert "mixed engines" not in capsys.readouterr().err
 
 
-def test_demo_logs_fallbacks_on_stderr_only(capsys, monkeypatch):
+def test_demo_logs_fallbacks_on_stderr_only(capsys, monkeypatch, tmp_path):
+    from repro import cache
     from repro.pipette import batchpath
 
     monkeypatch.delenv("REPRO_ENGINE", raising=False)
     monkeypatch.delenv("REPRO_QUIET", raising=False)
     clean = api.handle(api.RunRequest(bench="bfs", size=200, seed=4))
     capsys.readouterr()
+    # The simulator is patched below: an empty memo, or the demo is a hit.
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    cache.reset()
     monkeypatch.setattr(batchpath, "_MAX_LINES", 10)  # every stage falls back
     mixed = api.handle(api.RunRequest(bench="bfs", size=200, seed=4))
     err = capsys.readouterr().err
@@ -108,6 +111,10 @@ def test_demo_logs_fallbacks_on_stderr_only(capsys, monkeypatch):
     assert "fell back (generated stage body too large)" in err
     fallen = [r for r in mixed.records if r["variant"] == "phloem-static"][0]
     assert set(fallen["stage_engines"].values()) == {"reference"}
+    # A hit replays the stored fallbacks: same advisory, same records.
+    again = api.handle(api.RunRequest(bench="bfs", size=200, seed=4))
+    assert again.cache["baseline"] == {"hits": 4, "misses": 0}
+    assert capsys.readouterr().err == err and again.records == mixed.records
 
 
 def test_metrics_records_match_stdout_jsonl():

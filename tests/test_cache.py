@@ -1,10 +1,16 @@
 """Memo layers: hits, misses, invalidation, disk persistence."""
 
+import copy
+import json
+from dataclasses import replace
+
 import pytest
 
-from repro import CompileOptions, cache
+from repro import CompileOptions, api, cache, ir
 from repro.ir import fingerprint
+from repro.obs.record import measure, record_of
 from repro.pipette.config import SCALED_1CORE
+from repro.runtime.executor import run_pipeline, run_serial
 from repro.workloads import bfs
 from repro.workloads.graphs import uniform_random
 
@@ -63,24 +69,113 @@ def test_serial_baseline_cache(tiny_config):
     fn = bfs.function()
     graph = uniform_random(80, 3, seed=1)
     arrays, scalars = bfs.make_env(graph)
-    first = cache.cached_serial_run(fn, arrays, scalars, tiny_config)
+    first = cache.cached_run(fn, arrays, scalars, tiny_config)
     arrays2, scalars2 = bfs.make_env(graph)
-    second = cache.cached_serial_run(fn, arrays2, scalars2, tiny_config)
+    second = cache.cached_run(fn, arrays2, scalars2, tiny_config)
     assert cache.stats()["baseline"] == {"hits": 1, "misses": 1}
     assert second.cycles == first.cycles
     assert second.measured == first.measured
-    assert set(first.measured) == {"cycles", "summary", "breakdown", "energy"}
+    assert set(first.measured) == {"cycles", "summary", "breakdown", "energy", "stage_engines"}
     assert bfs.check(second.arrays, graph)
+    live = run_serial(fn, arrays, scalars, config=tiny_config)
+    assert second.measured == measure(live) and second.arrays == live.arrays
+    assert second.stage_fallbacks == live.stage_fallbacks == {}
 
 
 def test_serial_baseline_keyed_on_input_and_config(tiny_config):
     fn = bfs.function()
     a, s = bfs.make_env(uniform_random(80, 3, seed=1))
     b, t = bfs.make_env(uniform_random(80, 3, seed=2))
-    cache.cached_serial_run(fn, a, s, tiny_config)
-    cache.cached_serial_run(fn, b, t, tiny_config)
-    cache.cached_serial_run(fn, a, s, SCALED_1CORE)
+    cache.cached_run(fn, a, s, tiny_config)
+    cache.cached_run(fn, b, t, tiny_config)
+    cache.cached_run(fn, a, s, SCALED_1CORE)
     assert cache.stats()["baseline"] == {"hits": 0, "misses": 3}
+
+
+def test_run_key_covers_the_program_and_the_stage_placement(tiny_config):
+    fn = bfs.function()
+    pipeline = cache.cached_compile(fn, CompileOptions(num_stages=3))
+    a, s = bfs.make_env(uniform_random(80, 3, seed=1))
+    spatial = list(range(len(pipeline.stages)))
+    cfg4 = replace(tiny_config, cores=4)
+    serial = cache.cached_run(fn, a, s, cfg4)
+    smt = cache.cached_run(pipeline, a, s, cfg4)
+    placed = cache.cached_run(pipeline, a, s, cfg4, stage_cores=spatial)
+    assert cache.stats()["baseline"] == {"hits": 0, "misses": 3}
+    assert len({serial.cycles, smt.cycles, placed.cycles}) == 3
+    live = run_pipeline(pipeline, a, s, config=cfg4, stage_cores=spatial)
+    assert placed.measured == measure(live) and placed.arrays == live.arrays
+
+
+def test_a_program_with_intrinsics_is_never_stored(tmp_path):
+    def twice(scale):
+        b = ir.IRBuilder()
+        b.store("@out", 0, b.call(b.fresh(), "work", [21]))
+        work = ir.Intrinsic("work", lambda x: x * scale, cost=10)
+        return ir.Function("f", [], {"out": ir.ArrayDecl("out")}, b.finish(),
+                           intrinsics={"work": work})
+
+    # Same name, same cost, same fingerprint: only the callable differs.
+    assert fingerprint(twice(2)) == fingerprint(twice(3))
+    assert cache.cached_run(twice(2), {"out": [0]}, {}, SCALED_1CORE).arrays["out"] == [42]
+    assert cache.cached_run(twice(3), {"out": [0]}, {}, SCALED_1CORE).arrays["out"] == [63]
+    assert cache.stats()["baseline"] == {"hits": 0, "misses": 0}
+    assert not list(tmp_path.rglob("*.pkl"))
+    with pytest.raises(cache.Miss):
+        with cache.lookup_only():
+            cache.cached_run(twice(2), {"out": [0]}, {}, SCALED_1CORE)
+
+
+def test_a_record_shares_no_mutable_object_with_the_memo(tiny_config):
+    fn = bfs.function()
+    arrays, scalars = bfs.make_env(uniform_random(80, 3, seed=1))
+    record = record_of("bfs", "serial", "g", cache.cached_run(fn, arrays, scalars, tiny_config))
+    pristine = copy.deepcopy(record)
+    record["summary"]["wall_cycles"] = -1
+    record["summary"]["queues"]["q9"] = {"enqs": 1}
+    record["breakdown"].clear()
+    record["energy"]["dram"] = -1.0
+    record["stage_engines"]["r0.s0.f"] = "nobody"
+    again = record_of("bfs", "serial", "g", cache.cached_run(fn, arrays, scalars, tiny_config))
+    assert again == pristine
+
+
+def test_env_key_tells_plain_values_apart():
+    values = [1, 1.0, True, "1", None, (1,), (1.0,), (True,), [1], {"x": 1}]
+    keys = {cache.fingerprint_env({"a": [value]}, {}) for value in values}
+    assert len(keys) == len(values)
+    # Lists, dicts, nested tuples and subclasses take the canonical path.
+    class Int(int):
+        pass
+
+    assert cache.fingerprint_env({"a": [Int(1)]}, {}) != cache.fingerprint_env({"a": [1]}, {})
+    assert cache.fingerprint_env({"a": [((1,),)]}, {}) == cache.fingerprint_env({"a": [((1,),)]}, {})
+    # A tuple array keys like the list it is copied into.
+    assert cache.fingerprint_env({"a": (1, 2)}, {}) == cache.fingerprint_env({"a": [1, 2]}, {})
+
+
+def test_env_key_is_identical_across_hash_seeds():
+    import os
+    import subprocess
+    import sys
+
+    probe = (
+        "from repro import cache\n"
+        "print(cache.fingerprint_env(\n"
+        "    {'b': [1, 2.5, True, None, 'x', (3, 'y')], 'a': [[1], {'k': 2, 'j': 'v'}]},\n"
+        "    {'n': 3, 's': 'z'},\n"
+        "))\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    keys = set()
+    for seed in ("0", "1", "4242"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        keys.add(proc.stdout)
+    assert len(keys) == 1
 
 
 def test_search_cache_memoizes_payload():
@@ -123,8 +218,6 @@ void k%d(const int* restrict a, const int* restrict b, int* restrict out, int n)
 
 
 def _emit(index):
-    from repro import api
-
     return api.handle(api.CompileRequest(source=KERNEL % (index, index), fmt="summary"))
 
 
@@ -321,3 +414,80 @@ def test_lookup_only_is_per_thread():
         worker.start()
         worker.join(10)
     assert seen == [{"v": 3}]
+
+
+# ---------------------------------------------------------------------------
+# The run memo behind the harness: a warm request simulates nothing and
+# answers exactly what a cold one did
+
+
+def _without_cache(records):
+    return [{key: value for key, value in r.items() if key != "cache"} for r in records]
+
+
+def _payload(response):
+    """What a client sees of a demo/metrics response, minus the ``cache``
+    section (metrics prints its records as JSON lines)."""
+    if isinstance(response, api.MetricsResponse):
+        return _without_cache(json.loads(line) for line in response.output.splitlines())
+    return response.output
+
+
+@pytest.mark.parametrize("bench, size", [("bfs", 200), ("spmm", 1500)])
+@pytest.mark.parametrize("verb", [api.RunRequest, api.MetricsRequest], ids=["demo", "metrics"])
+def test_warm_request_answers_what_the_cold_one_did(verb, bench, size, monkeypatch):
+    monkeypatch.delenv("REPRO_ENGINE", raising=False)
+    request = verb(bench=bench, size=size)
+    cold = api.handle(request)
+    warm = api.handle(request)
+    cache.reset()
+    from_disk = api.handle(request)
+    assert cold.ok and cold.cache["baseline"] == {"hits": 0, "misses": 4}
+    for again in (warm, from_disk):
+        assert again.cache["baseline"] == {"hits": 4, "misses": 0}
+        assert _payload(again) == _payload(cold)
+        assert _without_cache(again.records) == _without_cache(cold.records)
+    assert all(set(r["stage_engines"].values()) == {"batch"} for r in warm.records)
+
+
+def test_another_engine_is_a_miss_named_after_it(monkeypatch):
+    monkeypatch.delenv("REPRO_ENGINE", raising=False)
+    request = api.RunRequest(bench="bfs", size=100)
+    batch = api.handle(request)
+    monkeypatch.setenv("REPRO_ENGINE", "reference")
+    reference = api.handle(request)
+    assert reference.cache["baseline"] == {"hits": 0, "misses": 4}
+    assert all(set(r["stage_engines"].values()) == {"reference"} for r in reference.records)
+    assert reference.output == batch.output
+    again = api.handle(request)
+    assert again.cache["baseline"] == {"hits": 4, "misses": 0}
+    assert again.records == reference.records
+
+
+def test_run_suite_books_one_miss_per_distinct_run(tiny_config):
+    from repro.bench.harness import adapter_for, run_suite
+    from repro.workloads.datasets import Input
+
+    items = [
+        Input("g%d" % seed, "synthetic", lambda seed=seed: uniform_random(80, 3, seed=seed))
+        for seed in (1, 2)
+    ]
+    variants = ("serial", "data-parallel", "phloem-static")
+    cold = run_suite(adapter_for("bfs"), items, [], config=tiny_config, variants=variants, jobs=2)
+    assert cache.stats()["baseline"] == {"hits": 0, "misses": 6}
+    warm = run_suite(adapter_for("bfs"), items, [], config=tiny_config, variants=variants, jobs=2)
+    assert cache.stats()["baseline"] == {"hits": 6, "misses": 6}
+    assert warm.records == cold.records and all(r["ok"] for r in cold.records)
+
+
+def test_traced_and_timed_runs_are_never_answered_from_the_memo(tmp_path, monkeypatch):
+    trace = api.TraceRequest(bench="bfs", size=100, quiet=True)
+    first, second = api.handle(trace), api.handle(trace)
+    # The serial baseline is the one lookup; the traced run simulates.
+    assert first.cache["baseline"] == {"hits": 0, "misses": 1}
+    assert second.cache["baseline"] == {"hits": 1, "misses": 0}
+    assert second.output == first.output
+    monkeypatch.chdir(tmp_path)
+    perf = api.BenchPerfRequest(benches=("spmv",), repeats=1, quiet=True, baseline="none.json")
+    for _ in range(2):
+        assert api.handle(perf).cache["baseline"] == {"hits": 0, "misses": 0}

@@ -25,16 +25,24 @@ void k(const int* restrict a, const int* restrict b, int* restrict out, int n) {
 """
 
 #: Runs ``python -m repro <argv>`` and then prints the ``repro`` subpackages
-#: the process loaded, as one JSON line after the verb's own stdout.
+#: the process loaded (full names inside ``repro.obs``, plus the stdlib
+#: ``html`` the report pulls in), as one JSON line after the verb's stdout.
 _PROBE = """
 import json, runpy, sys
 try:
     runpy.run_module("repro", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     assert not exc.code, exc.code
-loaded = {".".join(m.split(".")[:2]) for m in sys.modules if m.startswith("repro.")}
+loaded = {
+    m if m.startswith("repro.obs.") else ".".join(m.split(".")[:2])
+    for m in sys.modules if m.startswith("repro.") or m == "html"
+}
 print(json.dumps(sorted(loaded)))
 """
+
+#: What a cold ``emit``/``lint`` must not pay for inside ``repro.obs``: it
+#: logs, and never renders a report, a trace or a timeline.
+OBS_BANNED = {"repro.obs.report", "repro.obs.chrometrace", "repro.obs.timeline", "html"}
 
 
 def _loaded_by(tmp_path, *argv):
@@ -54,7 +62,7 @@ def test_emit_loads_no_simulator_workloads_or_harness(tmp_path, warm):
     for _ in range(2 if warm else 1):
         output, loaded = _loaded_by(tmp_path, "emit", "k.c", "--format", "summary")
     assert output == ["k: 2 stages + 2 RAs, 3 queues, 5 stmts"]
-    banned = {"repro.pipette", "repro.runtime", "repro.bench", "repro.workloads"}
+    banned = {"repro.pipette", "repro.runtime", "repro.bench", "repro.workloads"} | OBS_BANNED
     assert not loaded & banned, sorted(loaded & banned)
     assert "repro.core" in loaded  # the probe sees what the verb did load
 
@@ -62,7 +70,7 @@ def test_emit_loads_no_simulator_workloads_or_harness(tmp_path, warm):
 def test_lint_bench_loads_no_simulator_or_harness(tmp_path):
     output, loaded = _loaded_by(tmp_path, "lint", "--bench", "bfs")
     assert output == ["bfs: clean"]
-    banned = {"repro.pipette", "repro.runtime", "repro.bench"}
+    banned = {"repro.pipette", "repro.runtime", "repro.bench"} | OBS_BANNED
     assert not loaded & banned, sorted(loaded & banned)
     assert "repro.workloads" in loaded
 
@@ -100,6 +108,27 @@ def test_every_top_level_export_resolves():
     ]
     for name in repro.__all__:
         assert getattr(repro, name) is not None, name
+
+
+def test_every_obs_export_resolves():
+    from repro import obs
+
+    assert obs.__all__ == [
+        "Tracer", "export_chrome_trace", "validate_chrome_trace", "write_chrome_trace",
+        "summarize_timeline", "render_timeline", "PassProfiler", "SearchRecorder",
+        "RECORD_SCHEMA", "RECORD_VERSION", "run_record", "record_of", "stamp_cache",
+        "by_kernel", "gmean_speedups", "normalized", "merge_records", "write_jsonl",
+        "read_jsonl", "ExperimentReport", "collect", "render_markdown", "render_html", "spark",
+        "REPORT_SCHEMA", "REPORT_VERSION", "log", "set_quiet", "get_quiet", "is_quiet",
+    ]
+    assert set(obs.__all__) <= set(dir(obs))
+    for name in obs.__all__:
+        assert getattr(obs, name) is not None, name
+    assert obs.Tracer is sys.modules["repro.obs.tracer"].Tracer
+    # ``log`` is also a submodule's name: the package attribute is the function.
+    assert obs.log is sys.modules["repro.obs.log"].log
+    with pytest.raises(AttributeError, match="no_such_name"):
+        obs.no_such_name
 
 
 #: What ``repro submit`` must not pay for: the server half of the service

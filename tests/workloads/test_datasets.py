@@ -56,3 +56,21 @@ def test_unknown_names_raise():
 def test_domains_recorded():
     assert datasets.graph_by_name("road-usa").domain == "road network"
     assert datasets.matrix_by_name("cant").domain == "cantilever"
+
+
+def test_a_dropped_input_is_collected_with_what_it_built():
+    """A daemon makes one ``Input`` per ``demo`` request: once the request
+    drops it, neither the input nor its graph may stay alive."""
+    import gc
+    import weakref
+
+    class Built:  # a graph stand-in that can be weakly referenced
+        pass
+
+    item = datasets.Input("demo", "synthetic", Built)
+    built = item.build()
+    assert item.build() is built
+    refs = [weakref.ref(item), weakref.ref(built)]
+    del item, built
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
