@@ -15,17 +15,22 @@ from ..ir.stmts import walk
 
 
 class DefUse:
-    """Definition and use sites of every register in a body."""
+    """Definition and use sites of every register in a body.
 
-    def __init__(self, body: Any) -> None:
+    ``handlers`` (a stage's handler bodies) join the same maps, so
+    ``DefUse(stage.body, stage.handlers.values())`` covers a whole stage.
+    """
+
+    def __init__(self, body: Any, handlers: Iterable[Any] = ()) -> None:
         self.defs: dict[str, list[Any]] = {}
         self.uses: dict[str, list[Any]] = {}
         self.body = body
-        for stmt in walk(body):
-            for reg in stmt.defs():
-                self.defs.setdefault(reg, []).append(stmt)
-            for reg in stmt.uses():
-                self.uses.setdefault(reg, []).append(stmt)
+        for root in (body, *handlers):
+            for stmt in walk(root):
+                for reg in stmt.defs():
+                    self.defs.setdefault(reg, []).append(stmt)
+                for reg in stmt.uses():
+                    self.uses.setdefault(reg, []).append(stmt)
 
     def defining_stmts(self, reg: str) -> list[Any]:
         return self.defs.get(reg, [])

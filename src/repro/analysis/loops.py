@@ -8,7 +8,9 @@ the level loop of BFS or the convergence loop of PageRank-Delta).
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Optional
+from typing import Any, Optional
+
+from ..ir.stmts import walk_phase_level
 
 
 class LoopNestInfo:
@@ -55,18 +57,8 @@ def find_phase_loop(body: Any) -> Optional[Any]:
     if len(candidates) != 1:
         return None
     loop = candidates[0]
-    has_nest = any(inner.kind in ("for", "loop") for inner in _walk_shallow(loop.body))
+    has_nest = any(inner.kind in ("for", "loop") for inner in walk_phase_level(loop.body))
     return loop if has_nest else None
-
-
-def _walk_shallow(body: Any) -> Iterator[Any]:
-    """Statements of a body including those under Ifs, but not inside loops."""
-    for stmt in body:
-        yield stmt
-        if stmt.kind == "if":
-            for block in stmt.blocks():
-                for inner in _walk_shallow(block):
-                    yield inner
 
 
 def estimated_trip_weight(depth: int, base: int = 8) -> float:

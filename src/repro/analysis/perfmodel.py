@@ -39,14 +39,15 @@ busiest stage's.
 from __future__ import annotations
 
 import re
-from typing import Any, Iterable, Optional
+from typing import Any, Optional
 
 from ..diag import NOTE, WARNING, DiagnosticSet
+from ..ir.program import RA_SCAN
 from ..ir.stmts import walk, walk_with_depth
 from .access import INDIRECT, OTHER, SEQUENTIAL, _depends_on_load, classify_loads
 from .defs import DefUse
 from .loops import estimated_trip_weight
-from .sanitize import _first_span, _stage_label, resolve_stage_producer
+from .sanitize import _first_span, _stage_label
 
 #: Extra latency of ALU ops beyond one issue slot (mirrors
 #: ``MachineConfig.op_latency``: mul 3, div/mod 12, default 1).
@@ -293,7 +294,7 @@ class PerfReport:
         est = self.stage(index) if index is not None else None
         if est is None:
             return
-        stage = _stage_of(self.pipeline, est.index)
+        stage = self.pipeline.stage(est.index)
         diags.add(
             "PHL401",
             "predicted bottleneck: %.0f%% of pipeline work is serialized here "
@@ -427,13 +428,6 @@ def _issue_slots(stmt: Any, intrinsics: dict[str, Any]) -> float:
 # Topology solve
 
 
-def _stage_of(pipeline: Any, index: int) -> Any:
-    for stage in pipeline.stages:
-        if stage.index == index:
-            return stage
-    return None
-
-
 def _consumed_specs(pipeline: Any, stage_index: int) -> list[Any]:
     return [
         spec
@@ -451,7 +445,7 @@ def _topo_order(pipeline: Any) -> list[Any]:
         ckind, cidx = spec.consumer
         if ckind != "stage" or cidx not in preds:
             continue
-        origin, _origin_qid, _ctrl, _exact = resolve_stage_producer(pipeline, qid)
+        origin, _origin_qid, _ras = pipeline.upstream(qid)
         if origin is not None and origin.index != cidx:
             preds[cidx].add(origin.index)
     order: list[int] = []
@@ -468,31 +462,7 @@ def _topo_order(pipeline: Any) -> list[Any]:
         )
         ready.extend(newly)
     order.extend(i for i in indices if i not in placed)
-    return [_stage_of(pipeline, i) for i in order]
-
-
-def _scan_multiplier(pipeline: Any, qid: int) -> tuple[Optional[int], float]:
-    """Walk ``qid`` back to its producing stage; returns (origin qid at the
-    stage boundary, token-rate multiplier across the RA chain)."""
-    mult = 1.0
-    seen: set[int] = set()
-    while True:
-        spec = pipeline.queues.get(qid)
-        if spec is None or qid in seen:
-            return None, mult
-        seen.add(qid)
-        kind, idx = spec.producer
-        if kind == "stage":
-            return qid, mult
-        if kind == "ra":
-            ra = next((r for r in pipeline.ras if r.raid == idx), None)
-            if ra is None:
-                return None, mult
-            if ra.mode == "scan":
-                mult *= SCAN_OUT_PER_IN
-            qid = ra.in_queue
-            continue
-        return None, mult  # extern producer
+    return [pipeline.stage(i) for i in order]
 
 
 def analyze_pipeline(pipeline: Any, config: Any = None) -> PerfReport:
@@ -510,11 +480,17 @@ def analyze_pipeline(pipeline: Any, config: Any = None) -> PerfReport:
     estimates: list[StageEstimate] = []
     drive_depth: dict[int, int] = {}
 
-    def rate_of(qid: int) -> tuple[Optional[float], float]:
-        origin_qid, mult = _scan_multiplier(pipeline, qid)
-        if origin_qid is None or origin_qid not in queue_rate:
-            return None, mult
-        return queue_rate[origin_qid] * mult, mult
+    def rate_of(qid: int) -> tuple[Any, Any, Optional[float], float]:
+        """``qid``'s producing stage and queue (through its RA chain), its
+        tokens per source unit when known, and the chain's SCAN expansion."""
+        origin, origin_qid, ras = pipeline.upstream(qid)
+        mult = 1.0
+        for ra in ras:
+            if ra.mode == RA_SCAN:
+                mult *= SCAN_OUT_PER_IN
+        if origin is None or origin_qid not in queue_rate:
+            return origin, origin_qid, None, mult
+        return origin, origin_qid, queue_rate[origin_qid] * mult, mult
 
     for stage in _topo_order(pipeline):
         if stage is None:
@@ -538,7 +514,7 @@ def analyze_pipeline(pipeline: Any, config: Any = None) -> PerfReport:
             if not q_deq_depths:
                 continue
             level = min(q_deq_depths)
-            rate, _mult = rate_of(spec.qid)
+            _origin, _origin_qid, rate, _mult = rate_of(spec.qid)
             if rate is None:
                 rate = estimated_trip_weight(level, base=int(TRIP_BASE))
             level_rate[level] = max(level_rate.get(level, 0.0), rate)
@@ -582,10 +558,9 @@ def analyze_pipeline(pipeline: Any, config: Any = None) -> PerfReport:
         ckind, cidx = spec.consumer
         if ckind != "stage" or cidx not in work_of:
             continue
-        origin, origin_qid, _ctrl, exact = resolve_stage_producer(pipeline, qid)
+        origin, origin_qid, rate, mult = rate_of(qid)
         if origin is None or origin.index not in work_of:
             continue
-        rate, mult = rate_of(qid)
         wp, wc = work_of[origin.index], work_of[cidx]
         if wp < wc * (1.0 - PRESSURE_MARGIN):
             pressure = "full"

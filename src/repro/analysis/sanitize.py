@@ -46,7 +46,8 @@ from __future__ import annotations
 from typing import Any, Iterable, Optional
 
 from ..diag import DiagnosticSet
-from ..ir.stmts import walk
+from ..ir.program import RA_SCAN
+from ..ir.stmts import loop_chain, positions, walk
 from .alias import AliasInfo, access_class
 
 #: Unknown multiplicity in the token-count abstract domain.
@@ -212,54 +213,7 @@ def stage_effects(stage: Any) -> tuple[dict[Any, _QEffect], list[_Imbalance]]:
 
 
 # ---------------------------------------------------------------------------
-# Topology helpers
-
-
-def _stage_by_index(pipeline: Any, index: Any) -> Optional[Any]:
-    for stage in pipeline.stages:
-        if stage.index == index:
-            return stage
-    return None
-
-
-def _ra_by_id(pipeline: Any, raid: Any) -> Optional[Any]:
-    for ra in pipeline.ras:
-        if ra.raid == raid:
-            return ra
-    return None
-
-
-def resolve_stage_producer(pipeline: Any, qid: Any) -> tuple[Any, Any, bool, bool]:
-    """Resolve ``qid``'s producing *stage*, walking back through RA chains.
-
-    Returns ``(stage, origin_qid, ctrl_forwarded, exact_multiplicity)``:
-    ``stage`` is None for extern/unresolvable producers; ``ctrl_forwarded``
-    is False if some RA in the chain drops control values;
-    ``exact_multiplicity`` is False if a SCAN RA (data-dependent output
-    count) sits between the stage and the queue.
-    """
-    ctrl_ok = True
-    exact = True
-    seen = set()
-    while True:
-        spec = pipeline.queues.get(qid)
-        if spec is None or qid in seen:
-            return None, qid, ctrl_ok, exact
-        seen.add(qid)
-        kind, idx = spec.producer
-        if kind == "stage":
-            return _stage_by_index(pipeline, idx), qid, ctrl_ok, exact
-        if kind == "ra":
-            ra = _ra_by_id(pipeline, idx)
-            if ra is None:
-                return None, qid, ctrl_ok, exact
-            if not ra.forward_ctrl:
-                ctrl_ok = False
-            if ra.mode == "scan":
-                exact = False
-            qid = ra.in_queue
-            continue
-        return None, qid, ctrl_ok, exact  # extern
+# Helpers
 
 
 def _first_span(stmts_iter: Iterable[Any]) -> Optional[Any]:
@@ -301,7 +255,7 @@ def check_token_balance(pipeline: Any, diags: DiagnosticSet) -> None:
 
         # -- consumption: the declared consumer must actually drain ------
         if ckind == "stage":
-            consumer = _stage_by_index(pipeline, cidx)
+            consumer = pipeline.stage(cidx)
             if consumer is None:
                 continue  # dangling endpoint: verify_pipeline's problem
             ceff = effects[consumer.index].get(qid, _QEffect())
@@ -309,7 +263,7 @@ def check_token_balance(pipeline: Any, diags: DiagnosticSet) -> None:
             if not drains:
                 span = None
                 if pkind == "stage":
-                    producer = _stage_by_index(pipeline, pidx)
+                    producer = pipeline.stage(pidx)
                     if producer is not None:
                         span = _first_span(
                             _queue_stmts(producer, qid, ("enq", "enq_dist", "enq_ctrl"))
@@ -326,7 +280,7 @@ def check_token_balance(pipeline: Any, diags: DiagnosticSet) -> None:
 
         # -- production: the declared producer must actually feed it -----
         if pkind == "stage":
-            producer = _stage_by_index(pipeline, pidx)
+            producer = pipeline.stage(pidx)
             if producer is None:
                 continue  # dangling endpoint: verify_pipeline's problem
             peff = effects[producer.index].get(qid, _QEffect())
@@ -343,8 +297,13 @@ def check_token_balance(pipeline: Any, diags: DiagnosticSet) -> None:
             continue  # RA-consumed queues drain by construction
 
         # -- sentinel/termination tokens ---------------------------------
-        consumer = _stage_by_index(pipeline, cidx)
-        origin, _oqid, ctrl_ok, exact = resolve_stage_producer(pipeline, qid)
+        consumer = pipeline.stage(cidx)
+        # The producer resolves through the RA chain: an RA that drops
+        # control values breaks termination, and a SCAN RA's data-dependent
+        # output count rules out exact multiplicity matching.
+        origin, _oqid, ras = pipeline.upstream(qid)
+        ctrl_ok = all(ra.forward_ctrl for ra in ras)
+        exact = all(ra.mode != RA_SCAN for ra in ras)
         if _consumes_ctrl(consumer, qid):
             origin_ctrl: Count = 0
             if origin is not None:
@@ -445,19 +404,6 @@ def _consumes_ctrl(stage: Any, qid: Any) -> bool:
     )
 
 
-def _loop_chain(body: Any, target: Any, chain: tuple[Any, ...] = ()) -> Optional[tuple[Any, ...]]:
-    """Loop statements enclosing ``target``, outermost first, or None."""
-    for stmt in body:
-        if stmt is target:
-            return chain
-        for block in stmt.blocks():
-            ext = chain + (stmt,) if stmt.kind in ("for", "loop") else chain
-            found = _loop_chain(block, target, ext)
-            if found is not None:
-                return found
-    return None
-
-
 def _match_loop_rates(
     pipeline: Any, producer: Any, pqid: Any, consumer: Any, cqid: Any, diags: DiagnosticSet
 ) -> None:
@@ -508,7 +454,7 @@ def _match_loop_rates(
 
 def _innermost_for(body: Any, target: Any) -> Optional[Any]:
     """The innermost *counted* loop enclosing ``target``, or None."""
-    chain = _loop_chain(body, target)
+    chain = loop_chain(body, target)
     if not chain:
         return None
     for loop in reversed(chain):
@@ -588,7 +534,7 @@ def _sccs(graph: dict[Any, list[Any]]) -> list[list[Any]]:
 def _node_label(pipeline: Any, node: Any) -> str:
     kind, idx = node
     if kind == "stage":
-        stage = _stage_by_index(pipeline, idx)
+        stage = pipeline.stage(idx)
         return _stage_label(stage) if stage is not None else "stage %d" % idx
     return "RA %d" % idx
 
@@ -680,7 +626,7 @@ def check_deadlock(pipeline: Any, diags: DiagnosticSet) -> None:
         for node in comp:
             if node[0] != "stage":
                 continue
-            stage = _stage_by_index(pipeline, node[1])
+            stage = pipeline.stage(node[1])
             outs = [
                 qid
                 for (src, dst), qids in edges.items()
@@ -716,10 +662,6 @@ def check_deadlock(pipeline: Any, diags: DiagnosticSet) -> None:
     _check_fanin_order(pipeline, diags)
 
 
-def _walk_positions(body: Any) -> dict[int, int]:
-    return {id(stmt): pos for pos, stmt in enumerate(walk(body))}
-
-
 def _check_fanin_order(pipeline: Any, diags: DiagnosticSet) -> None:
     """PHL203: producer fills queue A completely before feeding queue B,
     while the consumer blocks on B before draining A."""
@@ -730,12 +672,12 @@ def _check_fanin_order(pipeline: Any, diags: DiagnosticSet) -> None:
     for (pidx, cidx), qs in pairs.items():
         if len(qs) < 2:
             continue
-        producer = _stage_by_index(pipeline, pidx)
-        consumer = _stage_by_index(pipeline, cidx)
+        producer = pipeline.stage(pidx)
+        consumer = pipeline.stage(cidx)
         if producer is None or consumer is None:
             continue
-        ppos = _walk_positions(producer.body)
-        cpos = _walk_positions(consumer.body)
+        ppos = positions(producer.body)
+        cpos = positions(consumer.body)
         for qa in qs:
             for qb in qs:
                 if qa.qid == qb.qid:
@@ -750,7 +692,7 @@ def _check_fanin_order(pipeline: Any, diags: DiagnosticSet) -> None:
                     continue
                 loop = _innermost_for(producer.body, a_enqs[0])
                 if loop is None:
-                    chain = _loop_chain(producer.body, a_enqs[0])
+                    chain = loop_chain(producer.body, a_enqs[0])
                     loop = chain[-1] if chain else None
                 if loop is None:
                     continue
@@ -888,7 +830,7 @@ def check_races(pipeline: Any, diags: DiagnosticSet) -> None:
             idx: sites for idx, sites in load_sites.get(cls, {}).items() if idx != writer
         }
         for idx, sites in sorted(foreign_loads.items()):
-            stage = _stage_by_index(pipeline, idx)
+            stage = pipeline.stage(idx)
             diags.add(
                 "PHL302",
                 "array %s is written by stage %d but loaded by %s: the load "

@@ -42,7 +42,7 @@ class BenchAdapter:
     a module whose data-parallel variant needs a looser oracle (PRD's
     float reductions reassociate) additionally provides ``check_dp``.
     That tolerance lives in the benchmark module, not here: the adapter is
-    pure plumbing and is identical for all five benchmarks.
+    pure plumbing and is identical for all ten benchmarks.
     """
 
     def __init__(self, module):
@@ -82,7 +82,7 @@ class BenchAdapter:
 
 
 def adapter_for(bench):
-    """Adapter for a benchmark name (bfs/cc/prd/radii/spmm) or module."""
+    """Adapter for a benchmark name (any key of ``ALL_BENCHMARKS``) or module."""
     if isinstance(bench, str):
         from ..workloads import ALL_BENCHMARKS
 

@@ -268,7 +268,7 @@ def aggregate(records):
 
 
 def run_perf(benches=None, scale="quick", repeats=2, jobs=1, engines=None):
-    """Measure ``benches`` (default: all five); returns the record list.
+    """Measure ``benches`` (default: all ten); returns the record list.
 
     ``jobs > 1`` fans kernels out over the :mod:`repro.bench.parallel`
     worker pool. Cycles are unaffected (that is what the determinism tests

@@ -17,20 +17,13 @@ stages reduced to pure pass-throughs are chained away: an RA fed only by
 yielding the paper's chained RAs, with the empty middle stage deleted.
 """
 
+from ..analysis.defs import DefUse
 from ..ir import stmts as S
 from ..ir.program import RA_INDIRECT, RA_SCAN, QueueSpec, RASpec
-from ..ir.stmts import walk
+from ..ir.stmts import find_container, loop_chain, remove, walk
 from ..ir.values import is_array_symbol
 from .cleanup import cleanup_stage
 from .decouple import drop_trivial_stages
-
-
-def _uses_count(stage, reg):
-    count = 0
-    for stmt in stage.all_stmts():
-        if reg in stmt.uses():
-            count += 1
-    return count
 
 
 class _RABuilder:
@@ -123,6 +116,13 @@ def _rewrite_stage(builder, pipeline, stage):
 def _collect_instances(pipeline, stage):
     """Find offloadable patterns without mutating anything."""
     out = []
+    du = None  # the stage's DefUse, built at the first candidate
+
+    def used_once(reg):
+        nonlocal du
+        if du is None:
+            du = DefUse(stage.body, stage.handlers.values())
+        return du.use_count(reg) == 1
 
     def visit(body):
         for index, stmt in enumerate(body):
@@ -138,7 +138,7 @@ def _collect_instances(pipeline, stage):
                 and is_array_symbol(stmt.body[0].array)
                 and stmt.body[0].index == stmt.var
                 and stmt.body[1].value == stmt.body[0].dst
-                and _uses_count(stage, stmt.body[0].dst) == 1
+                and used_once(stmt.body[0].dst)
                 and _stage_produces(pipeline, stage, stmt.body[1].queue)
             ):
                 out.append(
@@ -161,7 +161,7 @@ def _collect_instances(pipeline, stage):
                 and index + 1 < len(body)
                 and body[index + 1].kind == "enq"
                 and body[index + 1].value == stmt.dst
-                and _uses_count(stage, stmt.dst) == 1
+                and used_once(stmt.dst)
                 and _stage_produces(pipeline, stage, body[index + 1].queue)
             ):
                 out.append(
@@ -214,15 +214,15 @@ def _chain_ras(pipeline):
                     continue
                 if q_up in stage.handlers:
                     continue
-                ra = next(r for r in pipeline.ras if r.raid == in_spec.consumer[1])
+                ra = pipeline.ra(in_spec.consumer[1])
                 # Record control-value positions relative to the dequeues
                 # *before* mutating the body: a marker at the same loop
                 # depth as the dequeues fires once per pass-through unit, a
                 # marker one level out fires once per enclosing iteration.
                 deq_stmt = next(s for s in stmts if s.kind == "deq")
-                deq_depth = len(_loop_chain(stage.body, deq_stmt) or ())
+                deq_depth = len(loop_chain(stage.body, deq_stmt) or ())
                 ctrls = [
-                    (s, deq_depth - len(_loop_chain(stage.body, s) or ()))
+                    (s, deq_depth - len(loop_chain(stage.body, s) or ()))
                     for s in walk(stage.body)
                     if s.kind == "enq_ctrl" and s.queue == ra_in
                 ]
@@ -230,7 +230,7 @@ def _chain_ras(pipeline):
                 up_spec = pipeline.queues[q_up]
                 up_spec.consumer = ("ra", ra.raid)
                 ra.in_queue = q_up
-                _remove_stmts(stage.body, stmts)
+                remove(stage.body, stmts)
                 del pipeline.queues[ra_in]
                 # Control values this stage injected into the (now deleted)
                 # RA input must originate upstream instead: the upstream
@@ -252,26 +252,21 @@ def _relocate_ctrl(pipeline, stage, ctrls, q_up):
     """
     if not ctrls:
         return
-    _remove_stmts(stage.body, [s for s, _ in ctrls])
+    remove(stage.body, [s for s, _ in ctrls])
     # Walk up through any RA chain: control values enter at the first
     # stage-produced queue and are forwarded through the engines.
-    up_spec = pipeline.queues[q_up]
-    while up_spec.producer[0] == "ra":
-        ra = next(r for r in pipeline.ras if r.raid == up_spec.producer[1])
-        q_up = ra.in_queue
-        up_spec = pipeline.queues[q_up]
-    if up_spec.producer[0] != "stage":
+    upstream, q_up, _ras = pipeline.upstream(q_up)
+    if upstream is None:
         return
-    upstream = next(s for s in pipeline.stages if s.index == up_spec.producer[1])
     enqs = [s for s in walk(upstream.body) if s.kind == "enq" and s.queue == q_up]
     if not enqs:
         return
     last_enq = enqs[-1]
-    chain = _loop_chain(upstream.body, last_enq) or ()
+    chain = loop_chain(upstream.body, last_enq) or ()
     for ctrl, k in ctrls:
         moved = S.EnqCtrl(q_up, ctrl.ctrl)
         if k <= 0:
-            container = _container_of(upstream.body, last_enq)
+            container = find_container(upstream.body, last_enq)
             container.insert(container.index(last_enq) + 1, moved)
         else:
             depth = min(k, len(chain))
@@ -279,32 +274,8 @@ def _relocate_ctrl(pipeline, stage, ctrls, q_up):
             if anchor is None:
                 upstream.body.append(moved)
             else:
-                container = _container_of(upstream.body, anchor)
+                container = find_container(upstream.body, anchor)
                 container.insert(container.index(anchor) + 1, moved)
-
-
-def _loop_chain(body, target, chain=()):
-    for stmt in body:
-        if stmt is target:
-            return chain
-        for block in stmt.blocks():
-            ext = chain + (stmt,) if stmt.kind in ("for", "loop") else chain
-            found = _loop_chain(block, target, ext)
-            if found is not None:
-                return found
-    return None
-
-
-def _container_of(body, target):
-    for stmt in body:
-        if stmt is target:
-            return body
-    for stmt in body:
-        for block in stmt.blocks():
-            found = _container_of(block, target)
-            if found is not None:
-                return found
-    return None
 
 
 def _passthrough_pairs(stage, pipeline):
@@ -331,7 +302,7 @@ def _passthrough_pairs(stage, pipeline):
         # Pass-throughs inside a control-value-terminated Loop would leave
         # an empty infinite loop behind; only chain For-level plumbing.
         if any(
-            (lambda ch: ch and ch[-1].kind == "loop")(_loop_chain(stage.body, s))
+            (lambda ch: ch and ch[-1].kind == "loop")(loop_chain(stage.body, s))
             for s in stmts
             if s.kind == "deq"
         ):
@@ -353,15 +324,3 @@ def _passthrough_pairs(stage, pipeline):
             continue
         result.append((q_up, q_down, stmts))
     return result
-
-
-def _remove_stmts(body, victims):
-    ids = {id(v) for v in victims}
-    kept = []
-    for stmt in body:
-        if id(stmt) in ids:
-            continue
-        for block in stmt.blocks():
-            _remove_stmts(block, victims)
-        kept.append(stmt)
-    body[:] = kept

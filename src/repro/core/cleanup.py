@@ -7,7 +7,7 @@ so these cleanups — dead pure code elimination and empty-control pruning —
 stand in for the ``gcc -O3`` the paper compiles its emitted code with.
 """
 
-from ..ir.stmts import walk
+from ..ir.stmts import substitute_uses, walk
 
 #: Statement kinds that are removable when their destination is unused.
 _PURE_DEFS = frozenset(["assign", "read_shared", "is_control", "peek", "load"])
@@ -106,8 +106,6 @@ def copy_propagate(stage):
     use of ``dst`` replaced by ``src`` — all uses follow the mov, and
     neither register is ever redefined.
     """
-    from .rewrite import substitute_uses
-
     defs = {}
     roots = [stage.body] + list(stage.handlers.values())
     for root in roots:

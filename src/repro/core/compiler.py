@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from ..analysis.sanitize import sanitize_pipeline
 from ..errors import CompileError
 from ..frontend.lowering import compile_source
-from ..ir.stmts import walk
+from ..ir.stmts import remove, walk
 from ..ir.verifier import verify_pipeline
 from ..obs import log
 from .accelerate import apply_reference_accelerators
@@ -57,12 +57,6 @@ class CompileOptions:
     #: verification never changes the compiled pipeline, so a verified and
     #: an unverified compile must share cache entries.
     verify_each: bool = False
-    #: Run the static performance model at the end of compilation and log
-    #: its PHL4xx advisories. Advisory only — it never changes the
-    #: compiled pipeline — so, like ``verify_each``, it is deliberately
-    #: NOT part of cache_key(): analyzed and unanalyzed compiles must share
-    #: cache entries.
-    perf_lints: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "passes", tuple(self.passes))
@@ -118,22 +112,11 @@ def _remove_dead_queues(pipeline):
             )
             if used:
                 continue
-            _strip(cons_stage.body, deq)
-            _strip(enqs[0][0].body, enqs[0][1])
+            remove(cons_stage.body, [deq])
+            remove(enqs[0][0].body, [enqs[0][1]])
             del pipeline.queues[qid]
             changed = True
     return pipeline
-
-
-def _strip(body, target):
-    kept = []
-    for stmt in body:
-        if stmt is target:
-            continue
-        for block in stmt.blocks():
-            _strip(block, target)
-        kept.append(stmt)
-    body[:] = kept
 
 
 def compile_function(function, options=None, profiler=None):
@@ -223,12 +206,6 @@ def compile_function(function, options=None, profiler=None):
     for warning in diags.warnings():
         log("compile %s: %s", pipeline.name, warning.render())
     diags.raise_if_errors("pipeline %s failed static safety analysis" % pipeline.name)
-    if options.perf_lints:
-        # Advisory only: logged, never raised, never part of the cache key.
-        from ..analysis.perfmodel import perf_advisories
-
-        for advisory in perf_advisories(pipeline).sorted():
-            log("perf %s: %s", pipeline.name, advisory.render())
     return pipeline
 
 

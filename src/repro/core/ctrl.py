@@ -19,61 +19,14 @@ eliminate it. The ``deq; is_control; if (ctrl) {...}`` prefix moves into a
 hardware handler attached to the queue, leaving a bare dequeue in the loop.
 """
 
+from ..analysis.defs import DefUse
 from ..ir import stmts as S
-from ..ir.stmts import walk
+from ..ir.stmts import find_container, loop_chain, remove, substitute_uses, walk
 from ..ir.values import Ctrl
-from .rewrite import find_container, substitute_uses
-
-
-def _single_use(body, reg, exclude):
-    count = 0
-    for stmt in walk(body):
-        if stmt is exclude:
-            continue
-        if reg in stmt.uses():
-            count += 1
-        if stmt.kind == "for" and reg in (stmt.lo, stmt.hi, stmt.step):
-            pass  # already counted via uses()
-    return count
-
-
-def _stage_of_queue_producer(pipeline, qid):
-    kind, idx = pipeline.queues[qid].producer
-    if kind != "stage":
-        return None
-    for stage in pipeline.stages:
-        if stage.index == idx:
-            return stage
-    return None
 
 
 def _find_enqs(stage, qid):
     return [s for s in walk(stage.body) if s.kind == "enq" and s.queue == qid]
-
-
-def _remove(body, victims):
-    ids = {id(v) for v in victims}
-    kept = []
-    for stmt in body:
-        if id(stmt) in ids:
-            continue
-        for block in stmt.blocks():
-            _remove(block, victims)
-        kept.append(stmt)
-    body[:] = kept
-
-
-def _innermost_loop_chain(body, target, chain=()):
-    """Loop statements enclosing ``target``, outermost first, or None."""
-    for stmt in body:
-        if stmt is target:
-            return chain
-        for block in stmt.blocks():
-            ext = chain + (stmt,) if stmt.kind in ("for", "loop") else chain
-            found = _innermost_loop_chain(block, target, ext)
-            if found is not None:
-                return found
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -91,50 +44,57 @@ def apply_control_values(pipeline):
     while changed:
         changed = False
         for stage in reversed(pipeline.stages):
+            du = None  # built at the stage's first candidate, rebuilt after a rewrite
             for for_stmt in list(walk(stage.body)):
-                if for_stmt.kind != "for":
+                if not _is_stream_loop(for_stmt):
                     continue
-                if _try_convert_loop(pipeline, stage, for_stmt):
+                if du is None:
+                    du = DefUse(stage.body)
+                if _try_convert_loop(pipeline, stage, for_stmt, du):
                     converted.append(stage.index)
                     changed = True
+                    du = None
     if converted:
         pipeline.meta.setdefault("passes", []).append("cv")
     return pipeline
 
 
-def _try_convert_loop(pipeline, stage, for_stmt):
+def _is_stream_loop(stmt):
+    """``for (v = lo; v < hi; v++) { x = deq(q); ... }`` with register bounds."""
+    return (
+        stmt.kind == "for"
+        and type(stmt.lo) is str
+        and type(stmt.hi) is str
+        and stmt.step == 1
+        and bool(stmt.body)
+        and stmt.body[0].kind == "deq"
+    )
+
+
+def _try_convert_loop(pipeline, stage, for_stmt, du):
     lo, hi = for_stmt.lo, for_stmt.hi
-    if type(lo) is not str or type(hi) is not str or for_stmt.step != 1:
-        return False
-    if not for_stmt.body:
-        return False
     elem_deq = for_stmt.body[0]
-    if elem_deq.kind != "deq":
-        return False
     qe = elem_deq.queue
     # Bounds must each come from their own queue and be used only here.
-    defs = {}
-    for stmt in walk(stage.body):
-        for reg in stmt.defs():
-            defs.setdefault(reg, []).append(stmt)
-    lo_defs, hi_defs = defs.get(lo, []), defs.get(hi, [])
-    if len(lo_defs) != 1 or len(hi_defs) != 1:
+    lo_def, hi_def = du.single_def(lo), du.single_def(hi)
+    if lo_def is None or hi_def is None:
         return False
-    lo_def, hi_def = lo_defs[0], hi_defs[0]
     if lo_def.kind != "deq" or hi_def.kind != "deq" or lo_def.queue == hi_def.queue:
         return False
-    if _single_use(stage.body, lo, for_stmt) or _single_use(stage.body, hi, for_stmt):
-        return False
-    if for_stmt.var in set().union(*[set(s.uses()) for s in walk(for_stmt.body)] or [set()]):
+    for reg in (lo, hi):
+        if any(stmt is not for_stmt for stmt in du.uses.get(reg, ())):
+            return False
+    if any(for_stmt.var in s.uses() for s in walk(for_stmt.body)):
         return False
 
-    producer = _stage_of_queue_producer(pipeline, qe)
+    kind, idx = pipeline.queues[qe].producer
+    producer = pipeline.stage(idx) if kind == "stage" else None
     if producer is None:
         return False
     elem_enqs = _find_enqs(producer, qe)
     if not elem_enqs:
         return False
-    chain = _innermost_loop_chain(producer.body, elem_enqs[0])
+    chain = loop_chain(producer.body, elem_enqs[0])
     if not chain:
         return False
     gen_loop = chain[-1]
@@ -144,12 +104,12 @@ def _try_convert_loop(pipeline, stage, for_stmt):
     bounds_enqs = _find_enqs(producer, lo_def.queue) + _find_enqs(producer, hi_def.queue)
     if len(bounds_enqs) != 2:
         return False
-    _remove(producer.body, bounds_enqs)
+    remove(producer.body, bounds_enqs)
     container = find_container(producer.body, gen_loop)
     container.insert(container.index(gen_loop) + 1, S.EnqCtrl(qe, Ctrl(Ctrl.NEXT)))
 
     # Consumer: drop the bounds dequeues; For -> ctrl-terminated Loop.
-    _remove(stage.body, [lo_def, hi_def])
+    remove(stage.body, [lo_def, hi_def])
     ctl = "%c_q%d" % (qe, stage.index)
     new_body = [elem_deq, S.IsControl(ctl, elem_deq.dst), S.If(ctl, [S.Break(1)], [])]
     new_body.extend(for_stmt.body[1:])
@@ -188,8 +148,9 @@ def _try_collapse(pipeline, qe):
     spec = pipeline.queues[qe]
     if spec.consumer[0] != "stage":
         return False
-    consumer = next(s for s in pipeline.stages if s.index == spec.consumer[1])
-    producer = _stage_of_queue_producer(pipeline, qe)
+    consumer = pipeline.stage(spec.consumer[1])
+    kind, idx = spec.producer
+    producer = pipeline.stage(idx) if kind == "stage" else None
     if producer is None:
         return False
 
@@ -201,7 +162,7 @@ def _try_collapse(pipeline, qe):
             break
     if loop is None:
         return False
-    chain = _innermost_loop_chain(consumer.body, loop)
+    chain = loop_chain(consumer.body, loop)
     if not chain:
         return False
     outer = chain[-1]
@@ -220,7 +181,7 @@ def _try_collapse(pipeline, qe):
             break
     if marker is None:
         return False
-    m_chain = _innermost_loop_chain(producer.body, marker)
+    m_chain = loop_chain(producer.body, marker)
     if not m_chain:
         return False
     m_outer = m_chain[-1]
@@ -231,7 +192,7 @@ def _try_collapse(pipeline, qe):
 
     # Producer: one DONE after the outer generating loop instead of NEXT
     # per iteration.
-    _remove(producer.body, [marker])
+    remove(producer.body, [marker])
     container = find_container(producer.body, m_outer)
     container.insert(container.index(m_outer) + 1, S.EnqCtrl(qe, Ctrl(Ctrl.DONE)))
 

@@ -17,10 +17,6 @@ from .phases import prepare_phases
 from .split import split_at
 
 
-def _walk_positions(body):
-    return {id(stmt): pos for pos, stmt in enumerate(S.walk(body))}
-
-
 def _point_name(point):
     cls = point.cls
     if is_array_symbol(cls):
@@ -70,7 +66,7 @@ def decouple_function(function, num_points, capacity=24, point_indices=None, pro
             )
             cleanup_stage(stage)
             return pipeline, []
-        positions = _walk_positions(work.body)
+        positions = S.positions(work.body)
         chosen.sort(key=lambda p: positions[id(p.loads[0])])
 
         bodies = [work.body]

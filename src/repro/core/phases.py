@@ -17,19 +17,7 @@ and phase-level recomputation replicate into every stage.
 """
 
 from ..ir import stmts as S
-from ..ir.stmts import walk
-from .rewrite import substitute_uses
-
-
-def _phase_level_stmts(loop_body):
-    """Statements at phase level: directly in the body or under Ifs only."""
-    out = []
-    for stmt in loop_body:
-        out.append(stmt)
-        if stmt.kind == "if":
-            for block in stmt.blocks():
-                out.extend(_phase_level_stmts(block))
-    return out
+from ..ir.stmts import substitute_uses, walk, walk_phase_level
 
 
 def _nest_defined_regs(loop_body):
@@ -59,10 +47,8 @@ def apply_phase_transform(function, phase_loop):
     """
     body = phase_loop.body
     nest_defined = _nest_defined_regs(body)
-    phase_stmts = _phase_level_stmts(body)
-
     used_at_phase = set()
-    for stmt in phase_stmts:
+    for stmt in walk_phase_level(body):
         if stmt.kind in ("for", "loop"):
             continue
         used_at_phase.update(stmt.uses())

@@ -8,8 +8,9 @@ cloned pure scalars, other values it dequeues) and replaces the dequeue
 with the recomputation, deleting the queue.
 """
 
+from ..analysis.defs import DefUse
 from ..ir import stmts as S
-from ..ir.stmts import walk
+from ..ir.stmts import find_container, remove
 
 
 def _queue_ops(pipeline):
@@ -26,43 +27,16 @@ def _queue_ops(pipeline):
     return table
 
 
-def _defs_in(body):
-    defs = {}
-    for stmt in walk(body):
-        for reg in stmt.defs():
-            defs.setdefault(reg, []).append(stmt)
-    return defs
-
-
-def _remove_stmt(body, target):
-    removed = False
-    kept = []
-    for stmt in body:
-        if stmt is target:
-            removed = True
-            continue
-        for block in stmt.blocks():
-            if _remove_stmt(block, target):
-                removed = True
-        kept.append(stmt)
-    body[:] = kept
-    return removed
-
-
-def _replace_with(body, target, replacement):
-    for index, stmt in enumerate(body):
-        if stmt is target:
-            body[index] = replacement
-            return True
-        for block in stmt.blocks():
-            if _replace_with(block, target, replacement):
-                return True
-    return False
-
-
 def apply_recompute(pipeline):
     """Run the recompute pass over every producer/consumer queue pair."""
     table = _queue_ops(pipeline)
+    defuse = {}  # stage index -> DefUse of its body; cleared by every rewrite
+
+    def defs_of(stage):
+        if stage.index not in defuse:
+            defuse[stage.index] = DefUse(stage.body)
+        return defuse[stage.index].defs
+
     removed = []
     for qid, ops in sorted(table.items()):
         if "other" in ops or len(ops.get("enq", [])) != 1 or len(ops.get("deq", [])) != 1:
@@ -72,12 +46,11 @@ def apply_recompute(pipeline):
         reg = enq.value
         if type(reg) is not str:
             continue
-        prod_defs = _defs_in(prod_stage.body)
-        defining = prod_defs.get(reg, [])
+        defining = defs_of(prod_stage).get(reg, [])
         if len(defining) != 1 or defining[0].kind != "assign":
             continue
         definition = defining[0]
-        cons_defs = _defs_in(cons_stage.body)
+        cons_defs = defs_of(cons_stage)
         # Every operand must already exist in the consumer under the same
         # name (cloned pure scalars and dequeued values keep their names).
         available = True
@@ -90,11 +63,10 @@ def apply_recompute(pipeline):
             continue
         # Replace the consumer's Deq with the recomputation and drop the
         # producer's Enq + the queue.
-        recomputed = S.Assign(deq.dst, definition.op, list(definition.args))
-        if definition.dst != deq.dst and deq.dst != reg:
-            recomputed = S.Assign(deq.dst, definition.op, list(definition.args))
-        _replace_with(cons_stage.body, deq, recomputed)
-        _remove_stmt(prod_stage.body, enq)
+        holder = find_container(cons_stage.body, deq)
+        holder[holder.index(deq)] = S.Assign(deq.dst, definition.op, list(definition.args))
+        remove(prod_stage.body, [enq])
+        defuse.clear()
         del pipeline.queues[qid]
         removed.append(qid)
     if removed:

@@ -55,7 +55,7 @@ def _rewrite_producer(pipeline, qid):
     spec = pipeline.queues[qid]
     if spec.producer[0] != "stage":
         raise CompileError("distributed queue %d is fed by an RA" % qid)
-    producer = next(s for s in pipeline.stages if s.index == spec.producer[1])
+    producer = pipeline.stage(spec.producer[1])
 
     def rewrite(body):
         out = []

@@ -247,6 +247,44 @@ class PipelineProgram:
     def queue_ids(self):
         return sorted(self.queues)
 
+    def stage(self, index):
+        """The stage numbered ``index``, or None."""
+        for stage in self.stages:
+            if stage.index == index:
+                return stage
+        return None
+
+    def ra(self, raid):
+        """The RA numbered ``raid``, or None."""
+        for ra in self.ras:
+            if ra.raid == raid:
+                return ra
+        return None
+
+    def upstream(self, qid):
+        """Walk queue ``qid`` back through the RA chain feeding it.
+
+        Returns ``(stage, qid, ras)``: the stage producing the queue where
+        the walk stopped, that queue, and the RAs crossed on the way,
+        downstream first. ``stage`` is None when the chain ends at an
+        extern endpoint, a missing queue or RA, or loops back on itself.
+        """
+        ras = []
+        seen = set()
+        while True:
+            spec = self.queues.get(qid)
+            if spec is None or qid in seen:
+                return None, qid, ras
+            seen.add(qid)
+            kind, idx = spec.producer
+            if kind == "stage":
+                return self.stage(idx), qid, ras
+            ra = self.ra(idx) if kind == "ra" else None
+            if ra is None:
+                return None, qid, ras
+            ras.append(ra)
+            qid = ra.in_queue
+
     def clone(self):
         return PipelineProgram(
             self.name,

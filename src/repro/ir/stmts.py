@@ -11,7 +11,14 @@ in canonical order), ``READS``, ``WRITES`` and ``BODIES``. Everything a pass
 sees of a statement — ``uses()`` (registers read), ``defs()`` (registers
 written), sub-``blocks()`` and ``clone()`` — is read off that declaration,
 and so are the canonical serializer (:mod:`repro.ir.serialize`) and
-use-substitution (:func:`repro.core.rewrite.substitute_uses`).
+use-substitution (:func:`substitute_uses`).
+
+The queries every pass and analyzer runs over the tree live here once, after
+the statement kinds: walks (:func:`walk`, :func:`walk_with_depth`,
+:func:`walk_phase_level`), preorder :func:`positions`, the list holding a
+statement (:func:`find_container`), its enclosing loops
+(:func:`loop_chain`), and the in-place rewrites :func:`remove` and
+:func:`substitute_uses`.
 """
 
 from . import ops
@@ -422,6 +429,82 @@ def walk_with_depth(body, depth=0):
                 yield pair
 
 
+def walk_phase_level(body):
+    """Yield the statements of ``body`` and of the Ifs in it, pre-order,
+    without entering loops (a loop itself is yielded)."""
+    for stmt in body:
+        yield stmt
+        if stmt.kind == "if":
+            for block in stmt.blocks():
+                for inner in walk_phase_level(block):
+                    yield inner
+
+
+def positions(body):
+    """``{id(stmt): pre-order index}`` over the whole tree."""
+    return {id(stmt): pos for pos, stmt in enumerate(walk(body))}
+
+
 def count_stmts(body):
     """Total number of statements in the region tree."""
     return sum(1 for _ in walk(body))
+
+
+def find_container(body, target):
+    """The statement list directly holding ``target`` (by identity), or None."""
+    for stmt in body:
+        if stmt is target:
+            return body
+    for stmt in body:
+        for block in stmt.blocks():
+            found = find_container(block, target)
+            if found is not None:
+                return found
+    return None
+
+
+def loop_chain(body, target, chain=()):
+    """Loop statements enclosing ``target``, outermost first, or None."""
+    for stmt in body:
+        if stmt is target:
+            return chain
+        for block in stmt.blocks():
+            ext = chain + (stmt,) if stmt.kind in ("for", "loop") else chain
+            found = loop_chain(block, target, ext)
+            if found is not None:
+                return found
+    return None
+
+
+def remove(body, victims):
+    """Delete every statement in ``victims`` (by identity) from the tree, in place."""
+    ids = {id(stmt) for stmt in victims}
+
+    def sweep(block):
+        kept = []
+        for stmt in block:
+            if id(stmt) in ids:
+                continue
+            for inner in stmt.blocks():
+                sweep(inner)
+            kept.append(stmt)
+        block[:] = kept
+
+    sweep(body)
+
+
+def substitute_uses(body, mapping):
+    """Replace register *uses* per ``mapping`` throughout ``body`` (in place).
+
+    Definitions are left untouched, so renaming a value's consumers away
+    from a multiply-defined register is safe.
+    """
+    for stmt in body:
+        for field in stmt.READS:
+            value = getattr(stmt, field)
+            if type(value) is list:
+                setattr(stmt, field, [mapping.get(a, a) if type(a) is str else a for a in value])
+            elif type(value) is str and value in mapping:
+                setattr(stmt, field, mapping[value])
+        for block in stmt.blocks():
+            substitute_uses(block, mapping)

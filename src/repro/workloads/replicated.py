@@ -419,16 +419,6 @@ BUILDERS = {
     "radii": radii_replicated,
 }
 
-#: Hand-tuned replicated variants. For these apps the hand and compiler
-#: structures coincide (the paper's tweaks — e.g. PRD's double replication —
-#: are noted as deviations in EXPERIMENTS.md).
-MANUAL_BUILDERS = {
-    "bfs": bfs_replicated,
-    "cc": cc_replicated,
-    "prd": prd_replicated,
-    "radii": radii_replicated,
-}
-
 
 # ---------------------------------------------------------------------------
 # Environments: shared global arrays + per-replica fringes

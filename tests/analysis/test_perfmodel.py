@@ -2,9 +2,8 @@
 
 Three halves mirror the model's contract (DESIGN.md Sec. 8):
 
-* shape and advisory tests on compiled pipelines — report structure,
-  stable PHL4xx codes, and the advisory-only guarantee (the analyzer
-  never changes what the compiler produces or how it is cached);
+* shape and advisory tests on compiled pipelines — report structure and
+  stable PHL4xx codes;
 * the pinned conformance sweep: on every shipped kernel — compiled,
   manual, data-parallel, and TACO-lowered — the predicted bottleneck
   stage must match the simulator's busiest stage (tie-aware, see
@@ -30,7 +29,6 @@ from repro.analysis.perfmodel import (
 from repro.core.autotune import gmean, search_pipelines
 from repro.core.compiler import CompileOptions, compile_c, compile_function
 from repro.diag import CODES, ERROR
-from repro.ir import format_pipeline
 from repro.obs.search import SearchRecorder
 from repro.pipette.config import SCALED_1CORE
 from repro.runtime.executor import run_pipeline, run_serial
@@ -196,38 +194,6 @@ def test_advisories_append_to_existing_set():
     assert out is diags
     assert "PHL101" in [d.code for d in diags]
     assert "PHL401" in [d.code for d in diags]
-
-
-# ---------------------------------------------------------------------------
-# Advisory-only guarantee
-
-
-def test_perf_lints_never_change_the_compiled_pipeline():
-    mod = ALL_BENCHMARKS["bfs"]
-    plain = compile_function(mod.function(), options=CompileOptions())
-    analyzed = compile_function(
-        mod.function(), options=CompileOptions(perf_lints=True)
-    )
-    assert format_pipeline(analyzed) == format_pipeline(plain)
-
-
-def test_perf_lints_not_in_cache_key():
-    assert (
-        CompileOptions(perf_lints=True).cache_key()
-        == CompileOptions().cache_key()
-    )
-
-
-def test_perf_lints_never_change_simulation(graph):
-    mod = ALL_BENCHMARKS["bfs"]
-    arrays, scalars = mod.make_env(graph)
-    plain = compile_function(mod.function(), options=CompileOptions())
-    analyzed = compile_function(
-        mod.function(), options=CompileOptions(perf_lints=True)
-    )
-    r1 = run_pipeline(plain, dict(arrays), dict(scalars), config=SCALED_1CORE)
-    r2 = run_pipeline(analyzed, dict(arrays), dict(scalars), config=SCALED_1CORE)
-    assert r1.cycles == r2.cycles
 
 
 # ---------------------------------------------------------------------------

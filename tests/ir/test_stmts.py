@@ -3,9 +3,8 @@
 import pytest
 
 from repro import ir
-from repro.core.rewrite import substitute_uses
 from repro.diag import Span
-from repro.ir.stmts import Stmt
+from repro.ir.stmts import Stmt, substitute_uses
 
 
 def _spanned(stmt, line):
