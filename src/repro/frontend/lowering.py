@@ -49,6 +49,28 @@ _BINOP_MAP = {
 
 _BOOL_PRODUCING = frozenset(["<", "<=", ">", ">=", "==", "!=", "&&", "||"])
 
+_SIDE_EFFECTS = (cast.Assign, cast.IncDec, cast.CallExpr)
+
+
+def _is_pure(expr):
+    """True if evaluating ``expr`` has no side effects."""
+    return not any(type(node) in _SIDE_EFFECTS for node in cast.walk(expr))
+
+
+def _mutated_names(body):
+    """Every variable ``body`` declares or assigns, conditions and initializers included."""
+    names = set()
+    for node in cast.walk(*body):
+        if type(node) is cast.VarDecl:
+            names.add(node.name)
+        elif type(node) in (cast.Assign, cast.IncDec) and type(node.target) is cast.Name:
+            names.add(node.target.ident)
+    return names
+
+
+def _expr_names(expr):
+    return {node.ident for node in cast.walk(expr) if type(node) is cast.Name}
+
 
 class _Symbols:
     SCALAR = "scalar"
@@ -85,20 +107,6 @@ class Lowerer:
         """The diag Span of an AST node, or None when the parser lost it."""
         line = getattr(node, "line", None)
         return Span(line) if line is not None else None
-
-    def _is_pure(self, expr):
-        """True if evaluating ``expr`` has no side effects."""
-        if isinstance(expr, (cast.Name, cast.Number)):
-            return True
-        if isinstance(expr, cast.Unary):
-            return self._is_pure(expr.operand)
-        if isinstance(expr, cast.Binary):
-            return self._is_pure(expr.lhs) and self._is_pure(expr.rhs)
-        if isinstance(expr, cast.Ternary):
-            return self._is_pure(expr.cond) and self._is_pure(expr.then_expr) and self._is_pure(expr.else_expr)
-        if isinstance(expr, cast.Index):
-            return self._is_pure(expr.base) and self._is_pure(expr.index)
-        return False  # Assign, IncDec, CallExpr
 
     def _as_bool(self, expr, operand):
         """Normalize a lowered operand to 0/1 when its AST shape isn't boolean."""
@@ -340,9 +348,10 @@ class Lowerer:
     def _match_affine_for(self, node):
         """Recognize ``for (v = lo; v < hi; v += step)`` headers.
 
-        Returns ``(var, lo_expr, hi_expr, step)`` or None. The bound must not
-        be reassigned inside the body (C re-evaluates it every iteration; the IR
-        ``For`` evaluates it once), and the body must not touch ``v``.
+        Returns ``(var, lo_expr, hi_expr, step)`` or None. C re-evaluates the
+        bound every iteration and the IR ``For`` evaluates it once, so the
+        bound must be pure and nothing in the body, conditions and
+        initializers included, may write it; nor may the body touch ``v``.
         """
         if len(node.init) != 1 or node.cond is None or node.post is None:
             return None
@@ -367,6 +376,7 @@ class Lowerer:
             and cond.op == "<"
             and isinstance(cond.lhs, cast.Name)
             and cond.lhs.ident == var
+            and _is_pure(cond.rhs)
         ):
             return None
         hi_expr = cond.rhs
@@ -387,83 +397,13 @@ class Lowerer:
         if step <= 0:
             return None
 
-        mutated = self._mutated_names(node.body)
+        mutated = _mutated_names(node.body)
         if var in mutated:
             return None
-        for name in self._expr_names(hi_expr) | self._expr_names(lo_expr):
+        for name in _expr_names(hi_expr) | _expr_names(lo_expr):
             if name in mutated:
                 return None
         return var, lo_expr, hi_expr, step
-
-    def _mutated_names(self, body):
-        names = set()
-
-        def visit_expr(expr):
-            if isinstance(expr, cast.Assign):
-                if isinstance(expr.target, cast.Name):
-                    names.add(expr.target.ident)
-                visit_expr(expr.value)
-            elif isinstance(expr, cast.IncDec):
-                if isinstance(expr.target, cast.Name):
-                    names.add(expr.target.ident)
-            elif isinstance(expr, cast.Binary):
-                visit_expr(expr.lhs)
-                visit_expr(expr.rhs)
-            elif isinstance(expr, cast.Unary):
-                visit_expr(expr.operand)
-            elif isinstance(expr, cast.Ternary):
-                visit_expr(expr.cond)
-                visit_expr(expr.then_expr)
-                visit_expr(expr.else_expr)
-            elif isinstance(expr, cast.CallExpr):
-                for a in expr.args:
-                    visit_expr(a)
-            elif isinstance(expr, cast.Index):
-                visit_expr(expr.index)
-
-        def visit_stmt(stmt):
-            if isinstance(stmt, cast.VarDecl):
-                names.add(stmt.name)
-            elif isinstance(stmt, cast.ExprStmt):
-                visit_expr(stmt.expr)
-            elif isinstance(stmt, cast.IfStmt):
-                for s in stmt.then_body:
-                    visit_stmt(s)
-                for s in stmt.else_body:
-                    visit_stmt(s)
-            elif isinstance(stmt, cast.WhileStmt):
-                for s in stmt.body:
-                    visit_stmt(s)
-            elif isinstance(stmt, cast.ForStmt):
-                for s in stmt.init:
-                    visit_stmt(s)
-                if stmt.post is not None:
-                    visit_expr(stmt.post)
-                for s in stmt.body:
-                    visit_stmt(s)
-
-        for stmt in body:
-            visit_stmt(stmt)
-        return names
-
-    def _expr_names(self, expr):
-        names = set()
-        stack = [expr]
-        while stack:
-            e = stack.pop()
-            if isinstance(e, cast.Name):
-                names.add(e.ident)
-            elif isinstance(e, cast.Binary):
-                stack.extend([e.lhs, e.rhs])
-            elif isinstance(e, cast.Unary):
-                stack.append(e.operand)
-            elif isinstance(e, cast.Ternary):
-                stack.extend([e.cond, e.then_expr, e.else_expr])
-            elif isinstance(e, cast.Index):
-                stack.extend([e.base, e.index])
-            elif isinstance(e, cast.CallExpr):
-                stack.extend(e.args)
-        return names
 
     # -- expressions -----------------------------------------------------------
 
@@ -488,7 +428,7 @@ class Lowerer:
         if isinstance(node, cast.Binary):
             return self.lower_binary(node)
         if isinstance(node, cast.Ternary):
-            if not self._is_pure(node):
+            if not _is_pure(node):
                 self.error(node, "?: with side effects is not supported")
             cond = self._as_bool(node.cond, self.lower_expr(node.cond))
             a = self.lower_expr(node.then_expr)
@@ -510,7 +450,7 @@ class Lowerer:
 
     def lower_binary(self, node):
         if node.op in ("&&", "||"):
-            if not self._is_pure(node):
+            if not _is_pure(node):
                 self.error(node, "%s with side effects is not supported" % node.op)
             lhs = self._as_bool(node.lhs, self.lower_expr(node.lhs))
             rhs = self._as_bool(node.rhs, self.lower_expr(node.rhs))

@@ -298,11 +298,12 @@ class Parser:
 
     def parse_ternary(self):
         cond = self.parse_binary(1)
-        if self.accept("punct", "?"):
+        tok = self.accept("punct", "?")
+        if tok is not None:
             then_expr = self.parse_assignment()
             self.expect("punct", ":")
             else_expr = self.parse_assignment()
-            return cast.Ternary(cond, then_expr, else_expr)
+            return cast.Ternary(cond, then_expr, else_expr, tok.line)
         return cond
 
     def parse_binary(self, min_prec):
@@ -331,7 +332,7 @@ class Parser:
             if tok.value == "~":
                 self.advance()
                 # ~x == -x - 1 on two's-complement ints.
-                return cast.Binary("-", cast.Unary("neg", self.parse_unary(), tok.line), cast.Number(1), tok.line)
+                return cast.Binary("-", cast.Unary("neg", self.parse_unary(), tok.line), cast.Number(1, tok.line), tok.line)
             if tok.value == "+":
                 self.advance()
                 return self.parse_unary()

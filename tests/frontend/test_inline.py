@@ -114,6 +114,37 @@ def test_name_collisions_avoided(tiny_config):
     assert result.arrays["out"] == [106]
 
 
+_BUMP = """
+int bump(int* restrict a, int i) { a[i] = a[i] + 1; return 1; }
+void driver(int* restrict a, int* restrict out, int n) {
+  %s
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "body, op",
+    [
+        ("if (n > 5 && bump(a, 0)) { out[0] = 1; }", "&&"),
+        ("if (n < 5 || bump(a, 0)) { out[0] = 1; }", r"\|\|"),
+        ("int t = n > 5 ? bump(a, 0) : 0;", r"\?:"),
+        ("int t = n > 5 ? 0 : bump(a, 0);", r"\?:"),
+    ],
+)
+def test_conditional_operand_call_not_hoisted(body, op):
+    """C may skip these operands, so hoisting the call would run it anyway."""
+    with pytest.raises(LoweringError, match=r"^line 4:\d+: %s with side effects" % op):
+        compile_source(_BUMP % body, name="driver")
+
+
+def test_unconditional_operand_call_inlined(tiny_config):
+    src = _BUMP % "if (bump(a, 0) && n > 5) { out[0] = 1; } out[1] = bump(a, 1) ? 2 : 3;"
+    f = compile_source(src, name="driver")
+    result = run_serial(f, {"a": [0, 0], "out": [0, 0]}, {"n": 1}, config=tiny_config)
+    assert result.arrays["a"] == [1, 1]
+    assert result.arrays["out"] == [0, 2]
+
+
 def test_arg_count_mismatch():
     src = """
     int f(int a, int b) { return a; }

@@ -5,6 +5,7 @@ import pytest
 from repro import ir
 from repro.errors import LoweringError
 from repro.frontend import compile_source
+from repro.runtime import run_serial
 
 
 def _lower(body_src, params="const int* restrict a, int* restrict out, int n"):
@@ -55,6 +56,39 @@ def test_for_with_mutated_bound_falls_back():
     assert "loop" in kinds and "for" not in kinds
 
 
+# C re-evaluates `i < n` every iteration; each body shrinks n once per
+# iteration from a condition or an initializer, so n = 10 stops after i = 4.
+_SHRINKING_BOUND = [1, 2, 3, 4, 5, 0, 0, 0, 0, 0]
+
+
+@pytest.mark.parametrize(
+    "shrink",
+    [
+        "if ((n = n - 1) > 100) { out[0] = 7; }",
+        "while (n-- > 100) { out[0] = 7; }",
+        "int t = (n = n - 1);",
+    ],
+    ids=["if-condition", "while-condition", "initializer"],
+)
+def test_bound_written_in_condition_or_initializer(shrink, tiny_config):
+    f = compile_source(
+        "void k(int* restrict out, int n) {"
+        " for (int i = 0; i < n; i++) { %s out[i] = i + 1; } }" % shrink
+    )
+    assert "for" not in _kinds(f.body)
+    result = run_serial(f, {"out": [0] * 10}, {"n": 10}, config=tiny_config)
+    assert result.arrays["out"] == _SHRINKING_BOUND
+
+
+def test_side_effecting_bound_falls_back(tiny_config):
+    f = compile_source(
+        "void k(int* restrict out, int n) { for (int i = 0; i < n--; i++) out[i] = 1; }"
+    )
+    assert "for" not in _kinds(f.body)
+    result = run_serial(f, {"out": [0] * 10}, {"n": 10}, config=tiny_config)
+    assert result.arrays["out"] == [1] * 5 + [0] * 5
+
+
 def test_while_lowering_shape():
     f = _lower("int i = 0; while (i < n) { i = i + 1; }")
     loop = f.body[1]
@@ -83,6 +117,12 @@ def test_logical_and_pure():
 def test_logical_with_side_effects_rejected():
     with pytest.raises(LoweringError, match="side effects"):
         _lower("if (n > 0 && f(n)) { out[0] = 1; }")
+
+
+def test_side_effect_diagnostics_carry_the_line():
+    for expr, op in (("n > 0 && f(n)", "&&"), ("n > 0 ? f(n) : 1", r"\?:")):
+        with pytest.raises(LoweringError, match=r"^line 2:\d+: %s with side effects" % op):
+            compile_source("void k(int* restrict out, int n) {\n  out[0] = %s;\n}" % expr)
 
 
 def test_ternary_becomes_select():

@@ -46,6 +46,14 @@ def test_precedence_compare_over_and():
 def test_ternary():
     e = _expr("a ? b : c")
     assert isinstance(e, cast.Ternary)
+    assert e.line == 1
+
+
+def test_bitwise_not_nodes_carry_the_line():
+    (fn,) = parse("void k(int n) {\n  n = ~n;\n}")
+    e = fn.body[0].expr.value
+    assert isinstance(e.rhs, cast.Number) and e.rhs.value == 1
+    assert (e.line, e.lhs.line, e.rhs.line) == (2, 2, 2)
 
 
 def test_unary_chain():

@@ -1,10 +1,11 @@
-"""Property tests: random mini-C expressions agree with a Python oracle.
+"""Property tests: random mini-C expressions and loops agree with a Python oracle.
 
 Exercises the lexer, parser, lowering, and interpreter end to end on
 generated source text — the closest thing to differential testing against
 a real C compiler that an offline environment allows. The generator
-produces an expression *tree* rendered twice: once as C (compiled and
-simulated) and once as Python (evaluated directly).
+produces an expression *tree* (or a loop body of statements) rendered
+twice: once as C (compiled and simulated) and once as Python (evaluated
+directly, under C's evaluation order).
 """
 
 from hypothesis import given, settings
@@ -110,3 +111,103 @@ def test_expression_in_branch_condition(tree, p0, p1):
     result = machine.run(RunSpec(serial_pipeline(function), {"out": [0]}, env))
     expected = 1 if eval_tree(tree, env) else 2
     assert result.arrays()["out"][0] == expected
+
+
+# -- statements: side effects in conditions and initializers ----------------
+#
+# A side effect is ``(var, form, k)`` on the loop bound ``n`` or on ``x``:
+# ``var++``/``var--`` (form "post", k = +-1), ``++var``/``--var`` ("pre"),
+# or ``(var = var + k)`` ("set"). ``n`` only ever shrinks, so ``out[i]``
+# stays in bounds; a ``while`` condition only ever shrinks its variable, so
+# the ``while`` ends.
+
+
+@st.composite
+def side_effects(draw, shrinking=False):
+    var = draw(st.sampled_from(["n", "x"]))
+    form = draw(st.sampled_from(["post", "pre", "set"]))
+    if form == "set":
+        k = draw(st.integers(-3, -1) if shrinking or var == "n" else st.integers(-3, 3))
+    else:
+        k = -1 if shrinking or var == "n" else draw(st.sampled_from([-1, 1]))
+    return (var, form, k)
+
+
+@st.composite
+def loop_bodies(draw):
+    """1-3 statements, each hiding a side effect in a condition or initializer."""
+    body = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["if", "while", "decl"]))
+        if kind == "while":
+            body.append(("while", draw(side_effects(shrinking=True)), draw(st.integers(-5, 5))))
+        elif kind == "if":
+            body.append(("if", draw(side_effects()), draw(st.integers(-5, 5)), draw(st.integers(-3, 3))))
+        else:
+            body.append(("decl", draw(side_effects())))
+    return body
+
+
+def render_effect(effect):
+    var, form, k = effect
+    if form == "set":
+        return "(%s = %s + (%d))" % (var, var, k)
+    op = "++" if k > 0 else "--"
+    return op + var if form == "pre" else var + op
+
+
+def eval_effect(effect, env):
+    var, form, k = effect
+    old = env[var]
+    env[var] = old + k
+    return old if form == "post" else env[var]
+
+
+def render_stmt(stmt, j):
+    if stmt[0] == "if":
+        return "if (%s > (%d)) { x = x + (%d); }" % (render_effect(stmt[1]), stmt[2], stmt[3])
+    if stmt[0] == "while":
+        return "while (%s > (%d)) { w = w + 1; }" % (render_effect(stmt[1]), stmt[2])
+    return "int t%d = %s; s = s + t%d;" % (j, render_effect(stmt[1]), j)
+
+
+def run_body(body, n, x):
+    """The ``out`` C computes for :func:`loop_source`, evaluated in Python."""
+    env = {"n": n, "x": x, "w": 0, "s": 0}
+    out = [0] * n
+    i = 0
+    while i < env["n"]:
+        for stmt in body:
+            if stmt[0] == "if":
+                if eval_effect(stmt[1], env) > stmt[2]:
+                    env["x"] += stmt[3]
+            elif stmt[0] == "while":
+                while eval_effect(stmt[1], env) > stmt[2]:
+                    env["w"] += 1
+            else:
+                env["s"] += eval_effect(stmt[1], env)
+        out[i] = env["x"] + env["w"] + env["s"]
+        i += 1
+    return out
+
+
+def loop_source(body):
+    return """
+    void k(int* restrict out, int n, int x) {
+      int w = 0;
+      int s = 0;
+      for (int i = 0; i < n; i++) {
+        %s
+        out[i] = x + w + s;
+      }
+    }
+    """ % "\n        ".join(render_stmt(stmt, j) for j, stmt in enumerate(body))
+
+
+@settings(max_examples=60, deadline=None)
+@given(loop_bodies(), st.integers(1, 8), st.integers(-6, 6))
+def test_loop_with_effects_in_conditions_matches_python(body, n, x):
+    function = compile_source(loop_source(body))
+    machine = Machine(MachineConfig())
+    result = machine.run(RunSpec(serial_pipeline(function), {"out": [0] * n}, {"n": n, "x": x}))
+    assert result.arrays()["out"] == run_body(body, n, x)
