@@ -37,7 +37,7 @@ DEMO_VARIANTS = ("serial", "data-parallel", "phloem-static", "manual")
 def _compile_options(req):
     """The ``CompileOptions`` of an ``emit``/``lint`` request (``passes`` is
     CLI-style: None = all, else comma-separated names)."""
-    from ..core.compiler import ALL_PASSES, CompileOptions
+    from ..core.options import ALL_PASSES, CompileOptions
 
     passes = ALL_PASSES if req.passes is None else tuple(p for p in req.passes.split(",") if p)
     return CompileOptions(num_stages=req.stages, passes=passes, verify_each=req.verify_each)
@@ -75,7 +75,7 @@ def runner(request_cls):
 
 @runner(requests.CompileRequest)
 def _run_emit(req):
-    from ..core.compiler import pipeline_summary
+    from ..core.options import pipeline_summary
 
     # All four formats render the one memoized pipeline.
     pipeline = cache.cached_compile_source(req.source, req.name, _compile_options(req))
@@ -83,7 +83,7 @@ def _run_emit(req):
     if req.fmt == "summary":
         print(summary)
     elif req.fmt == "ir":
-        from ..ir import format_pipeline
+        from ..ir.printer import format_pipeline
 
         print(format_pipeline(pipeline))
     elif req.fmt == "diagram":
@@ -159,7 +159,7 @@ def _run_lint(req):
 @runner(requests.RunRequest)
 def _run_demo(req):
     from ..bench.harness import adapter_for, run_suite
-    from ..core.compiler import CompileOptions, pipeline_summary
+    from ..core.options import CompileOptions, pipeline_summary
     from ..pipette.config import SCALED_1CORE
 
     item = _demo_input(req.bench, req.size, req.seed)
@@ -186,7 +186,7 @@ def _run_search(req):
     from ..bench.harness import adapter_for, profile_guided_pipeline
     from ..bench.report import render_distribution
     from ..core.autotune import speedup_distribution
-    from ..core.compiler import pipeline_summary
+    from ..core.options import pipeline_summary
     from ..pipette.config import SCALED_1CORE
     from ..workloads import datasets
 
@@ -273,7 +273,8 @@ def _run_figures(req):
 def _run_trace(req):
     from .. import obs
     from ..bench.harness import adapter_for
-    from ..core.compiler import CompileOptions, compile_function, pipeline_summary
+    from ..core.compiler import compile_function
+    from ..core.options import CompileOptions, pipeline_summary
     from ..pipette.config import SCALED_1CORE
     from ..runtime.executor import run_pipeline
 
@@ -329,7 +330,8 @@ def _run_trace(req):
 def _run_metrics(req):
     from .. import obs
     from ..bench.harness import adapter_for, run_suite
-    from ..core.compiler import CompileOptions, compile_function
+    from ..core.compiler import compile_function
+    from ..core.options import CompileOptions
     from ..pipette.config import SCALED_1CORE
 
     adapter = adapter_for(req.bench)

@@ -1,13 +1,16 @@
 """Typed, versioned request/response values for the compile-and-simulate API.
 
 Every CLI verb (and every daemon job) is described by one frozen-shape
-request dataclass (a :class:`Request` subclass) and answered by one
-:class:`Response` dataclass. The request class is the *only* declaration
-of its verb: it carries the verb, its subcommand path, its ``--help`` line
-and its response class, and each field carries its default plus its CLI
-spelling (:func:`arg`). The argparse subparser, the argv -> request
-builder and the wire-payload checks are all read off that one table, so
-they cannot disagree. This module imports no toolchain code.
+request class (a :class:`Request` subclass) and answered by one
+:class:`Response` class. The request class is the *only* declaration of
+its verb: it carries the verb, its subcommand path, its ``--help`` line
+and its response class, and each annotated field carries its default plus
+its CLI spelling (:func:`arg`). The argparse subparser, the argv ->
+request builder and the wire-payload checks are all read off that one
+table, so they cannot disagree. Every cold ``repro emit`` loads this
+module, so it imports no toolchain code and no :mod:`dataclasses`:
+:class:`Message` reads each class's annotated fields once, when the class
+is defined.
 
 Both sides are plain JSON-serializable data
 following the ``repro.obs/run-record`` and ``repro.bench/perf-record``
@@ -30,9 +33,6 @@ carries the structured stream (RunRecords, diagnostics, perf records)
 that the daemon forwards as JSONL messages as they become available.
 """
 
-import dataclasses
-from dataclasses import dataclass, field
-
 from ..errors import PhloemError
 
 #: Schema identities stamped on every wire object.
@@ -50,12 +50,82 @@ class ApiError(PhloemError):
     """A malformed or unsupported API request/response wire object."""
 
 
+class Field:
+    """One declared field of a :class:`Message`: its ``default`` and, for a
+    request, its CLI spelling (``metadata``, see :func:`arg`). The class
+    body's annotation gives its ``name`` and ``type``."""
+
+    __slots__ = ("name", "type", "default", "metadata")
+
+    def __init__(self, default=None, metadata=None):
+        self.default = default
+        self.metadata = metadata or {}
+
+
+class Message:
+    """Base of requests and responses: a plain value whose fields are its
+    class's annotated attributes, ``name: type = default`` (or ``=
+    arg(...)``), inherited fields first.
+
+    ``__init_subclass__`` reads them once into :attr:`FIELDS`, and the
+    keyword constructor, ``==``, :meth:`replace` and the wire payload
+    (:meth:`fields`) all read that tuple. A ``tuple`` field holds a tuple
+    however it arrived (argv list, JSON list); a ``list`` default is copied
+    per instance.
+    """
+
+    FIELDS = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = []
+        for name, annotation in cls.__dict__.get("__annotations__", {}).items():
+            declared = cls.__dict__[name]
+            f = declared if isinstance(declared, Field) else Field(declared)
+            f.name, f.type = name, annotation
+            setattr(cls, name, f.default)
+            own.append(f)
+        cls.FIELDS = cls.FIELDS + tuple(own)
+
+    def __init__(self, **values):
+        for f in self.FIELDS:
+            value = values.pop(f.name, f.default)
+            if f.type is tuple:
+                value = tuple(value)
+            elif value is f.default and type(value) is list:
+                value = list(value)
+            setattr(self, f.name, value)
+        if values:
+            raise TypeError(
+                "%s() got an unexpected keyword argument %r" % (type(self).__name__, min(values))
+            )
+
+    def fields(self):
+        """``{name: value}`` of every field, in declaration order (shallow:
+        the values are this message's own)."""
+        return {f.name: getattr(self, f.name) for f in self.FIELDS}
+
+    def replace(self, **changes):
+        """A copy with ``changes`` applied."""
+        return type(self)(**dict(self.fields(), **changes))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.fields() == other.fields()
+
+    def __repr__(self):
+        return "%s(%s)" % (
+            type(self).__qualname__,
+            ", ".join("%s=%r" % item for item in self.fields().items()),
+        )
+
+
 # ---------------------------------------------------------------------------
 # Responses
 
 
-@dataclass
-class Response:
+class Response(Message):
     """Base response: the one-shot result of any verb.
 
     ``output`` is the verb's stdout payload, byte-identical to the
@@ -69,7 +139,7 @@ class Response:
     verb: str = ""
     exit_code: int = 0
     output: str = ""
-    records: list = field(default_factory=list)
+    records: list = []
     cache: dict = None
     error: dict = None
 
@@ -88,7 +158,7 @@ class Response:
             "schema": RESPONSE_SCHEMA,
             "version": API_VERSION,
             "type": type(self).__name__,
-            "payload": dataclasses.asdict(self),
+            "payload": self.fields(),
         }
 
     @staticmethod
@@ -100,18 +170,16 @@ class Response:
             raise ApiError("not a %s object (schema=%r)" % (RESPONSE_SCHEMA, wire.get("schema")))
         cls = RESPONSE_TYPES.get(wire.get("type"), Response)
         payload = wire.get("payload") or {}
-        names = {f.name for f in dataclasses.fields(cls)}
+        names = {f.name for f in cls.FIELDS}
         return cls(**{k: v for k, v in payload.items() if k in names})
 
 
-@dataclass
 class CompileResponse(Response):
     """``emit`` result; ``summary`` is the one-line pipeline description."""
 
     summary: str = None
 
 
-@dataclass
 class LintResponse(Response):
     """``lint`` result; ``records`` are the diagnostics, with totals here."""
 
@@ -119,46 +187,39 @@ class LintResponse(Response):
     warnings: int = 0
 
 
-@dataclass
 class RunResponse(Response):
     """``demo`` result; ``speedup`` is phloem-static over serial."""
 
     speedup: float = None
 
 
-@dataclass
 class SearchResponse(Response):
     """``search`` result; ``best`` summarizes the winning candidate."""
 
     best: dict = None
 
 
-@dataclass
 class FiguresResponse(Response):
     """``figures`` result; the RunRecords of every figure that ran ride in
     ``records``."""
 
 
-@dataclass
 class TraceResponse(Response):
     """``trace`` result; ``cycles`` is the traced pipeline's cycle count."""
 
     cycles: float = None
 
 
-@dataclass
 class MetricsResponse(Response):
     """``metrics`` result; the RunRecords ride in ``records``."""
 
 
-@dataclass
 class BenchPerfResponse(Response):
     """``bench perf`` result; ``aggregate`` is the headline speedup rollup."""
 
     aggregate: dict = None
 
 
-@dataclass
 class ReportResponse(Response):
     """``report`` result; ``summary`` is the schema-stamped section census."""
 
@@ -192,7 +253,7 @@ def arg(default=None, help=None, **spelling):
       in for the field; the class's ``from_args`` folds them into a value;
     * ``cli=False`` — a wire-only field with no flag at all.
     """
-    return field(default=default, metadata=dict(spelling, help=help))
+    return Field(default, dict(spelling, help=help))
 
 
 def _choices(f):
@@ -225,8 +286,7 @@ def _check_wire(verb, f, value):
     return value
 
 
-@dataclass
-class Request:
+class Request(Message):
     """Base request: the argv and wire (de)serialization shared by every verb.
 
     A subclass sets :attr:`VERB`, :attr:`HELP` and :attr:`RESPONSE` and
@@ -252,16 +312,10 @@ class Request:
         if cls.VERB is not None:
             REQUEST_TYPES[cls.VERB] = cls
 
-    def __post_init__(self):
-        # A sequence field is a tuple however it arrived (argv list, JSON list).
-        for f in dataclasses.fields(self):
-            if f.type is tuple:
-                setattr(self, f.name, tuple(getattr(self, f.name)))
-
     @classmethod
     def _cli_fields(cls):
         """``(field, argparse name)`` for every field argv can set."""
-        for f in dataclasses.fields(cls):
+        for f in cls.FIELDS:
             if f.metadata.get("cli", True):
                 positional = f.metadata.get("positional")
                 derived = f.name if positional else "--" + f.name.replace("_", "-")
@@ -304,7 +358,7 @@ class Request:
             "schema": REQUEST_SCHEMA,
             "version": API_VERSION,
             "verb": self.VERB,
-            "payload": dataclasses.asdict(self),
+            "payload": self.fields(),
         }
 
     @staticmethod
@@ -336,7 +390,7 @@ class Request:
         return cls(
             **{
                 f.name: _check_wire(verb, f, payload[f.name])
-                for f in dataclasses.fields(cls)
+                for f in cls.FIELDS
                 if f.name in payload
             }
         )
@@ -360,7 +414,6 @@ BASELINE_FILE = "BENCH_pipette.json"
 QUIET_HELP = "silence stderr telemetry"
 
 
-@dataclass
 class CompileRequest(Request):
     """``repro emit``: compile mini-C source and render the pipeline.
 
@@ -391,7 +444,6 @@ class CompileRequest(Request):
         return request
 
 
-@dataclass
 class LintRequest(Request):
     """``repro lint``: static pipeline-safety diagnostics for kernels.
 
@@ -430,7 +482,6 @@ class LintRequest(Request):
         return request
 
 
-@dataclass
 class _SyntheticInputRequest(Request):
     """The fields of the verbs that run one benchmark on one synthetic input."""
 
@@ -440,7 +491,6 @@ class _SyntheticInputRequest(Request):
     stages: int = arg(4)
 
 
-@dataclass
 class RunRequest(_SyntheticInputRequest):
     """``repro demo``: one benchmark, all comparison variants, one input."""
 
@@ -449,7 +499,6 @@ class RunRequest(_SyntheticInputRequest):
     RESPONSE = RunResponse
 
 
-@dataclass
 class SearchRequest(Request):
     """``repro search``: the profile-guided pipeline search."""
 
@@ -465,7 +514,6 @@ class SearchRequest(Request):
     )
 
 
-@dataclass
 class FiguresRequest(Request):
     """``repro figures``: regenerate evaluation figures from the registry
     (:data:`repro.bench.experiments.FIGURES`); no names = the seven paper
@@ -484,7 +532,6 @@ class FiguresRequest(Request):
     )
 
 
-@dataclass
 class TraceRequest(_SyntheticInputRequest):
     """``repro trace``: one traced run plus the timeline summary.
 
@@ -509,7 +556,6 @@ class TraceRequest(_SyntheticInputRequest):
     quiet: bool = arg(False, QUIET_HELP)
 
 
-@dataclass
 class BenchPerfRequest(Request):
     """``repro bench perf``: the simulator perf-regression harness."""
 
@@ -574,7 +620,6 @@ class BenchPerfRequest(Request):
         return request
 
 
-@dataclass
 class MetricsRequest(_SyntheticInputRequest):
     """``repro metrics``: the comparison suite as structured RunRecords."""
 
@@ -592,7 +637,6 @@ class MetricsRequest(_SyntheticInputRequest):
     quiet: bool = arg(False, QUIET_HELP)
 
 
-@dataclass
 class ReportRequest(Request):
     """``repro report``: aggregate a results directory into one report.
 

@@ -59,7 +59,6 @@ import hashlib
 import itertools
 import os
 import pickle
-from dataclasses import asdict, is_dataclass
 
 try:
     import fcntl
@@ -173,6 +172,8 @@ def fingerprint_env(arrays, scalars):
 
 def fingerprint_config(config):
     """Content hash of a :class:`~repro.pipette.config.MachineConfig`."""
+    from dataclasses import asdict, is_dataclass
+
     data = asdict(config) if is_dataclass(config) else vars(config)
     return content_hash("config", data)
 

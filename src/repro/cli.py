@@ -1,7 +1,7 @@
 """Command-line interface: ``python -m repro <command>``.
 
 Every submittable verb is a thin frontend over :mod:`repro.api` and is
-declared once, as a request dataclass in :mod:`repro.api.requests` — its
+declared once, as a request class in :mod:`repro.api.requests` — its
 flags, defaults, choices and help text live there, :func:`build_parser`
 derives the subparser, and ``python -m repro <verb> --help`` is the
 reference. argv becomes the typed request, :func:`repro.api.handle`
@@ -166,7 +166,7 @@ def build_parser(argv=None):
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # Every submittable verb is declared once, as a request dataclass in
+    # Every submittable verb is declared once, as a request class in
     # repro.api.requests: its subcommand path, help line, flags and defaults
     # all come from there. serve/submit are not requests.
     groups = {(): sub}  # command-path prefix -> the subparsers it holds

@@ -1,33 +1,33 @@
 """The Phloem compiler: automatic decoupling into fine-grain pipelines."""
 
-from .accelerate import apply_reference_accelerators
-from .autotune import SearchPoint, gmean, search_pipelines, speedup_distribution
-from .codegen import emit_pipeline, emit_stage
-from .compiler import ALL_PASSES, CompileOptions, compile_c, compile_function, pipeline_summary
-from .ctrl import apply_control_handlers, apply_control_values, apply_interstage_dce
-from .decouple import decouple_function
-from .recompute import apply_recompute
-from .replicate import replicate_pipeline
-from .viz import ascii_diagram
+from .. import _lazy_exports
 
-__all__ = [
-    "apply_reference_accelerators",
-    "SearchPoint",
-    "gmean",
-    "search_pipelines",
-    "speedup_distribution",
-    "emit_pipeline",
-    "emit_stage",
-    "ALL_PASSES",
-    "CompileOptions",
-    "compile_c",
-    "compile_function",
-    "pipeline_summary",
-    "apply_control_handlers",
-    "apply_control_values",
-    "apply_interstage_dce",
-    "decouple_function",
-    "apply_recompute",
-    "replicate_pipeline",
-    "ascii_diagram",
-]
+#: Re-exported name -> the submodule that defines it, resolved on first use
+#: (like :mod:`repro`'s own): a warm ``repro emit`` builds its options and
+#: summarizes the memoized pipeline with :mod:`~repro.core.options` alone,
+#: and must not load the passes.
+_EXPORTS = {
+    "apply_reference_accelerators": "accelerate",
+    "SearchPoint": "autotune",
+    "gmean": "autotune",
+    "search_pipelines": "autotune",
+    "speedup_distribution": "autotune",
+    "emit_pipeline": "codegen",
+    "emit_stage": "codegen",
+    "ALL_PASSES": "options",
+    "CompileOptions": "options",
+    "compile_c": "compiler",
+    "compile_function": "compiler",
+    "pipeline_summary": "options",
+    "apply_control_handlers": "ctrl",
+    "apply_control_values": "ctrl",
+    "apply_interstage_dce": "ctrl",
+    "decouple_function": "decouple",
+    "apply_recompute": "recompute",
+    "replicate_pipeline": "replicate",
+    "ascii_diagram": "viz",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

@@ -15,76 +15,17 @@ protocol the control-value passes leave behind; the *pass set* is exposed
 so the Fig. 6 ablation can reproduce each intermediate configuration.
 """
 
-import dataclasses
-from dataclasses import dataclass
-
 from ..analysis.sanitize import sanitize_pipeline
-from ..errors import CompileError
 from ..frontend.lowering import compile_source
-from ..ir.stmts import remove, walk
+from ..ir.stmts import remove
 from ..ir.verifier import verify_pipeline
 from ..obs import log
 from .accelerate import apply_reference_accelerators
 from .cleanup import cleanup_stage
 from .ctrl import apply_control_handlers, apply_control_values, apply_interstage_dce
 from .decouple import decouple_function, drop_trivial_stages
+from .options import ALL_PASSES, CompileOptions, pipeline_summary  # noqa: F401 - re-exported
 from .recompute import apply_recompute
-
-#: Every optional pass, in application order. "queues" (pass 1) is implied
-#: by decoupling itself and always on.
-ALL_PASSES = ("recompute", "cv", "dce", "handlers", "ra")
-
-
-@dataclass(frozen=True)
-class CompileOptions:
-    """Everything that shapes a compilation, as one hashable value.
-
-    Pass ``options=CompileOptions(...)`` to the compiler, the autotune
-    search, or the bench harness. Being frozen and canonically keyable
-    (:meth:`cache_key`), an options value doubles as the second half of the
-    compiled-pipeline cache key (:mod:`repro.cache`) — the first half being
-    the content hash of the lowered IR.
-    """
-
-    num_stages: int = 4
-    passes: tuple = ALL_PASSES
-    max_ras: int = 4
-    queue_capacity: int = 24
-    max_queues: int = 16
-    point_indices: tuple = None
-    #: Re-run the IR verifier and the static safety analyzer after every
-    #: pass (LLVM's -verify-each). Deliberately NOT part of cache_key():
-    #: verification never changes the compiled pipeline, so a verified and
-    #: an unverified compile must share cache entries.
-    verify_each: bool = False
-
-    def __post_init__(self):
-        object.__setattr__(self, "passes", tuple(self.passes))
-        if self.point_indices is not None:
-            object.__setattr__(self, "point_indices", tuple(self.point_indices))
-        if self.num_stages < 1:
-            raise CompileError("num_stages must be >= 1")
-        for name in self.passes:
-            if name not in ALL_PASSES:
-                raise CompileError("unknown pass %r" % name)
-
-    def replace(self, **changes):
-        """A copy with ``changes`` applied (``dataclasses.replace``)."""
-        return dataclasses.replace(self, **changes)
-
-    def cache_key(self):
-        """Canonical one-line text of this options value (cache key half)."""
-        points = (
-            "-" if self.point_indices is None else ",".join(str(i) for i in self.point_indices)
-        )
-        return "stages=%d;passes=%s;max_ras=%d;qcap=%d;maxq=%d;points=%s" % (
-            self.num_stages,
-            ",".join(self.passes),
-            self.max_ras,
-            self.queue_capacity,
-            self.max_queues,
-            points,
-        )
 
 
 def _remove_dead_queues(pipeline):
@@ -214,14 +155,3 @@ def compile_c(source, name=None, options=None, profiler=None):
     function = compile_source(source, name=name)
     return compile_function(function, options=options, profiler=profiler)
 
-
-def pipeline_summary(pipeline):
-    """One-line description used by the evaluation harness logs."""
-    stmts = sum(1 for stage in pipeline.stages for _ in walk(stage.body))
-    return "%s: %d stages + %d RAs, %d queues, %d stmts" % (
-        pipeline.name,
-        len(pipeline.stages),
-        len(pipeline.ras),
-        len(pipeline.queues),
-        stmts,
-    )

@@ -1,21 +1,23 @@
 """Mini-C frontend: lexer, parser, pragmas, and lowering to Phloem IR."""
 
-from .inline import inline_unit
-from .lexer import Token, tokenize
-from .lowering import BUILTIN_CONSTANTS, compile_source, lower_function
-from .parser import parse
-from .pragmas import DECOUPLE_MARK, DISTRIBUTE_MARK, collect_function_pragmas, parse_pragma
+from .. import _lazy_exports
 
-__all__ = [
-    "inline_unit",
-    "Token",
-    "tokenize",
-    "BUILTIN_CONSTANTS",
-    "compile_source",
-    "lower_function",
-    "parse",
-    "DECOUPLE_MARK",
-    "DISTRIBUTE_MARK",
-    "collect_function_pragmas",
-    "parse_pragma",
-]
+#: Re-exported name -> the submodule that defines it, resolved on first use
+#: (like :mod:`repro`'s own): a memo hit parses nothing.
+_EXPORTS = {
+    "inline_unit": "inline",
+    "Token": "lexer",
+    "tokenize": "lexer",
+    "BUILTIN_CONSTANTS": "lowering",
+    "compile_source": "lowering",
+    "lower_function": "lowering",
+    "parse": "parser",
+    "DECOUPLE_MARK": "pragmas",
+    "DISTRIBUTE_MARK": "pragmas",
+    "collect_function_pragmas": "pragmas",
+    "parse_pragma": "pragmas",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

@@ -58,14 +58,42 @@ def _is_pure(expr):
 
 
 def _mutated_names(body):
-    """Every variable ``body`` declares or assigns, conditions and initializers included."""
+    """Every variable ``body`` declares or assigns, and every array or pointer
+    it stores an element through, conditions and initializers included."""
     names = set()
     for node in cast.walk(*body):
         if type(node) is cast.VarDecl:
             names.add(node.name)
-        elif type(node) in (cast.Assign, cast.IncDec) and type(node.target) is cast.Name:
-            names.add(node.target.ident)
+        elif type(node) in (cast.Assign, cast.IncDec):
+            target = node.target
+            if type(target) is cast.Index:
+                target = target.base
+            if type(target) is cast.Name:
+                names.add(target.ident)
     return names
+
+
+def _pointer_aliases(funcdef):
+    """Name -> every array or pointer it may name, for each array parameter
+    and pointer local of ``funcdef``: the classes that pointer initializers
+    and assignments anywhere in the function join (flow-insensitive, so an
+    over-approximation)."""
+    nodes = list(cast.walk(*funcdef.body))
+    pointers = [p.name for p in funcdef.params if p.type.is_pointer]
+    pointers += [n.name for n in nodes if type(n) is cast.VarDecl and n.type.is_pointer]
+    classes = {name: {name} for name in pointers}
+    for node in nodes:
+        if type(node) is cast.VarDecl:
+            name, value = node.name, node.init
+        elif type(node) is cast.Assign and node.op is None and type(node.target) is cast.Name:
+            name, value = node.target.ident, node.value
+        else:
+            continue
+        if name in classes and type(value) is cast.Name and value.ident in classes:
+            joined = classes[name] | classes[value.ident]
+            for member in joined:
+                classes[member] = joined
+    return classes
 
 
 def _expr_names(expr):
@@ -97,6 +125,7 @@ class Lowerer:
         self.arrays = {}
         self.scalar_params = []
         self.intrinsic_names = set()
+        self.aliases = _pointer_aliases(funcdef)
 
     # -- helpers ------------------------------------------------------------
 
@@ -351,7 +380,9 @@ class Lowerer:
         Returns ``(var, lo_expr, hi_expr, step)`` or None. C re-evaluates the
         bound every iteration and the IR ``For`` evaluates it once, so the
         bound must be pure and nothing in the body, conditions and
-        initializers included, may write it; nor may the body touch ``v``.
+        initializers included, may write it — a variable, or an element of an
+        array it reads directly or through a pointer that may name it; nor
+        may the body touch ``v``.
         """
         if len(node.init) != 1 or node.cond is None or node.post is None:
             return None
@@ -401,7 +432,7 @@ class Lowerer:
         if var in mutated:
             return None
         for name in _expr_names(hi_expr) | _expr_names(lo_expr):
-            if name in mutated:
+            if not mutated.isdisjoint(self.aliases.get(name, (name,))):
                 return None
         return var, lo_expr, hi_expr, step
 

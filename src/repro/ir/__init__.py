@@ -5,110 +5,74 @@ values (paper Sec. V: unlike conventional IRs, it "adds support for queue
 operations and conveying control flow changes").
 """
 
-from .builder import IRBuilder
-from .ops import ALL_OPS, BINARY_OPS, COMPARE_OPS, TERNARY_OPS, UNARY_OPS, arity, evaluate
-from .program import (
-    RA_INDIRECT,
-    RA_SCAN,
-    ArrayDecl,
-    Function,
-    Intrinsic,
-    PipelineProgram,
-    QueueSpec,
-    RASpec,
-    StageProgram,
-    serial_pipeline,
-)
-from .printer import format_body, format_function, format_pipeline, format_stage, format_stmt
-from .serialize import canonical_function, canonical_pipeline, fingerprint
-from .stmts import (
-    Assign,
-    AtomicRMW,
-    Barrier,
-    Break,
-    Call,
-    Comment,
-    Continue,
-    Deq,
-    Enq,
-    EnqCtrl,
-    EnqCtrlDist,
-    EnqDist,
-    For,
-    If,
-    IsControl,
-    Load,
-    Loop,
-    Peek,
-    Prefetch,
-    ReadShared,
-    Store,
-    WriteShared,
-    count_stmts,
-    walk,
-    walk_with_depth,
-)
-from .values import Ctrl, array_name, is_array_symbol, is_const, is_control, is_reg
-from .verifier import verify_function, verify_pipeline
+from .. import _lazy_exports
 
-__all__ = [
-    "IRBuilder",
-    "ALL_OPS",
-    "BINARY_OPS",
-    "COMPARE_OPS",
-    "TERNARY_OPS",
-    "UNARY_OPS",
-    "arity",
-    "evaluate",
-    "RA_INDIRECT",
-    "RA_SCAN",
-    "ArrayDecl",
-    "Function",
-    "Intrinsic",
-    "PipelineProgram",
-    "QueueSpec",
-    "RASpec",
-    "StageProgram",
-    "serial_pipeline",
-    "format_body",
-    "format_function",
-    "format_pipeline",
-    "format_stage",
-    "format_stmt",
-    "canonical_function",
-    "canonical_pipeline",
-    "fingerprint",
-    "Assign",
-    "AtomicRMW",
-    "Barrier",
-    "Break",
-    "Call",
-    "Comment",
-    "Continue",
-    "Deq",
-    "Enq",
-    "EnqCtrl",
-    "EnqCtrlDist",
-    "EnqDist",
-    "For",
-    "If",
-    "IsControl",
-    "Load",
-    "Loop",
-    "Peek",
-    "Prefetch",
-    "ReadShared",
-    "Store",
-    "WriteShared",
-    "count_stmts",
-    "walk",
-    "walk_with_depth",
-    "Ctrl",
-    "array_name",
-    "is_array_symbol",
-    "is_const",
-    "is_control",
-    "is_reg",
-    "verify_function",
-    "verify_pipeline",
-]
+#: Re-exported name -> the submodule that defines it, resolved on first use
+#: (like :mod:`repro`'s own): unpickling a memoized pipeline needs the
+#: statement and program classes, not the builder, printer, verifier or
+#: serializer.
+_EXPORTS = {
+    "IRBuilder": "builder",
+    "ALL_OPS": "ops",
+    "BINARY_OPS": "ops",
+    "COMPARE_OPS": "ops",
+    "TERNARY_OPS": "ops",
+    "UNARY_OPS": "ops",
+    "arity": "ops",
+    "evaluate": "ops",
+    "RA_INDIRECT": "program",
+    "RA_SCAN": "program",
+    "ArrayDecl": "program",
+    "Function": "program",
+    "Intrinsic": "program",
+    "PipelineProgram": "program",
+    "QueueSpec": "program",
+    "RASpec": "program",
+    "StageProgram": "program",
+    "serial_pipeline": "program",
+    "format_body": "printer",
+    "format_function": "printer",
+    "format_pipeline": "printer",
+    "format_stage": "printer",
+    "format_stmt": "printer",
+    "canonical_function": "serialize",
+    "canonical_pipeline": "serialize",
+    "fingerprint": "serialize",
+    "Assign": "stmts",
+    "AtomicRMW": "stmts",
+    "Barrier": "stmts",
+    "Break": "stmts",
+    "Call": "stmts",
+    "Comment": "stmts",
+    "Continue": "stmts",
+    "Deq": "stmts",
+    "Enq": "stmts",
+    "EnqCtrl": "stmts",
+    "EnqCtrlDist": "stmts",
+    "EnqDist": "stmts",
+    "For": "stmts",
+    "If": "stmts",
+    "IsControl": "stmts",
+    "Load": "stmts",
+    "Loop": "stmts",
+    "Peek": "stmts",
+    "Prefetch": "stmts",
+    "ReadShared": "stmts",
+    "Store": "stmts",
+    "WriteShared": "stmts",
+    "count_stmts": "stmts",
+    "walk": "stmts",
+    "walk_with_depth": "stmts",
+    "Ctrl": "values",
+    "array_name": "values",
+    "is_array_symbol": "values",
+    "is_const": "values",
+    "is_control": "values",
+    "is_reg": "values",
+    "verify_function": "verifier",
+    "verify_pipeline": "verifier",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

@@ -30,19 +30,38 @@ from ..bench.parallel import _fork_available, _pool_init
 from ..errors import PhloemError
 
 
-#: What the handlers import at their points of use (each name pulls in the
-#: layers below it): every module a request of any verb may load.
+#: Every module a request of any verb may import at a point of use: what
+#: the handlers import where they run it, the :mod:`repro.obs` names they
+#: resolve, and what :mod:`repro.cache` and the layers below import late.
+#: The packages re-export lazily, so naming a package loads none of its
+#: modules: a module a handler imports goes here by its own name.
 TOOLCHAIN = (
     "repro.analysis.perfmodel",
+    "repro.analysis.sanitize",
     "repro.bench.experiments",
+    "repro.bench.harness",
+    "repro.bench.parallel",
     "repro.bench.perf",
     "repro.bench.report",
+    "repro.core.autotune",
+    "repro.core.codegen",
+    "repro.core.compiler",
+    "repro.core.options",
     "repro.core.viz",
+    "repro.diag",
+    "repro.frontend.lowering",
+    "repro.ir.printer",
+    "repro.ir.program",
+    "repro.ir.serialize",
     "repro.obs.chrometrace",
     "repro.obs.passes",
+    "repro.obs.record",
     "repro.obs.report",
     "repro.obs.search",
     "repro.obs.timeline",
+    "repro.obs.tracer",
+    "repro.pipette.config",
+    "repro.runtime.executor",
     "repro.workloads",
 )
 

@@ -8,7 +8,9 @@ twice: once as C (compiled and simulated) and once as Python (evaluated
 directly, under C's evaluation order).
 """
 
-from hypothesis import given, settings
+from functools import partial
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.frontend import compile_source
@@ -120,12 +122,27 @@ def test_expression_in_branch_condition(tree, p0, p1):
 # or ``(var = var + k)`` ("set"). ``n`` only ever shrinks, so ``out[i]``
 # stays in bounds; a ``while`` condition only ever shrinks its variable, so
 # the ``while`` ends.
+#
+# The bound ``n`` is spelled one way where the loop header reads it and one
+# way where the body writes it (:data:`BOUNDS`): the scalar ``n``, or element
+# 0 of the array ``len`` (which starts at ``n``), directly or through the
+# pointer local ``p = len``. Mini-C takes an element assignment as a
+# statement only, so an array bound changes by ``++``/``--`` alone.
+
+BOUNDS = [
+    ("n", "n"),
+    ("len[0]", "len[0]"),
+    ("len[0]", "p[0]"),
+    ("p[0]", "len[0]"),
+    ("p[0]", "p[0]"),
+]
 
 
 @st.composite
-def side_effects(draw, shrinking=False):
+def side_effects(draw, shrinking=False, array_bound=False):
     var = draw(st.sampled_from(["n", "x"]))
-    form = draw(st.sampled_from(["post", "pre", "set"]))
+    forms = ["post", "pre"] if array_bound and var == "n" else ["post", "pre", "set"]
+    form = draw(st.sampled_from(forms))
     if form == "set":
         k = draw(st.integers(-3, -1) if shrinking or var == "n" else st.integers(-3, 3))
     else:
@@ -134,22 +151,27 @@ def side_effects(draw, shrinking=False):
 
 
 @st.composite
-def loop_bodies(draw):
-    """1-3 statements, each hiding a side effect in a condition or initializer."""
+def loops(draw):
+    """A :data:`BOUNDS` entry and 1-3 statements, each hiding a side effect
+    in a condition or initializer."""
+    bound = draw(st.sampled_from(BOUNDS))
+    effects = partial(side_effects, array_bound=bound != ("n", "n"))
     body = []
     for _ in range(draw(st.integers(1, 3))):
         kind = draw(st.sampled_from(["if", "while", "decl"]))
         if kind == "while":
-            body.append(("while", draw(side_effects(shrinking=True)), draw(st.integers(-5, 5))))
+            body.append(("while", draw(effects(shrinking=True)), draw(st.integers(-5, 5))))
         elif kind == "if":
-            body.append(("if", draw(side_effects()), draw(st.integers(-5, 5)), draw(st.integers(-3, 3))))
+            body.append(("if", draw(effects()), draw(st.integers(-5, 5)), draw(st.integers(-3, 3))))
         else:
-            body.append(("decl", draw(side_effects())))
-    return body
+            body.append(("decl", draw(effects())))
+    return bound, body
 
 
-def render_effect(effect):
+def render_effect(effect, bound="n"):
     var, form, k = effect
+    if var == "n":
+        var = bound
     if form == "set":
         return "(%s = %s + (%d))" % (var, var, k)
     op = "++" if k > 0 else "--"
@@ -163,12 +185,13 @@ def eval_effect(effect, env):
     return old if form == "post" else env[var]
 
 
-def render_stmt(stmt, j):
+def render_stmt(stmt, j, bound):
+    effect = render_effect(stmt[1], bound)
     if stmt[0] == "if":
-        return "if (%s > (%d)) { x = x + (%d); }" % (render_effect(stmt[1]), stmt[2], stmt[3])
+        return "if (%s > (%d)) { x = x + (%d); }" % (effect, stmt[2], stmt[3])
     if stmt[0] == "while":
-        return "while (%s > (%d)) { w = w + 1; }" % (render_effect(stmt[1]), stmt[2])
-    return "int t%d = %s; s = s + t%d;" % (j, render_effect(stmt[1]), j)
+        return "while (%s > (%d)) { w = w + 1; }" % (effect, stmt[2])
+    return "int t%d = %s; s = s + t%d;" % (j, effect, j)
 
 
 def run_body(body, n, x):
@@ -191,23 +214,31 @@ def run_body(body, n, x):
     return out
 
 
-def loop_source(body):
+def loop_source(bound, body):
+    read, write = bound
     return """
-    void k(int* restrict out, int n, int x) {
+    void k(int* restrict out, int* restrict len, int n, int x) {
+      int* p = len;
       int w = 0;
       int s = 0;
-      for (int i = 0; i < n; i++) {
+      for (int i = 0; i < %s; i++) {
         %s
         out[i] = x + w + s;
       }
     }
-    """ % "\n        ".join(render_stmt(stmt, j) for j, stmt in enumerate(body))
+    """ % (read, "\n        ".join(render_stmt(stmt, j, write) for j, stmt in enumerate(body)))
 
 
-@settings(max_examples=60, deadline=None)
-@given(loop_bodies(), st.integers(1, 8), st.integers(-6, 6))
-def test_loop_with_effects_in_conditions_matches_python(body, n, x):
-    function = compile_source(loop_source(body))
+@settings(max_examples=80, deadline=None)
+@given(loops(), st.integers(1, 8), st.integers(-6, 6))
+# C re-reads the bound every iteration: a body that decrements it once per
+# iteration, through the array or a pointer naming it, stops the loop halfway.
+@example(loop=(("len[0]", "len[0]"), [("decl", ("n", "post", -1))]), n=8, x=0)
+@example(loop=(("len[0]", "p[0]"), [("decl", ("n", "pre", -1))]), n=8, x=0)
+def test_loop_with_effects_in_conditions_matches_python(loop, n, x):
+    bound, body = loop
+    function = compile_source(loop_source(bound, body))
     machine = Machine(MachineConfig())
-    result = machine.run(RunSpec(serial_pipeline(function), {"out": [0] * n}, {"n": n, "x": x}))
+    arrays = {"out": [0] * n, "len": [n]}
+    result = machine.run(RunSpec(serial_pipeline(function), arrays, {"n": n, "x": x}))
     assert result.arrays()["out"] == run_body(body, n, x)

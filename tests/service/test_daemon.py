@@ -2,7 +2,6 @@
 
 import asyncio
 import contextlib
-import dataclasses
 import json
 import multiprocessing
 import os
@@ -272,7 +271,7 @@ def _pipeline_stats(client):
 
 
 def _answer(response):
-    return dataclasses.replace(response, cache=None)
+    return response.replace(cache=None)
 
 
 @pytest.mark.parametrize("layer", ["memory", "disk"])
@@ -345,7 +344,7 @@ def test_no_cache_env_keeps_every_request_on_the_pool(tmp_path, cold_store, monk
 
 @pytest.mark.parametrize("request_", MEMOIZED_REQUESTS)
 def test_verify_each_always_takes_the_pool(tmp_path, cold_store, request_):
-    verified = dataclasses.replace(request_, verify_each=True)
+    verified = request_.replace(verify_each=True)
     with serving(tmp_path) as client:
         # The unverified twin leaves its entries behind: a miss, then a loop hit.
         assert client.submit(request_).ok and client.submit(request_).ok
@@ -447,7 +446,7 @@ def test_in_loop_verbs_keep_rejection_and_error_codes(tmp_path, cold_store, requ
     assert (over.exit_code, over.error["code"]) == (REJECTED_EXIT_CODE, QUOTA_EXCEEDED)
     with serving(tmp_path) as client:
         mistyped = client.submit(_Wire(dict(request_.to_wire(), payload={"stages": "4"})))
-        broken = client.submit(dataclasses.replace(request_, stages=0))
+        broken = client.submit(request_.replace(stages=0))
         assert _paths(client, request_.VERB) == {"loop": 2, "pool": 0}
     assert (mistyped.exit_code, mistyped.error["code"]) == (2, "bad-request")
     assert (broken.exit_code, broken.error["code"]) == (1, "toolchain-error")

@@ -491,10 +491,8 @@ class TestApiLayer:
         assert api.BenchPerfRequest.from_args(args).scale == "quick"
 
     def test_one_declaration_adds_a_verb(self, monkeypatch, capsys):
-        """A request dataclass plus a runner is a whole verb: parser, argv ->
+        """A request class plus a runner is a whole verb: parser, argv ->
         request, wire round trip and execution, with no other table edited."""
-        from dataclasses import dataclass
-
         from repro import api
         from repro.api import handlers, requests
 
@@ -503,13 +501,11 @@ class TestApiLayer:
         monkeypatch.delitem(requests.RESPONSE_TYPES, "EchoResponse", raising=False)
         monkeypatch.delitem(handlers._RUNNERS, "echo", raising=False)
 
-        @dataclass
         class EchoResponse(api.Response):
             """``echo`` result."""
 
             shouted: bool = False
 
-        @dataclass
         class EchoRequest(api.Request):
             """``repro echo``: print words back."""
 

@@ -5,8 +5,10 @@ server and no toolchain, and a daemon imports everything.
 ``sys.modules`` of real processes, which is what a cold CLI start pays for.
 """
 
+import importlib
 import json
 import os
+import pickle
 import subprocess
 import sys
 
@@ -24,25 +26,31 @@ void k(const int* restrict a, const int* restrict b, int* restrict out, int n) {
 }
 """
 
-#: Runs ``python -m repro <argv>`` and then prints the ``repro`` subpackages
-#: the process loaded (full names inside ``repro.obs``, plus the stdlib
-#: ``html`` the report pulls in), as one JSON line after the verb's stdout.
+#: Runs ``python -m repro <argv>`` and then prints the ``repro`` modules the
+#: process loaded, plus the stdlib modules a verb should not need (the
+#: ``html`` the report pulls in and ``dataclasses``), as one JSON line after
+#: the verb's stdout.
 _PROBE = """
 import json, runpy, sys
 try:
     runpy.run_module("repro", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     assert not exc.code, exc.code
-loaded = {
-    m if m.startswith("repro.obs.") else ".".join(m.split(".")[:2])
-    for m in sys.modules if m.startswith("repro.") or m == "html"
-}
+loaded = [
+    m for m in sys.modules
+    if m.startswith("repro.") or m in ("html", "dataclasses")
+]
 print(json.dumps(sorted(loaded)))
 """
 
 #: What a cold ``emit``/``lint`` must not pay for inside ``repro.obs``: it
 #: logs, and never renders a report, a trace or a timeline.
 OBS_BANNED = {"repro.obs.report", "repro.obs.chrometrace", "repro.obs.timeline", "html"}
+
+#: What ``emit`` answered from the memo must not pay for on top of that: it
+#: unpickles a pipeline and renders it, and never parses, analyzes or
+#: compiles.
+WARM_EMIT_BANNED = {"repro.frontend", "repro.analysis", "repro.core.compiler", "dataclasses"}
 
 
 def _loaded_by(tmp_path, *argv):
@@ -56,6 +64,11 @@ def _loaded_by(tmp_path, *argv):
     return output, set(json.loads(loaded))
 
 
+def _banned(loaded, banned):
+    """The loaded modules that are, or live inside, a banned name."""
+    return sorted(m for m in loaded if any(m == b or m.startswith(b + ".") for b in banned))
+
+
 @pytest.mark.parametrize("warm", [False, True], ids=["cold-store", "warm-store"])
 def test_emit_loads_no_simulator_workloads_or_harness(tmp_path, warm):
     (tmp_path / "k.c").write_text(KERNEL)
@@ -63,15 +76,18 @@ def test_emit_loads_no_simulator_workloads_or_harness(tmp_path, warm):
         output, loaded = _loaded_by(tmp_path, "emit", "k.c", "--format", "summary")
     assert output == ["k: 2 stages + 2 RAs, 3 queues, 5 stmts"]
     banned = {"repro.pipette", "repro.runtime", "repro.bench", "repro.workloads"} | OBS_BANNED
-    assert not loaded & banned, sorted(loaded & banned)
-    assert "repro.core" in loaded  # the probe sees what the verb did load
+    if warm:
+        banned |= WARM_EMIT_BANNED
+        assert len([m for m in loaded if m.startswith("repro.")]) <= 20, sorted(loaded)
+    assert not _banned(loaded, banned)
+    assert "repro.core.options" in loaded  # the probe sees what the verb did load
 
 
 def test_lint_bench_loads_no_simulator_or_harness(tmp_path):
     output, loaded = _loaded_by(tmp_path, "lint", "--bench", "bfs")
     assert output == ["bfs: clean"]
     banned = {"repro.pipette", "repro.runtime", "repro.bench"} | OBS_BANNED
-    assert not loaded & banned, sorted(loaded & banned)
+    assert not _banned(loaded, banned)
     assert "repro.workloads" in loaded
 
 
@@ -129,6 +145,49 @@ def test_every_obs_export_resolves():
     assert obs.log is sys.modules["repro.obs.log"].log
     with pytest.raises(AttributeError, match="no_such_name"):
         obs.no_such_name
+
+
+@pytest.mark.parametrize("package", ["core", "ir", "analysis", "frontend"])
+def test_every_toolchain_package_export_resolves(package):
+    """The toolchain packages re-export lazily; each name resolves to the
+    object of the submodule that defines it."""
+    module = importlib.import_module("repro." + package)
+    assert module.__all__ == list(module._EXPORTS)
+    assert set(module.__all__) <= set(dir(module))
+    for name in module.__all__:
+        owner = importlib.import_module("repro.%s.%s" % (package, module._EXPORTS[name]))
+        value = getattr(module, name)
+        assert value is getattr(owner, name), name
+        assert getattr(value, "__module__", owner.__name__) == owner.__name__, name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        module.no_such_name
+
+
+def test_compile_options_is_a_frozen_value():
+    """``CompileOptions`` is a plain slotted class (no ``dataclasses`` on
+    the memo path) that keeps the value semantics the caches key on."""
+    from repro.core.options import ALL_PASSES, CompileOptions
+
+    options = CompileOptions(num_stages=3, passes=["cv", "ra"], point_indices=[2, 0])
+    twin = CompileOptions(num_stages=3, passes=("cv", "ra"), point_indices=(2, 0))
+    assert options == twin and hash(options) == hash(twin)
+    assert options != CompileOptions() and options != "stages=3"
+    assert (options.passes, options.point_indices) == (("cv", "ra"), (2, 0))
+    with pytest.raises(AttributeError):
+        options.num_stages = 5
+    assert options.num_stages == 3
+    verified = options.replace(verify_each=True, num_stages=2)
+    assert (verified.num_stages, verified.verify_each, verified.passes) == (2, True, ("cv", "ra"))
+    assert pickle.loads(pickle.dumps(verified)) == verified
+    assert CompileOptions().passes == ALL_PASSES
+    assert CompileOptions().cache_key() == (
+        "stages=4;passes=recompute,cv,dce,handlers,ra;max_ras=4;qcap=24;maxq=16;points=-"
+    )
+    assert verified.cache_key() == "stages=2;passes=cv,ra;max_ras=4;qcap=24;maxq=16;points=2,0"
+    assert repr(CompileOptions(max_queues=8)) == (
+        "CompileOptions(num_stages=4, passes=('recompute', 'cv', 'dce', 'handlers', 'ra'), "
+        "max_ras=4, queue_capacity=24, max_queues=8, point_indices=None, verify_each=False)"
+    )
 
 
 #: What ``repro submit`` must not pay for: the server half of the service
