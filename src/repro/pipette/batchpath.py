@@ -354,15 +354,21 @@ class _StageCompiler:
     # suspends in one, :meth:`emit_wait`; each leaves both invariants below
     # in place, so no statement emitter has anything to remember.
     #
-    # Ledger cursor -- at every acquire site ``lc == ceil(cur)``, ``t ==
-    #   float(lc)`` and ``ln`` is the true slot count of cycle ``lc`` (the
-    #   dict write is deferred: co-scheduled threads only read ``slots``
-    #   while this generator is suspended). An acquire leaves ``cur == t ==
-    #   float(lc)``, which is the invariant again; an advance (ROB/MSHR
+    # Ledger cursor -- at every acquire site ``t == float(ceil(cur))``,
+    #   ``lc`` is that cycle's index in the ledger's byte window
+    #   (``ceil(cur) - ledger.base``, always inside the window) and ``ln`` is
+    #   the cycle's true slot count (the write to ``slots[lc]`` is deferred:
+    #   co-scheduled threads only read ``slots`` while this generator is
+    #   suspended). An acquire leaves ``cur == t``, with ``lc`` and ``t``
+    #   stepped together, which is the invariant again; an advance (ROB/MSHR
     #   stall, mispredict redirect, queue or peek wait, barrier release) and
-    #   a resume re-establish it through ``resync``. ``cur`` itself is never
-    #   rounded: fractional stall targets stay exact, only the probe cycle
-    #   ``lc`` is their ceiling, as in the reference.
+    #   a resume re-establish it through ``resync``. The index shifts only
+    #   when a sweep moves ``base``, and a sweep happens only in ``resync``,
+    #   which re-derives ``lc`` after it, or while the generator is
+    #   suspended, after the pre-``yield`` sync set ``lc = -1``; every
+    #   resume resyncs. ``cur`` itself is never rounded: fractional stall
+    #   targets stay exact, only the probe cycle is their ceiling, as in the
+    #   reference.
     #
     # ROB block guard -- ``ring`` is thread-private and monotone (``rlast``
     #   only grows) and ``cur`` never decreases. The j-th retire of a
@@ -383,18 +389,22 @@ class _StageCompiler:
         (``IssueLedger.prune``): every stage leaves straight-line code
         through here. ``ctx.cursor`` is stale while the stage runs, so the
         sweep first writes the live clock back (nobody reads it before the
-        next sync, which writes the same value); slot keys are integers,
-        so ``c < cur`` deletes exactly what ``c < ceil(cur)`` would."""
+        next sync, which writes the same value), and the index is derived
+        after the sweep, which moves ``ledger.base`` to at most
+        ``ceil(cur)``."""
         return [
-            "def resync(cur, lc, ln, slots=slots, sget=sget, ceil=ceil, len=len,"
+            "def resync(cur, lc, ln, slots=slots, grow=grow, ceil=ceil, len=len,"
             " ledger=ledger, ctx=ctx):",
             "    if ln:",
             "        slots[lc] = ln",
-            "    lc = ceil(cur)",
             "    if len(slots) > ledger.mark:",
             "        ctx.cursor = cur",
             "        ledger.prune()",
-            "    return lc, sget(lc, 0), lc + 0.0",
+            "    c = ceil(cur)",
+            "    lc = c - ledger.base",
+            "    if lc >= len(slots):",
+            "        grow(lc)",
+            "    return lc, slots[lc], c + 0.0",
         ]
 
     def emit_acquire(self, n=1):
@@ -404,10 +414,13 @@ class _StageCompiler:
         invariant the common case (slots left in the cycle already held) is
         one compare and one increment; a full cycle flushes its count and
         walks to the next cycle with a free slot, exactly the reference's
-        probe loop.
+        probe loop. The walk starts from ``ln = W + 1``, a count no cycle
+        holds, so its first step is the loop's own; it steps ``t`` by 1.0
+        with ``lc``, exact for any cycle count below 2**53, and grows the
+        window when it steps off its end (every cycle past it is free).
 
-        ``slots`` is bound once in the prologue (nothing rebinds the dict).
-        ``lc + 0.0`` == ``float(lc)`` exactly for any cycle count below 2**53.
+        ``slots`` is bound once in the prologue (a sweep and a growth
+        change the window in place).
         """
         literal = type(n) is int
         if literal and n > 1:
@@ -424,12 +437,13 @@ class _StageCompiler:
         self.w("    ln += 1")
         self.w("else:")
         self.w("    slots[lc] = ln")
-        self.w("    lc += 1")
-        self.w("    ln = sget(lc, 0) + 1")
+        self.w("    ln = %d" % (self.W + 1))
         self.w("    while ln > %d:" % self.W)
         self.w("        lc += 1")
-        self.w("        ln = sget(lc, 0) + 1")
-        self.w("    t = lc + 0.0")
+        self.w("        t += 1.0")
+        self.w("        if lc == len(slots):")
+        self.w("            grow(lc)")
+        self.w("        ln = slots[lc] + 1")
         if n != 1:
             self.pop()
         if literal and n > 1:
@@ -581,9 +595,9 @@ class _StageCompiler:
             "ctx.rob_last = rlast",
             "pred.history = ph",
             # Deferred ledger write (ledger-cursor invariant): other
-            # threads read the slot dict while this one is suspended, so
-            # make it authoritative and drop the cache. The resume owes a
-            # resync, which finds nothing left to flush.
+            # threads read and sweep the window while this one is
+            # suspended, so make it authoritative and drop the index. The
+            # resume owes a resync, which finds nothing left to flush.
             "if ln:",
             "    slots[lc] = ln",
             "    ln = 0",
@@ -1260,12 +1274,12 @@ class _StageCompiler:
         p("ptable = pred.table")
         p("pmask = pred.mask")
         p("hmask = pred.history_mask")
-        # Hot structures bound once (nothing rebinds the ledger's slot
-        # dict). The ROB and MSHR live as prefilled rings (see emit_retire);
+        # Hot structures bound once (the ledger's window only ever changes
+        # in place). The ROB and MSHR live as prefilled rings (see emit_retire);
         # ThreadCtx always hands the engine freshly-empty deques, so the
         # rings start at zero.
         p("slots = ledger.slots")
-        p("sget = slots.get")
+        p("grow = ledger.grow")
         for line in self.resync_lines():
             p(line)
         p("l1h = 0")

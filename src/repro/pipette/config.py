@@ -114,6 +114,9 @@ class MachineConfig:
         empty = [name for name in _SIZES if getattr(self, name) < 1]
         if empty:
             raise ResourceError("size below 1 in MachineConfig: %s" % ", ".join(empty))
+        # The issue ledger counts a cycle's issued micro-ops in one byte.
+        if self.issue_width > 255:
+            raise ResourceError("issue_width above 255 in MachineConfig: %d" % self.issue_width)
 
     def with_cores(self, cores):
         """A copy of this config scaled to ``cores`` cores (Fig. 14 setup)."""

@@ -12,7 +12,6 @@ specialized Python closure per statement — operand accessors resolved
 op latencies baked in. The hot statement kinds additionally inline the
 timing primitives a statement execution would otherwise call out to:
 
-* the issue-ledger ``acquire`` loop (shared slot dict, exact same keys),
 * the in-order ROB ``retire`` and MSHR bookkeeping,
 * the full L1 lookup of :meth:`MemorySystem.access` (MRU compare, LRU
   reorder, tag install), including the stride-prefetcher observation that
@@ -349,10 +348,9 @@ class FastStageInterp:
 
     # -- straight-line statements (hot: inlined timing primitives) ----------
     #
-    # Each hot closure repeats three inline blocks, kept textually identical
-    # so they can be audited against their sources:
-    #   acquire —  IssueLedger.acquire (sched.py) + the cursor/uops update
-    #              of ThreadCtx.issue (interp.py)
+    # Each hot closure takes its issue slots from IssueLedger.acquire
+    # (sched.py), as the reference does, and repeats two inline blocks, kept
+    # textually identical so they can be audited against their sources:
     #   retire  —  ThreadCtx.retire (interp.py)
     #   mshr    —  ThreadCtx.mshr_claim (interp.py)
 
@@ -360,8 +358,7 @@ class FastStageInterp:
         ctx = self.ctx
         regs, ready = ctx.regs, ctx.ready
         tstats = ctx.stats
-        ledger = ctx.ledger
-        width = ledger.width
+        acquire = self._acquire
         rob, rob_size = ctx.rob, ctx.rob_size
         tracer, tname = self._tracer, self._tname
         dst = stmt.dst
@@ -373,18 +370,7 @@ class FastStageInterp:
 
         def finish(value, dep):
             """Shared issue/retire tail once operands are evaluated."""
-            # acquire
-            t = ctx.cursor
-            c = int(t)
-            if c < t:
-                c += 1
-            slots = ledger.slots
-            n = slots.get(c, 0)
-            while n >= width:
-                c += 1
-                n = slots.get(c, 0)
-            slots[c] = n + 1
-            t = float(c)
+            t = acquire(ctx.cursor)
             ctx.cursor = t
             tstats.uops += 1
             start = t if t > dep else dep
@@ -423,18 +409,7 @@ class FastStageInterp:
                     value = opfn(regs[r0], regs[r1])
                     if rt > dep:
                         dep = rt
-                    # acquire
-                    t = ctx.cursor
-                    c = int(t)
-                    if c < t:
-                        c += 1
-                    slots = ledger.slots
-                    n = slots.get(c, 0)
-                    while n >= width:
-                        c += 1
-                        n = slots.get(c, 0)
-                    slots[c] = n + 1
-                    t = float(c)
+                    t = acquire(ctx.cursor)
                     ctx.cursor = t
                     tstats.uops += 1
                     comp = (t if t > dep else dep) + latency
@@ -464,18 +439,7 @@ class FastStageInterp:
                 def step():
                     dep = ready_get(rname, 0.0)
                     value = opfn(regs[rname], c1) if reg_left else opfn(c0, regs[rname])
-                    # acquire
-                    t = ctx.cursor
-                    c = int(t)
-                    if c < t:
-                        c += 1
-                    slots = ledger.slots
-                    n = slots.get(c, 0)
-                    while n >= width:
-                        c += 1
-                        n = slots.get(c, 0)
-                    slots[c] = n + 1
-                    t = float(c)
+                    t = acquire(ctx.cursor)
                     ctx.cursor = t
                     tstats.uops += 1
                     comp = (t if t > dep else dep) + latency
@@ -511,18 +475,7 @@ class FastStageInterp:
                 def step():
                     dep = ready_get(r0, 0.0)
                     value = opfn(regs[r0])
-                    # acquire
-                    t = ctx.cursor
-                    c = int(t)
-                    if c < t:
-                        c += 1
-                    slots = ledger.slots
-                    n = slots.get(c, 0)
-                    while n >= width:
-                        c += 1
-                        n = slots.get(c, 0)
-                    slots[c] = n + 1
-                    t = float(c)
+                    t = acquire(ctx.cursor)
                     ctx.cursor = t
                     tstats.uops += 1
                     comp = (t if t > dep else dep) + latency
@@ -589,18 +542,7 @@ class FastStageInterp:
 
         def step():
             value = compute()
-            # acquire
-            t = ctx.cursor
-            c = int(t)
-            if c < t:
-                c += 1
-            slots = ledger.slots
-            n = slots.get(c, 0)
-            while n >= width:
-                c += 1
-                n = slots.get(c, 0)
-            slots[c] = n + 1
-            t = float(c)
+            t = acquire(ctx.cursor)
             ctx.cursor = t
             tstats.uops += 1
             dep = operand_dep()
@@ -633,8 +575,7 @@ class FastStageInterp:
         ctx = self.ctx
         regs, ready = ctx.regs, ctx.ready
         tstats = ctx.stats
-        ledger = ctx.ledger
-        width = ledger.width
+        acquire = self._acquire
         rob, rob_size = ctx.rob, ctx.rob_size
         mshr, mshrs = ctx.mshr, ctx.config.mshrs
         tracer, tname = self._tracer, self._tname
@@ -669,18 +610,7 @@ class FastStageInterp:
 
         def step():
             idx = regs[iname] if iname is not None else iconst
-            # acquire
-            t = ctx.cursor
-            c = int(t)
-            if c < t:
-                c += 1
-            slots = ledger.slots
-            n = slots.get(c, 0)
-            while n >= width:
-                c += 1
-                n = slots.get(c, 0)
-            slots[c] = n + 1
-            t = float(c)
+            t = acquire(ctx.cursor)
             ctx.cursor = t
             tstats.uops += 1
             dep = ready_get(iname, 0.0) if iname is not None else 0.0
@@ -770,8 +700,7 @@ class FastStageInterp:
         ctx = self.ctx
         regs, ready = ctx.regs, ctx.ready
         tstats = ctx.stats
-        ledger = ctx.ledger
-        width = ledger.width
+        acquire = self._acquire
         rob, rob_size = ctx.rob, ctx.rob_size
         mshr, mshrs = ctx.mshr, ctx.config.mshrs
         tracer, tname = self._tracer, self._tname
@@ -805,18 +734,7 @@ class FastStageInterp:
         def step():
             binding = get_binding()
             idx = get_idx()
-            # acquire
-            t = ctx.cursor
-            c = int(t)
-            if c < t:
-                c += 1
-            slots = ledger.slots
-            n = slots.get(c, 0)
-            while n >= width:
-                c += 1
-                n = slots.get(c, 0)
-            slots[c] = n + 1
-            t = float(c)
+            t = acquire(ctx.cursor)
             ctx.cursor = t
             tstats.uops += 1
             dep = ready_get(iname, 0.0) if iname is not None else 0.0
@@ -912,8 +830,7 @@ class FastStageInterp:
         ctx = self.ctx
         regs, ready = ctx.regs, ctx.ready
         tstats = ctx.stats
-        ledger = ctx.ledger
-        width = ledger.width
+        acquire = self._acquire
         rob, rob_size = ctx.rob, ctx.rob_size
         tracer, tname = self._tracer, self._tname
         core = ctx.core
@@ -937,18 +854,7 @@ class FastStageInterp:
         def step():
             idx = regs[iname] if iname is not None else iconst
             value = regs[vname] if vname is not None else vconst
-            # acquire
-            t = ctx.cursor
-            c = int(t)
-            if c < t:
-                c += 1
-            slots = ledger.slots
-            n = slots.get(c, 0)
-            while n >= width:
-                c += 1
-                n = slots.get(c, 0)
-            slots[c] = n + 1
-            t = float(c)
+            t = acquire(ctx.cursor)
             ctx.cursor = t
             tstats.uops += 1
             dep = ready_get(iname, 0.0) if iname is not None else 0.0
@@ -1057,8 +963,7 @@ class FastStageInterp:
         ctx = self.ctx
         regs, ready = ctx.regs, ctx.ready
         tstats = ctx.stats
-        ledger = ctx.ledger
-        width = ledger.width
+        acquire = self._acquire
         rob, rob_size = ctx.rob, ctx.rob_size
         mshr, mshrs = ctx.mshr, ctx.config.mshrs
         tracer, tname = self._tracer, self._tname
@@ -1087,18 +992,7 @@ class FastStageInterp:
 
         def step():
             idx = regs[iname] if iname is not None else iconst
-            # acquire
-            t = ctx.cursor
-            c = int(t)
-            if c < t:
-                c += 1
-            slots = ledger.slots
-            n = slots.get(c, 0)
-            while n >= width:
-                c += 1
-                n = slots.get(c, 0)
-            slots[c] = n + 1
-            t = float(c)
+            t = acquire(ctx.cursor)
             ctx.cursor = t
             tstats.uops += 1
             dep = ready_get(iname, 0.0) if iname is not None else 0.0
@@ -1209,8 +1103,7 @@ class FastStageInterp:
         ctx = self.ctx
         regs, ready = ctx.regs, ctx.ready
         tstats = ctx.stats
-        ledger = ctx.ledger
-        width = ledger.width
+        acquire = self._acquire
         rob, rob_size = ctx.rob, ctx.rob_size
         tracer, tname = self._tracer, self._tname
         dst = stmt.dst
@@ -1219,18 +1112,7 @@ class FastStageInterp:
 
         def step():
             value = regs[sname] if sname is not None else sconst
-            # acquire
-            t = ctx.cursor
-            c = int(t)
-            if c < t:
-                c += 1
-            slots = ledger.slots
-            n = slots.get(c, 0)
-            while n >= width:
-                c += 1
-                n = slots.get(c, 0)
-            slots[c] = n + 1
-            t = float(c)
+            t = acquire(ctx.cursor)
             ctx.cursor = t
             tstats.uops += 1
             dep = ready_get(sname, 0.0) if sname is not None else 0.0
@@ -1343,8 +1225,7 @@ class FastStageInterp:
         ctx = self.ctx
         regs, ready = ctx.regs, ctx.ready
         tstats = ctx.stats
-        ledger = ctx.ledger
-        width = ledger.width
+        acquire = self._acquire
         rob, rob_size = ctx.rob, ctx.rob_size
         mshr, mshrs = ctx.mshr, ctx.config.mshrs
         tracer, tname = self._tracer, self._tname
@@ -1379,27 +1260,7 @@ class FastStageInterp:
             idx = regs[iname] if iname is not None else iconst
             value = regs[vname] if vname is not None else vconst
             # acquire x3: load-linked, op, store-conditional
-            t = ctx.cursor
-            c = int(t)
-            if c < t:
-                c += 1
-            slots = ledger.slots
-            n = slots.get(c, 0)
-            while n >= width:
-                c += 1
-                n = slots.get(c, 0)
-            slots[c] = n + 1
-            n = slots.get(c, 0)
-            while n >= width:
-                c += 1
-                n = slots.get(c, 0)
-            slots[c] = n + 1
-            n = slots.get(c, 0)
-            while n >= width:
-                c += 1
-                n = slots.get(c, 0)
-            slots[c] = n + 1
-            t = float(c)
+            t = acquire(acquire(acquire(ctx.cursor)))
             ctx.cursor = t
             tstats.uops += 3
             dep = ready_get(iname, 0.0) if iname is not None else 0.0
@@ -1550,8 +1411,7 @@ class FastStageInterp:
         ctx = self.ctx
         regs, ready = ctx.regs, ctx.ready
         tstats = ctx.stats
-        ledger = ctx.ledger
-        width = ledger.width
+        acquire = self._acquire
         pred = ctx.pred
         ptable = pred.table
         pmask = pred.mask
@@ -1568,18 +1428,7 @@ class FastStageInterp:
             """Shared timing prologue; returns the taken flag."""
             cond = regs[cname] if cname is not None else cconst
             taken = True if cond else False
-            # acquire
-            t = ctx.cursor
-            c = int(t)
-            if c < t:
-                c += 1
-            slots = ledger.slots
-            n = slots.get(c, 0)
-            while n >= width:
-                c += 1
-                n = slots.get(c, 0)
-            slots[c] = n + 1
-            t = float(c)
+            t = acquire(ctx.cursor)
             ctx.cursor = t
             tstats.uops += 1
             tstats.branches += 1
@@ -1636,8 +1485,7 @@ class FastStageInterp:
         ctx = self.ctx
         regs, ready = ctx.regs, ctx.ready
         tstats = ctx.stats
-        ledger = ctx.ledger
-        width = ledger.width
+        acquire = self._acquire
         pred = ctx.pred
         ptable = pred.table
         pmask = pred.mask
@@ -1655,27 +1503,7 @@ class FastStageInterp:
         def loop_head(taken, bound_dep):
             """Per-iteration loop-control timing (issue 3, predict, redirect)."""
             # acquire x3: increment, compare, branch
-            t = ctx.cursor
-            c = int(t)
-            if c < t:
-                c += 1
-            slots = ledger.slots
-            n = slots.get(c, 0)
-            while n >= width:
-                c += 1
-                n = slots.get(c, 0)
-            slots[c] = n + 1
-            n = slots.get(c, 0)
-            while n >= width:
-                c += 1
-                n = slots.get(c, 0)
-            slots[c] = n + 1
-            n = slots.get(c, 0)
-            while n >= width:
-                c += 1
-                n = slots.get(c, 0)
-            slots[c] = n + 1
-            t = float(c)
+            t = acquire(acquire(acquire(ctx.cursor)))
             ctx.cursor = t
             tstats.uops += 3
             tstats.branches += 1
@@ -1904,8 +1732,7 @@ class FastStageInterp:
         regs = ctx.regs
         tstats = ctx.stats
         sstats = self.env.stats
-        ledger = ctx.ledger
-        width = ledger.width
+        acquire = self._acquire
         rob, rob_size = ctx.rob, ctx.rob_size
         tracer, tname = self._tracer, self._tname
         task = ctx.task
@@ -1958,18 +1785,7 @@ class FastStageInterp:
 
         def step():
             value = regs[vname] if vname is not None else vconst
-            # acquire
-            t0 = ctx.cursor
-            c = int(t0)
-            if c < t0:
-                c += 1
-            slots = ledger.slots
-            n = slots.get(c, 0)
-            while n >= width:
-                c += 1
-                n = slots.get(c, 0)
-            slots[c] = n + 1
-            t0 = float(c)
+            t0 = acquire(ctx.cursor)
             ctx.cursor = t0
             tstats.uops += 1
             dep = ready_get(vname, 0.0) if vname is not None else 0.0
@@ -2114,8 +1930,7 @@ class FastStageInterp:
         regs, ready = ctx.regs, ctx.ready
         tstats = ctx.stats
         sstats = self.env.stats
-        ledger = ctx.ledger
-        width = ledger.width
+        acquire = self._acquire
         rob, rob_size = ctx.rob, ctx.rob_size
         tracer, tname = self._tracer, self._tname
         task = ctx.task
@@ -2162,18 +1977,7 @@ class FastStageInterp:
                     missed = False
                     res = None
                 else:
-                    # acquire
-                    t0 = ctx.cursor
-                    c = int(t0)
-                    if c < t0:
-                        c += 1
-                    slots = ledger.slots
-                    n = slots.get(c, 0)
-                    while n >= width:
-                        c += 1
-                        n = slots.get(c, 0)
-                    slots[c] = n + 1
-                    t0 = float(c)
+                    t0 = acquire(ctx.cursor)
                     ctx.cursor = t0
                     tstats.uops += 1
                     res = try_deq(t0)
@@ -2230,18 +2034,7 @@ class FastStageInterp:
         def step():
             handler = chandlers.get(qid) if has_handler else None
             while True:
-                # acquire
-                t0 = ctx.cursor
-                c = int(t0)
-                if c < t0:
-                    c += 1
-                slots = ledger.slots
-                n = slots.get(c, 0)
-                while n >= width:
-                    c += 1
-                    n = slots.get(c, 0)
-                slots[c] = n + 1
-                t0 = float(c)
+                t0 = acquire(ctx.cursor)
                 ctx.cursor = t0
                 tstats.uops += 1
                 # try_deq (queues.py), inlined

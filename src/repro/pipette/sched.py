@@ -10,8 +10,9 @@ blocked on what.
 """
 
 import heapq
+import math
 
-from ..errors import DeadlockError
+from ..errors import DeadlockError, SimulationError
 
 #: Yielded by a task generator when it must wait for an external event.
 BLOCKED = "blocked"
@@ -277,9 +278,13 @@ class Scheduler:
         return None
 
 
-#: Entries an :class:`IssueLedger` may hold before its first sweep, and the
-#: headroom above twice the survivors of each sweep after that.
+#: Cycles an :class:`IssueLedger`'s window may span before its first sweep,
+#: and the headroom above twice the span each sweep leaves.
 PRUNE_SLACK = 4096
+
+#: Free cycles a window grows by past the one it had to reach, so a thread
+#: issuing at the window's end extends it once per this many cycles.
+GROW = 1024
 
 
 class IssueLedger:
@@ -289,22 +294,34 @@ class IssueLedger:
     consumes it. Threads at different local times share one ledger, which is
     what models SMT contention among co-scheduled pipeline stages.
 
+    The counts live in a byte window: ``slots[i]`` is the number of
+    micro-ops issued in cycle ``base + i``, and a cycle outside
+    ``[base, base + len(slots))`` counts 0 (:meth:`count`). A cycle of
+    spread costs one byte, which is why ``MachineConfig`` caps
+    ``issue_width`` at 255.
+
     ``sharers`` are the thread contexts issuing through this ledger. A
     thread never acquires below its own clock, so a cycle below every
     unfinished sharer's clock can never be read again and :meth:`prune`
-    forgets it: the ledger's size follows the spread between its threads,
-    not the length of the simulation. Without sharers nothing is known
-    about who may still come, and every cycle stays.
+    forgets it: the window follows the spread between its threads, not the
+    length of the simulation. Without sharers nothing is known about who
+    may still come, and every cycle stays.
     """
 
-    __slots__ = ("width", "slots", "sharers", "mark")
+    __slots__ = ("width", "slots", "base", "sharers", "mark")
 
     def __init__(self, width):
         self.width = width
-        self.slots = {}
+        self.slots = bytearray()
+        self.base = 0
         self.sharers = []
         #: ``len(slots)`` beyond which the next acquire or resync sweeps.
         self.mark = PRUNE_SLACK
+
+    def count(self, c):
+        """Micro-ops issued in cycle ``c`` so far."""
+        i = c - self.base
+        return self.slots[i] if 0 <= i < len(self.slots) else 0
 
     def acquire(self, t):
         c = int(t)
@@ -312,30 +329,46 @@ class IssueLedger:
             c += 1
         slots = self.slots
         width = self.width
-        n = slots.get(c, 0)
-        while n >= width:
-            c += 1
-            n = slots.get(c, 0)
-        slots[c] = n + 1
+        i = c - self.base
+        if not 0 <= i < len(slots):
+            self.grow(i)
+        while slots[i] >= width:
+            i += 1
+            if i == len(slots):
+                self.grow(i)
+        slots[i] += 1
+        c = self.base + i
         if len(slots) > self.mark:
             self.prune()
         return float(c)
 
+    def grow(self, i):
+        """Extend the window with free cycles until it holds index ``i``."""
+        if i < 0:
+            raise SimulationError(
+                "issue ledger: cycle %d was already forgotten (window starts at %d)"
+                % (self.base + i, self.base)
+            )
+        self.slots.extend(bytes(i + GROW - len(self.slots)))
+
     def prune(self):
-        """Delete every cycle below the cursor of every unfinished sharer.
+        """Forget every cycle below the cursor of every unfinished sharer.
 
         A suspended thread's ``cursor`` is exact, and the running thread's is
-        at or below the cycle it probes: the reference interpreter advances
-        it after ``acquire`` returns, and a batch stage writes its live clock
-        back before it calls this (generated ``resync``). The dict is emptied
-        in place (generated stage code holds ``slots`` and ``slots.get``),
-        and the watermark doubles over the survivors so all sweeps together
-        cost no more than the inserts between them.
+        at or below the cycle it probes: the reference interpreter and the
+        fast path advance it after ``acquire`` returns, and a batch stage
+        writes its live clock back before it calls this (generated
+        ``resync``). The window loses its prefix in place and ``base``
+        moves to the first cycle kept (generated stage code holds ``slots``
+        and re-derives its index from ``base`` after a sweep), and the
+        watermark doubles over what is left so all sweeps together cost no
+        more than the growth between them.
         """
         slots = self.slots
         live = [ctx.cursor for ctx in self.sharers if not ctx.task.done]
         if live:
-            floor = min(live)
-            for c in [c for c in slots if c < floor]:
-                del slots[c]
+            k = math.ceil(min(live)) - self.base
+            if k > 0:
+                del slots[:k]
+                self.base += k
         self.mark = 2 * len(slots) + PRUNE_SLACK

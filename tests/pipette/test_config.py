@@ -103,3 +103,16 @@ def test_sizes_below_one_are_rejected_at_construction():
         assert getattr(MachineConfig(**{name: 1}), name) == 1
     with pytest.raises(ResourceError, match="issue_width, rob_size"):
         dataclasses.replace(SCALED_1CORE, issue_width=0, rob_size=0)
+
+
+def test_an_issue_stage_wider_than_a_byte_is_rejected_at_construction():
+    """The issue ledger counts a cycle's slots in one byte, so 255 is the
+    widest issue stage it can hold; one more is an error naming the field."""
+    import pytest
+
+    from repro.errors import ResourceError
+
+    assert MachineConfig(issue_width=255).issue_width == 255
+    for width in (256, 1000):
+        with pytest.raises(ResourceError, match=r"issue_width above 255.*\b%d\b" % width):
+            MachineConfig(issue_width=width)

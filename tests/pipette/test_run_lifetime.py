@@ -107,8 +107,9 @@ def test_failed_run_is_torn_down_too(engine, gc_off):
 def ledgers(monkeypatch):
     """Every ``IssueLedger`` the machines of this test build. Each records
     its sweeps as ``(from resync?, lowest cursor among the unfinished
-    sharers, len before, len after)``; between sweeps ``slots`` only grows,
-    so the high-water mark is the largest ``before`` or the final size."""
+    sharers, window bytes before, window bytes after)``; between sweeps the
+    ``slots`` window only grows, so the high-water mark is the largest
+    ``before`` or the final size."""
     made = []
 
     class Watched(IssueLedger):
@@ -138,23 +139,30 @@ def ledgers(monkeypatch):
 
 
 def _quick_run(bench, variant, engine):
-    """``bench`` on its QUICK input: the compiled pipeline, or the serial function."""
+    """``bench`` on its QUICK input: the compiled pipeline, the serial
+    function, or the data-parallel kernel on ``DP_THREADS`` workers."""
     adapter = adapter_for(bench)
-    arrays, scalars = adapter.env(build_input(QUICK_INPUTS[bench]))
+    data = build_input(QUICK_INPUTS[bench])
+    if variant == "dp":
+        arrays, scalars = adapter.dp_env(data, DP_THREADS)
+        return run_pipeline(adapter.dp_pipeline(DP_THREADS), arrays, scalars, engine=engine)
+    arrays, scalars = adapter.env(data)
     if variant == "serial":
         return run_serial(adapter.function(), arrays, scalars, engine=engine)
     pipeline = compile_function(adapter.function(), options=CompileOptions())
     return run_pipeline(pipeline, arrays, scalars, engine=engine)
 
 
-#: (kernel, variant, bound on the ledger's high-water size). A pipeline keeps
-#: the cycles between its slowest and fastest stage (a few queue depths of
-#: work) and a lone thread keeps nothing but the watermark's slack; ``sssp``
-#: compiles to one stage, so nothing in it ever yields to the scheduler.
-#: Before the ledger could forget, the same runs ended holding 488 648,
-#: 191 436 and 118 229 entries: each more than ten times its bound here.
+#: (kernel, variant, bound on the ledger window's high-water size in bytes,
+#: one byte per cycle it spans). A pipeline keeps the cycles between its
+#: slowest and fastest stage (a few queue depths of work: 52 923 bytes on
+#: ``spmm``) and a lone thread keeps nothing but the watermark's slack
+#: (6 683 and 7 169); ``sssp`` compiles to one stage, so nothing in it ever
+#: yields to the scheduler. Before the ledger could forget, the same runs
+#: ended holding 488 648, 191 436 and 118 229 dict entries of about 81
+#: bytes each.
 RUN_SHAPES = [
-    ("spmm", "static", 16384),  # 2.09 M cycles, four stages
+    ("spmm", "static", 64 * 1024),  # 2.09 M cycles, four stages
     ("bfs", "serial", 8192),  # 1.04 M cycles, one thread
     ("sssp", "static", 8192),  # 0.53 M cycles, a one-stage "pipeline"
 ]
@@ -163,6 +171,12 @@ RUN_SHAPES = [
 @pytest.mark.parametrize("engine", ["reference", "batch"])
 @pytest.mark.parametrize("bench,variant,bound", RUN_SHAPES)
 def test_ledger_size_does_not_follow_the_cycle_count(engine, bench, variant, bound, ledgers):
+    """The ledger's memory bound: a run of half a million cycles or more
+    keeps a window sized by the spread between its threads (here a few
+    queue depths, or the watermark's slack for a lone thread), not by its
+    cycle count, on both engines. It also pins who sweeps (the reference
+    from ``acquire``, batch from its generated ``resync`` only) and that
+    the machine cuts the ledger's links to its threads when the run ends."""
     result = _quick_run(bench, variant, engine)
     (ledger,) = ledgers
     assert result.cycles > 500_000
@@ -185,21 +199,27 @@ def test_forced_sweeps_delete_nothing_while_a_dp_worker_has_not_started(
     (none blocks until its share of the work is done), so while the first
     three run, a worker that has not started holds the floor at cycle 0:
     every cycle must stay, and the peak is bound by the timeline, not by the
-    machine: QUICK ``tc.dp`` peaks at 116 871 entries over 193 565 cycles,
-    with the change as without it. That is the floor rule being exact, not a
-    leak. Once the last worker runs, a sweep does delete behind it, and what
-    is left is the tail of the timeline past its own last cycle.
+    machine: QUICK ``tc.dp``'s window peaks at 194 283 bytes over 193 565
+    cycles, with the sweep forced as without it. That is the floor rule
+    being exact, not a leak. Once the last worker runs, a sweep does delete
+    behind it, and what is left is the tail of the timeline past its own
+    last cycle.
 
     Under the shipped doubling watermark, whether a sweep comes due inside
     the last worker depends on where the doubling falls: at QUICK ``tc.dp``
-    and ``spmv.dp`` none does and the ledger ends as large as it peaked
-    (``bfs.dp`` ends at 90 960 of 168 545). EXPERIMENTS.md, "Simulator
+    and ``spmv.dp`` none does and the window ends as large as it peaked
+    (``bfs.dp`` ends at 57 096 of 322 762 bytes). EXPERIMENTS.md, "Simulator
     memory", has the per-operation sizes."""
 
     class Eager(machine_module.IssueLedger):  # on top of the fixture's recorder
-        __slots__ = ()
+        __slots__ = ("issued",)
+
+        def __init__(self, width):
+            super().__init__(width)
+            self.issued = []  # _issued() before each sweep, in the order of ``sweeps``
 
         def prune(self):
+            self.issued.append(_issued(self))
             super().prune()
             self.mark = 0
 
@@ -211,12 +231,35 @@ def test_forced_sweeps_delete_nothing_while_a_dp_worker_has_not_started(
     result = run_pipeline(adapter.dp_pipeline(DP_THREADS), arrays, scalars, engine=engine)
     assert adapter.check_dp(result.arrays, data)
     (ledger,) = ledgers
-    held = [(before, after) for _, low, before, after in ledger.sweeps if low == 0.0]
-    assert held and all(before == after for before, after in held)
-    peak = max(before for before, _ in held)
+    held = [i for i, (_, low, _, _) in enumerate(ledger.sweeps) if low == 0.0]
+    assert held and all(ledger.sweeps[i][2] == ledger.sweeps[i][3] for i in held)
+    peak = max(ledger.sweeps[i][2] for i in held)
     assert peak > result.cycles / 4  # most cycles of the timeline, all at once
-    # With every sweep forced, the last worker's sweeps are the only ones that delete.
-    assert len(ledger.slots) < peak / 3
+    # With every sweep forced, the last worker's sweeps are the only ones that
+    # delete. The window left spans the whole tail of the timeline, so this
+    # counts the cycles something issued in, before and after.
+    assert _issued(ledger) < max(ledger.issued[i] for i in held) / 3
+
+
+def _issued(ledger):
+    """Cycles of the window with a nonzero count."""
+    return len(ledger.slots) - ledger.slots.count(0)
+
+
+#: The QUICK data-parallel kernels of the repo benchmark's ``sim_baseline``
+#: workload. While a worker that has not started holds the floor at cycle 0
+#: the window spans most of the timeline, one byte per cycle: 322 762,
+#: 194 283 and 230 902 bytes at their peaks, where a ``{cycle: count}`` dict
+#: held about 8 MiB for ``bfs.dp``.
+DP_SHAPES = ["bfs", "tc", "spmv"]
+
+
+@pytest.mark.parametrize("bench", DP_SHAPES)
+def test_a_dp_window_costs_a_byte_per_cycle(bench, ledgers):
+    result = _quick_run(bench, "dp", "batch")
+    (ledger,) = ledgers
+    assert ledger.high_water <= 512 * 1024
+    assert ledger.high_water <= result.cycles + sched.GROW
 
 
 @pytest.mark.parametrize("engine", ENGINES)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import DeadlockError
+from repro.errors import DeadlockError, SimulationError
 from repro.pipette import sched
 from repro.pipette.queues import HWQueue
 from repro.pipette.sched import BLOCKED, BarrierSync, IssueLedger, Scheduler, SharedCells, Task
@@ -160,13 +160,20 @@ class TestIssueLedger:
         for w in warmup:
             ledger.acquire(w)
         # Naive per-cycle model of the same scoreboard state.
-        shadow = dict(ledger.slots)
+        shadow = counts(ledger)
         c = math.ceil(t)
         while shadow.get(c, 0) >= width:
             c += 1  # stepping one quiescent cycle at a time
         got = ledger.acquire(t)
         assert got == float(c)
-        assert ledger.slots[c] == shadow.get(c, 0) + 1
+        assert ledger.count(c) == shadow.get(c, 0) + 1
+
+
+def counts(ledger):
+    """``{cycle: count}`` of every cycle the ledger's window holds a nonzero
+    count for, read through ``count``: what the ledger knows."""
+    window = range(ledger.base, ledger.base + len(ledger.slots))
+    return {c: ledger.count(c) for c in window if ledger.count(c)}
 
 
 class _Sharer:
@@ -226,7 +233,8 @@ class TestLedgerForgets:
                 ctx.cursor = ctx.clock
                 ledger.prune()
                 live = [s.clock for s in sharers if not s.task.done]
-                assert min(ledger.slots, default=math.inf) >= min(live)
+                assert min(counts(ledger), default=math.inf) >= min(live)
+                assert ledger.base == math.ceil(min(live))  # the window starts there
             elif op == "sweep":
                 ledger.mark = 0  # the next acquire sweeps
             else:
@@ -234,12 +242,12 @@ class TestLedgerForgets:
                 ctx.task.done = True
             live = [s.clock for s in sharers if not s.task.done]
             slowest = min(live) if live else math.inf
-            for cycle, count in shadow.slots.items():
+            for cycle, count in counts(shadow).items():
                 if cycle >= slowest:
-                    assert ledger.slots[cycle] == count
-                else:
-                    assert ledger.slots.get(cycle, count) == count
-            assert ledger.slots.keys() <= shadow.slots.keys()
+                    assert ledger.count(cycle) == count
+                else:  # kept exactly, or forgotten
+                    assert cycle < ledger.base or ledger.count(cycle) == count
+            assert counts(ledger).keys() <= counts(shadow).keys()
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 3), st.lists(st.floats(0, 200), max_size=80))
@@ -253,7 +261,20 @@ class TestLedgerForgets:
             ledger.mark = 0
             c = int(ledger.acquire(t))
             seen[c] = seen.get(c, 0) + 1
-            assert ledger.slots == seen
+            assert counts(ledger) == seen
+
+    def test_a_forgotten_cycle_is_an_error_not_a_free_one(self):
+        """Below the window a cycle reads 0, but acquiring it means a thread
+        ran behind the clock it promised: that raises instead of indexing
+        the window from its end."""
+        ledger = IssueLedger(1)
+        sharer = _Sharer("t")
+        ledger.sharers.append(sharer)
+        sharer.cursor = ledger.acquire(10.0)
+        ledger.prune()
+        assert (ledger.base, ledger.count(3), ledger.count(10)) == (10, 0, 1)
+        with pytest.raises(SimulationError, match="cycle 3 was already forgotten"):
+            ledger.acquire(3.0)
 
     def test_sweeps_are_paid_for_by_inserts(self, monkeypatch):
         """The watermark doubles over what a sweep leaves, so a ledger that
@@ -270,6 +291,7 @@ class TestLedgerForgets:
                 super().prune()
 
         monkeypatch.setattr(sched, "PRUNE_SLACK", 0)
+        monkeypatch.setattr(sched, "GROW", 1)  # the window grows one cycle per insert
         ledger = Counting(1)
         runner, waiting = _Sharer("runner"), _Sharer("waiting")
         ledger.sharers.extend([runner, waiting])
@@ -279,7 +301,8 @@ class TestLedgerForgets:
         waiting.task.done = True
         ledger.mark = 0
         ledger.acquire(1024.0)
-        assert sorted(ledger.slots) == [1023, 1024]
+        assert sorted(counts(ledger)) == [1023, 1024]
+        assert (ledger.base, len(ledger.slots)) == (1023, 2)
 
 
 class TestClockNormalization:

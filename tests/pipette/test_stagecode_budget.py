@@ -26,7 +26,12 @@ BENCHES = ("bfs", "cc", "prd", "radii", "spmm", "sssp", "pr", "tc", "bc", "spmv"
 #: forget: ``resync`` grew by its watermark check and the ``prune`` call,
 #: two lines in each of the 27 stages (27 900), and by one more when the
 #: sweep learned to write the running thread's clock back first (27 927).
-LINE_BUDGET = 27927
+#: The byte window added one line to each of the 533 new-cycle walks (four
+#: lines, ``ln = W + 1``, ``t += 1.0`` and the grow check's two, replace
+#: three, the unrolled first step's two and ``t = lc + 0.0``) and three to
+#: each ``resync`` (``c = ceil(cur)`` and the grow check's two lines):
+#: 27 927 + 533 + 3 * 27 = 28 541.
+LINE_BUDGET = 28541
 
 #: One more kernel beside the ten: data-parallel ``bfs``, whose workers are
 #: the shipped code that runs ``atomic_rmw``.
@@ -130,10 +135,12 @@ def test_every_site_that_moves_the_clock_resyncs(stage_sources):
 
 
 def test_the_ledger_forgets_through_resync_and_nothing_rebinds_it(stage_sources):
-    """``IssueLedger.prune`` empties the slot dict in place: the prologue's
-    ``slots``/``sget`` stay valid because nothing assigns the name again,
-    and the one generated call sits in ``resync`` — where a stage already
-    leaves straight-line code — behind the watermark compare."""
+    """``IssueLedger.prune`` deletes a prefix of the byte window in place:
+    the prologue's ``slots``/``grow`` stay valid because nothing assigns
+    the names again, and the one generated call sits in ``resync`` — where
+    a stage already leaves straight-line code — behind the watermark
+    compare, with the window index derived after it (a sweep moves
+    ``ledger.base``)."""
     for bench, sources in stage_sources.items():
         for source in sources:
             lines = source.splitlines()
@@ -144,4 +151,26 @@ def test_the_ledger_forgets_through_resync_and_nothing_rebinds_it(stage_sources)
             # The running thread's clock goes back first: prune reads cursors.
             assert lines[call - 1].strip() == "ctx.cursor = cur", bench
             assert lines[call - 2].strip() == "if len(slots) > ledger.mark:", bench
-            assert sum(line.lstrip().startswith("slots = ") for line in lines) == 1, bench
+            after = [line.strip() for line in lines[call + 1 : call + 3]]
+            assert after == ["c = ceil(cur)", "lc = c - ledger.base"], bench
+            for name in ("slots", "grow"):
+                assert sum(line.lstrip().startswith(name + " = ") for line in lines) == 1, bench
+
+
+def test_every_step_of_a_walk_checks_the_window_end(stage_sources):
+    """A new-cycle walk steps ``lc`` and ``t`` together and grows the
+    window before it reads one byte past its end; no stage probes the
+    ledger any other way."""
+    for bench, sources in stage_sources.items():
+        for source in sources:
+            lines = [line.strip() for line in source.splitlines()]
+            reads = [i for i, line in enumerate(lines) if line == "ln = slots[lc] + 1"]
+            assert reads, bench
+            for i in reads:
+                assert lines[i - 4 : i] == [
+                    "lc += 1",
+                    "t += 1.0",
+                    "if lc == len(slots):",
+                    "grow(lc)",
+                ], bench
+            assert not any("slots.get" in line or "sget" in line for line in lines), bench
