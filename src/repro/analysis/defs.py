@@ -44,7 +44,7 @@ class DefUse:
         return len(self.uses.get(reg, []))
 
 
-def pure_regs(body: Any, params: Iterable[str]) -> set[str]:
+def pure_regs(body: Any, params: Iterable[str], du: Optional[DefUse] = None) -> set[str]:
     """Registers whose values are computable from scalar parameters alone.
 
     A register is *pure* if every definition is an ``Assign``/``ReadShared``
@@ -53,8 +53,11 @@ def pure_regs(body: Any, params: Iterable[str]) -> set[str]:
     *replicated* across pipeline stages (each stage recomputes them) instead
     of being communicated — the enabling fact behind the recompute pass and
     phase-scalar replication.
+
+    ``du`` is ``body``'s :class:`DefUse` when the caller already built it.
     """
-    du = DefUse(body)
+    if du is None:
+        du = DefUse(body)
     pure: set[str] = set(params)
 
     def operand_pure(a: Any) -> bool:

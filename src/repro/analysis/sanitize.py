@@ -48,7 +48,7 @@ from typing import Any, Iterable, Optional
 from ..diag import DiagnosticSet
 from ..ir.program import RA_SCAN
 from ..ir.stmts import loop_chain, positions, walk
-from .alias import AliasInfo, access_class
+from .alias import access_class
 
 #: Unknown multiplicity in the token-count abstract domain.
 TOP = "?"
@@ -223,12 +223,51 @@ def _first_span(stmts_iter: Iterable[Any]) -> Optional[Any]:
     return None
 
 
-def _queue_stmts(stage: Any, qid: Any, kinds: tuple[str, ...]) -> list[Any]:
-    return [
-        s
-        for s in stage.all_stmts()
-        if s.kind in kinds and getattr(s, "queue", None) == qid
-    ]
+#: Statement kinds that name a queue.
+_QUEUE_KINDS = frozenset(["enq", "enq_ctrl", "enq_dist", "enq_ctrl_dist", "deq", "peek"])
+
+
+class _StageIndex:
+    """What the checks ask of one stage, from one walk of its body and
+    handlers (``all_stmts`` order): queue operations by qid, array reads
+    (loads, prefetches) and writes by alias class, the ``is_control`` tests,
+    the shared-cell accesses, and whether it has a barrier. Built per
+    :func:`sanitize_pipeline` call, never kept."""
+
+    __slots__ = ("queue_ops", "reads", "writes", "ctrl_tests", "shared", "has_barrier")
+
+    def __init__(self, stage: Any) -> None:
+        self.queue_ops: dict[Any, list[Any]] = {}
+        self.reads: dict[Any, list[Any]] = {}
+        self.writes: dict[Any, list[Any]] = {}
+        self.ctrl_tests: list[Any] = []
+        self.shared: list[Any] = []
+        self.has_barrier = False
+        for stmt in stage.all_stmts():
+            kind = stmt.kind
+            if kind in _QUEUE_KINDS:
+                self.queue_ops.setdefault(stmt.queue, []).append(stmt)
+            elif kind in ("load", "prefetch"):
+                self.reads.setdefault(access_class(stmt.array), []).append(stmt)
+            elif kind in ("store", "atomic_rmw"):
+                self.writes.setdefault(access_class(stmt.array), []).append(stmt)
+            elif kind == "is_control":
+                self.ctrl_tests.append(stmt)
+            elif kind in ("read_shared", "write_shared"):
+                self.shared.append(stmt)
+            elif kind == "barrier":
+                self.has_barrier = True
+
+
+def _index_stages(pipeline: Any) -> dict[int, _StageIndex]:
+    """``{id(stage): _StageIndex}``: every stage of ``pipeline`` walked once."""
+    return {id(stage): _StageIndex(stage) for stage in pipeline.stages}
+
+
+def _queue_stmts(
+    index: dict[int, _StageIndex], stage: Any, qid: Any, kinds: tuple[str, ...]
+) -> list[Any]:
+    return [s for s in index[id(stage)].queue_ops.get(qid, ()) if s.kind in kinds]
 
 
 def _stage_label(stage: Any) -> str:
@@ -239,8 +278,16 @@ def _stage_label(stage: Any) -> str:
 # Token-balance analysis (PHL101-PHL105)
 
 
-def check_token_balance(pipeline: Any, diags: DiagnosticSet) -> None:
-    """Prove per-queue enqueue/dequeue balance, or report why not."""
+def check_token_balance(
+    pipeline: Any, diags: DiagnosticSet, index: Optional[dict[int, _StageIndex]] = None
+) -> None:
+    """Prove per-queue enqueue/dequeue balance, or report why not.
+
+    ``index`` is the call's :func:`_index_stages` (built here when absent),
+    as for :func:`check_deadlock` and :func:`check_races`.
+    """
+    if index is None:
+        index = _index_stages(pipeline)
     effects: dict[Any, dict[Any, _QEffect]] = {}
     imbalances: dict[Any, list[_Imbalance]] = {}
     for stage in pipeline.stages:
@@ -266,7 +313,7 @@ def check_token_balance(pipeline: Any, diags: DiagnosticSet) -> None:
                     producer = pipeline.stage(pidx)
                     if producer is not None:
                         span = _first_span(
-                            _queue_stmts(producer, qid, ("enq", "enq_dist", "enq_ctrl"))
+                            _queue_stmts(index, producer, qid, ("enq", "enq_dist", "enq_ctrl"))
                         )
                 diags.add(
                     "PHL101",
@@ -304,7 +351,7 @@ def check_token_balance(pipeline: Any, diags: DiagnosticSet) -> None:
         origin, _oqid, ras = pipeline.upstream(qid)
         ctrl_ok = all(ra.forward_ctrl for ra in ras)
         exact = all(ra.mode != RA_SCAN for ra in ras)
-        if _consumes_ctrl(consumer, qid):
+        if _consumes_ctrl(index[id(consumer)], consumer, qid):
             origin_ctrl: Count = 0
             if origin is not None:
                 origin_ctrl = effects[origin.index].get(_oqid, _QEffect()).ctrl
@@ -317,7 +364,7 @@ def check_token_balance(pipeline: Any, diags: DiagnosticSet) -> None:
                     where=_stage_label(consumer),
                 )
             elif origin is not None and origin_ctrl == 0:
-                span = _first_span(_queue_stmts(consumer, qid, ("deq", "peek")))
+                span = _first_span(_queue_stmts(index, consumer, qid, ("deq", "peek")))
                 diags.add(
                     "PHL103",
                     "queue %d%s: %s waits for a control value that %s never "
@@ -341,8 +388,8 @@ def check_token_balance(pipeline: Any, diags: DiagnosticSet) -> None:
         produced, consumed = peff.enq, ceff.deq
         if produced is not TOP and consumed is not TOP and produced != consumed:
             span = _first_span(
-                _queue_stmts(origin, _oqid, ("enq", "enq_dist"))
-                + _queue_stmts(consumer, qid, ("deq",))
+                _queue_stmts(index, origin, _oqid, ("enq", "enq_dist"))
+                + _queue_stmts(index, consumer, qid, ("deq",))
             )
             diags.add(
                 "PHL105",
@@ -361,7 +408,7 @@ def check_token_balance(pipeline: Any, diags: DiagnosticSet) -> None:
                 where="queue %d" % qid,
             )
         elif produced is TOP and consumed is TOP:
-            _match_loop_rates(pipeline, origin, _oqid, consumer, qid, diags)
+            _match_loop_rates(index, origin, _oqid, consumer, qid, diags)
 
         # -- conditional imbalance (warnings) ----------------------------
         if origin is not None and consumed is not TOP and consumed != 0:
@@ -394,18 +441,21 @@ def _c_lt(a: Count, b: Count) -> bool:
     return a is not TOP and b is not TOP and bool(a < b)
 
 
-def _consumes_ctrl(stage: Any, qid: Any) -> bool:
+def _consumes_ctrl(stage_index: _StageIndex, stage: Any, qid: Any) -> bool:
     """Does ``stage`` terminate its consumption of ``qid`` on a control value?"""
     if qid in stage.handlers:
         return True
-    deq_dsts = {s.dst for s in stage.all_stmts() if s.kind in ("deq", "peek") and s.queue == qid}
-    return any(
-        s.kind == "is_control" and s.src in deq_dsts for s in stage.all_stmts()
-    )
+    deq_dsts = {s.dst for s in stage_index.queue_ops.get(qid, ()) if s.kind in ("deq", "peek")}
+    return any(s.src in deq_dsts for s in stage_index.ctrl_tests)
 
 
 def _match_loop_rates(
-    pipeline: Any, producer: Any, pqid: Any, consumer: Any, cqid: Any, diags: DiagnosticSet
+    index: dict[int, _StageIndex],
+    producer: Any,
+    pqid: Any,
+    consumer: Any,
+    cqid: Any,
+    diags: DiagnosticSet,
 ) -> None:
     """Refine TOP-vs-TOP multiplicity: same counted loop, different rates.
 
@@ -413,12 +463,12 @@ def _match_loop_rates(
     counted loop with *syntactically identical* bounds, the trip counts
     cancel and the per-iteration rates must match.
     """
-    enqs = _queue_stmts(producer, pqid, ("enq", "enq_dist"))
-    deqs = _queue_stmts(consumer, cqid, ("deq",))
+    enqs = _queue_stmts(index, producer, pqid, ("enq", "enq_dist"))
+    deqs = _queue_stmts(index, consumer, cqid, ("deq",))
     if not enqs or not deqs:
         return
-    p_loops = {id(_innermost_for(producer.body, s)): _innermost_for(producer.body, s) for s in enqs}
-    c_loops = {id(_innermost_for(consumer.body, s)): _innermost_for(consumer.body, s) for s in deqs}
+    p_loops = {id(loop): loop for loop in (_innermost_for(producer.body, s) for s in enqs)}
+    c_loops = {id(loop): loop for loop in (_innermost_for(consumer.body, s) for s in deqs)}
     if len(p_loops) != 1 or len(c_loops) != 1:
         return
     p_loop = next(iter(p_loops.values()))
@@ -593,8 +643,12 @@ def _max_burst(body: Any, qout: Any, qin: Any) -> Count:
     return _c_max(pending, best)
 
 
-def check_deadlock(pipeline: Any, diags: DiagnosticSet) -> None:
+def check_deadlock(
+    pipeline: Any, diags: DiagnosticSet, index: Optional[dict[int, _StageIndex]] = None
+) -> None:
     """Cycle + credit-based capacity feasibility over the topology graph."""
+    if index is None:
+        index = _index_stages(pipeline)
     graph = stage_queue_graph(pipeline)
     edges: dict[Any, list[Any]] = {}
     for src, succs in graph.items():
@@ -655,14 +709,16 @@ def check_deadlock(pipeline: Any, diags: DiagnosticSet) -> None:
                                 qin,
                                 credit,
                             ),
-                            span=_first_span(_queue_stmts(stage, qout, ("enq", "enq_dist"))),
+                            span=_first_span(_queue_stmts(index, stage, qout, ("enq", "enq_dist"))),
                             where=_stage_label(stage),
                         )
 
-    _check_fanin_order(pipeline, diags)
+    _check_fanin_order(pipeline, diags, index)
 
 
-def _check_fanin_order(pipeline: Any, diags: DiagnosticSet) -> None:
+def _check_fanin_order(
+    pipeline: Any, diags: DiagnosticSet, index: dict[int, _StageIndex]
+) -> None:
     """PHL203: producer fills queue A completely before feeding queue B,
     while the consumer blocks on B before draining A."""
     pairs: dict[Any, list[Any]] = {}
@@ -679,24 +735,26 @@ def _check_fanin_order(pipeline: Any, diags: DiagnosticSet) -> None:
         ppos = positions(producer.body)
         cpos = positions(consumer.body)
         for qa in qs:
+            a_enqs = _queue_stmts(index, producer, qa.qid, ("enq", "enq_dist"))
+            a_deqs = _queue_stmts(index, consumer, qa.qid, ("deq", "peek"))
+            if not (a_enqs and a_deqs):
+                continue
+            loop = _innermost_for(producer.body, a_enqs[0])
+            if loop is None:
+                chain = loop_chain(producer.body, a_enqs[0])
+                loop = chain[-1] if chain else None
+            if loop is None:
+                continue
+            in_loop = {id(s) for s in walk(loop.body)}
             for qb in qs:
                 if qa.qid == qb.qid:
                     continue
-                a_enqs = _queue_stmts(producer, qa.qid, ("enq", "enq_dist"))
                 b_enqs = _queue_stmts(
-                    producer, qb.qid, ("enq", "enq_dist", "enq_ctrl", "enq_ctrl_dist")
+                    index, producer, qb.qid, ("enq", "enq_dist", "enq_ctrl", "enq_ctrl_dist")
                 )
-                a_deqs = _queue_stmts(consumer, qa.qid, ("deq", "peek"))
-                b_deqs = _queue_stmts(consumer, qb.qid, ("deq", "peek"))
-                if not (a_enqs and b_enqs and a_deqs and b_deqs):
+                b_deqs = _queue_stmts(index, consumer, qb.qid, ("deq", "peek"))
+                if not (b_enqs and b_deqs):
                     continue
-                loop = _innermost_for(producer.body, a_enqs[0])
-                if loop is None:
-                    chain = loop_chain(producer.body, a_enqs[0])
-                    loop = chain[-1] if chain else None
-                if loop is None:
-                    continue
-                in_loop = {id(s) for s in walk(loop.body)}
                 if any(id(s) in in_loop for s in b_enqs):
                     continue  # interleaved: the consumer can make progress
                 if not all(ppos[id(s)] > ppos[id(loop)] for s in b_enqs):
@@ -730,21 +788,14 @@ def _check_fanin_order(pipeline: Any, diags: DiagnosticSet) -> None:
 # Cross-stage race detection (PHL301-PHL304)
 
 
-def _stage_access_sites(stage: Any) -> tuple[AliasInfo, dict[Any, list[Any]]]:
-    """(alias info, load sites by class, write sites by class) for a stage."""
-    info = AliasInfo(stage.body)
-    for handler in stage.handlers.values():
-        hinfo = AliasInfo(handler)
-        for cls, sites in hinfo.reads.items():
-            info.reads.setdefault(cls, []).extend(sites)
-        for cls, sites in hinfo.writes.items():
-            info.writes.setdefault(cls, []).extend(sites)
+def _stage_loads(stage_index: _StageIndex) -> dict[Any, list[Any]]:
+    """A stage's load sites (its reads, prefetches left out) by alias class."""
     loads = {}
-    for cls, sites in info.reads.items():
+    for cls, sites in stage_index.reads.items():
         real_loads = [s for s in sites if s.kind == "load"]
         if real_loads:
             loads[cls] = real_loads
-    return info, loads
+    return loads
 
 
 def classify_cross_stage(pipeline: Any) -> dict[Any, str]:
@@ -761,10 +812,10 @@ def classify_cross_stage(pipeline: Any) -> dict[Any, str]:
     writers: dict[Any, set[Any]] = {}
     loaders: dict[Any, set[Any]] = {}
     for stage in pipeline.stages:
-        info, loads = _stage_access_sites(stage)
+        info = _StageIndex(stage)
         for cls in info.reads:
             readers.setdefault(_merged_class(pipeline, cls), set()).add(stage.index)
-        for cls in loads:
+        for cls in _stage_loads(info):
             loaders.setdefault(_merged_class(pipeline, cls), set()).add(stage.index)
         for cls in info.writes:
             writers.setdefault(_merged_class(pipeline, cls), set()).add(stage.index)
@@ -793,18 +844,22 @@ def _merged_class(pipeline: Any, cls: Any) -> Any:
     return cls
 
 
-def check_races(pipeline: Any, diags: DiagnosticSet) -> None:
+def check_races(
+    pipeline: Any, diags: DiagnosticSet, index: Optional[dict[int, _StageIndex]] = None
+) -> None:
     """Flag write-write and unordered read-write pairs across stages."""
+    if index is None:
+        index = _index_stages(pipeline)
     write_sites: dict[Any, dict[Any, list[Any]]] = {}  # merged class -> {stage index -> [stmts]}
     load_sites: dict[Any, dict[Any, list[Any]]] = {}
     class_names: dict[Any, set[Any]] = {}  # merged class -> set of source-level class names
     for stage in pipeline.stages:
-        info, loads = _stage_access_sites(stage)
+        info = index[id(stage)]
         for cls, sites in info.writes.items():
             merged = _merged_class(pipeline, cls)
             write_sites.setdefault(merged, {}).setdefault(stage.index, []).extend(sites)
             class_names.setdefault(merged, set()).add(cls)
-        for cls, sites in loads.items():
+        for cls, sites in _stage_loads(info).items():
             merged = _merged_class(pipeline, cls)
             load_sites.setdefault(merged, {}).setdefault(stage.index, []).extend(sites)
             class_names.setdefault(merged, set()).add(cls)
@@ -841,17 +896,20 @@ def check_races(pipeline: Any, diags: DiagnosticSet) -> None:
                 where=_stage_label(stage),
             )
 
-    _check_shared_cells(pipeline, diags)
+    _check_shared_cells(pipeline, diags, index)
 
 
-def _check_shared_cells(pipeline: Any, diags: DiagnosticSet) -> None:
+def _check_shared_cells(
+    pipeline: Any, diags: DiagnosticSet, index: dict[int, _StageIndex]
+) -> None:
     """PHL304: shared scalar cells must cross stages only over a barrier."""
     writers: dict[Any, dict[Any, Any]] = {}
     readers: dict[Any, dict[Any, Any]] = {}
     has_barrier: dict[Any, bool] = {}
     for stage in pipeline.stages:
-        has_barrier[stage.index] = any(s.kind == "barrier" for s in stage.all_stmts())
-        for stmt in stage.all_stmts():
+        stage_index = index[id(stage)]
+        has_barrier[stage.index] = stage_index.has_barrier
+        for stmt in stage_index.shared:
             if stmt.kind == "write_shared":
                 writers.setdefault(stmt.var, {}).setdefault(stage.index, stmt)
             elif stmt.kind == "read_shared":
@@ -939,9 +997,10 @@ def sanitize_pipeline(pipeline: Any, diags: Optional[DiagnosticSet] = None) -> D
     """
     if diags is None:
         diags = DiagnosticSet()
-    check_token_balance(pipeline, diags)
-    check_deadlock(pipeline, diags)
-    check_races(pipeline, diags)
+    index = _index_stages(pipeline)
+    check_token_balance(pipeline, diags, index)
+    check_deadlock(pipeline, diags, index)
+    check_races(pipeline, diags, index)
     check_replication(pipeline, diags)
     return diags
 

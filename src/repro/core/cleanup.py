@@ -9,8 +9,9 @@ stand in for the ``gcc -O3`` the paper compiles its emitted code with.
 
 from ..ir.stmts import substitute_uses, walk
 
-#: Statement kinds that are removable when their destination is unused.
-_PURE_DEFS = frozenset(["assign", "read_shared", "is_control", "peek", "load"])
+#: Statement kinds that are removable when their destination is unused (a
+#: ``peek`` is pure too, but it keeps its queue protocol).
+_REMOVABLE = frozenset(["assign", "read_shared", "is_control", "load"])
 
 #: Kinds whose presence makes a stage non-trivial (it does real work or
 #: participates in a queue protocol).
@@ -32,46 +33,54 @@ _EFFECTFUL = frozenset(
 )
 
 
-def _collect_uses(body, handler_bodies=()):
-    used = set()
-    for root in (body,) + tuple(handler_bodies):
-        for stmt in walk(root):
-            used.update(stmt.uses())
-    return used
-
-
 def remove_dead_code(body, live_out=(), handler_bodies=()):
-    """Iteratively drop pure statements whose results are never used.
+    """Drop pure statements whose results are never used, to a fixed point.
 
     ``live_out`` names registers that must survive (none for stage bodies —
     stages communicate only through queues, memory, and shared cells).
     Loads are removable too: a load whose value is unused has no
     architectural effect (we deliberately do *not* keep it as an implicit
     prefetch — the compiler emits explicit ``Prefetch`` when it wants one).
+
+    Uses are counted once, over the body, the handlers and ``live_out``; a
+    dropped statement gives its uses back, so a sweep sees the drops before
+    it. Deleting only ever removes uses, so the fixed point is the one
+    "collect every use, drop the dead, repeat" reaches.
     """
-    changed = True
-    while changed:
-        used = _collect_uses(body, handler_bodies) | set(live_out)
-        changed = _sweep(body, used)
+    uses = {}
+    for root in (body, *handler_bodies):
+        for stmt in walk(root):
+            for reg in stmt.uses():
+                uses[reg] = uses.get(reg, 0) + 1
+    for reg in live_out:
+        uses[reg] = uses.get(reg, 0) + 1
+    while _sweep(body, uses):
+        pass
     return body
 
 
-def _sweep(body, used):
-    changed = False
+def _sweep(body, uses):
+    """Drop the dead pure statements of ``body``, last first (a value's uses
+    mostly follow its definition); True if any went."""
+    dropped = False
     kept = []
-    for stmt in body:
-        for block in stmt.blocks():
-            if _sweep(block, used):
-                changed = True
-        if stmt.kind in _PURE_DEFS and stmt.kind != "peek":
+    for stmt in reversed(body):
+        if stmt.kind in _REMOVABLE:
             defs = stmt.defs()
-            if defs and all(d not in used for d in defs):
-                changed = True
+            if defs and not any(uses.get(reg) for reg in defs):
+                for reg in stmt.uses():
+                    uses[reg] -= 1
+                dropped = True
                 continue
+        else:
+            for block in stmt.blocks():
+                if _sweep(block, uses):
+                    dropped = True
         kept.append(stmt)
     if len(kept) != len(body):
+        kept.reverse()
         body[:] = kept
-    return changed
+    return dropped
 
 
 def prune_empty_control(body):
@@ -141,8 +150,8 @@ def cleanup_stage(stage):
     handler_bodies = tuple(stage.handlers.values())
     copy_propagate(stage)
     remove_dead_code(stage.body, handler_bodies=handler_bodies)
-    prune_empty_control(stage.body)
-    remove_dead_code(stage.body, handler_bodies=handler_bodies)
+    if prune_empty_control(stage.body):  # else the body is still a fixed point
+        remove_dead_code(stage.body, handler_bodies=handler_bodies)
     return stage
 
 

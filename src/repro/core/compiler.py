@@ -29,29 +29,38 @@ from .recompute import apply_recompute
 
 
 def _remove_dead_queues(pipeline):
-    """Delete point-to-point queues whose dequeued value is never used."""
+    """Delete point-to-point queues whose dequeued value is never used.
+
+    Each round walks every stage once, for every queue's operations and the
+    registers each stage reads. A removal in a round only takes uses away,
+    so a queue it frees is found the next round: the rounds stop where
+    re-walking per queue did.
+    """
     changed = True
     while changed:
         changed = False
+        ops = {}  # qid -> [(stage, stmt)], in stage and all_stmts order
+        reads = {}  # id(stage) -> registers its statements read
+        for stage in pipeline.stages:
+            regs = reads[id(stage)] = set()
+            for stmt in stage.all_stmts():
+                regs.update(stmt.uses())
+                qid = getattr(stmt, "queue", None)
+                if qid is not None:
+                    ops.setdefault(qid, []).append((stage, stmt))
         for qid in list(pipeline.queues):
             enqs, deqs, others = [], [], []
-            for stage in pipeline.stages:
-                for stmt in stage.all_stmts():
-                    if getattr(stmt, "queue", None) != qid:
-                        continue
-                    if stmt.kind == "enq":
-                        enqs.append((stage, stmt))
-                    elif stmt.kind == "deq":
-                        deqs.append((stage, stmt))
-                    else:
-                        others.append((stage, stmt))
+            for stage, stmt in ops.get(qid, ()):
+                if stmt.kind == "enq":
+                    enqs.append((stage, stmt))
+                elif stmt.kind == "deq":
+                    deqs.append((stage, stmt))
+                else:
+                    others.append((stage, stmt))
             if others or len(enqs) != 1 or len(deqs) != 1:
                 continue
             cons_stage, deq = deqs[0]
-            used = any(
-                deq.dst in stmt.uses() for stmt in cons_stage.all_stmts() if stmt is not deq
-            )
-            if used:
+            if deq.dst in reads[id(cons_stage)]:
                 continue
             remove(cons_stage.body, [deq])
             remove(enqs[0][0].body, [enqs[0][1]])

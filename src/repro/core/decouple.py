@@ -14,7 +14,7 @@ from ..ir.program import PipelineProgram, QueueSpec, StageProgram
 from ..ir.values import array_name, is_array_symbol
 from .cleanup import cleanup_stage, stage_is_trivial
 from .phases import prepare_phases
-from .split import split_at
+from .split import BodyFacts, split_at
 
 
 def _point_name(point):
@@ -45,6 +45,10 @@ def decouple_function(function, num_points, capacity=24, point_indices=None, pro
     shared_vars = prepare_phases(work, profiler=profiler)
     ranked = rank_decouple_points(work)
     rejected = set()
+    # split_at never edits its input, so what every retry's first split asks
+    # of work.body (its numbering, def/use table, pure registers) is asked once.
+    positions = S.positions(work.body) if ranked else {}
+    work_facts = BodyFacts(work.body, work.scalar_params) if ranked else None
 
     while True:
         if point_indices is not None:
@@ -66,7 +70,6 @@ def decouple_function(function, num_points, capacity=24, point_indices=None, pro
             )
             cleanup_stage(stage)
             return pipeline, []
-        positions = S.positions(work.body)
         chosen.sort(key=lambda p: positions[id(p.loads[0])])
 
         bodies = [work.body]
@@ -79,11 +82,16 @@ def decouple_function(function, num_points, capacity=24, point_indices=None, pro
 
         failed = None
         for point in chosen:
-            if not _loads_present(bodies[-1], point):
+            # Every ranked load is in work.body: only a later body can lack one.
+            first = len(bodies) == 1
+            if not first and not _loads_present(bodies[-1], point):
                 failed = point
                 break
             try:
-                outcome = split_at(bodies[-1], point, alloc_qid, work.scalar_params)
+                outcome = split_at(
+                    bodies[-1], point, alloc_qid, work.scalar_params,
+                    facts=work_facts if first else None,
+                )
             except (CompileError, AliasError):
                 failed = point
                 break

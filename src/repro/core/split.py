@@ -57,14 +57,41 @@ class SplitOutcome:
         self.forwards = forwards  # list of ForwardedValue
 
 
-class _Splitter:
-    def __init__(self, body, point, alloc_qid, params):
+class BodyFacts:
+    """What every split of one body starts from: its :class:`DefUse`, the
+    alias classes it writes and (on first use) its pure registers.
+
+    A split never edits its input body, so a caller trying several points on
+    one body (the decoupler retrying on the function body) builds this once
+    and passes it to each :func:`split_at`.
+    """
+
+    def __init__(self, body, params):
         self.body = body
-        self.point = point
-        self.alloc_qid = alloc_qid
         self.params = set(params)
         self.du = DefUse(body)
-        self.pure = pure_regs(body, self.params)
+        self.written = {
+            access_class(stmt.array)
+            for stmt in S.walk(body)
+            if stmt.kind in ("store", "atomic_rmw")
+        }
+        self._pure = None
+
+    def pure(self):
+        if self._pure is None:
+            self._pure = pure_regs(self.body, self.params, self.du)
+        return self._pure
+
+
+class _Splitter:
+    def __init__(self, facts, point, alloc_qid):
+        self.facts = facts
+        self.body = facts.body
+        self.point = point
+        self.alloc_qid = alloc_qid
+        self.params = facts.params
+        self.du = facts.du
+        self.pure = None  # set by classify, once the point passed the alias check
         self.group_ids = {id(load) for load in point.loads}
         self.dispo = {}
         self.keep = {"P": {}, "C": {}}
@@ -80,11 +107,13 @@ class _Splitter:
             seeds.append(load.index)
             if is_reg(load.array):
                 seeds.append(load.array)
-        slice_ids, _ = backward_slice(self.body, seeds, self.du)
+        slice_ids, slice_regs = backward_slice(self.body, seeds, self.du)
         slice_ids -= self.group_ids
+        self._check_aliasing(slice_ids, slice_regs)
+        self.pure = self.facts.pure()
 
-        self.ctrl_chain = {}
-        self._index_chains(self.body, ())
+        self.exit_chains = []  # each break/continue's enclosing ctrl statements
+        self._index_exits(self.body, ())
 
         for stmt in S.walk(self.body):
             sid = id(stmt)
@@ -108,8 +137,6 @@ class _Splitter:
             else:
                 self.dispo[sid] = "C"
 
-        self._check_aliasing()
-
     def _cloneable(self, stmt):
         if stmt.kind in ("comment", "barrier", "read_shared"):
             return True
@@ -117,16 +144,22 @@ class _Splitter:
             return all(d in self.pure for d in stmt.defs())
         return False
 
-    def _check_aliasing(self):
-        """Producer loads must not touch classes the consumer writes."""
-        consumer_written = set()
+    def _check_aliasing(self, slice_ids, slice_regs):
+        """Producer loads must not touch classes the consumer writes.
+
+        Runs before classification, from the slice alone: a classification
+        that succeeds puts every store on the consumer side (a store in the
+        slice is rejected) and exactly the slice's loads on the producer
+        side, so these are the sets it would have produced. A point that
+        fails both checks is rejected either way. The slice is every
+        definition of the registers it needs, so its loads are found there.
+        """
+        consumer_written = self.facts.written
         producer_read = set()
-        for stmt in S.walk(self.body):
-            d = self.dispo[id(stmt)]
-            if stmt.kind in ("store", "atomic_rmw") and d in ("C", "B"):
-                consumer_written.add(access_class(stmt.array))
-            if stmt.kind == "load" and d == "P":
-                producer_read.add(access_class(stmt.array))
+        for reg in slice_regs:
+            for stmt in self.du.defining_stmts(reg):
+                if stmt.kind == "load" and id(stmt) in slice_ids:
+                    producer_read.add(access_class(stmt.array))
         if self.point.value_mode:
             for load in self.point.loads:
                 producer_read.add(access_class(load.array))
@@ -148,16 +181,14 @@ class _Splitter:
                 return
         raise CompileError("split fixpoint did not converge")
 
-    def _index_chains(self, body, chain):
+    def _index_exits(self, body, chain):
         for stmt in body:
-            self.ctrl_chain[id(stmt)] = chain
-            if stmt.kind in _CTRL_KINDS:
+            if stmt.kind in ("break", "continue"):
+                self.exit_chains.append(chain)
+            elif stmt.kind in _CTRL_KINDS:
                 inner = chain + (stmt,)
                 for block in stmt.blocks():
-                    self._index_chains(block, inner)
-            else:
-                for block in stmt.blocks():
-                    self._index_chains(block, chain)
+                    self._index_exits(block, inner)
 
     def _content(self, stmt, side):
         d = self.dispo[id(stmt)]
@@ -202,10 +233,7 @@ class _Splitter:
             visit(self.body)
             # A kept loop keeps its breaks/continues, which keeps their
             # guard Ifs (even when the guard has no other content).
-            for stmt in S.walk(self.body):
-                if stmt.kind not in ("break", "continue"):
-                    continue
-                chain = self.ctrl_chain.get(id(stmt), ())
+            for chain in self.exit_chains:
                 loop_at = None
                 for index in range(len(chain) - 1, -1, -1):
                     if chain[index].kind in ("for", "loop"):
@@ -360,13 +388,14 @@ class _Splitter:
         return [load]
 
 
-def split_at(body, point, alloc_qid, params):
+def split_at(body, point, alloc_qid, params, facts=None):
     """Split ``body`` at ``point``; returns a :class:`SplitOutcome`.
 
     Raises CompileError/AliasError when the point is not decouplable; the
-    caller treats that as "candidate rejected".
+    caller treats that as "candidate rejected". ``facts`` is ``body``'s
+    :class:`BodyFacts` when the caller keeps one.
     """
-    splitter = _Splitter(body, point, alloc_qid, params)
+    splitter = _Splitter(facts or BodyFacts(body, params), point, alloc_qid)
     splitter.classify()
     splitter.resolve()
     producer = splitter.build("P")

@@ -5,6 +5,8 @@ PRAGMA tokens (carrying the rest of the line), matching how the paper's
 annotations (Table II) ride on top of plain C.
 """
 
+import re
+
 from ..errors import ParseError
 
 KEYWORDS = frozenset(
@@ -93,119 +95,94 @@ class Token:
         return "Token(%s, %r)" % (self.kind, self.value)
 
 
+#: Hex digits, for splitting a hex literal from its suffix.
+_HEX_DIGITS = "0123456789abcdefABCDEF"
+
+#: One master pattern. Group 1 skips blanks and comments (a ``//`` comment
+#: only with its newline); then exactly one named group matches, tried in
+#: order: a letter or ``_`` starts an identifier, a digit or ``.digit`` a
+#: number (hex, or decimal with one ``.`` before an optional exponent, then
+#: C suffixes), ``_PUNCT`` keeps its longest-match order, and ``word`` is a
+#: word that starts with any other character (a non-ASCII letter, or a digit
+#: ``int`` cannot read). ``eof`` and the one-character ``bad`` catch-all make
+#: every position match, so matches are contiguous.
+_TOKEN = re.compile(
+    r"((?:[ \t\r\n]+|//[^\n]*\n|/\*.*?\*/)*)(?:"
+    r"(?P<ident>[A-Za-z_]\w*)"
+    r"|(?P<number>0[xX][0-9a-fA-F]*[uUlLfF]*|(?:\d+\.?\d*|\.\d+)(?:[eE](?:[+-]\d*|\d+))?[uUlLfF]*)"
+    r"|(?P<line_comment>//[^\n]*)"
+    r"|(?P<open_comment>/\*)"
+    r"|(?P<punct>" + "|".join(re.escape(p) for p in _PUNCT) + r")"
+    r"|(?P<directive>\#[^\n]*)"
+    r"|(?P<word>\w+)"
+    r"|(?P<eof>\Z)"
+    r"|(?P<bad>.))",
+    re.DOTALL,
+)
+
+
+def _number(text, line, col):
+    """The value of a number literal: C suffixes dropped, ``f`` makes a float."""
+    if text[:2] in ("0x", "0X"):
+        suffix = text[2:].lstrip(_HEX_DIGITS)
+        body = text[: len(text) - len(suffix)]
+        base = 16
+    else:
+        body = text.rstrip("uUlLfF")
+        suffix = text[len(body) :]
+        base = 10
+    try:
+        if base == 10 and ("." in body or "e" in body or "E" in body):
+            return float(body)
+        value = int(body, base)
+    except ValueError:
+        raise ParseError("malformed number %r" % text, line, col) from None
+    return float(value) if "f" in suffix or "F" in suffix else value
+
+
 def tokenize(source):
     """Tokenize ``source`` into a list of Tokens ending with an 'eof' token."""
     tokens = []
-    i = 0
+    append = tokens.append
     line = 1
-    col = 1
-    n = len(source)
-
-    def error(msg):
-        raise ParseError(msg, line, col)
-
-    while i < n:
-        ch = source[i]
-
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-
-        # Comments.
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if source.startswith("/*", i):
-            end = source.find("*/", i + 2)
-            if end < 0:
-                error("unterminated block comment")
-            for c in source[i : end + 2]:
-                if c == "\n":
-                    line += 1
-                    col = 1
-                else:
-                    col += 1
-            i = end + 2
-            continue
-
-        # Pragmas and other preprocessor lines.
-        if ch == "#":
-            eol = source.find("\n", i)
-            if eol < 0:
-                eol = n
-            text = source[i:eol].strip()
+    line_start = 0  # offset of the current line's first character
+    pos = 0  # offset of the current match: matches are contiguous
+    for match in _TOKEN.finditer(source):
+        kind = match.lastgroup
+        skipped, text = match.group(1, kind)
+        if skipped:
+            if "\n" in skipped:
+                line += skipped.count("\n")
+                line_start = pos + skipped.rindex("\n") + 1
+            pos += len(skipped)
+        col = pos - line_start + 1
+        pos += len(text)
+        if kind == "punct":
+            append(Token("punct", text, line, col))
+        elif kind == "ident":
+            append(Token("keyword" if text in KEYWORDS else "ident", text, line, col))
+        elif kind == "number":
+            append(Token("number", _number(text, line, col), line, col))
+        elif kind == "eof":
+            break
+        elif kind == "directive":
+            text = text.strip()
             if text.startswith("#pragma"):
-                tokens.append(Token("pragma", text[len("#pragma") :].strip(), line, col))
-            elif text.startswith("#include") or text.startswith("#define"):
-                pass  # tolerated and ignored: kernels may carry headers
-            else:
-                error("unsupported preprocessor directive %r" % text)
-            i = eol
-            continue
-
-        # Numbers (decimal ints and floats; hex ints).
-        if ch.isdigit() or (ch == "." and i + 1 < n and source[i + 1].isdigit()):
-            start = i
-            if source.startswith("0x", i) or source.startswith("0X", i):
-                i += 2
-                while i < n and source[i] in "0123456789abcdefABCDEF":
-                    i += 1
-                value = int(source[start:i], 16)
-            else:
-                seen_dot = False
-                seen_exp = False
-                while i < n:
-                    c = source[i]
-                    if c.isdigit():
-                        i += 1
-                    elif c == "." and not seen_dot and not seen_exp:
-                        seen_dot = True
-                        i += 1
-                    elif c in "eE" and not seen_exp and i + 1 < n and (source[i + 1].isdigit() or source[i + 1] in "+-"):
-                        seen_exp = True
-                        i += 2 if source[i + 1] in "+-" else 1
-                    else:
-                        break
-                text = source[start:i]
-                value = float(text) if (seen_dot or seen_exp) else int(text)
-            # Swallow C integer suffixes.
-            while i < n and source[i] in "uUlLfF":
-                if source[i] in "fF" and isinstance(value, int):
-                    value = float(value)
-                i += 1
-            tokens.append(Token("number", value, line, col))
-            col += i - start
-            continue
-
-        # Identifiers and keywords.
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (source[i].isalnum() or source[i] == "_"):
-                i += 1
-            word = source[start:i]
-            if word in KEYWORDS:
-                tokens.append(Token("keyword", word, line, col))
-            else:
-                tokens.append(Token("ident", word, line, col))
-            col += i - start
-            continue
-
-        # Punctuation.
-        for punct in _PUNCT:
-            if source.startswith(punct, i):
-                tokens.append(Token("punct", punct, line, col))
-                i += len(punct)
-                col += len(punct)
-                break
+                append(Token("pragma", text[len("#pragma") :].strip(), line, col))
+            elif not (text.startswith("#include") or text.startswith("#define")):
+                raise ParseError("unsupported preprocessor directive %r" % text, line, col)
+            # else tolerated and ignored: kernels may carry headers
+            if pos == len(source):
+                break  # a directive ending the source leaves eof at its start
+        elif kind == "line_comment":
+            break  # only matches at the end: with a newline it is skipped
+        elif kind == "open_comment":
+            raise ParseError("unterminated block comment", line, col)
+        elif kind == "word" and text[0].isalpha():
+            append(Token("ident", text, line, col))
+        elif kind == "word" and text[0].isdigit():
+            raise ParseError("malformed number %r" % text, line, col)
         else:
-            error("unexpected character %r" % ch)
-
-    tokens.append(Token("eof", None, line, col))
+            raise ParseError("unexpected character %r" % text[0], line, col)
+    append(Token("eof", None, line, col))
     return tokens

@@ -67,7 +67,12 @@ class Parser:
     # -- token helpers ------------------------------------------------------
 
     def peek(self, offset=0):
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+        # ``advance`` never steps past the closing eof token, so only a
+        # lookahead offset can reach beyond the list: it reads eof.
+        if offset:
+            index = self.pos + offset
+            return self.tokens[index] if index < len(self.tokens) else self.tokens[-1]
+        return self.tokens[self.pos]
 
     def advance(self):
         tok = self.tokens[self.pos]
@@ -76,7 +81,7 @@ class Parser:
         return tok
 
     def check(self, kind, value=None):
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         return tok.kind == kind and (value is None or tok.value == value)
 
     def accept(self, kind, value=None):

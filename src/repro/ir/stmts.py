@@ -411,12 +411,21 @@ class Comment(Stmt):
 
 
 def walk(body):
-    """Yield every statement in ``body``, pre-order, recursively."""
-    for stmt in body:
-        yield stmt
-        for block in stmt.blocks():
-            for inner in walk(block):
-                yield inner
+    """Yield every statement in ``body``, pre-order, recursively.
+
+    One generator with a stack of list iterators: a statement is handed out
+    once, not passed up through a generator per enclosing block.
+    """
+    stack = [iter(body)]
+    while stack:
+        for stmt in stack[-1]:
+            yield stmt
+            blocks = stmt.blocks()
+            if blocks:
+                stack.extend(map(iter, reversed(blocks)))
+                break
+        else:
+            stack.pop()
 
 
 def walk_with_depth(body, depth=0):

@@ -230,6 +230,14 @@ class TestKnownBadMiniC:
         assert d.code == "PHL002"
         assert d.span is not None and d.span.file == "k.c"
 
+    @pytest.mark.parametrize("literal", ["0x", "1e+"])
+    def test_malformed_number_is_phl002_at_the_literal(self, literal):
+        diags = lint_source("void k(int* a) { a[0] = %s; }" % literal, file="k.c")
+        (d,) = list(diags)
+        assert d.code == "PHL002"
+        assert "malformed number" in d.message
+        assert (d.span.file, d.span.line, d.span.col) == ("k.c", 1, 25)
+
     def test_lowering_error_is_phl003(self):
         source = "#pragma phloem\nvoid k(int n) {\n  #pragma phloem\n  n = 1;\n}\n"
         diags = lint_source(source)

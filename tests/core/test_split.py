@@ -6,7 +6,7 @@ from repro import ir
 from repro.analysis.costmodel import rank_decouple_points
 from repro.core.phases import prepare_phases
 from repro.core.split import split_at
-from repro.errors import CompileError
+from repro.errors import AliasError, CompileError
 from repro.frontend import compile_source
 from repro.workloads import bfs
 
@@ -116,6 +116,20 @@ def test_multidef_crossing_rejected():
     counter = [0]
     with pytest.raises(CompileError):
         split_at(f.body, points["@a"], lambda: counter.append(0) or len(counter), f.scalar_params)
+
+
+def test_address_through_a_written_array_is_an_alias_rejection():
+    # idx[a[i]]: the producer would load @a, which the consumer writes.
+    src = """
+    void k(int* restrict a, const int* restrict idx, int n) {
+      for (int i = 0; i < n; i++) {
+        int j = idx[a[i]];
+        a[j] = 0;
+      }
+    }
+    """
+    with pytest.raises(AliasError, match="@a"):
+        _split(src, "@idx")
 
 
 def test_pure_scalars_cloned_not_forwarded():

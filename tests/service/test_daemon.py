@@ -14,6 +14,7 @@ import pytest
 from repro import api, cache
 from repro.client import ServiceClient, ServiceError
 from repro.service import REJECTED_EXIT_CODE, Daemon, RequestPool, protocol
+from repro.service.pool import execute_wire
 from repro.service.ratelimit import QUOTA_EXCEEDED, RATE_LIMITED
 
 KERNEL = """
@@ -134,6 +135,16 @@ def test_toolchain_error_becomes_structured_response(tmp_path):
         response = client.submit(request)
     assert not response.ok
     assert response.error["code"] in ("toolchain-error", "internal-error")
+
+
+def test_malformed_number_is_a_toolchain_error(cold_store):
+    # A literal int()/float() cannot read used to escape as a ValueError.
+    request = api.CompileRequest(source="void k(int* a) { a[0] = 0x; }", fmt="summary")
+    payload = execute_wire(request.to_wire())["payload"]
+    assert payload["error"] == {
+        "code": "toolchain-error",
+        "message": "line 1:25: malformed number '0x'",
+    }
 
 
 @pytest.mark.parametrize(
