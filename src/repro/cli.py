@@ -101,30 +101,30 @@ def _cmd_submit(args):
             return 2
         request = request_cls.from_args(parsed)
 
-    client = ServiceClient(
-        socket_path=socket_path,
-        host=args.host,
-        port=args.port,
-        client_id=args.client,
-        timeout=args.timeout,
-    )
     try:
-        if args.wait is not None:
-            client.wait_ready(timeout=args.wait)
-        if control is not None:
-            reply = client.control(control)
-            if control == "telemetry":
-                # Raw text exposition, ready for a Prometheus scrape target.
-                sys.stdout.write(reply["text"])
-            else:
-                print(json.dumps(reply, sort_keys=True))
-            return 0
+        with ServiceClient(
+            socket_path=socket_path,
+            host=args.host,
+            port=args.port,
+            client_id=args.client,
+            timeout=args.timeout,
+        ) as client:
+            if args.wait is not None:
+                client.wait_ready(timeout=args.wait)
+            if control is not None:
+                reply = client.control(control)
+                if control == "telemetry":
+                    # Raw text exposition, ready for a Prometheus scrape target.
+                    sys.stdout.write(reply["text"])
+                else:
+                    print(json.dumps(reply, sort_keys=True))
+                return 0
 
-        def on_record(record):
-            if args.stream:
-                print(json.dumps(record, sort_keys=True), flush=True)
+            def on_record(record):
+                if args.stream:
+                    print(json.dumps(record, sort_keys=True), flush=True)
 
-        response = client.submit(request, on_record=on_record)
+            response = client.submit(request, on_record=on_record)
     except ServiceError as exc:
         print("submit: error: %s" % exc, file=sys.stderr)
         return 1

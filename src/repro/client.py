@@ -1,14 +1,24 @@
 """Thin synchronous client for the compile-and-simulate daemon.
 
 Speaks the NDJSON protocol of :mod:`repro.service.protocol` over a unix or
-TCP socket: one connection per job, streamed records surfaced through a
-callback as they arrive, the final typed :class:`~repro.api.Response`
-returned with the streamed records re-attached. This is what the
-``repro submit`` verb uses; it is deliberately dependency-free (stdlib
-``socket`` only) so external tooling can lift it verbatim.
+TCP socket: streamed records surfaced through a callback as they arrive,
+the final typed :class:`~repro.api.Response` returned with the streamed
+records re-attached. This is what the ``repro submit`` verb uses; it is
+deliberately dependency-free (stdlib ``socket`` only) so external tooling
+can lift it verbatim.
+
+A client opens its connection on first use and sends every later request
+and control over it; :meth:`ServiceClient.close` (or a ``with`` block)
+ends it. If the daemon closed a reused connection in the meantime (idle
+timeout, restart, a daemon that serves one job per connection), the
+request is sent once more on a fresh connection — but only when not one
+byte of its answer had arrived: a live daemon answers every line it reads,
+so the retry never repeats a request it took. A timeout never retries.
+Calls from several threads are serialized on one connection.
 """
 
 import socket
+import threading
 import time
 
 from .api.requests import ApiError, Response
@@ -18,6 +28,10 @@ from .service import protocol
 
 class ServiceError(PhloemError):
     """A connection or protocol failure talking to the daemon."""
+
+
+class _Unanswered(ServiceError):
+    """The connection failed before the first byte of the answer."""
 
 
 class ServiceClient:
@@ -35,6 +49,20 @@ class ServiceClient:
         self.port = port
         self.client_id = client_id
         self.timeout = timeout
+        self._sock = None
+        self._reader = None
+        self._lock = threading.Lock()
+
+    def close(self):
+        """Close the connection, if one is open (the next call reopens it)."""
+        with self._lock:
+            self._drop()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
 
     # -- plumbing -----------------------------------------------------------
 
@@ -43,7 +71,11 @@ class ServiceClient:
             if self.socket_path is not None:
                 sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
                 sock.settimeout(self.timeout)
-                sock.connect(self.socket_path)
+                try:
+                    sock.connect(self.socket_path)
+                except OSError:
+                    sock.close()
+                    raise
             else:
                 sock = socket.create_connection((self.host, self.port), timeout=self.timeout)
         except OSError as exc:
@@ -51,26 +83,51 @@ class ServiceClient:
                 "cannot reach daemon at %s: %s"
                 % (self.socket_path or "%s:%d" % (self.host, self.port), exc)
             ) from exc
-        return sock
+        self._sock = sock
+        self._reader = sock.makefile("rb")
+
+    def _drop(self):
+        if self._sock is not None:
+            self._reader.close()
+            self._sock.close()
+            self._sock = self._reader = None
 
     def _roundtrip(self, envelope, on_message):
-        """Send one envelope, feed every reply line to ``on_message``."""
-        sock = self._connect()
-        try:
-            sock.sendall(protocol.encode(envelope))
-            reader = sock.makefile("rb")
+        """Send one envelope, feed every reply line to ``on_message`` until
+        it returns true (the terminal message)."""
+        line = protocol.encode(envelope)
+        with self._lock:
+            reused = self._sock is not None
             try:
-                for line in reader:
-                    message = protocol.decode(line)
-                    if on_message(message):
-                        return
-            finally:
-                reader.close()
-        except OSError as exc:
+                self._exchange(line, on_message)
+            except _Unanswered:
+                if not reused:
+                    raise
+                self._exchange(line, on_message)  # once, on a fresh connection
+
+    def _exchange(self, line, on_message):
+        if self._sock is None:
+            self._connect()
+        answered = False
+        try:
+            self._sock.sendall(line)
+            for reply in self._reader:
+                answered = True
+                if on_message(protocol.decode(reply)):
+                    return
+        except ConnectionError as exc:
+            self._drop()
+            lost = ServiceError if answered else _Unanswered
+            raise lost("connection to daemon lost: %s" % exc) from exc
+        except OSError as exc:  # a timeout: the daemon may still be working on it
+            self._drop()
             raise ServiceError("connection to daemon lost: %s" % exc) from exc
-        finally:
-            sock.close()
-        raise ServiceError("daemon closed the connection without a final response")
+        except BaseException:
+            self._drop()  # the stream's position is unknown
+            raise
+        self._drop()
+        lost = ServiceError if answered else _Unanswered
+        raise lost("daemon closed the connection without a final response")
 
     # -- API ----------------------------------------------------------------
 

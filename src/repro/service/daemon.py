@@ -15,8 +15,13 @@ first request every worker holds warm in-memory memo layers over the one
 shared on-disk content-addressed store, so every client's compile warms
 every other client's.
 
-Shutdown: a ``shutdown`` control message, SIGINT, or SIGTERM. The unix
-socket file is removed on exit.
+A connection carries any number of requests, one after the other; the
+daemon reads the next line once the previous one is answered, and closes
+the connection on EOF, after :data:`READ_TIMEOUT` idle seconds, or at
+shutdown (the lifetime rules are in :mod:`repro.service.protocol`).
+
+Shutdown: a ``shutdown`` control message, SIGINT, or SIGTERM; it closes
+every open connection. The unix socket file is removed on exit.
 """
 
 import asyncio
@@ -38,8 +43,56 @@ from .telemetry import ServiceTelemetry, render_prometheus
 #: EX_TEMPFAIL — the client may retry later.
 REJECTED_EXIT_CODE = 75
 
-#: Seconds a connection may sit silent before its request line times out.
+#: Seconds a connection may wait for its next request line before the
+#: daemon closes it (silently: no answer is owed for a line never sent).
 READ_TIMEOUT = 60.0
+
+
+def _refusal(verb, code, message, exit_code=2):
+    """The terminal message of a request the daemon answers without running."""
+    return protocol.response_message(
+        error_response(verb, code, message, exit_code=exit_code).to_wire()
+    )
+
+
+class _IdleTimer:
+    """Ends a connection that has waited :data:`READ_TIMEOUT` for a line.
+
+    One timer handle per connection, re-armed only when it fires: between
+    requests :meth:`waiting` just moves the deadline, so a request costs no
+    Task and no timer. Expiry feeds EOF to the reader (after pausing the
+    transport, so no byte lands behind the EOF): a line that arrived in the
+    same loop iteration is still read and answered, and the next
+    ``readline`` returns ``b""``.
+    """
+
+    __slots__ = ("reader", "transport", "loop", "deadline", "handle")
+
+    def __init__(self, reader, transport):
+        self.reader = reader
+        self.transport = transport
+        self.loop = asyncio.get_running_loop()
+        self.waiting()
+        self.handle = self.loop.call_at(self.deadline, self._fire)
+
+    def waiting(self):
+        self.deadline = self.loop.time() + READ_TIMEOUT
+
+    def busy(self):
+        self.deadline = None
+
+    def cancel(self):
+        self.handle.cancel()
+
+    def _fire(self):
+        now = self.loop.time()
+        if self.deadline is None or self.deadline > now:
+            # A request is running, or one came and went since the handle was armed.
+            delay = READ_TIMEOUT if self.deadline is None else self.deadline - now
+            self.handle = self.loop.call_later(delay, self._fire)
+            return
+        self.transport.pause_reading()
+        self.reader.feed_eof()
 
 
 class Daemon:
@@ -72,6 +125,7 @@ class Daemon:
         self.telemetry = ServiceTelemetry()
         self._server = None
         self._shutdown = None
+        self._handlers = set()
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -107,6 +161,12 @@ class Daemon:
             await self._shutdown.wait()
         finally:
             self._server.close()
+            # Kept-alive connections stay open until closed here, and
+            # ``wait_closed`` (3.12+) waits for them.
+            handlers = list(self._handlers)
+            for task in handlers:
+                task.cancel()
+            await asyncio.gather(*handlers)
             await self._server.wait_closed()
             self.pool.close()
             if self.socket_path is not None:
@@ -123,25 +183,44 @@ class Daemon:
     # -- connection handling ------------------------------------------------
 
     async def _on_connection(self, reader, writer):
+        """Serve one client: request lines until EOF, an idle timeout, or
+        shutdown; every line read gets exactly one terminal message."""
+        handler = asyncio.current_task()
+        self._handlers.add(handler)
+        self.telemetry.connection_opened()
+        idle = _IdleTimer(reader, writer.transport)
         try:
-            try:
-                line = await asyncio.wait_for(reader.readline(), timeout=READ_TIMEOUT)
-                wire = protocol.decode(line)
-            except (PhloemError, asyncio.TimeoutError, ValueError) as exc:
-                await self._send(
-                    writer,
-                    protocol.response_message(
-                        error_response(None, "bad-request", str(exc), exit_code=2).to_wire()
-                    ),
-                )
-                return
-            if protocol.is_control(wire):
-                await self._on_control(wire, writer)
-            else:
-                await self._on_request(wire, writer)
+            while True:
+                idle.waiting()
+                try:
+                    line = await reader.readline()
+                except ValueError as exc:
+                    # Over the read limit: answered, but the rest of that line
+                    # may still be on the wire, so the framing is lost.
+                    await self._send(writer, _refusal(None, "bad-request", str(exc)))
+                    return
+                if not line:
+                    return  # EOF: the client is done, or the idle timer fired
+                idle.busy()
+                try:
+                    wire = protocol.decode(line)
+                except PhloemError as exc:
+                    await self._send(writer, _refusal(None, "bad-request", str(exc)))
+                    continue
+                if protocol.is_control(wire):
+                    await self._on_control(wire, writer)
+                else:
+                    await self._on_request(wire, writer)
         except (ConnectionResetError, BrokenPipeError):
             pass  # the client went away; nothing to answer
+        except asyncio.CancelledError:
+            # Shutdown: drop the connection, whatever it was doing, and end
+            # this task normally (asyncio logs a handler that ends cancelled).
+            writer.transport.abort()
         finally:
+            idle.cancel()
+            self._handlers.discard(handler)
+            self.telemetry.connection_closed()
             with contextlib.suppress(Exception):
                 writer.close()
                 await writer.wait_closed()
@@ -175,15 +254,16 @@ class Daemon:
         verb = wire.get("verb")
         client = wire.get("client") or "anon"
         self.counts["requests"] += 1
+        if not isinstance(verb, str) or not isinstance(client, str):
+            self.counts["failed"] += 1
+            field = "verb" if not isinstance(verb, str) else "client"
+            message = "request %s must be a string, got %r" % (field, wire.get(field))
+            await self._send(writer, _refusal(None, "bad-request", message))
+            return
         self.verbs[verb] = self.verbs.get(verb, 0) + 1
         if verb not in REQUEST_TYPES:
             await self._send(
-                writer,
-                protocol.response_message(
-                    error_response(
-                        verb, "unsupported-verb", "no handler for verb %r" % (verb,), exit_code=2
-                    ).to_wire()
-                ),
+                writer, _refusal(verb, "unsupported-verb", "no handler for verb %r" % (verb,))
             )
             self.counts["failed"] += 1
             return
@@ -193,14 +273,12 @@ class Daemon:
             self.telemetry.rejected(verb, code)
             await self._send(
                 writer,
-                protocol.response_message(
-                    error_response(
-                        verb,
-                        code,
-                        "client %r rejected: %s (limits %r)"
-                        % (client, code, self.governor.snapshot()["limits"]),
-                        exit_code=REJECTED_EXIT_CODE,
-                    ).to_wire()
+                _refusal(
+                    verb,
+                    code,
+                    "client %r rejected: %s (limits %r)"
+                    % (client, code, self.governor.snapshot()["limits"]),
+                    exit_code=REJECTED_EXIT_CODE,
                 ),
             )
             return
@@ -208,11 +286,16 @@ class Daemon:
         failed = True
         path = "pool"
         try:
-            response_wire = self._lookup(wire) if REQUEST_TYPES[verb].MEMOIZED else None
-            if response_wire is not None:
-                path = "loop"
-            else:
-                response_wire = await self.pool.submit(wire, asyncio.get_running_loop())
+            try:
+                response_wire = self._lookup(wire) if REQUEST_TYPES[verb].MEMOIZED else None
+                if response_wire is not None:
+                    path = "loop"
+                else:
+                    response_wire = await self.pool.submit(wire, asyncio.get_running_loop())
+            except Exception as exc:  # noqa: BLE001 - the request was read: answer it
+                response_wire = error_response(
+                    verb, "internal-error", "%s: %s" % (type(exc).__name__, exc), exit_code=1
+                ).to_wire()
             payload = response_wire.get("payload") or {}
             self.telemetry.cache_delta(payload.get("cache"))
             failed = payload.get("error") is not None

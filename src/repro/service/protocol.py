@@ -1,13 +1,14 @@
 """Wire protocol of the compile-and-simulate daemon (NDJSON over a socket).
 
-One connection carries one job: the client sends a single line — a
-:mod:`repro.api` request envelope or a control envelope — and reads lines
-back until the terminal ``response`` message:
+A connection carries a sequence of jobs. For each, the client sends one
+line — a :mod:`repro.api` request envelope or a control envelope — and
+reads lines back until that job's terminal message; then it may send the
+next line:
 
 * client -> server: ``Request.to_wire()`` plus a ``client`` identity key
   (the rate-limit/quota subject), or
   ``{"schema": "repro.service/control", "version": 1, "action": ...}``
-  for ``ping``/``stats``/``shutdown``;
+  for ``ping``/``stats``/``telemetry``/``shutdown``;
 * server -> client: zero or more ``{"kind": "record", "payload": ...}``
   lines — the RunRecord/diagnostic JSONL stream — then exactly one
   ``{"kind": "response", "payload": Response.to_wire(), "streamed": n}``
@@ -16,6 +17,26 @@ back until the terminal ``response`` message:
 
 Every line is one ``sort_keys`` JSON object; the framing is newline
 delimited so any language (or ``nc`` + ``jq``) can speak it.
+
+Connection lifetime:
+
+* **Always answered.** Every line the daemon reads gets exactly one
+  terminal message: junk, a line over :data:`MAX_LINE`, a truncated last
+  line before EOF and an envelope whose ``verb`` or ``client`` is not a
+  string are answered ``bad-request`` (exit 2), a failure inside the daemon
+  ``internal-error`` (exit 1). Only the over-long line also ends the
+  connection: the rest of it is still on the wire.
+* **Closed by the client** at EOF: a client that sends one job and closes
+  (every client before connections were kept) is served as before.
+* **Closed silently by the daemon** when no line arrives for
+  ``daemon.READ_TIMEOUT`` seconds between jobs, and at shutdown; nothing is
+  written, so no stale answer waits on a kept connection.
+* **Retried once by the client** (:class:`repro.client.ServiceClient`),
+  on a fresh connection, when a *reused* connection fails before the first
+  byte of the answer — the daemon closed it idle, or restarted, or serves
+  one job per connection. A live daemon answers every line it reads, so
+  the retry never repeats a job a live daemon took; a fresh connection
+  never retries.
 """
 
 import json

@@ -4,8 +4,8 @@ The daemon's original ``stats`` reply was a handful of aggregate counters —
 enough to see *that* traffic happened, not *what it cost*. This module is
 the disaggregated view: per-verb request/outcome counters, which path
 answered each admitted request (the event loop or a pool worker), request
-latency histograms, in-flight and rejection gauges, and cache-effectiveness
-aggregates, all recorded in the daemon's request path and exported three
+latency histograms, in-flight and rejection gauges, connection counters,
+and cache-effectiveness aggregates, all recorded in the daemon's request path and exported three
 ways that must agree:
 
 * the extended ``stats`` control reply (``"telemetry"`` key) and the
@@ -34,11 +34,13 @@ import time
 TELEMETRY_SCHEMA = "repro.service/telemetry"
 TELEMETRY_VERSION = 1
 
-#: Histogram bucket upper bounds in seconds: a 1-2-5 log scale from 1 ms
-#: to 60 s. Values above the last bound land in the +Inf bucket. Fixed
-#: forever (determinism contract) — widening means adding bounds, which
-#: never bumps the version because consumers key buckets by bound.
+#: Histogram bucket upper bounds in seconds: a 1-2-5 log scale from 100 us
+#: (a warm request answered in the event loop takes a few hundred) to 60 s.
+#: Values above the last bound land in the +Inf bucket. Fixed forever
+#: (determinism contract) — widening means adding bounds, which never bumps
+#: the version because consumers key buckets by bound.
 LATENCY_BUCKETS_S = (
+    0.0001, 0.0002, 0.0005,
     0.001, 0.002, 0.005,
     0.01, 0.02, 0.05,
     0.1, 0.2, 0.5,
@@ -147,6 +149,8 @@ class ServiceTelemetry:
         self.in_flight_peak = 0
         self.rejections = {}
         self.cache_totals = {}
+        self.connections_opened = 0
+        self.connections_open = 0
 
     def _verb(self, verb):
         stats = self.verbs.get(verb)
@@ -173,6 +177,15 @@ class ServiceTelemetry:
         stats.paths[path] += 1
         stats.latency.observe(self.clock() - started)
         self.in_flight = max(0, self.in_flight - 1)
+
+    def connection_opened(self):
+        """A client connected (it may send any number of requests)."""
+        self.connections_opened += 1
+        self.connections_open += 1
+
+    def connection_closed(self):
+        """A client connection ended, whichever side closed it."""
+        self.connections_open -= 1
 
     def rejected(self, verb, code):
         """An admission rejection (rate limit / quota), by error code."""
@@ -217,6 +230,7 @@ class ServiceTelemetry:
             "in_flight": self.in_flight,
             "in_flight_peak": self.in_flight_peak,
             "rejections": dict(sorted(self.rejections.items())),
+            "connections": {"opened": self.connections_opened, "open": self.connections_open},
             "verbs": verbs,
             "cache": cache,
         }
@@ -267,6 +281,16 @@ def render_prometheus(snapshot, prefix="repro"):
     metric(
         "in_flight_peak_requests", "gauge", "High-water mark of concurrent requests.",
         [("", (), snapshot.get("in_flight_peak", 0))],
+    )
+
+    connections = snapshot.get("connections") or {}
+    metric(
+        "connections_total", "counter", "Client connections accepted.",
+        [("", (), connections.get("opened", 0))],
+    )
+    metric(
+        "open_connections", "gauge", "Client connections currently open.",
+        [("", (), connections.get("open", 0))],
     )
 
     samples = []

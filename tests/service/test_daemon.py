@@ -29,18 +29,24 @@ void k(const int* restrict a, const int* restrict b, int* restrict out, int n) {
 
 
 @contextlib.contextmanager
-def serving(tmp_path, workers=0, **kwargs):
-    """A live daemon (inline executor unless ``workers``) plus a connected
-    client; ``client.daemon`` is the instance, for tests that reach inside."""
-    sock = str(tmp_path / "serve.sock")
-    daemon = Daemon(socket_path=sock, workers=workers, **kwargs)
+def serving(tmp_path, workers=0, tcp=False, **kwargs):
+    """A live daemon (inline executor unless ``workers``; on a unix socket
+    unless ``tcp``) plus a connected client; ``client.daemon`` is the
+    instance, for tests that reach inside."""
+    if tcp:
+        daemon = Daemon(host="127.0.0.1", workers=workers, **kwargs)
+    else:
+        daemon = Daemon(socket_path=str(tmp_path / "serve.sock"), workers=workers, **kwargs)
     ready = threading.Event()
     thread = threading.Thread(
         target=lambda: asyncio.run(daemon.serve(ready=ready)), daemon=True
     )
     thread.start()
     assert ready.wait(10), "daemon never bound its socket"
-    client = ServiceClient(socket_path=sock, client_id="test", timeout=30.0)
+    client = ServiceClient(
+        socket_path=daemon.socket_path, host=daemon.host, port=daemon.port,
+        client_id="test", timeout=30.0,
+    )
     client.daemon = daemon
     client.wait_ready(timeout=10)
     try:
@@ -48,6 +54,7 @@ def serving(tmp_path, workers=0, **kwargs):
     finally:
         with contextlib.suppress(ServiceError):
             client.shutdown()
+        client.close()
         thread.join(10)
         assert not thread.is_alive(), "daemon did not shut down"
 
@@ -298,8 +305,11 @@ def test_hits_are_answered_in_loop_and_misses_are_not(
 
     monkeypatch.setattr(RequestPool, "submit", no_pool)
     with serving(tmp_path) as client:
-        with pytest.raises(ServiceError):
-            client.submit(request_)  # cold: nothing to look up, the pool is asked
+        # Cold: nothing to look up, the pool is asked, and its failure is
+        # answered on the connection rather than dropping it.
+        failed = client.submit(request_)
+        assert (failed.exit_code, failed.error["code"]) == (1, "internal-error")
+        assert "the pool is off limits" in failed.error["message"]
         assert asked == [request_.VERB]
         expected = api.handle(request_)  # fills memory and disk
         if layer == "disk":
@@ -461,6 +471,265 @@ def test_in_loop_verbs_keep_rejection_and_error_codes(tmp_path, cold_store, requ
         assert _paths(client, request_.VERB) == {"loop": 2, "pool": 0}
     assert (mistyped.exit_code, mistyped.error["code"]) == (2, "bad-request")
     assert (broken.exit_code, broken.error["code"]) == (1, "toolchain-error")
+
+
+# ---------------------------------------------------------------------------
+# Connections: a client opens one and sends every request over it; the
+# daemon answers every line it reads and closes idle connections silently.
+
+PING = protocol.encode(protocol.control_envelope("ping"))
+
+
+@contextlib.contextmanager
+def _raw(client):
+    """A bare socket to the client's daemon, plus a line reader over it."""
+    if client.socket_path is not None:
+        raw = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        raw.settimeout(10)
+        raw.connect(client.socket_path)
+    else:
+        raw = socket.create_connection((client.host, client.port), timeout=10)
+    lines = raw.makefile("rb")
+    try:
+        yield raw, lines
+    finally:
+        lines.close()
+        raw.close()
+
+
+def _reply(lines):
+    return json.loads(lines.readline())
+
+
+def _connections(client):
+    return client.server_stats()["telemetry"]["connections"]
+
+
+def _settle(daemon, open_connections):
+    """Wait until the daemon has exactly ``open_connections`` open."""
+    deadline = time.monotonic() + 10
+    while daemon.telemetry.connections_open != open_connections:
+        assert time.monotonic() < deadline, daemon.telemetry.connections_open
+        time.sleep(0.01)
+
+
+@pytest.fixture
+def no_loop_errors(caplog):
+    """Fails the test if asyncio logged anything (an unhandled exception in
+    a connection handler, a callback that raised)."""
+    yield
+    errors = [r.getMessage() for r in caplog.records if r.name == "asyncio"]
+    assert errors == []
+
+
+@pytest.mark.parametrize(
+    "envelope",
+    [
+        {"verb": ["x"], "schema": "repro.api/request", "version": 1, "payload": {}},
+        {"verb": "emit", "client": ["a"], "schema": "repro.api/request", "version": 1,
+         "payload": {"source": KERNEL}},
+        {"verb": {"emit": 1}, "client": "a", "schema": "repro.api/request", "version": 1,
+         "payload": {}},
+    ],
+    ids=["list-verb", "list-client", "dict-verb"],
+)
+def test_non_string_verb_or_client_is_a_bad_request(tmp_path, no_loop_errors, envelope):
+    with serving(tmp_path) as client, _raw(client) as (raw, lines):
+        raw.sendall(protocol.encode(envelope))
+        reply = _reply(lines)
+        raw.sendall(PING)  # the same connection keeps serving
+        assert _reply(lines)["payload"]["ok"]
+        assert client.ping()["ok"]  # and so does the daemon
+        stats = client.server_stats()
+    payload = reply["payload"]["payload"]
+    assert reply["kind"] == "response"
+    assert (payload["exit_code"], payload["error"]["code"]) == (2, "bad-request")
+    assert "must be a string" in payload["error"]["message"]
+    assert stats["counts"]["failed"] == 1
+    assert stats["verbs"] == {}
+
+
+def test_one_client_is_one_connection(tmp_path, cold_store, no_loop_errors):
+    request = api.CompileRequest(source=KERNEL, fmt="summary")
+    expected = api.handle(request).output
+    with serving(tmp_path, rate=0) as client:  # wait_ready has pinged
+        for _ in range(20):
+            assert client.submit(request).output == expected
+        stats = client.server_stats()
+        assert stats["counts"]["completed"] == 20
+        assert stats["telemetry"]["connections"] == {"opened": 1, "open": 1}
+        with ServiceClient(socket_path=client.socket_path, client_id="other") as other:
+            assert other.submit(request).output == expected
+            assert _connections(client) == {"opened": 2, "open": 2}
+        _settle(client.daemon, 1)
+        text = client.telemetry()
+    from repro.service import parse_prometheus
+
+    samples = parse_prometheus(text)
+    assert samples[("repro_connections_total", ())] == 2
+    assert samples[("repro_open_connections", ())] == 1
+
+
+def test_threads_sharing_a_client_share_its_connection(tmp_path, cold_store, no_loop_errors):
+    requests = [
+        api.CompileRequest(source=KERNEL, fmt="summary"),
+        api.CompileRequest(source=KERNEL, fmt="c"),
+    ]
+    expected = [api.handle(request).output for request in requests]
+    assert expected[0] != expected[1]
+    with serving(tmp_path, rate=0) as client:
+        answers = [[], []]
+
+        def submit_ten(i):
+            for _ in range(10):
+                answers[i].append(client.submit(requests[i]).output)
+
+        threads = [threading.Thread(target=submit_ten, args=(i,)) for i in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+        assert _connections(client) == {"opened": 1, "open": 1}
+    assert answers == [[expected[0]] * 10, [expected[1]] * 10]
+
+
+def test_idle_connection_closes_silently_and_the_client_reconnects(
+    tmp_path, monkeypatch, no_loop_errors
+):
+    from repro.service import daemon as daemon_module
+
+    monkeypatch.setattr(daemon_module, "READ_TIMEOUT", 0.2)
+    request = api.CompileRequest(source=KERNEL, fmt="summary")
+    with serving(tmp_path) as client:
+        with _raw(client) as (raw, lines):
+            assert lines.readline() == b""  # closed, and not one byte written
+        _settle(client.daemon, 0)  # the client's own connection went too
+        assert client.submit(request).ok  # on a fresh connection
+        stats = client.server_stats()
+    assert stats["counts"]["requests"] == 1  # the request ran once
+    # wait_ready, the raw socket, then the retry of the submit.
+    assert stats["telemetry"]["connections"] == {"opened": 3, "open": 1}
+
+
+def test_a_busy_connection_is_not_idle(tmp_path, monkeypatch, no_loop_errors):
+    from repro.service import daemon as daemon_module
+
+    monkeypatch.setattr(daemon_module, "READ_TIMEOUT", 0.2)
+    with serving(tmp_path) as client:
+
+        def submit(wire, loop):
+            # Answered later, and the loop stays free meanwhile: the idle
+            # timer fires while the request runs.
+            future = loop.create_future()
+            loop.call_later(0.5, future.set_result, execute_wire(wire))
+            return future
+
+        client.daemon.pool.submit = submit
+        report = api.ReportRequest(results_dir=str(tmp_path), quiet=True)
+        assert client.submit(report).ok
+        assert _connections(client) == {"opened": 1, "open": 1}
+
+
+def test_truncated_last_line_is_answered_before_eof(tmp_path, no_loop_errors):
+    with serving(tmp_path) as client, _raw(client) as (raw, lines):
+        raw.sendall(PING + b'{"schema": "repro.api/request", "verb": "em')
+        raw.shutdown(socket.SHUT_WR)
+        assert _reply(lines)["payload"]["ok"]
+        reply = _reply(lines)
+        assert lines.readline() == b""
+        assert client.ping()["ok"]
+    payload = reply["payload"]["payload"]
+    assert (payload["exit_code"], payload["error"]["code"]) == (2, "bad-request")
+
+
+def test_line_over_the_read_limit_is_answered_then_closed(tmp_path, monkeypatch, no_loop_errors):
+    monkeypatch.setattr(protocol, "MAX_LINE", 4096)
+    with serving(tmp_path) as client, _raw(client) as (raw, lines):
+        raw.sendall(b"x" * 10000)
+        reply = _reply(lines)
+        assert lines.readline() == b""  # the rest of the line cannot be framed
+        assert client.ping()["ok"]
+    payload = reply["payload"]["payload"]
+    assert (payload["exit_code"], payload["error"]["code"]) == (2, "bad-request")
+
+
+def test_client_gone_while_records_stream(tmp_path, no_loop_errors):
+    request = api.MetricsRequest(bench="bfs", size=300, quiet=True)
+    with serving(tmp_path) as client:
+        with _raw(client) as (raw, lines):
+            raw.sendall(protocol.encode(protocol.request_envelope(request)))
+            assert _reply(lines)["kind"] == "record"
+        _settle(client.daemon, 1)
+        assert client.ping()["ok"]
+        assert client.submit(request).ok
+
+
+def test_shutdown_closes_idle_connections_of_other_clients(tmp_path, no_loop_errors):
+    with serving(tmp_path) as client:
+        other = ServiceClient(socket_path=client.socket_path, client_id="other")
+        assert other.ping()["ok"]  # and now holds an idle connection
+        _settle(client.daemon, 2)
+    # serving() asserted the daemon thread ended within its join timeout.
+    with pytest.raises(ServiceError):
+        other.ping()  # the retry finds nobody listening
+    other.close()
+
+
+def test_a_daemon_that_serves_one_job_per_connection_still_answers(tmp_path):
+    # What a daemon that closes after each job looks like to a kept socket.
+    path = str(tmp_path / "one-job.sock")
+    accepted = []
+    listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    listener.bind(path)
+    listener.listen(4)
+
+    def serve_three():
+        for _ in range(3):
+            conn, _ = listener.accept()
+            accepted.append(conn)
+            with conn, conn.makefile("rb") as lines:
+                action = json.loads(lines.readline())["action"]
+                conn.sendall(protocol.encode(protocol.control_reply({"action": action})))
+
+    thread = threading.Thread(target=serve_three, daemon=True)
+    thread.start()
+    try:
+        with ServiceClient(socket_path=path, timeout=10) as client:
+            assert [client.control(a)["action"] for a in ("ping", "stats", "ping")] == [
+                "ping", "stats", "ping"
+            ]
+    finally:
+        thread.join(10)
+        listener.close()
+    assert len(accepted) == 3
+
+
+def test_request_sequence_over_tcp(tmp_path, cold_store, monkeypatch, no_loop_errors):
+    from repro.service import daemon as daemon_module
+
+    monkeypatch.setattr(daemon_module, "READ_TIMEOUT", 0.2)
+    emit = api.CompileRequest(source=KERNEL, fmt="summary")
+    metrics = api.MetricsRequest(bench="bfs", size=300, quiet=True)
+    with serving(tmp_path, tcp=True) as client:
+        assert client.socket_path is None and client.port > 0
+        cold = client.submit(emit)
+        warm = client.submit(emit)
+        streamed = []
+        assert client.submit(metrics, on_record=streamed.append).ok
+        assert streamed
+        assert _connections(client) == {"opened": 1, "open": 1}
+        with _raw(client) as (raw, lines):
+            raw.sendall(b"not json\n" + PING)
+            assert _reply(lines)["payload"]["payload"]["error"]["code"] == "bad-request"
+            assert _reply(lines)["payload"]["ok"]
+        _settle(client.daemon, 0)  # idle: both connections closed
+        again = client.submit(emit)
+        stats = client.server_stats()
+    assert cold.output == warm.output == again.output
+    assert _answer(warm) == _answer(again)
+    assert stats["counts"]["requests"] == 4
+    assert stats["telemetry"]["connections"] == {"opened": 3, "open": 1}
+    assert stats["telemetry"]["verbs"]["emit"]["paths"] == {"loop": 2, "pool": 1}
 
 
 @pytest.mark.slow

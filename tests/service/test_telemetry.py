@@ -26,7 +26,7 @@ class FakeClock:
 
 class TestLatencyHistogram:
     def test_buckets_are_fixed_log_scale(self):
-        assert LATENCY_BUCKETS_S[0] == 0.001
+        assert LATENCY_BUCKETS_S[0] == 0.0001
         assert LATENCY_BUCKETS_S[-1] == 60.0
         assert list(LATENCY_BUCKETS_S) == sorted(LATENCY_BUCKETS_S)
 
@@ -128,6 +128,20 @@ class TestServiceTelemetry:
         snapshot = telemetry.snapshot()
         assert snapshot["in_flight"] == 0
         assert snapshot["in_flight_peak"] == 2
+
+    def test_connections_count_opened_and_open(self):
+        telemetry = ServiceTelemetry(clock=FakeClock())
+        telemetry.connection_opened()
+        telemetry.connection_opened()
+        telemetry.connection_closed()
+        snapshot = telemetry.snapshot()
+        assert snapshot["connections"] == {"opened": 2, "open": 1}
+        samples = parse_prometheus(render_prometheus(snapshot))
+        assert samples[("repro_connections_total", ())] == 2
+        assert samples[("repro_open_connections", ())] == 1
+        # A snapshot saved before the key existed still renders.
+        del snapshot["connections"]
+        assert parse_prometheus(render_prometheus(snapshot))[("repro_connections_total", ())] == 0
 
     def test_uptime_tracks_injected_clock(self):
         clock = FakeClock()
