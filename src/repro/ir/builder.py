@@ -1,9 +1,13 @@
 """Convenience builder for constructing Phloem IR by hand.
 
 Used by the frontend's lowering, by the compiler passes when they synthesize
-new code, and by the hand-written "manually pipelined" benchmark variants
-(the paper's `Manual` bars), which are built directly at this level just as
-the paper's were written directly against the Pipette API.
+new code, and by the hand-built benchmark programs — the "manually
+pipelined" variants (the paper's `Manual` bars), the data-parallel
+baselines and the replicated Fig. 14 pipelines — which are built directly
+at this level just as the paper's were written directly against the Pipette
+API. What those programs share (phase loops and barriers, the fringe swap,
+the CSR neighbour chain, the data-parallel sizes exchange and assembly) is
+written once in :mod:`repro.workloads.protocol`.
 
 Example::
 

@@ -18,19 +18,23 @@ push order and are bitwise exact.
 
 from collections import deque
 
-from ..frontend.lowering import compile_source
-from ..ir import (
-    ArrayDecl,
-    Ctrl,
-    IRBuilder,
-    PipelineProgram,
-    QueueSpec,
-    RA_INDIRECT,
-    RA_SCAN,
-    RASpec,
-    StageProgram,
-)
+from ..ir import IRBuilder, QueueSpec, StageProgram
 from . import graphs
+from .protocol import (
+    SIZES,
+    barrier_read,
+    dp_program,
+    dp_push,
+    enq_bounds,
+    exchange_sizes,
+    fringe_segments,
+    manual_program,
+    neighbor_chain,
+    phase_loop,
+    segmented_fringe,
+    serial_kernel,
+    swap,
+)
 
 #: Unvisited marker used by the data-parallel variant's atomic claims.
 INF = 2**30
@@ -83,13 +87,9 @@ void bc(const int* restrict nodes, const int* restrict edges,
 }
 """
 
-_cache = {}
-
 
 def function():
-    if "f" not in _cache:
-        _cache["f"] = compile_source(SOURCE)
-    return _cache["f"].clone()
+    return serial_kernel(SOURCE)
 
 
 def default_root(graph):
@@ -229,15 +229,11 @@ def manual_pipeline():
         idx = b.binop("sub", b.binop("sub", "tail", 1), "t")
         w = b.load("@order", idx)
         b.enq(Q_W, w)
-        b.enq(Q_RA1, w)
-        b.enq(Q_RA1, b.binop("add", w, 1))
-        b.enq_ctrl(Q_RA1, Ctrl.NEXT)
+        enq_bounds(b, Q_RA1, w)
     stage0 = StageProgram(0, "forward+drive", b.finish())
 
     b = IRBuilder(temp_prefix="%u")
-    b.barrier("fwd")
-    tail = b.read_shared("tail")
-    b.barrier("fwd-sync")
+    tail = barrier_read(b, "tail", "fwd")
     with b.for_("t", 0, tail):
         w = b.deq(Q_W)
         dw = b.load("@dist", w)
@@ -263,26 +259,11 @@ def manual_pipeline():
             b.store("@centrality", w, b.binop("add", c, dl))
     stage1 = StageProgram(1, "accumulate", b.finish())
 
-    queues = [
-        QueueSpec(Q_RA1, ("stage", 0), ("ra", 0), 24, "w/w+1"),
-        QueueSpec(Q_PAIRS, ("ra", 0), ("ra", 1), 24, "edge bounds"),
-        QueueSpec(Q_NGH, ("ra", 1), ("stage", 1), 24, "neighbors"),
-        QueueSpec(Q_W, ("stage", 0), ("stage", 1), 24, "vertices"),
-    ]
-    ras = [
-        RASpec(0, RA_INDIRECT, "@nodes", Q_RA1, Q_PAIRS),
-        RASpec(1, RA_SCAN, "@edges", Q_PAIRS, Q_NGH),
-    ]
-    return PipelineProgram(
-        "bc_manual",
-        [stage0, stage1],
-        queues,
-        ras,
-        func.arrays,
-        func.scalar_params,
-        shared_vars={"tail"},
-        meta={"manual": True},
+    queues, ras = neighbor_chain(
+        (Q_RA1, Q_PAIRS, Q_NGH), labels=("w/w+1", "edge bounds", "neighbors")
     )
+    queues.append(QueueSpec(Q_W, ("stage", 0), ("stage", 1), 24, "vertices"))
+    return manual_program(NAME, func, [stage0, stage1], queues, ras, shared={"tail"})
 
 
 # ---------------------------------------------------------------------------
@@ -299,54 +280,32 @@ def data_parallel(nthreads):
     ``delta`` has a single writer and only the FP association differs
     from the serial push order.
     """
-    func = function()
-    stages = []
-    for tid in range(nthreads):
-        b = IRBuilder(temp_prefix="%d")
+
+    def worker(b, tid):
         b.mov("@fringe0", dst="cur_fringe")
         b.mov("@fringe1", dst="next_fringe")
         b.mov(0, dst="cur_dist")
         b.mov(1, dst="total")
-        with b.loop():
-            done = b.assign("le", ["total", 0])
-            with b.if_(done):
-                b.break_()
+        with phase_loop(b, "total"):
             b.mov(0, dst="my_size")
             nd = b.binop("add", "cur_dist", 1)
             my_base = b.binop("mul", tid, "cap")
-            with b.for_("seg", 0, "nthreads"):
-                seg_size = b.load("@sizes", "seg")
-                seg_base = b.binop("mul", "seg", "cap")
-                with b.for_("j", tid, seg_size, nthreads):
-                    idx = b.binop("add", seg_base, "j")
-                    v = b.load("cur_fringe", idx)
-                    sv = b.load("@sigma", v)
-                    es = b.load("@nodes", v)
-                    ee = b.load("@nodes", b.binop("add", v, 1))
-                    with b.for_("e", es, ee):
-                        w = b.load("@edges", "e")
-                        old = b.atomic_min("@dist", w, nd)
-                        claimed = b.binop("gt", old, nd)
-                        with b.if_(claimed):
-                            slot = b.binop("add", my_base, "my_size")
-                            b.store("next_fringe", slot, w)
-                            b.binop("add", "my_size", 1, dst="my_size")
-                        at_level = b.binop("ge", old, nd)
-                        with b.if_(at_level):
-                            b.atomic_add("@sigma", w, sv)
-            b.barrier("dp-phase")
-            b.store("@sizes_next", tid, "my_size")
-            b.barrier("dp-sizes")
-            b.mov(0, dst="total")
-            with b.for_("s2", 0, "nthreads"):
-                sz = b.load("@sizes_next", "s2")
-                b.binop("add", "total", sz, dst="total")
-                b.store("@sizes", "s2", sz)
-            b.barrier("dp-sync")
+            with fringe_segments(b, tid, nthreads) as v:
+                sv = b.load("@sigma", v)
+                es = b.load("@nodes", v)
+                ee = b.load("@nodes", b.binop("add", v, 1))
+                with b.for_("e", es, ee):
+                    w = b.load("@edges", "e")
+                    old = b.atomic_min("@dist", w, nd)
+                    claimed = b.binop("gt", old, nd)
+                    with b.if_(claimed):
+                        dp_push(b, my_base, w)
+                    at_level = b.binop("ge", old, nd)
+                    with b.if_(at_level):
+                        b.atomic_add("@sigma", w, sv)
+            exchange_sizes(b, tid, "dp-phase")
             b.binop("add", "cur_dist", 1, dst="cur_dist")
-            tmp = b.mov("cur_fringe")
-            b.mov("next_fringe", dst="cur_fringe")
-            b.mov(tmp, dst="next_fringe")
+            swap(b, "cur_fringe", "next_fringe")
         # cur_dist now exceeds the deepest level; sweep levels downward.
         with b.for_("lvl", 0, "cur_dist"):
             d = b.binop("sub", b.binop("sub", "cur_dist", 1), "lvl")
@@ -381,22 +340,10 @@ def data_parallel(nthreads):
                 c = b.load("@centrality", "v2")
                 dl = b.load("@delta", "v2")
                 b.store("@centrality", "v2", b.binop("add", c, dl))
-        stages.append(StageProgram(tid, "worker%d" % tid, b.finish()))
 
-    arrays = dict(func.arrays)
-    arrays["fringe0"] = ArrayDecl("fringe0", elem_size=4)
-    arrays["fringe1"] = ArrayDecl("fringe1", elem_size=4)
-    arrays["sizes"] = ArrayDecl("sizes", elem_size=4)
-    arrays["sizes_next"] = ArrayDecl("sizes_next", elem_size=4)
-    return PipelineProgram(
-        "bc_dp%d" % nthreads,
-        stages,
-        [],
-        [],
-        arrays,
-        func.scalar_params + ["nthreads", "cap"],
-        meta={"data_parallel": True},
-    )
+    # The serial kernel has no fringe: the forward phase's buffers are new.
+    arrays = ("fringe0", "fringe1") + SIZES
+    return dp_program(NAME, function(), nthreads, worker, ["nthreads", "cap"], arrays)
 
 
 def make_env_dp(graph, nthreads, root=None):
@@ -404,15 +351,10 @@ def make_env_dp(graph, nthreads, root=None):
     n = graph.n
     if root is None:
         root = default_root(graph)
-    cap = n + 1
     dist = [INF] * n
     dist[root] = 0
     sigma = [0.0] * n
     sigma[root] = 1.0
-    fringe0 = [0] * (cap * nthreads)
-    fringe0[0] = root
-    sizes = [0] * nthreads
-    sizes[0] = 1
     arrays = {
         "nodes": list(graph.nodes),
         "edges": list(graph.edges),
@@ -421,10 +363,7 @@ def make_env_dp(graph, nthreads, root=None):
         "order": [0] * n,
         "delta": [0.0] * n,
         "centrality": [0.0] * n,
-        "fringe0": fringe0,
-        "fringe1": [0] * (cap * nthreads),
-        "sizes": sizes,
-        "sizes_next": [0] * nthreads,
     }
-    scalars = {"n": n, "root": root, "nthreads": nthreads, "cap": cap}
+    arrays.update(segmented_fringe([root], nthreads, n + 1))
+    scalars = {"n": n, "root": root, "nthreads": nthreads, "cap": n + 1}
     return arrays, scalars

@@ -16,18 +16,21 @@ Provides the four variants the evaluation compares:
 
 from collections import deque
 
-from ..frontend.lowering import compile_source
-from ..ir import (
-    Break,
-    Ctrl,
-    Enq,
-    IRBuilder,
-    PipelineProgram,
-    QueueSpec,
-    RA_INDIRECT,
-    RA_SCAN,
-    RASpec,
-    StageProgram,
+from ..ir import Break, Ctrl, Enq, IRBuilder, QueueSpec, StageProgram
+from .protocol import (
+    SIZES,
+    dp_program,
+    dp_push,
+    exchange_sizes,
+    fringe_segments,
+    manual_program,
+    neighbor_chain,
+    phase_end,
+    phase_loop,
+    push,
+    segmented_fringe,
+    serial_kernel,
+    swap,
 )
 
 INT_MAX = 2**31 - 1
@@ -68,14 +71,10 @@ void bfs(const int* restrict nodes, const int* restrict edges,
 }
 """
 
-_function_cache = {}
-
 
 def function():
     """The lowered serial kernel (cached)."""
-    if "f" not in _function_cache:
-        _function_cache["f"] = compile_source(SOURCE)
-    return _function_cache["f"].clone()
+    return serial_kernel(SOURCE)
 
 
 def default_root(graph):
@@ -140,40 +139,26 @@ def manual_pipeline():
     b.mov("@fringe0", dst="cur_fringe")
     b.mov("@fringe1", dst="next_fringe")
     b.mov("fringe_size_init", dst="fringe_size")
-    with b.loop():
-        done = b.assign("le", ["fringe_size", 0])
-        with b.if_(done):
-            b.break_()
+    with phase_loop(b, "fringe_size"):
         with b.for_("i", 0, "fringe_size"):
             v = b.load("cur_fringe", "i")
             b.enq(Q_RA1_IN, v)
             vp1 = b.binop("add", v, 1)
             b.enq(Q_RA1_IN, vp1)
         b.enq_ctrl(Q_RA1_IN, Ctrl.DONE)
-        b.barrier("phase")
-        fs = b.read_shared("next_size")
-        b.barrier("phase-sync")
-        b.mov(fs, dst="fringe_size")
-        tmp = b.mov("cur_fringe")
-        b.mov("next_fringe", dst="cur_fringe")
-        b.mov(tmp, dst="next_fringe")
+        phase_end(b)
+        swap(b, "cur_fringe", "next_fringe")
     stage0 = StageProgram(0, "scan_fringe", b.finish())
 
     # Stage 1: prefetch neighbor distances, forward the neighbor stream.
     b = IRBuilder(temp_prefix="%p")
     b.mov("fringe_size_init", dst="fringe_size")
-    with b.loop():
-        done = b.assign("le", ["fringe_size", 0])
-        with b.if_(done):
-            b.break_()
+    with phase_loop(b, "fringe_size"):
         with b.loop():
             ngh = b.deq(Q_NGH)
             b.prefetch("@distances", ngh)
             b.enq(Q_UPD, ngh)
-        b.barrier("phase")
-        fs = b.read_shared("next_size")
-        b.barrier("phase-sync")
-        b.mov(fs, dst="fringe_size")
+        phase_end(b)
     stage1 = StageProgram(
         1,
         "prefetch_dist",
@@ -187,10 +172,7 @@ def manual_pipeline():
     b.mov("@fringe0", dst="other_fringe")
     b.mov("fringe_size_init", dst="fringe_size")
     b.mov(0, dst="cur_dist")
-    with b.loop():
-        done = b.assign("le", ["fringe_size", 0])
-        with b.if_(done):
-            b.break_()
+    with phase_loop(b, "fringe_size"):
         b.mov(0, dst="next_size")
         nd = b.binop("add", "cur_dist", 1)
         with b.loop():
@@ -199,39 +181,16 @@ def manual_pipeline():
             better = b.binop("gt", old, nd)
             with b.if_(better):
                 b.store("@distances", ngh, nd)
-                b.store("next_fringe", "next_size", ngh)
-                b.binop("add", "next_size", 1, dst="next_size")
+                push(b, ngh)
         b.write_shared("next_size", "next_size")
-        b.barrier("phase")
-        fs = b.read_shared("next_size")
-        b.barrier("phase-sync")
-        b.mov(fs, dst="fringe_size")
+        phase_end(b)
         b.binop("add", "cur_dist", 1, dst="cur_dist")
-        tmp = b.mov("next_fringe")
-        b.mov("other_fringe", dst="next_fringe")
-        b.mov(tmp, dst="other_fringe")
+        swap(b, "next_fringe", "other_fringe")
     stage2 = StageProgram(2, "update", b.finish(), handlers={Q_UPD: [Break(1)]})
 
-    queues = [
-        QueueSpec(Q_RA1_IN, ("stage", 0), ("ra", 0), 24, "v/v+1"),
-        QueueSpec(Q_PAIRS, ("ra", 0), ("ra", 1), 24, "edge bounds"),
-        QueueSpec(Q_NGH, ("ra", 1), ("stage", 1), 24, "neighbors"),
-        QueueSpec(Q_UPD, ("stage", 1), ("stage", 2), 24, "neighbors'"),
-    ]
-    ras = [
-        RASpec(0, RA_INDIRECT, "@nodes", Q_RA1_IN, Q_PAIRS),
-        RASpec(1, RA_SCAN, "@edges", Q_PAIRS, Q_NGH),
-    ]
-    return PipelineProgram(
-        "bfs_manual",
-        [stage0, stage1, stage2],
-        queues,
-        ras,
-        func.arrays,
-        func.scalar_params,
-        shared_vars={"next_size"},
-        meta={"manual": True},
-    )
+    queues, ras = neighbor_chain((Q_RA1_IN, Q_PAIRS, Q_NGH))
+    queues.append(QueueSpec(Q_UPD, ("stage", 1), ("stage", 2), 24, "neighbors'"))
+    return manual_program(NAME, func, [stage0, stage1, stage2], queues, ras, shared={"next_size"})
 
 
 # ---------------------------------------------------------------------------
@@ -247,90 +206,41 @@ def data_parallel(nthreads):
     of ``next_fringe``. Sizes flow through the ``sizes`` array across a
     double barrier.
     """
-    func = function()
-    stages = []
-    for tid in range(nthreads):
-        b = IRBuilder(temp_prefix="%d")
+
+    def worker(b, tid):
         b.mov("@fringe0", dst="cur_fringe")
         b.mov("@fringe1", dst="next_fringe")
         b.mov(0, dst="cur_dist")
         b.mov("fringe_size_init", dst="total")
         # Segment 0 initially holds the root (size saved by make_env_dp).
-        with b.loop():
-            done = b.assign("le", ["total", 0])
-            with b.if_(done):
-                b.break_()
+        with phase_loop(b, "total"):
             b.mov(0, dst="my_size")
             nd = b.binop("add", "cur_dist", 1)
             my_base = b.binop("mul", tid, "cap")
-            with b.for_("seg", 0, "nthreads"):
-                seg_size = b.load("@sizes", "seg")
-                seg_base = b.binop("mul", "seg", "cap")
-                with b.for_("j", tid, seg_size, nthreads):
-                    idx = b.binop("add", seg_base, "j")
-                    v = b.load("cur_fringe", idx)
-                    es = b.load("@nodes", v)
-                    ee = b.load("@nodes", b.binop("add", v, 1))
-                    with b.for_("e", es, ee):
-                        ngh = b.load("@edges", "e")
-                        # PBFS-style CAS: atomically claim the vertex, push
-                        # only on success (work-efficient, no duplicates).
-                        old = b.atomic_min("@distances", ngh, nd)
-                        better = b.binop("gt", old, nd)
-                        with b.if_(better):
-                            slot = b.binop("add", my_base, "my_size")
-                            b.store("next_fringe", slot, ngh)
-                            b.binop("add", "my_size", 1, dst="my_size")
-            b.barrier("dp-phase")
-            b.store("@sizes_next", tid, "my_size")
-            b.barrier("dp-sizes")
-            b.mov(0, dst="total")
-            with b.for_("s2", 0, "nthreads"):
-                sz = b.load("@sizes_next", "s2")
-                b.binop("add", "total", sz, dst="total")
-                b.store("@sizes", "s2", sz)
-            b.barrier("dp-sync")
+            with fringe_segments(b, tid, nthreads) as v:
+                es = b.load("@nodes", v)
+                ee = b.load("@nodes", b.binop("add", v, 1))
+                with b.for_("e", es, ee):
+                    ngh = b.load("@edges", "e")
+                    # PBFS-style CAS: atomically claim the vertex, push
+                    # only on success (work-efficient, no duplicates).
+                    old = b.atomic_min("@distances", ngh, nd)
+                    better = b.binop("gt", old, nd)
+                    with b.if_(better):
+                        dp_push(b, my_base, ngh)
+            exchange_sizes(b, tid, "dp-phase")
             b.binop("add", "cur_dist", 1, dst="cur_dist")
-            tmp = b.mov("cur_fringe")
-            b.mov("next_fringe", dst="cur_fringe")
-            b.mov(tmp, dst="next_fringe")
-        stages.append(StageProgram(tid, "worker%d" % tid, b.finish()))
+            swap(b, "cur_fringe", "next_fringe")
 
-    arrays = dict(func.arrays)
-    from ..ir import ArrayDecl
-
-    arrays["sizes"] = ArrayDecl("sizes", elem_size=4)
-    arrays["sizes_next"] = ArrayDecl("sizes_next", elem_size=4)
-    return PipelineProgram(
-        "bfs_dp%d" % nthreads,
-        stages,
-        [],
-        [],
-        arrays,
-        func.scalar_params + ["nthreads", "cap"],
-        meta={"data_parallel": True},
-    )
+    return dp_program(NAME, function(), nthreads, worker, ["nthreads", "cap"], SIZES)
 
 
 def make_env_dp(graph, nthreads, root=None):
     """Environment for the data-parallel variant (segmented fringes)."""
     if root is None:
         root = default_root(graph)
+    arrays, scalars = make_env(graph, root)
     cap = graph.n + 1
-    distances = [INT_MAX] * graph.n
-    distances[root] = 0
-    fringe0 = [0] * (cap * nthreads)
-    fringe0[0] = root
-    sizes = [0] * nthreads
-    sizes[0] = 1
-    arrays = {
-        "nodes": list(graph.nodes),
-        "edges": list(graph.edges),
-        "distances": distances,
-        "fringe0": fringe0,
-        "fringe1": [0] * (cap * nthreads),
-        "sizes": sizes,
-        "sizes_next": [0] * nthreads,
-    }
-    scalars = {"n": graph.n, "fringe_size_init": 1, "nthreads": nthreads, "cap": cap}
+    arrays.update(segmented_fringe([root], nthreads, cap))
+    scalars.update(nthreads=nthreads, cap=cap)
     return arrays, scalars

@@ -9,8 +9,23 @@ paper observes CC gets a "slightly worse decoupling" than BFS, and this is
 why.
 """
 
-from ..frontend.lowering import compile_source
-from ..ir import Break, Ctrl, IRBuilder, PipelineProgram, QueueSpec, RA_INDIRECT, RA_SCAN, RASpec, StageProgram
+from ..ir import Break, Ctrl, EnqCtrl, IRBuilder, QueueSpec, StageProgram
+from .protocol import (
+    SIZES,
+    dp_program,
+    dp_push,
+    enq_bounds,
+    exchange_sizes,
+    fringe_segments,
+    manual_program,
+    neighbor_chain,
+    phase_end,
+    phase_loop,
+    push,
+    segmented_fringe,
+    serial_kernel,
+    swap,
+)
 
 NAME = "cc"
 
@@ -47,13 +62,9 @@ void cc(const int* restrict nodes, const int* restrict edges,
 }
 """
 
-_cache = {}
-
 
 def function():
-    if "f" not in _cache:
-        _cache["f"] = compile_source(SOURCE)
-    return _cache["f"].clone()
+    return serial_kernel(SOURCE)
 
 
 def make_env(graph):
@@ -104,8 +115,6 @@ def manual_pipeline():
     itself: forwarding the label would be *correct* for CC (monotone), but
     stale labels inflate the fringe badly on high-diameter graphs.
     """
-    from ..ir import EnqCtrl
-
     func = function()
     Q_RA1, Q_PAIRS, Q_NGH, Q_UPD, Q_LAB = 0, 1, 2, 3, 4
 
@@ -113,41 +122,25 @@ def manual_pipeline():
     b.mov("@fringe0", dst="cur_fringe")
     b.mov("@fringe1", dst="next_fringe")
     b.mov("fringe_size_init", dst="fringe_size")
-    with b.loop():
-        done = b.assign("le", ["fringe_size", 0])
-        with b.if_(done):
-            b.break_()
+    with phase_loop(b, "fringe_size"):
         with b.for_("i", 0, "fringe_size"):
             v = b.load("cur_fringe", "i")
             b.enq(Q_LAB, v)
-            b.enq(Q_RA1, v)
-            b.enq(Q_RA1, b.binop("add", v, 1))
-            b.enq_ctrl(Q_RA1, Ctrl.NEXT)  # per-vertex burst delimiter
-        b.barrier("phase")
-        fs = b.read_shared("next_size")
-        b.barrier("phase-sync")
-        b.mov(fs, dst="fringe_size")
-        tmp = b.mov("cur_fringe")
-        b.mov("next_fringe", dst="cur_fringe")
-        b.mov(tmp, dst="next_fringe")
+            enq_bounds(b, Q_RA1, v)  # NEXT: the per-vertex burst delimiter
+        phase_end(b)
+        swap(b, "cur_fringe", "next_fringe")
     stage0 = StageProgram(0, "scan_fringe", b.finish())
 
     # Prefetch stage: warms labels[ngh] a queue-depth ahead of the update.
     b = IRBuilder(temp_prefix="%p")
     b.mov("fringe_size_init", dst="fringe_size")
-    with b.loop():
-        done = b.assign("le", ["fringe_size", 0])
-        with b.if_(done):
-            b.break_()
+    with phase_loop(b, "fringe_size"):
         with b.for_("i", 0, "fringe_size"):
             with b.loop():
                 ngh = b.deq(Q_NGH)
                 b.prefetch("@labels", ngh)
                 b.enq(Q_UPD, ngh)
-        b.barrier("phase")
-        fs = b.read_shared("next_size")
-        b.barrier("phase-sync")
-        b.mov(fs, dst="fringe_size")
+        phase_end(b)
     stage1 = StageProgram(
         1,
         "prefetch_labels",
@@ -159,10 +152,7 @@ def manual_pipeline():
     b.mov("@fringe1", dst="next_fringe")
     b.mov("@fringe0", dst="other")
     b.mov("fringe_size_init", dst="fringe_size")
-    with b.loop():
-        done = b.assign("le", ["fringe_size", 0])
-        with b.if_(done):
-            b.break_()
+    with phase_loop(b, "fringe_size"):
         b.mov(0, dst="next_size")
         with b.for_("i", 0, "fringe_size"):
             v = b.deq(Q_LAB)
@@ -173,126 +163,49 @@ def manual_pipeline():
                 better = b.binop("gt", ln, lv)
                 with b.if_(better):
                     b.store("@labels", ngh, lv)
-                    b.store("next_fringe", "next_size", ngh)
-                    b.binop("add", "next_size", 1, dst="next_size")
+                    push(b, ngh)
         b.write_shared("next_size", "next_size")
-        b.barrier("phase")
-        fs = b.read_shared("next_size")
-        b.barrier("phase-sync")
-        b.mov(fs, dst="fringe_size")
-        tmp = b.mov("next_fringe")
-        b.mov("other", dst="next_fringe")
-        b.mov(tmp, dst="other")
+        phase_end(b)
+        swap(b, "next_fringe", "other")
     stage2 = StageProgram(2, "update", b.finish(), handlers={Q_UPD: [Break(1)]})
 
-    queues = [
-        QueueSpec(Q_RA1, ("stage", 0), ("ra", 0), 24, "v/v+1"),
-        QueueSpec(Q_PAIRS, ("ra", 0), ("ra", 1), 24, "edge bounds"),
-        QueueSpec(Q_NGH, ("ra", 1), ("stage", 1), 24, "neighbors"),
+    queues, ras = neighbor_chain((Q_RA1, Q_PAIRS, Q_NGH))
+    queues += [
         QueueSpec(Q_UPD, ("stage", 1), ("stage", 2), 24, "neighbors'"),
         QueueSpec(Q_LAB, ("stage", 0), ("stage", 2), 24, "vertices"),
     ]
-    ras = [
-        RASpec(0, RA_INDIRECT, "@nodes", Q_RA1, Q_PAIRS),
-        RASpec(1, RA_SCAN, "@edges", Q_PAIRS, Q_NGH, forward_ctrl=True),
-    ]
-    return PipelineProgram(
-        "cc_manual",
-        [stage0, stage1, stage2],
-        queues,
-        ras,
-        func.arrays,
-        func.scalar_params,
-        shared_vars={"next_size"},
-        meta={"manual": True},
-    )
+    return manual_program(NAME, func, [stage0, stage1, stage2], queues, ras, shared={"next_size"})
 
 
 def data_parallel(nthreads):
     """Hand-written data-parallel CC (vertex-partitioned label propagation)."""
-    func = function()
-    from ..ir import ArrayDecl
 
-    stages = []
-    for tid in range(nthreads):
-        b = IRBuilder(temp_prefix="%d")
+    def worker(b, tid):
         b.mov("@fringe0", dst="cur_fringe")
         b.mov("@fringe1", dst="next_fringe")
         b.mov("fringe_size_init", dst="total")
-        with b.loop():
-            done = b.assign("le", ["total", 0])
-            with b.if_(done):
-                b.break_()
+        with phase_loop(b, "total"):
             b.mov(0, dst="my_size")
             my_base = b.binop("mul", tid, "cap")
-            with b.for_("seg", 0, "nthreads"):
-                seg_size = b.load("@sizes", "seg")
-                seg_base = b.binop("mul", "seg", "cap")
-                with b.for_("j", tid, seg_size, nthreads):
-                    idx = b.binop("add", seg_base, "j")
-                    v = b.load("cur_fringe", idx)
-                    lv = b.load("@labels", v)
-                    es = b.load("@nodes", v)
-                    ee = b.load("@nodes", b.binop("add", v, 1))
-                    with b.for_("e", es, ee):
-                        ngh = b.load("@edges", "e")
-                        old = b.atomic_min("@labels", ngh, lv)
-                        better = b.binop("gt", old, lv)
-                        with b.if_(better):
-                            slot = b.binop("add", my_base, "my_size")
-                            b.store("next_fringe", slot, ngh)
-                            b.binop("add", "my_size", 1, dst="my_size")
-            b.barrier("dp-phase")
-            b.store("@sizes_next", tid, "my_size")
-            b.barrier("dp-sizes")
-            b.mov(0, dst="total")
-            with b.for_("s2", 0, "nthreads"):
-                sz = b.load("@sizes_next", "s2")
-                b.binop("add", "total", sz, dst="total")
-                b.store("@sizes", "s2", sz)
-            b.barrier("dp-sync")
-            tmp = b.mov("cur_fringe")
-            b.mov("next_fringe", dst="cur_fringe")
-            b.mov(tmp, dst="next_fringe")
-        stages.append(StageProgram(tid, "worker%d" % tid, b.finish()))
+            with fringe_segments(b, tid, nthreads) as v:
+                lv = b.load("@labels", v)
+                es = b.load("@nodes", v)
+                ee = b.load("@nodes", b.binop("add", v, 1))
+                with b.for_("e", es, ee):
+                    ngh = b.load("@edges", "e")
+                    old = b.atomic_min("@labels", ngh, lv)
+                    better = b.binop("gt", old, lv)
+                    with b.if_(better):
+                        dp_push(b, my_base, ngh)
+            exchange_sizes(b, tid, "dp-phase")
+            swap(b, "cur_fringe", "next_fringe")
 
-    arrays = dict(func.arrays)
-    arrays["sizes"] = ArrayDecl("sizes", elem_size=4)
-    arrays["sizes_next"] = ArrayDecl("sizes_next", elem_size=4)
-    return PipelineProgram(
-        "cc_dp%d" % nthreads,
-        stages,
-        [],
-        [],
-        arrays,
-        func.scalar_params + ["nthreads", "cap"],
-        meta={"data_parallel": True},
-    )
+    return dp_program(NAME, function(), nthreads, worker, ["nthreads", "cap"], SIZES)
 
 
 def make_env_dp(graph, nthreads):
+    arrays, scalars = make_env(graph)
     cap = graph.n + graph.m + 1
-    fringe0 = [0] * (cap * nthreads)
-    sizes = [0] * nthreads
-    # Initial fringe: all vertices, striped across segments.
-    per = (graph.n + nthreads - 1) // nthreads
-    v = 0
-    for t in range(nthreads):
-        count = min(per, graph.n - v)
-        if count <= 0:
-            break
-        for k in range(count):
-            fringe0[t * cap + k] = v + k
-        sizes[t] = count
-        v += count
-    arrays = {
-        "nodes": list(graph.nodes),
-        "edges": list(graph.edges),
-        "labels": list(range(graph.n)),
-        "fringe0": fringe0,
-        "fringe1": [0] * (cap * nthreads),
-        "sizes": sizes,
-        "sizes_next": [0] * nthreads,
-    }
-    scalars = {"n": graph.n, "fringe_size_init": graph.n, "nthreads": nthreads, "cap": cap}
+    arrays.update(segmented_fringe(range(graph.n), nthreads, cap))
+    scalars.update(nthreads=nthreads, cap=cap)
     return arrays, scalars

@@ -13,19 +13,8 @@ reassociates the ``atomic_add`` reductions and is checked with a
 tolerance (``check_dp``).
 """
 
-from ..frontend.lowering import compile_source
-from ..ir import (
-    Break,
-    Ctrl,
-    EnqCtrl,
-    IRBuilder,
-    PipelineProgram,
-    QueueSpec,
-    RA_INDIRECT,
-    RA_SCAN,
-    RASpec,
-    StageProgram,
-)
+from ..ir import Break, Ctrl, EnqCtrl, IRBuilder, QueueSpec, StageProgram
+from .protocol import dp_program, enq_bounds, manual_program, neighbor_chain, serial_kernel
 
 NAME = "pr"
 
@@ -61,13 +50,9 @@ void pr(const int* restrict nodes, const int* restrict edges,
 }
 """
 
-_cache = {}
-
 
 def function():
-    if "f" not in _cache:
-        _cache["f"] = compile_source(SOURCE)
-    return _cache["f"].clone()
+    return serial_kernel(SOURCE)
 
 
 def make_env(graph, iters=ITERS):
@@ -142,9 +127,7 @@ def manual_pipeline():
     with b.for_("it", 0, "iters"):
         with b.for_("v", 0, "n"):
             b.enq(Q_V, "v")
-            b.enq(Q_RA1, "v")
-            b.enq(Q_RA1, b.binop("add", "v", 1))
-            b.enq_ctrl(Q_RA1, Ctrl.NEXT)
+            enq_bounds(b, Q_RA1, "v")
     stage0 = StageProgram(0, "drive", b.finish())
 
     b = IRBuilder(temp_prefix="%p")
@@ -182,26 +165,12 @@ def manual_pipeline():
             b.store("@nghsum", "u", 0.0)
     stage2 = StageProgram(2, "update", b.finish(), handlers={Q_UPD: [Break(1)]})
 
-    queues = [
-        QueueSpec(Q_RA1, ("stage", 0), ("ra", 0), 24, "v/v+1"),
-        QueueSpec(Q_PAIRS, ("ra", 0), ("ra", 1), 24, "edge bounds"),
-        QueueSpec(Q_NGH, ("ra", 1), ("stage", 1), 24, "neighbors"),
+    queues, ras = neighbor_chain((Q_RA1, Q_PAIRS, Q_NGH))
+    queues += [
         QueueSpec(Q_UPD, ("stage", 1), ("stage", 2), 24, "neighbors'"),
         QueueSpec(Q_V, ("stage", 0), ("stage", 2), 24, "vertices"),
     ]
-    ras = [
-        RASpec(0, RA_INDIRECT, "@nodes", Q_RA1, Q_PAIRS),
-        RASpec(1, RA_SCAN, "@edges", Q_PAIRS, Q_NGH),
-    ]
-    return PipelineProgram(
-        "pr_manual",
-        [stage0, stage1, stage2],
-        queues,
-        ras,
-        func.arrays,
-        func.scalar_params,
-        meta={"manual": True},
-    )
+    return manual_program(NAME, func, [stage0, stage1, stage2], queues, ras)
 
 
 # ---------------------------------------------------------------------------
@@ -215,10 +184,8 @@ def data_parallel(nthreads):
     each iteration ends with a full barrier before the ranks are consumed
     again.
     """
-    func = function()
-    stages = []
-    for tid in range(nthreads):
-        b = IRBuilder(temp_prefix="%d")
+
+    def worker(b, tid):
         with b.for_("it", 0, "iters"):
             with b.for_("v", tid, "n", nthreads):
                 deg = b.load("@degree", "v")
@@ -240,17 +207,8 @@ def data_parallel(nthreads):
                 b.store("@rank", "u", acc)
                 b.store("@nghsum", "u", 0.0)
             b.barrier("dp-apply")
-        stages.append(StageProgram(tid, "worker%d" % tid, b.finish()))
 
-    return PipelineProgram(
-        "pr_dp%d" % nthreads,
-        stages,
-        [],
-        [],
-        func.arrays,
-        func.scalar_params + ["nthreads", "chunk"],
-        meta={"data_parallel": True},
-    )
+    return dp_program(NAME, function(), nthreads, worker, ["nthreads", "chunk"])
 
 
 def make_env_dp(graph, nthreads, iters=ITERS):

@@ -12,19 +12,22 @@ equal to the serial kernel; the data-parallel variant reorders additions
 and is checked against the oracle with a tolerance.
 """
 
-from ..frontend.lowering import compile_source
-from ..ir import (
-    ArrayDecl,
-    Break,
-    Ctrl,
-    EnqCtrl,
-    IRBuilder,
-    PipelineProgram,
-    QueueSpec,
-    RA_INDIRECT,
-    RA_SCAN,
-    RASpec,
-    StageProgram,
+from ..ir import Break, Ctrl, EnqCtrl, IRBuilder, QueueSpec, StageProgram
+from .protocol import (
+    SIZES,
+    dp_program,
+    dp_push,
+    enq_bounds,
+    exchange_sizes,
+    fringe_segments,
+    manual_program,
+    neighbor_chain,
+    phase_end,
+    phase_loop,
+    push,
+    segmented_fringe,
+    serial_kernel,
+    swap,
 )
 
 NAME = "prd"
@@ -79,13 +82,9 @@ void prd(const int* restrict nodes, const int* restrict edges,
 }
 """
 
-_cache = {}
-
 
 def function():
-    if "f" not in _cache:
-        _cache["f"] = compile_source(SOURCE)
-    return _cache["f"].clone()
+    return serial_kernel(SOURCE)
 
 
 def make_env(graph):
@@ -169,40 +168,24 @@ def manual_pipeline():
     b.mov("@fringe0", dst="cur_fringe")
     b.mov("@fringe1", dst="next_fringe")
     b.mov("fringe_size_init", dst="fringe_size")
-    with b.loop():
-        done = b.assign("le", ["fringe_size", 0])
-        with b.if_(done):
-            b.break_()
+    with phase_loop(b, "fringe_size"):
         with b.for_("i", 0, "fringe_size"):
             v = b.load("cur_fringe", "i")
             b.enq(Q_V, v)
-            b.enq(Q_RA1, v)
-            b.enq(Q_RA1, b.binop("add", v, 1))
-            b.enq_ctrl(Q_RA1, Ctrl.NEXT)
-        b.barrier("phase")
-        fs = b.read_shared("next_size")
-        b.barrier("phase-sync")
-        b.mov(fs, dst="fringe_size")
-        tmp = b.mov("cur_fringe")
-        b.mov("next_fringe", dst="cur_fringe")
-        b.mov(tmp, dst="next_fringe")
+            enq_bounds(b, Q_RA1, v)
+        phase_end(b)
+        swap(b, "cur_fringe", "next_fringe")
     stage0 = StageProgram(0, "scan_fringe", b.finish())
 
     b = IRBuilder(temp_prefix="%p")
     b.mov("fringe_size_init", dst="fringe_size")
-    with b.loop():
-        done = b.assign("le", ["fringe_size", 0])
-        with b.if_(done):
-            b.break_()
+    with phase_loop(b, "fringe_size"):
         with b.for_("i", 0, "fringe_size"):
             with b.loop():
                 ngh = b.deq(Q_NGH)
                 b.prefetch("@nghsum", ngh)
                 b.enq(Q_UPD, ngh)
-        b.barrier("phase")
-        fs = b.read_shared("next_size")
-        b.barrier("phase-sync")
-        b.mov(fs, dst="fringe_size")
+        phase_end(b)
     stage1 = StageProgram(
         1,
         "prefetch_nghsum",
@@ -214,10 +197,7 @@ def manual_pipeline():
     b.mov("@fringe1", dst="next_fringe")
     b.mov("@fringe0", dst="other")
     b.mov("fringe_size_init", dst="fringe_size")
-    with b.loop():
-        done = b.assign("le", ["fringe_size", 0])
-        with b.if_(done):
-            b.break_()
+    with phase_loop(b, "fringe_size"):
         with b.for_("i", 0, "fringe_size"):
             v = b.deq(Q_V)
             deg = b.load("@degree", v)
@@ -237,40 +217,19 @@ def manual_pipeline():
                 b.store("@delta", "u", acc)
                 r = b.load("@rank", "u")
                 b.store("@rank", "u", b.binop("add", r, acc))
-                b.store("next_fringe", "next_size", "u")
-                b.binop("add", "next_size", 1, dst="next_size")
+                push(b, "u")
             b.store("@nghsum", "u", 0.0)
         b.write_shared("next_size", "next_size")
-        b.barrier("phase")
-        fs = b.read_shared("next_size")
-        b.barrier("phase-sync")
-        b.mov(fs, dst="fringe_size")
-        tmp = b.mov("next_fringe")
-        b.mov("other", dst="next_fringe")
-        b.mov(tmp, dst="other")
+        phase_end(b)
+        swap(b, "next_fringe", "other")
     stage2 = StageProgram(2, "update", b.finish(), handlers={Q_UPD: [Break(1)]})
 
-    queues = [
-        QueueSpec(Q_RA1, ("stage", 0), ("ra", 0), 24, "v/v+1"),
-        QueueSpec(Q_PAIRS, ("ra", 0), ("ra", 1), 24, "edge bounds"),
-        QueueSpec(Q_NGH, ("ra", 1), ("stage", 1), 24, "neighbors"),
+    queues, ras = neighbor_chain((Q_RA1, Q_PAIRS, Q_NGH))
+    queues += [
         QueueSpec(Q_UPD, ("stage", 1), ("stage", 2), 24, "neighbors'"),
         QueueSpec(Q_V, ("stage", 0), ("stage", 2), 24, "vertices"),
     ]
-    ras = [
-        RASpec(0, RA_INDIRECT, "@nodes", Q_RA1, Q_PAIRS),
-        RASpec(1, RA_SCAN, "@edges", Q_PAIRS, Q_NGH),
-    ]
-    return PipelineProgram(
-        "prd_manual",
-        [stage0, stage1, stage2],
-        queues,
-        ras,
-        func.arrays,
-        func.scalar_params,
-        shared_vars={"next_size"},
-        meta={"manual": True},
-    )
+    return manual_program(NAME, func, [stage0, stage1, stage2], queues, ras, shared={"next_size"})
 
 
 def data_parallel(nthreads):
@@ -280,31 +239,21 @@ def data_parallel(nthreads):
     cost the paper attributes to data-parallel PRD); the apply nest is
     statically partitioned by vertex range.
     """
-    func = function()
-    stages = []
-    for tid in range(nthreads):
-        b = IRBuilder(temp_prefix="%d")
+
+    def worker(b, tid):
         b.mov("@fringe0", dst="cur_fringe")
         b.mov("@fringe1", dst="next_fringe")
         b.mov("fringe_size_init", dst="total")
-        with b.loop():
-            done = b.assign("le", ["total", 0])
-            with b.if_(done):
-                b.break_()
-            with b.for_("seg", 0, "nthreads"):
-                seg_size = b.load("@sizes", "seg")
-                seg_base = b.binop("mul", "seg", "cap")
-                with b.for_("j", tid, seg_size, nthreads):
-                    idx = b.binop("add", seg_base, "j")
-                    v = b.load("cur_fringe", idx)
-                    deg = b.load("@degree", v)
-                    dv = b.load("@delta", v)
-                    share = b.binop("div", dv, b.binop("add", deg, 1))
-                    es = b.load("@nodes", v)
-                    ee = b.load("@nodes", b.binop("add", v, 1))
-                    with b.for_("e", es, ee):
-                        ngh = b.load("@edges", "e")
-                        b.atomic_add("@nghsum", ngh, share)
+        with phase_loop(b, "total"):
+            with fringe_segments(b, tid, nthreads) as v:
+                deg = b.load("@degree", v)
+                dv = b.load("@delta", v)
+                share = b.binop("div", dv, b.binop("add", deg, 1))
+                es = b.load("@nodes", v)
+                ee = b.load("@nodes", b.binop("add", v, 1))
+                with b.for_("e", es, ee):
+                    ngh = b.load("@edges", "e")
+                    b.atomic_add("@nghsum", ngh, share)
             b.barrier("dp-scatter")
             b.mov(0, dst="my_size")
             my_base = b.binop("mul", tid, "cap")
@@ -320,72 +269,17 @@ def data_parallel(nthreads):
                     b.store("@delta", "u", acc)
                     r = b.load("@rank", "u")
                     b.store("@rank", "u", b.binop("add", r, acc))
-                    slot = b.binop("add", my_base, "my_size")
-                    b.store("next_fringe", slot, "u")
-                    b.binop("add", "my_size", 1, dst="my_size")
+                    dp_push(b, my_base, "u")
                 b.store("@nghsum", "u", 0.0)
-            b.barrier("dp-apply")
-            b.store("@sizes_next", tid, "my_size")
-            b.barrier("dp-sizes")
-            b.mov(0, dst="total")
-            with b.for_("s2", 0, "nthreads"):
-                sz = b.load("@sizes_next", "s2")
-                b.binop("add", "total", sz, dst="total")
-                b.store("@sizes", "s2", sz)
-            b.barrier("dp-sync")
-            tmp = b.mov("cur_fringe")
-            b.mov("next_fringe", dst="cur_fringe")
-            b.mov(tmp, dst="next_fringe")
-        stages.append(StageProgram(tid, "worker%d" % tid, b.finish()))
+            exchange_sizes(b, tid, "dp-apply")
+            swap(b, "cur_fringe", "next_fringe")
 
-    arrays = dict(func.arrays)
-    arrays["sizes"] = ArrayDecl("sizes", elem_size=4)
-    arrays["sizes_next"] = ArrayDecl("sizes_next", elem_size=4)
-    return PipelineProgram(
-        "prd_dp%d" % nthreads,
-        stages,
-        [],
-        [],
-        arrays,
-        func.scalar_params + ["nthreads", "cap", "chunk"],
-        meta={"data_parallel": True},
-    )
+    return dp_program(NAME, function(), nthreads, worker, ["nthreads", "cap", "chunk"], SIZES)
 
 
 def make_env_dp(graph, nthreads):
-    n = graph.n
-    cap = n + 1
-    fringe0 = [0] * (cap * nthreads)
-    sizes = [0] * nthreads
-    per = (n + nthreads - 1) // nthreads
-    v = 0
-    for t in range(nthreads):
-        count = min(per, n - v)
-        if count <= 0:
-            break
-        for k in range(count):
-            fringe0[t * cap + k] = v + k
-        sizes[t] = count
-        v += count
-    arrays = {
-        "nodes": list(graph.nodes),
-        "edges": list(graph.edges),
-        "degree": [graph.degree(u) for u in range(n)],
-        "rank": [1.0 - DAMPING] * n,
-        "delta": [1.0 - DAMPING] * n,
-        "nghsum": [0.0] * n,
-        "fringe0": fringe0,
-        "fringe1": [0] * (cap * nthreads),
-        "sizes": sizes,
-        "sizes_next": [0] * nthreads,
-    }
-    scalars = {
-        "n": n,
-        "fringe_size_init": n,
-        "damping": DAMPING,
-        "threshold": THRESHOLD,
-        "nthreads": nthreads,
-        "cap": cap,
-        "chunk": per,
-    }
+    arrays, scalars = make_env(graph)
+    cap = graph.n + 1
+    arrays.update(segmented_fringe(range(graph.n), nthreads, cap))
+    scalars.update(nthreads=nthreads, cap=cap, chunk=(graph.n + nthreads - 1) // nthreads)
     return arrays, scalars

@@ -7,19 +7,22 @@ maximum. Compared to BFS, every neighbor visit does mask arithmetic on two
 read-write arrays, which makes the decoupling prefetch-heavy.
 """
 
-from ..frontend.lowering import compile_source
-from ..ir import (
-    ArrayDecl,
-    Break,
-    Ctrl,
-    Deq,
-    IRBuilder,
-    PipelineProgram,
-    QueueSpec,
-    RA_INDIRECT,
-    RA_SCAN,
-    RASpec,
-    StageProgram,
+from ..ir import Break, Ctrl, Deq, IRBuilder, QueueSpec, StageProgram
+from .protocol import (
+    SIZES,
+    dp_program,
+    dp_push,
+    enq_bounds,
+    exchange_sizes,
+    fringe_segments,
+    manual_program,
+    neighbor_chain,
+    phase_end,
+    phase_loop,
+    push,
+    segmented_fringe,
+    serial_kernel,
+    swap,
 )
 
 NAME = "radii"
@@ -73,13 +76,9 @@ void radii(const int* restrict nodes, const int* restrict edges,
 }
 """
 
-_cache = {}
-
 
 def function():
-    if "f" not in _cache:
-        _cache["f"] = compile_source(SOURCE)
-    return _cache["f"].clone()
+    return serial_kernel(SOURCE)
 
 
 def sample_sources(graph, k=K):
@@ -168,28 +167,18 @@ def manual_pipeline():
     b.mov("@fringe0", dst="cur_fringe")
     b.mov("@fringe1", dst="next_fringe")
     b.mov("fringe_size_init", dst="fringe_size")
-    with b.loop():
-        done = b.assign("le", ["fringe_size", 0])
-        with b.if_(done):
-            b.break_()
+    with phase_loop(b, "fringe_size"):
         with b.for_("i", 0, "fringe_size"):
             v = b.load("cur_fringe", "i")
             # Send the vertex id, not its mask: `visited` is written by the
             # update stage within the phase, so only that stage may read it
             # (the compiler's aliasing rule; here applied by hand).
             b.enq(Q_MASK, v)
-            b.enq(Q_RA1, v)
-            b.enq(Q_RA1, b.binop("add", v, 1))
-            b.enq_ctrl(Q_RA1, Ctrl.NEXT)
+            enq_bounds(b, Q_RA1, v)
         b.enq_ctrl(Q_RA1, Ctrl.DONE)
         b.enq_ctrl(Q_MASK, Ctrl.DONE)
-        b.barrier("phase")
-        fs = b.read_shared("next_size")
-        b.barrier("phase-sync")
-        b.mov(fs, dst="fringe_size")
-        tmp = b.mov("cur_fringe")
-        b.mov("next_fringe", dst="cur_fringe")
-        b.mov(tmp, dst="next_fringe")
+        phase_end(b)
+        swap(b, "cur_fringe", "next_fringe")
     stage0 = StageProgram(0, "scan_fringe", b.finish())
 
     b = IRBuilder(temp_prefix="%u")
@@ -197,10 +186,7 @@ def manual_pipeline():
     b.mov("@fringe0", dst="other")
     b.mov("fringe_size_init", dst="fringe_size")
     b.mov(1, dst="round")
-    with b.loop():
-        done = b.assign("le", ["fringe_size", 0])
-        with b.if_(done):
-            b.break_()
+    with phase_loop(b, "fringe_size"):
         b.mov(0, dst="next_size")
         with b.loop():
             v = b.deq(Q_MASK)
@@ -216,22 +202,16 @@ def manual_pipeline():
                     fresh = b.binop("ne", lp, "round")
                     with b.if_(fresh):
                         b.store("@lastpush", ngh, "round")
-                        b.store("next_fringe", "next_size", ngh)
-                        b.binop("add", "next_size", 1, dst="next_size")
+                        push(b, ngh)
         with b.for_("j", 0, "next_size"):
             u = b.load("next_fringe", "j")
             nv = b.load("@visited_next", u)
             b.store("@visited", u, nv)
             b.store("@radii_arr", u, "round")
         b.write_shared("next_size", "next_size")
-        b.barrier("phase")
-        fs = b.read_shared("next_size")
-        b.barrier("phase-sync")
-        b.mov(fs, dst="fringe_size")
+        phase_end(b)
         b.binop("add", "round", 1, dst="round")
-        tmp = b.mov("next_fringe")
-        b.mov("other", dst="next_fringe")
-        b.mov(tmp, dst="other")
+        swap(b, "next_fringe", "other")
     stage1 = StageProgram(
         1,
         "update",
@@ -239,75 +219,38 @@ def manual_pipeline():
         handlers={Q_MASK: [Deq("%drain", Q_NGH), Break(1)], Q_NGH: [Break(1)]},
     )
 
-    queues = [
-        QueueSpec(Q_RA1, ("stage", 0), ("ra", 0), 24, "v/v+1"),
-        QueueSpec(Q_PAIRS, ("ra", 0), ("ra", 1), 24, "edge bounds"),
-        QueueSpec(Q_NGH, ("ra", 1), ("stage", 1), 24, "neighbors"),
-        QueueSpec(Q_MASK, ("stage", 0), ("stage", 1), 24, "masks"),
-    ]
-    ras = [
-        RASpec(0, RA_INDIRECT, "@nodes", Q_RA1, Q_PAIRS),
-        RASpec(1, RA_SCAN, "@edges", Q_PAIRS, Q_NGH),
-    ]
-    return PipelineProgram(
-        "radii_manual",
-        [stage0, stage1],
-        queues,
-        ras,
-        func.arrays,
-        func.scalar_params,
-        shared_vars={"next_size"},
-        meta={"manual": True},
-    )
+    queues, ras = neighbor_chain((Q_RA1, Q_PAIRS, Q_NGH))
+    queues.append(QueueSpec(Q_MASK, ("stage", 0), ("stage", 1), 24, "masks"))
+    return manual_program(NAME, func, [stage0, stage1], queues, ras, shared={"next_size"})
 
 
 def data_parallel(nthreads):
     """Hand-written data-parallel Radii: atomic mask unions."""
-    func = function()
-    stages = []
-    for tid in range(nthreads):
-        b = IRBuilder(temp_prefix="%d")
+
+    def worker(b, tid):
         b.mov("@fringe0", dst="cur_fringe")
         b.mov("@fringe1", dst="next_fringe")
         b.mov("fringe_size_init", dst="total")
         b.mov(1, dst="round")
-        with b.loop():
-            done = b.assign("le", ["total", 0])
-            with b.if_(done):
-                b.break_()
+        with phase_loop(b, "total"):
             b.mov(0, dst="my_size")
             my_base = b.binop("mul", tid, "cap")
-            with b.for_("seg", 0, "nthreads"):
-                seg_size = b.load("@sizes", "seg")
-                seg_base = b.binop("mul", "seg", "cap")
-                with b.for_("j", tid, seg_size, nthreads):
-                    idx = b.binop("add", seg_base, "j")
-                    v = b.load("cur_fringe", idx)
-                    mv = b.load("@visited", v)
-                    es = b.load("@nodes", v)
-                    ee = b.load("@nodes", b.binop("add", v, 1))
-                    with b.for_("e", es, ee):
-                        ngh = b.load("@edges", "e")
-                        old = b.atomic_or("@visited_next", ngh, mv)
-                        un = b.binop("or", old, mv)
-                        grew = b.binop("ne", un, old)
-                        with b.if_(grew):
-                            lp = b.load("@lastpush", ngh)
-                            fresh = b.binop("ne", lp, "round")
-                            with b.if_(fresh):
-                                b.store("@lastpush", ngh, "round")
-                                slot = b.binop("add", my_base, "my_size")
-                                b.store("next_fringe", slot, ngh)
-                                b.binop("add", "my_size", 1, dst="my_size")
-            b.barrier("dp-scatter")
-            b.store("@sizes_next", tid, "my_size")
-            b.barrier("dp-sizes")
-            b.mov(0, dst="total")
-            with b.for_("s2", 0, "nthreads"):
-                sz = b.load("@sizes_next", "s2")
-                b.binop("add", "total", sz, dst="total")
-                b.store("@sizes", "s2", sz)
-            b.barrier("dp-count")
+            with fringe_segments(b, tid, nthreads) as v:
+                mv = b.load("@visited", v)
+                es = b.load("@nodes", v)
+                ee = b.load("@nodes", b.binop("add", v, 1))
+                with b.for_("e", es, ee):
+                    ngh = b.load("@edges", "e")
+                    old = b.atomic_or("@visited_next", ngh, mv)
+                    un = b.binop("or", old, mv)
+                    grew = b.binop("ne", un, old)
+                    with b.if_(grew):
+                        lp = b.load("@lastpush", ngh)
+                        fresh = b.binop("ne", lp, "round")
+                        with b.if_(fresh):
+                            b.store("@lastpush", ngh, "round")
+                            dp_push(b, my_base, ngh)
+            exchange_sizes(b, tid, "dp-scatter", sync="dp-count")
             # Apply: each worker finalizes the vertices it pushed.
             with b.for_("j2", 0, "my_size"):
                 slot = b.binop("add", my_base, "j2")
@@ -317,55 +260,14 @@ def data_parallel(nthreads):
                 b.store("@radii_arr", u, "round")
             b.barrier("dp-sync")
             b.binop("add", "round", 1, dst="round")
-            tmp = b.mov("cur_fringe")
-            b.mov("next_fringe", dst="cur_fringe")
-            b.mov(tmp, dst="next_fringe")
-        stages.append(StageProgram(tid, "worker%d" % tid, b.finish()))
+            swap(b, "cur_fringe", "next_fringe")
 
-    arrays = dict(func.arrays)
-    arrays["sizes"] = ArrayDecl("sizes", elem_size=4)
-    arrays["sizes_next"] = ArrayDecl("sizes_next", elem_size=4)
-    return PipelineProgram(
-        "radii_dp%d" % nthreads,
-        stages,
-        [],
-        [],
-        arrays,
-        func.scalar_params + ["nthreads", "cap"],
-        meta={"data_parallel": True},
-    )
+    return dp_program(NAME, function(), nthreads, worker, ["nthreads", "cap"], SIZES)
 
 
 def make_env_dp(graph, nthreads):
-    n = graph.n
-    cap = n + 1
-    sources = sample_sources(graph)
-    visited = [0] * n
-    for bit, s in enumerate(sources):
-        visited[s] = 1 << bit
-    fringe0 = [0] * (cap * nthreads)
-    sizes = [0] * nthreads
-    per = (len(sources) + nthreads - 1) // nthreads
-    v = 0
-    for t in range(nthreads):
-        count = min(per, len(sources) - v)
-        if count <= 0:
-            break
-        for k in range(count):
-            fringe0[t * cap + k] = sources[v + k]
-        sizes[t] = count
-        v += count
-    arrays = {
-        "nodes": list(graph.nodes),
-        "edges": list(graph.edges),
-        "visited": visited,
-        "visited_next": list(visited),
-        "radii_arr": [0] * n,
-        "lastpush": [0] * n,
-        "fringe0": fringe0,
-        "fringe1": [0] * (cap * nthreads),
-        "sizes": sizes,
-        "sizes_next": [0] * nthreads,
-    }
-    scalars = {"n": n, "fringe_size_init": len(sources), "nthreads": nthreads, "cap": cap}
+    arrays, scalars = make_env(graph)
+    cap = graph.n + 1
+    arrays.update(segmented_fringe(sample_sources(graph), nthreads, cap))
+    scalars.update(nthreads=nthreads, cap=cap)
     return arrays, scalars

@@ -14,25 +14,21 @@ while the *global* total is nonzero.
 End-of-phase control uses counting handlers: every visit stage broadcasts
 one marker to all replicas, and each update stage's handler counts to R
 before breaking — in-band control values doing replica coordination.
+
+The phase loop, the fringe swap and push, the RA driver and the neighbour
+chain's queues and RAs are :mod:`repro.workloads.protocol`'s, the same the
+manual pipelines use. The end of a phase is this module's own
+(``_phase_epilogue``): each replica publishes its next fringe size in its
+own shared cell and every stage sums all of them between the ``phase``
+barriers, where a single pipeline reads one ``next_size``.
 """
 
-from ..ir import (
-    Assign,
-    Break,
-    Ctrl,
-    If,
-    IRBuilder,
-    PipelineProgram,
-    QueueSpec,
-    RA_INDIRECT,
-    RA_SCAN,
-    RASpec,
-    StageProgram,
-)
+from ..ir import Assign, Break, Ctrl, If, IRBuilder, PipelineProgram, QueueSpec, StageProgram
 from . import bfs as bfs_mod
 from . import cc as cc_mod
 from . import prd as prd_mod
 from . import radii as radii_mod
+from .protocol import enq_bounds, neighbor_chain, phase_loop, push, swap
 
 Q_RA1, Q_PAIRS, Q_NGH, Q_UPD, Q_PAY = 0, 1, 2, 3, 4
 
@@ -42,12 +38,6 @@ REPL_SCALARS = ["replicas", "chunk", "total_init", "rid"]
 
 def owner_of(v, chunk, replicas):
     return min(v // chunk, replicas - 1)
-
-
-def _phase_prologue(b):
-    done = b.assign("le", ["repl_total", 0])
-    with b.if_(done):
-        b.break_()
 
 
 def _phase_epilogue(b, rid, replicas, writes_next=False):
@@ -74,20 +64,15 @@ def _scan_stage(rid, replicas, payload_loader=None):
     b.mov("@fringe0", dst="cur_fringe")
     b.mov("@fringe1", dst="next_fringe")
     _init_phase_regs(b)
-    with b.loop():
-        _phase_prologue(b)
+    with phase_loop(b, "repl_total"):
         with b.for_("i", 0, "fringe_size"):
             v = b.load("cur_fringe", "i")
             if payload_loader is not None:
                 payload = payload_loader(b, v)
                 b.enq(Q_PAY, payload)
-            b.enq(Q_RA1, v)
-            b.enq(Q_RA1, b.binop("add", v, 1))
-            b.enq_ctrl(Q_RA1, Ctrl.NEXT)
+            enq_bounds(b, Q_RA1, v)
         _phase_epilogue(b, rid, replicas)
-        tmp = b.mov("cur_fringe")
-        b.mov("next_fringe", dst="cur_fringe")
-        b.mov(tmp, dst="next_fringe")
+        swap(b, "cur_fringe", "next_fringe")
     return StageProgram(0, "scan", b.finish())
 
 
@@ -95,8 +80,7 @@ def _visit_stage(rid, replicas, has_payload):
     """Stage 1: pair neighbors with payloads, distribute to owners."""
     b = IRBuilder(temp_prefix="%v")
     _init_phase_regs(b)
-    with b.loop():
-        _phase_prologue(b)
+    with phase_loop(b, "repl_total"):
         with b.for_("i", 0, "fringe_size"):
             if has_payload:
                 payload = b.deq(Q_PAY, dst="payload")
@@ -124,15 +108,21 @@ def _counting_handler():
     ]
 
 
-def _update_skeleton(rid, replicas, init, per_phase, body, phase_end, counters):
-    """Shared shape of the update stage; callbacks fill app logic."""
+def _no_code(b):
+    """An update-stage hook that adds no statements."""
+
+
+def _update_skeleton(
+    rid, replicas, body, init=_no_code, per_phase=_no_code, phase_end=_no_code, counters=_no_code
+):
+    """Shared shape of the update stage; ``body(b, x)`` handles one
+    distributed item and the hooks fill the rest of the app logic."""
     b = IRBuilder(temp_prefix="%u")
     b.mov("@fringe1", dst="next_fringe")
     b.mov("@fringe0", dst="other_fringe")
     _init_phase_regs(b)
     init(b)
-    with b.loop():
-        _phase_prologue(b)
+    with phase_loop(b, "repl_total"):
         b.mov(0, dst="next_size")
         b.mov(0, dst="dones")
         per_phase(b)
@@ -142,31 +132,15 @@ def _update_skeleton(rid, replicas, init, per_phase, body, phase_end, counters):
         phase_end(b)
         _phase_epilogue(b, rid, replicas, writes_next=True)
         counters(b)
-        tmp = b.mov("next_fringe")
-        b.mov("other_fringe", dst="next_fringe")
-        b.mov(tmp, dst="other_fringe")
+        swap(b, "next_fringe", "other_fringe")
     return StageProgram(2, "update", b.finish(), handlers={Q_UPD: _counting_handler()})
 
 
-def _push(b, ngh):
-    b.store("next_fringe", "next_size", ngh)
-    b.binop("add", "next_size", 1, dst="next_size")
-
-
-def _assemble(name, function, stages, has_payload, extra_shared, replicas):
-    queues = [
-        QueueSpec(Q_RA1, ("stage", 0), ("ra", 0), 24, "v/v+1"),
-        QueueSpec(Q_PAIRS, ("ra", 0), ("ra", 1), 24, "edge bounds"),
-        QueueSpec(Q_NGH, ("ra", 1), ("stage", 1), 24, "neighbors"),
-        QueueSpec(Q_UPD, ("stage", 1), ("stage", 2), 24, "distributed pairs"),
-    ]
+def _assemble(name, function, stages, has_payload, replicas):
+    queues, ras = neighbor_chain((Q_RA1, Q_PAIRS, Q_NGH))
+    queues.append(QueueSpec(Q_UPD, ("stage", 1), ("stage", 2), 24, "distributed pairs"))
     if has_payload:
         queues.append(QueueSpec(Q_PAY, ("stage", 0), ("stage", 1), 24, "payload"))
-    ras = [
-        RASpec(0, RA_INDIRECT, "@nodes", Q_RA1, Q_PAIRS),
-        RASpec(1, RA_SCAN, "@edges", Q_PAIRS, Q_NGH),
-    ]
-    shared = {"next%d" % s for s in range(replicas)} | set(extra_shared)
     return PipelineProgram(
         name,
         stages,
@@ -174,7 +148,7 @@ def _assemble(name, function, stages, has_payload, extra_shared, replicas):
         ras,
         function.arrays,
         function.scalar_params + REPL_SCALARS,
-        shared_vars=shared,
+        shared_vars={"next%d" % s for s in range(replicas)},
         meta={"replicated": True},
     )
 
@@ -200,16 +174,13 @@ def bfs_replicated(rid, replicas):
         better = b.binop("gt", old, "nd")
         with b.if_(better):
             b.store("@distances", x, "nd")
-            _push(b, x)
-
-    def phase_end(b):
-        pass
+            push(b, x)
 
     def counters(b):
         b.binop("add", "cur_dist", 1, dst="cur_dist")
 
-    update = _update_skeleton(rid, replicas, init, per_phase, body, phase_end, counters)
-    return _assemble("bfs_repl%d" % rid, function, [scan, visit, update], False, (), replicas)
+    update = _update_skeleton(rid, replicas, body, init, per_phase, counters=counters)
+    return _assemble("bfs_repl%d" % rid, function, [scan, visit, update], False, replicas)
 
 
 def cc_replicated(rid, replicas):
@@ -222,12 +193,6 @@ def cc_replicated(rid, replicas):
     scan = _scan_stage(rid, replicas, payload_loader=payload)
     visit = _visit_stage(rid, replicas, has_payload=True)
 
-    def init(b):
-        pass
-
-    def per_phase(b):
-        pass
-
     def body(b, x):
         ngh = b.assign("fst", [x])
         lv = b.assign("snd", [x])
@@ -235,16 +200,10 @@ def cc_replicated(rid, replicas):
         better = b.binop("gt", ln, lv)
         with b.if_(better):
             b.store("@labels", ngh, lv)
-            _push(b, ngh)
+            push(b, ngh)
 
-    def phase_end(b):
-        pass
-
-    def counters(b):
-        pass
-
-    update = _update_skeleton(rid, replicas, init, per_phase, body, phase_end, counters)
-    return _assemble("cc_repl%d" % rid, function, [scan, visit, update], True, (), replicas)
+    update = _update_skeleton(rid, replicas, body)
+    return _assemble("cc_repl%d" % rid, function, [scan, visit, update], True, replicas)
 
 
 def prd_replicated(rid, replicas):
@@ -266,9 +225,6 @@ def prd_replicated(rid, replicas):
         hi = b.binop("add", lo, "chunk")
         b.assign("min", [hi, "n"], dst="own_hi")
 
-    def per_phase(b):
-        pass
-
     def body(b, x):
         ngh = b.assign("fst", [x])
         share = b.assign("snd", [x])
@@ -285,14 +241,11 @@ def prd_replicated(rid, replicas):
                 b.store("@delta", "u", acc)
                 r = b.load("@rank", "u")
                 b.store("@rank", "u", b.binop("add", r, acc))
-                _push(b, "u")
+                push(b, "u")
             b.store("@nghsum", "u", 0.0)
 
-    def counters(b):
-        pass
-
-    update = _update_skeleton(rid, replicas, init, per_phase, body, phase_end, counters)
-    return _assemble("prd_repl%d" % rid, function, [scan, visit, update], True, (), replicas)
+    update = _update_skeleton(rid, replicas, body, init, phase_end=phase_end)
+    return _assemble("prd_repl%d" % rid, function, [scan, visit, update], True, replicas)
 
 
 def radii_replicated(rid, replicas):
@@ -308,9 +261,6 @@ def radii_replicated(rid, replicas):
     def init(b):
         b.mov(1, dst="round")
 
-    def per_phase(b):
-        pass
-
     def body(b, x):
         ngh = b.assign("fst", [x])
         mv = b.assign("snd", [x])
@@ -323,7 +273,7 @@ def radii_replicated(rid, replicas):
             fresh = b.binop("ne", lp, "round")
             with b.if_(fresh):
                 b.store("@lastpush", ngh, "round")
-                _push(b, ngh)
+                push(b, ngh)
 
     def phase_end(b):
         with b.for_("j", 0, "next_size"):
@@ -335,8 +285,8 @@ def radii_replicated(rid, replicas):
     def counters(b):
         b.binop("add", "round", 1, dst="round")
 
-    update = _update_skeleton(rid, replicas, init, per_phase, body, phase_end, counters)
-    return _assemble("radii_repl%d" % rid, function, [scan, visit, update], True, (), replicas)
+    update = _update_skeleton(rid, replicas, body, init, phase_end=phase_end, counters=counters)
+    return _assemble("radii_repl%d" % rid, function, [scan, visit, update], True, replicas)
 
 
 def bfs_replicated_nodist(rid, replicas):
@@ -357,8 +307,7 @@ def bfs_replicated_nodist(rid, replicas):
     b.mov("@fringe0", dst="other_fringe")
     _init_phase_regs(b)
     b.mov(0, dst="cur_dist")
-    with b.loop():
-        _phase_prologue(b)
+    with phase_loop(b, "repl_total"):
         b.mov(0, dst="next_size")
         b.mov(0, dst="seen")
         nd = b.binop("add", "cur_dist", 1)
@@ -371,12 +320,10 @@ def bfs_replicated_nodist(rid, replicas):
                 better = b.binop("gt", old, nd)
                 with b.if_(better):
                     b.store("@distances", ngh, nd)
-                    _push(b, ngh)
+                    push(b, ngh)
         _phase_epilogue(b, rid, replicas, writes_next=True)
         b.binop("add", "cur_dist", 1, dst="cur_dist")
-        tmp = b.mov("next_fringe")
-        b.mov("other_fringe", dst="next_fringe")
-        b.mov(tmp, dst="other_fringe")
+        swap(b, "next_fringe", "other_fringe")
     update = StageProgram(
         1,
         "update",
@@ -390,15 +337,7 @@ def bfs_replicated_nodist(rid, replicas):
         },
     )
 
-    queues = [
-        QueueSpec(Q_RA1, ("stage", 0), ("ra", 0), 24, "v/v+1"),
-        QueueSpec(Q_PAIRS, ("ra", 0), ("ra", 1), 24, "edge bounds"),
-        QueueSpec(Q_NGH, ("ra", 1), ("stage", 1), 24, "neighbors"),
-    ]
-    ras = [
-        RASpec(0, RA_INDIRECT, "@nodes", Q_RA1, Q_PAIRS),
-        RASpec(1, RA_SCAN, "@edges", Q_PAIRS, Q_NGH),
-    ]
+    queues, ras = neighbor_chain((Q_RA1, Q_PAIRS, Q_NGH))
     shared = {"next%d" % s for s in range(replicas)}
     return PipelineProgram(
         "bfs_repl_nodist%d" % rid,

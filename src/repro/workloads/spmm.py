@@ -11,16 +11,8 @@ trick the paper describes: when one stream ends, the other is drained to
 its marker without any merge logic.
 """
 
-from ..frontend.lowering import compile_source
-from ..ir import (
-    Ctrl,
-    IRBuilder,
-    PipelineProgram,
-    QueueSpec,
-    RA_SCAN,
-    RASpec,
-    StageProgram,
-)
+from ..ir import Ctrl, IRBuilder, QueueSpec, RA_SCAN, RASpec, StageProgram
+from .protocol import dp_program, manual_program, serial_kernel
 
 NAME = "spmm"
 
@@ -58,13 +50,9 @@ void spmm(const int* restrict a_pos, const int* restrict a_crd, const double* re
 }
 """
 
-_cache = {}
-
 
 def function():
-    if "f" not in _cache:
-        _cache["f"] = compile_source(SOURCE)
-    return _cache["f"].clone()
+    return serial_kernel(SOURCE)
 
 
 def make_env(a, bt=None):
@@ -233,23 +221,13 @@ def manual_pipeline():
         RASpec(2, RA_SCAN, "@bt_crd", QI_BC, QB_C),
         RASpec(3, RA_SCAN, "@bt_val", QI_BV, QB_V),
     ]
-    return PipelineProgram(
-        "spmm_manual",
-        [stage0, stage1],
-        queues,
-        ras,
-        func.arrays,
-        func.scalar_params,
-        meta={"manual": True},
-    )
+    return manual_program(NAME, func, [stage0, stage1], queues, ras)
 
 
 def data_parallel(nthreads):
     """Hand-written data-parallel SpMM: output rows striped across threads."""
-    func = function()
-    stages = []
-    for tid in range(nthreads):
-        b = IRBuilder(temp_prefix="%d")
+
+    def worker(b, tid):
         with b.for_("i", tid, "m", nthreads):
             ra0 = b.load("@a_pos", "i")
             rae = b.load("@a_pos", b.binop("add", "i", 1))
@@ -286,16 +264,8 @@ def data_parallel(nthreads):
                 with b.if_(nz):
                     idx = b.binop("add", base, "j")
                     b.store("@out", idx, "acc")
-        stages.append(StageProgram(tid, "worker%d" % tid, b.finish()))
-    return PipelineProgram(
-        "spmm_dp%d" % nthreads,
-        stages,
-        [],
-        [],
-        func.arrays,
-        func.scalar_params + ["nthreads"],
-        meta={"data_parallel": True},
-    )
+
+    return dp_program(NAME, function(), nthreads, worker, ["nthreads"])
 
 
 def make_env_dp(a, nthreads, bt=None):

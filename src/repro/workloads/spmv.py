@@ -12,17 +12,8 @@ preserve each row's accumulation order.
 
 import random
 
-from ..frontend.lowering import compile_source
-from ..ir import (
-    Ctrl,
-    IRBuilder,
-    PipelineProgram,
-    QueueSpec,
-    RA_INDIRECT,
-    RA_SCAN,
-    RASpec,
-    StageProgram,
-)
+from ..ir import Ctrl, IRBuilder, QueueSpec, RA_INDIRECT, RA_SCAN, RASpec, StageProgram
+from .protocol import dp_program, manual_program, serial_kernel
 
 NAME = "spmv"
 
@@ -44,13 +35,9 @@ void spmv(const int* restrict pos, const int* restrict crd,
 }
 """
 
-_cache = {}
-
 
 def function():
-    if "f" not in _cache:
-        _cache["f"] = compile_source(SOURCE)
-    return _cache["f"].clone()
+    return serial_kernel(SOURCE)
 
 
 def dense_vector(ncols, seed=0):
@@ -142,15 +129,7 @@ def manual_pipeline():
         RASpec(1, RA_INDIRECT, "@x", Q_CRD, Q_XV),
         RASpec(2, RA_SCAN, "@val", Q_V_IN, Q_VAL),
     ]
-    return PipelineProgram(
-        "spmv_manual",
-        [stage0, stage1],
-        queues,
-        ras,
-        func.arrays,
-        func.scalar_params,
-        meta={"manual": True},
-    )
+    return manual_program(NAME, func, [stage0, stage1], queues, ras)
 
 
 # ---------------------------------------------------------------------------
@@ -159,10 +138,8 @@ def manual_pipeline():
 
 def data_parallel(nthreads):
     """Row-striped SpMV: no shared writes, exact in any interleaving."""
-    func = function()
-    stages = []
-    for tid in range(nthreads):
-        b = IRBuilder(temp_prefix="%d")
+
+    def worker(b, tid):
         with b.for_("i", tid, "nrows", nthreads):
             s = b.load("@pos", "i")
             e = b.load("@pos", b.binop("add", "i", 1))
@@ -173,16 +150,8 @@ def data_parallel(nthreads):
                 vv = b.load("@val", "e")
                 b.binop("add", "acc", b.binop("mul", vv, xv), dst="acc")
             b.store("@y", "i", "acc")
-        stages.append(StageProgram(tid, "worker%d" % tid, b.finish()))
-    return PipelineProgram(
-        "spmv_dp%d" % nthreads,
-        stages,
-        [],
-        [],
-        func.arrays,
-        func.scalar_params + ["nthreads"],
-        meta={"data_parallel": True},
-    )
+
+    return dp_program(NAME, function(), nthreads, worker, ["nthreads"])
 
 
 def make_env_dp(a, nthreads):

@@ -25,19 +25,16 @@ Variants:
 
 import heapq
 
-from ..frontend.lowering import compile_source
-from ..ir import (
-    ArrayDecl,
-    Ctrl,
-    IRBuilder,
-    PipelineProgram,
-    QueueSpec,
-    RA_INDIRECT,
-    RA_SCAN,
-    RASpec,
-    StageProgram,
-)
+from ..ir import Ctrl, IRBuilder, StageProgram
 from . import graphs
+from .protocol import (
+    barrier_read,
+    dp_program,
+    manual_program,
+    neighbor_chain,
+    phase_loop,
+    serial_kernel,
+)
 
 #: "Infinity" for unreached vertices; small enough that limit arithmetic
 #: never wraps a 32-bit int even after adding a max weight.
@@ -90,13 +87,9 @@ void sssp(const int* restrict nodes, const int* restrict edges,
 }
 """
 
-_cache = {}
-
 
 def function():
-    if "f" not in _cache:
-        _cache["f"] = compile_source(SOURCE)
-    return _cache["f"].clone()
+    return serial_kernel(SOURCE)
 
 
 def default_root(graph):
@@ -183,10 +176,7 @@ def manual_pipeline():
 
     b = IRBuilder(temp_prefix="%m")
     b.mov(1, dst="remaining")
-    with b.loop():
-        outer_done = b.assign("le", ["remaining", 0])
-        with b.if_(outer_done):
-            b.break_()
+    with phase_loop(b, "remaining"):
         with b.loop():
             with b.for_("v", 0, "n"):
                 b.enq(Q_EN, "v")
@@ -196,25 +186,17 @@ def manual_pipeline():
                 b.enq(Q_WN, "v")
                 b.enq(Q_WN, vp1)
                 b.enq_ctrl(Q_WN, Ctrl.NEXT)
-            b.barrier("phase")
-            ch = b.read_shared("changed")
-            b.barrier("phase-sync")
+            ch = barrier_read(b, "changed")
             ch_done = b.binop("le", ch, 0)
             with b.if_(ch_done):
                 b.break_()
-        b.barrier("bucket")
-        rem = b.read_shared("remaining")
-        b.barrier("bucket-sync")
-        b.mov(rem, dst="remaining")
+        b.mov(barrier_read(b, "remaining", "bucket"), dst="remaining")
     stage0 = StageProgram(0, "drive", b.finish())
 
     b = IRBuilder(temp_prefix="%u")
     b.mov(0, dst="k")
     b.mov(1, dst="remaining")
-    with b.loop():
-        outer_done = b.assign("le", ["remaining", 0])
-        with b.if_(outer_done):
-            b.break_()
+    with phase_loop(b, "remaining"):
         kp1 = b.binop("add", "k", 1)
         limit = b.binop("mul", kp1, "delta")
         with b.loop():
@@ -243,9 +225,7 @@ def manual_pipeline():
                             with b.if_(light):
                                 b.mov(1, dst="changed")
             b.write_shared("changed", "changed")
-            b.barrier("phase")
-            ch = b.read_shared("changed")
-            b.barrier("phase-sync")
+            ch = barrier_read(b, "changed")
             ch_done = b.binop("le", ch, 0)
             with b.if_(ch_done):
                 b.break_()
@@ -256,41 +236,41 @@ def manual_pipeline():
             with b.if_(waiting):
                 b.binop("add", "rem", 1, dst="rem")
         b.write_shared("remaining", "rem")
-        b.barrier("bucket")
-        rem = b.read_shared("remaining")
-        b.barrier("bucket-sync")
-        b.mov(rem, dst="remaining")
+        b.mov(barrier_read(b, "remaining", "bucket"), dst="remaining")
         b.binop("add", "k", 1, dst="k")
     stage1 = StageProgram(1, "update", b.finish())
 
-    queues = [
-        QueueSpec(Q_EN, ("stage", 0), ("ra", 0), 24, "v/v+1 (edges)"),
-        QueueSpec(Q_EPAIR, ("ra", 0), ("ra", 1), 24, "edge bounds"),
-        QueueSpec(Q_NGH, ("ra", 1), ("stage", 1), 24, "neighbors"),
-        QueueSpec(Q_WN, ("stage", 0), ("ra", 2), 24, "v/v+1 (weights)"),
-        QueueSpec(Q_WPAIR, ("ra", 2), ("ra", 3), 24, "weight bounds"),
-        QueueSpec(Q_WGT, ("ra", 3), ("stage", 1), 24, "weights"),
-    ]
-    ras = [
-        RASpec(0, RA_INDIRECT, "@nodes", Q_EN, Q_EPAIR),
-        RASpec(1, RA_SCAN, "@edges", Q_EPAIR, Q_NGH),
-        RASpec(2, RA_INDIRECT, "@nodes", Q_WN, Q_WPAIR),
-        RASpec(3, RA_SCAN, "@weights", Q_WPAIR, Q_WGT),
-    ]
-    return PipelineProgram(
-        "sssp_manual",
-        [stage0, stage1],
-        queues,
-        ras,
-        func.arrays,
-        func.scalar_params,
-        shared_vars={"changed", "remaining"},
-        meta={"manual": True},
+    edges = neighbor_chain(
+        (Q_EN, Q_EPAIR, Q_NGH), labels=("v/v+1 (edges)", "edge bounds", "neighbors")
+    )
+    weights = neighbor_chain(
+        (Q_WN, Q_WPAIR, Q_WGT),
+        raid=2,
+        array="@weights",
+        labels=("v/v+1 (weights)", "weight bounds", "weights"),
+    )
+    queues, ras = edges[0] + weights[0], edges[1] + weights[1]
+    return manual_program(
+        NAME, func, [stage0, stage1], queues, ras, shared={"changed", "remaining"}
     )
 
 
 # ---------------------------------------------------------------------------
 # Data-parallel variant
+
+
+def _sum_parts(b, tid, mine, total, var, tags):
+    """All-reduce one count: publish ``mine`` in ``parts[tid]`` after barrier
+    ``tags[0]``, then every worker sums all parts into ``total`` between
+    barriers ``tags[1]`` and ``tags[2]``."""
+    b.barrier(tags[0])
+    b.store("@parts", tid, mine)
+    b.barrier(tags[1])
+    b.mov(0, dst=total)
+    with b.for_(var, 0, "nthreads"):
+        part = b.load("@parts", var)
+        b.binop("add", total, part, dst=total)
+    b.barrier(tags[2])
 
 
 def data_parallel(nthreads):
@@ -302,16 +282,11 @@ def data_parallel(nthreads):
     counts flow through the ``parts`` array across double barriers, as in
     the other hand-parallelized workloads.
     """
-    func = function()
-    stages = []
-    for tid in range(nthreads):
-        b = IRBuilder(temp_prefix="%d")
+
+    def worker(b, tid):
         b.mov(0, dst="k")
         b.mov(1, dst="remaining")
-        with b.loop():
-            outer_done = b.assign("le", ["remaining", 0])
-            with b.if_(outer_done):
-                b.break_()
+        with phase_loop(b, "remaining"):
             kp1 = b.binop("add", "k", 1)
             limit = b.binop("mul", kp1, "delta")
             with b.loop():
@@ -334,14 +309,8 @@ def data_parallel(nthreads):
                             hit = b.binop("and", better, light)
                             with b.if_(hit):
                                 b.mov(1, dst="my_changed")
-                b.barrier("dp-phase")
-                b.store("@parts", tid, "my_changed")
-                b.barrier("dp-flags")
-                b.mov(0, dst="changed")
-                with b.for_("t", 0, "nthreads"):
-                    f = b.load("@parts", "t")
-                    b.binop("add", "changed", f, dst="changed")
-                b.barrier("dp-sync")
+                flags = ("dp-phase", "dp-flags", "dp-sync")
+                _sum_parts(b, tid, "my_changed", "changed", "t", flags)
                 ch_done = b.assign("le", ["changed", 0])
                 with b.if_(ch_done):
                     b.break_()
@@ -351,28 +320,12 @@ def data_parallel(nthreads):
                 waiting = b.binop("lt", du, b.load("@done", "u"))
                 with b.if_(waiting):
                     b.binop("add", "my_rem", 1, dst="my_rem")
-            b.barrier("dp-bucket")
-            b.store("@parts", tid, "my_rem")
-            b.barrier("dp-rems")
-            b.mov(0, dst="remaining")
-            with b.for_("t2", 0, "nthreads"):
-                r = b.load("@parts", "t2")
-                b.binop("add", "remaining", r, dst="remaining")
-            b.barrier("dp-bucket-sync")
+            _sum_parts(
+                b, tid, "my_rem", "remaining", "t2", ("dp-bucket", "dp-rems", "dp-bucket-sync")
+            )
             b.binop("add", "k", 1, dst="k")
-        stages.append(StageProgram(tid, "worker%d" % tid, b.finish()))
 
-    arrays = dict(func.arrays)
-    arrays["parts"] = ArrayDecl("parts", elem_size=4)
-    return PipelineProgram(
-        "sssp_dp%d" % nthreads,
-        stages,
-        [],
-        [],
-        arrays,
-        func.scalar_params + ["nthreads"],
-        meta={"data_parallel": True},
-    )
+    return dp_program(NAME, function(), nthreads, worker, ["nthreads"], ["parts"])
 
 
 def make_env_dp(graph, nthreads, root=None):

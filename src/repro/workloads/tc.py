@@ -14,17 +14,9 @@ given, so generator outputs with duplicate edges are fine. All arithmetic
 is integer, so every variant is exact.
 """
 
-from ..frontend.lowering import compile_source
-from ..ir import (
-    Ctrl,
-    IRBuilder,
-    PipelineProgram,
-    QueueSpec,
-    RA_SCAN,
-    RASpec,
-    StageProgram,
-)
+from ..ir import Ctrl, IRBuilder, QueueSpec, RA_SCAN, RASpec, StageProgram
 from . import graphs
+from .protocol import dp_program, manual_program, serial_kernel
 
 NAME = "tc"
 
@@ -65,13 +57,9 @@ void tc(const int* restrict nodes, const int* restrict edges,
 }
 """
 
-_cache = {}
-
 
 def function():
-    if "f" not in _cache:
-        _cache["f"] = compile_source(SOURCE)
-    return _cache["f"].clone()
+    return serial_kernel(SOURCE)
 
 
 def make_env(graph):
@@ -207,15 +195,7 @@ def manual_pipeline():
         RASpec(0, RA_SCAN, "@edges", Q_A_IN, Q_A),
         RASpec(1, RA_SCAN, "@edges", Q_B_IN, Q_B),
     ]
-    return PipelineProgram(
-        "tc_manual",
-        [stage0, stage1],
-        queues,
-        ras,
-        func.arrays,
-        func.scalar_params,
-        meta={"manual": True},
-    )
+    return manual_program(NAME, func, [stage0, stage1], queues, ras)
 
 
 # ---------------------------------------------------------------------------
@@ -229,10 +209,8 @@ def data_parallel(nthreads):
     count into ``total[0]`` with one integer ``atomic_add`` at the end —
     integer arithmetic, so the result is exact regardless of interleaving.
     """
-    func = function()
-    stages = []
-    for tid in range(nthreads):
-        b = IRBuilder(temp_prefix="%d")
+
+    def worker(b, tid):
         b.mov(0, dst="count")
         with b.for_("u", tid, "n", nthreads):
             ub = b.load("@nodes", "u")
@@ -268,17 +246,8 @@ def data_parallel(nthreads):
                             b.continue_()
                         b.binop("add", "pb", 1, dst="pb")
         b.atomic_add("@total", 0, "count")
-        stages.append(StageProgram(tid, "worker%d" % tid, b.finish()))
 
-    return PipelineProgram(
-        "tc_dp%d" % nthreads,
-        stages,
-        [],
-        [],
-        func.arrays,
-        func.scalar_params + ["nthreads"],
-        meta={"data_parallel": True},
-    )
+    return dp_program(NAME, function(), nthreads, worker, ["nthreads"])
 
 
 def make_env_dp(graph, nthreads):
