@@ -44,7 +44,14 @@ def _compile_options(req):
 
 
 def _demo_input(bench, size, seed):
-    """One synthetic input item for ``demo``-family verbs (graph/matrix)."""
+    """One synthetic input item for ``demo``-family verbs (graph/matrix).
+
+    A size below 1 is a bad request (:class:`~repro.api.requests.ApiError`),
+    refused here before any input is built: the CLI exits 2 with one line,
+    the daemon answers ``bad-request``.
+    """
+    if size < 1:
+        raise requests.ApiError("size must be at least 1, got %d" % size)
     from ..workloads.datasets import Input
     from ..workloads.graphs import uniform_random
     from ..workloads.matrices import random_matrix

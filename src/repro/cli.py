@@ -29,8 +29,14 @@ from . import api
 
 def _cmd_request(args):
     """Every submittable verb: build its API request from the parsed argv,
-    execute it in-process and print its payload."""
-    response = api.handle(api.REQUEST_TYPES[args.verb].from_args(args))
+    execute it in-process and print its payload. A request the handler
+    refuses (:class:`api.ApiError`) exits 2 with one line on stderr, like
+    an argparse error."""
+    try:
+        response = api.handle(api.REQUEST_TYPES[args.verb].from_args(args))
+    except api.ApiError as exc:
+        print("repro %s: error: %s" % (args.verb, exc), file=sys.stderr)
+        return 2
     if response.output:
         sys.stdout.write(response.output)
     return response.exit_code

@@ -84,6 +84,34 @@ def test_demo_reports_speedup():
     assert "serial" in response.output and "phloem" in response.output
 
 
+SIZE_VERBS = {"demo": api.RunRequest, "trace": api.TraceRequest, "metrics": api.MetricsRequest}
+
+
+@pytest.mark.parametrize("size", [0, -3])
+@pytest.mark.parametrize("verb", sorted(SIZE_VERBS))
+@pytest.mark.parametrize("bench", ["bfs", "cc"])
+def test_size_below_one_is_a_bad_request(verb, size, bench, monkeypatch):
+    """Refused before any input is built: an empty graph crashed ``bfs``'s
+    root choice and ``cc``'s speedup division (``internal-error`` in the
+    daemon)."""
+    from repro.service.pool import execute_wire
+    from repro.workloads import graphs
+
+    def no_input(*args, **kwargs):
+        raise AssertionError("the input was built")
+
+    monkeypatch.setattr(graphs, "uniform_random", no_input)
+    request = SIZE_VERBS[verb](bench=bench, size=size)
+    with pytest.raises(api.ApiError, match="size must be at least 1, got %d" % size):
+        api.handle(request)
+    payload = execute_wire(request.to_wire())["payload"]
+    assert payload["exit_code"] == 2
+    assert payload["error"] == {
+        "code": "bad-request",
+        "message": "size must be at least 1, got %d" % size,
+    }
+
+
 def test_demo_records_name_the_engine_of_every_stage(capsys, monkeypatch):
     monkeypatch.delenv("REPRO_ENGINE", raising=False)
     response = api.handle(api.RunRequest(bench="bfs", size=200, seed=4))

@@ -74,6 +74,14 @@ def test_demo_bfs(capsys):
     assert "False" not in out
 
 
+@pytest.mark.parametrize("verb", ["demo", "trace", "metrics"])
+def test_size_below_one_exits_2_with_one_line(verb, capsys):
+    assert main([verb, "bfs", "--size", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "repro %s: error: size must be at least 1, got 0\n" % verb
+
+
 def test_parser_requires_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])
