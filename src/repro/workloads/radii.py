@@ -268,6 +268,7 @@ def data_parallel(nthreads):
 def make_env_dp(graph, nthreads):
     arrays, scalars = make_env(graph)
     cap = graph.n + 1
-    arrays.update(segmented_fringe(sample_sources(graph), nthreads, cap))
+    sources = arrays["fringe0"][: scalars["fringe_size_init"]]
+    arrays.update(segmented_fringe(sources, nthreads, cap))
     scalars.update(nthreads=nthreads, cap=cap)
     return arrays, scalars
