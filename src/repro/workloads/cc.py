@@ -126,7 +126,7 @@ def manual_pipeline():
         with b.for_("i", 0, "fringe_size"):
             v = b.load("cur_fringe", "i")
             b.enq(Q_LAB, v)
-            enq_bounds(b, Q_RA1, v)  # NEXT: the per-vertex burst delimiter
+            enq_bounds(b, Q_RA1, v)
         phase_end(b)
         swap(b, "cur_fringe", "next_fringe")
     stage0 = StageProgram(0, "scan_fringe", b.finish())
