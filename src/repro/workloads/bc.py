@@ -190,7 +190,6 @@ def manual_pipeline():
     order exactly. After the barrier stage 0 only reads arrays it wrote
     during the forward phase, so the split is race-free.
     """
-    func = function()
     Q_RA1, Q_PAIRS, Q_NGH, Q_W = 0, 1, 2, 3
 
     b = IRBuilder(temp_prefix="%m")
@@ -263,7 +262,7 @@ def manual_pipeline():
         (Q_RA1, Q_PAIRS, Q_NGH), labels=("w/w+1", "edge bounds", "neighbors")
     )
     queues.append(QueueSpec(Q_W, ("stage", 0), ("stage", 1), 24, "vertices"))
-    return manual_program(NAME, func, [stage0, stage1], queues, ras, shared={"tail"})
+    return manual_program(NAME, function(), [stage0, stage1], queues, ras, shared={"tail"})
 
 
 # ---------------------------------------------------------------------------

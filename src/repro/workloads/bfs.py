@@ -131,7 +131,6 @@ def check(arrays, graph, root=None):
 
 def manual_pipeline():
     """Hand-written 3-stage + 2-chained-RA pipeline with CV handlers."""
-    func = function()
     Q_RA1_IN, Q_PAIRS, Q_NGH, Q_UPD = 0, 1, 2, 3
 
     # Stage 0: scan the fringe, drive the RA chain with v and v+1.
@@ -190,7 +189,8 @@ def manual_pipeline():
 
     queues, ras = neighbor_chain((Q_RA1_IN, Q_PAIRS, Q_NGH))
     queues.append(QueueSpec(Q_UPD, ("stage", 1), ("stage", 2), 24, "neighbors'"))
-    return manual_program(NAME, func, [stage0, stage1, stage2], queues, ras, shared={"next_size"})
+    stages = [stage0, stage1, stage2]
+    return manual_program(NAME, function(), stages, queues, ras, shared={"next_size"})
 
 
 # ---------------------------------------------------------------------------

@@ -115,7 +115,6 @@ def manual_pipeline():
     itself: forwarding the label would be *correct* for CC (monotone), but
     stale labels inflate the fringe badly on high-diameter graphs.
     """
-    func = function()
     Q_RA1, Q_PAIRS, Q_NGH, Q_UPD, Q_LAB = 0, 1, 2, 3, 4
 
     b = IRBuilder(temp_prefix="%m")
@@ -174,7 +173,8 @@ def manual_pipeline():
         QueueSpec(Q_UPD, ("stage", 1), ("stage", 2), 24, "neighbors'"),
         QueueSpec(Q_LAB, ("stage", 0), ("stage", 2), 24, "vertices"),
     ]
-    return manual_program(NAME, func, [stage0, stage1, stage2], queues, ras, shared={"next_size"})
+    stages = [stage0, stage1, stage2]
+    return manual_program(NAME, function(), stages, queues, ras, shared={"next_size"})
 
 
 def data_parallel(nthreads):

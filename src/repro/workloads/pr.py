@@ -120,7 +120,6 @@ def manual_pipeline():
     The middle stage prefetches the scatter targets; the update stage owns
     rank/nghsum and replays the serial scatter+apply order exactly.
     """
-    func = function()
     Q_RA1, Q_PAIRS, Q_NGH, Q_UPD, Q_V = 0, 1, 2, 3, 4
 
     b = IRBuilder(temp_prefix="%m")
@@ -170,7 +169,7 @@ def manual_pipeline():
         QueueSpec(Q_UPD, ("stage", 1), ("stage", 2), 24, "neighbors'"),
         QueueSpec(Q_V, ("stage", 0), ("stage", 2), 24, "vertices"),
     ]
-    return manual_program(NAME, func, [stage0, stage1, stage2], queues, ras)
+    return manual_program(NAME, function(), [stage0, stage1, stage2], queues, ras)
 
 
 # ---------------------------------------------------------------------------

@@ -161,7 +161,6 @@ def manual_pipeline():
     (no phase DONE). ``delta`` is read in the update stage (it is written
     there within the phase), so only vertex ids cross stages.
     """
-    func = function()
     Q_RA1, Q_PAIRS, Q_NGH, Q_UPD, Q_V = 0, 1, 2, 3, 4
 
     b = IRBuilder(temp_prefix="%m")
@@ -229,7 +228,8 @@ def manual_pipeline():
         QueueSpec(Q_UPD, ("stage", 1), ("stage", 2), 24, "neighbors'"),
         QueueSpec(Q_V, ("stage", 0), ("stage", 2), 24, "vertices"),
     ]
-    return manual_program(NAME, func, [stage0, stage1, stage2], queues, ras, shared={"next_size"})
+    stages = [stage0, stage1, stage2]
+    return manual_program(NAME, function(), stages, queues, ras, shared={"next_size"})
 
 
 def data_parallel(nthreads):

@@ -160,7 +160,6 @@ def manual_pipeline():
     the RA chain and sends per-vertex masks; the update stage does all
     read-write mask work.
     """
-    func = function()
     Q_RA1, Q_PAIRS, Q_NGH, Q_MASK = 0, 1, 2, 3
 
     b = IRBuilder(temp_prefix="%m")
@@ -221,7 +220,7 @@ def manual_pipeline():
 
     queues, ras = neighbor_chain((Q_RA1, Q_PAIRS, Q_NGH))
     queues.append(QueueSpec(Q_MASK, ("stage", 0), ("stage", 1), 24, "masks"))
-    return manual_program(NAME, func, [stage0, stage1], queues, ras, shared={"next_size"})
+    return manual_program(NAME, function(), [stage0, stage1], queues, ras, shared={"next_size"})
 
 
 def data_parallel(nthreads):

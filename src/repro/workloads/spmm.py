@@ -117,7 +117,6 @@ def manual_pipeline():
     *drains* the other to its marker with no comparison logic — the
     skip-ahead insight the paper says is unavailable to Phloem.
     """
-    func = function()
     QI_AC, QI_AV, QI_BC, QI_BV = 0, 1, 2, 3  # RA inputs
     QA_C, QA_V, QB_C, QB_V = 4, 5, 6, 7  # RA outputs into the merge stage
 
@@ -221,7 +220,7 @@ def manual_pipeline():
         RASpec(2, RA_SCAN, "@bt_crd", QI_BC, QB_C),
         RASpec(3, RA_SCAN, "@bt_val", QI_BV, QB_V),
     ]
-    return manual_program(NAME, func, [stage0, stage1], queues, ras)
+    return manual_program(NAME, function(), [stage0, stage1], queues, ras)
 
 
 def data_parallel(nthreads):

@@ -88,7 +88,6 @@ def manual_pipeline():
     in-order streams. Rows are NEXT-delimited; per-row accumulation
     order matches the serial kernel exactly.
     """
-    func = function()
     Q_C_IN, Q_V_IN, Q_CRD, Q_XV, Q_VAL = 0, 1, 2, 3, 4
 
     b = IRBuilder(temp_prefix="%m")
@@ -129,7 +128,7 @@ def manual_pipeline():
         RASpec(1, RA_INDIRECT, "@x", Q_CRD, Q_XV),
         RASpec(2, RA_SCAN, "@val", Q_V_IN, Q_VAL),
     ]
-    return manual_program(NAME, func, [stage0, stage1], queues, ras)
+    return manual_program(NAME, function(), [stage0, stage1], queues, ras)
 
 
 # ---------------------------------------------------------------------------

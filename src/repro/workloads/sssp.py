@@ -170,7 +170,6 @@ def manual_pipeline():
     at the phase barriers. The update stage owns dist/done and consumes
     the two bursts in lockstep.
     """
-    func = function()
     Q_EN, Q_EPAIR, Q_NGH = 0, 1, 2
     Q_WN, Q_WPAIR, Q_WGT = 3, 4, 5
 
@@ -251,7 +250,7 @@ def manual_pipeline():
     )
     queues, ras = edges[0] + weights[0], edges[1] + weights[1]
     return manual_program(
-        NAME, func, [stage0, stage1], queues, ras, shared={"changed", "remaining"}
+        NAME, function(), [stage0, stage1], queues, ras, shared={"changed", "remaining"}
     )
 
 

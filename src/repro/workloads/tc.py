@@ -103,7 +103,6 @@ def manual_pipeline():
     the RA-streamed lists, draining both to their NEXT markers as soon as
     the ``w < u`` cutoff or either end is reached.
     """
-    func = function()
     Q_A_IN, Q_B_IN, Q_A, Q_B, Q_U = 0, 1, 2, 3, 4
 
     b = IRBuilder(temp_prefix="%m")
@@ -195,7 +194,7 @@ def manual_pipeline():
         RASpec(0, RA_SCAN, "@edges", Q_A_IN, Q_A),
         RASpec(1, RA_SCAN, "@edges", Q_B_IN, Q_B),
     ]
-    return manual_program(NAME, func, [stage0, stage1], queues, ras)
+    return manual_program(NAME, function(), [stage0, stage1], queues, ras)
 
 
 # ---------------------------------------------------------------------------
