@@ -10,7 +10,7 @@ pipeline marked.
 Run:  python examples/autotune_search.py
 """
 
-from repro.bench.harness import BenchAdapter, profile_guided_pipeline
+from repro.bench.harness import profile_guided_pipeline
 from repro.core import pipeline_summary
 from repro.core.autotune import speedup_distribution
 from repro.pipette import SCALED_1CORE
@@ -19,10 +19,11 @@ from repro.workloads import bfs, datasets
 
 
 def main():
-    adapter = BenchAdapter(bfs)
     train = datasets.TRAIN_GRAPHS
     print("training inputs: %s" % ", ".join(g.name for g in train))
-    best, results = profile_guided_pipeline(adapter, train, config=SCALED_1CORE)
+    best, results = profile_guided_pipeline(
+        bfs.function(), bfs.make_env, train, config=SCALED_1CORE
+    )
 
     print("\nprofiled %d candidate pipelines:" % len(results))
     print("%8s  %6s  %s" % ("points", "units", "training gmean speedup"))

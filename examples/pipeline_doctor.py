@@ -29,7 +29,7 @@ def main():
         print("=" * 72)
         print(label)
         print("=" * 72)
-        print(describe_run(result, result.machine))
+        print(describe_run(result))
         print()
 
 

@@ -18,7 +18,6 @@ _EXPORTS = {
     "rank_decouple_points": "costmodel",
     "DefUse": "defs",
     "pure_regs": "defs",
-    "LoopNestInfo": "loops",
     "estimated_trip_weight": "loops",
     "find_phase_loop": "loops",
     "EdgeEstimate": "perfmodel",

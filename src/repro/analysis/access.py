@@ -18,10 +18,9 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from ..ir.stmts import walk
+from ..ir.stmts import walk_with_depth
 from .alias import access_class
 from .defs import DefUse
-from .loops import LoopNestInfo
 
 SEQUENTIAL = "sequential"
 INDIRECT = "indirect"
@@ -124,12 +123,10 @@ class AccessInfo:
 def classify_loads(body: Any) -> list[AccessInfo]:
     """Classify every load in ``body``; returns a list of AccessInfo."""
     du = DefUse(body)
-    nests = LoopNestInfo(body)
     infos = []
-    for stmt in walk(body):
+    for stmt, depth in walk_with_depth(body):
         if stmt.kind != "load":
             continue
-        depth = nests.depth_of(stmt)
         root, offset = affine_root(stmt.index, du)
         kind = OTHER
         indirection = 0

@@ -1,9 +1,11 @@
 """Loop-nest structure over a region tree.
 
-Provides each statement's enclosing loop chain and depth, and detects the
-*phase loop* — an outermost unbounded loop enclosing the work nest whose
-iterations cannot be overlapped (paper Sec. IV-A, "Program phases", e.g.
-the level loop of BFS or the convergence loop of PageRank-Delta).
+Detects the *phase loop* — an outermost unbounded loop enclosing the work
+nest whose iterations cannot be overlapped (paper Sec. IV-A, "Program
+phases", e.g. the level loop of BFS or the convergence loop of
+PageRank-Delta) — and weighs code by its loop depth. A statement's
+enclosing loops and depth are :func:`repro.ir.stmts.loop_chain` and
+:func:`repro.ir.stmts.walk_with_depth`.
 """
 
 from __future__ import annotations
@@ -11,37 +13,6 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from ..ir.stmts import walk_phase_level
-
-
-class LoopNestInfo:
-    """Maps statements to their enclosing loops within one body."""
-
-    def __init__(self, body: Any) -> None:
-        self.body = body
-        #: id(stmt) -> tuple of enclosing loop stmts
-        self.parent_chain: dict[int, tuple[Any, ...]] = {}
-        #: id(stmt) -> the list that holds the stmt
-        self.container: dict[int, Any] = {}
-        self._index(body, ())
-
-    def _index(self, body: Any, chain: tuple[Any, ...]) -> None:
-        for stmt in body:
-            self.parent_chain[id(stmt)] = chain
-            self.container[id(stmt)] = body
-            inner = chain + (stmt,) if stmt.kind in ("for", "loop") else chain
-            for block in stmt.blocks():
-                self._index(block, inner)
-
-    def loops_of(self, stmt: Any) -> tuple[Any, ...]:
-        """Enclosing loops, outermost first."""
-        return self.parent_chain.get(id(stmt), ())
-
-    def depth_of(self, stmt: Any) -> int:
-        return len(self.loops_of(stmt))
-
-    def innermost_loop(self, stmt: Any) -> Optional[Any]:
-        chain = self.loops_of(stmt)
-        return chain[-1] if chain else None
 
 
 def find_phase_loop(body: Any) -> Optional[Any]:

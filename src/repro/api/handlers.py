@@ -204,7 +204,8 @@ def _run_search(req):
         else datasets.TRAIN_GRAPHS
     )
     best, results = profile_guided_pipeline(
-        adapter, train, config=SCALED_1CORE, prune_static=req.prune_static
+        adapter.function(), adapter.env, train, config=SCALED_1CORE,
+        prune_static=req.prune_static,
     )
     if req.prune_static:
         # len(results) is cached with the search, so this line is stable

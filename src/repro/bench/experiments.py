@@ -18,19 +18,19 @@ import collections
 from dataclasses import replace
 
 from .. import cache
-from ..core.autotune import gmean, search_pipelines, speedup_distribution
+from ..core.autotune import speedup_distribution
 from ..core.compiler import ALL_PASSES, CompileOptions
 from ..core.replicate import replicate_pipeline
 from ..frontend.lowering import compile_source
 from ..obs.record import gmean_speedups, merge_records, normalized, record_of
 from ..pipette.config import SCALED_1CORE, SCALED_4CORE
-from ..runtime.executor import run_pipeline, run_replicated
+from ..runtime.executor import run_replicated
 from ..taco import kernels as taco_kernels
 from ..taco.parallel import stripe_data_parallel
 from ..workloads import bc, bfs, cc, datasets, graphs, pr, prd, radii, replicated, spmm, spmv, sssp, tc
 from ..workloads.dataflow import dataflow_variant
 from . import report
-from .harness import DP_THREADS, QUICK, BenchAdapter, run_suite
+from .harness import DP_THREADS, QUICK, BenchAdapter, profile_guided_pipeline, run_suite
 from .parallel import Job, run_jobs
 
 #: Per-benchmark test inputs (PRD/Radii use the low-diameter subset).
@@ -277,21 +277,12 @@ def fig13_distributions(suites, config=SCALED_1CORE):
 
     # SpMV: run the search against its training matrices.
     kernel = taco_kernels.spmv_kernel()
-    function = compile_source(kernel.source)
-    envs = []
-    for item in datasets.TRAIN_MATRICES_SPMM:
-        m = item.build()
-        arrays, scalars = kernel.bind({"A": m, "x": taco_kernels.dense_input(m.ncols, 1)})
-        serial = cache.cached_run(function, arrays, scalars, config)
-        envs.append((arrays, scalars, serial.cycles))
-
-    def evaluate(pipeline):
-        return gmean(
-            baseline / run_pipeline(pipeline, arrays, scalars, config=config).cycles
-            for arrays, scalars, baseline in envs
-        )
-
-    _, results = search_pipelines(function, evaluate, max_stages=4, top_k=5, limit=40)
+    _, results = profile_guided_pipeline(
+        compile_source(kernel.source),
+        lambda m: kernel.bind({"A": m, "x": taco_kernels.dense_input(m.ncols, 1)}),
+        datasets.TRAIN_MATRICES_SPMM,
+        config=config,
+    )
     table["spmv"] = speedup_distribution(results)
     return table
 
@@ -346,6 +337,10 @@ def fig14_records(config=SCALED_4CORE, replicas=4):
             cache.cached_run(dp, dp_arrays, dp_scalars, config, stage_cores=stage_cores),
         ))
 
+        # (variants one simulation is recorded as, builder). Outside BFS the
+        # hand-tuned structure is the compiler's (the paper's tweaks, e.g.
+        # PRD's double replication, are deviations in EXPERIMENTS.md).
+        cases = [(("phloem", "manual"), replicated.BUILDERS[app])]
         if app == "bfs":
             # BFS's flat pipeline goes through the fully automatic
             # replicate+distribute transform on the compiled pipeline.
@@ -353,25 +348,21 @@ def fig14_records(config=SCALED_4CORE, replicas=4):
                 function, CompileOptions(num_stages=4, passes=ALL_PASSES)
             )
             clones = replicate_pipeline(compiled, replicas)
-            cases = [("phloem", lambda rid, _r: clones[rid])]
-        else:
-            cases = [("phloem", replicated.BUILDERS[app])]
-        # The hand-tuned replicated structure coincides with the compiler's
-        # (the paper's tweaks, e.g. PRD's double replication, are noted as
-        # deviations in EXPERIMENTS.md).
-        cases.append(("manual", replicated.BUILDERS[app]))
-        if app == "bfs":
-            # Ablation supporting the distribute pragma: replication alone
-            # leaves all discovered work with the replica that found it.
-            cases.append(("no-distribute", replicated.bfs_replicated_nodist))
-        for variant, builder in cases:
+            cases = [
+                (("phloem",), lambda rid, _r: clones[rid]),
+                (("manual",), replicated.BUILDERS[app]),
+                # Ablation supporting the distribute pragma: replication alone
+                # leaves all discovered work with the replica that found it.
+                (("no-distribute",), replicated.bfs_replicated_nodist),
+            ]
+        for variants, builder in cases:
             pipelines = [builder(rid, replicas) for rid in range(replicas)]
             envs = replicated.make_envs(app, graph, replicas)
             result = run_replicated(
                 [(pipelines[r], envs[r][0], envs[r][1], r) for r in range(replicas)],
                 config,
             )
-            runs.append((variant, result))
+            runs += [(variant, result) for variant in variants]
 
         for variant, run in runs:
             if not _fig14_check(app, module, run.arrays, graph, variant):

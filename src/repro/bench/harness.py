@@ -105,15 +105,20 @@ def log_engine_fallbacks(label, fallbacks):
         )
 
 
-def profile_guided_pipeline(adapter, train_inputs, config=SCALED_1CORE, max_stages=4, top_k=5, limit=40, passes=ALL_PASSES, recorder=None, prune_static=False):
+def profile_guided_pipeline(
+    function, env, train_inputs, config=SCALED_1CORE, max_stages=4, top_k=5, limit=40,
+    passes=ALL_PASSES, recorder=None, prune_static=False,
+):
     """Run the paper's profile-guided search; returns (best, all results).
 
-    The evaluator scores each candidate by gmean speedup over serial on the
-    training inputs, mirroring Sec. VI-C. Scores are memoized in the search
-    cache (training simulations dominate suite wall-clock), and ``results``
-    are pipeline-free :class:`SearchPoint` summaries — small enough to ship
-    across process boundaries and to pickle to disk; ``best`` carries a
-    real pipeline, recompiled through the pipeline cache on warm hits.
+    ``env(data)`` is the ``(arrays, scalars)`` of one built training input.
+    The evaluator scores each candidate of the serial ``function`` by gmean
+    speedup over serial on the training inputs, mirroring Sec. VI-C. Scores
+    are memoized in the search cache (training simulations dominate suite
+    wall-clock), and ``results`` are pipeline-free :class:`SearchPoint`
+    summaries — small enough to ship across process boundaries and to
+    pickle to disk; ``best`` carries a real pipeline, recompiled through
+    the pipeline cache on warm hits.
 
     ``prune_static`` enables the static pre-filter
     (:func:`repro.core.autotune.search_pipelines`): statically-dominated
@@ -126,12 +131,11 @@ def profile_guided_pipeline(adapter, train_inputs, config=SCALED_1CORE, max_stag
     the cached payload (failed and pruned candidates are not cached, so
     the replay shows scores only).
     """
-    function = adapter.function()
     baselines = {}
     envs = {}
     env_prints = []
     for item in train_inputs:
-        arrays, scalars = adapter.env(item.build())
+        arrays, scalars = env(item.build())
         envs[item.name] = (arrays, scalars)
         env_prints.append(cache.fingerprint_env(arrays, scalars))
 
@@ -234,7 +238,8 @@ def run_suite(
         pipelines["phloem"] = pipelines["phloem-static"]
         try:
             best, search = profile_guided_pipeline(
-                adapter,
+                function,
+                adapter.env,
                 train_inputs,
                 config=config,
                 max_stages=options.num_stages,

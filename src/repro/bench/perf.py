@@ -156,7 +156,7 @@ def _timed_run(pipeline, arrays, scalars, engine):
     gc.disable()
     try:
         start = time.perf_counter()
-        result = run_pipeline(pipeline, fresh, dict(scalars), engine=engine)
+        result = run_pipeline(pipeline, fresh, dict(scalars), copy=False, engine=engine)
         wall = time.perf_counter() - start
     finally:
         if was_enabled:

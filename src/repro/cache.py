@@ -12,9 +12,10 @@ hashes:
   pipeline (:func:`cached_compile_source`, what ``emit`` renders) and
   source -> diagnostics (:func:`cached_lint`), which skip the parse and
   the fingerprint as well as the pass stack;
-* **baseline** — every recorded simulation (:func:`cached_run`: the run's
-  record fields plus its output arrays) keyed by program + input contents
-  + machine config + stage placement + engine;
+* **baseline** — every recorded simulation (:func:`cached_run`: the
+  run's :class:`~repro.pipette.stats.RunResult`, keeping only the arrays
+  the run wrote) keyed by program + input contents + machine config +
+  stage placement + engine;
 * **search** — profile-guided search scores keyed by function, training
   inputs, config, and search parameters.
 
@@ -35,11 +36,11 @@ work once — the first takes the miss and computes, the rest block briefly
 and take a hit off the store the winner populated.
 
 Cached values are treated as immutable: :func:`cached_compile` returns a
-fresh clone per call, :func:`repro.obs.record.record_of` copies what it
-takes from a :class:`CachedRun`, and :class:`CachedRun` fields,
-:func:`cached_compile_source` pipelines and :func:`cached_lint`
-diagnostics are the shared entries and must not be mutated by callers (the
-harness and the handlers only read them).
+fresh clone per call, :func:`cached_run` a shallow copy whose ``stats``
+and stage maps are the shared entry's (:func:`repro.obs.record.measure`
+builds fresh dicts from them), and :func:`cached_compile_source`
+pipelines and :func:`cached_lint` diagnostics are the shared entries; no
+caller mutates any of them (the harness and the handlers only read them).
 
 :func:`lookup_only` is the mode a caller that must not block uses (the
 daemon's event loop): every memoized function above answers from memory or
@@ -483,32 +484,6 @@ def cached_lint(source, name, options, file=None, perf=False):
 # cache.stats() readers — telemetry, RunRecords, the benchmark — key on)
 
 
-class CachedRun:
-    """A memoized simulation: the simulator's share of its RunRecord
-    (``measured``: cycles, summary, cycle and energy breakdowns and the
-    engine of each stage, see :func:`repro.obs.record.measure`), the stages
-    that left the requested engine (``stage_fallbacks``, as on a live
-    ``RunResult``) and the ``arrays`` after the run, which the benchmark's
-    oracle checks — what :func:`repro.obs.record.record_of` turns into a
-    record.
-    """
-
-    __slots__ = ("measured", "stage_fallbacks", "arrays")
-
-    def __init__(self, measured, stage_fallbacks, arrays):
-        self.measured = measured
-        self.stage_fallbacks = stage_fallbacks
-        self.arrays = arrays
-
-    @property
-    def cycles(self):
-        """The run's cycle count (the denominator of every speedup)."""
-        return self.measured["cycles"]
-
-    def __repr__(self):
-        return "CachedRun(%.0f cycles)" % self.cycles
-
-
 def cached_run(program, arrays, scalars, config, stage_cores=None):
     """``run_pipeline(program, ...)`` — ``run_serial`` for a serial
     ``Function`` — memoized on program + input contents + machine config +
@@ -526,23 +501,24 @@ def cached_run(program, arrays, scalars, config, stage_cores=None):
     runs, search training (the ``search`` layer memoizes whole searches),
     and the public ``run_pipeline``/``run_serial``/``run_replicated``.
 
-    The entry holds only the arrays the run changed; ``arrays`` is the
-    caller's input for the rest.
+    Returns a :class:`~repro.pipette.stats.RunResult`. The entry holds only
+    the arrays the run changed; a hit returns a shallow copy of it whose
+    ``arrays`` are the caller's input overlaid with those.
     """
     from .ir.program import Function, serial_pipeline
     from .ir.serialize import fingerprint
     from .pipette.config import resolve_engine
+    from .pipette.stats import RunResult
 
     def compute():
-        from .obs.record import measure
         from .runtime.executor import run_pipeline
 
         pipeline = serial_pipeline(program) if isinstance(program, Function) else program
         result = run_pipeline(pipeline, arrays, scalars, config=config, stage_cores=stage_cores)
-        written = {
-            name: data for name, data in result.arrays.items() if arrays.get(name) != data
-        }
-        return measure(result), result.stage_fallbacks, written
+        result.replica_arrays = [
+            {name: data for name, data in result.arrays.items() if arrays.get(name) != data}
+        ]
+        return result
 
     if program.intrinsics:
         value = _compute_unmemoized(compute, "a program with intrinsics")
@@ -556,8 +532,10 @@ def cached_run(program, arrays, scalars, config, stage_cores=None):
             resolve_engine(),
         )
         value = _get_or_compute("baseline", key, compute)
-    measured, fallbacks, written = value
-    return CachedRun(measured, fallbacks, {**arrays, **written})
+    return RunResult(
+        value.cycles, [{**arrays, **value.arrays}], value.stats, value.active_cores,
+        value.stage_engines, value.stage_fallbacks,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ consumers must ignore unknown keys (additions bump nothing) while any
 change to the *meaning* of an existing key bumps ``RECORD_VERSION``.
 """
 
-import copy
 import json
 import math
 
@@ -49,7 +48,7 @@ def run_record(
     :meth:`~repro.obs.passes.PassProfiler.as_dicts`, ``search`` from
     :meth:`~repro.obs.search.SearchRecorder.as_dict`, ``stage_engines``
     (stage thread -> engine that executed it) from
-    :attr:`~repro.runtime.executor.RunResult.stage_engines`.
+    :attr:`~repro.pipette.stats.RunResult.stage_engines`.
     """
     record = {
         "schema": RECORD_SCHEMA,
@@ -100,20 +99,15 @@ def _cache_section(cache_stats):
 def record_of(bench, variant, input_name, run, ok=None, serial_cycles=None, **sections):
     """The record of one finished simulation — the only constructor.
 
-    ``run`` is a live :class:`~repro.runtime.executor.RunResult` or a
-    memoized one (:class:`repro.cache.CachedRun`), which *is* the
-    simulator's share of a record plus the output arrays; the engine is
-    part of the memo's key, so either names the engine of each stage. The
-    record shares no mutable object with the memo entry. ``serial_cycles``
-    is the serial baseline of the same input; ``sections`` are
-    ``cache_stats`` / ``passes`` / ``extra`` as in :func:`run_record`.
+    ``run`` is a :class:`~repro.pipette.stats.RunResult`, fresh or from
+    :func:`repro.cache.cached_run` (the engine is part of the memo's key, so
+    either names the engine of each stage); :func:`measure` builds fresh
+    dicts, so the record shares no mutable object with a memo entry.
+    ``serial_cycles`` is the serial baseline of the same input;
+    ``sections`` are ``cache_stats`` / ``passes`` / ``extra`` as in
+    :func:`run_record`.
     """
-    from ..cache import CachedRun
-
-    if isinstance(run, CachedRun):
-        measured = copy.deepcopy(run.measured)
-    else:
-        measured = measure(run)
+    measured = measure(run)
     speedup = None if serial_cycles is None else serial_cycles / measured["cycles"]
     return run_record(
         bench, variant, input_name, ok=ok, speedup=speedup, **measured, **sections
@@ -121,14 +115,14 @@ def record_of(bench, variant, input_name, run, ok=None, serial_cycles=None, **se
 
 
 def measure(result):
-    """The simulator's share of a record, read off a live ``RunResult``
-    (what :func:`repro.cache.cached_run` stores next to the output arrays)."""
+    """The simulator's share of a record, read off a ``RunResult`` into
+    fresh dicts."""
     return {
         "cycles": result.cycles,
         "summary": result.stats.summary(),
         "breakdown": result.breakdown(),
         "energy": result.energy().as_dict(),
-        "stage_engines": result.stage_engines,
+        "stage_engines": dict(result.stage_engines),
     }
 
 

@@ -19,11 +19,11 @@ from .config import (
     resolve_engine,
 )
 from .energy import ENERGY_PJ, EnergyBreakdown, energy_of
-from .machine import Machine, RunSpec, SimResult
+from .machine import Machine, RunSpec
 from .mem import AddressMap, Cache, MemorySystem
 from .queues import HWQueue
 from .sched import BarrierSync, IssueLedger, Scheduler, SharedCells, Task
-from .stats import SimStats, ThreadStats
+from .stats import RunResult, SimStats, ThreadStats
 
 __all__ = [
     "PIPETTE_1CORE",
@@ -41,7 +41,6 @@ __all__ = [
     "energy_of",
     "Machine",
     "RunSpec",
-    "SimResult",
     "AddressMap",
     "Cache",
     "MemorySystem",
@@ -51,6 +50,7 @@ __all__ = [
     "Scheduler",
     "SharedCells",
     "Task",
+    "RunResult",
     "SimStats",
     "ThreadStats",
 ]

@@ -59,9 +59,9 @@ the accrued buckets are bit-identical rather than merely close.
 Stages the compiler cannot express (recursive control handlers, unknown
 statement kinds) fall back to the reference :class:`~repro.pipette.interp.
 StageInterp` per stage; the run then mixes engines per stage but stays
-bit-identical, since every engine replays the same arithmetic. The machine
+bit-identical, since every engine replays the same arithmetic. The result
 records which engine executed each stage and why a stage fell back
-(``Machine.stage_engines`` / ``stage_fallbacks``).
+(``RunResult.stage_engines`` / ``stage_fallbacks``).
 
 This module only *describes* a stage as source text. Turning text into a
 function — once per process, or not at all when another process already

@@ -4,8 +4,9 @@
 :class:`~repro.ir.program.PipelineProgram` instances (replicated pipelines
 pass several, one per replica), binds arrays to simulated addresses, maps
 stages to SMT thread slots, and runs the discrete-event scheduler to
-completion. The result carries final array contents, cycle counts, and the
-full statistics the evaluation figures need.
+completion. The :class:`~repro.pipette.stats.RunResult` it returns carries
+final array contents, cycle counts, and the full statistics the evaluation
+figures need.
 """
 
 import weakref
@@ -20,7 +21,7 @@ from .mem import AddressMap, MemorySystem
 from .queues import HWQueue
 from .refaccel import RAEngine
 from .sched import BarrierSync, IssueLedger, Scheduler, SharedCells, Task
-from .stats import SimStats
+from .stats import RunResult, SimStats
 
 
 class RunSpec:
@@ -99,22 +100,6 @@ class RunEnv:
             self.barrier.drop_participant()
 
 
-class SimResult:
-    """Outcome of one simulation run."""
-
-    def __init__(self, cycles, stats, envs):
-        self.cycles = cycles
-        self.stats = stats
-        self._envs = envs
-
-    def arrays(self, replica=0):
-        """Final array contents (name -> list) of one replica."""
-        return {name: b.data for name, b in self._envs[replica].arrays.items()}
-
-    def __repr__(self):
-        return "SimResult(%.0f cycles, %d uops)" % (self.cycles, self.stats.total_uops)
-
-
 def _static_deadlock_verdict(specs):
     """One report line cross-linking the static analyzer's verdict.
 
@@ -160,15 +145,17 @@ class Machine:
     :func:`~repro.pipette.config.resolve_engine`). All engines produce
     bit-identical :class:`SimStats`.
 
-    After :meth:`run`, ``stage_engines`` maps each stage thread name to the
-    engine that actually executed it and ``stage_fallbacks`` maps the
-    threads whose requested engine could not express them to the reason —
+    During and after :meth:`run` (also one that raised), ``stage_engines``
+    maps each stage thread name to the engine that actually executed it and
+    ``stage_fallbacks`` maps the threads whose requested engine could not
+    express them to the reason; the result carries the same two maps —
     deliberately outside :class:`SimStats`, whose summaries are compared
     for equality across engines.
 
     Lifetime: a finished machine holds no reference cycle (back-references
     are weak and :meth:`run` tears down the scheduler-only links), so
     dropping the last reference frees the whole run without the cyclic GC.
+    The result :meth:`run` returns holds no machine.
     """
 
     _ENGINE_CLASSES = {
@@ -192,7 +179,8 @@ class Machine:
 
         All specs run concurrently (replicas, or co-scheduled independent
         pipelines); a single global barrier spans every stage thread, which
-        is how program phases stay aligned across replicas.
+        is how program phases stay aligned across replicas. Returns the
+        :class:`~repro.pipette.stats.RunResult`.
         """
         if isinstance(specs, RunSpec):
             specs = [specs]
@@ -333,4 +321,11 @@ class Machine:
                 stats.register_queue("r%d.q%d" % (replica, qid), env.queues[qid])
         if tracer is not None:
             tracer.meta.setdefault("wall_cycles", wall)
-        return SimResult(wall, stats, self.envs)
+        return RunResult(
+            wall,
+            [{name: b.data for name, b in env.arrays.items()} for env in self.envs],
+            stats,
+            sum(1 for used in threads_per_core if used),  # active cores
+            self.stage_engines,
+            self.stage_fallbacks,
+        )

@@ -4,7 +4,11 @@ Collects what the paper's figures need: per-thread cycle attribution
 (Fig. 10's issue / backend-stall / queue-stall / other breakdown), memory
 hierarchy event counts (for the energy model, Fig. 11), and queue/RA
 traffic (for sanity checks and the analysis in Sec. VII-A).
+:class:`RunResult` is one finished simulation: those counters plus the
+final arrays.
 """
+
+from .energy import energy_of
 
 
 #: ThreadStats fields a compiled engine may mirror in frame locals for the
@@ -192,3 +196,36 @@ class SimStats:
             "queue_deqs": self.queue_deqs,
             "queues": {label: dict(row) for label, row in self.queues.items()},
         }
+
+
+class RunResult:
+    """One finished simulation, as plain data that holds no machine.
+
+    ``replica_arrays[i]`` maps array names to replica ``i``'s final lists;
+    ``active_cores`` counts the cores the run placed stages on (static
+    energy scales with it); ``stage_engines`` maps each stage thread to the
+    engine that executed it and ``stage_fallbacks`` the stages the requested
+    engine could not express to the reason (empty when one engine ran).
+    """
+
+    def __init__(self, cycles, replica_arrays, stats, active_cores, stage_engines, stage_fallbacks):
+        self.cycles = cycles
+        self.replica_arrays = replica_arrays
+        self.stats = stats
+        self.active_cores = active_cores
+        self.stage_engines = stage_engines
+        self.stage_fallbacks = stage_fallbacks
+
+    @property
+    def arrays(self):
+        """Final array contents (name -> list) of replica 0."""
+        return self.replica_arrays[0]
+
+    def energy(self):
+        return energy_of(self.stats, None, active_cores=self.active_cores)
+
+    def breakdown(self):
+        return self.stats.cycle_breakdown()
+
+    def __repr__(self):
+        return "RunResult(%.0f cycles)" % self.cycles

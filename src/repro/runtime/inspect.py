@@ -3,33 +3,25 @@
 ``describe_run`` renders per-stage cycle attribution (where each thread's
 time went), per-queue traffic/occupancy/blocking, and RA throughput for a
 finished simulation — the practical counterpart of the paper's Fig. 10
-analysis, at single-run granularity.
+analysis, at single-run granularity. Everything here reads a
+:class:`~repro.pipette.stats.RunResult` alone.
 """
 
 
-def queue_report(machine):
-    """Per-queue rows: traffic, peak occupancy, and blocking events."""
+def queue_report(result):
+    """Per-queue rows: traffic, peak occupancy, and blocking events, from
+    the counters the run registered under ``"r<replica>.q<queue>"``."""
     rows = []
-    for replica, env in enumerate(machine.envs):
-        for qid in sorted(env.queues):
-            queue = env.queues[qid]
-            rows.append(
-                {
-                    "replica": replica,
-                    "queue": qid,
-                    "enqs": queue.total_enqs,
-                    "deqs": queue.total_deqs,
-                    "peak": queue.max_occupancy,
-                    "capacity": queue.capacity,
-                    "full_blocks": queue.full_blocks,
-                    "empty_blocks": queue.empty_blocks,
-                }
-            )
+    for label, counters in result.stats.queues.items():
+        replica, queue = label[1:].split(".q")
+        row = dict(counters, replica=int(replica), queue=int(queue))
+        row["peak"] = row.pop("max_occupancy")
+        rows.append(row)
     return rows
 
 
 def stage_report(result):
-    """Per-thread rows from a finished RunResult/SimResult's stats."""
+    """Per-thread rows from a finished RunResult's stats."""
     rows = []
     for thread in result.stats.threads:
         breakdown = thread.breakdown()
@@ -50,7 +42,7 @@ def stage_report(result):
     return rows
 
 
-def describe_run(result, machine=None):
+def describe_run(result):
     """Human-readable multi-line report for a finished run."""
     lines = ["run: %.0f cycles, %d uops" % (result.cycles, result.stats.total_uops)]
     lines.append("")
@@ -72,13 +64,13 @@ def describe_run(result, machine=None):
                 row["mispredicts"],
             )
         )
-    if machine is not None:
+    if result.stats.queues:
         lines.append("")
         lines.append(
             "%-8s %6s %10s %10s %6s %12s %12s"
             % ("replica", "queue", "enqs", "deqs", "peak", "full-blocks", "empty-blocks")
         )
-        for row in queue_report(machine):
+        for row in queue_report(result):
             lines.append(
                 "r%-7d q%-5d %10d %10d %3d/%-2d %12d %12d"
                 % (

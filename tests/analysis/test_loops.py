@@ -1,24 +1,30 @@
 """Loop-nest indexing and phase-loop detection."""
 
 from repro import ir
-from repro.analysis.loops import LoopNestInfo, estimated_trip_weight, find_phase_loop
+from repro.analysis.loops import estimated_trip_weight, find_phase_loop
 from repro.frontend import compile_source
+from repro.ir.stmts import loop_chain, walk_with_depth
 from repro.workloads import bfs
+
+
+def _depth_of(body, target):
+    return next(depth for stmt, depth in walk_with_depth(body) if stmt is target)
 
 
 def test_depths():
     inner = ir.Assign("x", "mov", [0])
     body = [ir.Loop([ir.For("i", 0, 4, 1, [inner])])]
-    nests = LoopNestInfo(body)
-    assert nests.depth_of(inner) == 2
-    assert nests.innermost_loop(inner).kind == "for"
-    assert nests.depth_of(body[0]) == 0
+    assert _depth_of(body, inner) == 2
+    assert loop_chain(body, inner)[-1].kind == "for"
+    assert _depth_of(body, body[0]) == 0
+    assert loop_chain(body, body[0]) == ()
 
 
 def test_if_does_not_add_depth():
     inner = ir.Assign("x", "mov", [0])
     body = [ir.For("i", 0, 4, 1, [ir.If("c", [inner], [])])]
-    assert LoopNestInfo(body).depth_of(inner) == 1
+    assert _depth_of(body, inner) == 1
+    assert len(loop_chain(body, inner)) == 1
 
 
 def test_phase_loop_found_in_bfs():

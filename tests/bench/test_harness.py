@@ -43,9 +43,8 @@ def test_gmean_speedup():
 
 
 def test_profile_guided_pipeline(micro_inputs, tiny_config):
-    adapter = BenchAdapter(bfs)
     best, results = profile_guided_pipeline(
-        adapter, micro_inputs, config=tiny_config, max_stages=3, top_k=3
+        bfs.function(), bfs.make_env, micro_inputs, config=tiny_config, max_stages=3, top_k=3
     )
     assert best is not None
     assert results

@@ -49,7 +49,7 @@ def _run(pipe):
     res = Machine(MachineConfig()).run(
         RunSpec(pipe, {"bounds": bounds, "data": data, "out": [0]}, {"n": 3})
     )
-    assert res.arrays()["out"] == [sum(data)]
+    assert res.arrays["out"] == [sum(data)]
     return res
 
 

@@ -62,7 +62,7 @@ def test_recompute_still_correct():
         res = Machine(MachineConfig()).run(
             RunSpec(pipe, {"a": list(a), "out": out}, {"n": 4})
         )
-        assert res.arrays()["out"] == [1, 2, 3, 4]  # out[a[i]] = a[i]+1
+        assert res.arrays["out"] == [1, 2, 3, 4]  # out[a[i]] = a[i]+1
 
 
 def test_recompute_skips_load_values():

@@ -91,7 +91,7 @@ def test_expression_matches_python(tree, p0, p1, p2):
     function = compile_source(source)
     machine = Machine(MachineConfig())
     result = machine.run(RunSpec(serial_pipeline(function), {"out": [0]}, env))
-    assert result.arrays()["out"][0] == eval_tree(tree, env)
+    assert result.arrays["out"][0] == eval_tree(tree, env)
 
 
 @settings(max_examples=30, deadline=None)
@@ -112,7 +112,7 @@ def test_expression_in_branch_condition(tree, p0, p1):
     machine = Machine(MachineConfig())
     result = machine.run(RunSpec(serial_pipeline(function), {"out": [0]}, env))
     expected = 1 if eval_tree(tree, env) else 2
-    assert result.arrays()["out"][0] == expected
+    assert result.arrays["out"][0] == expected
 
 
 # -- statements: side effects in conditions and initializers ----------------
@@ -241,4 +241,4 @@ def test_loop_with_effects_in_conditions_matches_python(loop, n, x):
     machine = Machine(MachineConfig())
     arrays = {"out": [0] * n, "len": [n]}
     result = machine.run(RunSpec(serial_pipeline(function), arrays, {"n": n, "x": x}))
-    assert result.arrays()["out"] == run_body(body, n, x)
+    assert result.arrays["out"] == run_body(body, n, x)

@@ -5,6 +5,8 @@ import pytest
 from repro.bench.harness import adapter_for
 from repro.core.compiler import CompileOptions, compile_function
 from repro.obs import Tracer, export_chrome_trace, validate_chrome_trace
+from repro.pipette import Machine
+from repro.runtime import executor
 from repro.runtime.executor import run_pipeline, run_serial
 from repro.workloads.graphs import uniform_random
 
@@ -17,10 +19,18 @@ def bfs_setup():
     return pipeline, arrays, scalars
 
 
-def test_tracer_off_is_default_and_bufferless(bfs_setup):
+def test_tracer_off_is_default_and_bufferless(bfs_setup, monkeypatch):
     pipeline, arrays, scalars = bfs_setup
-    result = run_pipeline(pipeline, arrays, scalars)
-    assert result.machine.tracer is None
+    machines = []
+
+    class Recorded(Machine):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            machines.append(self)
+
+    monkeypatch.setattr(executor, "Machine", Recorded)
+    run_pipeline(pipeline, arrays, scalars)
+    assert [machine.tracer for machine in machines] == [None]
 
 
 def test_tracer_off_and_on_runs_are_identical(bfs_setup):

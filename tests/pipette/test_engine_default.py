@@ -119,7 +119,7 @@ def test_two_atomics_in_one_stage_stay_on_batch(clean_env):
     assert machine.stage_engines == {"r0.s0.t": "batch"}
     assert machine.stage_fallbacks == {}
     _, oracle = _machine_run(_two_atomics(), arrays, engine="reference")
-    assert result.arrays() == oracle.arrays() == {"a": [1] * 8, "m": [3] * 8}
+    assert result.arrays == oracle.arrays == {"a": [1] * 8, "m": [3] * 8}
     assert result.stats.summary() == oracle.stats.summary()
 
 

@@ -21,7 +21,7 @@ def test_arithmetic_and_store():
     x = b.binop("mul", 6, 7)
     b.store("@out", 0, x)
     res = _run(b.finish(), {"out": [0]})
-    assert res.arrays()["out"] == [42]
+    assert res.arrays["out"] == [42]
 
 
 def test_loop_sum():
@@ -32,7 +32,7 @@ def test_loop_sum():
         b.binop("add", "acc", v, dst="acc")
     b.store("@out", 0, "acc")
     res = _run(b.finish(), {"a": [1, 2, 3, 4], "out": [0]}, {"n": 4})
-    assert res.arrays()["out"] == [10]
+    assert res.arrays["out"] == [10]
 
 
 def test_nested_break_levels():
@@ -44,7 +44,7 @@ def test_nested_break_levels():
             b.break_(2)
     b.store("@out", 0, "count")
     res = _run(b.finish(), {"out": [0]})
-    assert res.arrays()["out"] == [1]
+    assert res.arrays["out"] == [1]
 
 
 def test_continue_skips():
@@ -57,7 +57,7 @@ def test_continue_skips():
         b.binop("add", "acc", "i", dst="acc")
     b.store("@out", 0, "acc")
     res = _run(b.finish(), {"out": [0]})
-    assert res.arrays()["out"] == [0 + 2 + 4 + 6 + 8]
+    assert res.arrays["out"] == [0 + 2 + 4 + 6 + 8]
 
 
 def test_pointer_handles():
@@ -69,8 +69,8 @@ def test_pointer_handles():
     b.mov(tmp, dst="q")
     b.store("p", 0, 1)  # now points at b
     res = _run(b.finish(), {"a": [0], "b": [0]})
-    assert res.arrays()["b"] == [1]
-    assert res.arrays()["a"] == [0]
+    assert res.arrays["b"] == [1]
+    assert res.arrays["a"] == [0]
 
 
 def test_out_of_bounds_load_raises():
@@ -86,7 +86,7 @@ def test_intrinsic_call():
     b.store("@out", 0, r)
     intr = {"work": ir.Intrinsic("work", lambda x: x * 2, cost=10)}
     res = _run(b.finish(), {"out": [0]}, intrinsics=intr)
-    assert res.arrays()["out"] == [42]
+    assert res.arrays["out"] == [42]
 
 
 def test_unbound_intrinsic_raises():
@@ -101,8 +101,8 @@ def test_atomic_rmw_returns_old():
     old = b.atomic_add("@a", 0, 5)
     b.store("@out", 0, old)
     res = _run(b.finish(), {"a": [10], "out": [0]})
-    assert res.arrays()["a"] == [15]
-    assert res.arrays()["out"] == [10]
+    assert res.arrays["a"] == [15]
+    assert res.arrays["out"] == [10]
 
 
 def test_shared_cells_roundtrip():
@@ -113,7 +113,7 @@ def test_shared_cells_roundtrip():
     b.barrier()
     b.store("@out", 0, x)
     res = _run(b.finish(), {"out": [0]})
-    assert res.arrays()["out"] == [7]
+    assert res.arrays["out"] == [7]
 
 
 def test_two_stage_queue_roundtrip():
@@ -136,7 +136,7 @@ def test_two_stage_queue_roundtrip():
     )
     machine = Machine(MachineConfig())
     res = machine.run(RunSpec(pipe, {"out": [0]}, {}))
-    assert res.arrays()["out"] == [10]
+    assert res.arrays["out"] == [10]
 
 
 def test_control_handler_breaks_loop():
@@ -159,7 +159,7 @@ def test_control_handler_breaks_loop():
         {"out": ir.ArrayDecl("out")}, [],
     )
     res = Machine(MachineConfig()).run(RunSpec(pipe, {"out": [0]}, {}))
-    assert res.arrays()["out"] == [6]
+    assert res.arrays["out"] == [6]
 
 
 def test_handler_fallthrough_retries():
@@ -189,7 +189,7 @@ def test_handler_fallthrough_retries():
         {"out": ir.ArrayDecl("out")}, [],
     )
     res = Machine(MachineConfig()).run(RunSpec(pipe, {"out": [0]}, {}))
-    assert res.arrays()["out"] == [3]
+    assert res.arrays["out"] == [3]
 
 
 def test_is_control_explicit_check():
@@ -213,7 +213,7 @@ def test_is_control_explicit_check():
         {"out": ir.ArrayDecl("out")}, [],
     )
     res = Machine(MachineConfig()).run(RunSpec(pipe, {"out": [0]}, {}))
-    assert res.arrays()["out"] == [9]
+    assert res.arrays["out"] == [9]
 
 
 def test_peek_then_deq():
@@ -230,7 +230,7 @@ def test_peek_then_deq():
         {"out": ir.ArrayDecl("out")}, [],
     )
     res = Machine(MachineConfig()).run(RunSpec(pipe, {"out": [0]}, {}))
-    assert res.arrays()["out"] == [10]
+    assert res.arrays["out"] == [10]
 
 
 def test_queue_mismatch_deadlocks():
@@ -272,7 +272,7 @@ def test_float_arithmetic():
     x = b.binop("mul", 0.5, "alpha")
     b.store("@out", 0, x)
     res = _run(b.finish(), {"out": [0.0]}, {"alpha": 3.0})
-    assert res.arrays()["out"] == [1.5]
+    assert res.arrays["out"] == [1.5]
 
 
 def test_select_and_pack():
@@ -282,4 +282,4 @@ def test_select_and_pack():
     c = b.assign("select", [b.binop("gt", a, 0), a, 0])
     b.store("@out", 0, c)
     res = _run(b.finish(), {"out": [0]})
-    assert res.arrays()["out"] == [3]
+    assert res.arrays["out"] == [3]

@@ -43,7 +43,7 @@ def test_stage_cores_spread():
     res = Machine(cfg).run(
         RunSpec(pipe, {"out": [0]}, {}, stage_cores=[0, 0, 0, 1, 1])
     )
-    assert res.arrays()["out"] == [sum(range(50))]
+    assert res.arrays["out"] == [sum(range(50))]
 
 
 def test_unknown_core_rejected():
@@ -59,7 +59,7 @@ def test_cross_core_queue_gets_higher_latency():
     same = m_same.run(RunSpec(pipe, {"out": [0]}, {}, stage_cores=[0, 0]))
     m_cross = Machine(cfg)
     cross = m_cross.run(RunSpec(pipe, {"out": [0]}, {}, stage_cores=[0, 1]))
-    assert cross.arrays()["out"] == same.arrays()["out"]
+    assert cross.arrays["out"] == same.arrays["out"]
     assert m_same.envs[0].queues[0].latency == cfg.queue_latency
     assert m_cross.envs[0].queues[0].latency == cfg.xcore_queue_latency
 
@@ -101,8 +101,8 @@ def test_replica_runs_share_arrays():
         RunSpec(writer(1), {"buf": shared}, {}, core=0),
     ]
     res = Machine(MachineConfig()).run(specs)
-    assert res.arrays(0)["buf"][:2] == [1, 2]
-    assert res.arrays(0)["buf"] is res.arrays(1)["buf"]
+    assert res.replica_arrays[0]["buf"][:2] == [1, 2]
+    assert res.replica_arrays[0]["buf"] is res.replica_arrays[1]["buf"]
 
 
 def test_enq_dist_routes_to_replica():
@@ -134,5 +134,5 @@ def test_enq_dist_routes_to_replica():
     # value, so send to 0 from replica 1 as well.
     specs[1].pipeline.stages[0].body[0] = ir.EnqDist(0, 7, 0)
     res = Machine(MachineConfig()).run(specs)
-    assert res.arrays(0)["out"] == [7]
-    assert res.arrays(1)["out"] == [42]
+    assert res.replica_arrays[0]["out"] == [7]
+    assert res.replica_arrays[1]["out"] == [42]

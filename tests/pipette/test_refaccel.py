@@ -28,7 +28,7 @@ def test_indirect_ra():
     res = Machine(MachineConfig()).run(
         RunSpec(pipe, {"a": [10, 11, 12], "out": [0, 0, 0]}, {})
     )
-    assert res.arrays()["out"] == [12, 10, 11]
+    assert res.arrays["out"] == [12, 10, 11]
     assert res.stats.ra_loads == 3
 
 
@@ -53,7 +53,7 @@ def test_scan_ra():
     res = Machine(MachineConfig()).run(
         RunSpec(pipe, {"a": [100, 1, 2, 3, 100], "out": [0]}, {})
     )
-    assert res.arrays()["out"] == [6]
+    assert res.arrays["out"] == [6]
 
 
 def test_chained_ras_bfs_shape():
@@ -86,7 +86,7 @@ def test_chained_ras_bfs_shape():
     res = Machine(MachineConfig()).run(
         RunSpec(pipe, {"nodes": nodes, "edges": edges, "out": [0] * 5}, {})
     )
-    assert res.arrays()["out"] == edges
+    assert res.arrays["out"] == edges
 
 
 def test_ctrl_forwarded_through_chain():
@@ -109,7 +109,7 @@ def test_ctrl_forwarded_through_chain():
         {"a": None, "out": None},
     )
     res = Machine(MachineConfig()).run(RunSpec(pipe, {"a": [5, 6], "out": [0]}, {}))
-    assert res.arrays()["out"] == [11]
+    assert res.arrays["out"] == [11]
 
 
 def test_ra_overlaps_memory():
@@ -149,7 +149,7 @@ def test_ra_overlaps_memory():
             l3_per_core=CacheConfig(4096, 8, 40),
         )
         res = Machine(cfg).run(RunSpec(pipe, {"table": table, "data": data, "out": [0]}, {}))
-        assert res.arrays()["out"] == [sum(data[i] for i in table)]
+        assert res.arrays["out"] == [sum(data[i] for i in table)]
         return res.cycles
 
     assert run(16) < 0.7 * run(1)

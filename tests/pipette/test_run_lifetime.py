@@ -2,9 +2,9 @@
 
 The perf harness and the end-to-end load generator run with the cyclic GC
 off; every run that needed it to be freed was retained memory there. These
-tests pin that, on every engine, dropping a ``RunResult`` frees its
-``Machine`` by reference counting alone — while a held result still
-supports post-run introspection.
+tests pin that, on every engine, dropping a ``Machine`` frees it by
+reference counting alone — while its ``RunResult``, which holds no machine,
+is still held and still supports post-run introspection.
 """
 
 import gc
@@ -51,14 +51,23 @@ def _pipelines(micro_graph):
     return [(compiled, arrays, scalars), (adapter.dp_pipeline(3), dp_arrays, dp_scalars)]
 
 
+def _held_run(pipeline, arrays, scalars, config, engine):
+    """Run on a machine the caller never sees again: ``(weak refs to the
+    machine and its first env, the result)``."""
+    machine = Machine(config, engine=engine)
+    spec = RunSpec(pipeline, {name: list(data) for name, data in arrays.items()}, scalars)
+    result = machine.run(spec)
+    return weakref.ref(machine), weakref.ref(machine.envs[0]), result
+
+
 @pytest.mark.parametrize("engine", ENGINES)
-def test_dropping_the_result_frees_the_machine(engine, micro_graph, tiny_config, gc_off):
+def test_dropping_the_machine_frees_it_while_the_result_is_held(
+    engine, micro_graph, tiny_config, gc_off
+):
     for pipeline, arrays, scalars in _pipelines(micro_graph):
-        result = run_pipeline(pipeline, arrays, scalars, config=tiny_config, engine=engine)
-        machine = weakref.ref(result.machine)
-        env = weakref.ref(result.machine.envs[0])
-        del result
+        machine, env, result = _held_run(pipeline, arrays, scalars, tiny_config, engine)
         assert machine() is None and env() is None
+        assert result.cycles > 0
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -76,11 +85,11 @@ def test_dropped_runs_leave_nothing_for_the_collector(engine, micro_graph, tiny_
 @pytest.mark.parametrize("engine", ENGINES)
 def test_held_result_still_supports_inspection(engine, micro_graph, tiny_config, gc_off):
     pipeline, arrays, scalars = _pipelines(micro_graph)[0]
-    result = run_pipeline(pipeline, arrays, scalars, config=tiny_config, engine=engine)
-    rows = queue_report(result.machine)
+    machine, _env, result = _held_run(pipeline, arrays, scalars, tiny_config, engine)
+    assert machine() is None
+    rows = queue_report(result)
     assert rows and sum(row["enqs"] for row in rows) > 0
-    assert result.machine.envs[0].machine is result.machine
-    text = describe_run(result, result.machine)
+    text = describe_run(result)
     assert "full-blocks" in text and "r0.s0" in text
     assert set(result.stage_engines.values()) == {engine}
 

@@ -1,4 +1,4 @@
-"""RunSpec placement and SimResult surface."""
+"""RunSpec placement and RunResult surface."""
 
 from repro import ir
 from repro.pipette import Machine, MachineConfig, RunSpec
@@ -18,7 +18,7 @@ def test_simresult_surface():
     stage = ir.StageProgram(0, "w", b.finish())
     pipe = ir.PipelineProgram("t", [stage], [], [], {"out": ir.ArrayDecl("out")}, [])
     result = Machine(MachineConfig()).run(RunSpec(pipe, {"out": [0]}, {}))
-    assert result.arrays()["out"] == [7]
+    assert result.arrays["out"] == [7]
     assert "cycles" in repr(result)
     assert result.stats.wall_cycles == result.cycles
 
@@ -32,4 +32,4 @@ def test_extra_scalars_tolerated():
     result = Machine(MachineConfig()).run(
         RunSpec(pipe, {"out": [0]}, {"n": 5, "unused": 9})
     )
-    assert result.arrays()["out"] == [5]
+    assert result.arrays["out"] == [5]

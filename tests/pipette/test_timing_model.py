@@ -156,7 +156,7 @@ def test_decoupling_hides_memory_latency():
     serial = _run_stage(
         serial_b.finish(), {"idx": idx, "data": data, "out": [0]}, config=_tiny_mem_config()
     )
-    assert serial.arrays()["out"] == [expected]
+    assert serial.arrays["out"] == [expected]
 
     b0 = ir.IRBuilder()
     with b0.for_("i", 0, n):
@@ -184,7 +184,7 @@ def test_decoupling_hides_memory_latency():
     piped = Machine(_tiny_mem_config()).run(
         RunSpec(pipe, {"idx": idx, "data": data, "out": [0]}, {})
     )
-    assert piped.arrays()["out"] == [expected]
+    assert piped.arrays["out"] == [expected]
     assert piped.cycles < serial.cycles
 
 

@@ -22,7 +22,7 @@ def test_stage_report_rows(tiny_graph, tiny_config):
 
 def test_queue_report_balanced_traffic(tiny_graph, tiny_config):
     result = _result(tiny_graph, tiny_config)
-    rows = queue_report(result.machine)
+    rows = queue_report(result)
     assert rows
     for row in rows:
         assert row["enqs"] == row["deqs"]  # streams fully drained
@@ -31,7 +31,7 @@ def test_queue_report_balanced_traffic(tiny_graph, tiny_config):
 
 def test_describe_run_text(tiny_graph, tiny_config):
     result = _result(tiny_graph, tiny_config)
-    text = describe_run(result, result.machine)
+    text = describe_run(result)
     assert "thread" in text
     assert "DRAM:" in text
     assert "update" in text

@@ -74,11 +74,11 @@ def test_serial_baseline_cache(tiny_config):
     second = cache.cached_run(fn, arrays2, scalars2, tiny_config)
     assert cache.stats()["baseline"] == {"hits": 1, "misses": 1}
     assert second.cycles == first.cycles
-    assert second.measured == first.measured
-    assert set(first.measured) == {"cycles", "summary", "breakdown", "energy", "stage_engines"}
+    assert measure(second) == measure(first)
+    assert set(measure(first)) == {"cycles", "summary", "breakdown", "energy", "stage_engines"}
     assert bfs.check(second.arrays, graph)
     live = run_serial(fn, arrays, scalars, config=tiny_config)
-    assert second.measured == measure(live) and second.arrays == live.arrays
+    assert measure(second) == measure(live) and second.arrays == live.arrays
     assert second.stage_fallbacks == live.stage_fallbacks == {}
 
 
@@ -104,7 +104,7 @@ def test_run_key_covers_the_program_and_the_stage_placement(tiny_config):
     assert cache.stats()["baseline"] == {"hits": 0, "misses": 3}
     assert len({serial.cycles, smt.cycles, placed.cycles}) == 3
     live = run_pipeline(pipeline, a, s, config=cfg4, stage_cores=spatial)
-    assert placed.measured == measure(live) and placed.arrays == live.arrays
+    assert measure(placed) == measure(live) and placed.arrays == live.arrays
 
 
 def test_a_program_with_intrinsics_is_never_stored(tmp_path):

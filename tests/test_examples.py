@@ -1,5 +1,5 @@
-"""The example scripts at least import (their mains are exercised by CI
-runs; importing catches API drift cheaply)."""
+"""The example scripts at least import (importing catches API drift
+cheaply); CI's ``examples`` job runs each one's main to completion."""
 
 import importlib.util
 import pathlib

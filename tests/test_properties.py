@@ -76,7 +76,7 @@ def test_interpreter_matches_python_oracle(case):
     stage = ir.StageProgram(0, "t", b_.finish())
     pipe = ir.PipelineProgram("t", [stage], [], [], {"out": ir.ArrayDecl("out")}, [])
     res = Machine(MachineConfig()).run(RunSpec(pipe, {"out": [0]}, {}))
-    assert res.arrays()["out"][0] == expected
+    assert res.arrays["out"][0] == expected
 
 
 @settings(max_examples=8, deadline=None)
@@ -135,4 +135,4 @@ def test_queue_through_machine_preserves_order(values, capacity):
         [],
     )
     res = Machine(MachineConfig()).run(RunSpec(pipe, {"out": [0] * len(values)}, {}))
-    assert res.arrays()["out"] == values
+    assert res.arrays["out"] == values
