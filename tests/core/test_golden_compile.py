@@ -7,8 +7,9 @@ data-parallel variant at 1, 4 and 16 threads, and every replica of the
 Fig. 14 replicated pipelines at 4 replicas. It records the pipeline's
 ``fingerprint`` (or the error class when the compile raises) and a sha256
 of the text ``sanitize_pipeline`` and ``perf_advisories`` report over it,
-diagnostics in emission order; a hand-built case also records its ``meta``,
-which the fingerprint leaves out. The ``env:`` cases pin the inputs the
+diagnostics in emission order; a compiled case also records a sha256 of its
+``ascii_diagram``, and a hand-built case its ``meta``, which the fingerprint
+leaves out. The ``env:`` cases pin the inputs the
 hand-built programs run on: ``fingerprint_env`` of every environment
 builder (serial, data-parallel at 4 and 16 threads, replicated at 4) on one
 small fixed graph or matrix per benchmark. A refactor of the compiler
@@ -36,6 +37,7 @@ from repro.analysis.sanitize import sanitize_pipeline
 from repro.bench.experiments import FIG6_VARIANTS
 from repro.cache import fingerprint_env
 from repro.core.compiler import CompileOptions, compile_function
+from repro.core.viz import ascii_diagram
 from repro.errors import PhloemError
 from repro.frontend.lowering import compile_source
 from repro.ir.serialize import fingerprint
@@ -135,9 +137,12 @@ def _env_cases():
 ENV_CASES = _env_cases()
 
 
-def _sha(diags):
-    text = "\n".join(d.render() for d in diags.diagnostics)
+def _sha(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _render(diags):
+    return "\n".join(d.render() for d in diags.diagnostics)
 
 
 def observe(case):
@@ -148,11 +153,13 @@ def observe(case):
         return {"pipeline": "error:" + type(exc).__name__}
     observed = {
         "pipeline": fingerprint(pipeline),
-        "sanitize": _sha(sanitize_pipeline(pipeline)),
-        "perf": _sha(perf_advisories(pipeline)),
+        "sanitize": _sha(_render(sanitize_pipeline(pipeline))),
+        "perf": _sha(_render(perf_advisories(pipeline))),
     }
     if case in HAND_BUILT:
         observed["meta"] = pipeline.meta
+    else:
+        observed["diagram"] = _sha(ascii_diagram(pipeline))
     return observed
 
 
