@@ -428,43 +428,6 @@ def _issue_slots(stmt: Any, intrinsics: dict[str, Any]) -> float:
 # Topology solve
 
 
-def _consumed_specs(pipeline: Any, stage_index: int) -> list[Any]:
-    return [
-        spec
-        for qid, spec in sorted(pipeline.queues.items())
-        if spec.consumer == ("stage", stage_index)
-    ]
-
-
-def _topo_order(pipeline: Any) -> list[Any]:
-    """Stages ordered producers-first (Kahn); cycle members fall back to
-    index order, matching the PHL201 warning's tolerance for feedback."""
-    indices = [s.index for s in pipeline.stages]
-    preds: dict[int, set[int]] = {i: set() for i in indices}
-    for qid, spec in sorted(pipeline.queues.items()):
-        ckind, cidx = spec.consumer
-        if ckind != "stage" or cidx not in preds:
-            continue
-        origin, _origin_qid, _ras = pipeline.upstream(qid)
-        if origin is not None and origin.index != cidx:
-            preds[cidx].add(origin.index)
-    order: list[int] = []
-    ready = sorted(i for i, p in preds.items() if not p)
-    placed: set[int] = set()
-    while ready:
-        i = ready.pop(0)
-        order.append(i)
-        placed.add(i)
-        newly = sorted(
-            j
-            for j, p in preds.items()
-            if j not in placed and j not in ready and not (p - placed)
-        )
-        ready.extend(newly)
-    order.extend(i for i in indices if i not in placed)
-    return [pipeline.stage(i) for i in order]
-
-
 def analyze_pipeline(pipeline: Any, config: Any = None) -> PerfReport:
     """Run the static performance model over a compiled pipeline.
 
@@ -492,11 +455,13 @@ def analyze_pipeline(pipeline: Any, config: Any = None) -> PerfReport:
             return origin, origin_qid, None, mult
         return origin, origin_qid, queue_rate[origin_qid] * mult, mult
 
-    for stage in _topo_order(pipeline):
-        if stage is None:
-            continue
+    for stage in [pipeline.stage(idx) for kind, idx in pipeline.topo_order() if kind == "stage"]:
         access = {id(info.stmt): info for info in classify_loads(stage.body)}
-        depths = {id(stmt): depth for stmt, depth in walk_with_depth(stage.body)}
+        nest = list(walk_with_depth(stage.body))
+        deq_level: dict[int, int] = {}
+        for stmt, depth in nest:
+            if stmt.kind in ("deq", "peek"):
+                deq_level[stmt.queue] = min(depth, deq_level.get(stmt.queue, depth))
 
         # Each consumed queue *drives* the loop level its dequeue sits at:
         # statements at that level execute once per arriving token. Deeper
@@ -505,16 +470,10 @@ def analyze_pipeline(pipeline: Any, config: Any = None) -> PerfReport:
         # resolvable producers (a source, or a feedback cycle) falls back
         # to treating its loop nest as real.
         level_rate: dict[int, float] = {}
-        for spec in _consumed_specs(pipeline, stage.index):
-            q_deq_depths = [
-                depths[id(stmt)]
-                for stmt in walk(stage.body)
-                if stmt.kind in ("deq", "peek") and stmt.queue == spec.qid
-            ]
-            if not q_deq_depths:
+        for qid, level in deq_level.items():
+            if pipeline.consumer_stage(qid) is not stage:
                 continue
-            level = min(q_deq_depths)
-            _origin, _origin_qid, rate, _mult = rate_of(spec.qid)
+            _origin, _origin_qid, rate, _mult = rate_of(qid)
             if rate is None:
                 rate = estimated_trip_weight(level, base=int(TRIP_BASE))
             level_rate[level] = max(level_rate.get(level, 0.0), rate)
@@ -535,7 +494,7 @@ def analyze_pipeline(pipeline: Any, config: Any = None) -> PerfReport:
 
         work = 0.0
         uops = 0.0
-        for stmt, depth in walk_with_depth(stage.body):
+        for stmt, depth in nest:
             weight = weight_at(depth)
             work += weight * _stmt_cost(stmt, access, intrinsics)
             uops += weight * _issue_slots(stmt, intrinsics)
@@ -555,9 +514,10 @@ def analyze_pipeline(pipeline: Any, config: Any = None) -> PerfReport:
 
     edges: list[EdgeEstimate] = []
     for qid, spec in sorted(pipeline.queues.items()):
-        ckind, cidx = spec.consumer
-        if ckind != "stage" or cidx not in work_of:
+        consumer = pipeline.consumer_stage(qid)
+        if consumer is None:
             continue
+        cidx = consumer.index
         origin, origin_qid, rate, mult = rate_of(qid)
         if origin is None or origin.index not in work_of:
             continue

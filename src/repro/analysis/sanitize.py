@@ -295,26 +295,21 @@ def check_token_balance(
 
     for qid in pipeline.queue_ids():
         spec = pipeline.queues[qid]
-        pkind, pidx = spec.producer
-        ckind, cidx = spec.consumer
-        if pkind == "extern" or ckind == "extern":
+        if spec.producer[0] == "extern" or spec.consumer[0] == "extern":
             continue  # replicated remote endpoints: balance is global
+        producer = pipeline.producer_stage(qid)
+        consumer = pipeline.consumer_stage(qid)
 
         # -- consumption: the declared consumer must actually drain ------
-        if ckind == "stage":
-            consumer = pipeline.stage(cidx)
-            if consumer is None:
-                continue  # dangling endpoint: verify_pipeline's problem
+        if consumer is not None:
             ceff = effects[consumer.index].get(qid, _QEffect())
             drains = ceff.deq != 0 or ceff.peek != 0 or qid in consumer.handlers
             if not drains:
                 span = None
-                if pkind == "stage":
-                    producer = pipeline.stage(pidx)
-                    if producer is not None:
-                        span = _first_span(
-                            _queue_stmts(index, producer, qid, ("enq", "enq_dist", "enq_ctrl"))
-                        )
+                if producer is not None:
+                    span = _first_span(
+                        _queue_stmts(index, producer, qid, ("enq", "enq_dist", "enq_ctrl"))
+                    )
                 diags.add(
                     "PHL101",
                     "queue %d%s is produced but %s never dequeues it: "
@@ -326,10 +321,7 @@ def check_token_balance(
                 continue
 
         # -- production: the declared producer must actually feed it -----
-        if pkind == "stage":
-            producer = pipeline.stage(pidx)
-            if producer is None:
-                continue  # dangling endpoint: verify_pipeline's problem
+        if producer is not None:
             peff = effects[producer.index].get(qid, _QEffect())
             if peff.enq == 0 and peff.ctrl == 0:
                 diags.add(
@@ -340,11 +332,10 @@ def check_token_balance(
                 )
                 continue
 
-        if ckind != "stage":
+        if consumer is None:
             continue  # RA-consumed queues drain by construction
 
         # -- sentinel/termination tokens ---------------------------------
-        consumer = pipeline.stage(cidx)
         # The producer resolves through the RA chain: an RA that drops
         # control values breaks termination, and a SCAN RA's data-dependent
         # output count rules out exact multiplicity matching.
@@ -517,21 +508,6 @@ def _innermost_for(body: Any, target: Any) -> Optional[Any]:
 # Deadlock analysis (PHL201-PHL203)
 
 
-def stage_queue_graph(pipeline: Any) -> dict[Any, list[Any]]:
-    """The dependency graph: endpoint node -> [(endpoint node, qid)]."""
-    graph: dict[Any, list[Any]] = {}
-    for stage in pipeline.stages:
-        graph.setdefault(("stage", stage.index), [])
-    for ra in pipeline.ras:
-        graph.setdefault(("ra", ra.raid), [])
-    for q in pipeline.queues.values():
-        if q.producer[0] == "extern" or q.consumer[0] == "extern":
-            continue
-        graph.setdefault(q.producer, []).append((q.consumer, q.qid))
-        graph.setdefault(q.consumer, [])
-    return graph
-
-
 def _sccs(graph: dict[Any, list[Any]]) -> list[list[Any]]:
     """Tarjan strongly-connected components, iteratively."""
     index: dict[Any, int] = {}
@@ -649,7 +625,7 @@ def check_deadlock(
     """Cycle + credit-based capacity feasibility over the topology graph."""
     if index is None:
         index = _index_stages(pipeline)
-    graph = stage_queue_graph(pipeline)
+    graph = pipeline.successors()
     edges: dict[Any, list[Any]] = {}
     for src, succs in graph.items():
         for dst, qid in succs:
@@ -722,15 +698,12 @@ def _check_fanin_order(
     """PHL203: producer fills queue A completely before feeding queue B,
     while the consumer blocks on B before draining A."""
     pairs: dict[Any, list[Any]] = {}
-    for q in pipeline.queues.values():
-        if q.producer[0] == "stage" and q.consumer[0] == "stage":
-            pairs.setdefault((q.producer[1], q.consumer[1]), []).append(q)
-    for (pidx, cidx), qs in pairs.items():
+    for qid in pipeline.queue_ids():
+        producer, consumer = pipeline.producer_stage(qid), pipeline.consumer_stage(qid)
+        if producer is not None and consumer is not None:
+            pairs.setdefault((producer, consumer), []).append(pipeline.queues[qid])
+    for (producer, consumer), qs in pairs.items():
         if len(qs) < 2:
-            continue
-        producer = pipeline.stage(pidx)
-        consumer = pipeline.stage(cidx)
-        if producer is None or consumer is None:
             continue
         ppos = positions(producer.body)
         cpos = positions(consumer.body)

@@ -139,7 +139,7 @@ def _collect_instances(pipeline, stage):
                 and stmt.body[0].index == stmt.var
                 and stmt.body[1].value == stmt.body[0].dst
                 and used_once(stmt.body[0].dst)
-                and _stage_produces(pipeline, stage, stmt.body[1].queue)
+                and pipeline.producer_stage(stmt.body[1].queue) is stage
             ):
                 out.append(
                     {
@@ -162,7 +162,7 @@ def _collect_instances(pipeline, stage):
                 and body[index + 1].kind == "enq"
                 and body[index + 1].value == stmt.dst
                 and used_once(stmt.dst)
-                and _stage_produces(pipeline, stage, body[index + 1].queue)
+                and pipeline.producer_stage(body[index + 1].queue) is stage
             ):
                 out.append(
                     {
@@ -190,11 +190,6 @@ def _apply_instance(body, inst, spec):
         ]
     else:
         holder[position : position + 2] = [S.Enq(spec.in_queue, anchor.index)]
-
-
-def _stage_produces(pipeline, stage, qid):
-    spec = pipeline.queues.get(qid)
-    return spec is not None and spec.producer == ("stage", stage.index)
 
 
 def _chain_ras(pipeline):

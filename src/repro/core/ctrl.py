@@ -87,8 +87,7 @@ def _try_convert_loop(pipeline, stage, for_stmt, du):
     if any(for_stmt.var in s.uses() for s in walk(for_stmt.body)):
         return False
 
-    kind, idx = pipeline.queues[qe].producer
-    producer = pipeline.stage(idx) if kind == "stage" else None
+    producer = pipeline.producer_stage(qe)
     if producer is None:
         return False
     elem_enqs = _find_enqs(producer, qe)
@@ -130,10 +129,14 @@ def _try_convert_loop(pipeline, stage, for_stmt, du):
 def apply_interstage_dce(pipeline):
     """Collapse per-iteration NEXT markers into one DONE per phase."""
     elem_queues = list(pipeline.meta.get("cv_queues", []))
+
+    def downstream_first(qid):
+        consumer = pipeline.consumer_stage(qid)
+        return -consumer.index if consumer is not None else 1
+
     # Downstream boundaries first, so a middle stage's outgoing marker moves
     # out of the loop before its own enclosing loop is considered.
-    order = {q.qid: (q.consumer[1] if q.consumer[0] == "stage" else -1) for q in pipeline.queues.values()}
-    elem_queues.sort(key=lambda qid: -order.get(qid, -1))
+    elem_queues.sort(key=downstream_first)
     collapsed = []
     for qid in elem_queues:
         if qid in pipeline.queues and _try_collapse(pipeline, qid):
@@ -145,13 +148,9 @@ def apply_interstage_dce(pipeline):
 
 
 def _try_collapse(pipeline, qe):
-    spec = pipeline.queues[qe]
-    if spec.consumer[0] != "stage":
-        return False
-    consumer = pipeline.stage(spec.consumer[1])
-    kind, idx = spec.producer
-    producer = pipeline.stage(idx) if kind == "stage" else None
-    if producer is None:
+    consumer = pipeline.consumer_stage(qe)
+    producer = pipeline.producer_stage(qe)
+    if consumer is None or producer is None:
         return False
 
     # Find the consumer's ctrl-terminated Loop for qe and its enclosing For.

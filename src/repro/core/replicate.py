@@ -36,8 +36,7 @@ def _find_flat_stream(pipeline):
     # would desynchronize once elements are re-routed by owner.
     incoming = {s.queue for s in last.all_stmts() if s.kind in ("deq", "peek")}
     for qid, handler in last.handlers.items():
-        spec = pipeline.queues.get(qid)
-        if spec is None or spec.consumer != ("stage", last.index):
+        if pipeline.consumer_stage(qid) is not last:
             continue
         if incoming != {qid}:
             continue
@@ -52,10 +51,9 @@ def _find_flat_stream(pipeline):
 
 def _rewrite_producer(pipeline, qid):
     """Route enqueues by owner; broadcast control values."""
-    spec = pipeline.queues[qid]
-    if spec.producer[0] != "stage":
+    producer = pipeline.producer_stage(qid)
+    if producer is None:
         raise CompileError("distributed queue %d is fed by an RA" % qid)
-    producer = pipeline.stage(spec.producer[1])
 
     def rewrite(body):
         out = []

@@ -6,62 +6,30 @@ accelerators in rounded nodes, queues as labelled arrows, in dataflow
 order.
 """
 
-from collections import deque
 
-
-def _nodes_and_edges(pipeline):
-    nodes = {}
-    for stage in pipeline.stages:
-        nodes[("stage", stage.index)] = "[%d: %s]" % (stage.index, stage.name)
+def _labels(pipeline):
+    labels = {("stage", s.index): "[%d: %s]" % (s.index, s.name) for s in pipeline.stages}
     for ra in pipeline.ras:
-        label = "(RA%d %s %s)" % (ra.raid, ra.mode, ra.array)
-        nodes[("ra", ra.raid)] = label
-    edges = []
-    for q in sorted(pipeline.queues.values(), key=lambda q: q.qid):
-        edges.append((q.producer, q.consumer, q.qid))
-    return nodes, edges
-
-
-def _topo_order(nodes, edges):
-    indegree = {n: 0 for n in nodes}
-    adjacency = {n: [] for n in nodes}
-    for src, dst, _ in edges:
-        if src in nodes and dst in nodes:
-            adjacency[src].append(dst)
-            indegree[dst] += 1
-    queue = deque(sorted((n for n, d in indegree.items() if d == 0), key=str))
-    order = []
-    while queue:
-        node = queue.popleft()
-        order.append(node)
-        for nxt in adjacency[node]:
-            indegree[nxt] -= 1
-            if indegree[nxt] == 0:
-                queue.append(nxt)
-    # Cycles (feedback queues) would leave nodes out; append them anyway.
-    for node in nodes:
-        if node not in order:
-            order.append(node)
-    return order
+        labels[("ra", ra.raid)] = "(RA%d %s %s)" % (ra.raid, ra.mode, ra.array)
+    return labels
 
 
 def ascii_diagram(pipeline):
     """One line per dataflow hop, topologically ordered."""
-    nodes, edges = _nodes_and_edges(pipeline)
-    order = _topo_order(nodes, edges)
-    position = {n: i for i, n in enumerate(order)}
+    labels = _labels(pipeline)
+    graph = pipeline.successors()
+    order = pipeline.topo_order()
 
     lines = ["pipeline %s" % pipeline.name]
-    chain_edges = sorted(edges, key=lambda e: (position.get(e[0], 99), e[2]))
-    if not chain_edges:
+    hops = [(src, dst, qid) for src in order for dst, qid in graph[src]]
+    if not hops:
         for node in order:
-            lines.append("  %s" % nodes[node])
+            lines.append("  %s" % labels[node])
         return "\n".join(lines)
-    for src, dst, qid in chain_edges:
-        lines.append(
-            "  %-28s --q%-2d--> %s" % (nodes.get(src, str(src)), qid, nodes.get(dst, str(dst)))
-        )
-    orphans = [n for n in order if all(n not in (e[0], e[1]) for e in edges)]
-    for node in orphans:
-        lines.append("  %s (no queues)" % nodes[node])
+    for src, dst, qid in hops:
+        lines.append("  %-28s --q%-2d--> %s" % (labels[src], qid, labels[dst]))
+    linked = {src for src, _dst, _qid in hops} | {dst for _src, dst, _qid in hops}
+    for node in order:
+        if node not in linked:
+            lines.append("  %s (no queues)" % labels[node])
     return "\n".join(lines)

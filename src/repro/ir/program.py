@@ -7,6 +7,8 @@ memory accesses optionally offloaded to :class:`RASpec` reference
 accelerators. Pipeline programs are what the Pipette simulator executes.
 """
 
+from collections import deque
+
 from .stmts import walk
 from .values import is_array_symbol
 
@@ -260,6 +262,64 @@ class PipelineProgram:
             if ra.raid == raid:
                 return ra
         return None
+
+    def producer_stage(self, qid):
+        """The stage that enqueues to queue ``qid``; None when an RA or an
+        extern endpoint produces it, or there is no such queue."""
+        spec = self.queues.get(qid)
+        return None if spec is None else self._stage_at(spec.producer)
+
+    def consumer_stage(self, qid):
+        """The stage that dequeues queue ``qid``; None when an RA or an
+        extern endpoint consumes it, or there is no such queue."""
+        spec = self.queues.get(qid)
+        return None if spec is None else self._stage_at(spec.consumer)
+
+    def _stage_at(self, endpoint):
+        kind, idx = endpoint
+        return self.stage(idx) if kind == "stage" else None
+
+    def successors(self):
+        """The dataflow graph, ``{node: [(successor node, qid), ...]}``.
+
+        Nodes are ``("stage", index)`` and ``("ra", raid)``, stages first,
+        each kind in declaration order. Each queue is one edge from its
+        producer to its consumer, listed in qid order; a queue with an
+        extern endpoint, or one naming no declared stage or RA, is none.
+        """
+        graph = {("stage", stage.index): [] for stage in self.stages}
+        graph.update((("ra", ra.raid), []) for ra in self.ras)
+        for qid in sorted(self.queues):
+            spec = self.queues[qid]
+            if spec.producer in graph and spec.consumer in graph:
+                graph[spec.producer].append((spec.consumer, qid))
+        return graph
+
+    def topo_order(self):
+        """Every node of :meth:`successors`, producers before consumers.
+
+        Kahn's algorithm: the nodes no queue feeds start in ``(kind,
+        index)`` order, and a node follows once its last producer is
+        placed. The members of a queue cycle, and everything they feed,
+        are appended in declaration order.
+        """
+        graph = self.successors()
+        indegree = dict.fromkeys(graph, 0)
+        for succs in graph.values():
+            for node, _qid in succs:
+                indegree[node] += 1
+        ready = deque(sorted(node for node, count in indegree.items() if count == 0))
+        order = []
+        while ready:
+            node = ready.popleft()
+            order.append(node)
+            for succ, _qid in graph[node]:
+                indegree[succ] -= 1
+                if indegree[succ] == 0:
+                    ready.append(succ)
+        placed = set(order)
+        order.extend(node for node in graph if node not in placed)
+        return order
 
     def upstream(self, qid):
         """Walk queue ``qid`` back through the RA chain feeding it.

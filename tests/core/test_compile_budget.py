@@ -37,9 +37,11 @@ from repro.workloads import ALL_BENCHMARKS
 #: breaks and continues once (each keep computation walked the body for
 #: them), the alias check reads the slice (it walked the body after a full
 #: classification), and decoupling numbers, tables and checks the function
-#: body once for all its retries (it did so per split attempt): 151 628,
-#: budget 151 628 * 1.05.
-WALK_BUDGET = 159209
+#: body once for all its retries (it did so per split attempt): 151 628.
+#: The performance model then read each consumed queue's dequeue depth from
+#: its one nest walk per stage (it walked the stage again per queue):
+#: 137 314, budget 137 314 * 1.05.
+WALK_BUDGET = 144179
 
 #: ``DefUse`` constructions: 1 236 before, two per split attempt (the
 #: splitter's and ``pure_regs``'s); 642 with one per split attempt on a

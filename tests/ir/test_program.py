@@ -78,3 +78,83 @@ def test_reprs():
     assert "demo" in repr(pipe)
     assert "xs" in repr(pipe.queues[0])
     assert "Stage(1:c)" == repr(pipe.stages[1])
+
+
+def _stage(index):
+    return ir.StageProgram(index, "s%d" % index, [])
+
+
+def _topology(stage_indices, queues, ras=()):
+    return ir.PipelineProgram(
+        "t",
+        [_stage(i) for i in stage_indices],
+        [ir.QueueSpec(qid, src, dst) for qid, (src, dst) in enumerate(queues)],
+        [ir.RASpec(raid, ir.RA_INDIRECT, "@a", 0, 1) for raid in ras],
+        {},
+        [],
+    )
+
+
+def test_queue_end_stages():
+    pipe = _topology(
+        [0, 1],
+        [
+            (("stage", 0), ("ra", 0)),
+            (("ra", 0), ("stage", 1)),
+            (("stage", 0), ("extern", 1)),
+        ],
+        ras=[0],
+    )
+    assert pipe.producer_stage(0) is pipe.stages[0]
+    assert pipe.consumer_stage(0) is None
+    assert pipe.producer_stage(1) is None
+    assert pipe.consumer_stage(1) is pipe.stages[1]
+    assert pipe.consumer_stage(2) is None
+    assert pipe.producer_stage(9) is None and pipe.consumer_stage(9) is None
+
+
+def test_successors_leave_out_extern_ends():
+    pipe = _topology(
+        [0, 1],
+        [
+            (("stage", 0), ("stage", 1)),
+            (("extern", 3), ("stage", 1)),
+            (("stage", 0), ("ra", 0)),
+            (("ra", 0), ("stage", 1)),
+        ],
+        ras=[0],
+    )
+    assert pipe.successors() == {
+        ("stage", 0): [(("stage", 1), 0), (("ra", 0), 2)],
+        ("stage", 1): [],
+        ("ra", 0): [(("stage", 1), 3)],
+    }
+
+
+def test_topo_order_breaks_ties_by_number():
+    pipe = _topology([10, 2], [])
+    assert pipe.topo_order() == [("stage", 2), ("stage", 10)]
+
+
+def test_topo_order_appends_cycles_and_what_they_feed():
+    pipe = _topology(
+        [0, 1, 2, 3, 4, 5],
+        [
+            (("stage", 0), ("stage", 1)),
+            (("stage", 1), ("stage", 0)),
+            (("stage", 1), ("stage", 3)),
+            (("stage", 3), ("stage", 2)),
+            (("stage", 4), ("ra", 0)),
+            (("ra", 0), ("stage", 5)),
+        ],
+        ras=[0],
+    )
+    assert pipe.topo_order() == [
+        ("stage", 4),
+        ("ra", 0),
+        ("stage", 5),
+        ("stage", 0),
+        ("stage", 1),
+        ("stage", 2),
+        ("stage", 3),
+    ]
