@@ -29,8 +29,8 @@ Wire format::
 ``Response.output`` carries the verb's one-shot stdout payload verbatim —
 byte-identical to what the pre-service CLI printed — so the CLI and the
 daemon are two frontends over the same code path. ``Response.records``
-carries the structured stream (RunRecords, diagnostics, perf records)
-that the daemon forwards as JSONL messages as they become available.
+carries the structured results (RunRecords, diagnostics, perf records),
+inside the one line the daemon answers a request with.
 """
 
 from ..errors import PhloemError
@@ -129,11 +129,12 @@ class Response(Message):
     """Base response: the one-shot result of any verb.
 
     ``output`` is the verb's stdout payload, byte-identical to the
-    pre-service CLI; ``records`` the structured stream (RunRecords, diag
-    dicts, perf records) the daemon forwards as JSONL; ``cache`` the
-    :mod:`repro.cache` hit/miss *delta over this request* per layer, so a
-    warm shared-cache hit is visible to the client; ``error`` a structured
-    ``{"code", "message"}`` dict when the request was rejected or failed.
+    pre-service CLI; ``records`` the structured results (RunRecords, diag
+    dicts, perf records) ``repro submit --stream`` prints as JSONL;
+    ``cache`` the :mod:`repro.cache` hit/miss *delta over this request* per
+    layer, so a warm shared-cache hit is visible to the client; ``error`` a
+    structured ``{"code", "message"}`` dict when the request was rejected
+    or failed.
     """
 
     verb: str = ""

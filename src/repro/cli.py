@@ -125,12 +125,7 @@ def _cmd_submit(args):
                 else:
                     print(json.dumps(reply, sort_keys=True))
                 return 0
-
-            def on_record(record):
-                if args.stream:
-                    print(json.dumps(record, sort_keys=True), flush=True)
-
-            response = client.submit(request, on_record=on_record)
+            response = client.submit(request)
     except ServiceError as exc:
         print("submit: error: %s" % exc, file=sys.stderr)
         return 1
@@ -140,7 +135,10 @@ def _cmd_submit(args):
             file=sys.stderr,
         )
         return response.exit_code or 1
-    if not args.stream and response.output:
+    if args.stream:
+        for record in response.records:
+            print(json.dumps(record, sort_keys=True))
+    elif response.output:
         sys.stdout.write(response.output)
     if response.cache is not None:
         log(

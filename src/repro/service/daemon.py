@@ -4,8 +4,8 @@ An asyncio socket server (unix domain by default, TCP optional) that
 accepts :mod:`repro.api` request envelopes, admits them through the
 per-client governor (:mod:`repro.service.ratelimit`), answers them — a
 warm request of a memoized verb in the event loop itself, everything else
-on the fork worker pool (:mod:`repro.service.pool`) — and streams the
-structured records followed by the final response back as NDJSON
+on the fork worker pool (:mod:`repro.service.pool`) — and writes each
+answer back as one NDJSON line, records included
 (:mod:`repro.service.protocol`).
 
 Why a daemon at all: the one-shot CLI re-pays interpreter start, imports,
@@ -299,12 +299,7 @@ class Daemon:
             payload = response_wire.get("payload") or {}
             self.telemetry.cache_delta(payload.get("cache"))
             failed = payload.get("error") is not None
-            records = payload.get("records") or []
-            for record in records:
-                await self._send(writer, protocol.record_message(record))
-            await self._send(
-                writer, protocol.response_message(response_wire, streamed=len(records))
-            )
+            await self._send(writer, protocol.response_message(response_wire))
             if failed:
                 self.counts["failed"] += 1
             else:

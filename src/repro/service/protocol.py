@@ -2,18 +2,16 @@
 
 A connection carries a sequence of jobs. For each, the client sends one
 line — a :mod:`repro.api` request envelope or a control envelope — and
-reads lines back until that job's terminal message; then it may send the
-next line:
+reads back the one line that answers it; then it may send the next line:
 
 * client -> server: ``Request.to_wire()`` plus a ``client`` identity key
   (the rate-limit/quota subject), or
   ``{"schema": "repro.service/control", "version": 1, "action": ...}``
   for ``ping``/``stats``/``telemetry``/``shutdown``;
-* server -> client: zero or more ``{"kind": "record", "payload": ...}``
-  lines — the RunRecord/diagnostic JSONL stream — then exactly one
-  ``{"kind": "response", "payload": Response.to_wire(), "streamed": n}``
-  (records already streamed are not repeated inside the final payload),
-  or one ``{"kind": "control-reply", "payload": ...}`` for controls.
+* server -> client: exactly one line, ``{"kind": "response", "payload":
+  Response.to_wire()}`` with the job's RunRecords/diagnostics in its
+  ``records``, or ``{"kind": "control-reply", "payload": ...}`` for
+  controls.
 
 Every line is one ``sort_keys`` JSON object; the framing is newline
 delimited so any language (or ``nc`` + ``jq``) can speak it.
@@ -122,18 +120,9 @@ def is_control(wire):
     return wire.get("schema") == CONTROL_SCHEMA
 
 
-def record_message(payload):
-    """One streamed structured record (RunRecord, diagnostic, ...)."""
-    return {"kind": "record", "payload": payload}
-
-
-def response_message(response_wire, streamed=0):
-    """The terminal message of a job; already-streamed records stripped."""
-    payload = dict(response_wire)
-    inner = dict(payload.get("payload") or {})
-    inner["records"] = []
-    payload["payload"] = inner
-    return {"kind": "response", "payload": payload, "streamed": streamed}
+def response_message(response_wire):
+    """The answer to a request: its whole ``Response.to_wire()``."""
+    return {"kind": "response", "payload": response_wire}
 
 
 def control_reply(payload):

@@ -95,15 +95,17 @@ def test_submit_reports_shared_cache_hits(tmp_path, monkeypatch):
     assert warm.output == cold.output
 
 
-def test_records_stream_before_final_response(tmp_path):
+def test_one_line_answers_a_job_records_included(tmp_path):
     request = api.MetricsRequest(bench="bfs", size=300, quiet=True)
-    streamed = []
-    with serving(tmp_path) as client:
-        response = client.submit(request, on_record=streamed.append)
+    with serving(tmp_path) as client, _raw(client) as (raw, lines):
+        raw.sendall(protocol.encode(protocol.request_envelope(request)) + PING)
+        answer = _reply(lines)
+        assert _reply(lines)["kind"] == "control-reply"  # the next line answers the ping
+    assert answer["kind"] == "response"
+    response = api.Response.from_wire(answer["payload"])
     assert response.ok and response.records
-    assert streamed == response.records
     expected = [json.loads(line) for line in response.output.splitlines() if line.strip()]
-    assert streamed == expected
+    assert response.records == expected
 
 
 def test_third_request_over_budget_is_rejected(tmp_path):
@@ -653,12 +655,11 @@ def test_line_over_the_read_limit_is_answered_then_closed(tmp_path, monkeypatch,
     assert (payload["exit_code"], payload["error"]["code"]) == (2, "bad-request")
 
 
-def test_client_gone_while_records_stream(tmp_path, no_loop_errors):
+def test_client_gone_before_its_answer(tmp_path, no_loop_errors):
     request = api.MetricsRequest(bench="bfs", size=300, quiet=True)
     with serving(tmp_path) as client:
-        with _raw(client) as (raw, lines):
+        with _raw(client) as (raw, _lines):
             raw.sendall(protocol.encode(protocol.request_envelope(request)))
-            assert _reply(lines)["kind"] == "record"
         _settle(client.daemon, 1)
         assert client.ping()["ok"]
         assert client.submit(request).ok
@@ -714,9 +715,8 @@ def test_request_sequence_over_tcp(tmp_path, cold_store, monkeypatch, no_loop_er
         assert client.socket_path is None and client.port > 0
         cold = client.submit(emit)
         warm = client.submit(emit)
-        streamed = []
-        assert client.submit(metrics, on_record=streamed.append).ok
-        assert streamed
+        answer = client.submit(metrics)
+        assert answer.ok and answer.records
         assert _connections(client) == {"opened": 1, "open": 1}
         with _raw(client) as (raw, lines):
             raw.sendall(b"not json\n" + PING)

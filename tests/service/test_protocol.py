@@ -38,14 +38,11 @@ def test_every_control_action_builds_an_envelope():
         assert protocol.decode(protocol.encode(wire)) == wire
 
 
-def test_response_message_strips_streamed_records():
+def test_response_message_carries_the_records():
     response = Response(verb="metrics", records=[{"a": 1}, {"b": 2}])
-    message = protocol.response_message(response.to_wire(), streamed=2)
-    assert message["kind"] == "response"
-    assert message["streamed"] == 2
-    assert message["payload"]["payload"]["records"] == []
-    # The original wire object is untouched.
-    assert len(response.to_wire()["payload"]["records"]) == 2
+    message = protocol.response_message(response.to_wire())
+    assert message == {"kind": "response", "payload": response.to_wire()}
+    assert Response.from_wire(message["payload"]).records == [{"a": 1}, {"b": 2}]
 
 
 def test_default_socket_path_env_override(monkeypatch, tmp_path):
