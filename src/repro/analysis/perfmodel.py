@@ -632,13 +632,6 @@ def validate_prediction(
     }
 
 
-def validate_on_run(
-    pipeline: Any, result: Any, tol: float = VALIDATE_TOL
-) -> dict[str, Any]:
-    """Convenience: validate against a :class:`RunResult` (has ``.stats``)."""
-    return validate_prediction(pipeline, result.stats, tol=tol)
-
-
 __all__ = [
     "EdgeEstimate",
     "PerfReport",
@@ -647,6 +640,5 @@ __all__ = [
     "measured_stage_busy",
     "perf_advisories",
     "static_score",
-    "validate_on_run",
     "validate_prediction",
 ]

@@ -237,8 +237,8 @@ def build_parser(argv=None):
     )
     submit.add_argument(
         "--stream", action="store_true",
-        help="print streamed records as JSONL as they arrive instead of "
-        "the verb's stdout payload",
+        help="print the response's records as JSONL in place of the verb's "
+        "stdout payload",
     )
     submit.add_argument("--ping", action="store_true", help="liveness probe only")
     submit.add_argument(

@@ -128,7 +128,6 @@ def verify_function(function):
     they appear only in pipeline stages where the queue table scopes them.
     """
     scope = _Scope(function.scalar_params)
-    scope.define("@" + a for a in ())  # no-op; arrays are symbols, not regs
     _verify_body(
         function.body,
         scope,

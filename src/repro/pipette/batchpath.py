@@ -44,14 +44,20 @@ Bit-identical stats discipline
 Thread-private hot state is mirrored in frame locals (``cur`` for
 ``ctx.cursor``, ``rlast`` for ``ctx.rob_last``, the gshare history, and the
 :class:`~repro.pipette.stats.ThreadStats` counters listed in
-``stats.MIRROR_COUNTERS`` / ``stats.MIRROR_STALLS``). Mirrors are flushed
-back to the context before **every** ``yield`` and at stage completion, so
-anything that can observe the thread from outside between resumes — the
-scheduler's heap key (``task.time`` -> ``ctx.cursor``), tracer spans,
-deadlock reports — sees exactly the state the reference interpreter would
-expose. Shared structures (issue-ledger slots, queues, caches, DRAM
-windows, ``SimStats``) are never mirrored; the generated code mutates them
-directly with the interpreter's exact update sequences, so stall/occupancy
+``stats.MIRROR_COUNTERS`` / ``stats.MIRROR_STALLS``: every per-thread count
+a stage writes, its micro-ops, loads, mispredicts and stall buckets).
+Mirrors are flushed back to the context before **every** ``yield`` and at
+stage completion, so anything that can observe the thread from outside
+between resumes — the scheduler's heap key (``task.time`` ->
+``ctx.cursor``), tracer spans, deadlock reports — sees exactly the state
+the reference interpreter would expose. Shared structures (issue-ledger
+slots, queues, caches, DRAM windows) are never mirrored; only their
+add-only integer counts (a queue's enqueue/dequeue totals, L1 hits)
+accumulate as local deltas, flushed at the same points, and
+``SimStats.queue_enqs``/``queue_deqs`` are not written here at all
+(``Machine.run`` reads them off the queues when the run ends). Everything
+else the generated code mutates directly with the interpreter's exact
+update sequences, so stall/occupancy
 accrual stays a *closed-form replay* of the per-statement arithmetic — the
 float additions happen in the same order on the same values, which is why
 the accrued buckets are bit-identical rather than merely close.
@@ -100,10 +106,7 @@ _MAX_LINES = 20000
 _STAT_LOCALS = {
     "uops": "u",
     "loads": "ld",
-    "stores": "st",
-    "branches": "br",
     "mispredicts": "mp",
-    "queue_ops": "qo",
     "queue_stall": "qs",
     "mem_stall": "ms",
     "branch_stall": "bs",
@@ -225,7 +228,6 @@ class _StageCompiler:
             "task": ctx.task,
             "env": runenv,
             "tstats": ctx.stats,
-            "sstats": runenv.stats,
             "ledger": ctx.ledger,
             "rob": ctx.rob,
             "mshr": ctx.mshr,
@@ -611,11 +613,6 @@ class _StageCompiler:
         ]
         for field in MIRROR_COUNTERS + MIRROR_STALLS:
             out.append("tstats.%s = %s" % (field, _STAT_LOCALS[field]))
-        if self._enq_qids or self._deq_qids:
-            out.append("sstats.queue_enqs += sqe")
-            out.append("sqe = 0")
-            out.append("sstats.queue_deqs += sqd")
-            out.append("sqd = 0")
         for qid in sorted(self._enq_qids):
             base = "q%d" % qid
             out.append("%s.total_enqs += %s_enqs" % (base, base))
@@ -713,9 +710,6 @@ class _StageCompiler:
             if self.traced:
                 out.append("%s_tr = %s.tracer" % (base, base))
                 out.append("%s_lbl = %s.label" % (base, base))
-        if self._enq_qids or self._deq_qids:
-            out.append("sqe = 0")
-            out.append("sqd = 0")
         for qid in sorted(self._enq_qids):
             base = "q%d" % qid
             out.append("%s_enqs = 0" % base)
@@ -892,7 +886,6 @@ class _StageCompiler:
         self.emit_start(self.dep2(stmt.index, stmt.value))
         self.emit_l1_access(site, store=True)
         self.emit_element("%s[idx] = v" % site.data, stmt, site)
-        self.w("st += 1")
         self.emit_retire("start + 1")
         return False
 
@@ -916,7 +909,6 @@ class _StageCompiler:
         self.w("v = %s" % self.val(stmt.cond))
         self.w("taken = True if v else False")
         self.emit_acquire(1)
-        self.w("br += 1")
         self.emit_predict(pc)
         self.emit_redirect(self.rdy(stmt.cond))
         then_body = [s for s in stmt.then_body if s.kind != "comment"]
@@ -961,7 +953,6 @@ class _StageCompiler:
         # Loop control costs real instructions (interp.exec_for): inc,
         # compare, branch — issue(3) then the gshare predict.
         self.emit_acquire(3)
-        self.w("br += 1")
         self.emit_predict(pc)
         self.emit_redirect(bd)
         self.w("if not taken:")
@@ -1042,8 +1033,6 @@ class _StageCompiler:
         self.pop()
         # The slot existed only in the future: effectively full now.
         self.emit_advance("qt", "queue", "elif qt > start")
-        self.w("qo += 1")
-        self.w("sqe += 1" if inline else "sstats.queue_enqs += 1")
         self.emit_retire("(qt if qt > start else start) + 1")
 
     def _emit_enq(self, stmt):
@@ -1054,7 +1043,6 @@ class _StageCompiler:
     def _emit_enq_ctrl(self, stmt):
         ctrl = self.cap("ctrl%d" % self.pcs[id(stmt)], stmt.ctrl)
         self._emit_do_enq(self.queue_locals(stmt.queue), ctrl, "0.0", inline=True)
-        self.w("sstats.ctrl_values += 1")
         return False
 
     def _emit_take(self, q, qid, peek=False):
@@ -1085,9 +1073,6 @@ class _StageCompiler:
             "%s.waiting_consumers" % q,
         )
         self.pop()
-        if not peek:
-            self.w("qo += 1")
-            self.w("sqd += 1")
         self.emit_retire("qt + 1")
 
     def _emit_deq(self, stmt):
@@ -1215,7 +1200,6 @@ class _StageCompiler:
             self.w("%s = old" % rd)
             self.w("%s = comp" % ry)
         self.w("ld += 1")
-        self.w("st += 1")
         self.emit_mshr("comp")
         self.emit_retire("comp")
         return False
@@ -1234,7 +1218,6 @@ class _StageCompiler:
         self.w("for rq, rx in all_replica_queues(self_interp, %d):" % stmt.queue)
         self.push()
         self._emit_do_enq("rq", ctrl, "0.0", "rx")
-        self.w("sstats.ctrl_values += 1")
         self.pop()
         return False
 

@@ -270,7 +270,6 @@ class StageInterp:
                         "stage %s: store %s[%d] out of bounds (len %d)"
                         % (self.stage.name, stmt.array, idx, len(binding.data))
                     )
-                ctx.stats.stores += 1
                 ctx.retire(start + 1)
 
             elif kind == "prefetch":
@@ -291,7 +290,6 @@ class StageInterp:
                 cond = self.val(stmt.cond)
                 taken = bool(cond)
                 slot = ctx.issue(1)
-                ctx.stats.branches += 1
                 correct = ctx.pred.predict_and_update(self.pcs[id(stmt)], taken)
                 if not correct:
                     resolve = max(slot, ctx.ready_of(stmt.cond))
@@ -333,7 +331,6 @@ class StageInterp:
 
             elif kind == "enq_ctrl":
                 yield from self.do_enq(self.env.queue_of(self, stmt.queue), stmt.ctrl, None)
-                self.env.stats.ctrl_values += 1
 
             elif kind == "peek":
                 yield from self.exec_peek(stmt)
@@ -395,7 +392,6 @@ class StageInterp:
                     regs[stmt.dst] = old
                     ready[stmt.dst] = comp
                 ctx.stats.loads += 1
-                ctx.stats.stores += 1
                 ctx.mshr_claim(comp)
                 ctx.retire(comp)
 
@@ -407,7 +403,6 @@ class StageInterp:
             elif kind == "enq_ctrl_dist":
                 for queue, extra in self.env.all_replica_queues(self, stmt.queue):
                     yield from self.do_enq(queue, stmt.ctrl, None, extra)
-                    self.env.stats.ctrl_values += 1
 
             elif kind == "comment":
                 pass
@@ -432,7 +427,6 @@ class StageInterp:
             # branch (paper Sec. III: "Computing loop bounds becomes
             # relatively expensive as the body... becomes smaller").
             slot = ctx.issue(3)
-            ctx.stats.branches += 1
             correct = ctx.pred.predict_and_update(pc, taken)
             if not correct:
                 resolve = max(slot, bound_dep)
@@ -509,8 +503,6 @@ class StageInterp:
             if ctx.tracer is not None:
                 ctx.tracer.stall(ctx.stats.name, "queue", ctx.cursor, t)
             ctx.cursor = t
-        ctx.stats.queue_ops += 1
-        self.env.stats.queue_enqs += 1
         ctx.retire((t if t > start else start) + 1)
 
     def _deq_value(self, queue, reason):
@@ -538,8 +530,6 @@ class StageInterp:
                 ctx.cursor = t
         else:
             value, t = res
-        ctx.stats.queue_ops += 1
-        self.env.stats.queue_deqs += 1
         ctx.retire(t + 1)
         return value, t
 

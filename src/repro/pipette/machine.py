@@ -45,16 +45,23 @@ class RunSpec:
             return self.stage_cores[index]
         return self.core
 
+    def core_of(self, endpoint):
+        """The core a queue endpoint (``("stage", i)``, ``("ra", j)``) runs
+        on: a stage where it is placed, anything else on ``core``."""
+        kind, index = endpoint
+        if kind == "stage":
+            return self.core_of_stage(index)
+        return self.core
+
 
 class RunEnv:
     """Per-replica runtime environment shared by that replica's stages/RAs."""
 
-    def __init__(self, machine, replica_index, spec, stats):
+    def __init__(self, machine, spec, stats):
         # Weak: the machine owns its envs (``Machine.envs``), so a strong
         # back-reference would make every finished run a reference cycle
         # that only the cyclic GC can free.
         self._machine = weakref.ref(machine)
-        self.replica_index = replica_index
         self.spec = spec
         self.stats = stats
         self.arrays = {}
@@ -64,7 +71,6 @@ class RunEnv:
         self.barrier = None  # installed by the machine (global)
         self.core = spec.core
         self.atomic_overhead = 15
-        self.stage_cores = {}
 
     @property
     def machine(self):
@@ -81,19 +87,13 @@ class RunEnv:
         target = envs[replica]
         queue = target.queues[qid]
         extra = 0.0
-        if target.core_of_queue_consumer(qid) != interp.ctx.core:
+        if target.spec.core_of(target.spec.pipeline.queues[qid].consumer) != interp.ctx.core:
             extra = max(0.0, self.machine.config.xcore_queue_latency - queue.latency)
         return queue, extra
 
     def all_replica_queues(self, interp, qid):
         for replica in range(len(self.machine.envs)):
             yield self.remote_queue(interp, qid, replica)
-
-    def core_of_queue_consumer(self, qid):
-        consumer = self.spec.pipeline.queues[qid].consumer
-        if consumer[0] == "stage":
-            return self.spec.core_of_stage(consumer[1])
-        return self.core
 
     def on_thread_done(self, interp):
         if self.barrier is not None:
@@ -212,7 +212,7 @@ class Machine:
         for replica, spec in enumerate(specs):
             pipeline = spec.pipeline
             verify_pipeline(pipeline, max_queues=config.max_queues, max_ras=config.max_ras)
-            env = RunEnv(self, replica, spec, stats)
+            env = RunEnv(self, spec, stats)
             env.shared = shared_cells
             self.envs.append(env)
 
@@ -230,15 +230,18 @@ class Machine:
                     buffer_bases[key] = base
                 env.arrays[name] = ArrayBinding(name, data, base, decl.elem_size, decl.is_float)
 
+            # Task names keyed by queue endpoint: the tasks take their names
+            # from it, and the deadlock report's topology looks ends up in it.
+            names = {
+                ("stage", s.index): "r%d.s%d.%s" % (replica, s.index, s.name)
+                for s in pipeline.stages
+            }
+            names.update((("ra", r.raid), "r%d.ra%d" % (replica, r.raid)) for r in pipeline.ras)
+            for name in names.values():
+                topology["task_replica"][name] = replica
             for q in pipeline.queues.values():
                 latency = config.queue_latency
-                prod_core = env.core
-                cons_core = env.core
-                if q.producer[0] == "stage":
-                    prod_core = spec.core_of_stage(q.producer[1])
-                if q.consumer[0] == "stage":
-                    cons_core = spec.core_of_stage(q.consumer[1])
-                if prod_core != cons_core:
+                if spec.core_of(q.producer) != spec.core_of(q.consumer):
                     latency = config.xcore_queue_latency
                 env.queues[q.qid] = HWQueue(
                     q.qid,
@@ -247,13 +250,16 @@ class Machine:
                     tracer=tracer,
                     label="r%d.q%d" % (replica, q.qid),
                 )
+                for role, endpoint in (("producer", q.producer), ("consumer", q.consumer)):
+                    if endpoint in names:
+                        topology[role][(replica, q.qid)] = names[endpoint]
 
             for stage in pipeline.stages:
                 core = spec.core_of_stage(stage.index)
                 if not 0 <= core < config.cores:
                     raise ResourceError("stage mapped to core %d of %d" % (core, config.cores))
                 threads_per_core[core] += 1
-                name = "r%d.s%d.%s" % (replica, stage.index, stage.name)
+                name = names[("stage", stage.index)]
                 task = Task(name)
                 tstats = stats.new_thread(name)
                 ctx = ThreadCtx(config, core, ledgers[core], self.mem, tstats, task, tracer=tracer)
@@ -273,26 +279,10 @@ class Machine:
                 stage_tasks.append((task, ctx))
 
             for spec_ra in pipeline.ras:
-                name = "r%d.ra%d" % (replica, spec_ra.raid)
-                task = Task(name, daemon=True)
+                task = Task(names[("ra", spec_ra.raid)], daemon=True)
                 engine = RAEngine(spec_ra, env, task)
                 task.clock_ref = lambda e=engine: e.clock
                 scheduler.add(task, engine.run())
-
-            # Queue-endpoint topology for the scheduler's deadlock report:
-            # which task sits at each end of each queue of this replica.
-            stage_names = {
-                s.index: "r%d.s%d.%s" % (replica, s.index, s.name)
-                for s in pipeline.stages
-            }
-            ra_names = {r.raid: "r%d.ra%d" % (replica, r.raid) for r in pipeline.ras}
-            for name in list(stage_names.values()) + list(ra_names.values()):
-                topology["task_replica"][name] = replica
-            for q in pipeline.queues.values():
-                for role, (ekind, eidx) in (("producer", q.producer), ("consumer", q.consumer)):
-                    owner = stage_names.get(eidx) if ekind == "stage" else ra_names.get(eidx)
-                    if ekind != "extern" and owner is not None:
-                        topology[role][(replica, q.qid)] = owner
 
         for core, used in enumerate(threads_per_core):
             if used > config.smt_threads:
@@ -316,9 +306,16 @@ class Machine:
 
         wall = max((ctx.stats.end_cycle for _, ctx in stage_tasks), default=0.0)
         stats.wall_cycles = wall
-        for replica, env in enumerate(self.envs):
-            for qid in sorted(env.queues):
-                stats.register_queue("r%d.q%d" % (replica, qid), env.queues[qid])
+        # A stage's enqueue or dequeue is one of its queue's; RA traffic is
+        # billed as ``ra_loads`` and stays out of the queue-op totals.
+        for env in self.envs:
+            for qid, q in sorted(env.spec.pipeline.queues.items()):
+                queue = env.queues[qid]
+                stats.register_queue(queue.label, queue)
+                if q.producer[0] != "ra":
+                    stats.queue_enqs += queue.total_enqs
+                if q.consumer[0] != "ra":
+                    stats.queue_deqs += queue.total_deqs
         if tracer is not None:
             tracer.meta.setdefault("wall_cycles", wall)
         return RunResult(

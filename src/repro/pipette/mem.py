@@ -119,7 +119,6 @@ class MemorySystem:
         self.window_shift = 6
         self.window_capacity = max(1, (1 << self.window_shift) // config.dram_service)
         self.windows = [dict() for _ in range(config.dram_controllers)]
-        self.window_low = [0] * config.dram_controllers
         self.prefetchers = [_StreamTable() for _ in range(config.cores)]
 
     def _dram(self, line, now):

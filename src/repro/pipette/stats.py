@@ -12,13 +12,14 @@ from .energy import energy_of
 
 
 #: ThreadStats fields a compiled engine may mirror in frame locals for the
-#: duration of a dispatch. The contract (relied on by
+#: duration of a dispatch: every per-thread counter a stage writes (its
+#: micro-ops, loads and mispredicts, and the four stall buckets). The contract (relied on by
 #: :mod:`repro.pipette.batchpath`): mirrors must be flushed back before any
 #: point where another task or the scheduler can observe the thread (every
 #: ``yield``) and at completion. Accrual stays bit-identical to per-cycle
 #: stepping because the same float additions run in the same order on the
 #: same values — the mirrors only change *where* the running sum lives.
-MIRROR_COUNTERS = ("uops", "loads", "stores", "branches", "mispredicts", "queue_ops")
+MIRROR_COUNTERS = ("uops", "loads", "mispredicts")
 MIRROR_STALLS = ("queue_stall", "mem_stall", "branch_stall", "barrier_stall")
 
 
@@ -29,10 +30,7 @@ class ThreadStats:
         "name",
         "uops",
         "loads",
-        "stores",
-        "branches",
         "mispredicts",
-        "queue_ops",
         "queue_stall",
         "mem_stall",
         "branch_stall",
@@ -45,10 +43,7 @@ class ThreadStats:
         self.name = name
         self.uops = 0
         self.loads = 0
-        self.stores = 0
-        self.branches = 0
         self.mispredicts = 0
-        self.queue_ops = 0
         self.queue_stall = 0.0
         self.mem_stall = 0.0
         self.branch_stall = 0.0
@@ -111,7 +106,13 @@ class CacheStats:
 
 
 class SimStats:
-    """All counters from one simulation run."""
+    """All counters from one simulation run.
+
+    Each count has one writer: the memory system counts cache and DRAM
+    events, the reference accelerators ``ra_loads``, and
+    :meth:`~repro.pipette.machine.Machine.run` sets ``queue_enqs`` /
+    ``queue_deqs`` once the run ends, from the queues' own totals.
+    """
 
     def __init__(self):
         self.threads = []
@@ -120,7 +121,6 @@ class SimStats:
         self.ra_loads = 0
         self.queue_enqs = 0
         self.queue_deqs = 0
-        self.ctrl_values = 0
         self.wall_cycles = 0.0
         self.queues = {}
 

@@ -15,11 +15,10 @@ class Input:
     builder runs once, on first :meth:`build`, and the built value lives
     and dies with the instance."""
 
-    def __init__(self, name, domain, builder, training=False):
+    def __init__(self, name, domain, builder):
         self.name = name
         self.domain = domain
         self._builder = builder
-        self.training = training
         self._built = None
 
     def build(self):
@@ -33,8 +32,8 @@ class Input:
 
 #: Training graphs (paper: internet, USA-road-d-NY).
 TRAIN_GRAPHS = [
-    Input("internet-train", "internet graph", lambda: graphs.power_law(1500, 2, seed=41), training=True),
-    Input("road-ny-train", "road network", lambda: graphs.road_network(45, 35, seed=42), training=True),
+    Input("internet-train", "internet graph", lambda: graphs.power_law(1500, 2, seed=41)),
+    Input("road-ny-train", "road network", lambda: graphs.road_network(45, 35, seed=42)),
 ]
 
 #: Test graphs (paper: coAuthorsDBLP, hugetrace, Freescale1, as-Skitter, USA-road-d).
@@ -48,8 +47,8 @@ TEST_GRAPHS = [
 
 #: SpMM training matrices (paper: email-Enron, wiki-Vote).
 TRAIN_MATRICES_SPMM = [
-    Input("enron-train", "graph as matrix", lambda: matrices.random_matrix(60, 6, seed=21, pattern="powerlaw"), training=True),
-    Input("wikivote-train", "graph as matrix", lambda: matrices.random_matrix(50, 7, seed=22, pattern="uniform"), training=True),
+    Input("enron-train", "graph as matrix", lambda: matrices.random_matrix(60, 6, seed=21, pattern="powerlaw")),
+    Input("wikivote-train", "graph as matrix", lambda: matrices.random_matrix(50, 7, seed=22, pattern="uniform")),
 ]
 
 #: SpMM test matrices (paper: p2p-Gnutella31, amazon0312, cage12, 2cubes, rma10).
