@@ -49,6 +49,9 @@ from .defs import DefUse
 from .loops import estimated_trip_weight
 from .sanitize import _first_span, _stage_label
 
+#: Micro-ops a core issues per cycle (mirrors ``MachineConfig.issue_width``): PHL405's budget.
+ISSUE_WIDTH = 6.0
+
 #: Extra latency of ALU ops beyond one issue slot (mirrors
 #: ``MachineConfig.op_latency``: mul 3, div/mod 12, default 1).
 OP_COST = {"mul": 3.0, "div": 12.0, "mod": 12.0}
@@ -428,14 +431,12 @@ def _issue_slots(stmt: Any, intrinsics: dict[str, Any]) -> float:
 # Topology solve
 
 
-def analyze_pipeline(pipeline: Any, config: Any = None) -> PerfReport:
+def analyze_pipeline(pipeline: Any) -> PerfReport:
     """Run the static performance model over a compiled pipeline.
 
-    ``config`` only supplies machine parameters the advisories compare
-    against (``issue_width``, currently); the per-statement costs are the
-    calibrated constants above. Pure analysis: no simulation, no mutation.
+    The per-statement costs and the issue width are the calibrated
+    constants above. Pure analysis: no simulation, no mutation.
     """
-    issue_width = float(getattr(config, "issue_width", 6))
     intrinsics = dict(getattr(pipeline, "intrinsics", {}) or {})
 
     queue_rate: dict[int, float] = {}  # stage-produced qid -> tokens/source-unit
@@ -546,14 +547,12 @@ def analyze_pipeline(pipeline: Any, config: Any = None) -> PerfReport:
             )
         )
 
-    return PerfReport(pipeline, estimates, edges, issue_width)
+    return PerfReport(pipeline, estimates, edges, ISSUE_WIDTH)
 
 
-def perf_advisories(
-    pipeline: Any, config: Any = None, diags: Optional[DiagnosticSet] = None
-) -> DiagnosticSet:
+def perf_advisories(pipeline: Any, diags: Optional[DiagnosticSet] = None) -> DiagnosticSet:
     """One-call wrapper: model the pipeline, return its PHL4xx findings."""
-    return analyze_pipeline(pipeline, config=config).advisories(diags)
+    return analyze_pipeline(pipeline).advisories(diags)
 
 
 def static_score(pipeline: Any) -> float:
@@ -601,7 +600,7 @@ def validate_prediction(
 
     Returns a dict with the verdict and both sides' evidence.
     """
-    report = analyze_pipeline(pipeline, config=getattr(stats, "config", None))
+    report = analyze_pipeline(pipeline)
     busy = measured_stage_busy(stats)
     predicted = report.bottleneck_index
     work = {s.index: s.work for s in report.stages}

@@ -22,8 +22,8 @@ that actually sends a control value.
 cycles (Tarjan SCCs). Every cycle gets a warning; a cycle is escalated to
 a *capacity-infeasible* error when some member stage can enqueue more
 tokens into the cycle than the cycle's total queue depth before it
-dequeues anything from it (a credit-based sufficiency check against the
-``pipette.config`` depths). A fan-in ordering check catches the bounded-
+dequeues anything from it (a credit-based sufficiency check against each
+queue's ``QueueSpec.capacity``). A fan-in ordering check catches the bounded-
 queue deadlock where a producer fills one queue completely before feeding
 the queue its consumer is blocked on.
 

@@ -353,7 +353,6 @@ def _run_metrics(req):
         config=SCALED_1CORE,
         variants=DEMO_VARIANTS,
         options=options,
-        jobs=req.jobs,
     )
     records = obs.stamp_cache(suite.records, cache.stats_since(cache_before))
     if req.profile_passes:

@@ -628,7 +628,6 @@ class MetricsRequest(_SyntheticInputRequest):
     HELP = "run the comparison suite and emit JSONL RunRecords"
     RESPONSE = MetricsResponse
 
-    jobs: int = arg(None)
     metrics_out: str = arg(
         None, "destination file (default: JSONL on stdout)", metavar="FILE.jsonl"
     )

@@ -19,7 +19,7 @@ yielding the paper's chained RAs, with the empty middle stage deleted.
 
 from ..analysis.defs import DefUse
 from ..ir import stmts as S
-from ..ir.program import RA_INDIRECT, RA_SCAN, QueueSpec, RASpec
+from ..ir.program import MAX_RAS, QUEUE_DEPTH, RA_INDIRECT, RA_SCAN, QueueSpec, RASpec
 from ..ir.stmts import find_container, loop_chain, remove, walk
 from ..ir.values import is_array_symbol
 from .cleanup import cleanup_stage
@@ -56,7 +56,7 @@ class _RABuilder:
         return spec
 
 
-def apply_reference_accelerators(pipeline, max_ras=4, capacity=24):
+def apply_reference_accelerators(pipeline, max_ras=MAX_RAS, capacity=QUEUE_DEPTH):
     """Offload qualifying loads to RAs; chain and drop emptied stages."""
     builder = _RABuilder(pipeline, max_ras, capacity)
     changed = False

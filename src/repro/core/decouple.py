@@ -10,7 +10,7 @@ the driver always produces *some* legal pipeline.
 from ..analysis.costmodel import rank_decouple_points
 from ..errors import AliasError, CompileError
 from ..ir import stmts as S
-from ..ir.program import PipelineProgram, QueueSpec, StageProgram
+from ..ir.program import QUEUE_DEPTH, PipelineProgram, QueueSpec, StageProgram
 from ..ir.values import array_name, is_array_symbol
 from .cleanup import cleanup_stage, stage_is_trivial
 from .phases import prepare_phases
@@ -29,7 +29,9 @@ def _loads_present(body, point):
     return all(id(load) in present for load in point.loads)
 
 
-def decouple_function(function, num_points, capacity=24, point_indices=None, profiler=None):
+def decouple_function(
+    function, num_points, capacity=QUEUE_DEPTH, point_indices=None, profiler=None
+):
     """Split ``function`` at up to ``num_points`` ranked points.
 
     Returns ``(pipeline, applied_points)``. The returned pipeline has had

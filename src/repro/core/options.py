@@ -7,6 +7,7 @@ compiler (:mod:`repro.core.compiler` re-exports all three names).
 """
 
 from ..errors import CompileError
+from ..ir.program import MAX_QUEUES, MAX_RAS, QUEUE_DEPTH
 from ..ir.stmts import walk
 
 #: Every optional pass, in application order. "queues" (pass 1) is implied
@@ -36,8 +37,8 @@ class CompileOptions:
     )
 
     def __init__(
-        self, num_stages=4, passes=ALL_PASSES, max_ras=4, queue_capacity=24, max_queues=16,
-        point_indices=None, verify_each=False,
+        self, num_stages=4, passes=ALL_PASSES, max_ras=MAX_RAS, queue_capacity=QUEUE_DEPTH,
+        max_queues=MAX_QUEUES, point_indices=None, verify_each=False,
     ):
         passes = tuple(passes)
         if point_indices is not None:

@@ -105,6 +105,13 @@ class Function:
         )
 
 
+#: Pipette's per-core limits (paper Table III): a queue's default depth
+#: (its ``capacity``), queues per core and reference accelerators per core.
+QUEUE_DEPTH = 24
+MAX_QUEUES = 16
+MAX_RAS = 4
+
+
 class QueueSpec:
     """A hardware queue connecting a producer to a consumer.
 
@@ -115,7 +122,7 @@ class QueueSpec:
 
     __slots__ = ("qid", "capacity", "producer", "consumer", "label")
 
-    def __init__(self, qid, producer, consumer, capacity=24, label=""):
+    def __init__(self, qid, producer, consumer, capacity=QUEUE_DEPTH, label=""):
         self.qid = qid
         self.producer = producer
         self.consumer = consumer

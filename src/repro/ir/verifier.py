@@ -144,7 +144,7 @@ def verify_pipeline(pipeline, max_queues=None, max_ras=None):
 
     * stage indices and RA ids are unique (endpoint descriptors would be
       ambiguous otherwise);
-    * every queue has one producer and one consumer endpoint that exists;
+    * every queue has room for an entry and a producer and consumer that exist;
     * stages only enq to queues they produce and deq from queues they
       consume — and every queue id a statement references is declared in
       the program's queue table;
@@ -185,6 +185,9 @@ def verify_pipeline(pipeline, max_queues=None, max_ras=None):
         return False
 
     for q in pipeline.queues.values():
+        if q.capacity < 1:
+            label = " (%s)" % q.label if q.label else ""
+            _fail("queue %d%s has capacity %r, below 1 entry", q.qid, label, q.capacity)
         if not endpoint_ok(q.producer):
             _fail("queue %d has unknown producer %s", q.qid, q.producer)
         if not endpoint_ok(q.consumer):

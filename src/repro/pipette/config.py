@@ -1,9 +1,9 @@
 """Machine configuration (paper Table III).
 
 The defaults reproduce the paper's evaluation configuration: Skylake-like
-6-wide OOO cores with 4-thread SMT at 3.5 GHz, Pipette's 16 queues (24
-entries deep) and 4 reference accelerators per core, and a three-level cache
-hierarchy over bandwidth-limited DRAM.
+6-wide OOO cores with 4-thread SMT, Pipette's queue and RA limits per core
+(:mod:`repro.ir.program`; a queue's depth is its ``QueueSpec.capacity``), and
+a three-level cache hierarchy over bandwidth-limited DRAM.
 
 Also the home of the engine selector (:data:`ENGINES`,
 :data:`DEFAULT_ENGINE`, :data:`ENGINE_ENV`, :func:`resolve_engine`): a leaf
@@ -14,6 +14,7 @@ import os
 from dataclasses import dataclass, field, replace
 
 from ..errors import ResourceError
+from ..ir.program import MAX_QUEUES, MAX_RAS
 
 
 def _default_op_latencies():
@@ -49,7 +50,6 @@ _SIZES = (
     "rob_size",
     "mshrs",
     "ra_mshrs",
-    "queue_capacity",
     "dram_controllers",
     "dram_service",
 )
@@ -66,12 +66,10 @@ class MachineConfig:
     rob_size: int = 224
     mshrs: int = 10
     mispredict_penalty: int = 14
-    freq_ghz: float = 3.5
 
     # Pipette.
-    max_queues: int = 16
-    max_ras: int = 4
-    queue_capacity: int = 24
+    max_queues: int = MAX_QUEUES
+    max_ras: int = MAX_RAS
     queue_latency: int = 2  # producer->consumer, same core (via the PRF)
     xcore_queue_latency: int = 16  # producer->consumer across cores
     ra_mshrs: int = 16  # parallel loads an RA keeps in flight (in-order delivery)

@@ -46,15 +46,9 @@ class EnergyBreakdown:
         return "EnergyBreakdown(total=%.3g pJ)" % self.total
 
 
-def energy_of(stats, config, active_cores=None):
-    """Compute the energy breakdown of a finished run.
-
-    ``active_cores`` defaults to the configured core count; single-pipeline
-    runs on a multicore config may pass fewer.
-    """
-    if active_cores is None:
-        active_cores = config.cores
-
+def energy_of(stats, active_cores):
+    """Compute the energy breakdown of a finished run on ``active_cores``
+    cores (the cores its threads ran on, which static power is paid for)."""
     core_dynamic = ENERGY_PJ["uop"] * stats.total_uops
     core_dynamic += ENERGY_PJ["queue_op"] * (stats.queue_enqs + stats.queue_deqs)
     core_dynamic += ENERGY_PJ["ra_load"] * stats.ra_loads

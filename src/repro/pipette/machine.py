@@ -126,8 +126,8 @@ def _static_deadlock_verdict(specs):
         )
     return (
         "static analysis found no topology cycle or token imbalance; "
-        "suspect undersized queues for this input (queue depths come from "
-        "pipette.config) or data-dependent token loss"
+        "suspect undersized queues for this input (depth: each QueueSpec.capacity, which "
+        "CompileOptions sets for a compiled pipeline) or data-dependent token loss"
     )
 
 
@@ -174,7 +174,7 @@ class Machine:
         self.stage_engines = {}
         self.stage_fallbacks = {}
 
-    def run(self, specs, barrier_cost=30.0):
+    def run(self, specs):
         """Run the given :class:`RunSpec` list to completion.
 
         All specs run concurrently (replicas, or co-scheduled independent
@@ -291,7 +291,7 @@ class Machine:
                     % (core, used, config.smt_threads)
                 )
 
-        barrier = BarrierSync(len(stage_tasks), cost=barrier_cost)
+        barrier = BarrierSync(len(stage_tasks))
         for env in self.envs:
             env.barrier = barrier
 

@@ -222,7 +222,7 @@ class RunResult:
         return self.replica_arrays[0]
 
     def energy(self):
-        return energy_of(self.stats, None, active_cores=self.active_cores)
+        return energy_of(self.stats, self.active_cores)
 
     def breakdown(self):
         return self.stats.cycle_breakdown()

@@ -260,13 +260,13 @@ class Daemon:
             message = "request %s must be a string, got %r" % (field, wire.get(field))
             await self._send(writer, _refusal(None, "bad-request", message))
             return
-        self.verbs[verb] = self.verbs.get(verb, 0) + 1
         if verb not in REQUEST_TYPES:
             await self._send(
                 writer, _refusal(verb, "unsupported-verb", "no handler for verb %r" % (verb,))
             )
             self.counts["failed"] += 1
             return
+        self.verbs[verb] = self.verbs.get(verb, 0) + 1
         admitted, code = self.governor.admit(client)
         if not admitted:
             self.counts["rejected"] += 1

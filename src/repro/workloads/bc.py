@@ -261,7 +261,7 @@ def manual_pipeline():
     queues, ras = neighbor_chain(
         (Q_RA1, Q_PAIRS, Q_NGH), labels=("w/w+1", "edge bounds", "neighbors")
     )
-    queues.append(QueueSpec(Q_W, ("stage", 0), ("stage", 1), 24, "vertices"))
+    queues.append(QueueSpec(Q_W, ("stage", 0), ("stage", 1), label="vertices"))
     return manual_program(NAME, function(), [stage0, stage1], queues, ras, shared={"tail"})
 
 

@@ -188,7 +188,7 @@ def manual_pipeline():
     stage2 = StageProgram(2, "update", b.finish(), handlers={Q_UPD: [Break(1)]})
 
     queues, ras = neighbor_chain((Q_RA1_IN, Q_PAIRS, Q_NGH))
-    queues.append(QueueSpec(Q_UPD, ("stage", 1), ("stage", 2), 24, "neighbors'"))
+    queues.append(QueueSpec(Q_UPD, ("stage", 1), ("stage", 2), label="neighbors'"))
     stages = [stage0, stage1, stage2]
     return manual_program(NAME, function(), stages, queues, ras, shared={"next_size"})
 

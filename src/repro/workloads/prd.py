@@ -225,8 +225,8 @@ def manual_pipeline():
 
     queues, ras = neighbor_chain((Q_RA1, Q_PAIRS, Q_NGH))
     queues += [
-        QueueSpec(Q_UPD, ("stage", 1), ("stage", 2), 24, "neighbors'"),
-        QueueSpec(Q_V, ("stage", 0), ("stage", 2), 24, "vertices"),
+        QueueSpec(Q_UPD, ("stage", 1), ("stage", 2), label="neighbors'"),
+        QueueSpec(Q_V, ("stage", 0), ("stage", 2), label="vertices"),
     ]
     stages = [stage0, stage1, stage2]
     return manual_program(NAME, function(), stages, queues, ras, shared={"next_size"})

@@ -116,9 +116,9 @@ def neighbor_chain(qids, raid=0, array="@edges", labels=("v/v+1", "edge bounds",
     ``raid`` and ``raid + 1``."""
     q_in, q_bounds, q_out = qids
     queues = [
-        QueueSpec(q_in, ("stage", 0), ("ra", raid), 24, labels[0]),
-        QueueSpec(q_bounds, ("ra", raid), ("ra", raid + 1), 24, labels[1]),
-        QueueSpec(q_out, ("ra", raid + 1), ("stage", 1), 24, labels[2]),
+        QueueSpec(q_in, ("stage", 0), ("ra", raid), label=labels[0]),
+        QueueSpec(q_bounds, ("ra", raid), ("ra", raid + 1), label=labels[1]),
+        QueueSpec(q_out, ("ra", raid + 1), ("stage", 1), label=labels[2]),
     ]
     ras = [
         RASpec(raid, RA_INDIRECT, "@nodes", q_in, q_bounds),

@@ -219,7 +219,7 @@ def manual_pipeline():
     )
 
     queues, ras = neighbor_chain((Q_RA1, Q_PAIRS, Q_NGH))
-    queues.append(QueueSpec(Q_MASK, ("stage", 0), ("stage", 1), 24, "masks"))
+    queues.append(QueueSpec(Q_MASK, ("stage", 0), ("stage", 1), label="masks"))
     return manual_program(NAME, function(), [stage0, stage1], queues, ras, shared={"next_size"})
 
 

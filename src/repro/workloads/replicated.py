@@ -138,9 +138,9 @@ def _update_skeleton(
 
 def _assemble(name, function, stages, has_payload, replicas):
     queues, ras = neighbor_chain((Q_RA1, Q_PAIRS, Q_NGH))
-    queues.append(QueueSpec(Q_UPD, ("stage", 1), ("stage", 2), 24, "distributed pairs"))
+    queues.append(QueueSpec(Q_UPD, ("stage", 1), ("stage", 2), label="distributed pairs"))
     if has_payload:
-        queues.append(QueueSpec(Q_PAY, ("stage", 0), ("stage", 1), 24, "payload"))
+        queues.append(QueueSpec(Q_PAY, ("stage", 0), ("stage", 1), label="payload"))
     return PipelineProgram(
         name,
         stages,

@@ -205,14 +205,14 @@ def manual_pipeline():
     stage1 = StageProgram(1, "merge", b.finish())
 
     queues = [
-        QueueSpec(QI_AC, ("stage", 0), ("ra", 0), 24, "a_crd bounds"),
-        QueueSpec(QI_AV, ("stage", 0), ("ra", 1), 24, "a_val bounds"),
-        QueueSpec(QI_BC, ("stage", 0), ("ra", 2), 24, "bt_crd bounds"),
-        QueueSpec(QI_BV, ("stage", 0), ("ra", 3), 24, "bt_val bounds"),
-        QueueSpec(QA_C, ("ra", 0), ("stage", 1), 24, "a crd"),
-        QueueSpec(QA_V, ("ra", 1), ("stage", 1), 24, "a val"),
-        QueueSpec(QB_C, ("ra", 2), ("stage", 1), 24, "b crd"),
-        QueueSpec(QB_V, ("ra", 3), ("stage", 1), 24, "b val"),
+        QueueSpec(QI_AC, ("stage", 0), ("ra", 0), label="a_crd bounds"),
+        QueueSpec(QI_AV, ("stage", 0), ("ra", 1), label="a_val bounds"),
+        QueueSpec(QI_BC, ("stage", 0), ("ra", 2), label="bt_crd bounds"),
+        QueueSpec(QI_BV, ("stage", 0), ("ra", 3), label="bt_val bounds"),
+        QueueSpec(QA_C, ("ra", 0), ("stage", 1), label="a crd"),
+        QueueSpec(QA_V, ("ra", 1), ("stage", 1), label="a val"),
+        QueueSpec(QB_C, ("ra", 2), ("stage", 1), label="b crd"),
+        QueueSpec(QB_V, ("ra", 3), ("stage", 1), label="b val"),
     ]
     ras = [
         RASpec(0, RA_SCAN, "@a_crd", QI_AC, QA_C),

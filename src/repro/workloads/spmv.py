@@ -117,11 +117,11 @@ def manual_pipeline():
     stage1 = StageProgram(1, "accumulate", b.finish())
 
     queues = [
-        QueueSpec(Q_C_IN, ("stage", 0), ("ra", 0), 24, "crd bounds"),
-        QueueSpec(Q_V_IN, ("stage", 0), ("ra", 2), 24, "val bounds"),
-        QueueSpec(Q_CRD, ("ra", 0), ("ra", 1), 24, "coords"),
-        QueueSpec(Q_XV, ("ra", 1), ("stage", 1), 24, "x gathers"),
-        QueueSpec(Q_VAL, ("ra", 2), ("stage", 1), 24, "values"),
+        QueueSpec(Q_C_IN, ("stage", 0), ("ra", 0), label="crd bounds"),
+        QueueSpec(Q_V_IN, ("stage", 0), ("ra", 2), label="val bounds"),
+        QueueSpec(Q_CRD, ("ra", 0), ("ra", 1), label="coords"),
+        QueueSpec(Q_XV, ("ra", 1), ("stage", 1), label="x gathers"),
+        QueueSpec(Q_VAL, ("ra", 2), ("stage", 1), label="values"),
     ]
     ras = [
         RASpec(0, RA_SCAN, "@crd", Q_C_IN, Q_CRD),

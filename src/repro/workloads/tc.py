@@ -184,11 +184,11 @@ def manual_pipeline():
     stage1 = StageProgram(1, "merge", b.finish())
 
     queues = [
-        QueueSpec(Q_A_IN, ("stage", 0), ("ra", 0), 24, "u-list bounds"),
-        QueueSpec(Q_B_IN, ("stage", 0), ("ra", 1), 24, "v-list bounds"),
-        QueueSpec(Q_A, ("ra", 0), ("stage", 1), 24, "u-list"),
-        QueueSpec(Q_B, ("ra", 1), ("stage", 1), 24, "v-list"),
-        QueueSpec(Q_U, ("stage", 0), ("stage", 1), 24, "pivot u"),
+        QueueSpec(Q_A_IN, ("stage", 0), ("ra", 0), label="u-list bounds"),
+        QueueSpec(Q_B_IN, ("stage", 0), ("ra", 1), label="v-list bounds"),
+        QueueSpec(Q_A, ("ra", 0), ("stage", 1), label="u-list"),
+        QueueSpec(Q_B, ("ra", 1), ("stage", 1), label="v-list"),
+        QueueSpec(Q_U, ("stage", 0), ("stage", 1), label="pivot u"),
     ]
     ras = [
         RASpec(0, RA_SCAN, "@edges", Q_A_IN, Q_A),

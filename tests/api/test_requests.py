@@ -28,7 +28,7 @@ ALL_REQUESTS = [
     RunRequest(bench="cc", size=120, seed=3),
     SearchRequest(bench="prd", prune_static=True),
     TraceRequest(bench="radii", trace_out="/tmp/t.json", profile_passes=True),
-    MetricsRequest(bench="spmm", jobs=2, quiet=True),
+    MetricsRequest(bench="spmm", quiet=True),
     BenchPerfRequest(benches=("bfs", "cc"), scale="quick", strict=True),
     ReportRequest(results_dir="/tmp/results", title="run 1", html_out="/tmp/r.html"),
 ]

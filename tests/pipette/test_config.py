@@ -1,5 +1,7 @@
 """Table III parity: the evaluation configuration matches the paper."""
 
+from repro.core.options import CompileOptions
+from repro.ir.program import QueueSpec
 from repro.pipette.config import PIPETTE_1CORE, PIPETTE_4CORE, SCALED_1CORE, MachineConfig
 
 
@@ -8,14 +10,15 @@ def test_core_parameters():
     assert cfg.cores == 1
     assert cfg.smt_threads == 4  # "scaled to four SMT threads"
     assert cfg.issue_width == 6  # "6-wide out-of-order issue"
-    assert cfg.freq_ghz == 3.5
 
 
 def test_pipette_parameters():
     cfg = PIPETTE_1CORE
     assert cfg.max_queues == 16  # "16 queues max"
     assert cfg.max_ras == 4  # "4 RAs"
-    assert cfg.queue_capacity == 24  # "queues up to 24 elements deep"
+    # "queues up to 24 elements deep": a queue's depth is its own capacity.
+    assert QueueSpec(0, ("stage", 0), ("stage", 1)).capacity == 24
+    assert CompileOptions().queue_capacity == 24
 
 
 def test_cache_hierarchy():
@@ -94,7 +97,7 @@ def test_sizes_below_one_are_rejected_at_construction():
 
     sizes = (
         "cores smt_threads issue_width rob_size mshrs ra_mshrs "
-        "queue_capacity dram_controllers dram_service"
+        "dram_controllers dram_service"
     )
     for name in sizes.split():
         for value in (0, -3):

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.pipette.config import MachineConfig
 from repro.pipette.energy import ENERGY_PJ, STATIC_PJ_PER_CYCLE, EnergyBreakdown, energy_of
 from repro.pipette.stats import SimStats, ThreadStats
 
@@ -20,30 +19,26 @@ def _stats(uops=100, wall=1000.0, dram=5):
 
 
 def test_energy_components_scale_with_events():
-    cfg = MachineConfig()
-    small = energy_of(_stats(uops=100), cfg)
-    big = energy_of(_stats(uops=1000), cfg)
+    small = energy_of(_stats(uops=100), 1)
+    big = energy_of(_stats(uops=1000), 1)
     assert big.core_dynamic > small.core_dynamic
     assert big.core_static == small.core_static  # same wall time
 
 
 def test_static_energy_scales_with_cores():
-    cfg = MachineConfig(cores=4)
-    one = energy_of(_stats(), cfg, active_cores=1)
-    four = energy_of(_stats(), cfg, active_cores=4)
+    one = energy_of(_stats(), 1)
+    four = energy_of(_stats(), 4)
     assert four.core_static == pytest.approx(4 * one.core_static)
 
 
 def test_dram_energy():
-    cfg = MachineConfig()
-    none = energy_of(_stats(dram=0), cfg)
-    some = energy_of(_stats(dram=10), cfg)
+    none = energy_of(_stats(dram=0), 1)
+    some = energy_of(_stats(dram=10), 1)
     assert some.dram - none.dram == pytest.approx(10 * ENERGY_PJ["dram"])
 
 
 def test_static_constant_used():
-    cfg = MachineConfig()
-    e = energy_of(_stats(wall=100.0), cfg, active_cores=1)
+    e = energy_of(_stats(wall=100.0), 1)
     assert e.core_static == pytest.approx(100.0 * STATIC_PJ_PER_CYCLE)
 
 

@@ -182,3 +182,37 @@ def test_deadlock_hint_without_static_finding_blames_configuration():
     hint = _static_deadlock_verdict([RunSpec(pipe, {}, {})])
     assert "no topology cycle or token imbalance" in hint
     assert "undersized queues" in hint
+    assert "QueueSpec.capacity" in hint
+
+
+@pytest.mark.parametrize("capacity", [0, -1])
+def test_compile_rejects_a_queue_below_one_entry(capacity):
+    """A 0-deep queue used to compile and then deadlock at run time; the
+    compile's final verify now names it."""
+    from repro.core.compiler import compile_function
+    from repro.core.options import CompileOptions
+    from repro.errors import IRVerificationError
+    from repro.workloads import bfs
+
+    with pytest.raises(IRVerificationError, match=r"queue \d+ has capacity %d\b" % capacity):
+        compile_function(bfs.function(), options=CompileOptions(queue_capacity=capacity))
+
+
+@pytest.mark.parametrize("capacity", [0, -1])
+def test_run_rejects_a_hand_built_queue_below_one_entry(capacity):
+    from repro.errors import IRVerificationError
+
+    b0 = ir.IRBuilder()
+    b0.enq(0, 1)
+    b1 = ir.IRBuilder()
+    b1.deq(0)
+    pipe = ir.PipelineProgram(
+        "shallow",
+        [ir.StageProgram(0, "p", b0.finish()), ir.StageProgram(1, "c", b1.finish())],
+        [ir.QueueSpec(0, ("stage", 0), ("stage", 1), capacity, "tokens")],
+        [],
+        {},
+        [],
+    )
+    with pytest.raises(IRVerificationError, match=r"queue 0 \(tokens\) has capacity %d\b" % capacity):
+        Machine(MachineConfig()).run(RunSpec(pipe, {}, {}))

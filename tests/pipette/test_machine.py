@@ -80,7 +80,7 @@ def test_energy_components():
     pipe = _counted_pipe(2)
     cfg = MachineConfig()
     res = Machine(cfg).run(RunSpec(pipe, {"out": [0]}, {}))
-    energy = energy_of(res.stats, cfg, active_cores=1)
+    energy = energy_of(res.stats, 1)
     d = energy.as_dict()
     assert d["core_dynamic"] > 0
     assert d["core_static"] > 0

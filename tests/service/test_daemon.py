@@ -551,6 +551,19 @@ def test_non_string_verb_or_client_is_a_bad_request(tmp_path, no_loop_errors, en
     assert stats["verbs"] == {}
 
 
+def test_unknown_verbs_do_not_grow_the_verb_table(tmp_path, no_loop_errors):
+    # Any client may send any verb string: only known verbs get a counter.
+    with serving(tmp_path) as client, _raw(client) as (raw, lines):
+        for i in range(50):
+            envelope = {"verb": "bogus-%d" % i, "schema": "repro.api/request", "version": 1,
+                        "payload": {}}
+            raw.sendall(protocol.encode(envelope))
+            assert _reply(lines)["payload"]["payload"]["error"]["code"] == "unsupported-verb"
+        stats = client.server_stats()
+    assert stats["verbs"] == {}
+    assert stats["counts"]["failed"] == 50
+
+
 def test_one_client_is_one_connection(tmp_path, cold_store, no_loop_errors):
     request = api.CompileRequest(source=KERNEL, fmt="summary")
     expected = api.handle(request).output

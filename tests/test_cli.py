@@ -462,13 +462,13 @@ class TestApiLayer:
             "metrics": [
                 (
                     ["metrics", "radii", "--size", "300", "--seed", "7", "--stages", "2",
-                     "--jobs", "2", "--metrics-out", "m.jsonl", "--profile-passes", "--quiet"],
-                    {"bench": "radii", "size": 300, "seed": 7, "stages": 2, "jobs": 2,
+                     "--metrics-out", "m.jsonl", "--profile-passes", "--quiet"],
+                    {"bench": "radii", "size": 300, "seed": 7, "stages": 2,
                      "metrics_out": "m.jsonl", "profile_passes": True, "quiet": True},
                 ),
                 (
                     ["metrics", "bfs"],
-                    dict(synthetic, jobs=None, metrics_out=None, profile_passes=False,
+                    dict(synthetic, metrics_out=None, profile_passes=False,
                          quiet=False),
                 ),
             ],
