@@ -204,13 +204,11 @@ class PerfReport:
         pipeline: Any,
         stages: list[StageEstimate],
         edges: list[EdgeEstimate],
-        issue_width: float,
     ) -> None:
         self.pipeline = pipeline
         self.pipeline_name = str(pipeline.name)
         self.stages = stages
         self.edges = edges
-        self.issue_width = issue_width
         total = sum(s.work for s in stages) or 1.0
         peak = max((s.work for s in stages), default=0.0)
         for s in stages:
@@ -274,7 +272,7 @@ class PerfReport:
             )
         lines.append(
             "throughput %.4f /cycle (rel), issue demand %.1f/%g"
-            % (self.throughput, self.issue_demand, self.issue_width)
+            % (self.throughput, self.issue_demand, ISSUE_WIDTH)
         )
         return "\n".join(lines)
 
@@ -357,12 +355,12 @@ class PerfReport:
     def _advise_issue(self, diags: DiagnosticSet) -> None:
         if len(self.stages) < 2:
             return
-        if self.issue_demand > self.issue_width:
+        if self.issue_demand > ISSUE_WIDTH:
             diags.add(
                 "PHL405",
                 "co-resident stage threads demand %.1f issue slots/cycle of a "
                 "%g-wide core: stages will starve for issue credits"
-                % (self.issue_demand, self.issue_width),
+                % (self.issue_demand, ISSUE_WIDTH),
                 where="pipeline %s" % self.pipeline_name,
                 severity=WARNING,
             )
@@ -547,7 +545,7 @@ def analyze_pipeline(pipeline: Any) -> PerfReport:
             )
         )
 
-    return PerfReport(pipeline, estimates, edges, ISSUE_WIDTH)
+    return PerfReport(pipeline, estimates, edges)
 
 
 def perf_advisories(pipeline: Any, diags: Optional[DiagnosticSet] = None) -> DiagnosticSet:

@@ -252,7 +252,7 @@ def _run_figures(req):
 
     jobs = parallel.resolve_jobs(req.jobs)
     parallel.clear_job_log()
-    cache_before = cache.stats_snapshot()
+    cache_before = cache.stats()
     start = time.perf_counter()
     collected = experiments.collect_figures(names, jobs=jobs)
     for name in names:
@@ -293,7 +293,7 @@ def _run_trace(req):
     function = adapter.function()
     options = CompileOptions(num_stages=req.stages)
 
-    cache_before = cache.stats_snapshot()
+    cache_before = cache.stats()
     profiler = obs.PassProfiler() if req.profile_passes else None
     if profiler is not None:
         pipeline = compile_function(function, options=options, profiler=profiler)
@@ -345,7 +345,7 @@ def _run_metrics(req):
     adapter = adapter_for(req.bench)
     item = _demo_input(req.bench, req.size, req.seed)
     options = CompileOptions(num_stages=req.stages)
-    cache_before = cache.stats_snapshot()
+    cache_before = cache.stats()
     suite = run_suite(
         adapter,
         [item],
@@ -431,7 +431,7 @@ def handle(request):
     run = _RUNNERS.get(request.VERB)
     if run is None:
         raise requests.ApiError("no handler for verb %r" % (request.VERB,))
-    before = cache.stats_snapshot()
+    before = cache.stats()
     old_quiet = get_quiet()
     buffer = io.StringIO()
     try:

@@ -23,6 +23,7 @@ from ..core.autotune import speedup_distribution
 from ..core.compiler import ALL_PASSES, CompileOptions
 from ..core.replicate import replicate_pipeline
 from ..frontend.lowering import compile_source
+from ..ir.program import QUEUE_DEPTH
 from ..obs.record import gmean_speedups, merge_records, normalized, record_of
 from ..pipette.config import SCALED_1CORE, SCALED_4CORE
 from ..runtime.executor import run_replicated
@@ -411,8 +412,9 @@ def abl_records(config=SCALED_1CORE):
 
     Uses the fully-optimized BFS pipeline on the freescale input and
     records speedup over serial as one parameter varies at a time (the
-    record's ``sweep``): queue depth (24 in the paper), RA parallelism, the
-    prefetcher, and spatial (cross-core) vs SMT stage placement.
+    record's ``sweep``): queue depth (the paper's is
+    :data:`~repro.ir.program.QUEUE_DEPTH`), RA parallelism, the prefetcher,
+    and spatial (cross-core) vs SMT stage placement.
     """
     input_name = "freescale" if not QUICK else "coauthors"
     graph = datasets.graph_by_name(input_name).build()
@@ -428,7 +430,7 @@ def abl_records(config=SCALED_1CORE):
             record_of("bfs", label, input_name, run, True, base.cycles, extra={"sweep": sweep})
         )
 
-    for depth in (2, 4, 8, 24, 64):
+    for depth in (2, 4, 8, QUEUE_DEPTH, 64):
         pipeline = cache.cached_compile(
             function, CompileOptions(num_stages=4, passes=ALL_PASSES, queue_capacity=depth)
         )

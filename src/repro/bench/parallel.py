@@ -102,9 +102,9 @@ def _pool_init():
 
 
 def _pool_run(index):
-    before = cache.stats_snapshot()
+    before = cache.stats()
     result = _run_one(_POOL_JOBS[index])
-    return result, cache.stats_delta(before)
+    return result, cache.stats_since(before)
 
 
 #: Results of every top-level job since the last :func:`clear_job_log`

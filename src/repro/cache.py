@@ -271,19 +271,13 @@ def lookup_only():
     * never waits on :func:`_key_lock` (a computing process may hold it for
       seconds): the disk entry is read unlocked, which is safe because
       :func:`_store` writes then renames;
-    * never books a miss, and un-books the hits of a call sequence that ends
-      in :class:`Miss` — the process that then serves the request books all
-      of it, so a request still counts once;
+    * never books a miss;
     * never answers a ``verify_each`` call, which always compiles, or a
       run whose program carries intrinsics, which always simulates.
     """
     token = _lookup_only.set(True)
-    before = stats_snapshot()
     try:
         yield
-    except Miss:
-        merge_stats({counter: -count for counter, count in stats_delta(before).items()})
-        raise
     finally:
         _lookup_only.reset(token)
 
@@ -356,42 +350,32 @@ def reset(memory=True, stats=True):
 # Statistics (merged across pool workers by repro.bench.parallel)
 
 
-def stats_snapshot():
-    """Flat ``{(layer, kind): count}`` copy of the hit/miss counters."""
-    return {
-        (layer, kind): _stats[layer][kind] for layer in LAYERS for kind in ("hits", "misses")
-    }
+def stats():
+    """``{layer: {"hits": n, "misses": n}}`` copy of the counters."""
+    return {layer: dict(_stats[layer]) for layer in LAYERS}
 
 
-def stats_delta(before):
-    """Counter increments since a :func:`stats_snapshot`."""
-    now = stats_snapshot()
-    return {key: now[key] - before.get(key, 0) for key in now}
-
-
-def merge_stats(delta):
-    """Fold a worker's :func:`stats_delta` into this process's counters."""
-    for (layer, kind), count in delta.items():
-        _stats[layer][kind] += count
-
-
-def stats_since(snapshot):
-    """``{layer: {"hits": n, "misses": n}}`` increments since a snapshot.
+def stats_since(before):
+    """``{layer: {"hits": n, "misses": n}}`` increments since ``before``, a
+    :func:`stats` copy.
 
     The per-request cache view of the API layer: a one-shot CLI process
     reports the same numbers as before (nothing precedes the request), a
     long-lived service worker reports just this request's traffic — which
     is how a client sees its warm submission hit the shared cache.
     """
-    delta = stats_delta(snapshot)
     return {
-        layer: {kind: delta[(layer, kind)] for kind in ("hits", "misses")} for layer in LAYERS
+        layer: {kind: count - before[layer][kind] for kind, count in _stats[layer].items()}
+        for layer in LAYERS
     }
 
 
-def stats():
-    """``{layer: {"hits": n, "misses": n}}`` view of the counters."""
-    return {layer: dict(_stats[layer]) for layer in LAYERS}
+def merge_stats(delta):
+    """Fold a pool worker's :func:`stats_since` delta into this process's
+    counters."""
+    for layer, counts in delta.items():
+        for kind, count in counts.items():
+            _stats[layer][kind] += count
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ module, so picking an engine imports no engine.
 """
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from ..errors import ResourceError
 from ..ir.program import MAX_QUEUES, MAX_RAS
@@ -115,14 +115,6 @@ class MachineConfig:
         # The issue ledger counts a cycle's issued micro-ops in one byte.
         if self.issue_width > 255:
             raise ResourceError("issue_width above 255 in MachineConfig: %d" % self.issue_width)
-
-    def with_cores(self, cores):
-        """A copy of this config scaled to ``cores`` cores (Fig. 14 setup)."""
-        return replace(self, cores=cores)
-
-    @property
-    def total_threads(self):
-        return self.cores * self.smt_threads
 
     @property
     def l3(self):

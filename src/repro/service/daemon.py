@@ -28,7 +28,6 @@ import asyncio
 import contextlib
 import os
 import signal
-import time
 
 from .. import cache
 from ..api.requests import REQUEST_TYPES, error_response
@@ -36,8 +35,8 @@ from ..errors import PhloemError
 from ..obs import log
 from . import protocol
 from .pool import RequestPool, execute_wire
-from .ratelimit import ClientGovernor
-from .telemetry import ServiceTelemetry, render_prometheus
+from .ratelimit import QUOTA_EXCEEDED, RATE_LIMITED, ClientGovernor
+from .telemetry import OUTCOMES, ServiceTelemetry, render_prometheus
 
 #: Exit code stamped on rejected (rate-limited / over-quota) requests;
 #: EX_TEMPFAIL — the client may retry later.
@@ -96,7 +95,7 @@ class _IdleTimer:
 
 
 class Daemon:
-    """One serving instance: listener + governor + worker pool + counters.
+    """One serving instance: listener + governor + worker pool + telemetry.
 
     Construct it *before* any event loop runs (the fork pool must fork a
     quiet process), then drive :meth:`serve` with ``asyncio.run``.
@@ -119,9 +118,6 @@ class Daemon:
         self.port = port
         self.pool = RequestPool(workers)
         self.governor = ClientGovernor(rate=rate, burst=burst, quota=quota)
-        self.started = time.time()
-        self.counts = {"requests": 0, "completed": 0, "failed": 0, "rejected": 0}
-        self.verbs = {}
         self.telemetry = ServiceTelemetry()
         self._server = None
         self._shutdown = None
@@ -172,8 +168,9 @@ class Daemon:
             if self.socket_path is not None:
                 with contextlib.suppress(OSError):
                     os.unlink(self.socket_path)
+            counts = self.stats()["counts"]
             log("serve: stopped (%d requests, %d rejected)",
-                self.counts["requests"], self.counts["rejected"])
+                counts["requests"], counts["rejected"])
 
     def stop(self):
         """Request shutdown (idempotent; safe from the event loop only)."""
@@ -253,23 +250,20 @@ class Daemon:
     async def _on_request(self, wire, writer):
         verb = wire.get("verb")
         client = wire.get("client") or "anon"
-        self.counts["requests"] += 1
         if not isinstance(verb, str) or not isinstance(client, str):
-            self.counts["failed"] += 1
+            self.telemetry.unrouted_request()
             field = "verb" if not isinstance(verb, str) else "client"
             message = "request %s must be a string, got %r" % (field, wire.get(field))
             await self._send(writer, _refusal(None, "bad-request", message))
             return
         if verb not in REQUEST_TYPES:
+            self.telemetry.unrouted_request()
             await self._send(
                 writer, _refusal(verb, "unsupported-verb", "no handler for verb %r" % (verb,))
             )
-            self.counts["failed"] += 1
             return
-        self.verbs[verb] = self.verbs.get(verb, 0) + 1
         admitted, code = self.governor.admit(client)
         if not admitted:
-            self.counts["rejected"] += 1
             self.telemetry.rejected(verb, code)
             await self._send(
                 writer,
@@ -300,10 +294,6 @@ class Daemon:
             self.telemetry.cache_delta(payload.get("cache"))
             failed = payload.get("error") is not None
             await self._send(writer, protocol.response_message(response_wire))
-            if failed:
-                self.counts["failed"] += 1
-            else:
-                self.counts["completed"] += 1
         finally:
             self.governor.release(client)
             self.telemetry.finish(verb, started, failed=failed, path=path)
@@ -316,8 +306,10 @@ class Daemon:
         Runs in the event loop, so it must not block: ``cache.lookup_only()``
         is what guarantees no compile and no wait on a key lock a worker
         holds. What it costs the loop is a dict lookup (or one unpickle) and
-        the rendering — less than the hand-off to a worker it replaces. The
-        lookups are booked in this process's counters directly.
+        the rendering — less than the hand-off to a worker it replaces. A hit
+        is counted by the cache delta its response carries, like any other;
+        the hits before a :class:`~repro.cache.Miss` are in no response, as
+        the worker that then serves the request looks them up again.
         """
         try:
             with cache.lookup_only():
@@ -334,22 +326,40 @@ class Daemon:
     def stats(self):
         """Plain-data daemon stats (the ``stats`` control reply).
 
-        ``governor`` includes per-client token-bucket state, ``telemetry``
-        the full :mod:`repro.service.telemetry` snapshot (per-verb
-        counters, latency histograms, cache-delta aggregates) — save it to
-        a JSON file and ``repro report`` renders it like any offline
-        experiment artifact.
+        ``telemetry`` is the full :mod:`repro.service.telemetry` snapshot
+        (per-verb counters, latency histograms, cache-delta aggregates) —
+        save it to a JSON file and ``repro report`` renders it like any
+        offline experiment artifact. ``counts``, ``verbs``, ``uptime_s``,
+        ``cache`` and ``governor.rejected`` are views of it; ``governor``
+        adds the per-client token-bucket state.
         """
+        telemetry = self.telemetry.snapshot()
+        rows = telemetry["verbs"]
+        unrouted = telemetry["unrouted"]
+        outcomes = {o: sum(row["outcomes"][o] for row in rows.values()) for o in OUTCOMES}
+        governor = self.governor.snapshot()
+        governor["rejected"] = {
+            code: telemetry["rejections"].get(code, 0) for code in (RATE_LIMITED, QUOTA_EXCEEDED)
+        }
+        totals = telemetry["cache"]
         return {
             "ok": True,
-            "uptime_s": round(time.time() - self.started, 3),
-            "counts": dict(self.counts),
-            "verbs": dict(self.verbs),
-            "governor": self.governor.snapshot(),
-            "cache": cache.stats(),
+            "uptime_s": telemetry["uptime_s"],
+            "counts": {
+                "requests": sum(row["requests"] for row in rows.values()) + unrouted,
+                "completed": outcomes["completed"],
+                "failed": outcomes["failed"] + unrouted,
+                "rejected": outcomes["rejected"],
+            },
+            "verbs": {verb: row["requests"] for verb, row in rows.items()},
+            "governor": governor,
+            "cache": {
+                layer: {kind: totals.get(layer, {}).get(kind, 0) for kind in ("hits", "misses")}
+                for layer in cache.LAYERS
+            },
             "workers": self.pool.workers,
             "inline": self.pool.inline,
-            "telemetry": self.telemetry.snapshot(),
+            "telemetry": telemetry,
         }
 
 

@@ -4,9 +4,9 @@ Reuses the :mod:`repro.bench.parallel` fork-pool machinery and contracts:
 workers are forked once at daemon startup (before the event loop runs),
 mark themselves with the same worker flag — so any nested
 :func:`repro.bench.parallel.run_jobs` inside a request degrades to the
-serial path instead of spawning a pool inside a pool — and ship their
-:mod:`repro.cache` hit/miss delta back with every result so the parent's
-counters reflect the whole fleet, exactly as the figures harness does.
+serial path instead of spawning a pool inside a pool. Every response
+carries its request's :mod:`repro.cache` hit/miss delta
+(``Response.cache``), which is how the daemon counts a worker's lookups.
 
 Workers are long-lived: their in-process memo layers stay warm across
 requests, and all of them share the on-disk content-addressed store, so
@@ -83,14 +83,17 @@ def execute_wire(wire):
 
     A wire object the decoder rejects is a ``bad-request`` (exit 2, like an
     argparse error); toolchain failures and anything else become structured
-    error responses too — a worker never takes the daemon down with it. The
-    one exception that leaves is :class:`repro.cache.Miss`: under
-    ``cache.lookup_only()`` (the daemon's event loop) it means "not
+    error responses too — a worker never takes the daemon down with it, and
+    an error response carries the cache delta of the lookups made before
+    the failure, as :func:`~repro.api.handlers.handle` stamps every response
+    it returns. The one exception that leaves is :class:`repro.cache.Miss`:
+    under ``cache.lookup_only()`` (the daemon's event loop) it means "not
     answerable from the memo, run it on a worker", not a failure.
     """
     verb = wire.get("verb") if isinstance(wire, dict) else None
+    before = cache.stats()
     try:
-        response = handle(Request.from_wire(wire))
+        return handle(Request.from_wire(wire)).to_wire()
     except cache.Miss:
         raise
     except ApiError as exc:  # a PhloemError too, so this arm comes first
@@ -101,14 +104,7 @@ def execute_wire(wire):
         response = error_response(
             verb, "internal-error", "%s: %s" % (type(exc).__name__, exc), exit_code=1
         )
-    return response.to_wire()
-
-
-def _execute_in_worker(wire):
-    """The fork pool's target (module level: it must pickle):
-    ``(response_wire, this worker's cache delta over the request)``."""
-    before = cache.stats_snapshot()
-    return execute_wire(wire), cache.stats_delta(before)
+    return response.replace(cache=cache.stats_since(before)).to_wire()
 
 
 class RequestPool:
@@ -116,10 +112,7 @@ class RequestPool:
 
     :meth:`submit` bridges ``apply_async`` into the caller's asyncio loop:
     it returns a future resolved from the pool's result thread via
-    ``call_soon_threadsafe``. Each worker's cache delta is folded into this
-    process's counters as its result arrives (fleet-wide stats), mirroring
-    :func:`repro.bench.parallel.run_jobs`; the inline executor's lookups
-    were booked here in the first place and are not folded in again.
+    ``call_soon_threadsafe``.
     """
 
     def __init__(self, workers=2):
@@ -149,9 +142,7 @@ class RequestPool:
         def failed(exc):
             loop.call_soon_threadsafe(_reject, future, exc)
 
-        self._pool.apply_async(
-            _execute_in_worker, (wire,), callback=done, error_callback=failed
-        )
+        self._pool.apply_async(execute_wire, (wire,), callback=done, error_callback=failed)
         return future
 
     def close(self):
@@ -162,9 +153,7 @@ class RequestPool:
             self._pool = None
 
 
-def _resolve(future, result):
-    response_wire, delta = result
-    cache.merge_stats(delta)
+def _resolve(future, response_wire):
     if not future.cancelled():
         future.set_result(response_wire)
 

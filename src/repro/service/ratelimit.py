@@ -67,7 +67,9 @@ class ClientGovernor:
 
     :meth:`admit` consumes one token and claims one in-flight slot for the
     client; every admitted request must be paired with one
-    :meth:`release`. ``quota <= 0`` disables the in-flight bound.
+    :meth:`release`. ``quota <= 0`` disables the in-flight bound. The
+    governor only decides admission: the daemon's telemetry counts what it
+    refused.
     """
 
     def __init__(self, rate=10.0, burst=20.0, quota=4, clock=time.monotonic):
@@ -77,18 +79,15 @@ class ClientGovernor:
         self.clock = clock
         self._buckets = {}
         self._in_flight = {}
-        self._rejected = {RATE_LIMITED: 0, QUOTA_EXCEEDED: 0}
 
     def admit(self, client):
         """``(True, None)`` or ``(False, code)`` for one request from ``client``."""
         if self.quota > 0 and self._in_flight.get(client, 0) >= self.quota:
-            self._rejected[QUOTA_EXCEEDED] += 1
             return False, QUOTA_EXCEEDED
         bucket = self._buckets.get(client)
         if bucket is None:
             bucket = self._buckets[client] = TokenBucket(self.rate, self.burst, clock=self.clock)
         if not bucket.try_acquire():
-            self._rejected[RATE_LIMITED] += 1
             return False, RATE_LIMITED
         self._in_flight[client] = self._in_flight.get(client, 0) + 1
         return True, None
@@ -102,7 +101,7 @@ class ClientGovernor:
             self._in_flight[client] = count - 1
 
     def snapshot(self):
-        """Plain-data stats: known clients, in-flight counts, rejections.
+        """Plain-data state: known clients, in-flight counts, limits.
 
         ``buckets`` exposes each client's live token-bucket state (level
         after refill, against the shared rate/burst), so an operator can
@@ -112,7 +111,6 @@ class ClientGovernor:
         return {
             "clients": sorted(self._buckets),
             "in_flight": dict(self._in_flight),
-            "rejected": dict(self._rejected),
             "buckets": {
                 client: {
                     "level": round(bucket.peek(), 3),

@@ -1,12 +1,13 @@
-"""Live daemon telemetry: per-verb counters and latency distributions.
+"""Live daemon telemetry: the one ledger of what the daemon serves.
 
-The daemon's original ``stats`` reply was a handful of aggregate counters —
-enough to see *that* traffic happened, not *what it cost*. This module is
-the disaggregated view: per-verb request/outcome counters, which path
-answered each admitted request (the event loop or a pool worker), request
-latency histograms, in-flight and rejection gauges, connection counters,
-and cache-effectiveness aggregates, all recorded in the daemon's request path and exported three
-ways that must agree:
+Per-verb request/outcome counters, the requests refused before a verb was
+known, which path answered each admitted request (the event loop or a pool
+worker), request latency histograms, in-flight and rejection gauges,
+connection counters, and the cache deltas the responses carry, all recorded
+in the daemon's request path. Nothing else counts requests: the ``stats``
+reply's ``counts``, ``verbs``, ``uptime_s``, ``cache`` and
+``governor.rejected`` are views of this snapshot. It is exported three ways
+that must agree:
 
 * the extended ``stats`` control reply (``"telemetry"`` key) and the
   dedicated ``telemetry`` control action, as a plain-data snapshot
@@ -145,6 +146,7 @@ class ServiceTelemetry:
         self.clock = clock
         self.started = clock()
         self.verbs = {}
+        self.unrouted = 0
         self.in_flight = 0
         self.in_flight_peak = 0
         self.rejections = {}
@@ -177,6 +179,11 @@ class ServiceTelemetry:
         stats.paths[path] += 1
         stats.latency.observe(self.clock() - started)
         self.in_flight = max(0, self.in_flight - 1)
+
+    def unrouted_request(self):
+        """A request refused before a verb was known: a verb or client that is
+        not a string, or a verb no handler serves."""
+        self.unrouted += 1
 
     def connection_opened(self):
         """A client connected (it may send any number of requests)."""
@@ -227,6 +234,7 @@ class ServiceTelemetry:
             "schema": TELEMETRY_SCHEMA,
             "version": TELEMETRY_VERSION,
             "uptime_s": round(self.clock() - self.started, 3),
+            "unrouted": self.unrouted,
             "in_flight": self.in_flight,
             "in_flight_peak": self.in_flight_peak,
             "rejections": dict(sorted(self.rejections.items())),
@@ -320,6 +328,10 @@ def render_prometheus(snapshot, prefix="repro"):
     for code in sorted(snapshot.get("rejections", {})):
         samples.append(("", (("code", code),), snapshot["rejections"][code]))
     metric("rejected_total", "counter", "Admission rejections by error code.", samples)
+    metric(
+        "unrouted_requests_total", "counter", "Requests refused before a verb was known.",
+        [("", (), snapshot.get("unrouted", 0))],
+    )
 
     samples = []
     for verb in sorted(snapshot.get("verbs", {})):

@@ -126,7 +126,7 @@ def test_bottleneck_tiebreak_prefers_earlier_stage():
         StageEstimate(1, "b", 1.0, 50.0, 10.0),
         StageEstimate(2, "c", 1.0, 10.0, 2.0),
     ]
-    report = PerfReport(pipeline, stages, [], issue_width=6.0)
+    report = PerfReport(pipeline, stages, [])
     assert report.bottleneck_index == 0
 
 
@@ -180,7 +180,7 @@ def test_phl405_fires_on_issue_starvation():
         StageEstimate(0, "a", 1.0, 10.0, 40.0),
         StageEstimate(1, "b", 1.0, 10.0, 40.0),
     ]
-    report = PerfReport(pipeline, stages, [], issue_width=6.0)
+    report = PerfReport(pipeline, stages, [])
     assert report.issue_demand == pytest.approx(8.0)
     assert "PHL405" in [d.code for d in report.advisories()]
 

@@ -36,18 +36,11 @@ def test_cache_hierarchy():
 
 def test_l3_scales_with_cores():
     assert PIPETTE_4CORE.l3.size == 4 * PIPETTE_1CORE.l3.size
-    assert PIPETTE_4CORE.total_threads == 16
 
 
 def test_cache_sets():
     cfg = PIPETTE_1CORE
     assert cfg.l1.sets == 32 * 1024 // (64 * 8)
-
-
-def test_with_cores():
-    scaled = PIPETTE_1CORE.with_cores(4)
-    assert scaled.cores == 4
-    assert scaled.l1.size == PIPETTE_1CORE.l1.size
 
 
 def test_op_latency_defaults():

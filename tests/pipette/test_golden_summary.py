@@ -21,6 +21,7 @@ with the one command::
 and the diff of ``golden_summary.json`` shows which cases moved.
 """
 
+import dataclasses
 import functools
 import hashlib
 import json
@@ -52,7 +53,7 @@ CONFIG = MachineConfig(
     l2=CacheConfig(16 * 1024, 8, 12),
     l3_per_core=CacheConfig(64 * 1024, 16, 40),
 )
-CONFIG_2CORE = CONFIG.with_cores(2)
+CONFIG_2CORE = dataclasses.replace(CONFIG, cores=2)
 
 REPLICAS = 2
 

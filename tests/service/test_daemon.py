@@ -564,6 +564,78 @@ def test_unknown_verbs_do_not_grow_the_verb_table(tmp_path, no_loop_errors):
     assert stats["counts"]["failed"] == 50
 
 
+def _finished(daemon, verb):
+    """Requests of ``verb`` the daemon has answered or failed so far."""
+    row = daemon.telemetry.verbs.get(verb)
+    return 0 if row is None else row.outcomes["completed"] + row.outcomes["failed"]
+
+
+@pytest.mark.parametrize("workers", [0, pytest.param(1, marks=needs_fork)])
+def test_stats_count_each_request_once(tmp_path, cold_store, no_loop_errors, workers):
+    emit = api.CompileRequest(source=KERNEL, fmt="summary")
+    report = api.ReportRequest(results_dir=str(tmp_path), quiet=True)
+    with serving(tmp_path, workers=workers, rate=1e-9, burst=3.0) as client:
+        pool_submit = client.daemon.pool.submit
+
+        def submit(wire, loop):
+            if wire["verb"] != "report":
+                return pool_submit(wire, loop)
+            # Answered well after its client has gone.
+            future = loop.create_future()
+            loop.call_later(0.3, future.set_result, execute_wire(wire))
+            return future
+
+        client.daemon.pool.submit = submit
+        assert client.submit(emit).ok  # cold: the pool compiles
+        assert client.submit(emit).ok  # warm: answered in the loop
+        assert not client.submit(emit.replace(source="int broken(")).ok
+        assert client.submit(emit).exit_code == REJECTED_EXIT_CODE  # the burst is spent
+        envelope = {"verb": "frobnicate", "schema": "repro.api/request", "version": 1,
+                    "payload": {}}
+        assert client.submit(_Wire(envelope)).error["code"] == "unsupported-verb"
+        with _raw(client) as (raw, lines):
+            raw.sendall(protocol.encode(dict(envelope, verb=["x"])))
+            assert _reply(lines)["payload"]["payload"]["error"]["code"] == "bad-request"
+        with _raw(client) as (raw, _lines):
+            raw.sendall(protocol.encode(protocol.request_envelope(report)))
+        deadline = time.monotonic() + 10
+        while _finished(client.daemon, "report") < 1:
+            assert time.monotonic() < deadline, "the report never finished"
+            time.sleep(0.01)
+        stats = client.server_stats()
+    telemetry = stats["telemetry"]
+    assert stats["counts"] == {"requests": 7, "completed": 3, "failed": 3, "rejected": 1}
+    assert stats["verbs"] == {"emit": 4, "report": 1}
+    assert stats["governor"]["rejected"] == {RATE_LIMITED: 1, QUOTA_EXCEEDED: 0}
+    assert stats["cache"] == {
+        "pipeline": {"hits": 1, "misses": 1},
+        "baseline": {"hits": 0, "misses": 0},
+        "search": {"hits": 0, "misses": 0},
+    }
+    assert stats["uptime_s"] == telemetry["uptime_s"] >= 0
+    assert telemetry["unrouted"] == 2
+    assert telemetry["verbs"]["emit"]["paths"] == {"loop": 1, "pool": 2}
+    assert telemetry["verbs"]["report"]["outcomes"] == {"completed": 1, "failed": 0, "rejected": 0}
+
+
+def test_error_response_carries_the_lookups_before_the_error(tmp_path, cold_store, monkeypatch):
+    from repro.core import compiler
+    from repro.errors import PhloemError
+
+    def fail(*args, **kwargs):
+        raise PhloemError("forced failure")
+
+    # The source key misses, the parse runs, the IR key books its miss, and
+    # only then does the compile fail.
+    monkeypatch.setattr(compiler, "compile_function", fail)
+    with serving(tmp_path) as client:
+        response = client.submit(api.CompileRequest(source=KERNEL, fmt="summary"))
+        stats = client.server_stats()
+    assert (response.exit_code, response.error["code"]) == (1, "toolchain-error")
+    assert response.cache["pipeline"] == {"hits": 0, "misses": 1}
+    assert stats["cache"]["pipeline"] == {"hits": 0, "misses": 1}
+
+
 def test_one_client_is_one_connection(tmp_path, cold_store, no_loop_errors):
     request = api.CompileRequest(source=KERNEL, fmt="summary")
     expected = api.handle(request).output

@@ -46,7 +46,6 @@ def test_governor_rate_limits_third_request():
     assert governor.admit("alice") == (False, RATE_LIMITED)
     # Budgets are per client: bob is unaffected by alice's burn.
     assert governor.admit("bob") == (True, None)
-    assert governor.snapshot()["rejected"][RATE_LIMITED] == 1
 
 
 def test_governor_quota_bounds_in_flight():

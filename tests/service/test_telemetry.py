@@ -118,6 +118,20 @@ class TestServiceTelemetry:
         # Rejected requests never open a latency window.
         assert snapshot["verbs"]["demo"]["latency"]["count"] == 0
 
+    def test_unrouted_requests_are_counted_apart_from_verbs(self):
+        telemetry = ServiceTelemetry(clock=FakeClock())
+        telemetry.unrouted_request()
+        telemetry.unrouted_request()
+        snapshot = telemetry.snapshot()
+        assert snapshot["unrouted"] == 2
+        assert snapshot["verbs"] == {}
+        samples = parse_prometheus(render_prometheus(snapshot))
+        assert samples[("repro_unrouted_requests_total", ())] == 2
+        # A snapshot saved before the key existed still renders.
+        del snapshot["unrouted"]
+        samples = parse_prometheus(render_prometheus(snapshot))
+        assert samples[("repro_unrouted_requests_total", ())] == 0
+
     def test_in_flight_peak_is_high_water_mark(self):
         clock = FakeClock()
         telemetry = ServiceTelemetry(clock=clock)
