@@ -18,7 +18,7 @@ import collections
 import os
 
 from .. import cache
-from ..core.autotune import SearchPoint, gmean, search_pipelines
+from ..core.autotune import SEARCH_LIMIT, SEARCH_TOP_K, SearchPoint, gmean, search_pipelines
 from ..core.compiler import ALL_PASSES, CompileOptions
 from ..errors import PhloemError
 from ..ir.serialize import fingerprint
@@ -106,8 +106,8 @@ def log_engine_fallbacks(label, fallbacks):
 
 
 def profile_guided_pipeline(
-    function, env, train_inputs, config=SCALED_1CORE, max_stages=4, top_k=5, limit=40,
-    passes=ALL_PASSES, recorder=None, prune_static=False,
+    function, env, train_inputs, config=SCALED_1CORE, max_stages=4, top_k=SEARCH_TOP_K,
+    limit=SEARCH_LIMIT, passes=ALL_PASSES, prune_static=False,
 ):
     """Run the paper's profile-guided search; returns (best, all results).
 
@@ -125,11 +125,6 @@ def profile_guided_pipeline(
     candidates are dropped before any training simulation. It joins the
     search-cache key — a pruned and an exhaustive search score different
     candidate sets, so they must not share cache entries.
-
-    ``recorder`` (a :class:`repro.obs.SearchRecorder`) observes the search.
-    On a warm cache hit the scored candidates and verdict are replayed from
-    the cached payload (failed and pruned candidates are not cached, so
-    the replay shows scores only).
     """
     baselines = {}
     envs = {}
@@ -144,11 +139,8 @@ def profile_guided_pipeline(
         sorted(env_prints),
         cache.fingerprint_config(config),
         {"max_stages": max_stages, "top_k": top_k, "limit": limit, "passes": list(passes)},
+        {"prune_static": prune_static},
     )
-    if prune_static:
-        # Joins the key only when enabled so pre-existing exhaustive-search
-        # cache entries keep their keys.
-        key_parts = key_parts + ({"prune_static": prune_static},)
 
     def compute():
         for item in train_inputs:
@@ -165,7 +157,7 @@ def profile_guided_pipeline(
 
         best, results = search_pipelines(
             function, evaluate, max_stages=max_stages, top_k=top_k, limit=limit,
-            passes=passes, recorder=recorder, prune_static=prune_static
+            passes=passes, prune_static=prune_static
         )
         return {
             "points": [(list(r.indices), r.num_units, r.speedup) for r in results],
@@ -173,11 +165,6 @@ def profile_guided_pipeline(
         }
 
     payload = cache.cached_search(key_parts, compute)
-    if recorder is not None and not recorder.candidates:
-        # Warm hit: compute() never ran, so replay the cached scores.
-        for indices, units, speedup in payload["points"]:
-            recorder.scored(indices, units, speedup)
-        recorder.decide(payload["best"])
     results = [
         SearchPoint(tuple(indices), units, speedup)
         for indices, units, speedup in payload["points"]
@@ -211,7 +198,6 @@ def run_suite(
     variants=None,
     options=None,
     jobs=None,
-    recorder=None,
 ):
     """Run all requested variants on all test inputs.
 
@@ -222,9 +208,7 @@ def run_suite(
 
     Returns a :class:`SuiteResult`; the records are in input order, each
     input's in ``variants`` order, and every table over them is a slicer of
-    :mod:`repro.obs.record`. ``recorder`` (a
-    :class:`repro.obs.SearchRecorder`) observes the profile-guided search
-    when the ``"phloem"`` variant is requested.
+    :mod:`repro.obs.record`.
     """
     variants = variants or ("serial", "data-parallel", "phloem", "phloem-static", "manual")
     options = options or CompileOptions()
@@ -244,7 +228,6 @@ def run_suite(
                 config=config,
                 max_stages=options.num_stages,
                 passes=options.passes,
-                recorder=recorder,
             )
             if best is not None:
                 pipelines["phloem"] = best.pipeline

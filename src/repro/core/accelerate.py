@@ -27,9 +27,8 @@ from .decouple import drop_trivial_stages
 
 
 class _RABuilder:
-    def __init__(self, pipeline, max_ras, capacity):
+    def __init__(self, pipeline, capacity):
         self.pipeline = pipeline
-        self.max_ras = max_ras
         self.capacity = capacity
         self.next_raid = 0
         self.next_qid = (max(pipeline.queues) + 1) if pipeline.queues else 0
@@ -40,7 +39,7 @@ class _RABuilder:
         spec = self.by_target.get(key)
         if spec is not None:
             return spec
-        if self.next_raid >= self.max_ras:
+        if self.next_raid >= MAX_RAS:
             return None
         in_qid = self.next_qid
         self.next_qid += 1
@@ -56,9 +55,9 @@ class _RABuilder:
         return spec
 
 
-def apply_reference_accelerators(pipeline, max_ras=MAX_RAS, capacity=QUEUE_DEPTH):
-    """Offload qualifying loads to RAs; chain and drop emptied stages."""
-    builder = _RABuilder(pipeline, max_ras, capacity)
+def apply_reference_accelerators(pipeline, capacity=QUEUE_DEPTH):
+    """Offload qualifying loads to at most ``MAX_RAS`` RAs; chain and drop emptied stages."""
+    builder = _RABuilder(pipeline, capacity)
     changed = False
     for stage in pipeline.stages:
         changed |= _rewrite_stage(builder, pipeline, stage)

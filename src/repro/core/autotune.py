@@ -19,6 +19,11 @@ from ..errors import CompileError, PhloemError
 from .compiler import ALL_PASSES, CompileOptions, compile_function
 from .phases import prepare_phases
 
+#: The default search shape: candidates are combinations of the
+#: ``SEARCH_TOP_K`` best-ranked decoupling points, at most ``SEARCH_LIMIT``.
+SEARCH_TOP_K = 5
+SEARCH_LIMIT = 40
+
 
 class SearchPoint:
     """One scored candidate: point indices, unit count, training speedup.
@@ -45,7 +50,7 @@ class SearchPoint:
         )
 
 
-def candidate_count(function, top_k=7):
+def candidate_count(function, top_k=SEARCH_TOP_K):
     """How many ranked points the search can draw from."""
     work = function.clone()
     prepare_phases(work)
@@ -62,9 +67,9 @@ def search_pipelines(
     function,
     evaluate,
     max_stages=4,
-    top_k=7,
+    top_k=SEARCH_TOP_K,
     passes=ALL_PASSES,
-    limit=80,
+    limit=SEARCH_LIMIT,
     recorder=None,
     prune_static=False,
 ):

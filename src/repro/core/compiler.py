@@ -131,9 +131,7 @@ def compile_function(function, options=None, profiler=None):
             # Clean first: the chain matcher wants copy-propagated plumbing.
             for stage in pipeline.stages:
                 cleanup_stage(stage)
-            apply_reference_accelerators(
-                pipeline, max_ras=options.max_ras, capacity=options.queue_capacity
-            )
+            apply_reference_accelerators(pipeline, capacity=options.queue_capacity)
 
         run("ra", pipeline, apply_ra)
         checkpoint("ra")
@@ -151,7 +149,7 @@ def compile_function(function, options=None, profiler=None):
         # `#pragma replicate N`: record the request; the caller materializes
         # the replicas with core.replicate.replicate_pipeline (Sec. IV-C).
         pipeline.meta["replicate"] = function.pragmas["replicate"]
-    verify_pipeline(pipeline, max_queues=options.max_queues, max_ras=options.max_ras)
+    verify_pipeline(pipeline)
     diags = sanitize_pipeline(pipeline)
     for warning in diags.warnings():
         log("compile %s: %s", pipeline.name, warning.render())

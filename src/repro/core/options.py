@@ -7,7 +7,7 @@ compiler (:mod:`repro.core.compiler` re-exports all three names).
 """
 
 from ..errors import CompileError
-from ..ir.program import MAX_QUEUES, MAX_RAS, QUEUE_DEPTH
+from ..ir.program import QUEUE_DEPTH
 from ..ir.stmts import walk
 
 #: Every optional pass, in application order. "queues" (pass 1) is implied
@@ -31,14 +31,11 @@ class CompileOptions:
     unverified compile must share cache entries.
     """
 
-    __slots__ = (
-        "num_stages", "passes", "max_ras", "queue_capacity", "max_queues", "point_indices",
-        "verify_each",
-    )
+    __slots__ = ("num_stages", "passes", "queue_capacity", "point_indices", "verify_each")
 
     def __init__(
-        self, num_stages=4, passes=ALL_PASSES, max_ras=MAX_RAS, queue_capacity=QUEUE_DEPTH,
-        max_queues=MAX_QUEUES, point_indices=None, verify_each=False,
+        self, num_stages=4, passes=ALL_PASSES, queue_capacity=QUEUE_DEPTH, point_indices=None,
+        verify_each=False,
     ):
         passes = tuple(passes)
         if point_indices is not None:
@@ -48,9 +45,7 @@ class CompileOptions:
         for name in passes:
             if name not in ALL_PASSES:
                 raise CompileError("unknown pass %r" % name)
-        values = (
-            num_stages, passes, max_ras, queue_capacity, max_queues, point_indices, verify_each
-        )
+        values = (num_stages, passes, queue_capacity, point_indices, verify_each)
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
@@ -85,12 +80,10 @@ class CompileOptions:
         points = (
             "-" if self.point_indices is None else ",".join(str(i) for i in self.point_indices)
         )
-        return "stages=%d;passes=%s;max_ras=%d;qcap=%d;maxq=%d;points=%s" % (
+        return "stages=%d;passes=%s;qcap=%d;points=%s" % (
             self.num_stages,
             ",".join(self.passes),
-            self.max_ras,
             self.queue_capacity,
-            self.max_queues,
             points,
         )
 

@@ -8,6 +8,7 @@ error carries its line/col so :mod:`repro.diag` can render it uniformly.
 """
 
 from ..errors import IRVerificationError
+from .program import MAX_QUEUES, MAX_RAS
 from .values import is_array_symbol, is_reg
 
 #: Statement kinds that operate on hardware queues. Serial Functions must
@@ -139,7 +140,7 @@ def verify_function(function):
     return True
 
 
-def verify_pipeline(pipeline, max_queues=None, max_ras=None):
+def verify_pipeline(pipeline):
     """Check a PipelineProgram's wiring and each stage's body.
 
     * stage indices and RA ids are unique (endpoint descriptors would be
@@ -150,12 +151,12 @@ def verify_pipeline(pipeline, max_queues=None, max_ras=None):
       the program's queue table;
     * RA in/out queues are distinct and agree with the queue specs;
     * handlers are installed only on queues the stage consumes;
-    * optional machine limits (queues, RAs) are respected.
+    * Pipette's limits (``MAX_QUEUES`` queues, ``MAX_RAS`` RAs) are respected.
     """
-    if max_queues is not None and len(pipeline.queues) > max_queues:
-        _fail("pipeline %s uses %d queues > machine limit %d", pipeline.name, len(pipeline.queues), max_queues)
-    if max_ras is not None and len(pipeline.ras) > max_ras:
-        _fail("pipeline %s uses %d RAs > machine limit %d", pipeline.name, len(pipeline.ras), max_ras)
+    if len(pipeline.queues) > MAX_QUEUES:
+        _fail("pipeline %s uses %d queues > machine limit %d", pipeline.name, len(pipeline.queues), MAX_QUEUES)
+    if len(pipeline.ras) > MAX_RAS:
+        _fail("pipeline %s uses %d RAs > machine limit %d", pipeline.name, len(pipeline.ras), MAX_RAS)
 
     stage_ids = set()
     for stage in pipeline.stages:

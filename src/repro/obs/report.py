@@ -584,6 +584,8 @@ def _blocks(report):
              % (_fmt_num(snapshot.get("uptime_s")), snapshot.get("in_flight_peak", 0))),
             ("table",) + _telemetry_rows(snapshot),
         ]
+        if snapshot.get("unrouted"):
+            blocks.append(("p", [("", "Unrouted requests: %d" % snapshot["unrouted"])]))
         if snapshot.get("rejections"):
             rejections = ", ".join(
                 "%s ×%d" % (code, n) for code, n in sorted(snapshot["rejections"].items())

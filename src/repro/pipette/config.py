@@ -1,9 +1,10 @@
 """Machine configuration (paper Table III).
 
 The defaults reproduce the paper's evaluation configuration: Skylake-like
-6-wide OOO cores with 4-thread SMT, Pipette's queue and RA limits per core
-(:mod:`repro.ir.program`; a queue's depth is its ``QueueSpec.capacity``), and
-a three-level cache hierarchy over bandwidth-limited DRAM.
+6-wide OOO cores with 4-thread SMT, Pipette's queues and RAs, and a
+three-level cache hierarchy over bandwidth-limited DRAM. Pipette's queue and
+RA limits are constants (:mod:`repro.ir.program`) that ``verify_pipeline``
+enforces; a queue's depth is its ``QueueSpec.capacity``.
 
 Also the home of the engine selector (:data:`ENGINES`,
 :data:`DEFAULT_ENGINE`, :data:`ENGINE_ENV`, :func:`resolve_engine`): a leaf
@@ -14,7 +15,6 @@ import os
 from dataclasses import dataclass, field
 
 from ..errors import ResourceError
-from ..ir.program import MAX_QUEUES, MAX_RAS
 
 
 def _default_op_latencies():
@@ -68,8 +68,6 @@ class MachineConfig:
     mispredict_penalty: int = 14
 
     # Pipette.
-    max_queues: int = MAX_QUEUES
-    max_ras: int = MAX_RAS
     queue_latency: int = 2  # producer->consumer, same core (via the PRF)
     xcore_queue_latency: int = 16  # producer->consumer across cores
     ra_mshrs: int = 16  # parallel loads an RA keeps in flight (in-order delivery)

@@ -211,7 +211,7 @@ class Machine:
 
         for replica, spec in enumerate(specs):
             pipeline = spec.pipeline
-            verify_pipeline(pipeline, max_queues=config.max_queues, max_ras=config.max_ras)
+            verify_pipeline(pipeline)
             env = RunEnv(self, spec, stats)
             env.shared = shared_cells
             self.envs.append(env)

@@ -151,5 +151,5 @@ def test_ra_budget_respected():
     stages.append(ir.StageProgram(1, "c", b1.finish()))
     queues = [ir.QueueSpec(q, ("stage", 0), ("stage", 1)) for q in range(6)]
     pipe = _pipe(stages, queues)
-    apply_reference_accelerators(pipe, max_ras=4)
+    apply_reference_accelerators(pipe)
     assert len(pipe.ras) <= 4

@@ -4,6 +4,7 @@ import pytest
 
 from repro import ir
 from repro.core import CompileOptions, compile_function
+from repro.core import accelerate
 from repro.core.compiler import ALL_PASSES
 from repro.workloads import bfs, cc
 
@@ -107,11 +108,9 @@ class TestReferenceAccelerators:
         names = [s.name for s in pipe.stages]
         assert names[-1] == "update"
 
-    def test_respects_max_ras(self, bfs_fn):
-        pipe = compile_function(
-            bfs_fn,
-            options=CompileOptions(num_stages=4, passes=ALL_PASSES, max_ras=1),
-        )
+    def test_respects_max_ras(self, bfs_fn, monkeypatch):
+        monkeypatch.setattr(accelerate, "MAX_RAS", 1)
+        pipe = compile_function(bfs_fn, options=CompileOptions(num_stages=4, passes=ALL_PASSES))
         assert len(pipe.ras) <= 1
 
 

@@ -328,6 +328,26 @@ class TestMarkdown:
         assert "## Timeline" in text
         assert "## Service telemetry" in text
 
+    def test_unrouted_requests_complete_the_request_count(self, tmp_path):
+        """A saved daemon ``stats`` reply: the per-verb rows plus the
+        unrouted line add up to ``counts.requests``."""
+        telemetry = dict(_telemetry_snapshot(), unrouted=2)
+        stats = {"counts": {"requests": 5, "completed": 2, "failed": 2, "rejected": 1},
+                 "telemetry": telemetry}
+        (tmp_path / "stats.json").write_text(json.dumps(stats))
+        text = render_markdown(collect(str(tmp_path)))
+        header = "| verb | requests |"
+        lines = text.splitlines()
+        start = next(i for i, line in enumerate(lines) if line.startswith(header))
+        routed = 0
+        for line in lines[start + 2:]:
+            if not line.startswith("|"):
+                break
+            routed += int(line.split("|")[2])
+        unrouted = [line for line in lines if line.startswith("Unrouted requests: ")]
+        assert len(unrouted) == 1
+        assert routed + int(unrouted[0].split(": ")[1]) == stats["counts"]["requests"]
+
     def test_speedup_cells_and_kernels(self, results_dir):
         text = render_markdown(collect(results_dir))
         assert "| bfs |" in text and "| cc |" in text

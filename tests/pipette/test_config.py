@@ -1,7 +1,7 @@
 """Table III parity: the evaluation configuration matches the paper."""
 
 from repro.core.options import CompileOptions
-from repro.ir.program import QueueSpec
+from repro.ir.program import MAX_QUEUES, MAX_RAS, QueueSpec
 from repro.pipette.config import PIPETTE_1CORE, PIPETTE_4CORE, SCALED_1CORE, MachineConfig
 
 
@@ -13,9 +13,8 @@ def test_core_parameters():
 
 
 def test_pipette_parameters():
-    cfg = PIPETTE_1CORE
-    assert cfg.max_queues == 16  # "16 queues max"
-    assert cfg.max_ras == 4  # "4 RAs"
+    assert MAX_QUEUES == 16  # "16 queues max"
+    assert MAX_RAS == 4  # "4 RAs"
     # "queues up to 24 elements deep": a queue's depth is its own capacity.
     assert QueueSpec(0, ("stage", 0), ("stage", 1)).capacity == 24
     assert CompileOptions().queue_capacity == 24

@@ -181,12 +181,12 @@ def test_compile_options_is_a_frozen_value():
     assert pickle.loads(pickle.dumps(verified)) == verified
     assert CompileOptions().passes == ALL_PASSES
     assert CompileOptions().cache_key() == (
-        "stages=4;passes=recompute,cv,dce,handlers,ra;max_ras=4;qcap=24;maxq=16;points=-"
+        "stages=4;passes=recompute,cv,dce,handlers,ra;qcap=24;points=-"
     )
-    assert verified.cache_key() == "stages=2;passes=cv,ra;max_ras=4;qcap=24;maxq=16;points=2,0"
-    assert repr(CompileOptions(max_queues=8)) == (
+    assert verified.cache_key() == "stages=2;passes=cv,ra;qcap=24;points=2,0"
+    assert repr(CompileOptions(queue_capacity=8)) == (
         "CompileOptions(num_stages=4, passes=('recompute', 'cv', 'dce', 'handlers', 'ra'), "
-        "max_ras=4, queue_capacity=24, max_queues=8, point_indices=None, verify_each=False)"
+        "queue_capacity=8, point_indices=None, verify_each=False)"
     )
 
 
