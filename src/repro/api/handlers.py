@@ -9,6 +9,9 @@ payloads from the same code path. Alongside the text, runners collect the
 structured record stream (RunRecords, diagnostics, perf records) into
 ``Response.records`` for JSONL streaming, and :func:`handle` stamps the
 per-request :mod:`repro.cache` hit/miss delta into ``Response.cache``.
+A verb that declares ``MEMOIZED`` (``emit``, ``lint``) is answered from
+:func:`repro.cache.cached_answer`: its runner and the capture run only on a
+miss, and a warm request is a lookup of the finished answer.
 
 Telemetry stays on stderr through :mod:`repro.obs.log` and is therefore
 *server-side* under a daemon; per-request ``quiet`` flags are restored
@@ -83,9 +86,11 @@ def runner(request_cls):
 @runner(requests.CompileRequest)
 def _run_emit(req):
     from ..core.options import pipeline_summary
+    from ..frontend.lowering import compile_source
 
     # All four formats render the one memoized pipeline.
-    pipeline = cache.cached_compile_source(req.source, req.name, _compile_options(req))
+    options = _compile_options(req)
+    pipeline = cache.cached_compile(compile_source(req.source, name=req.name), options)
     summary = pipeline_summary(pipeline)
     if req.fmt == "summary":
         print(summary)
@@ -415,6 +420,30 @@ def _run_report(req):
     return 0, [summary], {"summary": summary}
 
 
+def _render(run, request):
+    """Run ``request``'s runner: ``(exit_code, output, records, extras)``,
+    with its stdout captured as ``output``."""
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        exit_code, records, extras = run(request)
+    return exit_code, buffer.getvalue(), records, extras
+
+
+def _answer(run, request):
+    """``request``'s answer, from :func:`repro.cache.cached_answer` when its
+    verb declares ``MEMOIZED``, else freshly rendered."""
+    if not request.MEMOIZED:
+        return _render(run, request)
+    try:
+        return cache.cached_answer(request.VERB, request.fields(), lambda: _render(run, request))
+    except cache.Miss:
+        # Not in the memo, and the caller may not compute (the daemon's
+        # event loop): options the compiler refuses are still refused here
+        # rather than on a worker.
+        _compile_options(request)
+        raise
+
+
 def handle(request):
     """Execute one API request and return its typed :class:`Response`.
 
@@ -422,6 +451,9 @@ def handle(request):
     prints it verbatim; the daemon ships it over the socket), the cache
     hit/miss delta over the request lands in ``Response.cache``, and a
     request's ``quiet`` flag is applied here and undone on the way out.
+    A memoized verb's warm request runs no runner at all: its answer is a
+    :func:`repro.cache.cached_answer` hit, whose records are the memo's
+    (read them, don't mutate them).
     Toolchain errors (:class:`~repro.errors.PhloemError`) propagate to the
     caller: the one-shot CLI fails loudly exactly as it always did, while
     the service worker wraps them into structured error responses.
@@ -433,19 +465,17 @@ def handle(request):
         raise requests.ApiError("no handler for verb %r" % (request.VERB,))
     before = cache.stats()
     old_quiet = get_quiet()
-    buffer = io.StringIO()
     try:
         if getattr(request, "quiet", False):
             set_quiet(True)
-        with contextlib.redirect_stdout(buffer):
-            exit_code, records, extras = run(request)
+        exit_code, output, records, extras = _answer(run, request)
     finally:
         set_quiet(old_quiet)
     return request.RESPONSE(
         verb=request.VERB,
         exit_code=exit_code,
-        output=buffer.getvalue(),
-        records=records,
+        output=output,
+        records=list(records),
         cache=cache.stats_since(before),
         **extras,
     )

@@ -298,8 +298,8 @@ class Request(Message):
 
     #: Class attributes, not fields: the verb on the wire, the subparser's
     #: ``help`` line, the response class, the subcommand path where it is
-    #: not just ``(VERB,)``, and whether the verb's runner is nothing but
-    #: :mod:`repro.cache` lookups plus rendering — such a request, when
+    #: not just ``(VERB,)``, and whether the verb's whole answer is
+    #: memoized (:func:`repro.cache.cached_answer`) — such a request, when
     #: warm, is answered under ``cache.lookup_only()`` in the daemon's event
     #: loop instead of on a pool worker.
     VERB = None

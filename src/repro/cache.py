@@ -7,11 +7,12 @@ both (plus the profile-guided search's scores) behind stable content
 hashes:
 
 * **pipeline** — compiled pipelines keyed by the canonical IR fingerprint
-  (:func:`repro.ir.fingerprint`) plus ``CompileOptions.cache_key()``, and
-  in front of that the front door's two source-text keys: source ->
-  pipeline (:func:`cached_compile_source`, what ``emit`` renders) and
-  source -> diagnostics (:func:`cached_lint`), which skip the parse and
-  the fingerprint as well as the pass stack;
+  (:func:`repro.ir.fingerprint`) plus ``CompileOptions.cache_key()``;
+  lint diagnostics keyed by source text (:func:`cached_lint`); and in
+  front of both the front door's answers (:func:`cached_answer`): a
+  memoized verb's request -> the finished ``(exit_code, output, records,
+  extras)`` of its ``emit`` or ``lint``, which skips options, parse,
+  fingerprint, pass stack and rendering;
 * **baseline** — every recorded simulation (:func:`cached_run`: the
   run's :class:`~repro.pipette.stats.RunResult`, keeping only the arrays
   the run wrote) keyed by program + input contents + machine config +
@@ -38,9 +39,9 @@ and take a hit off the store the winner populated.
 Cached values are treated as immutable: :func:`cached_compile` returns a
 fresh clone per call, :func:`cached_run` a shallow copy whose ``stats``
 and stage maps are the shared entry's (:func:`repro.obs.record.measure`
-builds fresh dicts from them), and :func:`cached_compile_source`
-pipelines and :func:`cached_lint` diagnostics are the shared entries; no
-caller mutates any of them (the harness and the handlers only read them).
+builds fresh dicts from them), and :func:`cached_lint` diagnostics and
+:func:`cached_answer` answers are the shared entries; no caller mutates
+any of them (the harness and the handlers only read them).
 
 :func:`lookup_only` is the mode a caller that must not block uses (the
 daemon's event loop): every memoized function above answers from memory or
@@ -49,8 +50,7 @@ lock, never books a miss and never runs a ``verify_each`` compile or a
 simulation.
 
 The toolchain is imported where a lookup needs it, never at module level:
-a source-key hit unpickles a pipeline (:mod:`repro.ir`) or diagnostics
-(:mod:`repro.diag`) and loads no parser, pass or simulator.
+an answer hit unpickles plain data and loads no toolchain module at all.
 """
 
 import collections
@@ -66,6 +66,7 @@ try:
 except ImportError:  # non-POSIX: atomic rename still guards writes
     fcntl = None
 
+from . import __version__
 from .cachedir import cache_dir, write_atomic
 
 #: Memo layers, in the order stats are reported.
@@ -84,8 +85,22 @@ _stats = {layer: {"hits": 0, "misses": 0} for layer in LAYERS}
 # Key construction
 
 
+#: Exact scalar type -> its canonical text: one lookup in place of the
+#: ``isinstance`` chain of :func:`_canon` (a subclass still takes the chain).
+_SCALAR_TEXT = {
+    str: "s:%s".__mod__,
+    int: "i:%d".__mod__,
+    bool: "b:%d".__mod__,
+    float: "f:%r".__mod__,
+    type(None): lambda value: "none",
+}
+
+
 def _canon(value):
     """Canonical text of a plain-data value (dicts sorted, type-tagged)."""
+    scalar = _SCALAR_TEXT.get(type(value))
+    if scalar is not None:
+        return scalar(value)
     if isinstance(value, dict):
         return "{" + ",".join("%s=%s" % (k, _canon(value[k])) for k in sorted(value)) + "}"
     if isinstance(value, (list, tuple)):
@@ -129,14 +144,13 @@ def toolchain_stamp():
 
 def content_hash(*parts):
     """SHA-256 over the canonical forms of ``parts`` (the cache key)."""
-    from . import __version__
+    return _digest(map(_canon, parts))
 
-    h = hashlib.sha256()
-    h.update(("v:%s;%s" % (__version__, toolchain_stamp())).encode("utf-8"))
-    for part in parts:
-        h.update(b"\x00")
-        h.update(_canon(part).encode("utf-8"))
-    return h.hexdigest()
+
+def _digest(texts):
+    """SHA-256 over canonical ``texts``, salted like every cache key."""
+    salted = "v:%s;%s" % (__version__, toolchain_stamp()) + "".join("\x00" + t for t in texts)
+    return hashlib.sha256(salted.encode("utf-8")).hexdigest()
 
 
 #: Element types whose ``repr`` is already a canonical, type-tagged text:
@@ -171,12 +185,32 @@ def fingerprint_env(arrays, scalars):
     return h.hexdigest()
 
 
-def fingerprint_config(config):
-    """Content hash of a :class:`~repro.pipette.config.MachineConfig`."""
-    from dataclasses import asdict, is_dataclass
+#: Dataclass type -> its field names, sorted (``()`` for any other type).
+_FIELD_NAMES = {}
 
-    data = asdict(config) if is_dataclass(config) else vars(config)
-    return content_hash("config", data)
+
+def _config_text(value):
+    """``_canon(dataclasses.asdict(value))``, read off the fields: no deep
+    copy, and nested dataclasses (the cache levels) become dicts."""
+    cls = type(value)
+    names = _FIELD_NAMES.get(cls)
+    if names is None:
+        from dataclasses import fields, is_dataclass
+
+        names = tuple(sorted(f.name for f in fields(cls))) if is_dataclass(cls) else ()
+        _FIELD_NAMES[cls] = names
+    if not names:
+        return _canon(value)
+    return "{" + ",".join("%s=%s" % (n, _config_text(getattr(value, n))) for n in names) + "}"
+
+
+def fingerprint_config(config):
+    """Content hash of a :class:`~repro.pipette.config.MachineConfig`.
+
+    Read off the fields on every call: ``op_latencies`` is a mutable dict,
+    so a key remembered per config object could go stale.
+    """
+    return _digest((_canon("config"), _config_text(config)))
 
 
 # ---------------------------------------------------------------------------
@@ -416,32 +450,6 @@ def cached_compile(function, options):
     return pipeline
 
 
-def cached_compile_source(source, name, options):
-    """``compile_function(compile_source(source, name=name), options=options)``,
-    memoized on the source text.
-
-    The front door's key: ``source`` + ``name`` + ``options.cache_key()``
-    resolves straight to the compiled pipeline, so a repeated source skips
-    the parse, the IR fingerprint and the pass stack. A source miss parses
-    and falls through to :func:`cached_compile`, where a whitespace or
-    comment variant of a known kernel still hits by IR fingerprint — and
-    which books the request's one ``pipeline`` hit or miss. Errors
-    propagate and are never stored. The returned pipeline is the shared
-    entry (``emit`` only renders it): read it, don't mutate it —
-    :func:`cached_compile` is the call that hands out clones.
-    """
-
-    def compute():
-        from .frontend.lowering import compile_source
-
-        return cached_compile(compile_source(source, name=name), options)
-
-    if options.verify_each:
-        return _compute_unmemoized(compute, "verify_each")
-    key = content_hash("source", source, name, options.cache_key())
-    return _get_or_compute("pipeline", key, compute, front=True)
-
-
 def cached_lint(source, name, options, file=None, perf=False):
     """:func:`repro.analysis.sanitize.lint_source`, memoized on the source text.
 
@@ -461,6 +469,28 @@ def cached_lint(source, name, options, file=None, perf=False):
         return _compute_unmemoized(compute, "verify_each")
     key = content_hash("lint", source, name, file, perf, options.cache_key())
     return _get_or_compute("pipeline", key, compute)
+
+
+def cached_answer(verb, fields, compute):
+    """The answer to one request of a memoized verb (``emit``, ``lint``),
+    memoized on the verb and all of the request's ``fields`` (its
+    ``{name: value}``, in declaration order).
+
+    ``compute()`` runs the verb and returns its plain-data answer
+    ``(exit_code, output, records, extras)``, so a hit rebuilds nothing:
+    no options, no parse, no IR walk, no rendering — and unpickling it
+    loads no toolchain module. The answer key is a front key: a hit is the
+    request's one ``pipeline`` hit, while a miss books nothing and
+    ``compute`` books the lookups it makes (:func:`cached_compile` for
+    ``emit``, :func:`cached_lint` per ``lint`` target). Errors propagate and
+    are never stored. A ``verify_each`` request always computes: the
+    verification is what it asks for. The answer is the shared entry: read
+    it, don't mutate it.
+    """
+    if fields.get("verify_each"):
+        return _compute_unmemoized(compute, "verify_each")
+    key = content_hash("answer", verb, *fields.values())
+    return _get_or_compute("pipeline", key, compute, front=True)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,8 @@
 """What shapes a compilation, and the one-line summary of its result.
 
-A leaf of the compiler: it imports no pass, so ``repro emit`` answered
-from the memo builds its :class:`CompileOptions` and prints
-:func:`pipeline_summary` of the unpickled pipeline without loading the
-compiler (:mod:`repro.core.compiler` re-exports all three names).
+A leaf of the compiler: it imports no pass, so building options or
+summarizing a pipeline loads no compiler (:mod:`repro.core.compiler`
+re-exports all three names).
 """
 
 from ..errors import CompileError

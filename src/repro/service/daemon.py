@@ -305,11 +305,11 @@ class Daemon:
 
         Runs in the event loop, so it must not block: ``cache.lookup_only()``
         is what guarantees no compile and no wait on a key lock a worker
-        holds. What it costs the loop is a dict lookup (or one unpickle) and
-        the rendering — less than the hand-off to a worker it replaces. A hit
-        is counted by the cache delta its response carries, like any other;
-        the hits before a :class:`~repro.cache.Miss` are in no response, as
-        the worker that then serves the request looks them up again.
+        holds. What it costs the loop is a dict lookup (or one unpickle) of
+        the finished answer — less than the hand-off to a worker it
+        replaces. A hit is counted by the cache delta its response carries,
+        like any other; a miss books nothing here, as the worker that then
+        serves the request books its lookups.
         """
         try:
             with cache.lookup_only():

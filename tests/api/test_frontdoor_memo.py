@@ -1,4 +1,4 @@
-"""The front door's compile memo: ``emit``/``lint`` answer from a source key.
+"""The front door's memo: ``emit``/``lint`` answer from the answer memo.
 
 A hit must be indistinguishable from a miss except in ``Response.cache``:
 same bytes first call, second call and from a fresh process on the warm

@@ -380,10 +380,8 @@ def test_verify_each_always_takes_the_pool(tmp_path, cold_store, request_):
 
 @needs_fork
 def test_key_lock_held_elsewhere_never_stalls_the_loop(tmp_path, cold_store):
-    from repro.api.handlers import _compile_options
-
     request = api.CompileRequest(source=KERNEL, fmt="summary")
-    key = cache.content_hash("source", KERNEL, None, _compile_options(request).cache_key())
+    key = cache.content_hash("answer", request.VERB, *request.fields().values())
     ctx = multiprocessing.get_context("fork")
     held, release = ctx.Event(), ctx.Event()
 
@@ -436,7 +434,7 @@ def test_damaged_entry_is_a_miss_the_pool_recomputes_and_overwrites(tmp_path, co
             for name in names
             if name.endswith(".pkl")
         ]
-        assert len(entries) == 2  # source key + IR key
+        assert len(entries) == 2  # answer key + IR key
         for path in entries:
             with open(path, "rb") as handle:
                 data = handle.read()

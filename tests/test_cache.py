@@ -178,6 +178,22 @@ def test_env_key_is_identical_across_hash_seeds():
     assert len(keys) == 1
 
 
+def test_config_key_hashes_the_text_asdict_would_give():
+    from dataclasses import asdict
+
+    from repro.pipette.config import PIPETTE_1CORE, SCALED_4CORE, MachineConfig
+
+    custom = MachineConfig(op_latencies={"mul": 3, "div": 12, "mod": 12, "fma": 4})
+    for config in (PIPETTE_1CORE, SCALED_1CORE, SCALED_4CORE, custom):
+        assert cache._config_text(config) == cache._canon(asdict(config))
+        assert cache.fingerprint_config(config) == cache.content_hash("config", asdict(config))
+    # No key is remembered per object: the latencies dict is mutable.
+    before = cache.fingerprint_config(custom)
+    custom.op_latencies["fma"] = 5
+    assert cache.fingerprint_config(custom) != before
+    assert cache.fingerprint_config(custom) == cache.content_hash("config", asdict(custom))
+
+
 def test_search_cache_memoizes_payload():
     calls = []
 
@@ -229,7 +245,7 @@ def test_memory_layer_is_a_bounded_lru(monkeypatch):
     monkeypatch.setattr(cache, "MEMORY_ENTRIES", 4)
     for index in range(3):
         assert _emit(index).cache["pipeline"] == {"hits": 0, "misses": 1}
-    # Each source holds two entries (source key + IR key): the third evicted
+    # Each source holds two entries (answer key + IR key): the third evicted
     # the first's, the bound holds, and a touch keeps an entry young.
     assert len(cache._memory["pipeline"]) == 4
     assert _emit(2).cache["pipeline"] == {"hits": 1, "misses": 0}
@@ -314,7 +330,7 @@ def test_unreadable_entry_is_a_miss_and_is_overwritten(tmp_path, corruption):
         for name in names
         if name.endswith(".pkl")
     ]
-    assert len(entries) == 2  # source key + IR key
+    assert len(entries) == 2  # answer key + IR key
     for path in entries:
         with open(path, "rb") as handle:
             data = handle.read()
@@ -371,20 +387,26 @@ def test_lookup_only_is_restored_after_any_exit():
 def test_lookup_only_treats_verify_each_as_a_miss(monkeypatch):
     from repro.analysis import sanitize
     from repro.core import compiler
+    from repro.frontend import lowering
 
     source = KERNEL % (0, 0)
     options = CompileOptions()
     verified = CompileOptions(verify_each=True)
-    function = cache.cached_compile_source(source, None, options)
+    emit = api.CompileRequest(source=source, fmt="summary")
+    answer = api.handle(emit)
     cache.cached_lint(source, None, options)
-    monkeypatch.setattr(compiler, "compile_function", _never)
-    monkeypatch.setattr(sanitize, "lint_source", _never)
+    for module, name in ((compiler, "compile_function"), (sanitize, "lint_source"),
+                         (lowering, "compile_source")):
+        monkeypatch.setattr(module, name, _never)
     before = cache.stats()
     with cache.lookup_only():
-        assert cache.cached_compile_source(source, None, options) is function  # the shared entry
+        shared = cache.cached_answer(emit.VERB, emit.fields(), _never)
+        assert cache.cached_answer(emit.VERB, emit.fields(), _never) is shared  # the entry
+        assert api.handle(emit).output == answer.output
         assert len(cache.cached_lint(source, None, options)) == 0
     for call in (
-        lambda: cache.cached_compile_source(source, None, verified),
+        lambda: api.handle(emit.replace(verify_each=True)),
+        lambda: cache.cached_answer(emit.VERB, dict(emit.fields(), verify_each=True), _never),
         lambda: cache.cached_lint(source, None, verified),
         lambda: cache.cached_compile(bfs.function(), verified),
     ):
@@ -392,7 +414,7 @@ def test_lookup_only_treats_verify_each_as_a_miss(monkeypatch):
             with cache.lookup_only():
                 call()
     assert cache.stats()["pipeline"] == {
-        "hits": before["pipeline"]["hits"] + 2, "misses": before["pipeline"]["misses"]
+        "hits": before["pipeline"]["hits"] + 4, "misses": before["pipeline"]["misses"]
     }
 
 
