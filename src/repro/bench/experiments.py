@@ -26,7 +26,6 @@ from ..frontend.lowering import compile_source
 from ..ir.program import QUEUE_DEPTH
 from ..obs.record import gmean_speedups, merge_records, normalized, record_of
 from ..pipette.config import SCALED_1CORE, SCALED_4CORE
-from ..runtime.executor import run_replicated
 from ..taco import kernels as taco_kernels
 from ..taco.parallel import stripe_data_parallel
 from ..workloads import bc, bfs, cc, datasets, graphs, pr, prd, radii, replicated, spmm, spmv, sssp, tc
@@ -368,7 +367,7 @@ def fig14_records(config=SCALED_4CORE, replicas=4):
         for variants, builder in cases:
             pipelines = [builder(rid, replicas) for rid in range(replicas)]
             envs = replicated.make_envs(app, graph, replicas)
-            result = run_replicated(
+            result = cache.cached_replicated(
                 [(pipelines[r], envs[r][0], envs[r][1], r) for r in range(replicas)],
                 config,
             )

@@ -16,7 +16,9 @@ hashes:
 * **baseline** — every recorded simulation (:func:`cached_run`: the
   run's :class:`~repro.pipette.stats.RunResult`, keeping only the arrays
   the run wrote) keyed by program + input contents + machine config +
-  stage placement + engine;
+  stage placement + engine, and every replicated one
+  (:func:`cached_replicated`, Fig. 14) keyed by each replica's program,
+  input and core plus which input lists they share, config + engine;
 * **search** — profile-guided search scores keyed by function, training
   inputs, config, and search parameters.
 
@@ -504,12 +506,13 @@ def cached_run(program, arrays, scalars, config, stage_cores=None):
     stage placement + engine.
 
     A simulation is a pure function of those five, so every run the harness
-    records goes through here and a warm ``demo`` or ``figures`` simulates
-    nothing; the caller still runs its golden oracle on ``arrays``. The
-    engine is the one :func:`~repro.pipette.config.resolve_engine` picks
-    now, so a hit names truthfully which engine executed each stage. A
-    program that carries intrinsics is simulated every time: their
-    implementations are opaque callables the fingerprint cannot see.
+    records goes through here (or :func:`cached_replicated`) and a warm
+    ``demo`` or ``figures`` simulates nothing; the caller still runs its
+    golden oracle on ``arrays``. The engine is the one
+    :func:`~repro.pipette.config.resolve_engine` picks now, so a hit names
+    truthfully which engine executed each stage. A program that carries
+    intrinsics is simulated every time: their implementations are opaque
+    callables the fingerprint cannot see.
 
     Runs whose point is the run itself never come here: traced and timed
     runs, search training (the ``search`` layer memoizes whole searches),
@@ -522,33 +525,86 @@ def cached_run(program, arrays, scalars, config, stage_cores=None):
     from .ir.program import Function, serial_pipeline
     from .ir.serialize import fingerprint
     from .pipette.config import resolve_engine
-    from .pipette.stats import RunResult
 
-    def compute():
+    def run():
         from .runtime.executor import run_pipeline
 
         pipeline = serial_pipeline(program) if isinstance(program, Function) else program
-        result = run_pipeline(pipeline, arrays, scalars, config=config, stage_cores=stage_cores)
+        return run_pipeline(pipeline, arrays, scalars, config=config, stage_cores=stage_cores)
+
+    return _memoized_run((program,), (arrays,), run, lambda: content_hash(
+        "run",
+        fingerprint(program),
+        fingerprint_env(arrays, scalars),
+        fingerprint_config(config),
+        stage_cores,
+        resolve_engine(),
+    ))
+
+
+def cached_replicated(replicas, config):
+    """``run_replicated(replicas, config)`` (Fig. 14), memoized like
+    :func:`cached_run`: ``replicas`` is its list of ``(pipeline, arrays,
+    scalars, core)``.
+
+    The key holds each replica's program fingerprint, input contents and
+    core, which of the input lists the replicas share (the first position
+    of each list object, in replica and then name order: two replicas that
+    read the same contents from one list and from two copies are two
+    different runs), the config and the engine. A hit's
+    ``replica_arrays[i]`` is replica ``i``'s input overlaid with the arrays
+    the run changed, which are as shared among the replicas as the run's.
+    """
+    from .ir.serialize import fingerprint
+    from .pipette.config import resolve_engine
+
+    def run():
+        from .runtime.executor import run_replicated
+
+        return run_replicated(replicas, config)
+
+    def key():
+        first = {}
+        return content_hash(
+            "replicated",
+            [(fingerprint(p), fingerprint_env(a, s), core) for p, a, s, core in replicas],
+            [[first.setdefault(id(a[name]), len(first)) for name in sorted(a)]
+             for _, a, _, _ in replicas],
+            fingerprint_config(config),
+            resolve_engine(),
+        )
+
+    return _memoized_run(
+        [replica[0] for replica in replicas], [replica[1] for replica in replicas], run, key
+    )
+
+
+def _memoized_run(programs, inputs, run, key):
+    """``run()`` (a RunResult of ``programs`` on the per-replica arrays
+    ``inputs``) memoized in the ``baseline`` layer under ``key()``; never
+    memoized when a program carries intrinsics.
+
+    The entry keeps only the arrays the run changed; what is returned
+    overlays them on ``inputs``.
+    """
+    from .pipette.stats import RunResult
+
+    def compute():
+        result = run()
         result.replica_arrays = [
-            {name: data for name, data in result.arrays.items() if arrays.get(name) != data}
+            {name: data for name, data in out.items() if arrays.get(name) != data}
+            for arrays, out in zip(inputs, result.replica_arrays)
         ]
         return result
 
-    if program.intrinsics:
+    if any(program.intrinsics for program in programs):
         value = _compute_unmemoized(compute, "a program with intrinsics")
     else:
-        key = content_hash(
-            "run",
-            fingerprint(program),
-            fingerprint_env(arrays, scalars),
-            fingerprint_config(config),
-            stage_cores,
-            resolve_engine(),
-        )
-        value = _get_or_compute("baseline", key, compute)
+        value = _get_or_compute("baseline", key(), compute)
     return RunResult(
-        value.cycles, [{**arrays, **value.arrays}], value.stats, value.active_cores,
-        value.stage_engines, value.stage_fallbacks,
+        value.cycles,
+        [{**arrays, **changed} for arrays, changed in zip(inputs, value.replica_arrays)],
+        value.stats, value.active_cores, value.stage_engines, value.stage_fallbacks,
     )
 
 

@@ -3,10 +3,11 @@
 An asyncio socket server (unix domain by default, TCP optional) that
 accepts :mod:`repro.api` request envelopes, admits them through the
 per-client governor (:mod:`repro.service.ratelimit`), answers them — a
-warm request of a memoized verb in the event loop itself, everything else
-on the fork worker pool (:mod:`repro.service.pool`) — and writes each
-answer back as one NDJSON line, records included
-(:mod:`repro.service.protocol`).
+line the event loop already answered from the memo by replaying the bytes
+it wrote, another warm request of a memoized verb in the event loop
+itself, everything else on the fork worker pool
+(:mod:`repro.service.pool`) — and writes each answer back as one NDJSON
+line, records included (:mod:`repro.service.protocol`).
 
 Why a daemon at all: the one-shot CLI re-pays interpreter start, imports,
 and cache warm-up on every verb — exactly the dispatch overhead that
@@ -25,7 +26,9 @@ every open connection. The unix socket file is removed on exit.
 """
 
 import asyncio
+import collections
 import contextlib
+import hashlib
 import os
 import signal
 
@@ -48,10 +51,10 @@ READ_TIMEOUT = 60.0
 
 
 def _refusal(verb, code, message, exit_code=2):
-    """The terminal message of a request the daemon answers without running."""
-    return protocol.response_message(
+    """The terminal line of a request the daemon answers without running."""
+    return protocol.encode(protocol.response_message(
         error_response(verb, code, message, exit_code=exit_code).to_wire()
-    )
+    ))
 
 
 class _IdleTimer:
@@ -95,7 +98,20 @@ class _IdleTimer:
 
 
 class Daemon:
-    """One serving instance: listener + governor + worker pool + telemetry.
+    """One serving instance: listener + governor + worker pool + telemetry,
+    plus the replay table of the answers its event loop gave.
+
+    ``replays`` maps the sha256 digest of a raw request line the loop
+    answered from the memo without error to ``(verb, client, answer)``,
+    ``answer`` being what :meth:`_answer` returned for it (the exact bytes
+    written and the cache delta they carry). A byte-identical line is
+    answered from it: no decode, no :func:`execute_wire`, no encode, but the
+    same admission, telemetry and send as any request (:meth:`_serve`).
+    Such an answer is a pure function of the line and of the toolchain
+    stamp, which :func:`~repro.service.pool.preload` fixes for the daemon's
+    life. The table is an LRU of ``cache.MEMORY_ENTRIES`` lines, touched
+    only by the event loop; a pool answer, an error response or a refusal
+    is never in it.
 
     Construct it *before* any event loop runs (the fork pool must fork a
     quiet process), then drive :meth:`serve` with ``asyncio.run``.
@@ -119,6 +135,7 @@ class Daemon:
         self.pool = RequestPool(workers)
         self.governor = ClientGovernor(rate=rate, burst=burst, quota=quota)
         self.telemetry = ServiceTelemetry()
+        self.replays = collections.OrderedDict()
         self._server = None
         self._shutdown = None
         self._handlers = set()
@@ -199,6 +216,12 @@ class Daemon:
                 if not line:
                     return  # EOF: the client is done, or the idle timer fired
                 idle.busy()
+                key = hashlib.sha256(line).digest()
+                replay = self.replays.get(key)
+                if replay is not None:
+                    self.replays.move_to_end(key)
+                    await self._serve(writer, *replay)
+                    continue
                 try:
                     wire = protocol.decode(line)
                 except PhloemError as exc:
@@ -207,7 +230,7 @@ class Daemon:
                 if protocol.is_control(wire):
                     await self._on_control(wire, writer)
                 else:
-                    await self._on_request(wire, writer)
+                    await self._on_request(wire, writer, key)
         except (ConnectionResetError, BrokenPipeError):
             pass  # the client went away; nothing to answer
         except asyncio.CancelledError:
@@ -243,11 +266,12 @@ class Daemon:
             payload = {"ok": True, "stopping": True}
         else:
             payload = {"ok": False, "error": "unknown control action %r" % (action,)}
-        await self._send(writer, protocol.control_reply(payload))
+        await self._send(writer, protocol.encode(protocol.control_reply(payload)))
         if action == "shutdown":
             self.stop()
 
-    async def _on_request(self, wire, writer):
+    async def _on_request(self, wire, writer, key):
+        """Route a decoded request line (``key`` is its digest) to :meth:`_serve`."""
         verb = wire.get("verb")
         client = wire.get("client") or "anon"
         if not isinstance(verb, str) or not isinstance(client, str):
@@ -262,6 +286,12 @@ class Daemon:
                 writer, _refusal(verb, "unsupported-verb", "no handler for verb %r" % (verb,))
             )
             return
+        await self._serve(writer, verb, client, wire=wire, key=key)
+
+    async def _serve(self, writer, verb, client, answer=None, wire=None, key=None):
+        """Admit, answer, count and send one request: ``answer`` replayed, or
+        the one :meth:`_answer` computes for ``wire``. Every routed request,
+        replayed or not, is admitted and counted here and nowhere else."""
         admitted, code = self.governor.admit(client)
         if not admitted:
             self.telemetry.rejected(verb, code)
@@ -280,23 +310,44 @@ class Daemon:
         failed = True
         path = "pool"
         try:
-            try:
-                response_wire = self._lookup(wire) if REQUEST_TYPES[verb].MEMOIZED else None
-                if response_wire is not None:
-                    path = "loop"
-                else:
-                    response_wire = await self.pool.submit(wire, asyncio.get_running_loop())
-            except Exception as exc:  # noqa: BLE001 - the request was read: answer it
-                response_wire = error_response(
-                    verb, "internal-error", "%s: %s" % (type(exc).__name__, exc), exit_code=1
-                ).to_wire()
-            payload = response_wire.get("payload") or {}
-            self.telemetry.cache_delta(payload.get("cache"))
-            failed = payload.get("error") is not None
-            await self._send(writer, protocol.response_message(response_wire))
+            if answer is None:
+                answer = await self._answer(verb, client, wire, key)
+            path, line, delta, failed = answer
+            self.telemetry.cache_delta(delta)
+            await self._send(writer, line)
         finally:
             self.governor.release(client)
             self.telemetry.finish(verb, started, failed=failed, path=path)
+
+    async def _answer(self, verb, client, wire, key):
+        """``(path, line, cache delta, failed)`` answering ``wire``: from the
+        memo in the loop if it holds all of it, else from a pool worker.
+
+        A loop answer without error is entered in :attr:`replays` under
+        ``key``, the digest of the raw line.
+        """
+        path = "pool"
+        try:
+            response_wire = self._lookup(wire) if REQUEST_TYPES[verb].MEMOIZED else None
+            if response_wire is not None:
+                path = "loop"
+            else:
+                response_wire = await self.pool.submit(wire, asyncio.get_running_loop())
+        except Exception as exc:  # noqa: BLE001 - the request was read: answer it
+            response_wire = error_response(
+                verb, "internal-error", "%s: %s" % (type(exc).__name__, exc), exit_code=1
+            ).to_wire()
+        payload = response_wire.get("payload") or {}
+        failed = payload.get("error") is not None
+        answer = (
+            path, protocol.encode(protocol.response_message(response_wire)),
+            payload.get("cache"), failed,
+        )
+        if path == "loop" and not failed:
+            self.replays[key] = (verb, client, answer)
+            if len(self.replays) > cache.MEMORY_ENTRIES:
+                self.replays.popitem(last=False)
+        return answer
 
     @staticmethod
     def _lookup(wire):
@@ -309,7 +360,9 @@ class Daemon:
         the finished answer — less than the hand-off to a worker it
         replaces. A hit is counted by the cache delta its response carries,
         like any other; a miss books nothing here, as the worker that then
-        serves the request books its lookups.
+        serves the request books its lookups. An answer given here without
+        error is the one a byte-identical line gets next, from
+        :attr:`replays`, without coming here again.
         """
         try:
             with cache.lookup_only():
@@ -317,8 +370,9 @@ class Daemon:
         except cache.Miss:
             return None
 
-    async def _send(self, writer, message):
-        writer.write(protocol.encode(message))
+    @staticmethod
+    async def _send(writer, line):
+        writer.write(line)
         await writer.drain()
 
     # -- introspection -------------------------------------------------------

@@ -10,8 +10,8 @@ from repro import CompileOptions, api, cache, ir
 from repro.ir import fingerprint
 from repro.obs.record import measure, record_of
 from repro.pipette.config import SCALED_1CORE
-from repro.runtime.executor import run_pipeline, run_serial
-from repro.workloads import bfs
+from repro.runtime.executor import run_pipeline, run_replicated, run_serial
+from repro.workloads import bfs, replicated
 from repro.workloads.graphs import uniform_random
 
 
@@ -506,3 +506,36 @@ def test_traced_and_timed_runs_are_never_answered_from_the_memo(tmp_path, monkey
     perf = api.BenchPerfRequest(benches=("spmv",), repeats=1, quiet=True, baseline="none.json")
     for _ in range(2):
         assert api.handle(perf).cache["baseline"] == {"hits": 0, "misses": 0}
+
+
+def _bfs_replicas(graph, share=True):
+    """Two replicated-bfs replicas on two cores; with ``share=False`` each
+    replica reads its own copy of every input list."""
+    envs = replicated.make_envs("bfs", graph, 2)
+    if not share:
+        envs = [({name: list(data) for name, data in arrays.items()}, scalars)
+                for arrays, scalars in envs]
+    return [
+        (replicated.BUILDERS["bfs"](rid, 2), envs[rid][0], envs[rid][1], rid) for rid in range(2)
+    ]
+
+
+def test_replicated_runs_are_memoized_with_their_sharing(tiny_config, micro_graph):
+    config = replace(tiny_config, cores=2)
+    first = cache.cached_replicated(_bfs_replicas(micro_graph), config)
+    again = cache.cached_replicated(_bfs_replicas(micro_graph), config)
+    assert cache.stats()["baseline"] == {"hits": 1, "misses": 1}
+    live = run_replicated(_bfs_replicas(micro_graph), config)
+    assert measure(again) == measure(first) == measure(live)
+    assert again.replica_arrays == live.replica_arrays
+    assert again.arrays["distances"] == bfs.reference(micro_graph)
+    cache.reset(stats=False)  # from the disk store, the sharing survives too
+    stored = cache.cached_replicated(_bfs_replicas(micro_graph), config)
+    assert cache.stats()["baseline"] == {"hits": 2, "misses": 1}
+    for result in (again, stored):
+        assert result.replica_arrays[0]["distances"] is result.replica_arrays[1]["distances"]
+        assert result.replica_arrays[0]["fringe0"] is not result.replica_arrays[1]["fringe0"]
+    # Same contents read from unshared copies is another run: not answered.
+    with pytest.raises(cache.Miss):
+        with cache.lookup_only():
+            cache.cached_replicated(_bfs_replicas(micro_graph, share=False), config)
