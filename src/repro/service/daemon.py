@@ -291,7 +291,9 @@ class Daemon:
     async def _serve(self, writer, verb, client, answer=None, wire=None, key=None):
         """Admit, answer, count and send one request: ``answer`` replayed, or
         the one :meth:`_answer` computes for ``wire``. Every routed request,
-        replayed or not, is admitted and counted here and nowhere else."""
+        replayed or not, is admitted and counted here and nowhere else.
+        The request holds its governor slot until its line is written, so a
+        client may read its answer just before the slot is free."""
         admitted, code = self.governor.admit(client)
         if not admitted:
             self.telemetry.rejected(verb, code)

@@ -32,7 +32,12 @@ void k(const int* restrict a, const int* restrict b, int* restrict out, int n) {
 def serving(tmp_path, workers=0, tcp=False, **kwargs):
     """A live daemon (inline executor unless ``workers``; on a unix socket
     unless ``tcp``) plus a connected client; ``client.daemon`` is the
-    instance, for tests that reach inside."""
+    instance, for tests that reach inside.
+
+    A test reaches into ``client.daemon`` from its own thread only between
+    round trips: a request's quota slot is released after its answer is
+    written, so a control round trip (``client.ping()``) on the same
+    connection is what orders the test after that release."""
     if tcp:
         daemon = Daemon(host="127.0.0.1", workers=workers, **kwargs)
     else:
@@ -460,7 +465,8 @@ def test_in_loop_verbs_keep_rejection_and_error_codes(tmp_path, cold_store, requ
         limited = client.submit(request_)
     assert (limited.exit_code, limited.error["code"]) == (REJECTED_EXIT_CODE, RATE_LIMITED)
     with serving(tmp_path, quota=1) as client:
-        client.daemon.governor.admit("test")  # as if one job of ours were in flight
+        # As if one job of ours were in flight:
+        assert client.daemon.governor.admit("test") == (True, None)
         over = client.submit(request_)
         client.daemon.governor.release("test")
         assert client.submit(request_).ok

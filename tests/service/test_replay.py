@@ -100,7 +100,9 @@ def test_a_replayed_line_is_admitted_like_any_other(tmp_path, cold_store, monkey
     with serving(tmp_path, quota=1) as client, monkeypatch.context() as patch:
         assert client.submit(EMIT).ok  # the store is warm: a loop answer
         _no_full_path(patch)
-        client.daemon.governor.admit("test")  # as if one job of ours were in flight
+        client.ping()  # the daemon has released that answer's quota slot
+        # As if one job of ours were in flight:
+        assert client.daemon.governor.admit("test") == (True, None)
         over = client.submit(EMIT)
         message = _rejection_message(client, QUOTA_EXCEEDED)
         client.daemon.governor.release("test")
