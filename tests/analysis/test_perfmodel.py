@@ -196,6 +196,51 @@ def test_advisories_append_to_existing_set():
     assert "PHL401" in [d.code for d in diags]
 
 
+#: ``repr(static_score(...))`` of every shipped kernel compiled to 2, 3 and
+#: 4 stages: any change to a price the model charges moves one of these.
+SCORE_PINS = {
+    "bc": ("6.15839389087326e-05", "6.15839389087326e-05", "6.15839389087326e-05"),
+    "bfs": ("7.598784194528876e-05", "7.598784194528876e-05", "7.598784194528876e-05"),
+    "cc": ("8.10898475510866e-05", "8.10898475510866e-05", "8.10898475510866e-05"),
+    "pr": ("7.629510948348211e-05", "7.629510948348211e-05", "7.629510948348211e-05"),
+    "prd": ("7.694675284702985e-05", "7.694675284702985e-05", "7.694675284702985e-05"),
+    "radii": ("4.498627918484862e-05", "4.498627918484862e-05", "4.498627918484862e-05"),
+    "spmm": ("1.353876147410035e-05", "1.3541694878530997e-05", "1.3541694878530997e-05"),
+    "spmv": ("0.0015174506828528073", "0.0015174506828528073", "0.0015174506828528073"),
+    "sssp": ("8.000320012800513e-06", "8.000320012800513e-06", "8.000320012800513e-06"),
+    "tc": ("3.676740936833591e-05", "1.8383704684167955e-05", "1.8383704684167955e-05"),
+    "taco/mtmul": ("0.0005847953216374269", "0.0005847953216374269", "0.00029239766081871346"),
+    "taco/residual": ("0.001447178002894356", "0.001447178002894356", "0.001447178002894356"),
+    "taco/sddmm": ("0.0001257071024512885", "0.0001257071024512885", "0.0001861850679575498"),
+    "taco/spmv": ("0.0015174506828528073", "0.0015174506828528073", "0.0015174506828528073"),
+}
+
+
+def _pinned_compile(name, num_stages):
+    options = CompileOptions(num_stages=num_stages)
+    if name.startswith("taco/"):
+        maker = {
+            "taco/mtmul": mtmul_kernel,
+            "taco/residual": residual_kernel,
+            "taco/sddmm": sddmm_kernel,
+            "taco/spmv": spmv_kernel,
+        }[name]
+        return compile_c(maker().source, options=options)
+    return compile_function(ALL_BENCHMARKS[name].function(), options=options)
+
+
+@pytest.mark.parametrize("num_stages", [2, 3, 4])
+@pytest.mark.parametrize("name", sorted(SCORE_PINS))
+def test_static_score_is_pinned(name, num_stages):
+    score = static_score(_pinned_compile(name, num_stages))
+    assert repr(score) == SCORE_PINS[name][num_stages - 2]
+
+
+def test_static_score_pins_cover_every_shipped_kernel():
+    taco = ["taco/mtmul", "taco/residual", "taco/sddmm", "taco/spmv"]
+    assert sorted(SCORE_PINS) == sorted(list(ALL_BENCHMARKS) + taco)
+
+
 # ---------------------------------------------------------------------------
 # The pinned conformance sweep: predicted vs. measured bottleneck
 
