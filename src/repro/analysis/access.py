@@ -26,6 +26,16 @@ SEQUENTIAL = "sequential"
 INDIRECT = "indirect"
 OTHER = "other"
 
+#: Service cost of one load by access kind, the one price list the
+#: decoupling ranking and the performance model share. Streaming loads ride
+#: the prefetcher; indirect loads pay an amortized miss (bounded by
+#: MSHR-level memory parallelism, hence far below the raw DRAM latency);
+#: ``other`` (queue-fed/opaque) indices land in between.
+LOAD_COST = {SEQUENTIAL: 2.0, OTHER: 6.0, INDIRECT: 12.0}
+
+#: Extra cost per chained-load level feeding an address.
+INDIRECTION_COST = 4.0
+
 
 def affine_root(index: Any, du: DefUse, _depth: int = 0) -> tuple[Any, Any]:
     """Resolve ``index`` to ``(root_operand, constant_offset)``.

@@ -7,7 +7,9 @@ together, rather than in two separate stages"). A candidate's score is
 
 * cost comes from the access kind — indirect accesses are expensive,
   streaming scans are cheap (the prefetcher mostly covers them), and the
-  second member of a group is almost free (it hits the same line);
+  second member of a group is almost free (it hits the same line). The
+  per-kind prices are :mod:`repro.analysis.access`'s ``LOAD_COST`` and
+  ``INDIRECTION_COST``, the ones the performance model charges;
 * frequency weights inner loops exponentially higher, so the access to
   ``g->edges`` outranks ``g->nodes`` exactly as the paper describes.
 
@@ -20,19 +22,9 @@ from typing import Any
 
 from ..frontend.pragmas import DECOUPLE_MARK
 from ..ir.stmts import walk
-from .access import INDIRECT, OTHER, SEQUENTIAL, AccessInfo, classify_loads
+from .access import INDIRECTION_COST, LOAD_COST, AccessInfo, classify_loads
 from .alias import AliasInfo
 from .loops import estimated_trip_weight
-
-#: Predicted per-access cost by kind (arbitrary units; only ranking matters).
-KIND_COST = {
-    INDIRECT: 48.0,
-    OTHER: 16.0,
-    SEQUENTIAL: 3.0,
-}
-
-#: Extra cost per level of indirection feeding the address.
-CHAIN_COST = 12.0
 
 #: Cost of a grouped (adjacent) second access: almost surely a cache hit.
 ADJACENT_COST = 1.0
@@ -118,7 +110,7 @@ def rank_decouple_points(function: Any) -> list[DecouplePoint]:
     points = []
     for group in groups:
         lead = group[0]
-        cost = KIND_COST[lead.kind] + CHAIN_COST * lead.indirection
+        cost = LOAD_COST[lead.kind] + INDIRECTION_COST * lead.indirection
         cost += ADJACENT_COST * (len(group) - 1)
         weight = estimated_trip_weight(lead.depth)
         score = cost * weight

@@ -32,6 +32,10 @@ def find_phase_loop(body: Any) -> Optional[Any]:
     return loop if has_nest else None
 
 
-def estimated_trip_weight(depth: int, base: int = 8) -> float:
+#: Estimated iterations of a loop whose bounds are unknown.
+TRIP_BASE = 8
+
+
+def estimated_trip_weight(depth: int) -> float:
     """Frequency weight of code at loop ``depth`` (cost model, Sec. V)."""
-    return float(base**depth)
+    return float(TRIP_BASE**depth)

@@ -3,13 +3,14 @@
 Predicts, without simulating, where a compiled pipeline's steady-state
 bottleneck sits and how its queues will behave. The model walks each
 stage's IR, weights every statement by how often it executes relative to
-one *source unit* of work (the trip-weight heuristic of
-:mod:`repro.analysis.loops`, propagated along the queue topology so a
-consumer's frequency is driven by its producers' token rates), and prices
-each statement with per-kind service costs mirroring the Pipette timing
-model (:mod:`repro.pipette.interp`): indirect loads pay a miss-like
-latency, streaming loads are nearly free behind the prefetcher, queue ops
-cost an issue slot plus transfer latency, and so on.
+one *source unit* of work (``TRIP_BASE`` of :mod:`repro.analysis.loops`,
+propagated along the queue topology so a consumer's frequency is driven by
+its producers' token rates), and prices each statement with per-kind
+service costs mirroring the Pipette timing model: loads pay
+:mod:`repro.analysis.access`'s ``LOAD_COST``/``INDIRECTION_COST`` (the
+prices the decoupling ranking uses), ALU ops and atomics the Table III
+``OP_LATENCIES``/``ATOMIC_OVERHEAD`` of :mod:`repro.ir.program`, queue ops
+an issue slot plus transfer latency, and so on.
 
 Solving the resulting per-stage work totals gives:
 
@@ -28,7 +29,7 @@ PHL401-PHL405 diagnostics (all NOTE/WARNING), through ``repro lint
 --perf``, and as the static score the autotuner's ``prune_static`` mode
 uses to drop dominated candidates before simulation.
 
-Calibration contract (DESIGN.md section 8): the per-kind costs below were
+Calibration contract (DESIGN.md section 8): the per-kind costs were
 calibrated once against measured ``SimStats`` busy times on the shipped
 bench/dp/manual/taco kernels and are pinned by the conformance tests in
 ``tests/analysis/test_perfmodel.py``; the prediction is considered correct
@@ -42,33 +43,15 @@ import re
 from typing import Any, Optional
 
 from ..diag import NOTE, WARNING, DiagnosticSet
-from ..ir.program import RA_SCAN
+from ..ir.program import ATOMIC_OVERHEAD, ISSUE_WIDTH, OP_LATENCIES, RA_SCAN
 from ..ir.stmts import walk, walk_with_depth
-from .access import INDIRECT, OTHER, SEQUENTIAL, _depends_on_load, classify_loads
+from .access import INDIRECT, INDIRECTION_COST, LOAD_COST, OTHER, _depends_on_load, classify_loads
 from .defs import DefUse
-from .loops import estimated_trip_weight
+from .loops import TRIP_BASE, estimated_trip_weight
 from .sanitize import _first_span, _stage_label
 
-#: Micro-ops a core issues per cycle (mirrors ``MachineConfig.issue_width``): PHL405's budget.
-ISSUE_WIDTH = 6.0
-
-#: Extra latency of ALU ops beyond one issue slot (mirrors
-#: ``MachineConfig.op_latency``: mul 3, div/mod 12, default 1).
-OP_COST = {"mul": 3.0, "div": 12.0, "mod": 12.0}
+#: Cost of an ALU op absent from ``OP_LATENCIES`` (one issue slot).
 DEFAULT_OP_COST = 1.0
-
-#: Per-load service cost by access kind. Streaming loads ride the
-#: prefetcher; indirect loads pay an amortized miss (bounded by MSHR-level
-#: memory parallelism, hence far below the raw DRAM latency); ``other``
-#: (queue-fed/opaque) indices land in between.
-LOAD_COST = {SEQUENTIAL: 2.0, OTHER: 6.0, INDIRECT: 12.0}
-
-#: Extra cost per additional chained-load level feeding an address.
-INDIRECTION_COST = 4.0
-
-#: Trip-weight base: estimated iterations of a loop whose bounds are
-#: unknown (shared with the decoupling cost model).
-TRIP_BASE = 8.0
 
 #: Token expansion of a SCAN reference accelerator: it consumes *two*
 #: input tokens (start, end) per scan and emits an estimated TRIP_BASE
@@ -78,7 +61,8 @@ SCAN_OUT_PER_IN = TRIP_BASE / 2.0
 QUEUE_OP_COST = 2.0  # one issue slot + amortized transfer latency
 STORE_COST = 2.0
 PREFETCH_COST = 1.0
-ATOMIC_COST = 20.0  # 3 slots + atomic_overhead(15) + tag access
+ATOMIC_SLOTS = 3.0  # issue slots of one read-modify-write
+ATOMIC_COST = ATOMIC_SLOTS + ATOMIC_OVERHEAD + 2.0  # + the tag access
 FOR_HEADER_COST = 3.0  # per-iteration loop bookkeeping (3 uops)
 LOOP_HEADER_COST = 1.0
 BRANCH_COST = 1.0
@@ -375,7 +359,7 @@ def _stmt_cost(stmt: Any, access_kind: dict[int, Any], intrinsics: dict[str, Any
     per iteration; block contents are priced separately)."""
     kind = stmt.kind
     if kind == "assign":
-        return OP_COST.get(stmt.op, DEFAULT_OP_COST)
+        return OP_LATENCIES.get(stmt.op, DEFAULT_OP_COST)
     if kind == "load":
         info = access_kind.get(id(stmt))
         if info is None:
@@ -413,13 +397,13 @@ def _issue_slots(stmt: Any, intrinsics: dict[str, Any]) -> float:
     """Issue slots one execution of ``stmt`` claims from the IssueLedger."""
     kind = stmt.kind
     if kind == "for":
-        return 3.0
+        return FOR_HEADER_COST
     if kind == "call":
         intrinsic = intrinsics.get(stmt.func)
         cost = getattr(intrinsic, "cost", None)
         return float(cost) if cost else DEFAULT_CALL_COST
     if kind == "atomic_rmw":
-        return 3.0
+        return ATOMIC_SLOTS
     if kind in ("barrier", "break", "continue", "comment"):
         return 0.0
     return 1.0
@@ -474,13 +458,13 @@ def analyze_pipeline(pipeline: Any) -> PerfReport:
                 continue
             _origin, _origin_qid, rate, _mult = rate_of(qid)
             if rate is None:
-                rate = estimated_trip_weight(level, base=int(TRIP_BASE))
+                rate = estimated_trip_weight(level)
             level_rate[level] = max(level_rate.get(level, 0.0), rate)
         driven = sorted(level_rate)
 
         def weight_at(depth: int) -> float:
             if not driven:
-                return estimated_trip_weight(depth, base=int(TRIP_BASE))
+                return estimated_trip_weight(depth)
             below = [d for d in driven if d <= depth]
             if below:
                 dd = max(below)

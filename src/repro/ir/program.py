@@ -111,6 +111,15 @@ QUEUE_DEPTH = 24
 MAX_QUEUES = 16
 MAX_RAS = 4
 
+#: The core's timing (paper Table III), read by ``MachineConfig``'s
+#: defaults, the simulator and the static performance model: micro-ops
+#: issued per cycle, completion latencies of register-to-register ops
+#: (cycles; an op absent here takes 1) and the cycles an atomic
+#: read-modify-write adds to its access.
+ISSUE_WIDTH = 6
+OP_LATENCIES = {"mul": 3, "div": 12, "mod": 12, "select": 1}
+ATOMIC_OVERHEAD = 15
+
 
 class QueueSpec:
     """A hardware queue connecting a producer to a consumer.

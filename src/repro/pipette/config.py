@@ -4,27 +4,21 @@ The defaults reproduce the paper's evaluation configuration: Skylake-like
 6-wide OOO cores with 4-thread SMT, Pipette's queues and RAs, and a
 three-level cache hierarchy over bandwidth-limited DRAM. Pipette's queue and
 RA limits are constants (:mod:`repro.ir.program`) that ``verify_pipeline``
-enforces; a queue's depth is its ``QueueSpec.capacity``.
+enforces; a queue's depth is its ``QueueSpec.capacity``. The issue width and
+op latencies default to the constants there too, which the static
+performance model reads without importing the simulator.
 
 Also the home of the engine selector (:data:`ENGINES`,
-:data:`DEFAULT_ENGINE`, :data:`ENGINE_ENV`, :func:`resolve_engine`): a leaf
-module, so picking an engine imports no engine.
+:data:`DEFAULT_ENGINE`, :data:`ENGINE_ENV`, :func:`resolve_engine`): this
+module imports no other part of the simulator, so picking an engine imports
+no engine.
 """
 
 import os
 from dataclasses import dataclass, field
 
 from ..errors import ResourceError
-
-
-def _default_op_latencies():
-    # Completion latencies (cycles) for register-to-register operations.
-    return {
-        "mul": 3,
-        "div": 12,
-        "mod": 12,
-        "select": 1,
-    }
+from ..ir.program import ISSUE_WIDTH, OP_LATENCIES
 
 
 @dataclass(frozen=True)
@@ -62,7 +56,7 @@ class MachineConfig:
     # Cores.
     cores: int = 1
     smt_threads: int = 4
-    issue_width: int = 6
+    issue_width: int = ISSUE_WIDTH
     rob_size: int = 224
     mshrs: int = 10
     mispredict_penalty: int = 14
@@ -86,7 +80,7 @@ class MachineConfig:
     prefetch_degree: int = 4
 
     # Per-op completion latencies; everything absent defaults to 1 cycle.
-    op_latencies: dict = field(default_factory=_default_op_latencies)
+    op_latencies: dict = field(default_factory=OP_LATENCIES.copy)
 
     def __post_init__(self):
         # A negative latency or penalty moves a clock backwards; the engines

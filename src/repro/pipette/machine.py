@@ -12,6 +12,7 @@ figures need.
 import weakref
 
 from ..errors import ResourceError, SimulationError
+from ..ir.program import ATOMIC_OVERHEAD
 from ..ir.verifier import verify_pipeline
 from .batchpath import BatchStageInterp
 from .config import resolve_engine
@@ -70,7 +71,7 @@ class RunEnv:
         self.intrinsics = spec.pipeline.intrinsics
         self.barrier = None  # installed by the machine (global)
         self.core = spec.core
-        self.atomic_overhead = 15
+        self.atomic_overhead = ATOMIC_OVERHEAD
 
     @property
     def machine(self):

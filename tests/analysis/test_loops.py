@@ -1,7 +1,7 @@
 """Loop-nest indexing and phase-loop detection."""
 
 from repro import ir
-from repro.analysis.loops import estimated_trip_weight, find_phase_loop
+from repro.analysis.loops import TRIP_BASE, estimated_trip_weight, find_phase_loop
 from repro.frontend import compile_source
 from repro.ir.stmts import loop_chain, walk_with_depth
 from repro.workloads import bfs
@@ -56,10 +56,10 @@ def test_trip_weight_grows_exponentially():
 
 
 def test_trip_weight_nested_edge_cases():
-    # Depth 0 (outside any loop) is weight 1, custom bases compound per
-    # level, and the result is always a float.
+    # Depth 0 (outside any loop) is weight 1, the base compounds per level,
+    # and the result is always a float.
     assert estimated_trip_weight(0) == 1.0
-    assert estimated_trip_weight(2, base=4) == 16.0
+    assert estimated_trip_weight(2) == TRIP_BASE ** 2
     assert type(estimated_trip_weight(1)) is float
 
 

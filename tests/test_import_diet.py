@@ -87,11 +87,17 @@ def test_emit_loads_no_simulator_workloads_or_harness(tmp_path, warm):
 
 
 def test_lint_bench_loads_no_simulator_or_harness(tmp_path):
+    banned = {"repro.pipette", "repro.runtime", "repro.bench"} | OBS_BANNED
     output, loaded = _loaded_by(tmp_path, "lint", "--bench", "bfs")
     assert output == ["bfs: clean"]
-    banned = {"repro.pipette", "repro.runtime", "repro.bench"} | OBS_BANNED
     assert not _banned(loaded, banned)
     assert "repro.workloads" in loaded
+    # The perf model prices Table III from constants that live outside the
+    # simulator package, so --perf adds analyzers and no simulator.
+    output, loaded = _loaded_by(tmp_path, "lint", "--bench", "bfs", "--perf")
+    assert output[0] == "bfs:" and "PHL401" in "\n".join(output)
+    assert not _banned(loaded, banned)
+    assert "repro.analysis.perfmodel" in loaded
 
 
 def test_import_repro_is_lazy_and_its_exports_still_resolve():
